@@ -3,9 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"scale/internal/graph"
 )
 
 // benchServe measures end-to-end /v1/infer throughput through the full
@@ -109,4 +114,67 @@ func BenchmarkServeBatchedHeavy(b *testing.B) {
 // quantized tier (server-default precision int8).
 func BenchmarkServeBatchedHeavyInt8(b *testing.B) {
 	benchServeHeavy(b, "int8")
+}
+
+// carriedBody marshals a request-carried graph the way perfbench and the
+// README build bodies: from a map, so the keys come out sorted. Feature
+// values are multiples of 1/8 in [-2, 2], as in perfbench.
+func carriedBody(b *testing.B, seed int64, n int, edges [][2]int, dims []int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	feats := make([][]float32, n)
+	for v := range feats {
+		feats[v] = make([]float32, dims[0])
+		for j := range feats[v] {
+			feats[v][j] = float32(rng.Intn(33)-16) / 8
+		}
+	}
+	body, err := json.Marshal(map[string]any{
+		"model": "gcn", "dims": dims, "precision": "fp32",
+		"num_vertices": n, "edges": edges, "features": feats,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
+}
+
+var sinkInferBody inferBody
+
+// BenchmarkInferBodyDecode measures /v1/infer body decoding alone, from the
+// request body to an inferBody, on perfbench's two carried-graph shapes:
+// the Reddit-scale graph of carried-sharded (~7 MB) and a 72-vertex graph,
+// small-open's mean size (16-128 vertices, 4 edges per vertex).
+func BenchmarkInferBodyDecode(b *testing.B) {
+	g := graph.MustByName("reddit").Build()
+	var redditEdges [][2]int
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, u := range g.InNeighbors(v) {
+			redditEdges = append(redditEdges, [2]int{int(u), v})
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	smallEdges := make([][2]int, 4*72)
+	for i := range smallEdges {
+		smallEdges[i] = [2]int{rng.Intn(72), rng.Intn(72)}
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"reddit", carriedBody(b, 1, g.NumVertices(), redditEdges, []int{602, 64, 41})},
+		{"small72", carriedBody(b, 3, 72, smallEdges, []int{16, 32, 8})},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(tc.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := &http.Request{Body: io.NopCloser(bytes.NewReader(tc.body)), ContentLength: int64(len(tc.body))}
+				body, err := decodeInferBody(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkInferBody = body
+			}
+		})
+	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -127,7 +126,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		var body mutateBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		if err := decodeJSON(r, &body); err != nil {
 			writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 			return
 		}
@@ -187,7 +186,7 @@ func (s *Server) handleInferDirect(w http.ResponseWriter, r *http.Request, body 
 	} else {
 		// Sampled inference over a request-carried graph: same body shape
 		// as the batched path, validated with the same sentinels.
-		if err := validateShardBody(&body); err != nil {
+		if err := validateCarried(&body); err != nil {
 			s.writeMapped(w, err)
 			return
 		}

@@ -335,6 +335,12 @@ func TestMutateStatusMapping(t *testing.T) {
 			t.Fatalf("%d %s", rec.Code, rec.Body.String())
 		}
 	})
+	t.Run("trailing data is 400", func(t *testing.T) {
+		rec := do(t, s, http.MethodPost, "/v1/mutate", `{"ops":[{"op":"add_edge","src":1,"dst":2}]} {"ops":[]}`)
+		if rec.Code != http.StatusBadRequest || decodeError(t, rec).Kind != "bad_input" {
+			t.Fatalf("%d %s", rec.Code, rec.Body.String())
+		}
+	})
 	t.Run("out of range is 400 and counted", func(t *testing.T) {
 		before := s.Metrics().MutationsRejected.Load()
 		rec := do(t, s, http.MethodPost, "/v1/mutate", mutateBody{Ops: []mutateOp{{Op: "add_edge", Src: 9999, Dst: 0}}})

@@ -49,6 +49,11 @@ type inferBody struct {
 	SampleSeed   uint64 `json:"sample_seed,omitempty"`
 }
 
+// request is the body's request-carried graph.
+func (b *inferBody) request() scale.InferRequest {
+	return scale.InferRequest{NumVertices: b.NumVertices, Edges: b.Edges, Features: b.Features}
+}
+
 // inferResponse is the POST /v1/infer success payload.
 type inferResponse struct {
 	Model      string      `json:"model"`
@@ -213,8 +218,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.queue.release()
 
-	var body inferBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	body, err := decodeInferBody(r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 		return
 	}
@@ -267,7 +272,7 @@ func (s *Server) inferLocal(w http.ResponseWriter, r *http.Request, body inferBo
 		s.writeMapped(w, err)
 		return
 	}
-	req := scale.InferRequest{NumVertices: body.NumVertices, Edges: body.Edges, Features: body.Features}
+	req := body.request()
 	// Validate before batching: a malformed request earns its 400 here and
 	// never poisons batch-mates.
 	if err := entry.sess.Validate(req); err != nil {
@@ -311,7 +316,7 @@ func (s *Server) inferLocal(w http.ResponseWriter, r *http.Request, body inferBo
 // fp32 answers are bit-identical either way, so the client only sees the
 // difference in /healthz and the scale_serve_degraded gauge.
 func (s *Server) handleInferSharded(w http.ResponseWriter, r *http.Request, body inferBody, precision string) {
-	if err := validateShardBody(&body); err != nil {
+	if err := validateCarried(&body); err != nil {
 		s.writeMapped(w, err)
 		return
 	}
@@ -379,30 +384,15 @@ func fallbackEligible(err error) bool {
 	return true
 }
 
-// validateShardBody mirrors scale.Session.Validate for the sharded path,
-// which has no local session to ask: same checks, same sentinels, so both
-// paths answer identical 400s.
-func validateShardBody(body *inferBody) error {
-	if body.NumVertices < 1 {
-		return fmt.Errorf("scale: need at least one vertex, got %d: %w", body.NumVertices, fault.ErrBadGraph)
-	}
+// validateCarried checks a request-carried graph on the paths that have no
+// local session to ask (sharded and sampled). Only the dims chain is checked
+// here; the rest is the same scale.InferRequest.Validate the local path's
+// session runs, so every path answers identical 400s.
+func validateCarried(body *inferBody) error {
 	if len(body.Dims) < 2 {
 		return fmt.Errorf("scale: dims chain has %d entries, need ≥2: %w", len(body.Dims), fault.ErrBadConfig)
 	}
-	for i, e := range body.Edges {
-		if e[0] < 0 || e[0] >= body.NumVertices || e[1] < 0 || e[1] >= body.NumVertices {
-			return fmt.Errorf("scale: edge %d (%d→%d) outside [0, %d): %w", i, e[0], e[1], body.NumVertices, fault.ErrBadGraph)
-		}
-	}
-	if len(body.Features) != body.NumVertices {
-		return fmt.Errorf("scale: %d feature rows for %d vertices: %w", len(body.Features), body.NumVertices, fault.ErrBadShape)
-	}
-	for v, row := range body.Features {
-		if len(row) != body.Dims[0] {
-			return fmt.Errorf("scale: feature row %d has %d values, model wants %d: %w", v, len(row), body.Dims[0], fault.ErrBadShape)
-		}
-	}
-	return nil
+	return body.request().Validate(body.Dims[0])
 }
 
 // handleSimulate serves POST /v1/simulate: one timing-model run of (model,
@@ -426,7 +416,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer s.queue.release()
 
 	var body simulateBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := decodeJSON(r, &body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 		return
 	}

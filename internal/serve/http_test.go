@@ -87,9 +87,32 @@ func stalledBackend(ctx context.Context, sess *scale.Session, reqs []scale.Infer
 	return nil, ctx.Err()
 }
 
-// TestStatusMapping drives every HTTP status the API can answer through
-// httptest, one table row per (input, expected status, expected kind).
-func TestStatusMapping(t *testing.T) {
+// statusCase is one TestStatusMapping row: a request and the status and
+// error kind it must earn.
+type statusCase struct {
+	name     string
+	cfg      Config
+	method   string
+	path     string
+	body     any
+	wantCode int
+	wantKind string
+}
+
+// inferWith is a valid /v1/infer body with its edges and features values
+// replaced by raw JSON.
+func inferWith(edges, features string) string {
+	return `{"model":"gin","dims":[2,3],"num_vertices":3,"edges":` + edges + `,"features":` + features + `}`
+}
+
+const (
+	okEdges    = `[[0,1],[2,1]]`
+	okFeatures = `[[1,0],[0,1],[1,1]]`
+)
+
+// statusCases is TestStatusMapping's table, one row per (input, expected
+// status, expected kind).
+func statusCases() []statusCase {
 	badEdge := validInfer()
 	badEdge.Edges = [][2]int{{0, 9}}
 	badShape := validInfer()
@@ -101,22 +124,23 @@ func TestStatusMapping(t *testing.T) {
 	tooBig := validInfer()
 	tooBig.NumVertices = 1 << 30
 
-	cases := []struct {
-		name     string
-		cfg      Config
-		method   string
-		path     string
-		body     any
-		wantCode int
-		wantKind string
-	}{
+	return []statusCase{
 		{"infer ok", Config{}, "POST", "/v1/infer", validInfer(), 200, ""},
+		{"null edges (no edges)", Config{}, "POST", "/v1/infer", inferWith("null", okFeatures), 200, ""},
 		{"simulate ok", Config{}, "POST", "/v1/simulate", simulateBody{Model: "gcn", Dataset: "cora"}, 200, ""},
 		{"simulate systolic", Config{}, "POST", "/v1/simulate", simulateBody{Model: "gcn", Dataset: "cora", Accel: "systolic"}, 200, ""},
 		{"unknown accelerator (ErrBadConfig)", Config{}, "POST", "/v1/simulate", simulateBody{Model: "gcn", Dataset: "cora", Accel: "nope"}, 400, "bad_input"},
 		{"infer GET", Config{}, "GET", "/v1/infer", nil, 405, "usage"},
 		{"simulate GET", Config{}, "GET", "/v1/simulate", nil, 405, "usage"},
 		{"bad JSON", Config{}, "POST", "/v1/infer", "{not json", 400, "bad_input"},
+		{"infer trailing data", Config{}, "POST", "/v1/infer", inferWith(okEdges, okFeatures) + ` {"model":"nope"} garbage`, 400, "bad_input"},
+		{"simulate trailing data", Config{}, "POST", "/v1/simulate", `{"model":"gcn","dataset":"cora"} {"model":"nope"}`, 400, "bad_input"},
+		{"edge with one id", Config{}, "POST", "/v1/infer", inferWith(`[[2]]`, okFeatures), 400, "bad_input"},
+		{"edge with three ids", Config{}, "POST", "/v1/infer", inferWith(`[[0,1,7]]`, okFeatures), 400, "bad_input"},
+		{"null edge", Config{}, "POST", "/v1/infer", inferWith(`[null]`, okFeatures), 400, "bad_input"},
+		{"null vertex id", Config{}, "POST", "/v1/infer", inferWith(`[[null,1]]`, okFeatures), 400, "bad_input"},
+		{"null feature row", Config{}, "POST", "/v1/infer", inferWith(okEdges, `[[1,0],null,[1,1]]`), 400, "bad_input"},
+		{"null feature value", Config{}, "POST", "/v1/infer", inferWith(okEdges, `[[1,0],[0,null],[1,1]]`), 400, "bad_input"},
 		{"unknown model (ErrBadConfig)", Config{}, "POST", "/v1/infer", badModel, 400, "bad_input"},
 		{"edge out of range (ErrBadGraph)", Config{}, "POST", "/v1/infer", badEdge, 400, "bad_input"},
 		{"missing feature rows (ErrBadShape)", Config{}, "POST", "/v1/infer", badShape, 400, "bad_input"},
@@ -127,18 +151,28 @@ func TestStatusMapping(t *testing.T) {
 			func() inferBody { b := validInfer(); b.TimeoutMS = 20; return b }(), 408, "timeout"},
 		{"injected panic (500)", Config{Backend: panicBackend}, "POST", "/v1/infer", validInfer(), 500, "panic"},
 	}
-	for _, tc := range cases {
+}
+
+// checkStatus fails unless rec carries tc's status and error kind.
+func checkStatus(t *testing.T, tc statusCase, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	if rec.Code != tc.wantCode {
+		t.Fatalf("code = %d (%s), want %d", rec.Code, rec.Body.String(), tc.wantCode)
+	}
+	if tc.wantKind != "" {
+		if e := decodeError(t, rec); e.Kind != tc.wantKind {
+			t.Fatalf("kind = %q (%s), want %q", e.Kind, rec.Body.String(), tc.wantKind)
+		}
+	}
+}
+
+// TestStatusMapping drives every HTTP status the API can answer through
+// httptest.
+func TestStatusMapping(t *testing.T) {
+	for _, tc := range statusCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.cfg)
-			rec := do(t, s, tc.method, tc.path, tc.body)
-			if rec.Code != tc.wantCode {
-				t.Fatalf("code = %d (%s), want %d", rec.Code, rec.Body.String(), tc.wantCode)
-			}
-			if tc.wantKind != "" {
-				if e := decodeError(t, rec); e.Kind != tc.wantKind {
-					t.Fatalf("kind = %q (%s), want %q", e.Kind, rec.Body.String(), tc.wantKind)
-				}
-			}
+			checkStatus(t, tc, do(t, s, tc.method, tc.path, tc.body))
 		})
 	}
 }

@@ -100,6 +100,37 @@ func TestShardedServingGolden(t *testing.T) {
 	}
 }
 
+// TestShardedStatusParity sends every bad-input row of TestStatusMapping to
+// a pool-fronting server, where every infer takes the sharded path, and
+// requires the status and kind the local path answers.
+func TestShardedStatusParity(t *testing.T) {
+	sim, err := scale.New(scale.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := shard.NewPool(shard.PoolConfig{Workers: startShardWorkers(t, sim, 2), Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, Config{Sim: sim, ShardPool: pool})
+	rows := 0
+	for _, tc := range statusCases() {
+		if tc.wantCode != http.StatusBadRequest {
+			continue
+		}
+		rows++
+		t.Run(tc.name, func(t *testing.T) {
+			checkStatus(t, tc, do(t, srv, tc.method, tc.path, tc.body))
+		})
+	}
+	if got := pool.Metrics().Requests.Load(); got != 1 {
+		t.Fatalf("pool ran %d passes, want 1 (only the unknown model reaches a worker)", got)
+	}
+	if rows == 0 {
+		t.Fatal("no bad-input rows")
+	}
+}
+
 // Requests below the sharding floor stay on the local micro-batcher.
 func TestShardMinVerticesFloor(t *testing.T) {
 	sim, err := scale.New(scale.Options{})

@@ -184,7 +184,8 @@ func (sess *Session) InferSampled(ctx context.Context, layers []*graph.Graph, x 
 }
 
 // validateMatrix checks a materialized (graph, features) pair against the
-// session's input dimension with the same typed sentinels as validate.
+// session's input dimension with the same typed sentinels as
+// InferRequest.Validate.
 func (sess *Session) validateMatrix(g *graph.Graph, x *tensor.Matrix) error {
 	if g.NumVertices() < 1 {
 		return fmt.Errorf("scale: need at least one vertex, got %d: %w", g.NumVertices(), fault.ErrBadGraph)
@@ -216,9 +217,13 @@ type InferRequest struct {
 	Features    [][]float32
 }
 
-// validate checks one request against the session's input dimension, wrapping
-// the fault sentinels exactly like Simulator.Infer always has.
-func (sess *Session) validate(r InferRequest) error {
+// Validate checks the request against a model whose input width is inDim:
+// at least one vertex, every edge endpoint in [0, NumVertices), and exactly
+// NumVertices feature rows of inDim values each. Failures wrap the fault
+// sentinels (ErrBadGraph, ErrBadShape). Every inference path — a Session,
+// and the serving tier's sharded and sampled paths that have no local
+// session to ask — validates through it, so all answer identical errors.
+func (r InferRequest) Validate(inDim int) error {
 	if r.NumVertices < 1 {
 		return fmt.Errorf("scale: need at least one vertex, got %d: %w", r.NumVertices, fault.ErrBadGraph)
 	}
@@ -231,8 +236,8 @@ func (sess *Session) validate(r InferRequest) error {
 		return fmt.Errorf("scale: %d feature rows for %d vertices: %w", len(r.Features), r.NumVertices, fault.ErrBadShape)
 	}
 	for v, row := range r.Features {
-		if len(row) != sess.dims[0] {
-			return fmt.Errorf("scale: feature row %d has %d values, model wants %d: %w", v, len(row), sess.dims[0], fault.ErrBadShape)
+		if len(row) != inDim {
+			return fmt.Errorf("scale: feature row %d has %d values, model wants %d: %w", v, len(row), inDim, fault.ErrBadShape)
 		}
 	}
 	return nil
@@ -243,7 +248,7 @@ func (sess *Session) validate(r InferRequest) error {
 // input dimension). The serving layer calls it before admitting a request to
 // a batch, so one malformed request gets its 400 without poisoning
 // batch-mates.
-func (sess *Session) Validate(req InferRequest) error { return sess.validate(req) }
+func (sess *Session) Validate(req InferRequest) error { return req.Validate(sess.dims[0]) }
 
 // Infer runs functional inference over one graph. See Simulator.Infer, which
 // is now a thin wrapper over a throwaway Session.
@@ -279,7 +284,7 @@ func (sess *Session) InferBatch(ctx context.Context, reqs []InferRequest) ([][][
 	}
 	total := 0
 	for i, r := range reqs {
-		if err := sess.validate(r); err != nil {
+		if err := sess.Validate(r); err != nil {
 			if len(reqs) > 1 {
 				return nil, fmt.Errorf("scale: batch request %d: %w", i, err)
 			}
