@@ -17,8 +17,14 @@ test: build
 # the CLIs must return typed errors, never panic or exit directly. Interior
 # kernels (tensor/gnn/core hot paths) are exempt by design. Intentional
 # panics carry a `lint:allow-panic` marker on the same or preceding line.
+# Every tracked .go file must also be gofmt-clean (.bench_build/ holds
+# generated benchmark checkouts and is skipped).
 lint:
 	$(GO) vet ./...
+	@bad=$$(git ls-files '*.go' ':!.bench_build' | xargs gofmt -l); \
+	if [ -n "$$bad" ]; then \
+	    echo "lint: gofmt -l flags:"; echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -rn --include='*.go' -e 'panic(' -e 'log\.Fatal' \
 	        internal/bench internal/dse internal/serve internal/shard internal/baseline cmd \
 	    | grep -v '_test\.go:' \
@@ -314,11 +320,10 @@ chaos-smoke:
 # Dynamic-graph smoke (DESIGN §4m): boot scale-serve with a mutable
 # Erdős–Rényi graph, interleave /v1/mutate batches (edge adds/removes plus a
 # vertex add) with "graph":"dynamic" infers, and require every response to
-# succeed. The metrics gate is the delta-invalidation story: the schedule
-# table must have reused entries across the mutation stream
-# (scale_dyn_sched_reused_total > 0 — i.e. strictly fewer recomputes than a
-# full rebuild per batch) with a positive invalidation hit rate, and the
-# mutation counters must account for every batch. SIGTERM must drain cleanly.
+# succeed. The metrics gates: the mutation counters account for every
+# batch, all 9 dynamic infers took the direct route
+# (scale_serve_dyn_requests_total 9), and the vertex add shows in
+# scale_dyn_vertices. SIGTERM must drain cleanly.
 DYN_ADDR ?= 127.0.0.1:18351
 dyn-smoke:
 	$(GO) build -o /tmp/scale-serve-dyn-smoke ./cmd/scale-serve
@@ -350,18 +355,15 @@ dyn-smoke:
 	metrics=$$(curl -sf http://$(DYN_ADDR)/metrics); \
 	echo "$$metrics" | grep -q 'scale_dyn_mutation_batches_total 9' || \
 	    { echo "dyn-smoke: mutation batch counter wrong"; echo "$$metrics" | grep scale_dyn; exit 1; }; \
-	echo "$$metrics" | grep -Eq 'scale_dyn_sched_reused_total [1-9]' || \
-	    { echo "dyn-smoke: delta-invalidation never reused a schedule entry"; \
-	      echo "$$metrics" | grep scale_dyn; exit 1; }; \
-	echo "$$metrics" | grep -Eq 'scale_dyn_sched_invalidation_hit_rate 0\.[0-9]+' || \
-	    { echo "dyn-smoke: invalidation hit rate not in (0,1)"; \
-	      echo "$$metrics" | grep scale_dyn; exit 1; }; \
+	echo "$$metrics" | grep -q 'scale_serve_dyn_requests_total 9' || \
+	    { echo "dyn-smoke: not every dynamic infer took the direct route"; \
+	      echo "$$metrics" | grep -E 'scale_serve_(dyn|batch)'; exit 1; }; \
 	echo "$$metrics" | grep -q 'scale_dyn_vertices 257' || \
 	    { echo "dyn-smoke: vertex add not reflected in metrics"; exit 1; }; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "dyn-smoke: unclean drain"; cat /tmp/scale-serve-dyn-smoke.log; exit 1; }; \
 	trap - EXIT; \
-	echo "dyn-smoke: 9 mutate batches + 9 dynamic infers, invalidation hit rate > 0, drained cleanly"
+	echo "dyn-smoke: 9 mutate batches + 9 dynamic infers on the direct route, drained cleanly"
 
 # Dynamic-graph performance tier: mutation throughput plus sampled vs full
 # inference over the same RMAT graph, committed to BENCH_pr10.json.

@@ -11,11 +11,8 @@
 // CSR; mutations arriving mid-compaction fail fast with ErrCompacting
 // (surfaced as HTTP 409 by the serving tier).
 //
-// Scheduling state is delta-invalidated rather than recomputed wholesale: a
-// schedule table keyed by consecutive vertex batches (mirroring the
-// simulators' schedmemo) marks dirty only the batches whose membership or
-// degree a mutation actually changed, and its refresh counters (reused vs
-// recomputed) feed the serving tier's invalidation-hit-rate metric.
+// The package keeps no scheduling state. A schedule depends only on the
+// degree profile, and the forward pass schedules each snapshot it runs.
 package dyn
 
 import (
@@ -27,7 +24,6 @@ import (
 
 	"scale/internal/fault"
 	"scale/internal/graph"
-	"scale/internal/sched"
 	"scale/internal/tensor"
 )
 
@@ -42,24 +38,11 @@ type Config struct {
 	// edges) above which Apply triggers compaction. <= 0 means the
 	// default 0.25; +Inf effectively disables auto-compaction.
 	CompactThreshold float64
-	// SchedBatch is the scheduling batch size of the delta-invalidated
-	// schedule table (< 1 means the default 64, matching the simulators'
-	// default batching).
-	SchedBatch int
-	// Sched configures the compact scheduler backing the table. Zero
-	// value means the default 16 tasks / 4 groups, degree+vertex aware.
-	Sched sched.Config
 }
 
 func (c Config) withDefaults() Config {
 	if c.CompactThreshold <= 0 {
 		c.CompactThreshold = 0.25
-	}
-	if c.SchedBatch < 1 {
-		c.SchedBatch = 64
-	}
-	if c.Sched.NumTasks == 0 {
-		c.Sched = sched.Config{NumTasks: 16, NumGroups: 4, Policy: sched.DegreeVertexAware}
 	}
 	return c
 }
@@ -80,10 +63,6 @@ type Stats struct {
 	Mutations   int64 // individual ops applied since construction
 	Batches     int64 // successful Apply calls
 	Compactions int64
-
-	SchedBatches    int   // current schedule-table size
-	SchedReused     int64 // cumulative table entries served from cache across refreshes
-	SchedRecomputed int64 // cumulative table entries recomputed
 }
 
 // Graph is a mutable graph: a frozen CSR base plus a delta overlay, with
@@ -100,14 +79,11 @@ type Graph struct {
 	addedCount   int64
 	removedCount int64
 
-	degrees []int32 // live in-degrees, shared with profile
-	profile *graph.Profile
+	degrees []int32 // live in-degrees
 
 	// Cached merged snapshot; nil after any mutation.
 	snap  *graph.Graph
 	snapX *tensor.Matrix
-
-	table *schedTable
 
 	// compacting lets mutators fail fast (409) instead of queueing
 	// behind a compaction that holds the write lock.
@@ -129,27 +105,14 @@ func New(base *graph.Graph, x *tensor.Matrix, cfg Config) (*Graph, error) {
 	if x.Rows != base.NumVertices() {
 		return nil, fmt.Errorf("dyn: feature rows %d != vertices %d: %w", x.Rows, base.NumVertices(), fault.ErrBadShape)
 	}
-	cfg = cfg.withDefaults()
-	t, err := newSchedTable(cfg.Sched, cfg.SchedBatch)
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{
-		cfg:      cfg,
+	return &Graph{
+		cfg:      cfg.withDefaults(),
 		base:     base,
 		features: x.Clone(),
 		added:    make(map[int32][]int32),
 		removed:  make(map[edgeKey]int32),
 		degrees:  base.Degrees(),
-		table:    t,
-	}
-	g.profile = graph.NewProfile(base.Name(), g.degrees)
-	// Seed the schedule table so the first mutation's refresh measures
-	// real reuse against a fully-built table.
-	if _, _, err := g.table.refresh(g.degrees); err != nil {
-		return nil, err
-	}
-	return g, nil
+	}, nil
 }
 
 // NumVertices returns the live vertex count.
@@ -162,29 +125,20 @@ func (g *Graph) NumVertices() int {
 // FeatureDim returns the width of the per-vertex feature rows.
 func (g *Graph) FeatureDim() int { return g.features.Cols }
 
-// Profile returns the live degree profile. It is shared with the graph's
-// internal state: the dynamic graph mutates it (and calls Invalidate) under
-// its write lock, so profile reads are only stable between mutation batches.
-func (g *Graph) Profile() *graph.Profile { return g.profile }
-
 // Stats returns a consistent snapshot of the graph's counters.
 func (g *Graph) Stats() Stats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	reused, recomputed := g.table.counters()
 	return Stats{
-		Vertices:        len(g.degrees),
-		Edges:           int64(g.base.NumEdges()) + g.addedCount - g.removedCount,
-		BaseEdges:       int64(g.base.NumEdges()),
-		DeltaAdded:      g.addedCount,
-		DeltaRemoved:    g.removedCount,
-		DeltaFrac:       g.deltaFrac(),
-		Mutations:       g.mutations,
-		Batches:         g.batches,
-		Compactions:     g.compactons,
-		SchedBatches:    g.table.size(),
-		SchedReused:     reused,
-		SchedRecomputed: recomputed,
+		Vertices:     len(g.degrees),
+		Edges:        int64(g.base.NumEdges()) + g.addedCount - g.removedCount,
+		BaseEdges:    int64(g.base.NumEdges()),
+		DeltaAdded:   g.addedCount,
+		DeltaRemoved: g.removedCount,
+		DeltaFrac:    g.deltaFrac(),
+		Mutations:    g.mutations,
+		Batches:      g.batches,
+		Compactions:  g.compactons,
 	}
 }
 
@@ -208,9 +162,7 @@ type undoRec struct {
 // Malformed ops — out-of-range vertices, removal of a nonexistent edge,
 // wrong feature width — roll the batch back and return an error wrapping
 // fault.ErrBadGraph / fault.ErrBadShape. If the graph is mid-compaction it
-// fails fast with ErrCompacting. On success it invalidates the feature/
-// snapshot caches and the profile, then refreshes the schedule table,
-// recomputing only the batches whose degrees the batch changed.
+// fails fast with ErrCompacting. On success it drops the cached snapshot.
 func (g *Graph) Apply(b Batch) error {
 	if g.compacting.Load() {
 		return ErrCompacting
@@ -236,27 +188,10 @@ func (g *Graph) Apply(b Batch) error {
 		undo = append(undo, rec)
 	}
 
-	// Committed. Degrees changed in place: rebind the (possibly regrown)
-	// slice into the profile and drop every cached derivation, then mark
-	// only the touched schedule batches dirty and refresh.
 	g.mutations += int64(len(b.Ops))
 	g.batches++
 	g.snapGen++
 	g.snap, g.snapX = nil, nil
-	g.profile.Degrees = g.degrees
-	g.profile.Invalidate()
-	for _, rec := range undo {
-		switch rec.kind {
-		case OpAddEdge, OpRemoveEdge:
-			g.table.markDirty(rec.dst)
-		case OpAddVertex:
-			g.table.markDirty(rec.dst) // dst carries the new vertex id
-		}
-	}
-	if _, _, err := g.table.refresh(g.degrees); err != nil {
-		return err // scheduler config error; graph state is still consistent
-	}
-
 	if g.deltaFrac() > g.cfg.CompactThreshold {
 		return g.compactLocked()
 	}
@@ -467,8 +402,8 @@ func (g *Graph) merge(name string) (*graph.Graph, error) {
 
 // Compact re-freezes the overlay into the base CSR. It is also triggered
 // automatically when the delta fraction crosses the configured threshold.
-// Compaction is structure-neutral — degrees are unchanged — so the schedule
-// table stays fully valid and no invalidation occurs.
+// Compaction is structure-neutral: the live edge multiset, and so every
+// degree, is unchanged.
 func (g *Graph) Compact() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()

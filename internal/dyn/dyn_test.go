@@ -262,68 +262,18 @@ func TestApplyFailsFastWhileCompacting(t *testing.T) {
 	}
 }
 
-func TestDeltaInvalidationRecomputesOnlyTouchedBatches(t *testing.T) {
-	// 256 vertices at SchedBatch 64 → 4 schedule batches. A mutation into
-	// one batch must reuse the other three.
-	d, _ := seedDyn(t, 256, 1024, 2, Config{SchedBatch: 64, CompactThreshold: math.Inf(1)})
-	s0 := d.Stats()
-	if s0.SchedBatches != 4 {
-		t.Fatalf("want 4 schedule batches, got %d", s0.SchedBatches)
-	}
-	if err := d.Apply(Batch{Ops: []Mutation{{Op: OpAddEdge, Src: 0, Dst: 10}}}); err != nil {
-		t.Fatal(err)
-	}
-	s1 := d.Stats()
-	if re, rc := s1.SchedReused-s0.SchedReused, s1.SchedRecomputed-s0.SchedRecomputed; re != 3 || rc != 1 {
-		t.Fatalf("after 1-vertex mutation: reused=%d recomputed=%d, want 3/1", re, rc)
-	}
-	// Mutations across two batches recompute exactly two.
-	if err := d.Apply(Batch{Ops: []Mutation{
-		{Op: OpAddEdge, Src: 1, Dst: 70},
-		{Op: OpAddEdge, Src: 2, Dst: 200},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	s2 := d.Stats()
-	if re, rc := s2.SchedReused-s1.SchedReused, s2.SchedRecomputed-s1.SchedRecomputed; re != 2 || rc != 2 {
-		t.Fatalf("after 2-batch mutation: reused=%d recomputed=%d, want 2/2", re, rc)
-	}
-	// The delta-refreshed table must equal a from-scratch schedule of the
-	// same degree sequence.
-	gotLoads, err := d.Loads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, x, _ := d.View()
-	fresh, err := New(full, x, Config{SchedBatch: 64, CompactThreshold: math.Inf(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLoads, err := fresh.Loads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotLoads, wantLoads) {
-		t.Fatalf("delta-refreshed loads diverge from from-scratch schedule:\n got %v\nwant %v", gotLoads, wantLoads)
-	}
-}
-
-func TestVertexAddGrowsScheduleTable(t *testing.T) {
-	d, _ := seedDyn(t, 64, 256, 2, Config{SchedBatch: 64, CompactThreshold: math.Inf(1)})
-	if got := d.Stats().SchedBatches; got != 1 {
-		t.Fatalf("want 1 batch, got %d", got)
-	}
+func TestVertexAddGrowsGraph(t *testing.T) {
+	d, _ := seedDyn(t, 64, 256, 2, Config{CompactThreshold: math.Inf(1)})
 	if err := d.Apply(Batch{Ops: []Mutation{{Op: OpAddVertex, Features: []float32{1, 2}}}}); err != nil {
 		t.Fatal(err)
 	}
-	s := d.Stats()
-	if s.SchedBatches != 2 || s.Vertices != 65 {
-		t.Fatalf("after vertex add: batches=%d vertices=%d", s.SchedBatches, s.Vertices)
+	if s := d.Stats(); s.Vertices != 65 {
+		t.Fatalf("after vertex add: vertices=%d", s.Vertices)
 	}
 }
 
 func TestCompactionIsStructureNeutral(t *testing.T) {
-	d, ref := seedDyn(t, 128, 512, 2, Config{SchedBatch: 64, CompactThreshold: math.Inf(1)})
+	d, ref := seedDyn(t, 128, 512, 2, Config{CompactThreshold: math.Inf(1)})
 	b := Batch{Ops: []Mutation{
 		{Op: OpAddEdge, Src: 1, Dst: 2},
 		{Op: OpAddEdge, Src: 3, Dst: 100},
@@ -334,7 +284,6 @@ func TestCompactionIsStructureNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.apply(t, b)
-	loadsBefore, _ := d.Loads()
 	statsBefore := d.Stats()
 	if statsBefore.DeltaAdded == 0 {
 		t.Fatal("expected pending overlay before compaction")
@@ -348,19 +297,6 @@ func TestCompactionIsStructureNeutral(t *testing.T) {
 	}
 	if s.Edges != statsBefore.Edges || s.Vertices != statsBefore.Vertices {
 		t.Fatalf("compaction changed structure: %+v -> %+v", statsBefore, s)
-	}
-	// Degrees unchanged ⇒ every schedule entry stays valid: the refresh
-	// inside Loads must reuse all entries and recompute none.
-	loadsAfter, err := d.Loads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := d.Stats()
-	if rc := s2.SchedRecomputed - s.SchedRecomputed; rc != 0 {
-		t.Fatalf("compaction dirtied %d schedule entries, want 0", rc)
-	}
-	if !reflect.DeepEqual(loadsBefore, loadsAfter) {
-		t.Fatal("compaction changed schedule loads")
 	}
 	got, _, _ := d.View()
 	want, _ := ref.build("ref")

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Profile is the structure-only view of a graph: the per-vertex in-degree
@@ -14,76 +13,41 @@ import (
 // engine depend only on degrees, so full-size datasets such as Reddit
 // (114M edges) can be simulated without materializing adjacency lists.
 //
-// A Profile is normally immutable after construction and safe for concurrent
-// use; scalar statistics (edge total, max degree, Gini) are computed once,
-// and derived structure-only state — the shared vertex slice and anything
-// the simulators attach through Memoize — is built lazily with singleflight
-// semantics. Do not mutate Degrees while readers are active.
-//
-// The dynamic-graph overlay (internal/dyn) is the one sanctioned mutator: it
-// updates Degrees in place under its own write lock and then calls
-// Invalidate, which rebuilds the cached scalars and drops every memoized
-// derivation so stale schedules and statistics cannot leak through a delta.
+// A Profile is immutable after construction and safe for concurrent use;
+// scalar statistics (edge total, max degree, Gini) are computed once, and
+// derived structure-only state — the shared vertex slice and anything the
+// simulators attach through Memoize — is built lazily with singleflight
+// semantics. Do not mutate Degrees after handing the profile out. A mutable
+// graph (internal/dyn) hands out frozen snapshots instead; profile one with
+// ProfileOf.
 type Profile struct {
 	Name    string
 	Degrees []int32
 	edges   int64
 	maxDeg  int32
 
-	// lazyMu guards the resettable lazy caches (Gini, shared vertex
-	// slice). These were sync.Once fields before Invalidate existed; a
-	// mutex-guarded flag is equally cheap on the read path and resettable.
-	lazyMu sync.Mutex
-	giniOK bool
-	gini   float64
-	verts  []int32
+	giniOnce sync.Once
+	gini     float64
 
-	// memo holds the per-key singleflight table. Invalidate swaps in a
-	// fresh map, so in-flight computations against the old table finish
-	// harmlessly against garbage while new readers start clean.
-	memo atomic.Pointer[sync.Map]
+	vertsOnce sync.Once
+	verts     []int32
+
+	memo sync.Map // comparable key → *memoEntry
 }
 
 // NewProfile wraps a degree sequence.
 func NewProfile(name string, degrees []int32) *Profile {
 	p := &Profile{Name: name, Degrees: degrees}
-	p.rescan()
-	return p
-}
-
-// rescan recomputes the construction-time scalar statistics from Degrees.
-func (p *Profile) rescan() {
-	p.edges, p.maxDeg = 0, 0
-	for _, d := range p.Degrees {
+	for _, d := range degrees {
 		if d < 0 {
-			panic(fmt.Sprintf("graph: negative degree %d in profile %q", d, p.Name))
+			panic(fmt.Sprintf("graph: negative degree %d in profile %q", d, name))
 		}
 		p.edges += int64(d)
 		if d > p.maxDeg {
 			p.maxDeg = d
 		}
 	}
-}
-
-// Invalidate rebuilds every cached derivation from the current Degrees
-// slice: the scalar statistics (edge total, max degree) are rescanned, the
-// lazy Gini and shared-vertex caches reset, and the Memoize table — which
-// holds the simulators' memoized schedules and group-load tables — is
-// dropped wholesale. Call it after mutating Degrees in place (or growing the
-// slice); the delta overlay (internal/dyn) does so after every mutation
-// batch.
-//
-// The caller must guarantee no concurrent reader observes the profile
-// mid-invalidation (dyn.Graph holds its write lock across the Degrees
-// mutation and this call). Concurrent Memoize callers that raced ahead with
-// the old table finish against it and are forgotten.
-func (p *Profile) Invalidate() {
-	p.rescan()
-	p.lazyMu.Lock()
-	p.giniOK = false
-	p.verts = nil
-	p.lazyMu.Unlock()
-	p.memo.Store(&sync.Map{})
+	return p
 }
 
 // ProfileOf extracts the degree profile of a materialized graph.
@@ -110,19 +74,16 @@ func (p *Profile) AvgDegree() float64 {
 func (p *Profile) MaxDegree() int { return int(p.maxDeg) }
 
 // Vertices returns the profile's vertex ids 0..|V|-1 as one shared,
-// read-only backing slice, built on first use (and rebuilt after Invalidate
-// grows or shrinks the degree sequence). Batchings subslice it (see
-// Batches), so no simulation layer re-materializes the id range.
+// read-only backing slice, built on first use. Batchings subslice it
+// (see Batches), so no simulation layer re-materializes the id range.
 func (p *Profile) Vertices() []int32 {
-	p.lazyMu.Lock()
-	defer p.lazyMu.Unlock()
-	if p.verts == nil || len(p.verts) != len(p.Degrees) {
+	p.vertsOnce.Do(func() {
 		vs := make([]int32, len(p.Degrees))
 		for i := range vs {
 			vs[i] = int32(i)
 		}
 		p.verts = vs
-	}
+	})
 	return p.verts
 }
 
@@ -160,26 +121,13 @@ type memoEntry struct {
 // depends only on the degree sequence — computed once, reused across
 // layers, accelerators, and sweep workers.
 func (p *Profile) Memoize(key any, compute func() any) any {
-	m := p.memoMap()
-	e, ok := m.Load(key)
+	e, ok := p.memo.Load(key)
 	if !ok {
-		e, _ = m.LoadOrStore(key, &memoEntry{})
+		e, _ = p.memo.LoadOrStore(key, &memoEntry{})
 	}
 	entry := e.(*memoEntry)
 	entry.once.Do(func() { entry.val = compute() })
 	return entry.val
-}
-
-// memoMap returns the live memo table, installing one on first use.
-func (p *Profile) memoMap() *sync.Map {
-	if m := p.memo.Load(); m != nil {
-		return m
-	}
-	m := &sync.Map{}
-	if p.memo.CompareAndSwap(nil, m) {
-		return m
-	}
-	return p.memo.Load()
 }
 
 // String describes the profile.
@@ -232,15 +180,9 @@ func SyntheticProfile(name string, vertices int, edges int64, skew float64, seed
 // Gini returns the Gini coefficient of the degree sequence, a scalar measure
 // of workload skew used by the motivation study (Fig. 1a): 0 is perfectly
 // uniform, →1 is maximally concentrated. The sorted pass runs once per
-// profile (per Invalidate generation); repeated calls return the cached
-// coefficient.
+// profile; repeated calls return the cached coefficient.
 func (p *Profile) Gini() float64 {
-	p.lazyMu.Lock()
-	defer p.lazyMu.Unlock()
-	if !p.giniOK {
-		p.gini = p.computeGini()
-		p.giniOK = true
-	}
+	p.giniOnce.Do(func() { p.gini = p.computeGini() })
 	return p.gini
 }
 

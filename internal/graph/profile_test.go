@@ -111,51 +111,3 @@ func TestDecodeTruncated(t *testing.T) {
 		t.Fatal("expected error for truncated stream")
 	}
 }
-
-// TestProfileInvalidate pins the delta-overlay contract: after mutating
-// Degrees in place (or growing the slice), Invalidate rebuilds every cached
-// derivation — scalar stats, the lazy Gini, the shared vertex slice, and the
-// Memoize table — so no stale value leaks through a dynamic-graph delta.
-func TestProfileInvalidate(t *testing.T) {
-	p := NewProfile("dyn", []int32{1, 2, 3, 4})
-	if p.NumEdges() != 10 || p.MaxDegree() != 4 {
-		t.Fatalf("seed stats wrong: edges=%d max=%d", p.NumEdges(), p.MaxDegree())
-	}
-	giniBefore := p.Gini()
-	vertsBefore := p.Vertices()
-	memoBefore := p.Memoize("k", func() any { return "old" })
-	if memoBefore != "old" {
-		t.Fatalf("memo seed = %v", memoBefore)
-	}
-
-	// Mutate in place and extend — exactly what a delta overlay does.
-	p.Degrees[0] = 9
-	p.Degrees = append(p.Degrees, 7)
-
-	// Without Invalidate the caches are (deliberately) stale.
-	if p.MaxDegree() != 4 {
-		t.Fatalf("pre-invalidate MaxDegree should be stale, got %d", p.MaxDegree())
-	}
-
-	p.Invalidate()
-	if p.NumEdges() != 25 || p.MaxDegree() != 9 {
-		t.Fatalf("post-invalidate stats wrong: edges=%d max=%d", p.NumEdges(), p.MaxDegree())
-	}
-	if p.Gini() == giniBefore {
-		t.Fatal("Gini not recomputed after Invalidate")
-	}
-	if got := p.Vertices(); len(got) != 5 || got[4] != 4 {
-		t.Fatalf("Vertices not rebuilt: %v (was %v)", got, vertsBefore)
-	}
-	if got := p.Memoize("k", func() any { return "new" }); got != "new" {
-		t.Fatalf("memo table not dropped: got %v", got)
-	}
-
-	// Invalidation is generation-stable: the rebuilt caches memoize again.
-	if got := p.Memoize("k", func() any { return "newer" }); got != "new" {
-		t.Fatalf("rebuilt memo table not caching: got %v", got)
-	}
-	if p.Gini() != p.Gini() {
-		t.Fatal("rebuilt Gini not cached")
-	}
-}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,6 +20,9 @@ import (
 
 // errDraining marks work refused because the server is shutting down.
 var errDraining = errors.New("serve: draining")
+
+// errQueueFull marks work refused because every admission slot is taken.
+var errQueueFull = errors.New("serve: admission queue full")
 
 // inferBody is the POST /v1/infer request payload.
 type inferBody struct {
@@ -52,6 +56,21 @@ type inferBody struct {
 // request is the body's request-carried graph.
 func (b *inferBody) request() scale.InferRequest {
 	return scale.InferRequest{NumVertices: b.NumVertices, Edges: b.Edges, Features: b.Features}
+}
+
+// carriedGraph materializes the request-carried graph and its feature
+// matrix for the whole-graph routes (sharded and direct). route has
+// validated it.
+func (b *inferBody) carriedGraph() (*graph.Graph, *tensor.Matrix) {
+	gb := graph.NewBuilder(b.NumVertices)
+	for _, e := range b.Edges {
+		gb.AddEdge(e[0], e[1])
+	}
+	x := tensor.NewMatrix(b.NumVertices, b.Dims[0])
+	for v, row := range b.Features {
+		copy(x.Row(v), row)
+	}
+	return gb.Build("user"), x
 }
 
 // inferResponse is the POST /v1/infer success payload.
@@ -105,9 +124,9 @@ type healthResponse struct {
 
 // classify maps an error to its HTTP status and error kind, in precedence
 // order: contained panics are 500 even when the panic value wraps an input
-// sentinel, deadlines are 408, drain refusals 503, a mid-compaction
-// dynamic graph 409 (retryable — the batch itself may be fine), input
-// sentinels 400.
+// sentinel, deadlines are 408, drain refusals 503, a full admission queue
+// 429, a mid-compaction dynamic graph 409 (retryable — the batch itself may
+// be fine), input sentinels 400.
 func classify(err error) (int, string) {
 	if err == nil {
 		return http.StatusOK, ""
@@ -120,6 +139,8 @@ func classify(err error) (int, string) {
 		return http.StatusRequestTimeout, "timeout"
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable, "draining"
+	case errors.Is(err, errQueueFull):
+		return http.StatusTooManyRequests, "over_capacity"
 	case errors.Is(err, dyn.ErrCompacting):
 		return http.StatusConflict, "compacting"
 	case fault.IsInput(err):
@@ -198,169 +219,202 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// handleInfer serves POST /v1/infer: admission queue → session cache →
-// micro-batcher → batched forward → per-request embeddings.
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
-		return
-	}
-	if !s.begin() {
-		s.writeMapped(w, errDraining)
-		return
-	}
-	defer s.end()
-	if !s.queue.tryAcquire() {
-		s.metrics.QueueRejections.Add(1)
-		w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "admission queue full", "over_capacity")
-		return
-	}
-	defer s.queue.release()
+// admit mounts an API endpoint: instrument around the gates every endpoint
+// shares — POST only (405), not draining (503), and a free admission-queue
+// slot (429 + Retry-After).
+func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	return s.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
+			return
+		}
+		if !s.begin() {
+			s.writeMapped(w, errDraining)
+			return
+		}
+		defer s.end()
+		if !s.queue.tryAcquire() {
+			s.metrics.QueueRejections.Add(1)
+			s.writeMapped(w, errQueueFull)
+			return
+		}
+		defer s.queue.release()
+		h(w, r)
+	})
+}
 
+// route is the serving path of one /v1/infer request.
+type route int
+
+const (
+	// routeBatched runs on the local session cache and micro-batcher.
+	routeBatched route = iota
+	// routeSharded runs across the shard worker pool.
+	routeSharded
+	// routeDirect runs one unbatched pass on a local session.
+	routeDirect
+)
+
+// errNoDynamic answers dynamic-graph requests to a server without one.
+var errNoDynamic = fmt.Errorf("serve: server has no dynamic graph (-dynamic): %w", fault.ErrBadConfig)
+
+// handleInfer serves POST /v1/infer: decode → route → run → write. It is the
+// only writer of an infer response.
+func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	body, err := decodeInferBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
 		return
 	}
-	if body.NumVertices > s.cfg.MaxVertices {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("request has %d vertices, server caps at %d", body.NumVertices, s.cfg.MaxVertices),
-			"bad_input")
-		return
-	}
-
-	// Normalize the precision before the cache lookup so "", the server
-	// default, and an explicit "fp32" all share one session. Unknown
-	// values flow into NewSessionPrecision, whose typed error maps to 400.
-	precision := body.Precision
-	if precision == "" {
-		precision = s.cfg.DefaultPrecision
-	}
-	if precision == "" {
-		precision = "fp32"
-	}
-	// Dynamic-graph and sampled requests run directly: the dynamic vertex
-	// set is the server's own, and per-request sampling seeds bind to
-	// request-local vertex ids — disjoint-union micro-batching (which
-	// shifts ids) and shard routing do not apply to either.
-	if body.Graph == "dynamic" || body.SampleFanout > 0 {
-		if body.Graph != "" && body.Graph != "dynamic" {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown graph source %q", body.Graph), "bad_input")
-			return
-		}
-		s.handleInferDirect(w, r, body, precision)
-		return
-	}
-	if body.Graph != "" {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown graph source %q", body.Graph), "bad_input")
-		return
-	}
-	if s.cfg.ShardPool != nil && body.NumVertices >= s.cfg.ShardMinVertices {
-		s.handleInferSharded(w, r, body, precision)
-		return
-	}
-	s.inferLocal(w, r, body, precision)
-}
-
-// inferLocal serves one infer request on this process: session cache →
-// micro-batcher → batched forward. It is the non-sharded path of
-// handleInfer and the degraded-mode fallback of the sharded one.
-func (s *Server) inferLocal(w http.ResponseWriter, r *http.Request, body inferBody, precision string) {
-	entry, err := s.session(body.Model, body.Dims, precision)
+	rt, err := s.route(&body)
 	if err != nil {
 		s.writeMapped(w, err)
 		return
 	}
-	req := body.request()
-	// Validate before batching: a malformed request earns its 400 here and
-	// never poisons batch-mates.
-	if err := entry.sess.Validate(req); err != nil {
-		entry.refs.Done()
+	// Normalize the precision before the session lookup so "", the server
+	// default, and an explicit "fp32" all share one session. Unknown values
+	// flow into NewSessionPrecision, whose typed error maps to 400.
+	body.Precision = cmp.Or(body.Precision, s.cfg.DefaultPrecision, "fp32")
+	ctx := r.Context()
+	if body.TimeoutMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
+		defer cancel()
+	}
+	rows, err := s.run(ctx, rt, &body)
+	if err != nil {
 		s.writeMapped(w, err)
 		return
 	}
-	ctx := r.Context()
-	cancel := func() {}
-	if body.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
-	}
-	defer cancel()
-
-	p := &pending{req: req, ctx: ctx, done: make(chan batchResult, 1)}
-	entry.b.submit(p)
-	entry.refs.Done()
-
-	select {
-	case res := <-p.done:
-		if res.err != nil {
-			s.writeMapped(w, res.err)
-			return
-		}
-		writeJSON(w, http.StatusOK, inferResponse{Model: entry.sess.Model(), Precision: entry.sess.Precision(), Embeddings: res.rows})
-	case <-ctx.Done():
-		s.writeMapped(w, ctx.Err())
-	}
+	writeJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: body.Precision, Embeddings: rows})
 }
 
-// handleInferSharded serves an infer request over the shard worker tier:
-// the graph is materialized, partitioned, and fanned across the pool's
-// workers layer by layer. The response shape is exactly handleInfer's local
-// path — at fp32 the two are byte-identical (TestShardedServingGolden) —
-// and the front tier in the healthy case never builds a model: weights live
-// only on workers.
+// route makes every check that needs no session, then picks the request's
+// route. It runs before any session is built, so a 400 never builds or
+// evicts one.
 //
-// Degraded mode: when the pool has no live workers (every breaker open), or
-// the pass fails for an infrastructure reason retrying cannot fix here, the
-// request falls back to local single-process inference instead of failing —
-// fp32 answers are bit-identical either way, so the client only sees the
-// difference in /healthz and the scale_serve_degraded gauge.
-func (s *Server) handleInferSharded(w http.ResponseWriter, r *http.Request, body inferBody, precision string) {
-	if err := validateCarried(&body); err != nil {
-		s.writeMapped(w, err)
-		return
+//   - "graph":"dynamic" or sample_fanout > 0 → direct. The dynamic vertex
+//     set is the server's own, and sampling seeds bind to request-local
+//     vertex ids; disjoint-union batching (which shifts ids) and shard
+//     routing apply to neither.
+//   - a carried graph of at least ShardMinVertices on a pool-fronting
+//     server → sharded.
+//   - everything else → batched.
+func (s *Server) route(body *inferBody) (route, error) {
+	if body.NumVertices > s.cfg.MaxVertices {
+		return 0, fmt.Errorf("serve: request has %d vertices, server caps at %d: %w", body.NumVertices, s.cfg.MaxVertices, fault.ErrBadGraph)
 	}
-	if s.cfg.ShardPool.Degraded() {
-		s.serveDegraded(w, r, body, precision)
-		return
+	if body.SampleFanout < 0 {
+		return 0, fmt.Errorf("serve: negative sample_fanout %d: %w", body.SampleFanout, fault.ErrBadConfig)
 	}
-	b := graph.NewBuilder(body.NumVertices)
-	for _, e := range body.Edges {
-		b.AddEdge(e[0], e[1])
+	if body.TimeoutMS < 0 {
+		return 0, fmt.Errorf("serve: negative timeout_ms %d: %w", body.TimeoutMS, fault.ErrBadConfig)
 	}
-	g := b.Build("user")
-	x := tensor.NewMatrix(body.NumVertices, body.Dims[0])
-	for v, row := range body.Features {
-		copy(x.Row(v), row)
-	}
-
-	ctx := r.Context()
-	cancel := func() {}
-	if body.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
-	}
-	defer cancel()
-
-	out, _, err := s.cfg.ShardPool.Run(ctx, shard.SessionSpec{Model: body.Model, Dims: body.Dims, Precision: precision}, g, x)
-	if err != nil {
-		if fallbackEligible(err) {
-			s.serveDegraded(w, r, body, precision)
-			return
+	switch body.Graph {
+	case "":
+	case "dynamic":
+		if s.cfg.Dynamic == nil {
+			return 0, errNoDynamic
 		}
-		s.writeMapped(w, err)
-		return
+		if w := s.cfg.Dynamic.FeatureDim(); len(body.Dims) > 0 && body.Dims[0] != w {
+			return 0, fmt.Errorf("serve: dims[0] is %d, the dynamic graph's features are %d wide: %w", body.Dims[0], w, fault.ErrBadShape)
+		}
+		return routeDirect, nil
+	default:
+		return 0, fmt.Errorf("serve: unknown graph source %q: %w", body.Graph, fault.ErrBadConfig)
+	}
+	if err := validateCarried(body); err != nil {
+		return 0, err
+	}
+	switch {
+	case body.SampleFanout > 0:
+		return routeDirect, nil
+	case s.cfg.ShardPool != nil && body.NumVertices >= s.cfg.ShardMinVertices:
+		return routeSharded, nil
+	}
+	return routeBatched, nil
+}
+
+// run executes a routed request. A healthy sharded pass builds no local
+// session: weights live only on the workers. When the pool has no live
+// workers, or the pass fails for an infrastructure reason
+// (fallbackEligible), the request falls back to the batched route instead
+// of failing. fp32 answers are bit-identical either way, so the client only
+// sees the difference in /healthz and the scale_serve_degraded gauge.
+func (s *Server) run(ctx context.Context, rt route, body *inferBody) ([][]float32, error) {
+	switch rt {
+	case routeSharded:
+		if !s.cfg.ShardPool.Degraded() {
+			rows, err := s.runSharded(ctx, body)
+			if !fallbackEligible(err) {
+				return rows, err
+			}
+		}
+		s.metrics.DegradedRequests.Add(1)
+		fallthrough
+	case routeBatched:
+		entry, err := s.session(body.Model, body.Dims, body.Precision)
+		if err != nil {
+			return nil, err
+		}
+		p := &pending{req: body.request(), ctx: ctx, done: make(chan batchResult, 1)}
+		entry.b.submit(p)
+		entry.refs.Done()
+		select {
+		case res := <-p.done:
+			return res.rows, res.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	default:
+		entry, err := s.session(body.Model, body.Dims, body.Precision)
+		if err != nil {
+			return nil, err
+		}
+		defer entry.refs.Done()
+		return s.runDirect(ctx, entry.sess, body)
+	}
+}
+
+// runSharded runs one pass across the shard pool's workers.
+func (s *Server) runSharded(ctx context.Context, body *inferBody) ([][]float32, error) {
+	g, x := body.carriedGraph()
+	out, _, err := s.cfg.ShardPool.Run(ctx, shard.SessionSpec{Model: body.Model, Dims: body.Dims, Precision: body.Precision}, g, x)
+	if err != nil {
+		return nil, err
 	}
 	rows := make([][]float32, out.Rows)
 	for v := range rows {
 		rows[v] = out.Row(v)
 	}
-	writeJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: precision, Embeddings: rows})
+	return rows, nil
 }
 
-// serveDegraded answers one sharded-path request on the local session cache.
-func (s *Server) serveDegraded(w http.ResponseWriter, r *http.Request, body inferBody, precision string) {
-	s.metrics.DegradedRequests.Add(1)
-	s.inferLocal(w, r, body, precision)
+// runDirect runs one unbatched forward pass under Config.SampleWorkers, over
+// the dynamic graph's current snapshot or the carried graph, sampled when
+// sample_fanout > 0. fp32 responses are byte-identical for every worker
+// count and across replays of the same seed.
+func (s *Server) runDirect(ctx context.Context, sess *scale.Session, body *inferBody) ([][]float32, error) {
+	var g *graph.Graph
+	var x *tensor.Matrix
+	if body.Graph == "dynamic" {
+		s.metrics.DynRequests.Add(1)
+		var err error
+		if g, x, err = s.cfg.Dynamic.View(); err != nil {
+			return nil, err
+		}
+	} else {
+		g, x = body.carriedGraph()
+	}
+	if body.SampleFanout == 0 {
+		return sess.InferGraph(ctx, g, x, s.cfg.SampleWorkers)
+	}
+	s.metrics.SampledRequests.Add(1)
+	layers, err := dyn.Sampler{Fanout: body.SampleFanout, Seed: body.SampleSeed}.Sample(g, sess.NumLayers())
+	if err != nil {
+		return nil, err
+	}
+	return sess.InferSampled(ctx, layers, x, s.cfg.SampleWorkers)
 }
 
 // fallbackEligible decides whether a failed sharded pass may be retried
@@ -384,10 +438,9 @@ func fallbackEligible(err error) bool {
 	return true
 }
 
-// validateCarried checks a request-carried graph on the paths that have no
-// local session to ask (sharded and sampled). Only the dims chain is checked
-// here; the rest is the same scale.InferRequest.Validate the local path's
-// session runs, so every path answers identical 400s.
+// validateCarried checks a request-carried graph for every route, before
+// any session exists: the dims chain, then scale.InferRequest.Validate
+// against its input width.
 func validateCarried(body *inferBody) error {
 	if len(body.Dims) < 2 {
 		return fmt.Errorf("scale: dims chain has %d entries, need ≥2: %w", len(body.Dims), fault.ErrBadConfig)
@@ -398,23 +451,6 @@ func validateCarried(body *inferBody) error {
 // handleSimulate serves POST /v1/simulate: one timing-model run of (model,
 // dataset) on the shared simulator, reported as a scale.Report.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
-		return
-	}
-	if !s.begin() {
-		s.writeMapped(w, errDraining)
-		return
-	}
-	defer s.end()
-	if !s.queue.tryAcquire() {
-		s.metrics.QueueRejections.Add(1)
-		w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "admission queue full", "over_capacity")
-		return
-	}
-	defer s.queue.release()
-
 	var body simulateBody
 	if err := decodeJSON(r, &body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")

@@ -123,6 +123,10 @@ func statusCases() []statusCase {
 	badModel.Model = "nope"
 	tooBig := validInfer()
 	tooBig.NumVertices = 1 << 30
+	negFanout := validInfer()
+	negFanout.SampleFanout = -1
+	negTimeout := validInfer()
+	negTimeout.TimeoutMS = -1
 
 	return []statusCase{
 		{"infer ok", Config{}, "POST", "/v1/infer", validInfer(), 200, ""},
@@ -146,6 +150,9 @@ func statusCases() []statusCase {
 		{"missing feature rows (ErrBadShape)", Config{}, "POST", "/v1/infer", badShape, 400, "bad_input"},
 		{"ragged feature row (ErrBadShape)", Config{}, "POST", "/v1/infer", raggedRow, 400, "bad_input"},
 		{"vertex cap", Config{}, "POST", "/v1/infer", tooBig, 400, "bad_input"},
+		{"negative sample_fanout", Config{}, "POST", "/v1/infer", negFanout, 400, "bad_input"},
+		{"negative timeout_ms", Config{}, "POST", "/v1/infer", negTimeout, 400, "bad_input"},
+		{"dynamic graph on a server without one", Config{}, "POST", "/v1/infer", inferBody{Model: "gcn", Dims: []int{8, 16, 8}, Graph: "dynamic"}, 400, "bad_input"},
 		{"unknown dataset", Config{}, "POST", "/v1/simulate", simulateBody{Model: "gcn", Dataset: "nope"}, 400, "bad_input"},
 		{"deadline (408)", Config{Backend: stalledBackend}, "POST", "/v1/infer",
 			func() inferBody { b := validInfer(); b.TimeoutMS = 20; return b }(), 408, "timeout"},
@@ -167,12 +174,16 @@ func checkStatus(t *testing.T, tc statusCase, rec *httptest.ResponseRecorder) {
 }
 
 // TestStatusMapping drives every HTTP status the API can answer through
-// httptest.
+// httptest. No 400 may build a session: on a full cache that would evict a
+// warm one.
 func TestStatusMapping(t *testing.T) {
 	for _, tc := range statusCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.cfg)
 			checkStatus(t, tc, do(t, s, tc.method, tc.path, tc.body))
+			if n := s.Metrics().SessionsCreated.Load(); tc.wantCode == http.StatusBadRequest && n != 0 {
+				t.Fatalf("a 400 built %d sessions", n)
+			}
 		})
 	}
 }

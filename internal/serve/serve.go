@@ -80,8 +80,8 @@ type Config struct {
 	// Dynamic, when set, is the server's mutable graph: POST /v1/mutate
 	// applies batched deltas to it, and infer requests with
 	// "graph":"dynamic" run against its current snapshot instead of
-	// carrying their own edges/features. /metrics gains mutation,
-	// compaction, and schedule-invalidation counters.
+	// carrying their own edges/features. /metrics gains the graph's shape,
+	// mutation and compaction series.
 	Dynamic *dyn.Graph
 	// SampleWorkers bounds row-level parallelism on the direct inference
 	// path (dynamic-graph and sampled requests, which bypass the
@@ -161,9 +161,9 @@ func New(cfg Config) *Server {
 	}
 	s.queue = newQueue(s.cfg.QueueDepth)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/infer", s.instrument("infer", s.handleInfer))
-	s.mux.HandleFunc("/v1/mutate", s.instrument("mutate", s.handleMutate))
-	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.handleSimulate))
+	s.mux.HandleFunc("/v1/infer", s.admit("infer", s.handleInfer))
+	s.mux.HandleFunc("/v1/mutate", s.admit("mutate", s.handleMutate))
+	s.mux.HandleFunc("/v1/simulate", s.admit("simulate", s.handleSimulate))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	return s

@@ -92,10 +92,10 @@ func TestWireCorruption(t *testing.T) {
 	frame := good.Bytes()
 
 	cases := map[string][]byte{
-		"bad magic":    append([]byte{0, 0, 0, 0}, frame[4:]...),
-		"bad version":  append(append([]byte{}, frame[:4]...), append([]byte{99, 0, 0, 0}, frame[8:]...)...),
-		"truncated":    frame[:len(frame)-3],
-		"empty":        {},
+		"bad magic":   append([]byte{0, 0, 0, 0}, frame[4:]...),
+		"bad version": append(append([]byte{}, frame[:4]...), append([]byte{99, 0, 0, 0}, frame[8:]...)...),
+		"truncated":   frame[:len(frame)-3],
+		"empty":       {},
 		// frame[:24] ends right before the HaloIDs length prefix; 0x7fffffff
 		// exceeds maxWireElems and must be rejected before allocating.
 		"giant length": append(append([]byte{}, frame[:24]...), 0xff, 0xff, 0xff, 0x7f),
