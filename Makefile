@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint conform race fuzz bce bench bench-serve bench-shard bench-dyn bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke verify
+.PHONY: build test lint conform race fuzz bce bench bench-serve bench-shard bench-dyn bench-smoke perfbench-check serve-smoke shard-smoke chaos-smoke dyn-smoke verify
 
 # Tier 1: everything compiles and the full test suite passes.
 build:
@@ -124,6 +124,13 @@ bench-shard:
 	$(GO) test -run '^$$' -bench 'BenchmarkShard' -benchmem \
 		-benchtime 2x -count $(BENCH8_COUNT) ./internal/shard | \
 		$(GO) run ./cmd/scale-benchjson -label shard -out BENCH_pr8.json
+
+# The end-to-end benchmark (perfbench/) is a nested module, so the root
+# `go vet ./...` and `go test ./...` never compile it: vet and test it here,
+# against this checkout's packages, so a change to an API it calls fails
+# verify instead of the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Smoke-run the CLIs end to end.
 bench-smoke:
@@ -373,4 +380,4 @@ bench-dyn:
 		./internal/dyn | \
 		$(GO) run ./cmd/scale-benchjson -label dyn -out BENCH_pr10.json
 
-verify: test lint conform bce race bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke
+verify: test lint conform bce race perfbench-check bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke
