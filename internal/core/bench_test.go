@@ -115,12 +115,10 @@ func benchForwardRedditWorkers(b *testing.B, workers int) {
 // source rows through the reduce chains, int8 GEMV updates). The acceptance
 // target is >=2x over the float32 Reddit-scale median.
 func BenchmarkForwardFunctionalRedditInt8(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Precision = PrecisionInt8
-	s := MustNew(cfg)
+	s := MustNew(DefaultConfig())
 	d := graph.MustByName("reddit")
 	g := d.Build()
-	m := gnn.MustModel("gcn", d.FeatureDims, 1)
+	m := quantizedModel(b, "gcn", d.FeatureDims, 1)
 	x := gnn.RandomFeatures(g, d.FeatureDims[0], 2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -133,12 +131,10 @@ func BenchmarkForwardFunctionalRedditInt8(b *testing.B) {
 
 // The int8 tier on full-size Cora (sparser, update-dominated).
 func BenchmarkForwardFunctionalCoraInt8(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Precision = PrecisionInt8
-	s := MustNew(cfg)
+	s := MustNew(DefaultConfig())
 	d := graph.MustByName("cora")
 	g := d.Build()
-	m := gnn.MustModel("gcn", d.FeatureDims, 1)
+	m := quantizedModel(b, "gcn", d.FeatureDims, 1)
 	x := gnn.RandomFeatures(g, d.FeatureDims[0], 2)
 	b.ReportAllocs()
 	b.ResetTimer()

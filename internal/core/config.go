@@ -62,13 +62,6 @@ type Config struct {
 	// task lists are single-buffered, exposing every batch's scheduling
 	// latency instead of hiding it behind execution (§IV-A).
 	DisableDoubleBuffering bool
-	// Precision selects the functional executor's arithmetic tier (the
-	// timing engine is unaffected; FeatureBytes models storage width
-	// there). PrecisionFP32 (or empty) is exact float32; PrecisionInt8
-	// runs layers with quantized weight forms on the int8 kernels —
-	// weights are quantized once per model, activations per row, and
-	// results dequantize at each kernel's output boundary (DESIGN §4j).
-	Precision Precision
 	// FeatureParallel switches the aggregation mapping from edge
 	// parallelism to feature parallelism (§III-B.1: "the aggregation
 	// phase either leverages the edge or feature parallelism"): every
@@ -77,39 +70,6 @@ type Config struct {
 	// cost of a cross-ring exchange to reassemble aggregated vectors
 	// before the update traversal.
 	FeatureParallel bool
-}
-
-// Precision names an arithmetic tier of the functional executor.
-type Precision string
-
-const (
-	// PrecisionFP32 is the exact float32 tier — the default, bit-identical
-	// to the golden reference executor up to scheduled reassociation.
-	PrecisionFP32 Precision = "fp32"
-	// PrecisionInt8 runs per-row symmetric int8 kernels where layers
-	// support them (accuracy bound pinned by TestInt8AccuracyHarness).
-	PrecisionInt8 Precision = "int8"
-)
-
-// ParsePrecision normalizes a user-supplied precision string: "" and "fp32"
-// select float32, "int8" the quantized tier; anything else is ErrBadConfig.
-func ParsePrecision(s string) (Precision, error) {
-	switch Precision(s) {
-	case "", PrecisionFP32:
-		return PrecisionFP32, nil
-	case PrecisionInt8:
-		return PrecisionInt8, nil
-	}
-	return "", fmt.Errorf("core: unknown precision %q (have fp32, int8): %w", s, fault.ErrBadConfig)
-}
-
-// EffectivePrecision resolves the executor tier: the configured Precision,
-// or PrecisionFP32 when unset.
-func (c Config) EffectivePrecision() Precision {
-	if c.Precision == "" {
-		return PrecisionFP32
-	}
-	return c.Precision
 }
 
 // defaultBatchSize is the scheduling batch B used when Config.BatchSize is 0
@@ -140,7 +100,6 @@ func DefaultConfig() Config {
 		Policy:         sched.DegreeVertexAware,
 		FreqGHz:        1.0,
 		FeatureBytes:   4,
-		Precision:      PrecisionFP32,
 	}
 }
 
@@ -194,9 +153,6 @@ func (c Config) Validate() error {
 	}
 	if c.RingSize != 0 && (c.RingSize < 2 || c.RingSize > c.NumPEs()) {
 		return fmt.Errorf("core: ring size %d outside [2, %d]: %w", c.RingSize, c.NumPEs(), fault.ErrBadConfig)
-	}
-	if _, err := ParsePrecision(string(c.Precision)); err != nil {
-		return err
 	}
 	return nil
 }

@@ -26,7 +26,6 @@ type configJSON struct {
 	DisableDoubleBuffering *bool    `json:"disable_double_buffering"`
 	FeatureParallel        *bool    `json:"feature_parallel"`
 	FeatureBytes           *float64 `json:"feature_bytes"`
-	Precision              *string  `json:"precision"`
 }
 
 // ConfigFromJSON decodes a configuration overlaying DefaultConfig, then
@@ -77,13 +76,6 @@ func ConfigFromJSON(r io.Reader) (Config, error) {
 	if j.FeatureBytes != nil {
 		cfg.FeatureBytes = *j.FeatureBytes
 	}
-	if j.Precision != nil {
-		p, err := ParsePrecision(*j.Precision)
-		if err != nil {
-			return Config{}, err
-		}
-		cfg.Precision = p // ParsePrecision normalizes "" to fp32
-	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
@@ -115,8 +107,6 @@ func ConfigToJSON(w io.Writer, cfg Config) error {
 		FeatureParallel:        &cfg.FeatureParallel,
 		FeatureBytes:           &cfg.FeatureBytes,
 	}
-	precision := string(cfg.EffectivePrecision())
-	j.Precision = &precision
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(j); err != nil {

@@ -88,11 +88,12 @@ func TestConfigFromJSONOverlay(t *testing.T) {
 
 func TestConfigFromJSONRejects(t *testing.T) {
 	cases := []string{
-		`{"rows": 0}`,          // fails validation
-		`{"ring_size": 1}`,     // below minimum
-		`{"unknown_field": 3}`, // typo protection
-		`{"rows": "sixty"}`,    // wrong type
-		`not json`,             // malformed
+		`{"rows": 0}`,           // fails validation
+		`{"ring_size": 1}`,      // below minimum
+		`{"unknown_field": 3}`,  // typo protection
+		`{"precision": "int8"}`, // precision is the session's, not the config's
+		`{"rows": "sixty"}`,     // wrong type
+		`not json`,              // malformed
 	}
 	for _, in := range cases {
 		if _, err := ConfigFromJSON(strings.NewReader(in)); err == nil {

@@ -145,25 +145,13 @@ func (s *SCALE) ForwardParallel(m *gnn.Model, g *graph.Graph, x *tensor.Matrix, 
 // barrier, so no partial-batch state can leak), and a panic inside a worker's
 // kernel chain is contained into a typed per-layer *fault.PanicError instead
 // of tearing down the process. Outputs remain bit-identical to Forward's for
-// any worker count when the call runs to completion.
+// any worker count when the call runs to completion. It only chains
+// ForwardLayerContext, the executor's one forward primitive.
 func (s *SCALE) ForwardContext(ctx context.Context, m *gnn.Model, g *graph.Graph, x *tensor.Matrix, workers int) ([]*tensor.Matrix, error) {
-	if x.Rows != g.NumVertices() {
-		return nil, fmt.Errorf("core: features have %d rows, graph has %d vertices: %w", x.Rows, g.NumVertices(), fault.ErrBadShape)
-	}
-	if x.Cols != m.InDim() {
-		return nil, fmt.Errorf("core: features have %d cols, model wants %d: %w", x.Cols, m.InDim(), fault.ErrBadShape)
-	}
-	st, _ := s.fwdPool.Get().(*fwdState)
-	if st == nil {
-		st = &fwdState{}
-	}
-	defer s.fwdPool.Put(st)
-
-	degrees := st.localDegrees(g)
 	h := x
 	outs := make([]*tensor.Matrix, 0, len(m.Layers))
-	for li, layer := range m.Layers {
-		out, err := s.forwardLayer(ctx, li, layer, g, degrees, h, st, workers)
+	for li := range m.Layers {
+		out, err := s.ForwardLayerContext(ctx, m, li, g, h, nil, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -188,10 +176,10 @@ func (st *fwdState) localDegrees(g *graph.Graph) []int32 {
 
 // ForwardLayerContext executes exactly one layer of m — m.Layers[li] — over a
 // materialized graph, with an optional per-vertex degree override. It is the
-// building block of sharded serving (internal/shard): a shard worker holds
-// the subgraph induced by its owned vertices plus halo copies of their remote
-// in-neighbors, runs one layer per front-tier call, and exchanges halo rows
-// between layers.
+// executor's one forward primitive: ForwardContext chains it, sampled
+// inference gives each layer its own graph, and a shard worker
+// (internal/shard) runs it once per front-tier call over the subgraph of its
+// owned vertices plus halo copies of their remote in-neighbors.
 //
 // degrees supplies the structural degree of each vertex as seen by message
 // functions (EdgeContext.SrcDeg) and by the int8 tier's per-source
@@ -200,7 +188,12 @@ func (st *fwdState) localDegrees(g *graph.Graph) []int32 {
 // see its global degree — passing the global degrees restores exactly the
 // operand stream of an unsharded pass, which is what makes sharded fp32
 // output bit-identical to single-process execution. nil selects g's own
-// in-degrees, making this equivalent to one step of ForwardContext.
+// in-degrees; a negative degree is a typed graph error. The schedule always
+// runs on g's own in-degrees, the work each vertex has locally: outputs
+// never depend on it.
+//
+// A layer runs the int8 kernels exactly when gnn.LayerQuantized reports that
+// its weights were quantized, which the session owning m decided once.
 func (s *SCALE) ForwardLayerContext(ctx context.Context, m *gnn.Model, li int, g *graph.Graph, x *tensor.Matrix, degrees []int32, workers int) (*tensor.Matrix, error) {
 	if li < 0 || li >= len(m.Layers) {
 		return nil, fmt.Errorf("core: layer %d outside model of %d layers: %w", li, len(m.Layers), fault.ErrBadConfig)
@@ -215,15 +208,32 @@ func (s *SCALE) ForwardLayerContext(ctx context.Context, m *gnn.Model, li int, g
 	if degrees != nil && len(degrees) != g.NumVertices() {
 		return nil, fmt.Errorf("core: %d degree overrides for %d vertices: %w", len(degrees), g.NumVertices(), fault.ErrBadShape)
 	}
+	for v, d := range degrees {
+		if d < 0 {
+			return nil, fmt.Errorf("core: vertex %d has degree override %d: %w", v, d, fault.ErrBadGraph)
+		}
+	}
 	st, _ := s.fwdPool.Get().(*fwdState)
 	if st == nil {
 		st = &fwdState{}
 	}
 	defer s.fwdPool.Put(st)
-	if degrees == nil {
-		degrees = st.localDegrees(g)
-	}
 	return s.forwardLayer(ctx, li, layer, g, degrees, x, st, workers)
+}
+
+// layerPass is one layer's execution plan, built once by forwardLayer and
+// shared by its workers, which write only their own groups' seen/out rows.
+// srcDeg is the degree message functions see (EdgeContext.SrcDeg).
+type layerPass struct {
+	layer              gnn.Layer
+	g                  *graph.Graph
+	srcDeg             []int32
+	psrc, pdst, h, out *tensor.Matrix
+	seen               []bool
+	kind               gnn.ReduceKind
+	qupd               gnn.QKernels
+	qagg               gnn.QAggregator
+	qpsrc              *tensor.QSumMatrix
 }
 
 func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *graph.Graph, degrees []int32, h *tensor.Matrix, st *fwdState, workers int) (*tensor.Matrix, error) {
@@ -234,21 +244,15 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 	numPEs := nRings * ringSize
 	batch := cfg.EffectiveBatchSize()
 
-	// The int8 tier: layers exposing quantized kernels get their weights
-	// quantized once (idempotent per layer) and their prepare/update paths
-	// dispatched to the int8 kernels. Layers without quantized forms (e.g.
-	// custom specs) silently stay on float32 — precision is a per-layer
-	// capability, not a model-wide requirement.
-	var qupd gnn.QKernels
-	if cfg.EffectivePrecision() == PrecisionInt8 {
-		if qk, ok := layer.(gnn.QKernels); ok {
-			if err := qk.QuantizeWeights(); err != nil {
-				return nil, fmt.Errorf("core: layer %d: quantizing weights: %w", li, err)
-			}
-			qupd = qk
-		}
+	local := st.localDegrees(g)
+	if degrees == nil {
+		degrees = local
 	}
-
+	// Layers without quantized forms (e.g. custom specs) stay on float32.
+	var qupd gnn.QKernels
+	if gnn.LayerQuantized(layer) {
+		qupd = layer.(gnn.QKernels)
+	}
 	psrc, pdst := gnn.PrepareLayerPrecision(layer, h, workers, qupd != nil)
 	kind := layer.Reduce()
 	width := kind.AccWidth(layer.MsgDim())
@@ -307,6 +311,8 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 		qAccWidth = qpsrc.Stride // padded, so FlushChain drains whole chunks
 	}
 	ws := st.sizeWorkers(nw, width, layer.UpdateScratch(), qScratch, qAccWidth)
+	p := &layerPass{layer: layer, g: g, srcDeg: degrees, psrc: psrc, pdst: pdst, h: h, out: out,
+		seen: seen, kind: kind, qupd: qupd, qagg: qagg, qpsrc: qpsrc}
 
 	// One closure per layer: `groups` rebinds per batch. Workers claim
 	// whole groups (rings) — disjoint vertex sets, so out/seen writes
@@ -320,14 +326,15 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 			}
 		}()
 		for gi := lo; gi < hi && wk.err == nil; gi++ {
-			wk.err = runGroup(layer, g, degrees, groups[gi], psrc, pdst, h, out, seen, wk, kind, width, qupd, qagg, qpsrc)
+			wk.err = p.runGroup(groups[gi], wk)
 		}
 	}
 	for _, vb := range st.batchesFor(g.NumVertices(), batch) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: layer %d: %w", li, err)
 		}
-		groups, err = scheduler.Schedule(degrees, vb)
+		// Never the override: local degrees are bounded by g's edges.
+		groups, err = scheduler.Schedule(local, vb)
 		if err != nil {
 			return nil, fmt.Errorf("core: layer %d: %w", li, err)
 		}
@@ -357,17 +364,18 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 // int32 every ChainBlockEdges), dequantizing once per vertex with
 // Scale·QDstCoef. Integer sums are order-independent, so int8 outputs keep
 // the same worker-count bit-identity guarantee as float32.
-func runGroup(layer gnn.Layer, g *graph.Graph, degrees []int32, group *sched.TaskGroup, psrc, pdst, h, out *tensor.Matrix, seen []bool, wk *fwdWorker, kind gnn.ReduceKind, width int, qupd gnn.QKernels, qagg gnn.QAggregator, qpsrc *tensor.QSumMatrix) error {
+func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
+	layer, degrees, psrc, qpsrc := p.layer, p.srcDeg, p.psrc, p.qpsrc // per-edge operands
 	msgDim := layer.MsgDim()
 	for _, task := range group.Tasks {
 		for _, v := range task.Vertices {
-			if seen[v] {
+			if p.seen[v] {
 				return fmt.Errorf("vertex %d scheduled twice", v)
 			}
-			seen[v] = true
-			nbrs := g.InNeighbors(int(v))
+			p.seen[v] = true
+			nbrs := p.g.InNeighbors(int(v))
 			acc := wk.acc
-			if qagg != nil {
+			if p.qagg != nil {
 				// Integer reduce chain: the source coefficient is
 				// already folded into the quantized rows, the
 				// destination coefficient folds into the single
@@ -387,7 +395,7 @@ func runGroup(layer gnn.Layer, g *graph.Graph, degrees []int32, group *sched.Tas
 					}
 				}
 				tensor.FlushChain(acc32, swar, block)
-				c := qpsrc.Scale * qagg.QDstCoef(len(nbrs))
+				c := qpsrc.Scale * p.qagg.QDstCoef(len(nbrs))
 				for i := range acc {
 					acc[i] = c * float32(acc32[i])
 				}
@@ -396,8 +404,8 @@ func runGroup(layer gnn.Layer, g *graph.Graph, degrees []int32, group *sched.Tas
 					acc[i] = 0
 				}
 				var pdstRow []float32
-				if pdst != nil {
-					pdstRow = pdst.Row(int(v))
+				if p.pdst != nil {
+					pdstRow = p.pdst.Row(int(v))
 				}
 				// The reduce chain: sources stream through the ring
 				// in mapping order, accumulating hop by hop.
@@ -413,11 +421,11 @@ func runGroup(layer gnn.Layer, g *graph.Graph, degrees []int32, group *sched.Tas
 					layer.AccumulateEdge(acc, psrc.Row(int(u)), pdstRow, wk.msg, ctx)
 				}
 			}
-			agg := kind.Finalize(acc, msgDim, len(nbrs))
-			if qupd != nil {
-				qupd.QUpdateInto(out.Row(int(v)), h.Row(int(v)), agg, wk.scratch, wk.qs)
+			agg := p.kind.Finalize(acc, msgDim, len(nbrs))
+			if p.qupd != nil {
+				p.qupd.QUpdateInto(p.out.Row(int(v)), p.h.Row(int(v)), agg, wk.scratch, wk.qs)
 			} else {
-				layer.UpdateInto(out.Row(int(v)), h.Row(int(v)), agg, wk.scratch)
+				layer.UpdateInto(p.out.Row(int(v)), p.h.Row(int(v)), agg, wk.scratch)
 			}
 		}
 	}

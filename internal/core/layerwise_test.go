@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"scale/internal/fault"
@@ -73,5 +74,24 @@ func TestForwardLayerDegreesAndValidation(t *testing.T) {
 	}
 	if _, err := s.ForwardLayerContext(context.Background(), m, 0, g, x, make([]int32, 3), 1); !errors.Is(err, fault.ErrBadShape) {
 		t.Fatalf("short degrees: err = %v, want ErrBadShape", err)
+	}
+	negative := g.Degrees()
+	negative[7] = -1
+	if _, err := s.ForwardLayerContext(context.Background(), m, 0, g, x, negative, 1); !errors.Is(err, fault.ErrBadGraph) {
+		t.Fatalf("negative degree: err = %v, want ErrBadGraph", err)
+	}
+
+	// An override reaches only the message functions. The schedule runs on
+	// g's own in-degrees, so a huge override sizes no scheduler table.
+	huge := g.Degrees()
+	huge[7] = 1 << 26
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.ForwardLayerContext(context.Background(), m, 0, g, x, huge, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Fatalf("a 1<<26 degree override allocated %d bytes, want < 16 MB", got)
 	}
 }

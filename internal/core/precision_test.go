@@ -1,17 +1,25 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"scale/internal/gnn"
 	"scale/internal/graph"
+	"scale/internal/tensor"
 )
 
-func int8Config() Config {
-	cfg := DefaultConfig()
-	cfg.Precision = PrecisionInt8
-	return cfg
+// quantizedModel builds a zoo model with its int8 weight forms
+// materialized, which is what selects the int8 kernels for every layer.
+func quantizedModel(tb testing.TB, name string, dims []int, seed int64) *gnn.Model {
+	tb.Helper()
+	m := gnn.MustModel(name, dims, seed)
+	if err := gnn.QuantizeModel(m); err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }
 
 // The int8 accuracy harness: for every model in the zoo and both graph
@@ -29,7 +37,6 @@ func TestInt8AccuracyHarness(t *testing.T) {
 		graph.RMAT(9, 4000, 7),
 	}
 	ref := MustNew(DefaultConfig())
-	q := MustNew(int8Config())
 	for _, g := range graphs {
 		for _, name := range gnn.AllModelNames() {
 			m := gnn.MustModel(name, []int{24, 12, 5}, 11)
@@ -38,7 +45,7 @@ func TestInt8AccuracyHarness(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s float32: %v", g.Name(), name, err)
 			}
-			got, err := q.Forward(m, g, x)
+			got, err := ref.Forward(quantizedModel(t, name, []int{24, 12, 5}, 11), g, x)
 			if err != nil {
 				t.Fatalf("%s/%s int8: %v", g.Name(), name, err)
 			}
@@ -62,18 +69,18 @@ func TestInt8AccuracyHarness(t *testing.T) {
 	}
 }
 
-// The int8 tier keeps the float32 tier's determinism guarantee: the
-// accumulator stays float32 and every vertex's reduce chain folds in mapping
+// The int8 tier keeps the float32 tier's determinism guarantee: integer
+// reduce chains sum in exact int32 and every float chain folds in mapping
 // order, so serial and group-parallel quantized execution are byte-identical.
 func TestInt8ParallelBitIdentical(t *testing.T) {
 	graphs := []*graph.Graph{
 		graph.ErdosRenyi(300, 1500, 3),
 		graph.RMAT(9, 4000, 7),
 	}
-	s := MustNew(int8Config())
+	s := MustNew(DefaultConfig())
 	for _, g := range graphs {
 		for _, name := range gnn.AllModelNames() {
-			m := gnn.MustModel(name, []int{24, 12, 5}, 11)
+			m := quantizedModel(t, name, []int{24, 12, 5}, 11)
 			x := gnn.RandomFeatures(g, 24, 13)
 			serial, err := s.ForwardParallel(m, g, x, 1)
 			if err != nil {
@@ -95,24 +102,22 @@ func TestInt8ParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// Quantization is strictly opt-in: a simulator built on the explicit fp32
-// precision is byte-identical to one built on the default config, even after
-// the same model has had quantized weight forms materialized by an int8 run.
+// Quantization is strictly opt-in: on one SCALE value, whose pooled forward
+// state both tiers share, an fp32 pass after an int8 pass over a quantized
+// copy of the same model is byte-identical to the fp32 pass before it.
 func TestFp32UnchangedByQuantizedTier(t *testing.T) {
 	g := graph.ErdosRenyi(200, 900, 5)
 	m := gnn.MustModel("gcn", []int{16, 8, 4}, 3)
 	x := gnn.RandomFeatures(g, 16, 9)
-	def := MustNew(DefaultConfig())
-	want, err := def.Forward(m, g, x)
+	s := MustNew(DefaultConfig())
+	want, err := s.Forward(m, g, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MustNew(int8Config()).Forward(m, g, x); err != nil {
+	if _, err := s.Forward(quantizedModel(t, "gcn", []int{16, 8, 4}, 3), g, x); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Precision = PrecisionFP32
-	got, err := MustNew(cfg).Forward(m, g, x)
+	got, err := s.Forward(m, g, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +125,54 @@ func TestFp32UnchangedByQuantizedTier(t *testing.T) {
 		if !got[li].Equal(want[li]) {
 			t.Fatalf("layer %d: fp32 output changed after int8 runs", li)
 		}
+	}
+}
+
+// Both tiers share one SCALE and its pool of forward state: 8 goroutines
+// alternating an fp32 copy and an int8 copy of one model must each reproduce
+// their tier's serial reference byte for byte.
+func TestSharedStatePoolAcrossTiers(t *testing.T) {
+	g := graph.RMAT(9, 4000, 7)
+	x := gnn.RandomFeatures(g, 24, 13)
+	s := MustNew(DefaultConfig())
+	models := []*gnn.Model{
+		gnn.MustModel("gcn", []int{24, 12, 5}, 11),
+		quantizedModel(t, "gcn", []int{24, 12, 5}, 11),
+	}
+	want := make([][]*tensor.Matrix, len(models))
+	for i, m := range models {
+		out, err := s.ForwardParallel(m, g, x, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for gr := 0; gr < 8; gr++ {
+		wg.Add(1)
+		go func(gr int) {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				tier := (gr + rep) % len(models)
+				got, err := s.ForwardParallel(models[tier], g, x, 1+gr%3)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for li := range got {
+					if !got[li].Equal(want[tier][li]) {
+						errs <- fmt.Errorf("goroutine %d rep %d tier %d layer %d: output differs from its serial reference", gr, rep, tier, li)
+						return
+					}
+				}
+			}
+		}(gr)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -132,8 +185,8 @@ func TestInt8SteadyStateAllocs(t *testing.T) {
 		t.Skip("race detector makes sync.Pool drop cached state by design")
 	}
 	g := graph.ErdosRenyi(2000, 8000, 1)
-	s := MustNew(int8Config())
-	m := gnn.MustModel("gcn", []int{64, 16, 4}, 1)
+	s := MustNew(DefaultConfig())
+	m := quantizedModel(t, "gcn", []int{64, 16, 4}, 1)
 	x := gnn.RandomFeatures(g, 64, 2)
 	for i := 0; i < 3; i++ {
 		if _, err := s.ForwardParallel(m, g, x, 1); err != nil {
@@ -147,23 +200,5 @@ func TestInt8SteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 24 {
 		t.Fatalf("steady-state int8 Forward allocates %v per call (budget 24)", allocs)
-	}
-}
-
-// Invalid precision strings are rejected at construction.
-func TestPrecisionValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Precision = "fp64"
-	if _, err := New(cfg); err == nil {
-		t.Fatal("fp64 precision accepted")
-	}
-	for _, s := range []string{"", "fp32", "int8"} {
-		p, err := ParsePrecision(s)
-		if err != nil {
-			t.Fatalf("ParsePrecision(%q): %v", s, err)
-		}
-		if s == "" && p != PrecisionFP32 {
-			t.Fatalf("empty precision resolved to %q", p)
-		}
 	}
 }

@@ -359,6 +359,16 @@ func TestMutateStatusMapping(t *testing.T) {
 			t.Fatalf("a 400 built %d sessions", got-before)
 		}
 	})
+	t.Run("dynamic infer with a dims entry past the element cap is 400 and builds no session", func(t *testing.T) {
+		before := s.Metrics().SessionsCreated.Load()
+		rec := do(t, s, http.MethodPost, "/v1/infer", inferBody{Model: "gcn", Dims: []int{8, 1 << 40}, Graph: "dynamic"})
+		if rec.Code != http.StatusBadRequest || decodeError(t, rec).Kind != "bad_input" {
+			t.Fatalf("%d %s", rec.Code, rec.Body.String())
+		}
+		if got := s.Metrics().SessionsCreated.Load(); got != before {
+			t.Fatalf("a 400 built %d sessions", got-before)
+		}
+	})
 	t.Run("unknown graph source is 400", func(t *testing.T) {
 		rec := do(t, s, http.MethodPost, "/v1/infer", inferBody{Model: "gcn", Dims: []int{8, 16, 8}, Graph: "frozen"})
 		if rec.Code != http.StatusBadRequest {

@@ -319,6 +319,9 @@ func (s *Server) route(body *inferBody) (route, error) {
 		if w := s.cfg.Dynamic.FeatureDim(); len(body.Dims) > 0 && body.Dims[0] != w {
 			return 0, fmt.Errorf("serve: dims[0] is %d, the dynamic graph's features are %d wide: %w", body.Dims[0], w, fault.ErrBadShape)
 		}
+		if err := shard.ValidateDims(s.cfg.Dynamic.NumVertices(), body.Dims); err != nil {
+			return 0, err
+		}
 		return routeDirect, nil
 	default:
 		return 0, fmt.Errorf("serve: unknown graph source %q: %w", body.Graph, fault.ErrBadConfig)
@@ -439,11 +442,11 @@ func fallbackEligible(err error) bool {
 }
 
 // validateCarried checks a request-carried graph for every route, before
-// any session exists: the dims chain, then scale.InferRequest.Validate
-// against its input width.
+// any session exists: the dims chain (shard.ValidateDims), then
+// scale.InferRequest.Validate against its input width.
 func validateCarried(body *inferBody) error {
-	if len(body.Dims) < 2 {
-		return fmt.Errorf("scale: dims chain has %d entries, need ≥2: %w", len(body.Dims), fault.ErrBadConfig)
+	if err := shard.ValidateDims(body.NumVertices, body.Dims); err != nil {
+		return err
 	}
 	return body.request().Validate(body.Dims[0])
 }

@@ -127,6 +127,8 @@ func statusCases() []statusCase {
 	negFanout.SampleFanout = -1
 	negTimeout := validInfer()
 	negTimeout.TimeoutMS = -1
+	hugeDims := validInfer()
+	hugeDims.Dims = []int{2, 1 << 40}
 
 	return []statusCase{
 		{"infer ok", Config{}, "POST", "/v1/infer", validInfer(), 200, ""},
@@ -152,6 +154,7 @@ func statusCases() []statusCase {
 		{"vertex cap", Config{}, "POST", "/v1/infer", tooBig, 400, "bad_input"},
 		{"negative sample_fanout", Config{}, "POST", "/v1/infer", negFanout, 400, "bad_input"},
 		{"negative timeout_ms", Config{}, "POST", "/v1/infer", negTimeout, 400, "bad_input"},
+		{"dims entry past the element cap", Config{}, "POST", "/v1/infer", hugeDims, 400, "bad_input"},
 		{"dynamic graph on a server without one", Config{}, "POST", "/v1/infer", inferBody{Model: "gcn", Dims: []int{8, 16, 8}, Graph: "dynamic"}, 400, "bad_input"},
 		{"unknown dataset", Config{}, "POST", "/v1/simulate", simulateBody{Model: "gcn", Dataset: "nope"}, 400, "bad_input"},
 		{"deadline (408)", Config{Backend: stalledBackend}, "POST", "/v1/infer",

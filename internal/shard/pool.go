@@ -380,8 +380,8 @@ func (e *permanentErr) Unwrap() error { return e.err }
 // pass; int8 results are not (per-shard activation scales) and only
 // shape-compatible.
 func (p *Pool) Run(ctx context.Context, spec SessionSpec, g *graph.Graph, x *tensor.Matrix) (*tensor.Matrix, *Plan, error) {
-	if len(spec.Dims) < 2 {
-		return nil, nil, fmt.Errorf("shard: dims chain has %d entries, need ≥2: %w", len(spec.Dims), fault.ErrBadConfig)
+	if err := ValidateDims(g.NumVertices(), spec.Dims); err != nil {
+		return nil, nil, err
 	}
 	if x.Rows != g.NumVertices() || x.Cols != spec.Dims[0] {
 		return nil, nil, fmt.Errorf("shard: features are %dx%d, graph wants %dx%d: %w",

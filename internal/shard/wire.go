@@ -23,6 +23,25 @@ const (
 	maxWireElems = 1 << 27
 )
 
+// ValidateDims rejects a dims chain of fewer than two entries, or one under
+// which a layer's weights (dims[i]·dims[i+1]) or activations
+// (numVertices·dims[i]) would exceed maxWireElems elements. The front tier
+// applies it before any session or matrix exists, and Pool.Run and a worker
+// to every pass and load frame, so an out-of-range dims entry is a typed
+// input error, never an out-of-memory crash.
+func ValidateDims[D int | int32](numVertices int, dims []D) error {
+	if len(dims) < 2 {
+		return fmt.Errorf("shard: dims chain has %d entries, need ≥2: %w", len(dims), fault.ErrBadConfig)
+	}
+	for i, d := range dims {
+		limit := maxWireElems / max(int(d), 1)
+		if numVertices > limit || i+1 < len(dims) && int(dims[i+1]) > limit {
+			return fmt.Errorf("shard: dims[%d] = %d makes a matrix of more than %d elements: %w", i, d, maxWireElems, fault.ErrBadShape)
+		}
+	}
+	return nil
+}
+
 // LoadRequest ships one shard's state for one inference request: the local
 // CSR subgraph, index maps, global degrees, and the feature rows of the
 // layer the pass (re)starts at. Layer is normally 0; after a worker

@@ -329,8 +329,8 @@ func validateLoad(q *LoadRequest) error {
 	if n <= 0 {
 		return fmt.Errorf("shard: load has no vertices: %w", fault.ErrBadGraph)
 	}
-	if len(q.Dims) < 2 {
-		return fmt.Errorf("shard: load dims chain has %d entries, need ≥2: %w", len(q.Dims), fault.ErrBadConfig)
+	if err := ValidateDims(n, q.Dims); err != nil {
+		return err
 	}
 	if q.Layer < 0 || int(q.Layer) >= len(q.Dims)-1 {
 		return fmt.Errorf("shard: start layer %d outside [0, %d): %w", q.Layer, len(q.Dims)-1, fault.ErrBadConfig)
@@ -355,6 +355,11 @@ func validateLoad(q *LoadRequest) error {
 	}
 	if len(q.Degrees) != n {
 		return fmt.Errorf("shard: %d degrees for %d vertices: %w", len(q.Degrees), n, fault.ErrBadShape)
+	}
+	for v, d := range q.Degrees {
+		if d < 0 {
+			return fmt.Errorf("shard: vertex %d has degree %d: %w", v, d, fault.ErrBadGraph)
+		}
 	}
 	if want := n * int(q.Dims[q.Layer]); len(q.Features) != want {
 		return fmt.Errorf("shard: %d feature values, want %d: %w", len(q.Features), want, fault.ErrBadShape)

@@ -258,6 +258,52 @@ func TestWorkerContract(t *testing.T) {
 	}
 }
 
+// validateLoad's table, driven through the worker's load endpoint: a
+// malformed frame is a 400 at load, before any session, matrix or layer call
+// exists.
+func TestWorkerLoadValidation(t *testing.T) {
+	w := NewWorker(WorkerConfig{Sim: newTestSim(t)})
+	defer w.Close()
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+
+	cases := []struct {
+		name string
+		edit func(q *LoadRequest)
+		want int
+	}{
+		{"valid", func(*LoadRequest) {}, http.StatusNoContent},
+		{"negative halo degree", func(q *LoadRequest) { q.Degrees[2] = -1 }, http.StatusBadRequest},
+		{"dims past the element cap", func(q *LoadRequest) { q.Dims = []int32{2, 1 << 30} }, http.StatusBadRequest},
+		{"short degrees", func(q *LoadRequest) { q.Degrees = q.Degrees[:2] }, http.StatusBadRequest},
+		{"column index out of range", func(q *LoadRequest) { q.ColIdx[0] = 3 }, http.StatusBadRequest},
+		{"start layer past the model", func(q *LoadRequest) { q.Layer = 1 }, http.StatusBadRequest},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// A 3-vertex path 0→1→2 with 2-wide features.
+			q := &LoadRequest{
+				ReqID: uint64(i + 1), Model: "gcn", Precision: "fp32", Dims: []int32{2, 3},
+				Owned: []int32{0, 1, 2}, RowPtr: []int32{0, 0, 1, 2}, ColIdx: []int32{0, 1},
+				Degrees: []int32{0, 1, 1}, Features: []float32{1, 0, 0, 1, 1, 1},
+			}
+			tc.edit(q)
+			var body strings.Builder
+			if err := q.Encode(&body); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(srv.URL+"/v1/shard/load", "application/octet-stream", strings.NewReader(body.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d", resp.StatusCode, tc.want)
+			}
+		})
+	}
+}
+
 // Cost estimates ride along with a real pool run: the plan the pool returns
 // feeds EstimateComm directly.
 func TestPoolPlanFeedsEstimate(t *testing.T) {

@@ -19,7 +19,6 @@ package scale
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"scale/internal/arch"
 	"scale/internal/baseline"
@@ -47,31 +46,10 @@ type Options struct {
 	Scheduling string
 }
 
-// Simulator runs GNN workloads through the SCALE accelerator model.
+// Simulator runs GNN workloads through the SCALE accelerator model. Its
+// Sessions, at every precision, share its one accelerator and state pool.
 type Simulator struct {
 	accel *core.SCALE
-
-	// int8Accel is the quantized-execution twin: the same hardware
-	// configuration with Precision int8, built lazily on the first int8
-	// session so fp32-only processes never pay for it. A separate SCALE
-	// value means a separate forward-state pool — precision tiers never
-	// share scratch.
-	int8Once  sync.Once
-	int8Accel *core.SCALE
-	int8Err   error
-}
-
-// accelFor resolves the accelerator backing the given precision.
-func (s *Simulator) accelFor(p core.Precision) (*core.SCALE, error) {
-	if p != core.PrecisionInt8 {
-		return s.accel, nil
-	}
-	s.int8Once.Do(func() {
-		cfg := s.accel.Config()
-		cfg.Precision = core.PrecisionInt8
-		s.int8Accel, s.int8Err = core.New(cfg)
-	})
-	return s.int8Accel, s.int8Err
 }
 
 // Precisions lists the execution precisions a Session accepts: "fp32" (the

@@ -1,8 +1,10 @@
 package scale
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"scale/internal/core"
 	"scale/internal/fault"
@@ -27,7 +29,7 @@ type Session struct {
 	model     *gnn.Model
 	name      string
 	dims      []int
-	precision core.Precision
+	precision string
 	plan      quant.Plan
 }
 
@@ -40,34 +42,32 @@ func (s *Simulator) NewSession(model string, dims []int) (*Session, error) {
 
 // NewSessionPrecision is NewSession with an execution precision: "" or
 // "fp32" selects the float32 tier (bit-identical to NewSession), "int8" the
-// quantized tier. For int8 sessions the quantized weight form of every layer
-// is materialized here, once, so the first request pays no quantization
-// cost; unknown precisions are typed input errors (fault.ErrBadConfig).
+// quantized tier. This is the one place precision is decided: for int8
+// sessions the quantized weight form of every layer is materialized here,
+// once, and the executor runs a layer's int8 kernels exactly when that layer
+// was quantized (gnn.LayerQuantized). Unknown precisions are typed input
+// errors (fault.ErrBadConfig).
 func (s *Simulator) NewSessionPrecision(model string, dims []int, precision string) (*Session, error) {
-	prec, err := core.ParsePrecision(precision)
-	if err != nil {
-		return nil, err
-	}
-	accel, err := s.accelFor(prec)
-	if err != nil {
-		return nil, err
+	precision = cmp.Or(precision, "fp32")
+	if !slices.Contains(Precisions(), precision) {
+		return nil, fmt.Errorf("scale: unknown precision %q (have fp32, int8): %w", precision, fault.ErrBadConfig)
 	}
 	m, err := gnn.NewModel(model, dims, 1)
 	if err != nil {
 		return nil, err
 	}
-	if prec == core.PrecisionInt8 {
+	if precision == "int8" {
 		if err := gnn.QuantizeModel(m); err != nil {
 			return nil, err
 		}
 	}
 	return &Session{
-		accel:     accel,
+		accel:     s.accel,
 		model:     m,
 		name:      model,
 		dims:      append([]int(nil), dims...),
-		precision: prec,
-		plan:      sessionPlan(m, prec),
+		precision: precision,
+		plan:      sessionPlan(m),
 	}, nil
 }
 
@@ -77,11 +77,8 @@ func (s *Simulator) NewSessionPrecision(model string, dims []int, precision stri
 // by layers that materialized an int8 form, so Compression/AvgBytes report
 // what the session actually runs — 1.0/4B for fp32 sessions, below that for
 // int8 ones (exactly 0.25/1B when every layer quantizes).
-func sessionPlan(m *gnn.Model, prec core.Precision) quant.Plan {
+func sessionPlan(m *gnn.Model) quant.Plan {
 	plan := quant.Plan{LowBytes: 1, HighBytes: 4}
-	if prec != core.PrecisionInt8 {
-		return plan
-	}
 	var total, quantized int64
 	for _, l := range m.Layers {
 		wb := l.Work().WeightBytes
@@ -126,7 +123,7 @@ func (sess *Session) ForwardLayerCSR(ctx context.Context, layer int, g *graph.Gr
 func (sess *Session) Dims() []int { return append([]int(nil), sess.dims...) }
 
 // Precision returns the session's execution precision ("fp32" or "int8").
-func (sess *Session) Precision() string { return string(sess.precision) }
+func (sess *Session) Precision() string { return sess.precision }
 
 // PrecisionStats reports the session's weight-footprint statistics:
 // compression is the byte ratio versus full float32 (1 = full precision,

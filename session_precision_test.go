@@ -96,8 +96,9 @@ func TestSessionInt8ApproximatesFp32(t *testing.T) {
 		t.Fatal("int8 session bit-identical to fp32 — quantized path not engaged")
 	}
 
-	// fp32 after int8: the lazily built int8 twin must not leak into the
-	// default tier.
+	// fp32 after int8: the int8 session shares this simulator's accelerator
+	// and its pooled forward state, which must not leak into the default
+	// tier.
 	fresh, _ := New(Options{})
 	ref, err := fresh.Infer("gcn", []int{8, 12, 5}, 60, edges, features)
 	if err != nil {
