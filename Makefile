@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint conform race fuzz bce bench bench-serve bench-shard bench-dyn bench-smoke perfbench-check serve-smoke shard-smoke chaos-smoke dyn-smoke verify
+.PHONY: build test lint conform race fuzz bce bench bench-serve bench-shard bench-dyn bench-once bench-smoke perfbench-check serve-smoke shard-smoke chaos-smoke dyn-smoke verify
 
 # Tier 1: everything compiles and the full test suite passes.
 build:
@@ -380,4 +380,10 @@ bench-dyn:
 		./internal/dyn | \
 		$(GO) run ./cmd/scale-benchjson -label dyn -out BENCH_pr10.json
 
-verify: test lint conform bce race perfbench-check bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke
+# Run every kernel-layer Go benchmark once. `go test` compiles Benchmark*
+# functions but never runs them, so one that panics or calls b.Fatal would
+# otherwise pass; one iteration each keeps this to seconds.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core
+
+verify: test lint conform bce race perfbench-check bench-once bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke

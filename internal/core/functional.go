@@ -12,12 +12,14 @@ import (
 )
 
 // fwdWorker owns one executor goroutine's scratch: the buf backing slice is
-// viewed as msg | acc | update-scratch windows sized per layer, and err
-// carries the first failure the worker hit (collected after the per-batch
-// barrier).
+// viewed as msg | acc | update-scratch windows sized per layer, coefs holds
+// the float32 reduce chain's per-edge coefficients (grown to the largest
+// in-neighbour list the worker has run), and err carries the first failure
+// the worker hit (collected after the per-batch barrier).
 type fwdWorker struct {
 	buf               []float32
 	msg, acc, scratch []float32
+	coefs             []float32
 	qs                []int8
 	acc32             []int32
 	qswar             []uint64
@@ -37,7 +39,7 @@ type fwdState struct {
 	schedulers map[sched.Config]*sched.Scheduler
 	workers    []fwdWorker
 	// qpsrc holds the per-layer quantized source features on the int8
-	// tier (QAggregator layers only) and qcoefs the per-row source
+	// tier (LinearAggregator layers only) and qcoefs the per-row source
 	// coefficients folded into them; recycled across layers and calls.
 	qpsrc  *tensor.QSumMatrix
 	qcoefs []float32
@@ -223,7 +225,9 @@ func (s *SCALE) ForwardLayerContext(ctx context.Context, m *gnn.Model, li int, g
 
 // layerPass is one layer's execution plan, built once by forwardLayer and
 // shared by its workers, which write only their own groups' seen/out rows.
-// srcDeg is the degree message functions see (EdgeContext.SrcDeg).
+// srcDeg is the degree message functions see (EdgeContext.SrcDeg). lin is
+// non-nil for linear-sum layers, whose reduce chains run whole in-neighbour
+// lists: in int8 when qpsrc is non-nil, in float32 otherwise.
 type layerPass struct {
 	layer              gnn.Layer
 	g                  *graph.Graph
@@ -232,7 +236,7 @@ type layerPass struct {
 	seen               []bool
 	kind               gnn.ReduceKind
 	qupd               gnn.QKernels
-	qagg               gnn.QAggregator
+	lin                gnn.LinearAggregator
 	qpsrc              *tensor.QSumMatrix
 }
 
@@ -258,32 +262,31 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 	width := kind.AccWidth(layer.MsgDim())
 	out := tensor.NewMatrix(h.Rows, layer.OutDim())
 
-	// Separable-coefficient layers additionally run their reduce chains in
-	// integer arithmetic: each source row is pre-multiplied by its QSrcCoef
-	// and quantized under one shared scale (once per layer, 4x less memory
-	// traffic per edge visit), chains sum raw int8 rows in exact int32, and
-	// each vertex dequantizes its chain once with gscale·QDstCoef before
-	// the usual finalize/update.
-	var qagg gnn.QAggregator
+	// Linear-sum layers run each vertex's reduce chain over its whole
+	// in-neighbour list. On the int8 tier the chain is integer arithmetic:
+	// each source row is pre-multiplied by its QSrcCoef and quantized under
+	// one shared scale (once per layer, 4x less memory traffic per edge
+	// visit), chains sum raw int8 rows in exact int32, and each vertex
+	// dequantizes its chain once with gscale·QDstCoef before the usual
+	// finalize/update.
+	lin, _ := layer.(gnn.LinearAggregator)
 	var qpsrc *tensor.QSumMatrix
-	if qupd != nil {
-		if qa, ok := layer.(gnn.QAggregator); ok && psrc.Rows == g.NumVertices() {
-			if st.qpsrc == nil {
-				st.qpsrc = tensor.NewQSumMatrix(psrc.Rows, psrc.Cols)
-			}
-			st.qpsrc.Resize(psrc.Rows, psrc.Cols)
-			if cap(st.qcoefs) < psrc.Rows {
-				st.qcoefs = make([]float32, psrc.Rows)
-			}
-			coefs := st.qcoefs[:psrc.Rows]
-			for v := range coefs {
-				coefs[v] = qa.QSrcCoef(int(degrees[v]))
-			}
-			if err := tensor.ParallelQuantizeScaledInto(st.qpsrc, psrc, coefs, workers); err != nil {
-				return nil, fmt.Errorf("core: layer %d: quantizing features: %w", li, err)
-			}
-			qagg, qpsrc = qa, st.qpsrc
+	if qupd != nil && lin != nil && psrc.Rows == g.NumVertices() {
+		if st.qpsrc == nil {
+			st.qpsrc = tensor.NewQSumMatrix(psrc.Rows, psrc.Cols)
 		}
+		st.qpsrc.Resize(psrc.Rows, psrc.Cols)
+		if cap(st.qcoefs) < psrc.Rows {
+			st.qcoefs = make([]float32, psrc.Rows)
+		}
+		coefs := st.qcoefs[:psrc.Rows]
+		for v := range coefs {
+			coefs[v] = lin.QSrcCoef(int(degrees[v]))
+		}
+		if err := tensor.ParallelQuantizeScaledInto(st.qpsrc, psrc, coefs, workers); err != nil {
+			return nil, fmt.Errorf("core: layer %d: quantizing features: %w", li, err)
+		}
+		qpsrc = st.qpsrc
 	}
 
 	// The functional executor walks per-vertex work, so it needs
@@ -307,12 +310,12 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 	if qupd != nil {
 		qScratch = qupd.QUpdateScratch()
 	}
-	if qagg != nil {
+	if qpsrc != nil {
 		qAccWidth = qpsrc.Stride // padded, so FlushChain drains whole chunks
 	}
 	ws := st.sizeWorkers(nw, width, layer.UpdateScratch(), qScratch, qAccWidth)
 	p := &layerPass{layer: layer, g: g, srcDeg: degrees, psrc: psrc, pdst: pdst, h: h, out: out,
-		seen: seen, kind: kind, qupd: qupd, qagg: qagg, qpsrc: qpsrc}
+		seen: seen, kind: kind, qupd: qupd, lin: lin, qpsrc: qpsrc}
 
 	// One closure per layer: `groups` rebinds per batch. Workers claim
 	// whole groups (rings) — disjoint vertex sets, so out/seen writes
@@ -354,16 +357,20 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 }
 
 // runGroup executes one task group (ring): every vertex's reduce chain folds
-// its in-edges hop by hop via the layer's fused AccumulateEdge kernel, then
-// the finalized aggregation feeds UpdateInto directly into the output row.
-// All scratch belongs to the calling worker, so concurrent groups share only
-// read-only inputs and their disjoint output rows.
+// its in-edges in mapping order, then the finalized aggregation feeds
+// UpdateInto directly into the output row. All scratch belongs to the
+// calling worker, so concurrent groups share only read-only inputs and their
+// disjoint output rows.
+// A linear-sum layer (lin non-nil) runs the float32 chain as one
+// tensor.AxpyChain over the whole in-neighbour list with EdgeCoef
+// coefficients, bit-identical to one AccumulateEdge per edge; every other
+// layer calls its fused AccumulateEdge kernel hop by hop.
 // On the int8 tier (qupd non-nil) updates dispatch to QUpdateInto, and —
-// for separable-coefficient layers (qagg non-nil) — the reduce chain sums
-// biased quantized source rows in the packed SWAR accumulator (flushed to
-// int32 every ChainBlockEdges), dequantizing once per vertex with
-// Scale·QDstCoef. Integer sums are order-independent, so int8 outputs keep
-// the same worker-count bit-identity guarantee as float32.
+// for linear-sum layers (qpsrc non-nil) — the reduce chain sums biased
+// quantized source rows in the packed SWAR accumulator (flushed to int32
+// every ChainBlockEdges), dequantizing once per vertex with Scale·QDstCoef.
+// Integer sums are order-independent, so int8 outputs keep the same
+// worker-count bit-identity guarantee as float32.
 func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
 	layer, degrees, psrc, qpsrc := p.layer, p.srcDeg, p.psrc, p.qpsrc // per-edge operands
 	msgDim := layer.MsgDim()
@@ -375,7 +382,7 @@ func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
 			p.seen[v] = true
 			nbrs := p.g.InNeighbors(int(v))
 			acc := wk.acc
-			if p.qagg != nil {
+			if qpsrc != nil {
 				// Integer reduce chain: the source coefficient is
 				// already folded into the quantized rows, the
 				// destination coefficient folds into the single
@@ -395,10 +402,22 @@ func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
 					}
 				}
 				tensor.FlushChain(acc32, swar, block)
-				c := qpsrc.Scale * p.qagg.QDstCoef(len(nbrs))
+				c := qpsrc.Scale * p.lin.QDstCoef(len(nbrs))
 				for i := range acc {
 					acc[i] = c * float32(acc32[i])
 				}
+			} else if p.lin != nil {
+				for i := range acc {
+					acc[i] = 0
+				}
+				// Source degrees come from the degrees slice, as
+				// SrcDeg does below.
+				coefs := wk.coefs[:0]
+				for _, u := range nbrs {
+					coefs = append(coefs, p.lin.EdgeCoef(int(degrees[u]), len(nbrs)))
+				}
+				wk.coefs = coefs
+				tensor.AxpyChain(acc, psrc, nbrs, coefs)
 			} else {
 				for i := range acc {
 					acc[i] = 0

@@ -11,25 +11,33 @@ import (
 
 // The central functional-correctness check: the SCALE dataflow (scheduled
 // chained reductions + per-vertex updates) must reproduce the golden
-// reference forward pass for every model, within float reassociation
-// tolerance.
+// per-edge reference forward pass byte for byte, for every model. Each
+// vertex's chain adds its in-edges in CSR order, as the reference does, so
+// no float is reassociated. The power-law RMAT graph adds high-degree
+// vertices and every length of a four-row chain's tail.
 func TestForwardMatchesReferenceAllModels(t *testing.T) {
-	g := graph.ErdosRenyi(300, 1500, 3)
+	graphs := []*graph.Graph{
+		graph.ErdosRenyi(300, 1500, 3),
+		graph.RMAT(9, 4000, 7),
+	}
 	s := MustNew(DefaultConfig())
-	for _, name := range gnn.AllModelNames() {
-		m := gnn.MustModel(name, []int{24, 12, 5}, 11)
-		x := gnn.RandomFeatures(g, 24, 13)
-		want, err := gnn.Forward(m, g, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := s.Forward(m, g, x)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for li := range want {
-			if !want[li].AllClose(got[li], 1e-3, 1e-4) {
-				t.Errorf("%s layer %d: max diff %g", name, li, want[li].MaxAbsDiff(got[li]))
+	for _, g := range graphs {
+		for _, name := range gnn.AllModelNames() {
+			m := gnn.MustModel(name, []int{24, 12, 5}, 11)
+			x := gnn.RandomFeatures(g, 24, 13)
+			want, err := gnn.Forward(m, g, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Forward(m, g, x)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", g.Name(), name, err)
+			}
+			for li := range want {
+				if !want[li].Equal(got[li]) {
+					t.Errorf("%s/%s layer %d: not byte-identical to the reference (max |Δ| = %g)",
+						g.Name(), name, li, want[li].MaxAbsDiff(got[li]))
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -74,6 +75,43 @@ func TestAccumulateEdgeMatchesUnfused(t *testing.T) {
 		for i, v := range acc {
 			if v != want[i] {
 				t.Fatalf("%s: fused acc[%d] = %v, unfused = %v", name, i, v, want[i])
+			}
+		}
+	}
+}
+
+// For the linear-sum layers the executor replaces AccumulateEdge with a
+// float32 chain acc += EdgeCoef(srcDeg, dstDeg)·psrc; the two must agree bit
+// for bit at every degree, including the floor-at-1 degree 0 and one large
+// degree.
+func TestEdgeCoefMatchesAccumulateEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	degrees := []int{0, 1, 2, 3, 4973}
+	zoo := zooLayers(t)
+	for _, name := range []string{"gcn", "gin", "gs-mean"} {
+		for _, l := range []Layer{zoo[name+"/hidden"], zoo[name+"/last"]} {
+			lin, ok := l.(LinearAggregator)
+			if !ok {
+				t.Fatalf("%s: expected LinearAggregator", name)
+			}
+			psrc := randSlice(rng, l.MsgDim())
+			for _, du := range degrees {
+				for _, dv := range degrees {
+					acc := randSlice(rng, l.Reduce().AccWidth(l.MsgDim()))
+					want := append([]float32(nil), acc...)
+					ctx := EdgeContext{Src: 0, Dst: 1, SrcDeg: du, DstDeg: dv}
+					l.AccumulateEdge(want, psrc, nil, nil, ctx)
+					coef := lin.EdgeCoef(du, dv)
+					for i, v := range psrc {
+						acc[i] += coef * v
+					}
+					for i, v := range acc {
+						if math.Float32bits(v) != math.Float32bits(want[i]) {
+							t.Fatalf("%s deg %d->%d: coef chain acc[%d] = %v, AccumulateEdge = %v",
+								name, du, dv, i, v, want[i])
+						}
+					}
+				}
 			}
 		}
 	}

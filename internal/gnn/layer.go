@@ -149,6 +149,28 @@ type Layer interface {
 	Work() LayerWork
 }
 
+// LinearAggregator is the optional capability of layers whose per-edge
+// accumulation is LINEAR in the prepared source row with a SEPARABLE
+// coefficient: gcn's symmetric norm, gin's and gs-mean's constant 1. Layers
+// with a nonlinear per-edge term (g-gcn's sigmoid gate, gat's exp attention)
+// or a max reduce (gs-pl) do not implement it, and neither do custom layers.
+// Both executor tiers use it to run a vertex's whole in-neighbour list as one
+// reduce chain instead of one AccumulateEdge call per edge:
+//
+//   - float32: AccumulateEdge is exactly acc[j] += EdgeCoef(srcDeg,
+//     dstDeg)·psrc[j], the same float32 product and sum, so
+//     tensor.AxpyChain over the list's coefficients is bit-identical to the
+//     per-edge loop;
+//   - int8: the coefficient factors as QSrcCoef(srcDeg)·QDstCoef(dstDeg) up
+//     to float rounding, which lets the integer chain fold the source factor
+//     into the quantized rows and apply the destination factor once per
+//     vertex (see quantized.go).
+type LinearAggregator interface {
+	EdgeCoef(srcDeg, dstDeg int) float32
+	QSrcCoef(srcDeg int) float32
+	QDstCoef(dstDeg int) float32
+}
+
 // preparer is the internal parallel-prepare hook the built-in layers
 // implement: prepare computes both prepared matrices in one pass over h,
 // fanning rows across up to `workers` goroutines. PrepareLayer falls back to

@@ -132,6 +132,9 @@ func (l *gcnLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContex
 	}
 }
 
+// EdgeCoef is the exact per-edge norm AccumulateEdge applies (LinearAggregator).
+func (l *gcnLayer) EdgeCoef(srcDeg, dstDeg int) float32 { return gcnNorm(srcDeg, dstDeg) }
+
 func gcnNorm(srcDeg, dstDeg int) float32 {
 	if srcDeg < 1 {
 		srcDeg = 1
@@ -445,6 +448,9 @@ func (l *ginLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContex
 	}
 }
 
+// EdgeCoef is 1: acc += 1·v is acc += v exactly (LinearAggregator).
+func (l *ginLayer) EdgeCoef(int, int) float32 { return 1 }
+
 func (l *ginLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 
 func (l *ginLayer) UpdateInto(dst, hself, agg, scratch []float32) {
@@ -654,6 +660,9 @@ func (l *sageMeanLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeC
 		acc[i] += v
 	}
 }
+
+// EdgeCoef is 1: acc += 1·v is acc += v exactly (LinearAggregator).
+func (l *sageMeanLayer) EdgeCoef(int, int) float32 { return 1 }
 
 func (l *sageMeanLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 

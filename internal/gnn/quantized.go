@@ -7,29 +7,26 @@ import (
 	"scale/internal/tensor"
 )
 
-// Quantized execution tier (DESIGN §4j). Layers that support int8 execution
-// materialize a quantized weight form exactly once per model instance —
-// weights are quantized at session materialization, never per request — and
-// expose int8 kernels the executors dispatch to when the forward pass runs
-// with Precision "int8":
+// Quantized execution tier (DESIGN §4j). Only a Session quantizes: an int8
+// session calls QuantizeModel once when it materializes its model, never per
+// request, and each layer that supports int8 execution keeps its quantized
+// weight form from then on. The executors run a layer's int8 kernels exactly
+// when LayerQuantized reports that form present:
 //
 //   - QKernels is the update-side capability: QUpdateInto replaces the
 //     update GEMVs with int8 GEMVs (quantize the activation row, int32-dot
 //     against the transposed quantized weights, dequantize at the output
 //     boundary). All seven built-in layers implement it.
-//   - QAggregator is the aggregation-side capability for layers whose
-//     per-edge accumulation is LINEAR in the prepared source row with a
-//     SEPARABLE coefficient, coef(u,v) = QSrcCoef(deg u)·QDstCoef(deg v)
-//     (gcn's symmetric norm, gin's and gs-mean's constant 1): the executor
-//     folds each row's source factor into a shared-scale biased-byte
-//     quantization of the prepared source matrix (tensor.QuantizeScaledInto),
-//     reduce chains sum raw byte rows in exact packed integer arithmetic
+//   - LinearAggregator (layer.go) is the aggregation-side capability of the
+//     linear-sum layers, gcn, gin and gs-mean, whose edge coefficient
+//     separates as QSrcCoef(deg u)·QDstCoef(deg v): the executor folds each
+//     row's source factor into a shared-scale biased-byte quantization of
+//     the prepared source matrix (tensor.QuantizeScaledInto), reduce chains
+//     sum raw byte rows in exact packed integer arithmetic
 //     (tensor.AccRowChain — no multiply, no convert, eight columns per
 //     64-bit add), and each vertex dequantizes its chain once with
-//     Scale·QDstCoef. Layers with a nonlinear per-edge term (g-gcn's
-//     sigmoid gate, gat's exp attention) or a max reduce (gs-pl) do NOT
-//     implement it: their edge math stays float32 and only their
-//     prepare/update GEMMs run int8.
+//     Scale·QDstCoef. The other layers keep float32 edge math and run only
+//     their prepare/update GEMMs int8.
 //
 // Integer chain accumulation is exact and associative, so the quantized
 // aggregation path keeps the serial-vs-N-workers bit-identity contract by
@@ -53,16 +50,6 @@ type QKernels interface {
 	// float scratch contract, plus caller-owned int8 scratch qs of length
 	// QUpdateScratch(). Only valid when Quantized() is true.
 	QUpdateInto(dst, hself, agg, scratch []float32, qs []int8)
-}
-
-// QAggregator is the optional quantized-aggregation capability: the layer's
-// AccumulateEdge must be acc[j] += QSrcCoef(srcDeg)·QDstCoef(dstDeg)·psrc[j]
-// up to float rounding. The executor pre-multiplies each source row by its
-// QSrcCoef before shared-scale quantization, runs reduce chains as exact
-// int32 sums, and applies sharedScale·QDstCoef once per destination vertex.
-type QAggregator interface {
-	QSrcCoef(srcDeg int) float32
-	QDstCoef(dstDeg int) float32
 }
 
 // qPreparer mirrors preparer for the int8 tier: qprepare computes the

@@ -106,9 +106,9 @@ func TestQCoefsFactorAccumulateEdge(t *testing.T) {
 	for _, name := range []string{"gcn", "gin", "gs-mean"} {
 		m := MustModel(name, []int{16, 8, 4}, 5)
 		l := m.Layers[0]
-		qa, ok := l.(QAggregator)
+		qa, ok := l.(LinearAggregator)
 		if !ok {
-			t.Fatalf("%s: expected QAggregator", name)
+			t.Fatalf("%s: expected LinearAggregator", name)
 		}
 		psrc := tensor.RandomVector(rng, l.MsgDim(), 1)
 		width := l.Reduce().AccWidth(l.MsgDim())
@@ -170,12 +170,12 @@ func TestSharedScaleChainMatchesFloat(t *testing.T) {
 	}
 }
 
-// Layers that cannot quantize aggregation must not advertise QAggregator.
-func TestNonlinearLayersLackQAggregator(t *testing.T) {
+// Layers with nonlinear edge math must not advertise LinearAggregator.
+func TestNonlinearLayersLackLinearAggregator(t *testing.T) {
 	for _, name := range []string{"ggcn", "gat", "gat-4h", "gs-pl"} {
 		m := MustModel(name, []int{16, 8, 4}, 6)
-		if _, ok := m.Layers[0].(QAggregator); ok {
-			t.Fatalf("%s: unexpectedly implements QAggregator", name)
+		if _, ok := m.Layers[0].(LinearAggregator); ok {
+			t.Fatalf("%s: unexpectedly implements LinearAggregator", name)
 		}
 	}
 }

@@ -125,6 +125,43 @@ func axpyRow(o []float32, alpha float32, brow []float32) {
 	}
 }
 
+// axpy4Row computes o += a0*r0 + a1*r1 + a2*r2 + a3*r3 in one sweep over o.
+// Every element is summed left to right, o + a0*r0 first, so it gets the
+// same float32 products and sums in the same order as four successive
+// axpyRow passes, and the result is bit-identical to them; the sweep only
+// saves three loads and three stores of o per element. Each row must be at
+// least len(o) long.
+func axpy4Row(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
+	a2 float32, r2 []float32, a3 float32, r3 []float32) {
+	r0, r1, r2, r3 = r0[:len(o)], r1[:len(o)], r2[:len(o)], r3[:len(o)]
+	for i, v := range o {
+		o[i] = v + a0*r0[i] + a1*r1[i] + a2*r2[i] + a3*r3[i]
+	}
+}
+
+// AxpyChain computes acc += Σ coefs[i]·m.Row(rows[i]) in list order, the
+// float32 reduce chain: four rows per axpy4Row sweep, the tail one axpyRow
+// pass each. Every column adds its terms in list order, so the result is
+// bit-identical to one axpyRow per row. acc must have length m.Cols and
+// coefs at least len(rows).
+func AxpyChain(acc []float32, m *Matrix, rows []int32, coefs []float32) {
+	if len(acc) != m.Cols || len(coefs) < len(rows) {
+		panic(fmt.Sprintf("tensor: axpy chain acc %d for %d cols, %d coefs for %d rows",
+			len(acc), m.Cols, len(coefs), len(rows)))
+	}
+	coefs = coefs[:len(rows)]
+	for len(rows) >= 4 && len(coefs) >= 4 {
+		axpy4Row(acc,
+			coefs[0], m.Row(int(rows[0])), coefs[1], m.Row(int(rows[1])),
+			coefs[2], m.Row(int(rows[2])), coefs[3], m.Row(int(rows[3])))
+		rows, coefs = rows[4:], coefs[4:]
+	}
+	coefs = coefs[:len(rows)]
+	for i, r := range rows {
+		axpyRow(acc, coefs[i], m.Row(int(r)))
+	}
+}
+
 // dotF32 returns the float32 inner product of equal-length vectors, 4-way
 // unrolled in the bounds-check-free slice-advance form (see axpyRow). The
 // unroll keeps ONE sequential accumulator — s += t0; s += t1; … — because
@@ -149,7 +186,9 @@ func dotF32(a, b []float32) float32 {
 }
 
 // VecMatInto computes out = xᵀ·a without allocating. out must have length
-// a.Cols and must not alias x or a's backing array.
+// a.Cols and must not alias x or a's backing array. Zero x entries are
+// skipped; the others feed axpy4Row four at a time in ascending k, so the
+// result is bit-identical to one axpyRow pass per non-zero entry.
 func VecMatInto(out []float32, x []float32, a *Matrix) {
 	if a.Rows != len(x) {
 		panic(fmt.Sprintf("tensor: vecmat %d · %dx%d", len(x), a.Rows, a.Cols))
@@ -160,11 +199,23 @@ func VecMatInto(out []float32, x []float32, a *Matrix) {
 	for i := range out {
 		out[i] = 0
 	}
+	var ks [4]int
+	var xs [4]float32
+	n := 0
 	for k, xv := range x {
 		if xv == 0 {
 			continue
 		}
-		axpyRow(out, xv, a.Row(k))
+		ks[n&3], xs[n&3] = k, xv
+		n++
+		if n&3 == 0 {
+			axpy4Row(out,
+				xs[0], a.Row(ks[0]), xs[1], a.Row(ks[1]),
+				xs[2], a.Row(ks[2]), xs[3], a.Row(ks[3]))
+		}
+	}
+	for i, k := range ks[:n&3] {
+		axpyRow(out, xs[i], a.Row(k))
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -237,14 +238,136 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 	outSmall := NewMatrix(16, 20)
 	x := make([]float32, 300)
 	vec := make([]float32, 200)
+	chainRows := []int32{3, 1, 4, 1, 5, 9, 2}
+	chainCoefs := []float32{1, -1, 0, 0.5, 2, 1, 3}
 	for name, fn := range map[string]func(){
 		"MatMulInto-blocked": func() { MatMulInto(out, a, big) },
 		"MatMulInto-plain":   func() { MatMulInto(outSmall, a, small) },
 		"VecMatInto":         func() { VecMatInto(vec, x, big) },
+		"AxpyChain":          func() { AxpyChain(vec, big, chainRows, chainCoefs) },
 		"ParallelRows-1":     func() { ParallelRows(16, 1, func(_, lo, hi int) {}) },
 	} {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
 			t.Errorf("%s allocates %v per call", name, allocs)
+		}
+	}
+}
+
+// bitsEqual reports whether two float32 slices are byte-identical.
+func bitsEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float32bits(v) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The four-row sweep must be bit-identical to four successive axpyRow passes
+// at every width (the 4-block body and each tail), for coefficients that
+// are 0, 1, −1 or arbitrary, and when rows repeat.
+func TestAxpy4RowMatchesAxpyRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	coefSets := [][4]float32{
+		{0, 0, 0, 0}, {1, 1, 1, 1}, {-1, -1, -1, -1}, {1, -1, 0, 1},
+		{rng.Float32(), -rng.Float32(), 3 * rng.Float32(), rng.Float32() - 0.5},
+	}
+	for width := 0; width <= 17; width++ {
+		rows := make([][]float32, 4)
+		for r := range rows {
+			rows[r] = RandomVector(rng, width, 2)
+		}
+		for _, same := range []bool{false, true} {
+			r := rows
+			if same {
+				r = [][]float32{rows[0], rows[1], rows[0], rows[0]}
+			}
+			for _, c := range coefSets {
+				acc := RandomVector(rng, width, 1)
+				want := append([]float32(nil), acc...)
+				for k := range c {
+					axpyRow(want, c[k], r[k])
+				}
+				axpy4Row(acc, c[0], r[0], c[1], r[1], c[2], r[2], c[3], r[3])
+				if !bitsEqual(acc, want) {
+					t.Fatalf("width %d repeated=%v coefs %v: four-row sweep diverges from four axpyRow passes",
+						width, same, c)
+				}
+			}
+		}
+	}
+}
+
+// AxpyChain must be bit-identical to one axpyRow per row, in list order,
+// for every chain length (whole 4-blocks plus each tail), every width, and
+// lists that name a row more than once.
+func TestAxpyChainMatchesAxpyRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	special := []float32{0, 1, -1}
+	for width := 0; width <= 17; width++ {
+		m := RandomMatrix(rng, 5, width, 2)
+		for n := 0; n <= 9; n++ {
+			rows := make([]int32, n)
+			coefs := make([]float32, n)
+			for i := range rows {
+				rows[i] = int32(rng.Intn(m.Rows)) // 9 draws over 5 rows repeat
+				if i%2 == 0 {
+					coefs[i] = special[rng.Intn(len(special))]
+				} else {
+					coefs[i] = rng.Float32() - 0.5
+				}
+			}
+			acc := RandomVector(rng, width, 1)
+			want := append([]float32(nil), acc...)
+			for i, r := range rows {
+				axpyRow(want, coefs[i], m.Row(int(r)))
+			}
+			AxpyChain(acc, m, rows, coefs)
+			if !bitsEqual(acc, want) {
+				t.Fatalf("width %d, %d rows %v: chain diverges from per-row axpyRow", width, n, rows)
+			}
+		}
+	}
+}
+
+// VecMatInto must skip zero x entries wherever they fall in a 4-block and
+// stay bit-identical to one axpyRow per non-zero entry. Every row of a is
+// +Inf where x is zero, so a zero that reached the sweep would turn its
+// column into NaN.
+func TestVecMatIntoZeroSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	for n := 0; n <= 9; n++ {
+		for mask := 0; mask < 1<<n; mask++ {
+			x := RandomVector(rng, n, 1)
+			a := RandomMatrix(rng, n, 6, 1)
+			for k := range x {
+				if mask&(1<<k) != 0 {
+					x[k] = 0
+					if k%2 == 1 {
+						x[k] = negZero
+					}
+					a.Row(k)[k%6] = inf
+				}
+			}
+			want := make([]float32, a.Cols)
+			for k, xv := range x {
+				if xv != 0 {
+					axpyRow(want, xv, a.Row(k))
+				}
+			}
+			got := make([]float32, a.Cols)
+			for i := range got {
+				got[i] = 7 // stale contents must be overwritten
+			}
+			VecMatInto(got, x, a)
+			if !bitsEqual(got, want) {
+				t.Fatalf("n=%d zero mask %b: VecMatInto %v, per-entry axpyRow %v", n, mask, got, want)
+			}
 		}
 	}
 }

@@ -17,6 +17,11 @@
 //     keep a gemmBlockK×gemmBlockJ (128×256) tile of b hot. Both kernels
 //     visit the inner dimension in ascending order for every output
 //     element, so kernel selection never changes results bit-wise.
+//   - The float32 reduce chain (AxpyChain) and GEMV (VecMatInto) add four
+//     rows per sweep over the output row (axpy4Row), loading and storing
+//     each output element once per four rows instead of once per row. Each
+//     element still gets its products and sums in the order of one axpyRow
+//     pass per row, so the sweep width never changes results bit-wise.
 //   - Int8 GEMM (QMatMulInto / QGemvInto) multiplies a quantized activation
 //     QMatrix against a pre-transposed quantized weight matrix with int32
 //     accumulation, processing bT rows in qgemmBlockJ (32-row) panels;
@@ -115,13 +120,14 @@ func (m *Matrix) T() *Matrix {
 	return t
 }
 
-// Equal reports whether m and o have identical shape and elements.
+// Equal reports whether m and o have identical shape and byte-identical
+// elements: +0 and −0 differ, and a NaN equals a NaN with the same bits.
 func (m *Matrix) Equal(o *Matrix) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
 	for i, v := range m.Data {
-		if v != o.Data[i] {
+		if math.Float32bits(v) != math.Float32bits(o.Data[i]) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,6 +117,14 @@ func TestEqualAndAllClose(t *testing.T) {
 	c := NewMatrix(2, 1)
 	if a.Equal(c) || a.AllClose(c, 1, 1) {
 		t.Fatal("shape mismatch must not compare equal")
+	}
+	negZero := float32(math.Copysign(0, -1))
+	if FromRows([][]float32{{0}}).Equal(FromRows([][]float32{{negZero}})) {
+		t.Fatal("Equal compares bits: +0 and -0 must differ")
+	}
+	nan := math.Float32frombits(0x7fc00001)
+	if !FromRows([][]float32{{nan}}).Equal(FromRows([][]float32{{nan}})) {
+		t.Fatal("Equal compares bits: a NaN must equal the same NaN")
 	}
 }
 
