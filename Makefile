@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint conform race fuzz bce bench bench-serve bench-shard bench-dyn bench-once bench-smoke perfbench-check serve-smoke shard-smoke chaos-smoke dyn-smoke verify
+.PHONY: build test lint conform race fuzz bce crossbuild bench bench-serve bench-shard bench-dyn bench-once bench-smoke perfbench-check serve-smoke shard-smoke chaos-smoke dyn-smoke verify
 
 # Tier 1: everything compiles and the full test suite passes.
 build:
@@ -57,6 +57,15 @@ bce:
 	fi; \
 	echo "bce: internal/tensor kernels.go + quant.go are bounds-check-free"
 
+# Cross-build gate (DESIGN §4j): the hot tensor kernels have an amd64 SSE2
+# path (kernels_amd64.go + .s) beside the portable one, so a declaration
+# left only on the amd64 side breaks every other GOARCH while amd64 builds
+# and tests stay green. Vet every package, here and in the nested perfbench
+# module, for arm64.
+crossbuild:
+	GOARCH=arm64 $(GO) vet ./...
+	cd perfbench && GOARCH=arm64 $(GO) vet ./...
+
 # Backend conformance (DESIGN §4i): every accelerator — the SCALE core and
 # all six baseline backends — must pass the shared contract: exact
 # closed-form cycle agreement on degenerate graphs, utilization/cycle
@@ -81,7 +90,8 @@ race:
 
 # Tier 3: short fuzz passes over the parsers (graph edge lists, binary
 # graph decoding, feature matrices, config JSON round-trip, mutation
-# batches, /v1/infer bodies against encoding/json).
+# batches, /v1/infer bodies against encoding/json) and over the amd64 SSE2
+# kernels against their portable loops.
 fuzz:
 	$(GO) test ./internal/graph/ -run FuzzParseEdgeList -fuzz FuzzParseEdgeList -fuzztime 20s
 	$(GO) test ./internal/graph/ -run FuzzDecode -fuzz FuzzDecode -fuzztime 20s
@@ -89,6 +99,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzConfigJSON -fuzz FuzzConfigJSON -fuzztime 20s
 	$(GO) test ./internal/dyn/ -run FuzzMutationDecode -fuzz FuzzMutationDecode -fuzztime 20s
 	$(GO) test ./internal/serve/ -run FuzzInferBody -fuzz FuzzInferBody -fuzztime 20s
+	$(GO) test ./internal/tensor/ -run FuzzKernels -fuzz FuzzKernels -fuzztime 20s
 
 # Performance tier: run the simulator, scheduler, and forward-execution
 # benchmarks with allocation stats and merge the results into the committed
@@ -386,4 +397,4 @@ bench-dyn:
 bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core
 
-verify: test lint conform bce race perfbench-check bench-once bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke
+verify: test lint conform bce crossbuild race perfbench-check bench-once bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke

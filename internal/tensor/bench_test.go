@@ -25,11 +25,14 @@ func BenchmarkVecMat1433x16(b *testing.B) {
 	}
 }
 
-// BenchmarkAxpyChainReddit runs one float32 reduce chain at the Reddit
-// layer-0 shape: 602-wide rows and 492 in-neighbours (Reddit's mean
-// in-degree), drawn from 931 source rows as in the Reddit-scale build that
-// the forward benchmarks and perfbench run. It gives a layout check a
-// seconds-long answer.
+// The Reddit benchmarks time the three hot kernels at the Reddit-scale
+// build's layer-0 shapes (602-wide rows; 492 in-neighbours, Reddit's mean
+// in-degree, drawn from 931 source rows; a 602→64 update) that the forward
+// benchmarks and perfbench run, so a layout check gets a seconds-long
+// answer. On amd64 each has an asm sub-benchmark, the production path, and
+// a generic one, the same work on the portable loops (benchKernel).
+
+// BenchmarkAxpyChainReddit runs one float32 reduce chain.
 func BenchmarkAxpyChainReddit(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	src := RandomMatrix(rng, 931, 602, 1)
@@ -40,10 +43,86 @@ func BenchmarkAxpyChainReddit(b *testing.B) {
 		coefs[i] = rng.Float32()
 	}
 	acc := make([]float32, src.Cols)
+	benchKernel(b, int64(len(rows))*int64(src.Cols)*4,
+		func() { AxpyChain(acc, src, rows, coefs) },
+		func() { axpyChainGeneric(acc, src, rows, coefs) })
+}
+
+// axpyChainGeneric is AxpyChain on the portable four-row loop.
+func axpyChainGeneric(acc []float32, m *Matrix, rows []int32, coefs []float32) {
+	for ; len(rows) >= 4; rows, coefs = rows[4:], coefs[4:] {
+		axpy4RowGeneric(acc,
+			coefs[0], m.Row(int(rows[0])), coefs[1], m.Row(int(rows[1])),
+			coefs[2], m.Row(int(rows[2])), coefs[3], m.Row(int(rows[3])))
+	}
+	for i, r := range rows {
+		axpyRow(acc, coefs[i], m.Row(int(r)))
+	}
+}
+
+// BenchmarkAccRowChainReddit runs one int8 reduce chain, flushed every
+// ChainBlockEdges edges as the executor does.
+func BenchmarkAccRowChainReddit(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	src := NewQSumMatrix(931, 602)
+	for i := 0; i < src.Rows; i++ {
+		rng.Read(src.Row(i)[:src.Cols])
+	}
+	rows := make([]int32, 492)
+	for i := range rows {
+		rows[i] = int32(rng.Intn(src.Rows))
+	}
+	swar := make([]uint64, src.Stride/4)
+	acc := make([]int32, src.Stride)
+	benchKernel(b, int64(len(rows))*int64(src.Stride),
+		func() {
+			for i, r := range rows {
+				AccRowChain(swar, src.Row(int(r)))
+				if (i+1)%ChainBlockEdges == 0 {
+					FlushChain(acc, swar, ChainBlockEdges)
+				}
+			}
+			FlushChain(acc, swar, len(rows)%ChainBlockEdges)
+		},
+		func() {
+			for i, r := range rows {
+				accRowChainGeneric(swar, src.Row(int(r)))
+				if (i+1)%ChainBlockEdges == 0 {
+					FlushChain(acc, swar, ChainBlockEdges)
+				}
+			}
+			FlushChain(acc, swar, len(rows)%ChainBlockEdges)
+		})
+}
+
+// BenchmarkQGemvReddit runs one int8 update GEMV, 602 → 64.
+func BenchmarkQGemvReddit(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	wT, err := QuantizeTransposed(RandomMatrix(rng, 602, 64, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	qx := make([]int8, wT.Cols)
+	sx, err := QuantizeRowInto(qx, RandomVector(rng, wT.Cols, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]float32, wT.Rows)
+	benchKernel(b, int64(wT.Rows)*int64(wT.Cols),
+		func() { QGemvInto(out, qx, sx, wT) },
+		func() {
+			for j := range out {
+				out[j] = sx * wT.Scales[j] * float32(dotInt8Generic(qx, wT.Row(j)))
+			}
+		})
+}
+
+// runKernel times fn, which moves bytes bytes per call.
+func runKernel(b *testing.B, bytes int64, fn func()) {
 	b.ReportAllocs()
-	b.SetBytes(int64(len(rows)) * int64(src.Cols) * 4)
+	b.SetBytes(bytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AxpyChain(acc, src, rows, coefs)
+		fn()
 	}
 }

@@ -125,13 +125,15 @@ func axpyRow(o []float32, alpha float32, brow []float32) {
 	}
 }
 
-// axpy4Row computes o += a0*r0 + a1*r1 + a2*r2 + a3*r3 in one sweep over o.
-// Every element is summed left to right, o + a0*r0 first, so it gets the
-// same float32 products and sums in the same order as four successive
-// axpyRow passes, and the result is bit-identical to them; the sweep only
-// saves three loads and three stores of o per element. Each row must be at
-// least len(o) long.
-func axpy4Row(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
+// axpy4RowGeneric is the portable body of axpy4Row, which computes o += a0*r0
+// + a1*r1 + a2*r2 + a3*r3 in one sweep over o. Every element is summed left
+// to right, o + a0*r0 first, so it gets the same float32 products and sums
+// in the same order as four successive axpyRow passes, and the result is
+// bit-identical to them; the sweep only saves three loads and three stores
+// of o per element. Each row must be at least len(o) long. axpy4Row runs
+// this loop, or on amd64 its SSE2 version (kernels_amd64.s), which does the
+// same multiply and add per lane.
+func axpy4RowGeneric(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
 	a2 float32, r2 []float32, a3 float32, r3 []float32) {
 	r0, r1, r2, r3 = r0[:len(o)], r1[:len(o)], r2[:len(o)], r3[:len(o)]
 	for i, v := range o {

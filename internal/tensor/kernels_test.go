@@ -240,11 +240,21 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 	vec := make([]float32, 200)
 	chainRows := []int32{3, 1, 4, 1, 5, 9, 2}
 	chainCoefs := []float32{1, -1, 0, 0.5, 2, 1, 3}
+	qsum := NewQSumMatrix(4, 300)
+	swar := make([]uint64, qsum.Stride/4)
+	wT, err := QuantizeTransposed(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qx := make([]int8, 300)
+	qout := make([]float32, 20)
 	for name, fn := range map[string]func(){
 		"MatMulInto-blocked": func() { MatMulInto(out, a, big) },
 		"MatMulInto-plain":   func() { MatMulInto(outSmall, a, small) },
 		"VecMatInto":         func() { VecMatInto(vec, x, big) },
 		"AxpyChain":          func() { AxpyChain(vec, big, chainRows, chainCoefs) },
+		"AccRowChain":        func() { AccRowChain(swar, qsum.Row(2)) },
+		"QGemvInto":          func() { QGemvInto(qout, qx, 0.5, wT) },
 		"ParallelRows-1":     func() { ParallelRows(16, 1, func(_, lo, hi int) {}) },
 	} {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {

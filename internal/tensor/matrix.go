@@ -30,6 +30,14 @@
 //     layout: AccRowChain folds biased bytes into SWAR uint64 lanes,
 //     FlushChain subtracts the accumulated bias and rescales, and QAxpyRow
 //     is the per-edge scalar fallback.
+//   - On amd64 the three innermost loops — axpy4Row, AccRowChain and the
+//     int8 inner product dotInt8 behind QGemvInto and QMatMulInto — run as
+//     SSE2 assembly (kernels_amd64.s), four floats or sixteen bytes per
+//     instruction. Each SSE lane does the portable loop's arithmetic in
+//     the same order (a float32 multiply then an add, never fused; exact
+//     integer sums), so results are bit-identical to the Go loops, which
+//     keep their bodies under …Generic names and are the only path on
+//     other architectures and in -race builds (kernels_noasm.go).
 //   - Row-level parallelism is explicit: ParallelMatMul / ParallelMatMulInto,
 //     ParallelQMatMulInto, ParallelQuantizeScaledInto and the ParallelRows
 //     helper fan disjoint row ranges across a bounded worker count. The
@@ -40,7 +48,9 @@
 //
 // The hot-loop files (kernels.go, quant.go) are kept bounds-check-free —
 // every inner loop is shaped so the compiler proves indices in range;
-// `make bce` enforces this via -d=ssa/check_bce.
+// `make bce` enforces this via -d=ssa/check_bce, for the portable kernel
+// bodies too, and `make crossbuild` compiles the package without the
+// assembly.
 package tensor
 
 import (

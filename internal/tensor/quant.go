@@ -257,12 +257,13 @@ func QGemvInto(out []float32, qx []int8, sx float32, wT *QMatrix) {
 	}
 }
 
-// dotInt8 returns the int32 inner product of equal-length int8 vectors,
-// 4-way unrolled in the bounds-check-free slice-advance form (see
-// tensor.axpyRow). Four independent accumulators break the add dependency
-// chain; that reassociation is exact because integer addition is
-// associative.
-func dotInt8(a, b []int8) int32 {
+// dotInt8Generic is the portable body of dotInt8, the int32 inner product of
+// equal-length int8 vectors, 4-way unrolled in the bounds-check-free
+// slice-advance form (see tensor.axpyRow). Four independent accumulators
+// break the add dependency chain; that reassociation is exact because
+// integer addition is associative, and for the same reason the amd64 SSE2
+// version (kernels_amd64.s) returns the same int32.
+func dotInt8Generic(a, b []int8) int32 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 int32
 	for len(a) >= 4 && len(b) >= 4 {
@@ -502,8 +503,12 @@ const ChainBlockEdges = 256
 //
 // len(row) must be a multiple of 8 (QSumMatrix stride) with len(swar) ==
 // len(row)/4. Lane layout: word 2c lanes 0..3 ↔ columns 8c+{0,2,4,6}, word
-// 2c+1 ↔ columns 8c+{1,3,5,7}.
-func AccRowChain(swar []uint64, row []byte) {
+// 2c+1 ↔ columns 8c+{1,3,5,7}. On amd64 an SSE2 loop (kernels_amd64.s) folds
+// 16 bytes per step into the same layout with the same wrapping uint64 adds.
+func AccRowChain(swar []uint64, row []byte) { accRowChain(swar, row) }
+
+// accRowChainGeneric is AccRowChain's portable loop.
+func accRowChainGeneric(swar []uint64, row []byte) {
 	const laneMask = 0x00FF00FF00FF00FF
 	for len(row) >= 16 && len(swar) >= 4 {
 		u0 := binary.LittleEndian.Uint64(row)

@@ -174,6 +174,46 @@ func TestQAxpyRowMatchesNaive(t *testing.T) {
 	}
 }
 
+// A reduce chain of AccRowChain, flushed every ChainBlockEdges edges and at
+// the end, must give the plain int32 Σq of every column, and exact zeros in
+// the padding columns. Widths cover the 16-byte step, the 8-byte step and
+// padded strides; 600 edges cross two flush boundaries.
+func TestAccRowChainMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, cols := range []int{1, 7, 8, 9, 16, 24, 41, 602} {
+		q := NewQSumMatrix(9, cols)
+		for i := 0; i < q.Rows; i++ {
+			row := q.Row(i)[:cols]
+			rng.Read(row)
+			row[0] = 255 // the largest biased byte in one column of every row
+		}
+		acc := make([]int32, q.Stride)
+		swar := make([]uint64, q.Stride/4)
+		want := make([]int32, q.Stride)
+		block := 0
+		for e := 0; e < 600; e++ {
+			row := q.Row(rng.Intn(q.Rows))
+			AccRowChain(swar, row)
+			for j, b := range row {
+				want[j] += int32(b) - 128
+			}
+			if block++; block == ChainBlockEdges {
+				FlushChain(acc, swar, block)
+				block = 0
+			}
+		}
+		FlushChain(acc, swar, block)
+		for j := range want {
+			if acc[j] != want[j] {
+				t.Fatalf("cols %d: column %d chain Σq %d, naive %d", cols, j, acc[j], want[j])
+			}
+			if j >= cols && acc[j] != 0 {
+				t.Fatalf("cols %d: padding column %d sums to %d", cols, j, acc[j])
+			}
+		}
+	}
+}
+
 // The unrolled float32 kernels must be bit-identical to their rolled forms:
 // dotF32 keeps one sequential accumulator, axpyRow touches each element
 // once. Odd lengths exercise the unroll tails.
