@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint conform race fuzz bce crossbuild bench bench-serve bench-shard bench-dyn bench-once bench-smoke perfbench-check serve-smoke shard-smoke chaos-smoke dyn-smoke verify
+.PHONY: build test lint conform race fuzz bce crossbuild bench-once bench-smoke perfbench-check serve-smoke shard-smoke chaos-smoke dyn-smoke verify
 
 # Tier 1: everything compiles and the full test suite passes.
 build:
@@ -26,7 +26,7 @@ lint:
 	    echo "lint: gofmt -l flags:"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn --include='*.go' -e 'panic(' -e 'log\.Fatal' \
-	        internal/bench internal/dse internal/serve internal/shard internal/baseline cmd \
+	        internal/bench internal/dse internal/httpapi internal/serve internal/shard internal/baseline cmd \
 	    | grep -v '_test\.go:' \
 	    | grep -v 'lint:allow-panic'); \
 	if [ -n "$$bad" ]; then \
@@ -78,15 +78,16 @@ conform:
 # Tier 2: race detector over the concurrent sweep engine (and the packages
 # it drives), the parallel execution engine (tensor row fan-out, the
 # row-parallel reference executor, the group-parallel functional executor),
-# and the serving layer (session cache, micro-batcher, admission queue,
-# drain — including the mixed-session panic/drain stress test). The bench
+# and the serving layer (the shared HTTP edge in internal/httpapi — gate,
+# session cache — plus the micro-batcher, admission queue and drain,
+# including the mixed-session panic/drain stress test). The bench
 # tests shrink their heaviest sweeps under -race (see
 # internal/bench/race_on.go) to keep this tractable. -timeout bounds a
 # deadlocked cancellation path instead of hanging CI.
 race:
 	$(GO) test -race -timeout 10m ./internal/bench/... ./internal/dse/...
 	$(GO) test -race -timeout 10m ./internal/tensor/ ./internal/gnn/ ./internal/core/
-	$(GO) test -race -timeout 10m ./internal/serve/ ./internal/shard/... ./internal/dyn/ .
+	$(GO) test -race -timeout 10m ./internal/httpapi/ ./internal/serve/ ./internal/shard/... ./internal/dyn/ .
 
 # Tier 3: short fuzz passes over the parsers (graph edge lists, binary
 # graph decoding, feature matrices, config JSON round-trip, mutation
@@ -100,41 +101,6 @@ fuzz:
 	$(GO) test ./internal/dyn/ -run FuzzMutationDecode -fuzz FuzzMutationDecode -fuzztime 20s
 	$(GO) test ./internal/serve/ -run FuzzInferBody -fuzz FuzzInferBody -fuzztime 20s
 	$(GO) test ./internal/tensor/ -run FuzzKernels -fuzz FuzzKernels -fuzztime 20s
-
-# Performance tier: run the simulator, scheduler, and forward-execution
-# benchmarks with allocation stats and merge the results into the committed
-# perf-trajectory file (BENCH_pr3.json). Override the label to record a new
-# snapshot:
-#   make bench BENCH_LABEL=after BENCH_COUNT=5
-BENCH_COUNT ?= 5
-BENCH_LABEL ?= after
-BENCH_OUT   ?= BENCH_pr3.json
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulate|BenchmarkSchedule|BenchmarkForward' \
-		-benchmem -count $(BENCH_COUNT) \
-		./internal/bench ./internal/core ./internal/sched ./internal/gnn | \
-		$(GO) run ./cmd/scale-benchjson -label $(BENCH_LABEL) -out $(BENCH_OUT)
-
-# Serving-performance tier: the micro-batched vs one-at-a-time serve
-# throughput comparison, committed to BENCH_pr5.json.
-BENCH5_COUNT ?= 5
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchmem -count $(BENCH5_COUNT) \
-		./internal/serve | \
-		$(GO) run ./cmd/scale-benchjson -label serve -out BENCH_pr5.json
-
-# Sharded-serving performance tier (DESIGN §4k): one full inference pass at
-# Reddit scale through the HTTP data plane at 1/2/4 shards, fp32 and int8,
-# against the direct single-session baseline, committed to BENCH_pr8.json.
-# Each sharded benchmark also reports the NoC-predicted speedup
-# (EstimateComm) as a custom metric — on a single-core container the shards
-# time-slice one CPU, so the predicted number carries the scaling story (see
-# EXPERIMENTS.md, PR 8).
-BENCH8_COUNT ?= 3
-bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShard' -benchmem \
-		-benchtime 2x -count $(BENCH8_COUNT) ./internal/shard | \
-		$(GO) run ./cmd/scale-benchjson -label shard -out BENCH_pr8.json
 
 # The end-to-end benchmark (perfbench/) is a nested module, so the root
 # `go vet ./...` and `go test ./...` never compile it: vet and test it here,
@@ -382,14 +348,6 @@ dyn-smoke:
 	wait $$pid || { echo "dyn-smoke: unclean drain"; cat /tmp/scale-serve-dyn-smoke.log; exit 1; }; \
 	trap - EXIT; \
 	echo "dyn-smoke: 9 mutate batches + 9 dynamic infers on the direct route, drained cleanly"
-
-# Dynamic-graph performance tier: mutation throughput plus sampled vs full
-# inference over the same RMAT graph, committed to BENCH_pr10.json.
-BENCH10_COUNT ?= 5
-bench-dyn:
-	$(GO) test -run '^$$' -bench 'BenchmarkDyn' -benchmem -count $(BENCH10_COUNT) \
-		./internal/dyn | \
-		$(GO) run ./cmd/scale-benchjson -label dyn -out BENCH_pr10.json
 
 # Run every kernel-layer Go benchmark once. `go test` compiles Benchmark*
 # functions but never runs them, so one that panics or calls b.Fatal would

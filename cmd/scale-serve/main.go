@@ -14,10 +14,11 @@
 //	GET  /metrics      Prometheus text: request counters, latency
 //	                   histograms, batch/queue/session counters
 //
-// Status mapping: malformed input and unknown models/datasets are 400
-// (fault sentinels), per-request deadlines are 408, a full admission queue
-// is 429 with Retry-After, contained panics are 500 (the process survives),
-// and a draining server answers 503.
+// Status mapping (internal/httpapi, shared with scale-shard): malformed
+// input and unknown models/datasets are 400 (fault sentinels), a non-POST
+// API call 405, per-request deadlines 408, a /v1/mutate mid-compaction 409,
+// a full admission queue 429, contained panics 500 (the process survives),
+// and a draining server answers 503; 409, 429 and 503 carry Retry-After.
 //
 // Shutdown: the first SIGINT/SIGTERM stops admission and drains in-flight
 // requests (bounded by -drain-timeout); a second signal force-kills.

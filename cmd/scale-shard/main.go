@@ -9,13 +9,15 @@
 //	POST /v1/shard/layer   halo row updates → one layer → owned output rows
 //	POST /v1/shard/finish  ?req=<id> drops the run → 204
 //	GET  /healthz          200 while serving, 503 while draining
-//	GET  /metrics          Prometheus text: loads, layers, halo rows, runs
+//	GET  /metrics          Prometheus text: loads, layers, halo rows, runs,
+//	                       sessions
 //
-// Status mapping matches scale-serve: malformed frames and unknown models
-// are 400 (fault sentinels), deadlines 408, a full run table 429 with
-// Retry-After, contained panics 500, a draining worker 503. Layer calls for
-// runs this worker does not hold answer 404 ("no_run") so the front tier
-// reloads instead of failing over.
+// Status mapping is scale-serve's, from the same package (internal/httpapi):
+// malformed frames and unknown models are 400 (fault sentinels), a non-POST
+// call 405, deadlines 408, a full run table 429 with Retry-After, contained
+// panics 500, a draining worker 503 with Retry-After. Layer calls for runs
+// this worker does not hold answer 404 ("no_run") so the front tier reloads
+// instead of failing over.
 //
 // Shutdown: the first SIGINT/SIGTERM stops admission and drains in-flight
 // layer calls (bounded by -drain-timeout); a second signal force-kills.

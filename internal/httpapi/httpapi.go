@@ -1,0 +1,186 @@
+// Package httpapi is the HTTP edge that the serving front (internal/serve)
+// and the shard worker (internal/shard) share: one mapping from an error to
+// a status, a kind and a Retry-After hint (Classify, WriteError), one
+// admission gate (Gate), one session cache (Sessions) and one Prometheus
+// text writer (Counter, Gauge, Header). Both tiers answer every non-2xx API
+// call through WriteError, so one client-side classifier serves both.
+package httpapi
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"scale/internal/dyn"
+	"scale/internal/fault"
+)
+
+// Refusals of the edge itself. Tiers wrap them with their own context.
+var (
+	// ErrDraining marks work refused because the server is shutting down
+	// (503 + Retry-After).
+	ErrDraining = errors.New("draining")
+	// ErrOverCapacity marks work refused because an admission bound is
+	// full: the front's queue, the worker's run table (429 + Retry-After).
+	ErrOverCapacity = errors.New("over capacity")
+	// ErrNoRun marks a shard-layer call for a run the worker does not hold
+	// (404). The front tier reloads the shard instead of failing over.
+	ErrNoRun = errors.New("run not loaded")
+
+	// errNotPost answers a non-POST call to an API endpoint (405).
+	errNotPost = errors.New("POST required")
+)
+
+// Error is the JSON payload of every non-2xx API answer. Kind is a stable
+// machine-readable classification: usage, bad_input, timeout, draining,
+// over_capacity, compacting, no_run, panic or internal.
+type Error struct {
+	Error string `json:"error"`
+	Kind  string `json:"kind"`
+}
+
+// Classify maps err to its HTTP status and error kind, in precedence order:
+// a contained panic is 500 even when its value wraps an input sentinel, then
+// a spent deadline or cancel is 408, a drain 503, a full admission bound
+// 429, a mid-compaction dynamic graph 409 (retryable: the batch itself may
+// be fine), a non-POST call 405, an unknown shard run 404, an input
+// sentinel 400, and anything else 500.
+func Classify(err error) (int, string) {
+	if err == nil {
+		return http.StatusOK, ""
+	}
+	if _, ok := fault.AsPanic(err); ok {
+		return http.StatusInternalServerError, "panic"
+	}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusRequestTimeout, "timeout"
+	case errors.Is(err, ErrDraining):
+		return http.StatusServiceUnavailable, "draining"
+	case errors.Is(err, ErrOverCapacity):
+		return http.StatusTooManyRequests, "over_capacity"
+	case errors.Is(err, dyn.ErrCompacting):
+		return http.StatusConflict, "compacting"
+	case errors.Is(err, errNotPost):
+		return http.StatusMethodNotAllowed, "usage"
+	case errors.Is(err, ErrNoRun):
+		return http.StatusNotFound, "no_run"
+	case fault.IsInput(err):
+		return http.StatusBadRequest, "bad_input"
+	default:
+		return http.StatusInternalServerError, "internal"
+	}
+}
+
+// WriteError answers a non-nil err through Classify. The retryable answers
+// (429, 503 and 409) carry Retry-After: retryAfter in whole seconds, at
+// least 1.
+func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
+	code, kind := Classify(err)
+	switch code {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusConflict:
+		w.Header().Set("Retry-After", strconv.Itoa(max(int(retryAfter/time.Second), 1)))
+	}
+	WriteJSON(w, code, Error{Error: err.Error(), Kind: kind})
+}
+
+// WriteJSON answers code with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v) // the client is gone if this fails; nothing to do
+}
+
+// Gate is the admission edge of a tier's API endpoints: POST only, no new
+// work once draining, and a panic barrier. Set RetryAfter and Panics before
+// first use; a Gate must not be copied after it.
+type Gate struct {
+	// RetryAfter is the Retry-After hint on drain refusals.
+	RetryAfter time.Duration
+	// Panics counts handler panics the barrier contained.
+	Panics *atomic.Int64
+
+	mu       sync.Mutex
+	draining bool
+	handlers sync.WaitGroup
+}
+
+// Serve runs h behind the gate and returns the status the call answered. A
+// non-POST call is 405 and a call while draining 503. A panic in h adds one
+// to Panics and answers 500, unless h had already written: then its status
+// stands and nothing is appended.
+func (g *Gate) Serve(w http.ResponseWriter, r *http.Request, h http.HandlerFunc) int {
+	rec := &recorder{ResponseWriter: w, code: http.StatusOK}
+	switch {
+	case r.Method != http.MethodPost:
+		WriteError(rec, errNotPost, g.RetryAfter)
+	case !g.enter():
+		WriteError(rec, ErrDraining, g.RetryAfter)
+	default:
+		defer g.handlers.Done()
+		if err := fault.Safely(func() error { h(rec, r); return nil }); err != nil {
+			g.Panics.Add(1)
+			if !rec.wrote {
+				WriteError(rec, err, g.RetryAfter)
+			}
+		}
+	}
+	return rec.code
+}
+
+// enter admits one handler unless the gate is draining. The WaitGroup Add
+// happens under the lock BeginDrain takes, so no Add can follow Drain's Wait.
+func (g *Gate) enter() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.draining {
+		return false
+	}
+	g.handlers.Add(1)
+	return true
+}
+
+// BeginDrain refuses new calls from now on; admitted ones run to completion.
+// Idempotent.
+func (g *Gate) BeginDrain() {
+	g.mu.Lock()
+	g.draining = true
+	g.mu.Unlock()
+}
+
+// Draining reports whether BeginDrain has been called.
+func (g *Gate) Draining() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.draining
+}
+
+// Drain begins the drain and waits until every admitted handler has
+// returned. Idempotent.
+func (g *Gate) Drain() {
+	g.BeginDrain()
+	g.handlers.Wait()
+}
+
+// recorder captures the status a handler sent and whether it wrote at all.
+type recorder struct {
+	http.ResponseWriter
+	code  int
+	wrote bool
+}
+
+func (r *recorder) WriteHeader(code int) {
+	r.code = code
+	r.wrote = true
+	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *recorder) Write(b []byte) (int, error) {
+	r.wrote = true
+	return r.ResponseWriter.Write(b)
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"scale"
@@ -30,16 +31,15 @@ type batchResult struct {
 }
 
 // batcher coalesces concurrent requests for one session into single batched
-// forward calls. One goroutine per live session runs loop: it blocks for the
-// first request, then keeps the batch open for at most window (or until
-// maxBatch requests have joined) before executing. Requests never cross
-// sessions — different (model, dims) pairs cannot share a forward pass.
+// forward calls: its loop keeps a batch open for at most window, or until
+// maxBatch requests have joined, then runs it. Requests never cross
+// sessions — different (model, dims, precision) keys cannot share a forward
+// pass.
 //
-// The channels are never closed while a sender may exist: handlers hold a
-// sessionEntry ref for the duration of their send, and quit is only closed
-// after those refs drain (eviction) or after every handler has returned
-// (server close). After quit, loop drains whatever is still buffered in `in`
-// so no admitted request is dropped on the floor.
+// The loop goroutine runs exactly while queued is non-zero: submit starts it
+// when queued leaves zero, and it exits when a batch brings queued back to
+// zero, both under mu. So evicting the session needs no reference counts —
+// the cache drops its entry, and a running loop finishes what is queued.
 type batcher struct {
 	sess     *scale.Session
 	backend  Backend
@@ -47,7 +47,10 @@ type batcher struct {
 	maxBatch int
 	metrics  *Metrics
 	in       chan *pending
-	quit     chan struct{}
+	loops    *sync.WaitGroup // running loops; the Server's Close waits on it
+
+	mu     sync.Mutex
+	queued int // requests submitted and not yet run
 }
 
 func newBatcher(sess *scale.Session, backend Backend, window time.Duration, maxBatch int, depth int, m *Metrics) *batcher {
@@ -61,63 +64,66 @@ func newBatcher(sess *scale.Session, backend Backend, window time.Duration, maxB
 		maxBatch: maxBatch,
 		metrics:  m,
 		in:       make(chan *pending, depth),
-		quit:     make(chan struct{}),
 	}
 }
 
-// submit enqueues one request. The caller must hold a sessionEntry ref (see
-// Server.session) so the channel outlives the send.
-func (b *batcher) submit(p *pending) { b.in <- p }
+// submit queues one request, starting the loop unless one is running.
+func (b *batcher) submit(p *pending) {
+	b.mu.Lock()
+	start := b.queued == 0
+	b.queued++
+	b.mu.Unlock()
+	if start {
+		b.loops.Add(1)
+		go func() {
+			defer b.loops.Done()
+			b.loop()
+		}()
+	}
+	b.in <- p
+}
 
-// loop is the batcher goroutine: collect a batch, execute, repeat. On quit
-// it drains buffered requests (their handlers are still waiting) and exits.
+// loop collects and runs batches until none is queued.
 func (b *batcher) loop() {
 	for {
-		select {
-		case p := <-b.in:
-			b.collect(p)
-		case <-b.quit:
-			for {
-				select {
-				case p := <-b.in:
-					b.collect(p)
-				default:
-					return
-				}
-			}
+		batch := b.collect(<-b.in)
+		b.run(batch)
+		b.mu.Lock()
+		b.queued -= len(batch)
+		idle := b.queued == 0
+		b.mu.Unlock()
+		if idle {
+			return
 		}
 	}
 }
 
-// collect keeps the batch open for the latency window (bounded by maxBatch),
-// then executes it. A zero window still coalesces whatever is already
-// queued, without waiting.
-func (b *batcher) collect(first *pending) {
+// collect keeps the batch open for the latency window (bounded by maxBatch).
+// A zero window still coalesces whatever is already queued, without waiting.
+func (b *batcher) collect(first *pending) []*pending {
 	batch := append(make([]*pending, 0, b.maxBatch), first)
 	if b.window > 0 {
 		timer := time.NewTimer(b.window)
+		defer timer.Stop()
 		for len(batch) < b.maxBatch {
 			select {
 			case p := <-b.in:
 				batch = append(batch, p)
 			case <-timer.C:
-				b.run(batch)
-				return
+				return batch
 			}
 		}
-		timer.Stop()
-	} else {
-		for len(batch) < b.maxBatch {
-			select {
-			case p := <-b.in:
-				batch = append(batch, p)
-			default:
-				b.run(batch)
-				return
-			}
+		return batch
+	}
+	for len(batch) < b.maxBatch {
+		select {
+		case p := <-b.in:
+			batch = append(batch, p)
+		default:
+			return batch
 		}
 	}
-	b.run(batch)
+	return batch
 }
 
 // run executes one batch. Members whose deadline expired while queued are

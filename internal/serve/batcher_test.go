@@ -124,10 +124,10 @@ func TestZeroWindowCoalescesQueued(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p := &pending{req: req, ctx: context.Background(), done: make(chan batchResult, 1)}
 		pendings = append(pendings, p)
-		b.submit(p) // buffered channel: queued before the loop starts
+		b.queued++
+		b.in <- p // buffered channel: queued before the loop starts
 	}
 	go b.loop()
-	defer close(b.quit)
 	for _, p := range pendings {
 		if res := <-p.done; res.err != nil {
 			t.Fatal(res.err)

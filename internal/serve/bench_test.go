@@ -60,8 +60,8 @@ func BenchmarkServeUnbatched(b *testing.B) {
 }
 
 // BenchmarkServeBatched lets the micro-batcher coalesce the concurrent
-// clients; the recorded margin over BenchmarkServeUnbatched is the win
-// committed to BENCH_pr5.json.
+// clients; its margin over BenchmarkServeUnbatched is the batching win
+// (EXPERIMENTS.md, "Serving, int8 and dynamic-graph Go benchmarks").
 func BenchmarkServeBatched(b *testing.B) {
 	benchServe(b, Config{MaxBatch: 16, BatchWindow: time.Millisecond})
 }
@@ -105,7 +105,8 @@ func benchServeHeavy(b *testing.B, precision string) {
 }
 
 // BenchmarkServeBatchedHeavy is the float32 reference for the int8 serving
-// comparison committed to BENCH_pr7.json.
+// comparison (EXPERIMENTS.md, "Serving, int8 and dynamic-graph Go
+// benchmarks").
 func BenchmarkServeBatchedHeavy(b *testing.B) {
 	benchServeHeavy(b, "fp32")
 }

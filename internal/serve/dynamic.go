@@ -8,24 +8,19 @@ import (
 
 	"scale/internal/dyn"
 	"scale/internal/fault"
+	"scale/internal/httpapi"
 )
 
 // writeDynMetrics renders the dynamic graph's gauges and counters.
 func writeDynMetrics(w io.Writer, st dyn.Stats) {
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("scale_dyn_vertices", "Live vertices in the dynamic graph.", float64(st.Vertices))
-	gauge("scale_dyn_edges", "Live edges in the dynamic graph (base + overlay).", float64(st.Edges))
-	gauge("scale_dyn_delta_fraction", "Overlay edge ops as a fraction of base edges.", st.DeltaFrac)
-	gauge("scale_dyn_delta_added", "Overlay edge inserts awaiting compaction.", float64(st.DeltaAdded))
-	gauge("scale_dyn_delta_removed", "Overlay edge removals awaiting compaction.", float64(st.DeltaRemoved))
-	counter("scale_dyn_mutations_total", "Individual graph deltas applied.", st.Mutations)
-	counter("scale_dyn_mutation_batches_total", "Atomic mutation batches applied.", st.Batches)
-	counter("scale_dyn_compactions_total", "Overlay compactions into the base CSR.", st.Compactions)
+	httpapi.Gauge(w, "scale_dyn_vertices", "Live vertices in the dynamic graph.", float64(st.Vertices))
+	httpapi.Gauge(w, "scale_dyn_edges", "Live edges in the dynamic graph (base + overlay).", float64(st.Edges))
+	httpapi.Gauge(w, "scale_dyn_delta_fraction", "Overlay edge ops as a fraction of base edges.", st.DeltaFrac)
+	httpapi.Gauge(w, "scale_dyn_delta_added", "Overlay edge inserts awaiting compaction.", float64(st.DeltaAdded))
+	httpapi.Gauge(w, "scale_dyn_delta_removed", "Overlay edge removals awaiting compaction.", float64(st.DeltaRemoved))
+	httpapi.Counter(w, "scale_dyn_mutations_total", "Individual graph deltas applied.", st.Mutations)
+	httpapi.Counter(w, "scale_dyn_mutation_batches_total", "Atomic mutation batches applied.", st.Batches)
+	httpapi.Counter(w, "scale_dyn_compactions_total", "Overlay compactions into the base CSR.", st.Compactions)
 }
 
 // mutateOp is one JSON-encoded mutation of the POST /v1/mutate body.
@@ -84,7 +79,7 @@ func decodeMutateJSON(body mutateBody) (dyn.Batch, error) {
 // graph shape.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Dynamic == nil {
-		s.writeMapped(w, errNoDynamic)
+		s.writeError(w, errNoDynamic)
 		return
 	}
 
@@ -92,31 +87,31 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/octet-stream") {
 		var err error
 		if batch, err = dyn.DecodeBatch(r.Body); err != nil {
-			s.writeMapped(w, err)
+			s.writeError(w, err)
 			return
 		}
 	} else {
 		var body mutateBody
 		if err := decodeJSON(r, &body); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
+			s.writeError(w, badBody(err))
 			return
 		}
 		var err error
 		if batch, err = decodeMutateJSON(body); err != nil {
-			s.writeMapped(w, err)
+			s.writeError(w, err)
 			return
 		}
 	}
 
 	if err := s.cfg.Dynamic.Apply(batch); err != nil {
 		s.metrics.MutationsRejected.Add(1)
-		s.writeMapped(w, err)
+		s.writeError(w, err)
 		return
 	}
 	s.metrics.MutationBatches.Add(1)
 	s.metrics.MutationOps.Add(int64(len(batch.Ops)))
 	st := s.cfg.Dynamic.Stats()
-	writeJSON(w, http.StatusOK, mutateResponse{
+	httpapi.WriteJSON(w, http.StatusOK, mutateResponse{
 		Applied:      len(batch.Ops),
 		Vertices:     st.Vertices,
 		Edges:        st.Edges,

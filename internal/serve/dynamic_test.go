@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -375,24 +374,6 @@ func TestMutateStatusMapping(t *testing.T) {
 			t.Fatalf("%d %s", rec.Code, rec.Body.String())
 		}
 	})
-}
-
-// TestClassifyCompacting pins the 409 mapping: a mid-compaction rejection is
-// retryable (conflict + Retry-After), not a client error.
-func TestClassifyCompacting(t *testing.T) {
-	code, kind := classify(dyn.ErrCompacting)
-	if code != http.StatusConflict || kind != "compacting" {
-		t.Fatalf("classify(ErrCompacting) = %d %q", code, kind)
-	}
-	s := newTestServer(t, Config{})
-	rec := httptest.NewRecorder()
-	s.writeMapped(rec, fmt.Errorf("apply: %w", dyn.ErrCompacting))
-	if rec.Code != http.StatusConflict {
-		t.Fatalf("writeMapped code %d", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("409 must carry Retry-After")
-	}
 }
 
 // TestDynamicInferSessionReuse: the direct path must share the session cache

@@ -3,26 +3,21 @@ package serve
 import (
 	"cmp"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"scale"
 	"scale/internal/dyn"
 	"scale/internal/fault"
 	"scale/internal/graph"
+	"scale/internal/httpapi"
 	"scale/internal/shard"
 	"scale/internal/tensor"
 )
 
-// errDraining marks work refused because the server is shutting down.
-var errDraining = errors.New("serve: draining")
-
 // errQueueFull marks work refused because every admission slot is taken.
-var errQueueFull = errors.New("serve: admission queue full")
+var errQueueFull = fmt.Errorf("serve: admission queue full: %w", httpapi.ErrOverCapacity)
 
 // inferBody is the POST /v1/infer request payload.
 type inferBody struct {
@@ -100,14 +95,6 @@ type simulateBody struct {
 	Accel   string `json:"accel,omitempty"`
 }
 
-// errorResponse is every non-2xx payload. Kind is a stable machine-readable
-// classification: usage, bad_input, timeout, over_capacity, draining, panic,
-// internal.
-type errorResponse struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
 // healthResponse is the GET /healthz payload. The shard fields only appear
 // on a pool-fronting server: Degraded means every worker's circuit breaker
 // is open and infer requests are being served by the local single-process
@@ -122,125 +109,34 @@ type healthResponse struct {
 	Degraded         *bool   `json:"degraded,omitempty"`
 }
 
-// classify maps an error to its HTTP status and error kind, in precedence
-// order: contained panics are 500 even when the panic value wraps an input
-// sentinel, deadlines are 408, drain refusals 503, a full admission queue
-// 429, a mid-compaction dynamic graph 409 (retryable — the batch itself may
-// be fine), input sentinels 400.
-func classify(err error) (int, string) {
-	if err == nil {
-		return http.StatusOK, ""
-	}
-	if _, ok := fault.AsPanic(err); ok {
-		return http.StatusInternalServerError, "panic"
-	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusRequestTimeout, "timeout"
-	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable, "draining"
-	case errors.Is(err, errQueueFull):
-		return http.StatusTooManyRequests, "over_capacity"
-	case errors.Is(err, dyn.ErrCompacting):
-		return http.StatusConflict, "compacting"
-	case fault.IsInput(err):
-		return http.StatusBadRequest, "bad_input"
-	default:
-		return http.StatusInternalServerError, "internal"
-	}
+// writeError answers err through the shared status contract.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
+	httpapi.WriteError(w, err, s.cfg.RetryAfter)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
+// badBody marks a body that did not decode as bad input (400).
+func badBody(err error) error {
+	return fmt.Errorf("bad JSON body: %v: %w", err, fault.ErrBadGraph)
 }
 
-func writeError(w http.ResponseWriter, code int, msg, kind string) {
-	writeJSON(w, code, errorResponse{Error: msg, Kind: kind})
-}
-
-// writeMapped renders err through classify, attaching Retry-After to
-// load-shedding (and mid-compaction) answers.
-func (s *Server) writeMapped(w http.ResponseWriter, err error) {
-	code, kind := classify(err)
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable || code == http.StatusConflict {
-		w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-	}
-	writeError(w, code, err.Error(), kind)
-}
-
-func retrySeconds(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
-// statusRecorder captures the status code a handler sent, for metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.wrote = true
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	r.wrote = true
-	return r.ResponseWriter.Write(b)
-}
-
-// instrument wraps an endpoint with latency/status accounting and a panic
-// barrier: a panic inside the handler itself (not just the backend) is
-// contained into a 500 — the serving process never dies for one request.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		err := fault.Safely(func() error {
-			h(rec, r)
-			return nil
-		})
-		if err != nil {
-			s.metrics.PanicsContained.Add(1)
-			if !rec.wrote {
-				rec.code = http.StatusInternalServerError
-				writeError(rec, http.StatusInternalServerError, err.Error(), "panic")
-			}
-		}
-		s.metrics.ObserveRequest(endpoint, rec.code, time.Since(start))
-	}
-}
-
-// admit mounts an API endpoint: instrument around the gates every endpoint
-// shares — POST only (405), not draining (503), and a free admission-queue
-// slot (429 + Retry-After).
+// admit mounts an API endpoint behind the gate — POST only (405), not
+// draining (503), the panic barrier — and a free admission-queue slot (429
+// + Retry-After), and records its latency and status.
 func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return s.instrument(endpoint, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST required", "usage")
-			return
-		}
-		if !s.begin() {
-			s.writeMapped(w, errDraining)
-			return
-		}
-		defer s.end()
+	slotted := func(w http.ResponseWriter, r *http.Request) {
 		if !s.queue.tryAcquire() {
 			s.metrics.QueueRejections.Add(1)
-			s.writeMapped(w, errQueueFull)
+			s.writeError(w, errQueueFull)
 			return
 		}
 		defer s.queue.release()
 		h(w, r)
-	})
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		code := s.gate.Serve(w, r, slotted)
+		s.metrics.ObserveRequest(endpoint, code, time.Since(start))
+	}
 }
 
 // route is the serving path of one /v1/infer request.
@@ -263,12 +159,12 @@ var errNoDynamic = fmt.Errorf("serve: server has no dynamic graph (-dynamic): %w
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	body, err := decodeInferBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
+		s.writeError(w, badBody(err))
 		return
 	}
 	rt, err := s.route(&body)
 	if err != nil {
-		s.writeMapped(w, err)
+		s.writeError(w, err)
 		return
 	}
 	// Normalize the precision before the session lookup so "", the server
@@ -283,10 +179,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	rows, err := s.run(ctx, rt, &body)
 	if err != nil {
-		s.writeMapped(w, err)
+		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: body.Precision, Embeddings: rows})
+	httpapi.WriteJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: body.Precision, Embeddings: rows})
 }
 
 // route makes every check that needs no session, then picks the request's
@@ -356,13 +252,12 @@ func (s *Server) run(ctx context.Context, rt route, body *inferBody) ([][]float3
 		s.metrics.DegradedRequests.Add(1)
 		fallthrough
 	case routeBatched:
-		entry, err := s.session(body.Model, body.Dims, body.Precision)
+		b, err := s.sessions.Get(body.Model, body.Dims, body.Precision)
 		if err != nil {
 			return nil, err
 		}
 		p := &pending{req: body.request(), ctx: ctx, done: make(chan batchResult, 1)}
-		entry.b.submit(p)
-		entry.refs.Done()
+		b.submit(p)
 		select {
 		case res := <-p.done:
 			return res.rows, res.err
@@ -370,12 +265,11 @@ func (s *Server) run(ctx context.Context, rt route, body *inferBody) ([][]float3
 			return nil, ctx.Err()
 		}
 	default:
-		entry, err := s.session(body.Model, body.Dims, body.Precision)
+		b, err := s.sessions.Get(body.Model, body.Dims, body.Precision)
 		if err != nil {
 			return nil, err
 		}
-		defer entry.refs.Done()
-		return s.runDirect(ctx, entry.sess, body)
+		return s.runDirect(ctx, b.sess, body)
 	}
 }
 
@@ -421,24 +315,13 @@ func (s *Server) runDirect(ctx context.Context, sess *scale.Session, body *infer
 }
 
 // fallbackEligible decides whether a failed sharded pass may be retried
-// locally: infrastructure failures (workers unreachable, every candidate
-// exhausted) are; the caller's own problems are not — bad input must keep
-// its 400, a spent deadline its 408, and a contained panic its 500 (the
-// panic would likely reproduce locally).
+// locally: only an infrastructure failure (workers unreachable, every
+// candidate exhausted), which classifies as internal. The caller's own
+// problems are not — bad input must keep its 400, a spent deadline its 408,
+// and a contained panic its 500 (the panic would likely reproduce locally).
 func fallbackEligible(err error) bool {
-	if err == nil {
-		return false
-	}
-	if _, ok := fault.AsPanic(err); ok {
-		return false
-	}
-	if fault.IsInput(err) {
-		return false
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return false
-	}
-	return true
+	_, kind := httpapi.Classify(err)
+	return kind == "internal"
 }
 
 // validateCarried checks a request-carried graph for every route, before
@@ -456,12 +339,12 @@ func validateCarried(body *inferBody) error {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var body simulateBody
 	if err := decodeJSON(r, &body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "bad_input")
+		s.writeError(w, badBody(err))
 		return
 	}
 	report, err := s.cfg.Sim.SimulateOn(body.Accel, body.Model, body.Dataset)
 	if err != nil {
-		s.writeMapped(w, err)
+		s.writeError(w, err)
 		return
 	}
 	resp := simulateResponse{Report: report}
@@ -472,7 +355,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// Estimate failures (e.g. a dataset with no generator) degrade to
 		// the plain report rather than failing the simulate call.
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // shardEstimate partitions the dataset's generated graph at the pool's shard
@@ -516,13 +399,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
 	resp.Status = status
-	writeJSON(w, code, resp)
+	httpapi.WriteJSON(w, code, resp)
 }
 
 // handleMetrics renders the Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.Render(w, s.LiveSessions())
+	s.metrics.render(w, s.sessions)
 	if s.cfg.Dynamic != nil {
 		writeDynMetrics(w, s.cfg.Dynamic.Stats())
 	}
@@ -531,7 +414,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.ShardPool.Degraded() {
 			degraded = 1
 		}
-		fmt.Fprintf(w, "# HELP scale_serve_degraded Whether the shard pool has no live workers and infers run on the local fallback.\n# TYPE scale_serve_degraded gauge\nscale_serve_degraded %d\n", degraded)
+		httpapi.Gauge(w, "scale_serve_degraded", "Whether the shard pool has no live workers and infers run on the local fallback.", degraded)
 		s.cfg.ShardPool.WritePrometheus(w)
 	}
 }

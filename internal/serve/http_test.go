@@ -12,6 +12,7 @@ import (
 
 	"scale"
 	"scale/internal/bench/faultinject"
+	"scale/internal/httpapi"
 )
 
 func testSim(t testing.TB) *scale.Simulator {
@@ -61,9 +62,9 @@ func validInfer() inferBody {
 	}
 }
 
-func decodeError(t testing.TB, rec *httptest.ResponseRecorder) errorResponse {
+func decodeError(t testing.TB, rec *httptest.ResponseRecorder) httpapi.Error {
 	t.Helper()
-	var e errorResponse
+	var e httpapi.Error
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
 		t.Fatalf("error body %q: %v", rec.Body.String(), err)
 	}

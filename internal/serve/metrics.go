@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"scale/internal/httpapi"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds, spanning the
@@ -38,24 +40,13 @@ func (h *histogram) observe(d time.Duration) {
 	h.samples.Add(1)
 }
 
-// sessionPrecision is one cached session's precision statistics, exposed as
-// per-session gauges so operators can see what precision each cached
-// session runs at (internal/quant.Plan footprint semantics: compression is
-// bytes versus full float32, avgBytes the average bytes per weight element).
-type sessionPrecision struct {
-	precision   string
-	compression float64
-	avgBytes    float64
-}
-
 // Metrics holds the server's counters. All fields are safe for concurrent
-// use; Render emits them in Prometheus text exposition format with
+// use; /metrics renders them in Prometheus text exposition format with
 // deterministic ordering.
 type Metrics struct {
 	mu       sync.Mutex
-	requests map[string]*atomic.Int64    // "endpoint|code" → count
-	latency  map[string]*histogram       // endpoint → latency histogram
-	sessions map[string]sessionPrecision // session key → precision gauges
+	requests map[string]*atomic.Int64 // "endpoint|code" → count
+	latency  map[string]*histogram    // endpoint → latency histogram
 
 	// Batches counts executed micro-batches; BatchedRequests counts the
 	// requests they carried (ratio = mean batch size).
@@ -88,23 +79,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		requests: make(map[string]*atomic.Int64),
 		latency:  make(map[string]*histogram),
-		sessions: make(map[string]sessionPrecision),
 	}
-}
-
-// SetSessionPrecision registers (or refreshes) one cached session's
-// precision gauges under its cache key.
-func (m *Metrics) SetSessionPrecision(key, precision string, compression, avgBytes float64) {
-	m.mu.Lock()
-	m.sessions[key] = sessionPrecision{precision: precision, compression: compression, avgBytes: avgBytes}
-	m.mu.Unlock()
-}
-
-// DeleteSessionPrecision drops an evicted session's gauges.
-func (m *Metrics) DeleteSessionPrecision(key string) {
-	m.mu.Lock()
-	delete(m.sessions, key)
-	m.mu.Unlock()
 }
 
 // ObserveRequest records one finished request: its endpoint, the HTTP status
@@ -144,8 +119,9 @@ func (m *Metrics) RequestCount(endpoint string, code int) int64 {
 	return 0
 }
 
-// Render writes the metrics in Prometheus text exposition format.
-func (m *Metrics) Render(w io.Writer, liveSessions int) {
+// render writes the metrics, with the session cache's size and per-session
+// precision gauges, in Prometheus text exposition format.
+func (m *Metrics) render(w io.Writer, sessions *httpapi.Sessions[*batcher]) {
 	m.mu.Lock()
 	reqKeys := make([]string, 0, len(m.requests))
 	for k := range m.requests {
@@ -159,8 +135,7 @@ func (m *Metrics) Render(w io.Writer, liveSessions int) {
 	sort.Strings(reqKeys)
 	sort.Strings(latKeys)
 
-	fmt.Fprintln(w, "# HELP scale_serve_requests_total Finished requests by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE scale_serve_requests_total counter")
+	httpapi.Header(w, "scale_serve_requests_total", "counter", "Finished requests by endpoint and status code.")
 	for _, k := range reqKeys {
 		endpoint, code, _ := strings.Cut(k, "|")
 		m.mu.Lock()
@@ -169,45 +144,35 @@ func (m *Metrics) Render(w io.Writer, liveSessions int) {
 		fmt.Fprintf(w, "scale_serve_requests_total{endpoint=%q,code=%q} %d\n", endpoint, code, v)
 	}
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("scale_serve_batches_total", "Micro-batches executed.", m.Batches.Load())
-	counter("scale_serve_batch_requests_total", "Requests carried by micro-batches.", m.BatchedRequests.Load())
-	counter("scale_serve_queue_rejections_total", "Requests rejected by the admission queue (429).", m.QueueRejections.Load())
-	counter("scale_serve_degraded_requests_total", "Sharded-path requests served by the local single-process fallback.", m.DegradedRequests.Load())
-	counter("scale_serve_panics_contained_total", "Backend panics isolated into 500 responses.", m.PanicsContained.Load())
-	counter("scale_serve_sessions_created_total", "Sessions constructed by the cache.", m.SessionsCreated.Load())
-	counter("scale_serve_sessions_evicted_total", "Sessions evicted by the cache.", m.SessionsEvicted.Load())
-	counter("scale_serve_mutation_batches_total", "Accepted /v1/mutate batches.", m.MutationBatches.Load())
-	counter("scale_serve_mutation_ops_total", "Individual graph deltas applied via /v1/mutate.", m.MutationOps.Load())
-	counter("scale_serve_mutations_rejected_total", "Mutation batches refused (bad input or mid-compaction).", m.MutationsRejected.Load())
-	counter("scale_serve_dyn_requests_total", "Infer requests served from the dynamic graph.", m.DynRequests.Load())
-	counter("scale_serve_sampled_requests_total", "Fixed-fanout sampled infer requests.", m.SampledRequests.Load())
-	fmt.Fprintf(w, "# HELP scale_serve_sessions_live Sessions currently cached.\n# TYPE scale_serve_sessions_live gauge\nscale_serve_sessions_live %d\n", liveSessions)
+	httpapi.Counter(w, "scale_serve_batches_total", "Micro-batches executed.", m.Batches.Load())
+	httpapi.Counter(w, "scale_serve_batch_requests_total", "Requests carried by micro-batches.", m.BatchedRequests.Load())
+	httpapi.Counter(w, "scale_serve_queue_rejections_total", "Requests rejected by the admission queue (429).", m.QueueRejections.Load())
+	httpapi.Counter(w, "scale_serve_degraded_requests_total", "Sharded-path requests served by the local single-process fallback.", m.DegradedRequests.Load())
+	httpapi.Counter(w, "scale_serve_panics_contained_total", "Backend panics isolated into 500 responses.", m.PanicsContained.Load())
+	httpapi.Counter(w, "scale_serve_sessions_created_total", "Sessions constructed by the cache.", m.SessionsCreated.Load())
+	httpapi.Counter(w, "scale_serve_sessions_evicted_total", "Sessions evicted by the cache.", m.SessionsEvicted.Load())
+	httpapi.Counter(w, "scale_serve_mutation_batches_total", "Accepted /v1/mutate batches.", m.MutationBatches.Load())
+	httpapi.Counter(w, "scale_serve_mutation_ops_total", "Individual graph deltas applied via /v1/mutate.", m.MutationOps.Load())
+	httpapi.Counter(w, "scale_serve_mutations_rejected_total", "Mutation batches refused (bad input or mid-compaction).", m.MutationsRejected.Load())
+	httpapi.Counter(w, "scale_serve_dyn_requests_total", "Infer requests served from the dynamic graph.", m.DynRequests.Load())
+	httpapi.Counter(w, "scale_serve_sampled_requests_total", "Fixed-fanout sampled infer requests.", m.SampledRequests.Load())
+	httpapi.Gauge(w, "scale_serve_sessions_live", "Sessions currently cached.", sessions.Len())
 
-	m.mu.Lock()
-	sessKeys := make([]string, 0, len(m.sessions))
-	for k := range m.sessions {
-		sessKeys = append(sessKeys, k)
-	}
-	sort.Strings(sessKeys)
-	fmt.Fprintln(w, "# HELP scale_serve_session_quant_compression Weight-footprint ratio vs full float32 per cached session (1 = fp32, 0.25 = fully int8).")
-	fmt.Fprintln(w, "# TYPE scale_serve_session_quant_compression gauge")
-	for _, k := range sessKeys {
-		sp := m.sessions[k]
-		fmt.Fprintf(w, "scale_serve_session_quant_compression{session=%q,precision=%q} %g\n", k, sp.precision, sp.compression)
-	}
-	fmt.Fprintln(w, "# HELP scale_serve_session_quant_avg_bytes Average bytes per weight element per cached session.")
-	fmt.Fprintln(w, "# TYPE scale_serve_session_quant_avg_bytes gauge")
-	for _, k := range sessKeys {
-		sp := m.sessions[k]
-		fmt.Fprintf(w, "scale_serve_session_quant_avg_bytes{session=%q,precision=%q} %g\n", k, sp.precision, sp.avgBytes)
-	}
-	m.mu.Unlock()
+	// Per-session precision (internal/quant.Plan footprint semantics):
+	// compression is bytes versus full float32, avg_bytes the average bytes
+	// per weight element.
+	httpapi.Header(w, "scale_serve_session_quant_compression", "gauge", "Weight-footprint ratio vs full float32 per cached session (1 = fp32, 0.25 = fully int8).")
+	sessions.Each(func(key string, b *batcher) {
+		c, _ := b.sess.PrecisionStats()
+		fmt.Fprintf(w, "scale_serve_session_quant_compression{session=%q,precision=%q} %g\n", key, b.sess.Precision(), c)
+	})
+	httpapi.Header(w, "scale_serve_session_quant_avg_bytes", "gauge", "Average bytes per weight element per cached session.")
+	sessions.Each(func(key string, b *batcher) {
+		_, a := b.sess.PrecisionStats()
+		fmt.Fprintf(w, "scale_serve_session_quant_avg_bytes{session=%q,precision=%q} %g\n", key, b.sess.Precision(), a)
+	})
 
-	fmt.Fprintln(w, "# HELP scale_serve_request_seconds Request latency by endpoint.")
-	fmt.Fprintln(w, "# TYPE scale_serve_request_seconds histogram")
+	httpapi.Header(w, "scale_serve_request_seconds", "histogram", "Request latency by endpoint.")
 	for _, endpoint := range latKeys {
 		m.mu.Lock()
 		h := m.latency[endpoint]

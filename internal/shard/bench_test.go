@@ -10,9 +10,9 @@ package shard
 // Wall-clock speedup on a single-core container is bounded by the serial
 // compute (the shards time-slice one CPU), so each sharded benchmark also
 // reports the NoC-costed predicted speedup from EstimateComm — the number a
-// multi-core or multi-node deployment is modeled to reach, recorded into
-// BENCH_pr8.json via scale-benchjson's custom-unit capture. Predicted vs
-// measured is discussed in EXPERIMENTS.md (PR 8).
+// multi-core or multi-node deployment is modeled to reach, as the custom
+// metric predicted-speedup. EXPERIMENTS.md ("Sharded serving — predicted vs
+// measured") compares the two.
 
 import (
 	"context"

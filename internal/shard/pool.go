@@ -17,6 +17,7 @@ import (
 
 	"scale/internal/fault"
 	"scale/internal/graph"
+	"scale/internal/httpapi"
 	"scale/internal/noc"
 	"scale/internal/tensor"
 )
@@ -30,14 +31,8 @@ type SessionSpec struct {
 	Precision string
 }
 
-func (s SessionSpec) key() string {
-	parts := make([]string, 0, len(s.Dims)+2)
-	parts = append(parts, s.Model)
-	for _, d := range s.Dims {
-		parts = append(parts, fmt.Sprint(d))
-	}
-	return strings.Join(append(parts, s.Precision), "/")
-}
+// key is the spec's routing key: the session key of both tiers' caches.
+func (s SessionSpec) key() string { return httpapi.SessionKey(s.Model, s.Dims, s.Precision) }
 
 // PoolConfig parameterizes a Pool. Workers is required.
 type PoolConfig struct {
@@ -306,19 +301,13 @@ func (p *Pool) probe(addr string) {
 // WritePrometheus renders the pool's sharding counters in Prometheus text
 // exposition format; the front tier appends it to its /metrics page.
 func (p *Pool) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("scale_shard_pool_requests_total", "Sharded inference passes started.", p.metrics.Requests.Load())
-	counter("scale_shard_pool_layer_calls_total", "Per-shard layer calls completed.", p.metrics.LayerCalls.Load())
-	counter("scale_shard_pool_failovers_total", "Worker failures routed around.", p.metrics.Failovers.Load())
-	counter("scale_shard_pool_reloads_total", "Shard reloads onto replacement workers.", p.metrics.Reloads.Load())
-	counter("scale_shard_pool_halo_bytes_total", "Halo row bytes redistributed between layers.", p.metrics.HaloBytesSent.Load())
-	counter("scale_shard_pool_retries_total", "In-place retries of transient (429/503 Retry-After) worker answers.", p.metrics.Retries.Load())
-	counter("scale_shard_pool_probes_total", "Active health probes sent.", p.metrics.Probes.Load())
+	httpapi.Counter(w, "scale_shard_pool_requests_total", "Sharded inference passes started.", p.metrics.Requests.Load())
+	httpapi.Counter(w, "scale_shard_pool_layer_calls_total", "Per-shard layer calls completed.", p.metrics.LayerCalls.Load())
+	httpapi.Counter(w, "scale_shard_pool_failovers_total", "Worker failures routed around.", p.metrics.Failovers.Load())
+	httpapi.Counter(w, "scale_shard_pool_reloads_total", "Shard reloads onto replacement workers.", p.metrics.Reloads.Load())
+	httpapi.Counter(w, "scale_shard_pool_halo_bytes_total", "Halo row bytes redistributed between layers.", p.metrics.HaloBytesSent.Load())
+	httpapi.Counter(w, "scale_shard_pool_retries_total", "In-place retries of transient (429/503 Retry-After) worker answers.", p.metrics.Retries.Load())
+	httpapi.Counter(w, "scale_shard_pool_probes_total", "Active health probes sent.", p.metrics.Probes.Load())
 	var open, trips int64
 	for _, b := range p.breakers {
 		if b.State() == BreakerOpen {
@@ -326,11 +315,11 @@ func (p *Pool) WritePrometheus(w io.Writer) {
 		}
 		trips += b.Trips()
 	}
-	counter("scale_shard_pool_breaker_trips_total", "Circuit breakers tripped open.", trips)
-	gauge("scale_shard_pool_breaker_open", "Workers whose circuit breaker is currently open.", open)
-	gauge("scale_shard_pool_workers_live", "Workers whose circuit breaker is closed.", int64(p.LiveWorkers()))
-	gauge("scale_shard_pool_workers", "Workers in the replica pool.", int64(len(p.ring.nodes)))
-	gauge("scale_shard_pool_parts", "Shards per request.", int64(p.cfg.Parts))
+	httpapi.Counter(w, "scale_shard_pool_breaker_trips_total", "Circuit breakers tripped open.", trips)
+	httpapi.Gauge(w, "scale_shard_pool_breaker_open", "Workers whose circuit breaker is currently open.", open)
+	httpapi.Gauge(w, "scale_shard_pool_workers_live", "Workers whose circuit breaker is closed.", p.LiveWorkers())
+	httpapi.Gauge(w, "scale_shard_pool_workers", "Workers in the replica pool.", len(p.ring.nodes))
+	httpapi.Gauge(w, "scale_shard_pool_parts", "Shards per request.", p.cfg.Parts)
 }
 
 func normalizeAddr(a string) string {
@@ -626,22 +615,14 @@ func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, l
 	return nil, fmt.Errorf("shard %d: layer %d failed on every worker: %w", sub.Index, li, lastErr)
 }
 
-// postResult is one worker answer: status code, raw body, and the worker's
-// Retry-After hint (0 when absent).
+// postResult is one worker answer: status code, raw body, the worker's
+// Retry-After hint (0 when absent), and the error payload of a non-2xx
+// answer (a body that is not one becomes its message).
 type postResult struct {
 	code       int
 	body       []byte
 	retryAfter time.Duration
-}
-
-// kind extracts the machine-readable error classification from a worker's
-// JSON error payload ("" for non-JSON bodies).
-func (r *postResult) kind() string {
-	var we shardError
-	if err := json.Unmarshal(r.body, &we); err == nil {
-		return we.Kind
-	}
-	return ""
+	apiErr     httpapi.Error
 }
 
 // transient reports whether the answer is worth retrying on the same worker:
@@ -653,7 +634,7 @@ func (r *postResult) transient() bool {
 	case http.StatusTooManyRequests:
 		return true
 	case http.StatusServiceUnavailable:
-		return r.kind() != "draining"
+		return r.apiErr.Kind != "draining"
 	}
 	return false
 }
@@ -683,6 +664,9 @@ func (p *Pool) post(ctx context.Context, url string, frame []byte) (*postResult,
 		return nil, err
 	}
 	res := &postResult{code: resp.StatusCode, body: body}
+	if res.code >= http.StatusMultipleChoices && json.Unmarshal(body, &res.apiErr) != nil {
+		res.apiErr.Error = string(body)
+	}
 	if s := resp.Header.Get("Retry-After"); s != "" {
 		if secs, perr := strconv.Atoi(s); perr == nil && secs > 0 {
 			res.retryAfter = time.Duration(secs) * time.Second
@@ -735,13 +719,8 @@ func (p *Pool) noteFailure(addr string, resp *postResult, err error) error {
 		p.metrics.Failovers.Add(1)
 		return fmt.Errorf("worker %s: %w", addr, err)
 	}
-	var we shardError
-	msg := string(resp.body)
-	if jerr := json.Unmarshal(resp.body, &we); jerr == nil && we.Error != "" {
-		msg = we.Error
-	}
 	if resp.code == http.StatusBadRequest || resp.code == http.StatusMethodNotAllowed {
-		return &permanentErr{err: fmt.Errorf("worker %s: %s: %w", addr, msg, fault.ErrBadConfig)}
+		return &permanentErr{err: fmt.Errorf("worker %s: %s: %w", addr, resp.apiErr.Error, fault.ErrBadConfig)}
 	}
 	switch {
 	case resp.code == http.StatusNotFound:
@@ -754,5 +733,5 @@ func (p *Pool) noteFailure(addr string, resp *postResult, err error) error {
 		p.breakers[addr].Failure()
 		p.metrics.Failovers.Add(1)
 	}
-	return fmt.Errorf("worker %s: status %d: %s", addr, resp.code, msg)
+	return fmt.Errorf("worker %s: status %d: %s", addr, resp.code, resp.apiErr.Error)
 }

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -14,11 +11,9 @@ import (
 	"scale"
 	"scale/internal/fault"
 	"scale/internal/graph"
+	"scale/internal/httpapi"
 	"scale/internal/tensor"
 )
-
-// errWorkerDraining marks work refused because the worker is shutting down.
-var errWorkerDraining = errors.New("shard: worker draining")
 
 // WorkerConfig parameterizes a Worker. Only Sim is required; zero values
 // select production-reasonable defaults.
@@ -36,7 +31,8 @@ type WorkerConfig struct {
 	// ForwardWorkers is the goroutine count per layer call (default 0 =
 	// the accelerator's own sizing).
 	ForwardWorkers int
-	// RetryAfter is the Retry-After hint on 429/503 answers (default 1s).
+	// RetryAfter is the Retry-After hint on 429/503 answers, in whole
+	// seconds (default and minimum 1s).
 	RetryAfter time.Duration
 }
 
@@ -49,9 +45,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.RunTTL == 0 {
 		c.RunTTL = 2 * time.Minute
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -79,39 +72,47 @@ type WorkerMetrics struct {
 	RunsExpired     atomic.Int64
 	Rejections      atomic.Int64
 	PanicsContained atomic.Int64
+	SessionsCreated atomic.Int64
+	SessionsEvicted atomic.Int64
 }
 
 // Worker is one shard server: it holds scale.Sessions and in-flight shard
 // runs, and advances a run one model layer per /v1/shard/layer call. The
 // front tier (Pool) owns partitioning and halo routing; the worker only ever
-// sees local CSRs. Same drain contract as internal/serve: BeginDrain →
-// http.Server.Shutdown → Close.
+// sees local CSRs. Its HTTP edge — status contract, gate, session cache — is
+// internal/httpapi's, as the front's is, and so is its drain contract:
+// BeginDrain → http.Server.Shutdown → Close.
 type Worker struct {
-	cfg     WorkerConfig
-	mux     *http.ServeMux
-	metrics *WorkerMetrics
-	start   time.Time
+	cfg      WorkerConfig
+	mux      *http.ServeMux
+	metrics  *WorkerMetrics
+	start    time.Time
+	gate     httpapi.Gate
+	sessions *httpapi.Sessions[*scale.Session]
 
-	mu       sync.Mutex
-	sessions map[string]*scale.Session
-	runs     map[uint64]*run
-	draining bool
-	handlers sync.WaitGroup
+	mu   sync.Mutex
+	runs map[uint64]*run
 }
 
 // NewWorker builds a Worker around cfg.Sim.
 func NewWorker(cfg WorkerConfig) *Worker {
+	cfg = cfg.withDefaults()
+	m := &WorkerMetrics{}
 	w := &Worker{
-		cfg:      cfg.withDefaults(),
-		metrics:  &WorkerMetrics{},
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		metrics:  m,
 		start:    time.Now(),
-		sessions: make(map[string]*scale.Session),
+		gate:     httpapi.Gate{RetryAfter: cfg.RetryAfter, Panics: &m.PanicsContained},
+		sessions: httpapi.NewSessions(cfg.MaxSessions, cfg.Sim.NewSessionPrecision, &m.SessionsCreated, &m.SessionsEvicted),
 		runs:     make(map[uint64]*run),
 	}
-	w.mux = http.NewServeMux()
-	w.mux.HandleFunc("/v1/shard/load", w.guard(w.handleLoad))
-	w.mux.HandleFunc("/v1/shard/layer", w.guard(w.handleLayer))
-	w.mux.HandleFunc("/v1/shard/finish", w.guard(w.handleFinish))
+	gated := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(rw http.ResponseWriter, r *http.Request) { w.gate.Serve(rw, r, h) }
+	}
+	w.mux.HandleFunc("/v1/shard/load", gated(w.handleLoad))
+	w.mux.HandleFunc("/v1/shard/layer", gated(w.handleLayer))
+	w.mux.HandleFunc("/v1/shard/finish", gated(w.handleFinish))
 	w.mux.HandleFunc("/healthz", w.handleHealthz)
 	w.mux.HandleFunc("/metrics", w.handleMetrics)
 	return w
@@ -126,23 +127,14 @@ func (w *Worker) Metrics() *WorkerMetrics { return w.metrics }
 // BeginDrain stops admitting new work: /healthz flips to 503 so the front
 // tier's health checks route around this worker, and data-plane calls answer
 // 503 + Retry-After. In-flight calls finish. Idempotent.
-func (w *Worker) BeginDrain() {
-	w.mu.Lock()
-	w.draining = true
-	w.mu.Unlock()
-}
+func (w *Worker) BeginDrain() { w.gate.BeginDrain() }
 
 // Draining reports whether BeginDrain has been called.
-func (w *Worker) Draining() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.draining
-}
+func (w *Worker) Draining() bool { return w.gate.Draining() }
 
 // Close completes the drain: waits for in-flight handlers and drops all runs.
 func (w *Worker) Close() {
-	w.BeginDrain()
-	w.handlers.Wait()
+	w.gate.Drain()
 	w.mu.Lock()
 	w.runs = make(map[uint64]*run)
 	w.mu.Unlock()
@@ -155,104 +147,9 @@ func (w *Worker) LiveRuns() int {
 	return len(w.runs)
 }
 
-// shardError is the JSON error payload, shape-compatible with
-// internal/serve's errorResponse so one client-side classifier serves both
-// tiers.
-type shardError struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
-func (w *Worker) writeError(rw http.ResponseWriter, code int, msg, kind string) {
-	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-		secs := int(w.cfg.RetryAfter / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		rw.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(code)
-	_ = json.NewEncoder(rw).Encode(shardError{Error: msg, Kind: kind})
-}
-
-// writeMapped renders err with the serve tier's status mapping: contained
-// panics 500, deadlines 408, drain 503, input sentinels 400.
-func (w *Worker) writeMapped(rw http.ResponseWriter, err error) {
-	if _, ok := fault.AsPanic(err); ok {
-		w.writeError(rw, http.StatusInternalServerError, err.Error(), "panic")
-		return
-	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		w.writeError(rw, http.StatusRequestTimeout, err.Error(), "timeout")
-	case errors.Is(err, errWorkerDraining):
-		w.writeError(rw, http.StatusServiceUnavailable, err.Error(), "draining")
-	case fault.IsInput(err):
-		w.writeError(rw, http.StatusBadRequest, err.Error(), "bad_input")
-	default:
-		w.writeError(rw, http.StatusInternalServerError, err.Error(), "internal")
-	}
-}
-
-// guard wraps a data-plane endpoint with method/drain admission and a panic
-// barrier — a panicking layer call answers 500, the worker process survives.
-func (w *Worker) guard(h http.HandlerFunc) http.HandlerFunc {
-	return func(rw http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.writeError(rw, http.StatusMethodNotAllowed, "POST required", "usage")
-			return
-		}
-		w.mu.Lock()
-		if w.draining {
-			w.mu.Unlock()
-			w.writeMapped(rw, errWorkerDraining)
-			return
-		}
-		w.handlers.Add(1)
-		w.mu.Unlock()
-		defer w.handlers.Done()
-		if err := fault.Safely(func() error { h(rw, r); return nil }); err != nil {
-			w.metrics.PanicsContained.Add(1)
-			w.writeMapped(rw, err)
-		}
-	}
-}
-
-// session returns the cached session for (model, dims, precision). Unlike
-// the front tier the worker has no batcher per session, so the cache is a
-// plain bounded map; sessions are deterministic, so evicting and rebuilding
-// never changes results.
-func (w *Worker) session(model string, dims []int, precision string) (*scale.Session, error) {
-	key := model + "/" + precision
-	for _, d := range dims {
-		key += "/" + strconv.Itoa(d)
-	}
-	w.mu.Lock()
-	if s, ok := w.sessions[key]; ok {
-		w.mu.Unlock()
-		return s, nil
-	}
-	w.mu.Unlock()
-	s, err := w.cfg.Sim.NewSessionPrecision(model, dims, precision)
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if cached, ok := w.sessions[key]; ok {
-		return cached, nil
-	}
-	if len(w.sessions) >= w.cfg.MaxSessions {
-		// Arbitrary-victim eviction: map iteration order. Good enough for a
-		// worker that normally serves one or two session shapes.
-		for k := range w.sessions {
-			delete(w.sessions, k)
-			break
-		}
-	}
-	w.sessions[key] = s
-	return s, nil
+// writeError answers err through the shared status contract.
+func (w *Worker) writeError(rw http.ResponseWriter, err error) {
+	httpapi.WriteError(rw, err, w.cfg.RetryAfter)
 }
 
 // expireLocked drops runs idle past RunTTL (front tier died mid-pass).
@@ -272,20 +169,20 @@ func (w *Worker) expireLocked(now time.Time) {
 func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 	q, err := DecodeLoad(r.Body)
 	if err != nil {
-		w.writeMapped(rw, err)
+		w.writeError(rw, err)
 		return
 	}
 	if err := validateLoad(q); err != nil {
-		w.writeMapped(rw, err)
+		w.writeError(rw, err)
 		return
 	}
 	dims := make([]int, len(q.Dims))
 	for i, d := range q.Dims {
 		dims[i] = int(d)
 	}
-	sess, err := w.session(q.Model, dims, q.Precision)
+	sess, err := w.sessions.Get(q.Model, dims, q.Precision)
 	if err != nil {
-		w.writeMapped(rw, err)
+		w.writeError(rw, err)
 		return
 	}
 	n := q.NumVertices()
@@ -313,7 +210,7 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 	if len(w.runs) >= w.cfg.MaxRuns {
 		w.mu.Unlock()
 		w.metrics.Rejections.Add(1)
-		w.writeError(rw, http.StatusTooManyRequests, "run table full", "over_capacity")
+		w.writeError(rw, fmt.Errorf("shard: run table full (%d runs): %w", w.cfg.MaxRuns, httpapi.ErrOverCapacity))
 		return
 	}
 	w.runs[q.ReqID] = ru // reload after failover overwrites the stale run
@@ -372,7 +269,7 @@ func validateLoad(q *LoadRequest) error {
 func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 	q, err := DecodeLayer(r.Body)
 	if err != nil {
-		w.writeMapped(rw, err)
+		w.writeError(rw, err)
 		return
 	}
 	w.mu.Lock()
@@ -381,7 +278,7 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// Distinct kind: the front tier treats a missing run (worker
 		// restarted, run expired) as grounds for a reload, not a client bug.
-		w.writeError(rw, http.StatusNotFound, fmt.Sprintf("shard: run %d not loaded", q.ReqID), "no_run")
+		w.writeError(rw, fmt.Errorf("shard: run %d: %w", q.ReqID, httpapi.ErrNoRun))
 		return
 	}
 
@@ -389,17 +286,17 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 	defer ru.mu.Unlock()
 	ru.touched.Store(time.Now().UnixNano())
 	if q.Layer != ru.next {
-		w.writeMapped(rw, fmt.Errorf("shard: run %d expects layer %d, got %d: %w", q.ReqID, ru.next, q.Layer, fault.ErrBadConfig))
+		w.writeError(rw, fmt.Errorf("shard: run %d expects layer %d, got %d: %w", q.ReqID, ru.next, q.Layer, fault.ErrBadConfig))
 		return
 	}
 	if len(q.HaloIDs) > 0 {
 		if int(q.Cols) != ru.h.Cols {
-			w.writeMapped(rw, fmt.Errorf("shard: halo rows are %d wide, state is %d: %w", q.Cols, ru.h.Cols, fault.ErrBadShape))
+			w.writeError(rw, fmt.Errorf("shard: halo rows are %d wide, state is %d: %w", q.Cols, ru.h.Cols, fault.ErrBadShape))
 			return
 		}
 		for i, lid := range q.HaloIDs {
 			if lid < 0 || int(lid) >= ru.h.Rows {
-				w.writeMapped(rw, fmt.Errorf("shard: halo id %d outside [0, %d): %w", lid, ru.h.Rows, fault.ErrBadGraph))
+				w.writeError(rw, fmt.Errorf("shard: halo id %d outside [0, %d): %w", lid, ru.h.Rows, fault.ErrBadGraph))
 				return
 			}
 			copy(ru.h.Row(int(lid)), q.HaloRows[i*int(q.Cols):(i+1)*int(q.Cols)])
@@ -409,7 +306,7 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 
 	out, err := ru.sess.ForwardLayerCSR(r.Context(), int(q.Layer), ru.g, ru.h, ru.degrees, w.cfg.ForwardWorkers)
 	if err != nil {
-		w.writeMapped(rw, err)
+		w.writeError(rw, err)
 		return
 	}
 	ru.h = out
@@ -433,7 +330,7 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 func (w *Worker) handleFinish(rw http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.URL.Query().Get("req"), 10, 64)
 	if err != nil {
-		w.writeMapped(rw, fmt.Errorf("shard: bad req id %q: %w", r.URL.Query().Get("req"), fault.ErrBadConfig))
+		w.writeError(rw, fmt.Errorf("shard: bad req id %q: %w", r.URL.Query().Get("req"), fault.ErrBadConfig))
 		return
 	}
 	w.mu.Lock()
@@ -462,29 +359,26 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	if w.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	w.mu.Lock()
-	runs, sessions := len(w.runs), len(w.sessions)
-	w.mu.Unlock()
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(code)
-	_ = json.NewEncoder(rw).Encode(workerHealth{
+	httpapi.WriteJSON(rw, code, workerHealth{
 		Status:        status,
 		UptimeSeconds: time.Since(w.start).Seconds(),
-		Runs:          runs,
+		Runs:          w.LiveRuns(),
 		MaxRuns:       w.cfg.MaxRuns,
-		Sessions:      sessions,
+		Sessions:      w.sessions.Len(),
 	})
 }
 
 func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	m := w.metrics
-	fmt.Fprintf(rw, "# TYPE scale_shard_loads_total counter\nscale_shard_loads_total %d\n", m.Loads.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_layers_total counter\nscale_shard_layers_total %d\n", m.Layers.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_finishes_total counter\nscale_shard_finishes_total %d\n", m.Finishes.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_halo_rows_merged_total counter\nscale_shard_halo_rows_merged_total %d\n", m.HaloRowsMerged.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_runs_expired_total counter\nscale_shard_runs_expired_total %d\n", m.RunsExpired.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_rejections_total counter\nscale_shard_rejections_total %d\n", m.Rejections.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_panics_contained_total counter\nscale_shard_panics_contained_total %d\n", m.PanicsContained.Load())
-	fmt.Fprintf(rw, "# TYPE scale_shard_runs gauge\nscale_shard_runs %d\n", w.LiveRuns())
+	httpapi.Counter(rw, "scale_shard_loads_total", "Shard loads accepted.", m.Loads.Load())
+	httpapi.Counter(rw, "scale_shard_layers_total", "Layer calls served.", m.Layers.Load())
+	httpapi.Counter(rw, "scale_shard_finishes_total", "Runs dropped by a finish call.", m.Finishes.Load())
+	httpapi.Counter(rw, "scale_shard_halo_rows_merged_total", "Halo rows merged into runs before a layer.", m.HaloRowsMerged.Load())
+	httpapi.Counter(rw, "scale_shard_runs_expired_total", "Runs dropped after RunTTL without a call.", m.RunsExpired.Load())
+	httpapi.Counter(rw, "scale_shard_rejections_total", "Loads refused because the run table was full (429).", m.Rejections.Load())
+	httpapi.Counter(rw, "scale_shard_panics_contained_total", "Handler panics isolated into 500 responses.", m.PanicsContained.Load())
+	httpapi.Counter(rw, "scale_shard_sessions_created_total", "Sessions constructed by the cache.", m.SessionsCreated.Load())
+	httpapi.Counter(rw, "scale_shard_sessions_evicted_total", "Sessions evicted by the cache.", m.SessionsEvicted.Load())
+	httpapi.Gauge(rw, "scale_shard_runs", "Shard runs currently loaded.", w.LiveRuns())
 }

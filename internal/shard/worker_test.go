@@ -2,7 +2,9 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"scale"
 	"scale/internal/fault"
 	"scale/internal/graph"
+	"scale/internal/httpapi"
 	"scale/internal/noc"
 	"scale/internal/tensor"
 )
@@ -202,52 +205,77 @@ func TestPoolPermanentError(t *testing.T) {
 	}
 }
 
-// The worker's own contract: drain answers 503 with Retry-After, layer calls
-// on unknown runs answer 404/no_run, out-of-order layers 400.
+// The worker's own contract: every refusal answers its status and JSON kind
+// — layer calls on unknown runs 404 no_run, non-POST 405 usage, a full run
+// table 429 over_capacity and a drain 503 draining, both with Retry-After.
 func TestWorkerContract(t *testing.T) {
 	sim := newTestSim(t)
-	w := NewWorker(WorkerConfig{Sim: sim})
+	w := NewWorker(WorkerConfig{Sim: sim, MaxRuns: 1})
 	defer w.Close()
 	srv := httptest.NewServer(w.Handler())
 	defer srv.Close()
 
-	// Layer call for a run that was never loaded → 404 no_run.
-	var body strings.Builder
-	q := &LayerRequest{ReqID: 42, Layer: 0, Cols: 1}
-	if err := q.Encode(&body); err != nil {
-		t.Fatal(err)
+	// call sends one request and checks its status, its JSON error kind and
+	// whether it carries Retry-After.
+	call := func(method, path string, frame interface{ Encode(io.Writer) error }, wantCode int, wantKind string, wantRetry bool) {
+		t.Helper()
+		var body strings.Builder
+		if frame != nil {
+			if err := frame.Encode(&body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e httpapi.Error
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s %s: status %d, error body: %v", method, path, resp.StatusCode, err)
+		}
+		if resp.StatusCode != wantCode || e.Kind != wantKind {
+			t.Fatalf("%s %s: %d %q, want %d %q", method, path, resp.StatusCode, e.Kind, wantCode, wantKind)
+		}
+		if got := resp.Header.Get("Retry-After") != ""; got != wantRetry {
+			t.Fatalf("%s %s: Retry-After present %v, want %v", method, path, got, wantRetry)
+		}
 	}
-	resp, err := http.Post(srv.URL+"/v1/shard/layer", "application/octet-stream", strings.NewReader(body.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown run: status %d, want 404", resp.StatusCode)
+	load := func(id uint64) *LoadRequest {
+		return &LoadRequest{
+			ReqID: id, Model: "gcn", Precision: "fp32", Dims: []int32{2, 3},
+			Owned: []int32{0, 1}, RowPtr: []int32{0, 0, 1}, ColIdx: []int32{0},
+			Degrees: []int32{0, 1}, Features: []float32{1, 0, 0, 1},
+		}
 	}
 
-	// GET on a data-plane endpoint → 405.
-	resp, err = http.Get(srv.URL + "/v1/shard/load")
+	call(http.MethodPost, "/v1/shard/layer", &LayerRequest{ReqID: 42, Layer: 0, Cols: 1}, http.StatusNotFound, "no_run", false)
+	call(http.MethodGet, "/v1/shard/load", nil, http.StatusMethodNotAllowed, "usage", false)
+
+	// MaxRuns 1: the first load fills the run table, the second is refused.
+	var body strings.Builder
+	if err := load(1).Encode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/shard/load", "application/octet-stream", strings.NewReader(body.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET load: status %d, want 405", resp.StatusCode)
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("first load: status %d, want 204", resp.StatusCode)
+	}
+	call(http.MethodPost, "/v1/shard/load", load(2), http.StatusTooManyRequests, "over_capacity", true)
+	if n := w.Metrics().Rejections.Load(); n != 1 {
+		t.Fatalf("rejections = %d, want 1", n)
 	}
 
 	w.BeginDrain()
-	resp, err = http.Post(srv.URL+"/v1/shard/load", "application/octet-stream", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining load: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("draining answer missing Retry-After")
-	}
+	call(http.MethodPost, "/v1/shard/load", load(3), http.StatusServiceUnavailable, "draining", true)
 	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
