@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"scale/internal/fault"
@@ -51,6 +52,12 @@ func (b *Builder) AddUndirected(u, v int) {
 	b.AddEdge(v, u)
 }
 
+// Grow reserves room for m more edges, so adding them does not reallocate.
+func (b *Builder) Grow(m int) {
+	b.srcs = slices.Grow(b.srcs, m)
+	b.dsts = slices.Grow(b.dsts, m)
+}
+
 // NumEdges reports the number of directed edges recorded so far.
 func (b *Builder) NumEdges() int { return len(b.srcs) }
 
@@ -83,8 +90,7 @@ func (b *Builder) Build(name string) *Graph {
 	// Sort each adjacency list for deterministic iteration and fast
 	// intersection in the redundancy pass.
 	for v := 0; v < b.numVertices; v++ {
-		row := g.colIdx[g.rowPtr[v]:g.rowPtr[v+1]]
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(g.colIdx[g.rowPtr[v]:g.rowPtr[v+1]])
 	}
 	return g
 }

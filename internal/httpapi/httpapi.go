@@ -1,15 +1,17 @@
 // Package httpapi is the HTTP edge that the serving front (internal/serve)
 // and the shard worker (internal/shard) share: one mapping from an error to
 // a status, a kind and a Retry-After hint (Classify, WriteError), one
-// admission gate (Gate), one session cache (Sessions) and one Prometheus
-// text writer (Counter, Gauge, Header). Both tiers answer every non-2xx API
-// call through WriteError, so one client-side classifier serves both.
+// admission gate (Gate), one session cache (Sessions), one body reader
+// (ReadBody) and one Prometheus text writer (Counter, Gauge, Header). Both
+// tiers answer every non-2xx API call through WriteError, so one
+// client-side classifier serves both.
 package httpapi
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -94,6 +96,34 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v) // the client is gone if this fails; nothing to do
+}
+
+// maxPresize caps how far a Content-Length may presize a body buffer. Past
+// the cap the buffer grows only as bytes arrive, so a header that overstates
+// the body cannot make a server allocate for bytes that are never sent.
+const maxPresize = 16 << 20
+
+// ReadBody buffers a request or response body in one pass, presizing the
+// buffer from contentLength (negative when unknown) up to maxPresize.
+func ReadBody(r io.Reader, contentLength int64) ([]byte, error) {
+	n := 512
+	if contentLength > 0 {
+		n = int(min(contentLength, maxPresize)) + 1 // +1: room to read EOF without growing
+	}
+	buf := make([]byte, 0, n)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		m, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // Gate is the admission edge of a tier's API endpoints: POST only, no new

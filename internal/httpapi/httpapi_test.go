@@ -245,3 +245,19 @@ func TestPrometheus(t *testing.T) {
 		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
+
+// TestReadBodyPresize pins the buffering contract: Content-Length presizes
+// the buffer only up to maxPresize, and the whole body is read whether the
+// header understates or overstates it.
+func TestReadBodyPresize(t *testing.T) {
+	body := strings.Repeat("x", 3000)
+	for _, cl := range []int64{-1, 0, 10, 3000, 1 << 40} {
+		buf, err := ReadBody(strings.NewReader(body), cl)
+		if err != nil || string(buf) != body {
+			t.Fatalf("Content-Length %d: read %d bytes, err %v", cl, len(buf), err)
+		}
+		if cap(buf) > maxPresize+1 {
+			t.Fatalf("Content-Length %d presized the buffer to %d bytes", cl, cap(buf))
+		}
+	}
+}

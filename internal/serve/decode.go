@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
+
+	"scale/internal/httpapi"
 )
 
 // Request-body decoding (DESIGN §4h, "Body decoding"). Every JSON body is
@@ -22,39 +23,11 @@ import (
 // grammar, and feature values come from the same strconv.ParseFloat call
 // encoding/json makes — fp32 responses stay byte-identical.
 
-// maxPresize caps how far a request's Content-Length may presize its body
-// buffer. Past the cap the buffer grows only as bytes arrive, so a header
-// that overstates the body cannot make the server allocate for bytes that
-// are never sent.
-const maxPresize = 16 << 20
-
-// readBody buffers r's body in one pass.
-func readBody(r *http.Request) ([]byte, error) {
-	n := 512
-	if cl := r.ContentLength; cl > 0 {
-		n = int(min(cl, maxPresize)) + 1 // +1: room to read EOF without growing
-	}
-	buf := make([]byte, 0, n)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		m, err := r.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+m]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
 // decodeJSON buffers r's body and decodes it into v. json.Unmarshal, unlike
 // json.Decoder.Decode, rejects trailing data after the value, so a body
 // cannot smuggle a second object past the decoder.
 func decodeJSON(r *http.Request, v any) error {
-	buf, err := readBody(r)
+	buf, err := httpapi.ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		return err
 	}
@@ -63,7 +36,7 @@ func decodeJSON(r *http.Request, v any) error {
 
 // decodeInferBody buffers and decodes one POST /v1/infer body.
 func decodeInferBody(r *http.Request) (inferBody, error) {
-	buf, err := readBody(r)
+	buf, err := httpapi.ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		return inferBody{}, err
 	}

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -207,21 +205,4 @@ func FuzzInferBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkDecode(t, b)
 	})
-}
-
-// TestReadBodyPresize pins the buffering contract: Content-Length presizes
-// the buffer only up to maxPresize, and the whole body is read whether the
-// header understates or overstates it.
-func TestReadBodyPresize(t *testing.T) {
-	body := strings.Repeat("x", 3000)
-	for _, cl := range []int64{-1, 0, 10, 3000, 1 << 40} {
-		r := &http.Request{Body: io.NopCloser(strings.NewReader(body)), ContentLength: cl}
-		buf, err := readBody(r)
-		if err != nil || string(buf) != body {
-			t.Fatalf("Content-Length %d: read %d bytes, err %v", cl, len(buf), err)
-		}
-		if cap(buf) > maxPresize+1 {
-			t.Fatalf("Content-Length %d presized the buffer to %d bytes", cl, cap(buf))
-		}
-	}
 }

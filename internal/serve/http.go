@@ -58,6 +58,7 @@ func (b *inferBody) request() scale.InferRequest {
 // validated it.
 func (b *inferBody) carriedGraph() (*graph.Graph, *tensor.Matrix) {
 	gb := graph.NewBuilder(b.NumVertices)
+	gb.Grow(len(b.Edges))
 	for _, e := range b.Edges {
 		gb.AddEdge(e[0], e[1])
 	}

@@ -202,23 +202,28 @@ func PartitionGraph(g *graph.Graph, k int) (*Plan, error) {
 
 	plan.Shards = make([]Subgraph, k)
 	for s := 0; s < k; s++ {
-		plan.Shards[s] = buildSubgraph(g, assign, s)
+		if plan.Shards[s], err = buildSubgraph(g, assign, s); err != nil {
+			return nil, err
+		}
 		plan.HaloVertices += len(plan.Shards[s].Halo)
 	}
 	return plan, nil
 }
 
 // buildSubgraph materializes shard s's local CSR and index maps. Local ids
-// are assigned in ascending global-id order over owned ∪ halo, which keeps
-// every sorted local adjacency in the same relative order as the global one.
-func buildSubgraph(g *graph.Graph, assign []int32, s int) Subgraph {
+// are assigned in ascending global-id order over owned ∪ halo, so renumbering
+// keeps every sorted global adjacency sorted, and the rows are emitted
+// straight into a CSR that graph.FromCSR adopts.
+func buildSubgraph(g *graph.Graph, assign []int32, s int) (Subgraph, error) {
 	n := g.NumVertices()
 	member := make([]bool, n)
+	edges := 0
 	for v := 0; v < n; v++ {
 		if int(assign[v]) != s {
 			continue
 		}
 		member[v] = true
+		edges += g.InDegree(v)
 		for _, u := range g.InNeighbors(v) {
 			member[u] = true
 		}
@@ -234,19 +239,22 @@ func buildSubgraph(g *graph.Graph, assign []int32, s int) Subgraph {
 			sub.Global = append(sub.Global, int32(v))
 		}
 	}
-	b := graph.NewBuilder(len(sub.Global))
+	rowPtr := make([]int32, len(sub.Global)+1)
+	colIdx := make([]int32, 0, edges)
 	sub.Degrees = make([]int32, len(sub.Global))
 	for li, gv := range sub.Global {
 		sub.Degrees[li] = int32(g.InDegree(int(gv)))
 		if int(assign[gv]) == s {
 			sub.Owned = append(sub.Owned, int32(li))
 			for _, u := range g.InNeighbors(int(gv)) {
-				b.AddEdge(int(local[u]), li)
+				colIdx = append(colIdx, local[u])
 			}
 		} else {
 			sub.Halo = append(sub.Halo, int32(li))
 		}
+		rowPtr[li+1] = int32(len(colIdx))
 	}
-	sub.Graph = b.Build(fmt.Sprintf("%s/shard%d", g.Name(), s))
-	return sub
+	var err error
+	sub.Graph, err = graph.FromCSR(fmt.Sprintf("%s/shard%d", g.Name(), s), rowPtr, colIdx)
+	return sub, err
 }

@@ -483,6 +483,7 @@ func (p *Pool) loadShard(ctx context.Context, spec SessionSpec, sr *shardRun, li
 		q.Dims[i] = int32(d)
 	}
 	q.RowPtr = make([]int32, n+1)
+	q.ColIdx = make([]int32, 0, sub.Graph.NumEdges())
 	for v := 0; v < n; v++ {
 		nbrs := sub.Graph.InNeighbors(v)
 		q.RowPtr[v+1] = q.RowPtr[v] + int32(len(nbrs))
@@ -492,15 +493,12 @@ func (p *Pool) loadShard(ctx context.Context, spec SessionSpec, sr *shardRun, li
 	for _, gv := range sub.Global {
 		q.Features = append(q.Features, h.Row(int(gv))...)
 	}
-	var body bytes.Buffer
-	if err := q.Encode(&body); err != nil {
-		return err
-	}
+	body := q.Encode()
 
 	var lastErr error
 	var denied []string
 	attempt := func(addr string) (bool, error) {
-		resp, err := p.postRetry(ctx, addr+"/v1/shard/load", body.Bytes())
+		resp, err := p.postRetry(ctx, addr+"/v1/shard/load", body)
 		if err == nil && resp.code == http.StatusNoContent {
 			p.breakers[addr].Success()
 			sr.addr = addr
@@ -561,10 +559,7 @@ func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, l
 			q.HaloRows = append(q.HaloRows, h.Row(int(sub.Global[lh]))...)
 		}
 	}
-	var body bytes.Buffer
-	if err := q.Encode(&body); err != nil {
-		return nil, err
-	}
+	body := q.Encode()
 	p.metrics.HaloBytesSent.Add(int64(len(q.HaloRows)) * 4)
 
 	attemptedReload := false
@@ -579,15 +574,11 @@ func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, l
 			}
 			p.metrics.Reloads.Add(1)
 			attemptedReload = true
-			empty := &LayerRequest{ReqID: sr.reqID, Layer: int32(li), Cols: int32(h.Cols)}
-			body.Reset()
-			if err := empty.Encode(&body); err != nil {
-				return nil, err
-			}
+			body = (&LayerRequest{ReqID: sr.reqID, Layer: int32(li), Cols: int32(h.Cols)}).Encode()
 		}
-		resp, err := p.postRetry(ctx, sr.addr+"/v1/shard/layer", body.Bytes())
+		resp, err := p.postRetry(ctx, sr.addr+"/v1/shard/layer", body)
 		if err == nil && resp.code == http.StatusOK {
-			lr, derr := DecodeLayerResponse(bytes.NewReader(resp.body))
+			lr, derr := DecodeLayerResponse(resp.body)
 			if derr == nil {
 				if want := len(sub.Owned) * int(lr.Cols); len(lr.Rows) != want {
 					return nil, fmt.Errorf("shard %d: layer %d returned %d values, want %d: %w",
@@ -659,7 +650,7 @@ func (p *Pool) post(ctx context.Context, url string, frame []byte) (*postResult,
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := httpapi.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,8 @@
 package shard
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"scale/internal/fault"
@@ -18,8 +16,11 @@ import (
 const (
 	wireMagic   uint32 = 0x53435348 // "SCSH"
 	wireVersion uint32 = 1
+	// headerBytes is the magic and version every frame starts with.
+	headerBytes = 8
 	// maxWireElems caps any single decoded slice (2^27 ≈ 134M elements,
-	// ≥ 512 MB of float32) so a corrupt length prefix cannot OOM a worker.
+	// 512 MB of float32). The decoder also holds every length prefix to the
+	// bytes actually received, so a corrupt prefix cannot OOM a worker.
 	maxWireElems = 1 << 27
 )
 
@@ -81,211 +82,201 @@ type LayerResponse struct {
 	Rows []float32 // len(Owned) × Cols, row-major
 }
 
-// wireWriter accumulates encode errors so happy-path code stays linear.
-type wireWriter struct {
-	w   *bufio.Writer
+// encoder fills one frame buffer that its caller sized exactly, so a frame
+// is encoded in one pass with one allocation.
+type encoder struct {
+	b   []byte
+	off int
+}
+
+// newEncoder returns an encoder over a size-byte buffer with the frame
+// header already written.
+func newEncoder(size int) *encoder {
+	e := &encoder{b: make([]byte, headerBytes+size)}
+	e.u32(wireMagic)
+	e.u32(wireVersion)
+	return e
+}
+
+func (e *encoder) u32(v uint32) {
+	binary.LittleEndian.PutUint32(e.b[e.off:], v)
+	e.off += 4
+}
+
+func (e *encoder) u64(v uint64) {
+	binary.LittleEndian.PutUint64(e.b[e.off:], v)
+	e.off += 8
+}
+
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	e.off += copy(e.b[e.off:], s)
+}
+
+func (e *encoder) i32s(vs []int32) {
+	e.u32(uint32(len(vs)))
+	dst := e.b[e.off : e.off+4*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+	}
+	e.off += len(dst)
+}
+
+func (e *encoder) f32s(vs []float32) {
+	e.u32(uint32(len(vs)))
+	dst := e.b[e.off : e.off+4*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+	e.off += len(dst)
+}
+
+// strBytes and sliceBytes are the encoded sizes of a string and of an
+// n-element int32 or float32 slice: a 4-byte length prefix and the payload.
+func strBytes(s string) int { return 4 + len(s) }
+func sliceBytes(n int) int  { return 4 + 4*n }
+
+// decoder reads one whole frame. Every length prefix is checked against
+// maxWireElems and against the bytes left in the frame before anything is
+// allocated, so a corrupt or truncated frame costs at most its own size and
+// degrades into a typed ErrBadGraph.
+type decoder struct {
+	b   []byte
 	err error
-	buf [8]byte
 }
 
-func newWireWriter(w io.Writer) *wireWriter { return &wireWriter{w: bufio.NewWriter(w)} }
-
-func (w *wireWriter) u32(v uint32) {
-	if w.err != nil {
-		return
+// newDecoder returns a decoder over frame with its header checked.
+func newDecoder(frame []byte) *decoder {
+	d := &decoder{b: frame}
+	if m := d.u32(); d.err == nil && m != wireMagic {
+		d.fail("bad magic %#x", m)
 	}
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	_, w.err = w.w.Write(w.buf[:4])
-}
-
-func (w *wireWriter) u64(v uint64) {
-	if w.err != nil {
-		return
+	if v := d.u32(); d.err == nil && v != wireVersion {
+		d.fail("unsupported wire version %d", v)
 	}
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	_, w.err = w.w.Write(w.buf[:8])
+	return d
 }
 
-func (w *wireWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.WriteString(s)
-}
-
-func (w *wireWriter) i32s(vs []int32) {
-	w.u32(uint32(len(vs)))
-	for _, v := range vs {
-		w.u32(uint32(v))
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("shard: "+format+": %w", append(args, fault.ErrBadGraph)...)
 	}
 }
 
-func (w *wireWriter) f32s(vs []float32) {
-	w.u32(uint32(len(vs)))
-	if w.err != nil {
-		return
+// take consumes the next n bytes, or fails when fewer are left.
+func (d *decoder) take(n int) []byte {
+	if d.err != nil {
+		return nil
 	}
-	for _, v := range vs {
-		binary.LittleEndian.PutUint32(w.buf[:4], math.Float32bits(v))
-		if _, err := w.w.Write(w.buf[:4]); err != nil {
-			w.err = err
-			return
-		}
+	if n > len(d.b) {
+		d.fail("truncated frame: %d bytes wanted, %d left", n, len(d.b))
+		return nil
 	}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b
 }
 
-func (w *wireWriter) flush() error {
-	if w.err != nil {
-		return w.err
+func (d *decoder) u32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return w.w.Flush()
+	return 0
 }
 
-// wireReader mirrors wireWriter; every length prefix is bounds-checked so a
-// corrupt frame degrades into a typed ErrBadGraph instead of an allocation
-// blowup.
-type wireReader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
+func (d *decoder) u64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
-func newWireReader(r io.Reader) *wireReader { return &wireReader{r: bufio.NewReader(r)} }
-
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("shard: "+format+": %w", append(args, fault.ErrBadGraph)...)
-	}
-}
-
-func (r *wireReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if _, err := io.ReadFull(r.r, r.buf[:4]); err != nil {
-		r.err = fmt.Errorf("shard: truncated frame: %w", fault.ErrBadGraph)
-		return 0
-	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
-}
-
-func (r *wireReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if _, err := io.ReadFull(r.r, r.buf[:8]); err != nil {
-		r.err = fmt.Errorf("shard: truncated frame: %w", fault.ErrBadGraph)
-		return 0
-	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
-}
-
-func (r *wireReader) str() string {
-	n := r.u32()
-	if r.err != nil {
-		return ""
-	}
+func (d *decoder) str() string {
+	n := d.u32()
 	if n > 4096 {
-		r.fail("string length %d exceeds limit", n)
-		return ""
+		d.fail("string length %d exceeds limit", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.fail("truncated string")
-		return ""
-	}
-	return string(b)
+	return string(d.take(int(n)))
 }
 
-func (r *wireReader) count() int {
-	n := r.u32()
-	if r.err != nil {
-		return 0
-	}
+// block reads a slice's length prefix and returns its payload of 4-byte
+// values: empty when the slice is, nil when the frame is bad.
+func (d *decoder) block() []byte {
+	n := d.u32()
 	if n > maxWireElems {
-		r.fail("slice length %d exceeds limit", n)
-		return 0
+		d.fail("slice length %d exceeds limit", n)
 	}
-	return int(n)
+	return d.take(4 * int(n))
 }
 
-func (r *wireReader) i32s() []int32 {
-	n := r.count()
-	if r.err != nil || n == 0 {
+func (d *decoder) i32s() []int32 {
+	src := d.block()
+	if len(src) == 0 {
 		return nil
 	}
-	vs := make([]int32, n)
+	vs := make([]int32, len(src)/4)
 	for i := range vs {
-		vs[i] = int32(r.u32())
-		if r.err != nil {
-			return nil
-		}
+		vs[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 	return vs
 }
 
-func (r *wireReader) f32s() []float32 {
-	n := r.count()
-	if r.err != nil || n == 0 {
+func (d *decoder) f32s() []float32 {
+	src := d.block()
+	if len(src) == 0 {
 		return nil
 	}
-	vs := make([]float32, n)
+	vs := make([]float32, len(src)/4)
 	for i := range vs {
-		if _, err := io.ReadFull(r.r, r.buf[:4]); err != nil {
-			r.fail("truncated float block")
-			return nil
-		}
-		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.buf[:4]))
+		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 	return vs
 }
 
-func (r *wireReader) header() {
-	if m := r.u32(); r.err == nil && m != wireMagic {
-		r.fail("bad magic %#x", m)
+// finish returns the first decode error, or a typed error when bytes follow
+// the frame's last field.
+func (d *decoder) finish() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.fail("%d trailing bytes after the frame", len(d.b))
 	}
-	if v := r.u32(); r.err == nil && v != wireVersion {
-		r.fail("unsupported wire version %d", v)
-	}
+	return d.err
 }
 
-// Encode writes the frame.
-func (q *LoadRequest) Encode(w io.Writer) error {
-	ww := newWireWriter(w)
-	ww.u32(wireMagic)
-	ww.u32(wireVersion)
-	ww.u64(q.ReqID)
-	ww.str(q.Model)
-	ww.str(q.Precision)
-	ww.i32s(q.Dims)
-	ww.u32(uint32(q.Layer))
-	ww.i32s(q.Owned)
-	ww.i32s(q.RowPtr)
-	ww.i32s(q.ColIdx)
-	ww.i32s(q.Degrees)
-	ww.f32s(q.Features)
-	return ww.flush()
+// Encode returns the frame.
+func (q *LoadRequest) Encode() []byte {
+	e := newEncoder(8 + strBytes(q.Model) + strBytes(q.Precision) + sliceBytes(len(q.Dims)) + 4 +
+		sliceBytes(len(q.Owned)) + sliceBytes(len(q.RowPtr)) + sliceBytes(len(q.ColIdx)) +
+		sliceBytes(len(q.Degrees)) + sliceBytes(len(q.Features)))
+	e.u64(q.ReqID)
+	e.str(q.Model)
+	e.str(q.Precision)
+	e.i32s(q.Dims)
+	e.u32(uint32(q.Layer))
+	e.i32s(q.Owned)
+	e.i32s(q.RowPtr)
+	e.i32s(q.ColIdx)
+	e.i32s(q.Degrees)
+	e.f32s(q.Features)
+	return e.b
 }
 
 // DecodeLoad reads one LoadRequest frame, returning typed input errors on
 // corruption.
-func DecodeLoad(rd io.Reader) (*LoadRequest, error) {
-	r := newWireReader(rd)
-	r.header()
+func DecodeLoad(frame []byte) (*LoadRequest, error) {
+	d := newDecoder(frame)
 	q := &LoadRequest{}
-	q.ReqID = r.u64()
-	q.Model = r.str()
-	q.Precision = r.str()
-	q.Dims = r.i32s()
-	q.Layer = int32(r.u32())
-	q.Owned = r.i32s()
-	q.RowPtr = r.i32s()
-	q.ColIdx = r.i32s()
-	q.Degrees = r.i32s()
-	q.Features = r.f32s()
-	if r.err != nil {
-		return nil, r.err
+	q.ReqID = d.u64()
+	q.Model = d.str()
+	q.Precision = d.str()
+	q.Dims = d.i32s()
+	q.Layer = int32(d.u32())
+	q.Owned = d.i32s()
+	q.RowPtr = d.i32s()
+	q.ColIdx = d.i32s()
+	q.Degrees = d.i32s()
+	q.Features = d.f32s()
+	if err := d.finish(); err != nil {
+		return nil, err
 	}
 	if len(q.RowPtr) < 1 {
 		return nil, fmt.Errorf("shard: load frame missing CSR: %w", fault.ErrBadGraph)
@@ -293,31 +284,28 @@ func DecodeLoad(rd io.Reader) (*LoadRequest, error) {
 	return q, nil
 }
 
-// Encode writes the frame.
-func (q *LayerRequest) Encode(w io.Writer) error {
-	ww := newWireWriter(w)
-	ww.u32(wireMagic)
-	ww.u32(wireVersion)
-	ww.u64(q.ReqID)
-	ww.u32(uint32(q.Layer))
-	ww.u32(uint32(q.Cols))
-	ww.i32s(q.HaloIDs)
-	ww.f32s(q.HaloRows)
-	return ww.flush()
+// Encode returns the frame.
+func (q *LayerRequest) Encode() []byte {
+	e := newEncoder(8 + 4 + 4 + sliceBytes(len(q.HaloIDs)) + sliceBytes(len(q.HaloRows)))
+	e.u64(q.ReqID)
+	e.u32(uint32(q.Layer))
+	e.u32(uint32(q.Cols))
+	e.i32s(q.HaloIDs)
+	e.f32s(q.HaloRows)
+	return e.b
 }
 
 // DecodeLayer reads one LayerRequest frame.
-func DecodeLayer(rd io.Reader) (*LayerRequest, error) {
-	r := newWireReader(rd)
-	r.header()
+func DecodeLayer(frame []byte) (*LayerRequest, error) {
+	d := newDecoder(frame)
 	q := &LayerRequest{}
-	q.ReqID = r.u64()
-	q.Layer = int32(r.u32())
-	q.Cols = int32(r.u32())
-	q.HaloIDs = r.i32s()
-	q.HaloRows = r.f32s()
-	if r.err != nil {
-		return nil, r.err
+	q.ReqID = d.u64()
+	q.Layer = int32(d.u32())
+	q.Cols = int32(d.u32())
+	q.HaloIDs = d.i32s()
+	q.HaloRows = d.f32s()
+	if err := d.finish(); err != nil {
+		return nil, err
 	}
 	if len(q.HaloRows) != len(q.HaloIDs)*int(q.Cols) {
 		return nil, fmt.Errorf("shard: layer frame has %d halo values for %d ids × %d cols: %w",
@@ -326,25 +314,22 @@ func DecodeLayer(rd io.Reader) (*LayerRequest, error) {
 	return q, nil
 }
 
-// Encode writes the frame.
-func (q *LayerResponse) Encode(w io.Writer) error {
-	ww := newWireWriter(w)
-	ww.u32(wireMagic)
-	ww.u32(wireVersion)
-	ww.u32(uint32(q.Cols))
-	ww.f32s(q.Rows)
-	return ww.flush()
+// Encode returns the frame.
+func (q *LayerResponse) Encode() []byte {
+	e := newEncoder(4 + sliceBytes(len(q.Rows)))
+	e.u32(uint32(q.Cols))
+	e.f32s(q.Rows)
+	return e.b
 }
 
 // DecodeLayerResponse reads one LayerResponse frame.
-func DecodeLayerResponse(rd io.Reader) (*LayerResponse, error) {
-	r := newWireReader(rd)
-	r.header()
+func DecodeLayerResponse(frame []byte) (*LayerResponse, error) {
+	d := newDecoder(frame)
 	q := &LayerResponse{}
-	q.Cols = int32(r.u32())
-	q.Rows = r.f32s()
-	if r.err != nil {
-		return nil, r.err
+	q.Cols = int32(d.u32())
+	q.Rows = d.f32s()
+	if err := d.finish(); err != nil {
+		return nil, err
 	}
 	if q.Cols > 0 && len(q.Rows)%int(q.Cols) != 0 {
 		return nil, fmt.Errorf("shard: response rows not a multiple of %d cols: %w", q.Cols, fault.ErrBadGraph)

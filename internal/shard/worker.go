@@ -163,16 +163,40 @@ func (w *Worker) expireLocked(now time.Time) {
 	}
 }
 
-// handleLoad serves POST /v1/shard/load: decode the subgraph, build (or hit
-// the cache for) the session, materialize the feature matrix, and register
-// the run at its starting layer.
+// readFrame buffers one data-plane request body, presized from its
+// Content-Length. A body cut short is a truncated frame, as the decoder
+// would call it.
+func readFrame(r *http.Request) ([]byte, error) {
+	frame, err := httpapi.ReadBody(r.Body, r.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("shard: truncated frame: %v: %w", err, fault.ErrBadGraph)
+	}
+	return frame, nil
+}
+
+// handleLoad serves POST /v1/shard/load: decode the frame, adopt its CSR and
+// feature rows as the run's graph and matrix, build (or hit the cache for)
+// the session, and register the run at its starting layer.
 func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
-	q, err := DecodeLoad(r.Body)
+	frame, err := readFrame(r)
+	if err != nil {
+		w.writeError(rw, err)
+		return
+	}
+	q, err := DecodeLoad(frame)
 	if err != nil {
 		w.writeError(rw, err)
 		return
 	}
 	if err := validateLoad(q); err != nil {
+		w.writeError(rw, err)
+		return
+	}
+	// FromCSR checks the CSR itself (row pointers from 0, monotone, ending
+	// at len(ColIdx); columns in range; rows sorted) before any session
+	// exists, and the run adopts the frame's slices without copying them.
+	g, err := graph.FromCSR(fmt.Sprintf("shardrun-%d", q.ReqID), q.RowPtr, q.ColIdx)
+	if err != nil {
 		w.writeError(rw, err)
 		return
 	}
@@ -185,22 +209,12 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 		w.writeError(rw, err)
 		return
 	}
-	n := q.NumVertices()
-	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		for _, u := range q.ColIdx[q.RowPtr[v]:q.RowPtr[v+1]] {
-			b.AddEdge(int(u), v)
-		}
-	}
-	h := tensor.NewMatrix(n, dims[q.Layer])
-	copy(h.Data, q.Features)
-
 	ru := &run{
 		sess:    sess,
-		g:       b.Build(fmt.Sprintf("shardrun-%d", q.ReqID)),
+		g:       g,
 		degrees: q.Degrees,
 		owned:   q.Owned,
-		h:       h,
+		h:       &tensor.Matrix{Rows: g.NumVertices(), Cols: dims[q.Layer], Data: q.Features},
 		next:    q.Layer,
 	}
 	ru.touched.Store(time.Now().UnixNano())
@@ -219,8 +233,9 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 	rw.WriteHeader(http.StatusNoContent)
 }
 
-// validateLoad checks a decoded load frame's internal consistency with typed
-// input errors: the wire layer only guarantees well-formed framing.
+// validateLoad checks a decoded load frame's internal consistency, apart
+// from its CSR, with typed input errors: the wire layer only guarantees
+// well-formed framing.
 func validateLoad(q *LoadRequest) error {
 	n := q.NumVertices()
 	if n <= 0 {
@@ -231,19 +246,6 @@ func validateLoad(q *LoadRequest) error {
 	}
 	if q.Layer < 0 || int(q.Layer) >= len(q.Dims)-1 {
 		return fmt.Errorf("shard: start layer %d outside [0, %d): %w", q.Layer, len(q.Dims)-1, fault.ErrBadConfig)
-	}
-	for v := 0; v < n; v++ {
-		if q.RowPtr[v] > q.RowPtr[v+1] {
-			return fmt.Errorf("shard: row pointer not monotone at %d: %w", v, fault.ErrBadGraph)
-		}
-	}
-	if int(q.RowPtr[n]) != len(q.ColIdx) {
-		return fmt.Errorf("shard: row pointer ends at %d, %d column indices: %w", q.RowPtr[n], len(q.ColIdx), fault.ErrBadGraph)
-	}
-	for i, u := range q.ColIdx {
-		if u < 0 || int(u) >= n {
-			return fmt.Errorf("shard: column index %d = %d outside [0, %d): %w", i, u, n, fault.ErrBadGraph)
-		}
 	}
 	for _, o := range q.Owned {
 		if o < 0 || int(o) >= n {
@@ -267,7 +269,12 @@ func validateLoad(q *LoadRequest) error {
 // handleLayer serves POST /v1/shard/layer: merge halo rows, run exactly one
 // model layer over the local CSR, and return the owned output rows.
 func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
-	q, err := DecodeLayer(r.Body)
+	frame, err := readFrame(r)
+	if err != nil {
+		w.writeError(rw, err)
+		return
+	}
+	q, err := DecodeLayer(frame)
 	if err != nil {
 		w.writeError(rw, err)
 		return
@@ -317,12 +324,12 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 	for _, lid := range ru.owned {
 		resp.Rows = append(resp.Rows, out.Row(int(lid))...)
 	}
+	body := resp.Encode()
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	if err := resp.Encode(rw); err != nil {
-		// Mid-body failure: the status line is gone; the client sees a
-		// truncated frame and fails over. Nothing useful to write here.
-		return
-	}
+	rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	// A failed write means the front is gone or sees a truncated frame and
+	// fails over; the status line is sent, so there is nothing to answer.
+	_, _ = rw.Write(body)
 }
 
 // handleFinish serves POST /v1/shard/finish?req=<id>: drop the run. Finish is

@@ -1,10 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -217,15 +217,13 @@ func TestWorkerContract(t *testing.T) {
 
 	// call sends one request and checks its status, its JSON error kind and
 	// whether it carries Retry-After.
-	call := func(method, path string, frame interface{ Encode(io.Writer) error }, wantCode int, wantKind string, wantRetry bool) {
+	call := func(method, path string, frame wireFrame, wantCode int, wantKind string, wantRetry bool) {
 		t.Helper()
-		var body strings.Builder
+		var body []byte
 		if frame != nil {
-			if err := frame.Encode(&body); err != nil {
-				t.Fatal(err)
-			}
+			body = frame.Encode()
 		}
-		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body.String()))
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,11 +255,7 @@ func TestWorkerContract(t *testing.T) {
 	call(http.MethodGet, "/v1/shard/load", nil, http.StatusMethodNotAllowed, "usage", false)
 
 	// MaxRuns 1: the first load fills the run table, the second is refused.
-	var body strings.Builder
-	if err := load(1).Encode(&body); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/v1/shard/load", "application/octet-stream", strings.NewReader(body.String()))
+	resp, err := http.Post(srv.URL+"/v1/shard/load", "application/octet-stream", bytes.NewReader(load(1).Encode()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +280,10 @@ func TestWorkerContract(t *testing.T) {
 	}
 }
 
-// validateLoad's table, driven through the worker's load endpoint: a
-// malformed frame is a 400 at load, before any session, matrix or layer call
-// exists.
+// The load frame's validation table (validateLoad and graph.FromCSR), driven
+// through the worker's load endpoint: a malformed frame is a 400 at load,
+// before any session, matrix or layer call exists. The valid row runs last,
+// so every 400 row meets a worker that has built no session yet.
 func TestWorkerLoadValidation(t *testing.T) {
 	w := NewWorker(WorkerConfig{Sim: newTestSim(t)})
 	defer w.Close()
@@ -300,12 +295,14 @@ func TestWorkerLoadValidation(t *testing.T) {
 		edit func(q *LoadRequest)
 		want int
 	}{
-		{"valid", func(*LoadRequest) {}, http.StatusNoContent},
 		{"negative halo degree", func(q *LoadRequest) { q.Degrees[2] = -1 }, http.StatusBadRequest},
 		{"dims past the element cap", func(q *LoadRequest) { q.Dims = []int32{2, 1 << 30} }, http.StatusBadRequest},
 		{"short degrees", func(q *LoadRequest) { q.Degrees = q.Degrees[:2] }, http.StatusBadRequest},
 		{"column index out of range", func(q *LoadRequest) { q.ColIdx[0] = 3 }, http.StatusBadRequest},
 		{"start layer past the model", func(q *LoadRequest) { q.Layer = 1 }, http.StatusBadRequest},
+		{"unsorted in-neighbour row", func(q *LoadRequest) { q.RowPtr, q.ColIdx = []int32{0, 0, 0, 2}, []int32{1, 0} }, http.StatusBadRequest},
+		{"row pointer not starting at 0", func(q *LoadRequest) { q.RowPtr = []int32{1, 1, 2, 2} }, http.StatusBadRequest},
+		{"valid", func(*LoadRequest) {}, http.StatusNoContent},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -316,17 +313,17 @@ func TestWorkerLoadValidation(t *testing.T) {
 				Degrees: []int32{0, 1, 1}, Features: []float32{1, 0, 0, 1, 1, 1},
 			}
 			tc.edit(q)
-			var body strings.Builder
-			if err := q.Encode(&body); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(srv.URL+"/v1/shard/load", "application/octet-stream", strings.NewReader(body.String()))
+			created := w.Metrics().SessionsCreated.Load()
+			resp, err := http.Post(srv.URL+"/v1/shard/load", "application/octet-stream", bytes.NewReader(q.Encode()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
 			if resp.StatusCode != tc.want {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.want)
+			}
+			if n := w.Metrics().SessionsCreated.Load(); tc.want == http.StatusBadRequest && n != created {
+				t.Fatalf("a refused load built a session: SessionsCreated %d → %d", created, n)
 			}
 		})
 	}
