@@ -18,7 +18,9 @@ test: build
 # kernels (tensor/gnn/core hot paths) are exempt by design. Intentional
 # panics carry a `lint:allow-panic` marker on the same or preceding line.
 # Every tracked .go file must also be gofmt-clean (.bench_build/ holds
-# generated benchmark checkouts and is skipped).
+# generated benchmark checkouts and is skipped), and no non-test Go may
+# stream a binary format through binary.Read or binary.Write: SCSH, SCD1
+# and SCG1 all encode and decode whole frames through internal/frame.
 lint:
 	$(GO) vet ./...
 	@bad=$$(git ls-files '*.go' ':!.bench_build' | xargs gofmt -l); \
@@ -35,6 +37,11 @@ lint:
 	fi
 	@if grep -rln --include='*.go' 'bench/faultinject' internal/bench/*.go >/dev/null 2>&1; then \
 	    echo "lint: internal/bench must not import its fault-injection harness"; exit 1; \
+	fi
+	@bad=$$(git ls-files '*.go' ':!*_test.go' ':!.bench_build' | xargs grep -n -e 'binary\.Read(' -e 'binary\.Write('); \
+	if [ -n "$$bad" ]; then \
+	    echo "lint: binary.Read/binary.Write in non-test Go (encode and decode whole frames with internal/frame):"; \
+	    echo "$$bad"; exit 1; \
 	fi
 
 # Bounds-check-elimination gate (DESIGN §4j): the float32 and int8 hot-loop

@@ -7,6 +7,9 @@
 //	scale-datasets                   # print the registry
 //	scale-datasets -analyze          # add redundancy analysis (builds graphs)
 //	scale-datasets -export ./graphs  # write built graphs as .scg files
+//
+// An .scg file is one SCG1 frame (internal/graph's Encode): magic, name,
+// |V|, |E|, then the CSR row pointers and columns, little endian.
 package main
 
 import (
@@ -77,15 +80,7 @@ func run(_ context.Context) error {
 		for _, d := range graph.AllDatasets() {
 			g := d.Build()
 			path := filepath.Join(*export, d.Name+".scg")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := graph.Encode(f, g); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := os.WriteFile(path, graph.Encode(g), 0o644); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s (|V|=%d |E|=%d)\n", path, g.NumVertices(), g.NumEdges())

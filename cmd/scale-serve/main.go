@@ -16,9 +16,10 @@
 //
 // Status mapping (internal/httpapi, shared with scale-shard): malformed
 // input and unknown models/datasets are 400 (fault sentinels), a non-POST
-// API call 405, per-request deadlines 408, a /v1/mutate mid-compaction 409,
-// a full admission queue 429, contained panics 500 (the process survives),
-// and a draining server answers 503; 409, 429 and 503 carry Retry-After.
+// API call 405, per-request deadlines 408, a full admission queue 429,
+// contained panics 500 (the process survives), and a draining server
+// answers 503; 429 and 503 carry Retry-After. A /v1/mutate that arrives
+// while the dynamic graph compacts waits for the compaction.
 //
 // Shutdown: the first SIGINT/SIGTERM stops admission and drains in-flight
 // requests (bounded by -drain-timeout); a second signal force-kills.

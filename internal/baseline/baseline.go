@@ -180,7 +180,7 @@ func (b *Baseline) runLayer(li int, layer gnn.Layer, p *graph.Profile, aggBal, u
 	tUpd := int64(float64(updOps) / (updUnits * updBal))
 	var compute int64
 	if b.spec.pipelined {
-		compute = maxI64(tAgg, tUpd)
+		compute = max(tAgg, tUpd)
 	} else {
 		compute = tAgg + tUpd
 	}
@@ -218,7 +218,7 @@ func (b *Baseline) runLayer(li int, layer gnn.Layer, p *graph.Profile, aggBal, u
 	// model applies (symmetric treatment, ~1K-vertex batches).
 	if passes := (w.WeightBytes + b.gb.CapacityBytes - 1) / b.gb.CapacityBytes; passes > 1 && inputFromDRAM {
 		batches := (v + 1023) / 1024
-		dramRead += minI64(inBytes*(passes-1), w.WeightBytes*maxI64(0, batches-1))
+		dramRead += min(inBytes*(passes-1), w.WeightBytes*max(0, batches-1))
 	}
 	if !b.gb.Fits(outBytes) {
 		dramWrite += outBytes
@@ -269,20 +269,6 @@ func (b *Baseline) runLayer(li int, layer gnn.Layer, p *graph.Profile, aggBal, u
 	}
 	lr.Cycles = lr.Breakdown.Total()
 	return lr, traffic
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // WithMemory implements Backend (the §VII-B scalability study provisions

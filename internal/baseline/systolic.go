@@ -133,7 +133,7 @@ func (s *Systolic) runLayer(li int, layer gnn.Layer, p *graph.Profile) (arch.Lay
 	// banked SRAM, reduced on one PE column.
 	aggOps := e * (w.GateOpsPerEdge + w.ReduceOpsPerEdge)
 	gatherBytes := 4 * e * msgDim
-	tAgg := maxI64(s.gb.ReadCycles(gatherBytes), ceilDiv(aggOps, int64(s.cols)))
+	tAgg := max(s.gb.ReadCycles(gatherBytes), ceilDiv(aggOps, int64(s.cols)))
 
 	// Update: dense GEMMs. Per-vertex op counts are folded into GEMM shapes
 	// with M=|V| and the layer's natural reduction dimension as K; N is

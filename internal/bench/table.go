@@ -86,13 +86,6 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }

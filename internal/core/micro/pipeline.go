@@ -165,7 +165,7 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 	// Pipelining: dispatch preloads behind aggregation (double buffers);
 	// the update ring consumes finished aggregations concurrently; the
 	// write-back chains drain behind the update's tail.
-	res.TotalCycles = maxI64(maxI64(res.DispatchCycles, res.AggCycles), res.UpdateCycles) +
+	res.TotalCycles = max(max(res.DispatchCycles, res.AggCycles), res.UpdateCycles) +
 		res.WritebackCycles
 	if aggCapacity > 0 {
 		res.AggUtilization = float64(aggActive) / float64(aggCapacity)
@@ -173,11 +173,4 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 		res.AggUtilization = 1
 	}
 	return res, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -216,7 +216,7 @@ func (s *SCALE) runLayerTraced(li int, w gnn.LayerWork, p *graph.Profile) (arch.
 	// the 16 B/cycle local ports before the update phase can start
 	// (§III-B.2) — the "initial data load time" cost of large rings.
 	ringCapacity := int64(ringSize) * cfg.WeightBufBytes
-	weightChunk := minI64(w.WeightBytes, ringCapacity)
+	weightChunk := min(w.WeightBytes, ringCapacity)
 	perPE := (weightChunk + int64(ringSize) - 1) / int64(ringSize)
 	preload := ceilDiv(perPE, 16) * int64(ringSize)
 	fillTotal += preload
@@ -243,7 +243,7 @@ func (s *SCALE) runLayerTraced(li int, w gnn.LayerWork, p *graph.Profile) (arch.
 		// weights per vertex batch.
 		activationRefetch := inBytes * (passes - 1)
 		weightRefetch := w.WeightBytes * int64(len(stats)-1)
-		dramRead += minI64(activationRefetch, weightRefetch)
+		dramRead += min(activationRefetch, weightRefetch)
 	}
 	if ringCapacity < w.WeightBytes && cfg.RingSize != 0 {
 		// Forced-undersized ring (Fig. 14 left edge): the weights tile in
@@ -364,7 +364,7 @@ func (s *SCALE) batchTiming(groups []groupLoad, w gnn.LayerWork, ringSize int) b
 		if s.cfg.DisableOperatorFusion {
 			// Ablation: each engine only runs its own phase; the ring
 			// finishes when its slower engine does.
-			ringTime = maxI64(ceilDiv(aggOps, S), ceilDiv(updOps, S)) + fill
+			ringTime = max(ceilDiv(aggOps, S), ceilDiv(updOps, S)) + fill
 		} else {
 			ringTime = ceilDiv(aggOps+updOps, 2*S) + fill
 		}
@@ -411,18 +411,4 @@ func ceilDiv(a, b int64) int64 {
 		return a
 	}
 	return (a + b - 1) / b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

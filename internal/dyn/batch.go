@@ -1,13 +1,11 @@
 package dyn
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"scale/internal/fault"
+	"scale/internal/frame"
 )
 
 // OpKind identifies one mutation operation.
@@ -52,127 +50,88 @@ type Batch struct {
 	Ops []Mutation
 }
 
-// Wire-format limits. A decoded header may claim anything; these bounds
-// reject implausible claims before any allocation proportional to them,
-// mirroring the graph binary codec's hardening.
+// Wire-format limits. A decoded header may claim anything; a count is held
+// to these caps and to the bytes left in the frame before anything is
+// allocated for it.
 const (
 	maxBatchOps   = 1 << 22
 	maxFeatureDim = 1 << 20
+	// minOpBytes is the smallest op on the wire: an add_vertex with no
+	// features (kind and dim).
+	minOpBytes = 5
 )
 
-// batchMagic tags the batched-delta binary format (little endian):
+// batchMagic tags the batched-delta binary format (SCD1, little endian):
 // magic, int32 op count, then per op one uint8 kind followed by
 // int32 src + int32 dst (edge ops) or int32 dim + dim float32s (add-vertex).
-var batchMagic = [4]byte{'S', 'C', 'D', '1'}
+const batchMagic uint32 = 0x31444353 // "SCD1"
 
-// EncodeBatch writes b in the batched-delta binary format.
-func EncodeBatch(w io.Writer, b Batch) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(batchMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int32(len(b.Ops))); err != nil {
-		return err
-	}
+// EncodeBatch returns b in the batched-delta binary format, or a typed error
+// for an op of unknown kind.
+func EncodeBatch(b Batch) ([]byte, error) {
+	size := 8
 	for i, op := range b.Ops {
-		if err := bw.WriteByte(byte(op.Op)); err != nil {
-			return err
-		}
 		switch op.Op {
 		case OpAddEdge, OpRemoveEdge:
-			if err := binary.Write(bw, binary.LittleEndian, [2]int32{op.Src, op.Dst}); err != nil {
-				return err
-			}
+			size += 9
 		case OpAddVertex:
-			if err := binary.Write(bw, binary.LittleEndian, int32(len(op.Features))); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, op.Features); err != nil {
-				return err
-			}
+			size += minOpBytes + 4*len(op.Features)
 		default:
-			return fmt.Errorf("dyn: op %d has unknown kind %v: %w", i, op.Op, fault.ErrBadGraph)
+			return nil, fmt.Errorf("dyn: op %d has unknown kind %v: %w", i, op.Op, fault.ErrBadGraph)
 		}
 	}
-	return bw.Flush()
+	e := frame.NewEncoder(size)
+	e.U32(batchMagic)
+	e.U32(uint32(len(b.Ops)))
+	for _, op := range b.Ops {
+		e.U8(uint8(op.Op))
+		if op.Op == OpAddVertex {
+			e.U32(uint32(len(op.Features)))
+			e.Float32s(op.Features)
+		} else {
+			e.U32(uint32(op.Src))
+			e.U32(uint32(op.Dst))
+		}
+	}
+	return e.Bytes(), nil
 }
 
-// DecodeBatch reads a batch previously written by EncodeBatch, validating as
-// it goes. Every failure — bad magic, implausible counts, unknown op kinds,
-// negative vertex ids, non-finite features, truncation mid-op — wraps
-// fault.ErrBadGraph so callers classify it as bad input, and implausible
-// headers fail before any allocation proportional to their claim (the op
-// slice grows in bounded chunks exactly like the graph decoder's readInt32s).
+// DecodeBatch reads one whole frame written by EncodeBatch. Every failure —
+// bad magic, implausible counts, unknown op kinds, negative vertex ids,
+// non-finite features, truncation mid-op, trailing bytes — wraps
+// fault.ErrBadGraph so callers classify it as bad input. The op count and
+// each feature dim are held to their caps and to the bytes left before the
+// op or feature slice exists.
 //
 // Decoding validates shape only; range checks against the live graph (vertex
 // ids inside |V|, removals of existing edges, feature dimension) happen in
 // Graph.Apply, which sees the graph the batch lands on.
-func DecodeBatch(r io.Reader) (Batch, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return Batch{}, fmt.Errorf("dyn: reading magic: %v: %w", err, fault.ErrBadGraph)
-	}
-	if m != batchMagic {
-		return Batch{}, fmt.Errorf("dyn: bad magic %q: %w", m, fault.ErrBadGraph)
-	}
-	var count int32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return Batch{}, fmt.Errorf("dyn: reading op count: %v: %w", err, fault.ErrBadGraph)
-	}
-	if count < 0 || count > maxBatchOps {
-		return Batch{}, fmt.Errorf("dyn: implausible op count %d: %w", count, fault.ErrBadGraph)
-	}
-	// Grow in bounded chunks: a truncated stream claiming 2^22 ops must
-	// fail at EOF after the real data runs out, not commit the allocation
-	// up front.
-	first := int(count)
-	if first > 4096 {
-		first = 4096
-	}
-	ops := make([]Mutation, 0, first)
-	for i := 0; i < int(count); i++ {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return Batch{}, fmt.Errorf("dyn: op %d: reading kind (truncated?): %v: %w", i, err, fault.ErrBadGraph)
-		}
-		op := Mutation{Op: OpKind(kind)}
+func DecodeBatch(b []byte) (Batch, error) {
+	d := frame.NewDecoder("dyn", b)
+	d.Expect("magic", batchMagic)
+	ops := make([]Mutation, d.Count(maxBatchOps, minOpBytes))
+	for i := 0; i < len(ops) && d.Err() == nil; i++ {
+		op := &ops[i]
+		op.Op = OpKind(d.U8())
 		switch op.Op {
 		case OpAddEdge, OpRemoveEdge:
-			var e [2]int32
-			if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
-				return Batch{}, fmt.Errorf("dyn: op %d: reading edge (truncated?): %v: %w", i, err, fault.ErrBadGraph)
+			op.Src, op.Dst = int32(d.U32()), int32(d.U32())
+			if op.Src < 0 || op.Dst < 0 {
+				d.Fail("op %d: negative vertex id (%d,%d)", i, op.Src, op.Dst)
 			}
-			if e[0] < 0 || e[1] < 0 {
-				return Batch{}, fmt.Errorf("dyn: op %d: negative vertex id (%d,%d): %w", i, e[0], e[1], fault.ErrBadGraph)
-			}
-			op.Src, op.Dst = e[0], e[1]
 		case OpAddVertex:
-			var dim int32
-			if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
-				return Batch{}, fmt.Errorf("dyn: op %d: reading feature dim (truncated?): %v: %w", i, err, fault.ErrBadGraph)
-			}
-			if dim < 0 || dim > maxFeatureDim {
-				return Batch{}, fmt.Errorf("dyn: op %d: implausible feature dim %d: %w", i, dim, fault.ErrBadGraph)
-			}
-			feats := make([]float32, dim)
-			if err := binary.Read(br, binary.LittleEndian, feats); err != nil {
-				return Batch{}, fmt.Errorf("dyn: op %d: reading features (truncated?): %v: %w", i, err, fault.ErrBadGraph)
-			}
-			for j, f := range feats {
+			op.Features = d.Float32s(d.Count(maxFeatureDim, 4))
+			for j, f := range op.Features {
 				if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
-					return Batch{}, fmt.Errorf("dyn: op %d: feature %d is not finite: %w", i, j, fault.ErrBadGraph)
+					d.Fail("op %d: feature %d is not finite", i, j)
 				}
 			}
-			op.Features = feats
 		default:
-			return Batch{}, fmt.Errorf("dyn: op %d: unknown kind %d: %w", i, kind, fault.ErrBadGraph)
+			d.Fail("op %d: unknown kind %d", i, op.Op)
 		}
-		ops = append(ops, op)
 	}
-	// Trailing garbage marks a corrupt stream, same as the graph codec.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return Batch{}, fmt.Errorf("dyn: trailing bytes after %d ops: %w", count, fault.ErrBadGraph)
+	if err := d.Finish(); err != nil {
+		return Batch{}, err
 	}
 	return Batch{Ops: ops}, nil
 }

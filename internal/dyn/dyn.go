@@ -8,29 +8,22 @@
 // (both paths emit ascending-sorted CSR rows, so the float operation
 // sequence of a forward pass is identical). When the delta fraction crosses
 // a threshold, a bounded compaction re-freezes the overlay into the base
-// CSR; mutations arriving mid-compaction fail fast with ErrCompacting
-// (surfaced as HTTP 409 by the serving tier).
+// CSR under the write lock, so a mutation arriving mid-compaction waits for
+// it, as a read does.
 //
 // The package keeps no scheduling state. A schedule depends only on the
 // degree profile, and the forward pass schedules each snapshot it runs.
 package dyn
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"scale/internal/fault"
 	"scale/internal/graph"
 	"scale/internal/tensor"
 )
-
-// ErrCompacting reports a mutation rejected because the graph is mid-
-// compaction. It is retryable: the serving tier maps it to HTTP 409 with a
-// Retry-After hint rather than 400, since the batch itself may be valid.
-var ErrCompacting = errors.New("dyn: graph is compacting; retry")
 
 // Config parameterizes a dynamic graph.
 type Config struct {
@@ -84,10 +77,6 @@ type Graph struct {
 	// Cached merged snapshot; nil after any mutation.
 	snap  *graph.Graph
 	snapX *tensor.Matrix
-
-	// compacting lets mutators fail fast (409) instead of queueing
-	// behind a compaction that holds the write lock.
-	compacting atomic.Bool
 
 	snapGen                        int64 // bumped per mutation batch, names snapshots
 	mutations, batches, compactons int64
@@ -161,12 +150,9 @@ type undoRec struct {
 // Apply applies the batch atomically: either every op lands or none does.
 // Malformed ops — out-of-range vertices, removal of a nonexistent edge,
 // wrong feature width — roll the batch back and return an error wrapping
-// fault.ErrBadGraph / fault.ErrBadShape. If the graph is mid-compaction it
-// fails fast with ErrCompacting. On success it drops the cached snapshot.
+// fault.ErrBadGraph / fault.ErrBadShape. On success it drops the cached
+// snapshot.
 func (g *Graph) Apply(b Batch) error {
-	if g.compacting.Load() {
-		return ErrCompacting
-	}
 	if len(b.Ops) == 0 {
 		return fmt.Errorf("dyn: empty mutation batch: %w", fault.ErrBadGraph)
 	}
@@ -415,8 +401,6 @@ func (g *Graph) compactLocked() error {
 	if g.addedCount == 0 && g.removedCount == 0 && len(g.degrees) == g.base.NumVertices() {
 		return nil
 	}
-	g.compacting.Store(true)
-	defer g.compacting.Store(false)
 	merged, err := g.merge(g.base.Name())
 	if err != nil {
 		return err

@@ -2,9 +2,11 @@ package dyn
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"scale/internal/fault"
@@ -249,19 +251,6 @@ func TestApplyRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestApplyFailsFastWhileCompacting(t *testing.T) {
-	d, _ := seedDyn(t, 8, 24, 2, Config{})
-	d.compacting.Store(true)
-	err := d.Apply(Batch{Ops: []Mutation{{Op: OpAddEdge, Src: 0, Dst: 1}}})
-	if !errors.Is(err, ErrCompacting) {
-		t.Fatalf("want ErrCompacting, got %v", err)
-	}
-	d.compacting.Store(false)
-	if err := d.Apply(Batch{Ops: []Mutation{{Op: OpAddEdge, Src: 0, Dst: 1}}}); err != nil {
-		t.Fatalf("after compaction: %v", err)
-	}
-}
-
 func TestVertexAddGrowsGraph(t *testing.T) {
 	d, _ := seedDyn(t, 64, 256, 2, Config{CompactThreshold: math.Inf(1)})
 	if err := d.Apply(Batch{Ops: []Mutation{{Op: OpAddVertex, Features: []float32{1, 2}}}}); err != nil {
@@ -435,11 +424,11 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		{Op: OpAddVertex, Features: []float32{1.5, -2.25, 0}},
 		{Op: OpAddVertex, Features: nil},
 	}}
-	var buf bytes.Buffer
-	if err := EncodeBatch(&buf, b); err != nil {
+	frame, err := EncodeBatch(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBatch(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeBatch(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,16 +452,13 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBatchRejectsMalformed(t *testing.T) {
-	valid := func() []byte {
-		var buf bytes.Buffer
-		if err := EncodeBatch(&buf, Batch{Ops: []Mutation{
-			{Op: OpAddEdge, Src: 1, Dst: 2},
-			{Op: OpAddVertex, Features: []float32{1, 2}},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
+	valid, err := EncodeBatch(Batch{Ops: []Mutation{
+		{Op: OpAddEdge, Src: 1, Dst: 2},
+		{Op: OpAddVertex, Features: []float32{1, 2}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		data []byte
@@ -490,8 +476,56 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 		{"nan feature", []byte("SCD1\x01\x00\x00\x00\x03\x01\x00\x00\x00\x00\x00\xc0\x7f")},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeBatch(bytes.NewReader(tc.data)); !errors.Is(err, fault.ErrBadGraph) {
+		if _, err := DecodeBatch(tc.data); !errors.Is(err, fault.ErrBadGraph) {
 			t.Errorf("%s: got %v, want ErrBadGraph", tc.name, err)
+		}
+	}
+}
+
+// TestBatchGoldenBytes pins SCD1 byte for byte: FuzzMutationDecode's seed
+// batch encodes to the bytes the streaming encoder wrote, and those bytes
+// decode to a batch that encodes back to them.
+func TestBatchGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString("53434431" + "03000000" +
+		"01" + "01000000" + "02000000" +
+		"02" + "03000000" + "04000000" +
+		"03" + "02000000" + "0000003f" + "000080bf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeBatch(seedBatch)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("encoded %x (err %v), want %x", got, err, want)
+	}
+	back, err := DecodeBatch(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := EncodeBatch(back); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("decoded batch re-encodes to %x (err %v)", got, err)
+	}
+	if _, err := EncodeBatch(Batch{Ops: []Mutation{{Op: 99}}}); !errors.Is(err, fault.ErrBadGraph) {
+		t.Fatalf("unknown kind: err = %v, want ErrBadGraph", err)
+	}
+}
+
+// TestDecodeBatchAllocationBound pins that a frame claiming more ops or
+// features than its bytes can hold is refused before the op or feature
+// slice exists.
+func TestDecodeBatchAllocationBound(t *testing.T) {
+	for name, frame := range map[string][]byte{
+		"2^20 features in 13 bytes": []byte("SCD1\x01\x00\x00\x00\x03\x00\x00\x10\x00"),
+		"2^22 ops in 8 bytes":       []byte("SCD1\x00\x00\x40\x00"),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBatch(frame)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, fault.ErrBadGraph) {
+			t.Fatalf("%s: err = %v, want ErrBadGraph", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+			t.Fatalf("%s: allocated %d bytes before failing", name, d)
 		}
 	}
 }

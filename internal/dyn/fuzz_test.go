@@ -8,6 +8,14 @@ import (
 	"scale/internal/fault"
 )
 
+// seedBatch is FuzzMutationDecode's canonical valid batch, one op of each
+// kind; TestBatchGoldenBytes pins its encoding.
+var seedBatch = Batch{Ops: []Mutation{
+	{Op: OpAddEdge, Src: 1, Dst: 2},
+	{Op: OpRemoveEdge, Src: 3, Dst: 4},
+	{Op: OpAddVertex, Features: []float32{0.5, -1}},
+}}
+
 // FuzzMutationDecode drives arbitrary bytes through the batched-delta
 // decoder. The invariants mirror the graph codec hardening (PR 8): the
 // decoder never panics, every rejection is a typed fault.ErrBadGraph, and an
@@ -16,15 +24,11 @@ import (
 func FuzzMutationDecode(f *testing.F) {
 	// Seed with a canonical valid batch plus the malformed shapes the unit
 	// tests pin.
-	var valid bytes.Buffer
-	if err := EncodeBatch(&valid, Batch{Ops: []Mutation{
-		{Op: OpAddEdge, Src: 1, Dst: 2},
-		{Op: OpRemoveEdge, Src: 3, Dst: 4},
-		{Op: OpAddVertex, Features: []float32{0.5, -1}},
-	}}); err != nil {
+	valid, err := EncodeBatch(seedBatch)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
+	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("SCD1"))
 	f.Add([]byte("SCD1\xff\xff\xff\x7f"))                                     // huge count, truncated
@@ -33,7 +37,7 @@ func FuzzMutationDecode(f *testing.F) {
 	f.Add([]byte("SCD1\x01\x00\x00\x00\x03\xff\xff\xff\x01"))                 // huge feature dim
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBatch(bytes.NewReader(data))
+		b, err := DecodeBatch(data)
 		if err != nil {
 			if !errors.Is(err, fault.ErrBadGraph) {
 				t.Fatalf("rejection not typed ErrBadGraph: %v", err)
@@ -42,12 +46,12 @@ func FuzzMutationDecode(f *testing.F) {
 		}
 		// Accepted input must be the canonical encoding of what it decoded
 		// to: re-encoding reproduces the input byte for byte.
-		var re bytes.Buffer
-		if err := EncodeBatch(&re, b); err != nil {
+		re, err := EncodeBatch(b)
+		if err != nil {
 			t.Fatalf("re-encode of accepted batch failed: %v", err)
 		}
-		if !bytes.Equal(re.Bytes(), data) {
-			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, re.Bytes())
+		if !bytes.Equal(re, data) {
+			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, re)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -45,20 +44,17 @@ func FuzzParseEdgeList(f *testing.F) {
 // panicking, and accepted graphs must validate. Truncation seeds cover
 // every prefix-cut class: mid-magic, mid-header, mid-rowPtr, mid-colIdx.
 func FuzzDecode(f *testing.F) {
-	var seed bytes.Buffer
-	if err := Encode(&seed, Path(5)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	seed := Encode(Path(5))
+	f.Add(seed)
 	f.Add([]byte("SCG1garbage"))
 	f.Add([]byte{})
-	for _, cut := range []int{2, 6, 12, seed.Len() / 2, seed.Len() - 3} {
-		if cut > 0 && cut < seed.Len() {
-			f.Add(seed.Bytes()[:cut])
+	for _, cut := range []int{2, 6, 12, len(seed) / 2, len(seed) - 3} {
+		if cut > 0 && cut < len(seed) {
+			f.Add(seed[:cut])
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Decode(bytes.NewReader(data))
+		g, err := Decode(data)
 		if err != nil {
 			if !errors.Is(err, ErrBadGraphSentinel) {
 				t.Fatalf("rejection must wrap fault.ErrBadGraph, got: %v", err)

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -52,16 +54,13 @@ func TestParseEdgeListAcceptsValid(t *testing.T) {
 // byte boundary is rejected as typed bad input, never a panic or a bogus
 // accept.
 func TestDecodeTruncatedStreams(t *testing.T) {
-	var full bytes.Buffer
-	if err := Encode(&full, Path(9)); err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < full.Len(); cut++ {
-		if _, err := Decode(bytes.NewReader(full.Bytes()[:cut])); !errors.Is(err, fault.ErrBadGraph) {
-			t.Fatalf("cut at %d/%d: err = %v, want wrapped fault.ErrBadGraph", cut, full.Len(), err)
+	full := Encode(Path(9))
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := Decode(full[:cut]); !errors.Is(err, fault.ErrBadGraph) {
+			t.Fatalf("cut at %d/%d: err = %v, want wrapped fault.ErrBadGraph", cut, len(full), err)
 		}
 	}
-	if _, err := Decode(bytes.NewReader(full.Bytes())); err != nil {
+	if _, err := Decode(full); err != nil {
 		t.Fatalf("full stream must decode: %v", err)
 	}
 }
@@ -69,18 +68,58 @@ func TestDecodeTruncatedStreams(t *testing.T) {
 // TestDecodeCorruptAdjacency pins that structurally invalid decoded content
 // (an out-of-range neighbor) fails Validate with the typed sentinel.
 func TestDecodeCorruptAdjacency(t *testing.T) {
-	var full bytes.Buffer
-	if err := Encode(&full, Path(4)); err != nil {
-		t.Fatal(err)
-	}
-	data := full.Bytes()
+	data := Encode(Path(4))
 	// The colIdx section is the tail; overwrite its last int32 with 0xFF
 	// bytes to produce a neighbor far outside the vertex range.
 	for i := len(data) - 4; i < len(data); i++ {
 		data[i] = 0xFF
 	}
-	if _, err := Decode(bytes.NewReader(data)); !errors.Is(err, fault.ErrBadGraph) {
+	if _, err := Decode(data); !errors.Is(err, fault.ErrBadGraph) {
 		t.Fatalf("corrupt adjacency: err = %v, want wrapped fault.ErrBadGraph", err)
+	}
+}
+
+// TestCodecGoldenBytes pins SCG1 byte for byte: Path(5) encodes to the
+// bytes the streaming encoder wrote, and those bytes decode to a graph that
+// encodes back to them.
+func TestCodecGoldenBytes(t *testing.T) {
+	want, err := hex.DecodeString("53434731" + "06000000" + "706174682d35" +
+		"0500000000000000" + "0400000000000000" +
+		"00000000" + "00000000" + "01000000" + "02000000" + "03000000" + "04000000" +
+		"00000000" + "01000000" + "02000000" + "03000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Encode(Path(5)); !bytes.Equal(got, want) {
+		t.Fatalf("encoded\n%x\nwant\n%x", got, want)
+	}
+	g, err := Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Encode(g); !bytes.Equal(got, want) {
+		t.Fatalf("decoded graph re-encodes to\n%x", got)
+	}
+}
+
+// TestDecodeRefusesBeforeAllocating pins the allocation bound and the end
+// of a file: a 24-byte header claiming |V| = 2^34 is refused before the row
+// pointers exist, and one byte after a whole file is a bad file.
+func TestDecodeRefusesBeforeAllocating(t *testing.T) {
+	header := []byte("SCG1" + "\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x04\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(header)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, fault.ErrBadGraph) {
+		t.Fatalf("2^34-vertex header: err = %v, want ErrBadGraph", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Fatalf("2^34-vertex header allocated %d bytes before failing", d)
+	}
+	if _, err := Decode(append(Encode(Path(5)), 0)); !errors.Is(err, fault.ErrBadGraph) {
+		t.Fatalf("trailing byte: err = %v, want ErrBadGraph", err)
 	}
 }
 

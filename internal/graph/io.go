@@ -1,115 +1,46 @@
 package graph
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
+import "scale/internal/frame"
 
-	"scale/internal/fault"
+// Binary format (SCG1, little endian): magic, u32 name length, name, u64
+// |V|, u64 |E|, then |V|+1 int32 row pointers and |E| int32 columns. Used by
+// cmd/scale-datasets to export built graphs.
+const (
+	graphMagic  uint32 = 0x31474353 // "SCG1"
+	maxName            = 1 << 20
+	maxVertices        = 1 << 34
+	maxEdges           = 1 << 38
 )
 
-// Binary format: magic, name, |V|, |E|, rowPtr, colIdx — little endian.
-// Used by cmd/scale-datasets to cache generated graphs between runs.
-var magic = [4]byte{'S', 'C', 'G', '1'}
-
-// Encode writes g to w in the package's binary format.
-func Encode(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	name := []byte(g.name)
-	if err := binary.Write(bw, binary.LittleEndian, int32(len(name))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(name); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(g.NumVertices())); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(g.NumEdges())); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.rowPtr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.colIdx); err != nil {
-		return err
-	}
-	return bw.Flush()
+// Encode returns g in the package's binary format.
+func Encode(g *Graph) []byte {
+	e := frame.NewEncoder(4 + frame.StringSize(g.name) + 16 + 4*len(g.rowPtr) + 4*len(g.colIdx))
+	e.U32(graphMagic)
+	e.String(g.name)
+	e.U64(uint64(g.NumVertices()))
+	e.U64(uint64(g.NumEdges()))
+	e.Int32s(g.rowPtr)
+	e.Int32s(g.colIdx)
+	return e.Bytes()
 }
 
-// Decode reads a graph previously written by Encode and validates it. Every
-// failure — bad magic, implausible header, truncation mid-section — wraps
-// fault.ErrBadGraph so callers can classify it as bad input.
-func Decode(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %v: %w", err, fault.ErrBadGraph)
+// Decode reads one whole file written by Encode and validates the graph.
+// Every failure — bad magic, implausible header, truncation, trailing
+// bytes, an invalid CSR — wraps fault.ErrBadGraph so callers can classify it
+// as bad input. |V| and |E| are held to their caps and their arrays to the
+// bytes left before either array exists.
+func Decode(b []byte) (*Graph, error) {
+	d := frame.NewDecoder("graph", b)
+	d.Expect("magic", graphMagic)
+	name := d.String(maxName)
+	v, e := d.U64(), d.U64()
+	if v > maxVertices || e > maxEdges || 4*(v+1)+4*e > uint64(d.Len()) {
+		d.Fail("implausible sizes |V|=%d |E|=%d for %d bytes left", int64(v), int64(e), d.Len())
 	}
-	if m != magic {
-		return nil, fmt.Errorf("graph: bad magic %q: %w", m, fault.ErrBadGraph)
-	}
-	var nameLen int32
-	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-		return nil, fmt.Errorf("graph: reading name length: %v: %w", err, fault.ErrBadGraph)
-	}
-	if nameLen < 0 || nameLen > 1<<20 {
-		return nil, fmt.Errorf("graph: implausible name length %d: %w", nameLen, fault.ErrBadGraph)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("graph: reading name: %v: %w", err, fault.ErrBadGraph)
-	}
-	var v, e int64
-	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-		return nil, fmt.Errorf("graph: reading |V|: %v: %w", err, fault.ErrBadGraph)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &e); err != nil {
-		return nil, fmt.Errorf("graph: reading |E|: %v: %w", err, fault.ErrBadGraph)
-	}
-	if v < 0 || e < 0 || v > 1<<34 || e > 1<<38 {
-		return nil, fmt.Errorf("graph: implausible sizes |V|=%d |E|=%d: %w", v, e, fault.ErrBadGraph)
-	}
-	g := &Graph{name: string(name)}
-	var err error
-	// Chunked reads keep memory proportional to the bytes actually present:
-	// a corrupt header claiming 2^34 vertices must fail at EOF after the
-	// real data runs out, not commit a 64 GB allocation up front.
-	if g.rowPtr, err = readInt32s(br, v+1); err != nil {
-		return nil, fmt.Errorf("graph: reading row pointers (truncated?): %v: %w", err, fault.ErrBadGraph)
-	}
-	if g.colIdx, err = readInt32s(br, e); err != nil {
-		return nil, fmt.Errorf("graph: reading adjacency (truncated?): %v: %w", err, fault.ErrBadGraph)
-	}
-	if err := g.Validate(); err != nil {
+	rowPtr := d.Int32s(int(v) + 1)
+	colIdx := d.Int32s(int(e))
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	return g, nil
-}
-
-// readInt32s reads exactly n little-endian int32s, growing the result in
-// bounded chunks so truncated streams fail before large allocations.
-func readInt32s(r io.Reader, n int64) ([]int32, error) {
-	const chunk = 1 << 20
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	out := make([]int32, 0, first)
-	for int64(len(out)) < n {
-		c := n - int64(len(out))
-		if c > chunk {
-			c = chunk
-		}
-		buf := make([]int32, c)
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, err
-		}
-		out = append(out, buf...)
-	}
-	return out, nil
+	return FromCSR(name, rowPtr, colIdx)
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -73,11 +72,7 @@ func TestNegativeDegreePanics(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	g := ErdosRenyi(64, 256, 3)
-	var buf bytes.Buffer
-	if err := Encode(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
+	got, err := Decode(Encode(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +90,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBadMagic(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("XXXX0000"))); err == nil {
+	if _, err := Decode([]byte("XXXX0000")); err == nil {
 		t.Fatal("expected error for bad magic")
 	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
 	g := Path(10)
-	var buf bytes.Buffer
-	if err := Encode(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := Decode(bytes.NewReader(raw[:len(raw)/2])); err == nil {
+	raw := Encode(g)
+	if _, err := Decode(raw[:len(raw)/2]); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 }

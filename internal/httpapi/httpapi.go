@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scale/internal/dyn"
 	"scale/internal/fault"
 )
 
@@ -40,7 +39,7 @@ var (
 
 // Error is the JSON payload of every non-2xx API answer. Kind is a stable
 // machine-readable classification: usage, bad_input, timeout, draining,
-// over_capacity, compacting, no_run, panic or internal.
+// over_capacity, no_run, panic or internal.
 type Error struct {
 	Error string `json:"error"`
 	Kind  string `json:"kind"`
@@ -49,9 +48,8 @@ type Error struct {
 // Classify maps err to its HTTP status and error kind, in precedence order:
 // a contained panic is 500 even when its value wraps an input sentinel, then
 // a spent deadline or cancel is 408, a drain 503, a full admission bound
-// 429, a mid-compaction dynamic graph 409 (retryable: the batch itself may
-// be fine), a non-POST call 405, an unknown shard run 404, an input
-// sentinel 400, and anything else 500.
+// 429, a non-POST call 405, an unknown shard run 404, an input sentinel 400,
+// and anything else 500.
 func Classify(err error) (int, string) {
 	if err == nil {
 		return http.StatusOK, ""
@@ -66,8 +64,6 @@ func Classify(err error) (int, string) {
 		return http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, ErrOverCapacity):
 		return http.StatusTooManyRequests, "over_capacity"
-	case errors.Is(err, dyn.ErrCompacting):
-		return http.StatusConflict, "compacting"
 	case errors.Is(err, errNotPost):
 		return http.StatusMethodNotAllowed, "usage"
 	case errors.Is(err, ErrNoRun):
@@ -80,12 +76,11 @@ func Classify(err error) (int, string) {
 }
 
 // WriteError answers a non-nil err through Classify. The retryable answers
-// (429, 503 and 409) carry Retry-After: retryAfter in whole seconds, at
-// least 1.
+// (429 and 503) carry Retry-After: retryAfter in whole seconds, at least 1.
 func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	code, kind := Classify(err)
 	switch code {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusConflict:
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", strconv.Itoa(max(int(retryAfter/time.Second), 1)))
 	}
 	WriteJSON(w, code, Error{Error: err.Error(), Kind: kind})

@@ -13,13 +13,12 @@ import (
 	"testing"
 	"time"
 
-	"scale/internal/dyn"
 	"scale/internal/fault"
 )
 
 // TestClassify pins the status contract one row per kind, through both
 // Classify and WriteError: the status, the JSON kind and message, and
-// Retry-After on exactly the retryable answers (409, 429, 503).
+// Retry-After on exactly the retryable answers (429, 503).
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -35,7 +34,6 @@ func TestClassify(t *testing.T) {
 		{"cancel", context.Canceled, 408, "timeout"},
 		{"draining", fmt.Errorf("worker: %w", ErrDraining), 503, "draining"},
 		{"over capacity", fmt.Errorf("queue full: %w", ErrOverCapacity), 429, "over_capacity"},
-		{"compacting", fmt.Errorf("apply: %w", dyn.ErrCompacting), 409, "compacting"},
 		{"no run", fmt.Errorf("run 42: %w", ErrNoRun), 404, "no_run"},
 		{"panic", fault.Recovered("boom"), 500, "panic"},
 		{"panic wrapping an input sentinel", fault.Recovered(fmt.Errorf("bad: %w", fault.ErrBadGraph)), 500, "panic"},
@@ -58,7 +56,7 @@ func TestClassify(t *testing.T) {
 			if e.Kind != tc.wantKind || e.Error != tc.err.Error() {
 				t.Fatalf("payload %+v, want kind %q and message %q", e, tc.wantKind, tc.err.Error())
 			}
-			retryable := tc.wantCode == 409 || tc.wantCode == 429 || tc.wantCode == 503
+			retryable := tc.wantCode == 429 || tc.wantCode == 503
 			if ra := rec.Header().Get("Retry-After"); (ra != "") != retryable || (retryable && ra != "2") {
 				t.Fatalf("Retry-After = %q on a %d", ra, tc.wantCode)
 			}

@@ -51,6 +51,24 @@ type mutateResponse struct {
 	Compactions  int64   `json:"compactions"`
 }
 
+// decodeMutate reads one /v1/mutate body once: an SCD1 frame under
+// Content-Type application/octet-stream, a JSON op list otherwise. A body
+// cut short is a truncated frame, as the decoder would call it.
+func decodeMutate(r *http.Request) (dyn.Batch, error) {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/octet-stream") {
+		frame, err := httpapi.ReadBody(r.Body, r.ContentLength)
+		if err != nil {
+			return dyn.Batch{}, fmt.Errorf("serve: truncated mutation frame: %v: %w", err, fault.ErrBadGraph)
+		}
+		return dyn.DecodeBatch(frame)
+	}
+	var body mutateBody
+	if err := decodeJSON(r, &body); err != nil {
+		return dyn.Batch{}, badBody(err)
+	}
+	return decodeMutateJSON(body)
+}
+
 // decodeMutateJSON maps the JSON op list onto a dyn.Batch, rejecting
 // unknown verbs with the same typed sentinel as the binary decoder.
 func decodeMutateJSON(body mutateBody) (dyn.Batch, error) {
@@ -74,36 +92,18 @@ func decodeMutateJSON(body mutateBody) (dyn.Batch, error) {
 
 // handleMutate serves POST /v1/mutate: one atomic batch of graph deltas
 // against the server's dynamic graph. Malformed batches are typed 400s
-// (fault sentinels, decoded-before-allocated), a mid-compaction graph
-// answers 409 with Retry-After, and a successful batch reports the new
-// graph shape.
+// (fault sentinels, decoded-before-allocated), every refused batch counts
+// in MutationsRejected, and a successful batch reports the new graph shape.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Dynamic == nil {
 		s.writeError(w, errNoDynamic)
 		return
 	}
-
-	var batch dyn.Batch
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/octet-stream") {
-		var err error
-		if batch, err = dyn.DecodeBatch(r.Body); err != nil {
-			s.writeError(w, err)
-			return
-		}
-	} else {
-		var body mutateBody
-		if err := decodeJSON(r, &body); err != nil {
-			s.writeError(w, badBody(err))
-			return
-		}
-		var err error
-		if batch, err = decodeMutateJSON(body); err != nil {
-			s.writeError(w, err)
-			return
-		}
+	batch, err := decodeMutate(r)
+	if err == nil {
+		err = s.cfg.Dynamic.Apply(batch)
 	}
-
-	if err := s.cfg.Dynamic.Apply(batch); err != nil {
+	if err != nil {
 		s.metrics.MutationsRejected.Add(1)
 		s.writeError(w, err)
 		return

@@ -267,10 +267,28 @@ func TestSampledFanoutEqualsFullWhenUncut(t *testing.T) {
 	}
 }
 
-// TestMutateStatusMapping drives the /v1/mutate error surface.
+// TestMutateStatusMapping drives the /v1/mutate error surface. Every
+// refused batch on a dynamic server counts in MutationsRejected.
 func TestMutateStatusMapping(t *testing.T) {
 	d := newDynGraph(t, dyn.Config{CompactThreshold: math.Inf(1)})
 	s := newTestServer(t, Config{Dynamic: d})
+	postFrame := func(frame []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/mutate", bytes.NewReader(frame))
+		req.Header.Set("Content-Type", "application/octet-stream")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	// refused asserts a 400 bad_input that moved MutationsRejected by one.
+	refused := func(t *testing.T, before int64, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		if rec.Code != http.StatusBadRequest || decodeError(t, rec).Kind != "bad_input" {
+			t.Fatalf("%d %s", rec.Code, rec.Body.String())
+		}
+		if got := s.Metrics().MutationsRejected.Load(); got != before+1 {
+			t.Fatalf("MutationsRejected %d, want %d", got, before+1)
+		}
+	}
 
 	t.Run("method", func(t *testing.T) {
 		if rec := do(t, s, http.MethodGet, "/v1/mutate", nil); rec.Code != http.StatusMethodNotAllowed {
@@ -291,48 +309,33 @@ func TestMutateStatusMapping(t *testing.T) {
 		}
 	})
 	t.Run("ok binary", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := dyn.EncodeBatch(&buf, dyn.Batch{Ops: []dyn.Mutation{{Op: dyn.OpRemoveEdge, Src: 1, Dst: 2}}}); err != nil {
+		frame, err := dyn.EncodeBatch(dyn.Batch{Ops: []dyn.Mutation{{Op: dyn.OpRemoveEdge, Src: 1, Dst: 2}}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/mutate", &buf)
-		req.Header.Set("Content-Type", "application/octet-stream")
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
+		if rec := postFrame(frame); rec.Code != http.StatusOK {
 			t.Fatalf("binary: %d %s", rec.Code, rec.Body.String())
 		}
 	})
 	t.Run("truncated binary is 400", func(t *testing.T) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/mutate", bytes.NewReader([]byte("SCD1\x05")))
-		req.Header.Set("Content-Type", "application/octet-stream")
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-		if rec.Code != http.StatusBadRequest || decodeError(t, rec).Kind != "bad_input" {
-			t.Fatalf("%d %s", rec.Code, rec.Body.String())
-		}
+		before := s.Metrics().MutationsRejected.Load()
+		refused(t, before, postFrame([]byte("SCD1\x05")))
+	})
+	t.Run("a 13-byte frame claiming 2^20 features is 400", func(t *testing.T) {
+		before := s.Metrics().MutationsRejected.Load()
+		refused(t, before, postFrame([]byte("SCD1\x01\x00\x00\x00\x03\x00\x00\x10\x00")))
 	})
 	t.Run("unknown op is 400", func(t *testing.T) {
-		rec := do(t, s, http.MethodPost, "/v1/mutate", mutateBody{Ops: []mutateOp{{Op: "upsert_edge"}}})
-		if rec.Code != http.StatusBadRequest || decodeError(t, rec).Kind != "bad_input" {
-			t.Fatalf("%d %s", rec.Code, rec.Body.String())
-		}
+		before := s.Metrics().MutationsRejected.Load()
+		refused(t, before, do(t, s, http.MethodPost, "/v1/mutate", mutateBody{Ops: []mutateOp{{Op: "upsert_edge"}}}))
 	})
 	t.Run("trailing data is 400", func(t *testing.T) {
-		rec := do(t, s, http.MethodPost, "/v1/mutate", `{"ops":[{"op":"add_edge","src":1,"dst":2}]} {"ops":[]}`)
-		if rec.Code != http.StatusBadRequest || decodeError(t, rec).Kind != "bad_input" {
-			t.Fatalf("%d %s", rec.Code, rec.Body.String())
-		}
+		before := s.Metrics().MutationsRejected.Load()
+		refused(t, before, do(t, s, http.MethodPost, "/v1/mutate", `{"ops":[{"op":"add_edge","src":1,"dst":2}]} {"ops":[]}`))
 	})
 	t.Run("out of range is 400 and counted", func(t *testing.T) {
 		before := s.Metrics().MutationsRejected.Load()
-		rec := do(t, s, http.MethodPost, "/v1/mutate", mutateBody{Ops: []mutateOp{{Op: "add_edge", Src: 9999, Dst: 0}}})
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("%d %s", rec.Code, rec.Body.String())
-		}
-		if got := s.Metrics().MutationsRejected.Load(); got != before+1 {
-			t.Fatalf("MutationsRejected %d, want %d", got, before+1)
-		}
+		refused(t, before, do(t, s, http.MethodPost, "/v1/mutate", mutateBody{Ops: []mutateOp{{Op: "add_edge", Src: 9999, Dst: 0}}}))
 	})
 	t.Run("no dynamic graph is 400", func(t *testing.T) {
 		bare := newTestServer(t, Config{})

@@ -63,8 +63,9 @@ type Metrics struct {
 	SessionsCreated atomic.Int64
 	SessionsEvicted atomic.Int64
 	// MutationBatches / MutationOps count accepted /v1/mutate batches and
-	// the individual deltas they carried; MutationsRejected counts batches
-	// refused (malformed input or mid-compaction 409s).
+	// the individual deltas they carried; MutationsRejected counts every
+	// batch refused on a dynamic server: a bad body, an unknown op, or a
+	// batch the graph rejects.
 	MutationBatches   atomic.Int64
 	MutationOps       atomic.Int64
 	MutationsRejected atomic.Int64
@@ -153,7 +154,7 @@ func (m *Metrics) render(w io.Writer, sessions *httpapi.Sessions[*batcher]) {
 	httpapi.Counter(w, "scale_serve_sessions_evicted_total", "Sessions evicted by the cache.", m.SessionsEvicted.Load())
 	httpapi.Counter(w, "scale_serve_mutation_batches_total", "Accepted /v1/mutate batches.", m.MutationBatches.Load())
 	httpapi.Counter(w, "scale_serve_mutation_ops_total", "Individual graph deltas applied via /v1/mutate.", m.MutationOps.Load())
-	httpapi.Counter(w, "scale_serve_mutations_rejected_total", "Mutation batches refused (bad input or mid-compaction).", m.MutationsRejected.Load())
+	httpapi.Counter(w, "scale_serve_mutations_rejected_total", "Mutation batches refused (bad body, unknown op, or rejected by the graph).", m.MutationsRejected.Load())
 	httpapi.Counter(w, "scale_serve_dyn_requests_total", "Infer requests served from the dynamic graph.", m.DynRequests.Load())
 	httpapi.Counter(w, "scale_serve_sampled_requests_total", "Fixed-fanout sampled infer requests.", m.SampledRequests.Load())
 	httpapi.Gauge(w, "scale_serve_sessions_live", "Sessions currently cached.", sessions.Len())

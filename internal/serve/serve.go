@@ -51,8 +51,8 @@ type Config struct {
 	// MaxVertices caps a single infer request's vertex count (default
 	// 1<<20) so one request cannot exhaust server memory.
 	MaxVertices int
-	// RetryAfter is the Retry-After hint on 429, 503 and 409 answers, in
-	// whole seconds (default and minimum 1s).
+	// RetryAfter is the Retry-After hint on 429 and 503 answers, in whole
+	// seconds (default and minimum 1s).
 	RetryAfter time.Duration
 	// DefaultPrecision is the execution precision applied to infer
 	// requests that do not carry a "precision" field: "" or "fp32" (the

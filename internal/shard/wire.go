@@ -1,11 +1,10 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"scale/internal/fault"
+	"scale/internal/frame"
 )
 
 // The shard data plane speaks a small length-prefixed binary framing over
@@ -13,6 +12,9 @@ import (
 // feature matrices dominate the exchanged bytes, raw little-endian float32
 // preserves every bit exactly (no text round-trip), and encoding is a
 // straight memory walk. Control-plane answers (errors, health) stay JSON.
+// The codec is internal/frame; this file holds only the frame types and
+// their field order. Every slice is a u32 length prefix and its 4-byte
+// values, every string a u32 length prefix and its bytes.
 const (
 	wireMagic   uint32 = 0x53435348 // "SCSH"
 	wireVersion uint32 = 1
@@ -22,6 +24,8 @@ const (
 	// 512 MB of float32). The decoder also holds every length prefix to the
 	// bytes actually received, so a corrupt prefix cannot OOM a worker.
 	maxWireElems = 1 << 27
+	// maxWireString caps a decoded model or precision name.
+	maxWireString = 4096
 )
 
 // ValidateDims rejects a dims chain of fewer than two entries, or one under
@@ -82,200 +86,73 @@ type LayerResponse struct {
 	Rows []float32 // len(Owned) × Cols, row-major
 }
 
-// encoder fills one frame buffer that its caller sized exactly, so a frame
-// is encoded in one pass with one allocation.
-type encoder struct {
-	b   []byte
-	off int
-}
-
-// newEncoder returns an encoder over a size-byte buffer with the frame
-// header already written.
-func newEncoder(size int) *encoder {
-	e := &encoder{b: make([]byte, headerBytes+size)}
-	e.u32(wireMagic)
-	e.u32(wireVersion)
+// newEncoder returns an encoder over a frame of size bytes after the
+// header, with the header written.
+func newEncoder(size int) *frame.Encoder {
+	e := frame.NewEncoder(headerBytes + size)
+	e.U32(wireMagic)
+	e.U32(wireVersion)
 	return e
 }
 
-func (e *encoder) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.b[e.off:], v)
-	e.off += 4
-}
-
-func (e *encoder) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.b[e.off:], v)
-	e.off += 8
-}
-
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.off += copy(e.b[e.off:], s)
-}
-
-func (e *encoder) i32s(vs []int32) {
-	e.u32(uint32(len(vs)))
-	dst := e.b[e.off : e.off+4*len(vs)]
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
-	}
-	e.off += len(dst)
-}
-
-func (e *encoder) f32s(vs []float32) {
-	e.u32(uint32(len(vs)))
-	dst := e.b[e.off : e.off+4*len(vs)]
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-	e.off += len(dst)
-}
-
-// strBytes and sliceBytes are the encoded sizes of a string and of an
-// n-element int32 or float32 slice: a 4-byte length prefix and the payload.
-func strBytes(s string) int { return 4 + len(s) }
-func sliceBytes(n int) int  { return 4 + 4*n }
-
-// decoder reads one whole frame. Every length prefix is checked against
-// maxWireElems and against the bytes left in the frame before anything is
-// allocated, so a corrupt or truncated frame costs at most its own size and
-// degrades into a typed ErrBadGraph.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-// newDecoder returns a decoder over frame with its header checked.
-func newDecoder(frame []byte) *decoder {
-	d := &decoder{b: frame}
-	if m := d.u32(); d.err == nil && m != wireMagic {
-		d.fail("bad magic %#x", m)
-	}
-	if v := d.u32(); d.err == nil && v != wireVersion {
-		d.fail("unsupported wire version %d", v)
-	}
+// newDecoder returns a decoder over b with the header checked.
+func newDecoder(b []byte) *frame.Decoder {
+	d := frame.NewDecoder("shard", b)
+	d.Expect("magic", wireMagic)
+	d.Expect("wire version", wireVersion)
 	return d
 }
 
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("shard: "+format+": %w", append(args, fault.ErrBadGraph)...)
-	}
+// sliceBytes is the encoded size of an n-element slice.
+func sliceBytes(n int) int { return 4 + 4*n }
+
+func putI32s(e *frame.Encoder, vs []int32) {
+	e.U32(uint32(len(vs)))
+	e.Int32s(vs)
 }
 
-// take consumes the next n bytes, or fails when fewer are left.
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > len(d.b) {
-		d.fail("truncated frame: %d bytes wanted, %d left", n, len(d.b))
-		return nil
-	}
-	b := d.b[:n]
-	d.b = d.b[n:]
-	return b
+func putF32s(e *frame.Encoder, vs []float32) {
+	e.U32(uint32(len(vs)))
+	e.Float32s(vs)
 }
 
-func (d *decoder) u32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (d *decoder) u64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (d *decoder) str() string {
-	n := d.u32()
-	if n > 4096 {
-		d.fail("string length %d exceeds limit", n)
-	}
-	return string(d.take(int(n)))
-}
-
-// block reads a slice's length prefix and returns its payload of 4-byte
-// values: empty when the slice is, nil when the frame is bad.
-func (d *decoder) block() []byte {
-	n := d.u32()
-	if n > maxWireElems {
-		d.fail("slice length %d exceeds limit", n)
-	}
-	return d.take(4 * int(n))
-}
-
-func (d *decoder) i32s() []int32 {
-	src := d.block()
-	if len(src) == 0 {
-		return nil
-	}
-	vs := make([]int32, len(src)/4)
-	for i := range vs {
-		vs[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return vs
-}
-
-func (d *decoder) f32s() []float32 {
-	src := d.block()
-	if len(src) == 0 {
-		return nil
-	}
-	vs := make([]float32, len(src)/4)
-	for i := range vs {
-		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-	return vs
-}
-
-// finish returns the first decode error, or a typed error when bytes follow
-// the frame's last field.
-func (d *decoder) finish() error {
-	if d.err == nil && len(d.b) > 0 {
-		d.fail("%d trailing bytes after the frame", len(d.b))
-	}
-	return d.err
-}
+func i32s(d *frame.Decoder) []int32   { return d.Int32s(d.Count(maxWireElems, 4)) }
+func f32s(d *frame.Decoder) []float32 { return d.Float32s(d.Count(maxWireElems, 4)) }
 
 // Encode returns the frame.
 func (q *LoadRequest) Encode() []byte {
-	e := newEncoder(8 + strBytes(q.Model) + strBytes(q.Precision) + sliceBytes(len(q.Dims)) + 4 +
+	e := newEncoder(8 + frame.StringSize(q.Model) + frame.StringSize(q.Precision) + sliceBytes(len(q.Dims)) + 4 +
 		sliceBytes(len(q.Owned)) + sliceBytes(len(q.RowPtr)) + sliceBytes(len(q.ColIdx)) +
 		sliceBytes(len(q.Degrees)) + sliceBytes(len(q.Features)))
-	e.u64(q.ReqID)
-	e.str(q.Model)
-	e.str(q.Precision)
-	e.i32s(q.Dims)
-	e.u32(uint32(q.Layer))
-	e.i32s(q.Owned)
-	e.i32s(q.RowPtr)
-	e.i32s(q.ColIdx)
-	e.i32s(q.Degrees)
-	e.f32s(q.Features)
-	return e.b
+	e.U64(q.ReqID)
+	e.String(q.Model)
+	e.String(q.Precision)
+	putI32s(e, q.Dims)
+	e.U32(uint32(q.Layer))
+	putI32s(e, q.Owned)
+	putI32s(e, q.RowPtr)
+	putI32s(e, q.ColIdx)
+	putI32s(e, q.Degrees)
+	putF32s(e, q.Features)
+	return e.Bytes()
 }
 
 // DecodeLoad reads one LoadRequest frame, returning typed input errors on
 // corruption.
-func DecodeLoad(frame []byte) (*LoadRequest, error) {
-	d := newDecoder(frame)
+func DecodeLoad(b []byte) (*LoadRequest, error) {
+	d := newDecoder(b)
 	q := &LoadRequest{}
-	q.ReqID = d.u64()
-	q.Model = d.str()
-	q.Precision = d.str()
-	q.Dims = d.i32s()
-	q.Layer = int32(d.u32())
-	q.Owned = d.i32s()
-	q.RowPtr = d.i32s()
-	q.ColIdx = d.i32s()
-	q.Degrees = d.i32s()
-	q.Features = d.f32s()
-	if err := d.finish(); err != nil {
+	q.ReqID = d.U64()
+	q.Model = d.String(maxWireString)
+	q.Precision = d.String(maxWireString)
+	q.Dims = i32s(d)
+	q.Layer = int32(d.U32())
+	q.Owned = i32s(d)
+	q.RowPtr = i32s(d)
+	q.ColIdx = i32s(d)
+	q.Degrees = i32s(d)
+	q.Features = f32s(d)
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	if len(q.RowPtr) < 1 {
@@ -287,24 +164,24 @@ func DecodeLoad(frame []byte) (*LoadRequest, error) {
 // Encode returns the frame.
 func (q *LayerRequest) Encode() []byte {
 	e := newEncoder(8 + 4 + 4 + sliceBytes(len(q.HaloIDs)) + sliceBytes(len(q.HaloRows)))
-	e.u64(q.ReqID)
-	e.u32(uint32(q.Layer))
-	e.u32(uint32(q.Cols))
-	e.i32s(q.HaloIDs)
-	e.f32s(q.HaloRows)
-	return e.b
+	e.U64(q.ReqID)
+	e.U32(uint32(q.Layer))
+	e.U32(uint32(q.Cols))
+	putI32s(e, q.HaloIDs)
+	putF32s(e, q.HaloRows)
+	return e.Bytes()
 }
 
 // DecodeLayer reads one LayerRequest frame.
-func DecodeLayer(frame []byte) (*LayerRequest, error) {
-	d := newDecoder(frame)
+func DecodeLayer(b []byte) (*LayerRequest, error) {
+	d := newDecoder(b)
 	q := &LayerRequest{}
-	q.ReqID = d.u64()
-	q.Layer = int32(d.u32())
-	q.Cols = int32(d.u32())
-	q.HaloIDs = d.i32s()
-	q.HaloRows = d.f32s()
-	if err := d.finish(); err != nil {
+	q.ReqID = d.U64()
+	q.Layer = int32(d.U32())
+	q.Cols = int32(d.U32())
+	q.HaloIDs = i32s(d)
+	q.HaloRows = f32s(d)
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	if len(q.HaloRows) != len(q.HaloIDs)*int(q.Cols) {
@@ -317,18 +194,18 @@ func DecodeLayer(frame []byte) (*LayerRequest, error) {
 // Encode returns the frame.
 func (q *LayerResponse) Encode() []byte {
 	e := newEncoder(4 + sliceBytes(len(q.Rows)))
-	e.u32(uint32(q.Cols))
-	e.f32s(q.Rows)
-	return e.b
+	e.U32(uint32(q.Cols))
+	putF32s(e, q.Rows)
+	return e.Bytes()
 }
 
 // DecodeLayerResponse reads one LayerResponse frame.
-func DecodeLayerResponse(frame []byte) (*LayerResponse, error) {
-	d := newDecoder(frame)
+func DecodeLayerResponse(b []byte) (*LayerResponse, error) {
+	d := newDecoder(b)
 	q := &LayerResponse{}
-	q.Cols = int32(d.u32())
-	q.Rows = d.f32s()
-	if err := d.finish(); err != nil {
+	q.Cols = int32(d.U32())
+	q.Rows = f32s(d)
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	if q.Cols > 0 && len(q.Rows)%int(q.Cols) != 0 {
