@@ -9,13 +9,11 @@
 //	scale-bench -macs 2048      # override the MAC budget
 //	scale-bench -parallel 8     # worker budget for the sweep engine
 //	scale-bench -speedup        # measure serial vs parallel wall clock
-//	scale-bench -checkpoint sweep.ckpt   # resumable sweep (Ctrl-C safe)
 //	scale-bench -keep-going     # report per-experiment failures, keep sweeping
 //
 // Exit codes: 0 success, 1 usage, 2 bad input, 3 runtime failure (see
 // internal/cli). SIGINT/SIGTERM cancel the sweep at experiment/cell
-// boundaries; with -checkpoint, completed experiments are flushed so a
-// rerun resumes instead of recomputing.
+// boundaries.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"time"
 
@@ -45,7 +42,6 @@ func newFlagSet() *flag.FlagSet {
 	fs.StringVar(&flags.format, "format", "text", "output format: text, csv, json")
 	fs.IntVar(&flags.parallel, "parallel", runtime.GOMAXPROCS(0), "worker goroutines for the sweep engine (1 = serial)")
 	fs.BoolVar(&flags.speedup, "speedup", false, "run the full suite serially, then at -parallel, and report the wall-clock speedup")
-	fs.StringVar(&flags.checkpoint, "checkpoint", "", "JSONL checkpoint `file`; completed experiments are recorded and resumed on rerun")
 	fs.BoolVar(&flags.keepGoing, "keep-going", false, "report failed experiments on stderr and keep sweeping instead of stopping at the first failure")
 	fs.StringVar(&flags.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to `file` (go tool pprof)")
 	fs.StringVar(&flags.memprofile, "memprofile", "", "write a heap profile taken after the run to `file`")
@@ -61,7 +57,6 @@ var flags struct {
 	format     string
 	parallel   int
 	speedup    bool
-	checkpoint string
 	keepGoing  bool
 	cpuprofile string
 	memprofile string
@@ -77,6 +72,9 @@ func run(ctx context.Context) error {
 	}
 	if fs.NArg() > 0 {
 		return cli.Usagef("unexpected arguments %v", fs.Args())
+	}
+	if _, err := (&bench.Table{}).Format(flags.format); err != nil {
+		return &cli.UsageError{Err: err}
 	}
 
 	if flags.cpuprofile != "" {
@@ -158,24 +156,6 @@ func run(ctx context.Context) error {
 		return err
 	}
 	r := bench.NewRunner(s, flags.parallel)
-	if flags.checkpoint != "" {
-		cp, err := bench.LoadCheckpoint(flags.checkpoint, checkpointMeta(s))
-		if err != nil {
-			return err
-		}
-		if cp.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "scale-bench: resuming from %s (%d recorded)\n", cp.Path(), cp.Len())
-		}
-		r.Checkpoint = cp
-		// A final flush guarantees the file exists even when the sweep is
-		// cancelled before any experiment completes; per-experiment records
-		// are flushed as they land.
-		defer func() {
-			if err := cp.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "scale-bench: checkpoint flush:", err)
-			}
-		}()
-	}
 	start := time.Now()
 	if flags.exp == "" {
 		// Full runs touch every cell; warm the cache across the pool first.
@@ -186,11 +166,7 @@ func run(ctx context.Context) error {
 		}
 	}
 	var firstErr error
-	resumed := 0
 	for _, res := range r.RunContext(ctx, experiments) {
-		if res.Resumed {
-			resumed++
-		}
 		if res.Err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", res.Experiment.ID, res.Err)
@@ -203,26 +179,13 @@ func run(ctx context.Context) error {
 		}
 		out, err := res.Table.Format(flags.format)
 		if err != nil {
-			return &cli.UsageError{Err: err}
+			return err
 		}
 		fmt.Println(out)
 	}
-	note := ""
-	if resumed > 0 {
-		note = fmt.Sprintf(", %d resumed from checkpoint", resumed)
-	}
-	fmt.Fprintf(os.Stderr, "scale-bench: %d experiment(s) in %s (%d workers%s)\n",
-		len(experiments), time.Since(start).Round(time.Millisecond), r.Workers, note)
+	fmt.Fprintf(os.Stderr, "scale-bench: %d experiment(s) in %s (%d workers)\n",
+		len(experiments), time.Since(start).Round(time.Millisecond), r.Workers)
 	return firstErr
-}
-
-// checkpointMeta fingerprints the configuration a checkpoint is valid for:
-// resuming under a different MAC budget or dataset subset must be rejected,
-// not silently merged.
-func checkpointMeta(s *bench.Suite) string {
-	ds := append([]string(nil), s.Datasets...)
-	sort.Strings(ds)
-	return fmt.Sprintf("macs=%d datasets=%s", s.MACs, strings.Join(ds, ","))
 }
 
 // timeRun executes the experiments on a fresh suite with the given worker

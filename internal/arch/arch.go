@@ -96,11 +96,6 @@ func (r *Result) Finalize() {
 	}
 }
 
-// Seconds converts cycles to wall time at the given clock (GHz).
-func (r *Result) Seconds(freqGHz float64) float64 {
-	return float64(r.Cycles) / (freqGHz * 1e9)
-}
-
 // String summarizes the result.
 func (r *Result) String() string {
 	return fmt.Sprintf("Result(%s %s/%s: %d cycles, util agg=%.1f%% upd=%.1f%%)",

@@ -66,12 +66,6 @@ func (s *Systolic) Name() string { return "Systolic" }
 // MACs implements arch.Accelerator.
 func (s *Systolic) MACs() int { return s.rows * s.cols }
 
-// Rows returns the PE-array row count.
-func (s *Systolic) Rows() int { return s.rows }
-
-// Cols returns the PE-array column count.
-func (s *Systolic) Cols() int { return s.cols }
-
 // Supports implements arch.Accelerator. The array executes every model:
 // message passing degrades to the gather-bound aggregation path rather
 // than being unsupported (GEMM-lowerable or not, the reduction is the

@@ -90,3 +90,9 @@ func TestSystolicDenseBias(t *testing.T) {
 	t.Logf("gs-pl/cora: systolic %d cycles (util %.2f/%.2f), FlowGNN %d cycles (util %.2f/%.2f)",
 		sys.Cycles, sys.AggUtil, sys.UpdateUtil, flow.Cycles, flow.AggUtil, flow.UpdateUtil)
 }
+
+// Rows returns the PE-array row count.
+func (s *Systolic) Rows() int { return s.rows }
+
+// Cols returns the PE-array column count.
+func (s *Systolic) Cols() int { return s.cols }

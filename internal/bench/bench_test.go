@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"scale/internal/arch"
+	"scale/internal/gnn"
+	"scale/internal/graph"
 )
 
 func sscan(s string, v *float64) (int, error) { return fmt.Sscan(s, v) }
@@ -19,7 +24,7 @@ var (
 func suite() *Suite {
 	suiteOnce.Do(func() {
 		sharedSuite = NewSuite()
-		if err := sharedSuite.Warm(8); err != nil {
+		if err := NewRunner(sharedSuite, 8).WarmContext(context.Background()); err != nil {
 			panic(err)
 		}
 	})
@@ -260,4 +265,86 @@ func TestExtensionAnchors(t *testing.T) {
 			t.Errorf("%s: SCALE should beat FlowGNN on GAT, got %.2f", row[0], scale)
 		}
 	}
+}
+
+// Fig12Summary returns the mean 4K-MAC speedups for tests.
+func (s *Suite) Fig12Summary() (map[string]float64, error) {
+	type point struct {
+		base *arch.Result
+		vals map[string]*arch.Result
+	}
+	points := make([]point, len(s.Datasets))
+	err := s.each(len(points), func(i int) error {
+		ds := s.Datasets[i]
+		m := s.Model("gcn", ds)
+		p := s.Profile(ds)
+		base, err := s.scaledBase(m, p, ds)
+		if err != nil {
+			return err
+		}
+		accels, err := s.scaledAccelerators(4096, ds)
+		if err != nil {
+			return err
+		}
+		vals := make(map[string]*arch.Result, len(accels))
+		for _, a := range accels {
+			r, err := a.Run(m, p)
+			if err != nil {
+				return err
+			}
+			vals[a.Name()] = r
+		}
+		points[i] = point{base, vals}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]float64{}
+	for _, pt := range points {
+		for _, name := range accelOrder {
+			out[name] += arch.Speedup(pt.base, pt.vals[name])
+		}
+	}
+	for _, name := range accelOrder {
+		out[name] /= float64(len(points))
+	}
+	return out, nil
+}
+
+// Fig14Best returns, per dataset, the ring size with the lowest layer-1
+// cycles across the sweep (test hook for the Eq. 3 anchor).
+func (s *Suite) Fig14Best(dataset string) (int, error) {
+	l1s := make([]int64, len(fig14Rings))
+	err := s.each(len(fig14Rings), func(i int) error {
+		l1, _, _, err := s.fig14Run(dataset, fig14Rings[i])
+		l1s[i] = l1
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	bestRing, bestCycles := 0, int64(1)<<62
+	for i, ring := range fig14Rings {
+		if l1s[i] < bestCycles {
+			bestCycles = l1s[i]
+			bestRing = ring
+		}
+	}
+	return bestRing, nil
+}
+
+// scaledBase runs the normalization reference: AWB-GCN at 512 MACs with
+// proportionally provisioned bandwidth.
+func (s *Suite) scaledBase(m *gnn.Model, p *graph.Profile, dataset string) (*arch.Result, error) {
+	accels, err := s.scaledAccelerators(512, dataset)
+	if err != nil {
+		return nil, err
+	}
+	for _, a := range accels {
+		if a.Name() == "AWB-GCN" {
+			return a.Run(m, p)
+		}
+	}
+	return nil, fmt.Errorf("bench: AWB-GCN missing from scaled accelerators")
 }

@@ -1,9 +1,8 @@
 // Package faultinject deterministically injects faults — errors, panics,
 // and slow cells — into sweep workloads, so the test suite can prove the
 // engine's robustness claims instead of asserting them: a poisoned cell is
-// isolated to its own result, cancellation cuts a sweep at the promised
-// boundary, and a killed-then-resumed sweep reproduces the uninterrupted
-// output byte for byte.
+// isolated to its own result, and cancellation cuts a sweep at the promised
+// boundary.
 //
 // The package is production-free scaffolding: internal/bench must never
 // import it (the lint target's dependency check pins this); only tests do.
@@ -82,7 +81,7 @@ func (p Plan) Wrap(fn func(int) error) func(int) error {
 // Accelerator wraps an arch.Accelerator, injecting faults into Run calls by
 // (model, dataset) cell. It lets tests poison exactly one cell of a sweep
 // and observe the blast radius. Calls counts Run invocations (including
-// faulted ones), so tests can also assert what a resumed sweep re-executed.
+// faulted ones), so tests can also assert what a sweep re-executed.
 type Accelerator struct {
 	Inner arch.Accelerator
 	// Cells maps "model|dataset" (see CellKey) to the fault injected when

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,153 +156,6 @@ func TestCancellationCutsDelayedSweepShort(t *testing.T) {
 	}
 	if unstarted == 0 {
 		t.Fatal("no experiment was cut short by cancellation")
-	}
-}
-
-// TestCheckpointResumeByteIdentical proves the resume contract: a sweep
-// interrupted mid-run and then resumed produces exports byte-identical to an
-// uninterrupted sweep, and the resumed run recomputes nothing it already has.
-func TestCheckpointResumeByteIdentical(t *testing.T) {
-	render := func(out []bench.ExperimentResult) []string {
-		var texts []string
-		for _, res := range out {
-			if res.Err != nil {
-				t.Fatalf("%s: %v", res.Experiment.ID, res.Err)
-			}
-			j, err := res.Table.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			texts = append(texts, j)
-		}
-		return texts
-	}
-
-	// Reference: uninterrupted sweep, no checkpoint.
-	want := render(bench.NewRunner(bench.NewSuite(), 2).Run(synthExperiments(6, nil)))
-
-	// Interrupted sweep: serial runner, experiment 2 cancels from inside,
-	// so the checkpoint records experiments 0..2 and the rest never run.
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	cp, err := bench.LoadCheckpoint(path, "synth-meta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	exps := synthExperiments(6, nil)
-	for i := range exps {
-		i, inner := i, exps[i].Run
-		exps[i].Run = func(s *bench.Suite) (*bench.Table, error) {
-			if i == 2 {
-				cancel()
-			}
-			return inner(s)
-		}
-	}
-	r1 := bench.NewRunner(bench.NewSuite(), 1)
-	r1.Checkpoint = cp
-	out1 := r1.RunContext(ctx, exps)
-	completed := 0
-	for _, res := range out1 {
-		if res.Err == nil && res.Table != nil {
-			completed++
-		}
-	}
-	if completed == 0 || completed == len(exps) {
-		t.Fatalf("interrupted run completed %d/%d experiments; test needs a partial sweep", completed, len(exps))
-	}
-
-	// Resume: fresh checkpoint handle on the same file (as a new process
-	// would), fresh context. Completed experiments replay from the file.
-	cp2, err := bench.LoadCheckpoint(path, "synth-meta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Len() != completed {
-		t.Fatalf("checkpoint has %d records, want %d", cp2.Len(), completed)
-	}
-	var recomputed atomic.Int64
-	exps2 := synthExperiments(6, nil)
-	for i := range exps2 {
-		inner := exps2[i].Run
-		exps2[i].Run = func(s *bench.Suite) (*bench.Table, error) {
-			recomputed.Add(1)
-			return inner(s)
-		}
-	}
-	r2 := bench.NewRunner(bench.NewSuite(), 2)
-	r2.Checkpoint = cp2
-	out2 := r2.Run(exps2)
-	got := render(out2)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("experiment %d: resumed export differs from uninterrupted run:\ngot  %s\nwant %s", i, got[i], want[i])
-		}
-	}
-	if int(recomputed.Load()) != len(exps2)-completed {
-		t.Errorf("resume recomputed %d experiments, want %d", recomputed.Load(), len(exps2)-completed)
-	}
-	resumed := 0
-	for _, res := range out2 {
-		if res.Resumed {
-			resumed++
-		}
-	}
-	if resumed != completed {
-		t.Errorf("resume restored %d results, want %d", resumed, completed)
-	}
-}
-
-// TestCheckpointRerunsRecordedFailures proves failures checkpoint for
-// reporting but never resume: after the fault clears, the failed experiment
-// recomputes and succeeds while its healthy neighbours replay.
-func TestCheckpointRerunsRecordedFailures(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	cp, err := bench.LoadCheckpoint(path, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := faultinject.Plan{1: {Kind: faultinject.Error, Err: errors.New("transient")}}
-	r1 := bench.NewRunner(bench.NewSuite(), 2)
-	r1.Checkpoint = cp
-	out1 := r1.Run(synthExperiments(3, plan))
-	if out1[1].Err == nil {
-		t.Fatal("faulted experiment should have failed")
-	}
-
-	cp2, err := bench.LoadCheckpoint(path, "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := bench.NewRunner(bench.NewSuite(), 2)
-	r2.Checkpoint = cp2
-	out2 := r2.Run(synthExperiments(3, nil)) // fault cleared
-	if out2[1].Err != nil || out2[1].Table == nil {
-		t.Fatalf("cleared experiment should rerun and succeed: %+v", out2[1])
-	}
-	if out2[1].Resumed {
-		t.Error("failed record must not be marked resumed")
-	}
-	if !out2[0].Resumed || !out2[2].Resumed {
-		t.Error("healthy records should resume from the checkpoint")
-	}
-}
-
-// TestCheckpointRejectsForeignMeta proves resuming under a different
-// configuration is a typed configuration error, not a silently wrong merge.
-func TestCheckpointRejectsForeignMeta(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	cp, err := bench.LoadCheckpoint(path, "macs=1024")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bench.NewRunner(bench.NewSuite(), 1)
-	r.Checkpoint = cp
-	r.Run(synthExperiments(2, nil))
-
-	if _, err := bench.LoadCheckpoint(path, "macs=4096"); !errors.Is(err, fault.ErrBadConfig) {
-		t.Fatalf("foreign-meta load: err = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"fmt"
-
 	"scale/internal/arch"
 	"scale/internal/baseline"
 	"scale/internal/core"
-	"scale/internal/gnn"
-	"scale/internal/graph"
 	"scale/internal/mem"
 )
 
@@ -76,51 +72,6 @@ func (s *Suite) Fig12() (*Table, error) {
 	return t, nil
 }
 
-// Fig12Summary returns the mean 4K-MAC speedups for tests.
-func (s *Suite) Fig12Summary() (map[string]float64, error) {
-	type point struct {
-		base *arch.Result
-		vals map[string]*arch.Result
-	}
-	points := make([]point, len(s.Datasets))
-	err := s.each(len(points), func(i int) error {
-		ds := s.Datasets[i]
-		m := s.Model("gcn", ds)
-		p := s.Profile(ds)
-		base, err := s.scaledBase(m, p, ds)
-		if err != nil {
-			return err
-		}
-		accels, err := s.scaledAccelerators(4096, ds)
-		if err != nil {
-			return err
-		}
-		vals := make(map[string]*arch.Result, len(accels))
-		for _, a := range accels {
-			r, err := a.Run(m, p)
-			if err != nil {
-				return err
-			}
-			vals[a.Name()] = r
-		}
-		points[i] = point{base, vals}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for _, pt := range points {
-		for _, name := range accelOrder {
-			out[name] += arch.Speedup(pt.base, pt.vals[name])
-		}
-	}
-	for _, name := range accelOrder {
-		out[name] /= float64(len(points))
-	}
-	return out, nil
-}
-
 // scaledAccelerators returns all five accelerators at a MAC budget with
 // memory bandwidth provisioned proportionally to compute (the scalability
 // study's system-scaling assumption; on-chip capacity is likewise matched,
@@ -143,19 +94,4 @@ func (s *Suite) scaledAccelerators(macs int, dataset string) ([]arch.Accelerator
 	cfg.HBM = hbm
 	accels = append(accels, core.MustNew(cfg))
 	return accels, nil
-}
-
-// scaledBase runs the normalization reference: AWB-GCN at 512 MACs with
-// proportionally provisioned bandwidth.
-func (s *Suite) scaledBase(m *gnn.Model, p *graph.Profile, dataset string) (*arch.Result, error) {
-	accels, err := s.scaledAccelerators(512, dataset)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range accels {
-		if a.Name() == "AWB-GCN" {
-			return a.Run(m, p)
-		}
-	}
-	return nil, fmt.Errorf("bench: AWB-GCN missing from scaled accelerators")
 }

@@ -72,25 +72,3 @@ func (s *Suite) Fig14() (*Table, error) {
 	t.AddNote("paper: Cora layer 1 prefers ring 64; undersized rings pay off-chip weight refetch")
 	return t, nil
 }
-
-// Fig14Best returns, per dataset, the ring size with the lowest layer-1
-// cycles across the sweep (test hook for the Eq. 3 anchor).
-func (s *Suite) Fig14Best(dataset string) (int, error) {
-	l1s := make([]int64, len(fig14Rings))
-	err := s.each(len(fig14Rings), func(i int) error {
-		l1, _, _, err := s.fig14Run(dataset, fig14Rings[i])
-		l1s[i] = l1
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	bestRing, bestCycles := 0, int64(1)<<62
-	for i, ring := range fig14Rings {
-		if l1s[i] < bestCycles {
-			bestCycles = l1s[i]
-			bestRing = ring
-		}
-	}
-	return bestRing, nil
-}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"scale/internal/fault"
 )
@@ -93,13 +92,6 @@ type ExperimentResult struct {
 	Experiment Experiment
 	Table      *Table
 	Err        error
-	// Elapsed is the experiment's own wall clock. It is reporting-only:
-	// tables and errors are deterministic, timings are not. Results
-	// restored from a checkpoint report zero.
-	Elapsed time.Duration
-	// Resumed marks a result restored from the Runner's checkpoint rather
-	// than recomputed this run.
-	Resumed bool
 }
 
 // Runner executes the evaluation suite on a bounded worker pool. It fans
@@ -115,13 +107,7 @@ type ExperimentResult struct {
 type Runner struct {
 	Suite   *Suite
 	Workers int
-	// Checkpoint, when set, makes sweeps resumable: every successfully
-	// completed experiment is recorded (atomic rename per record), and a
-	// later RunContext over the same experiment list restores recorded
-	// results instead of recomputing them. Failed and cancelled
-	// experiments are recorded for reporting but always rerun on resume.
-	Checkpoint *Checkpoint
-	pool       *pool
+	pool    *pool
 }
 
 // NewRunner returns a Runner with the given worker budget. workers < 1
@@ -135,9 +121,6 @@ func NewRunner(s *Suite, workers int) *Runner {
 	s.setPool(p)
 	return &Runner{Suite: s, Workers: workers, pool: p}
 }
-
-// Warm fills the suite's result cache for the whole evaluation matrix.
-func (r *Runner) Warm() error { return r.WarmContext(context.Background()) }
 
 // WarmContext fills the suite's result cache for the whole evaluation
 // matrix: every (accelerator, model, dataset) cell, fanned across the pool.
@@ -180,29 +163,10 @@ func (r *Runner) RunContext(ctx context.Context, exps []Experiment) []Experiment
 	defer restore()
 	out := make([]ExperimentResult, len(exps))
 	ran := make([]bool, len(exps))
-	for i, e := range exps {
-		if r.Checkpoint != nil {
-			if res, ok := r.Checkpoint.Lookup(e); ok {
-				out[i] = res
-				ran[i] = true
-			}
-		}
-	}
 	_ = r.pool.forEach(ctx, len(exps), func(i int) error {
-		if ran[i] {
-			return nil
-		}
 		ran[i] = true
-		start := time.Now()
 		t, err := runExperiment(exps[i], r.Suite)
-		out[i] = ExperimentResult{Experiment: exps[i], Table: t, Err: err, Elapsed: time.Since(start)}
-		if r.Checkpoint != nil {
-			if cerr := r.Checkpoint.Add(out[i]); cerr != nil && err == nil {
-				// A result we cannot record is still a result; surface the
-				// checkpoint failure on the cell rather than losing either.
-				out[i].Err = cerr
-			}
-		}
+		out[i] = ExperimentResult{Experiment: exps[i], Table: t, Err: err}
 		return nil // per-experiment errors are carried in the result
 	})
 	for i := range out {
@@ -226,14 +190,4 @@ func runExperiment(e Experiment, s *Suite) (t *Table, err error) {
 		t = nil
 	}
 	return t, err
-}
-
-// RunAll executes every registered experiment in presentation order.
-func (r *Runner) RunAll() []ExperimentResult {
-	return r.Run(Experiments())
-}
-
-// RunAllContext is RunAll under a context.
-func (r *Runner) RunAllContext(ctx context.Context) []ExperimentResult {
-	return r.RunContext(ctx, Experiments())
 }

@@ -180,26 +180,3 @@ func TestCacheKeyCarriesSuiteBudget(t *testing.T) {
 		t.Fatalf("cache miss on identical key: %d entries", got)
 	}
 }
-
-// SetParallel installs a wider pool for the suite's internal fan-outs and
-// back to serial; both must produce working sweeps.
-func TestSetParallel(t *testing.T) {
-	s := NewSuite()
-	s.Datasets = []string{"cora"}
-	s.SetParallel(4)
-	tb, err := s.Fig1a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3 policies", len(tb.Rows))
-	}
-	s.SetParallel(1)
-	tb2, err := s.Fig1a()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb2.Rows) != 3 {
-		t.Fatalf("serial rerun got %d rows", len(tb2.Rows))
-	}
-}

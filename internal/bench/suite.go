@@ -32,10 +32,10 @@ type Suite struct {
 	Models   []string
 	Datasets []string
 
-	// pool bounds the suite's fan-outs (each); serial until a Runner or
-	// SetParallel installs a wider budget. ctx is the active sweep's
-	// context (Background when none): generators honour it at cell
-	// boundaries without threading a parameter through every signature.
+	// pool bounds the suite's fan-outs (each); serial until a Runner
+	// installs a wider budget. ctx is the active sweep's context
+	// (Background when none): generators honour it at cell boundaries
+	// without threading a parameter through every signature.
 	poolMu sync.Mutex
 	pool   *pool
 	ctx    context.Context
@@ -48,7 +48,7 @@ type Suite struct {
 
 // NewSuite returns the §VII-A evaluation suite: 1024 MACs, the four
 // evaluated models, the five Table II datasets. The suite runs serially
-// until a Runner (or SetParallel) installs a worker budget.
+// until a Runner installs a worker budget.
 func NewSuite() *Suite {
 	return &Suite{
 		MACs:       1024,
@@ -61,11 +61,6 @@ func NewSuite() *Suite {
 		reduced:    newSFCache[*graph.Profile](),
 	}
 }
-
-// SetParallel sets the worker budget for the suite's internal fan-outs
-// (the sweeps inside figure and table generators). workers < 1 selects
-// runtime.GOMAXPROCS(0); 1 restores serial execution.
-func (s *Suite) SetParallel(workers int) { s.setPool(newPool(workers)) }
 
 func (s *Suite) setPool(p *pool) {
 	s.poolMu.Lock()
@@ -211,7 +206,7 @@ func (s *Suite) cellKey(a arch.Accelerator, model, dataset string) string {
 // into a *fault.PanicError, and every failure is wrapped in a
 // *fault.CellError naming the failing cell. Deterministic failures (panics
 // included) are cached like values; cancellation of the active sweep
-// context is checked before starting and is never cached, so a resumed
+// context is checked before starting and is never cached, so a later
 // sweep recomputes cells that were cut short.
 func (s *Suite) Run(a arch.Accelerator, model, dataset string) (*arch.Result, error) {
 	if err := s.Context().Err(); err != nil {
@@ -259,13 +254,6 @@ func (s *Suite) RunCell(model, dataset string) (map[string]*arch.Result, error) 
 		out[a.Name()] = r
 	}
 	return out, nil
-}
-
-// Warm fills the result cache for the whole evaluation matrix using up to
-// `workers` goroutines. Kept as a convenience wrapper around Runner.Warm;
-// it installs the worker budget on the suite as NewRunner does.
-func (s *Suite) Warm(workers int) error {
-	return NewRunner(s, workers).Warm()
 }
 
 // BaselineFor returns the reference accelerator Fig. 10 normalizes against

@@ -87,6 +87,5 @@ func (t *Table) Render() string {
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }

@@ -11,8 +11,8 @@
 //	3  runtime failure (simulation errors, contained panics, cancellation)
 //
 // Replacing log.Fatal/panic exits with returned errors is what makes the
-// tools cancellable: a deferred checkpoint flush or profile write actually
-// runs on the way out, where os.Exit would have skipped it.
+// tools cancellable: a deferred profile write actually runs on the way out,
+// where os.Exit would have skipped it.
 package cli
 
 import (
@@ -65,13 +65,13 @@ func Code(err error) int {
 
 // Main drives a tool: it runs `run` under a context cancelled by SIGINT or
 // SIGTERM (so a Ctrl-C'd sweep stops at the engine's cell boundaries, a
-// serve drain finishes its in-flight requests, and deferred cleanup —
-// checkpoint flushes, profile writes — still executes), prints any error
-// prefixed with the tool name, and exits with Code(err).
+// serve drain finishes its in-flight requests, and deferred cleanup such
+// as profile writes still executes), prints any error prefixed with the
+// tool name, and exits with Code(err).
 //
 // The first signal requests a graceful stop; once it lands, Main restores
 // the default signal disposition, so a second SIGINT/SIGTERM force-kills a
-// drain or checkpoint flush that is taking too long.
+// drain that is taking too long.
 func Main(name string, run func(ctx context.Context) error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	go func() {

@@ -81,36 +81,3 @@ func ConfigFromJSON(r io.Reader) (Config, error) {
 	}
 	return cfg, nil
 }
-
-// ConfigToJSON encodes a configuration in the wire form ConfigFromJSON
-// reads, with every field explicit, so the output is self-contained and the
-// round trip ConfigFromJSON(ConfigToJSON(cfg)) reproduces cfg exactly for
-// any valid configuration. Fields the wire form does not carry (scheduling
-// policy, GB bank geometry, HBM burst parameters) stay at their defaults on
-// re-read, matching what ConfigFromJSON can express.
-func ConfigToJSON(w io.Writer, cfg Config) error {
-	j := configJSON{
-		Rows:                   &cfg.Rows,
-		Cols:                   &cfg.Cols,
-		MACsPerPE:              &cfg.MACsPerPE,
-		RegArrayDepth:          &cfg.RegArrayDepth,
-		UpdateBufBytes:         &cfg.UpdateBufBytes,
-		WeightBufBytes:         &cfg.WeightBufBytes,
-		AggBufBytes:            &cfg.AggBufBytes,
-		GBBytes:                &cfg.GB.CapacityBytes,
-		HBMBytesPerCycle:       &cfg.HBM.BytesPerCycle,
-		RingSize:               &cfg.RingSize,
-		BatchSize:              &cfg.BatchSize,
-		FreqGHz:                &cfg.FreqGHz,
-		DisableOperatorFusion:  &cfg.DisableOperatorFusion,
-		DisableDoubleBuffering: &cfg.DisableDoubleBuffering,
-		FeatureParallel:        &cfg.FeatureParallel,
-		FeatureBytes:           &cfg.FeatureBytes,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(j); err != nil {
-		return fmt.Errorf("core: encoding config: %w", err)
-	}
-	return nil
-}

@@ -54,9 +54,6 @@ func (s *SCALE) Name() string { return "SCALE" }
 // MACs implements arch.Accelerator.
 func (s *SCALE) MACs() int { return s.cfg.TotalMACs() }
 
-// Config returns the hardware configuration.
-func (s *SCALE) Config() Config { return s.cfg }
-
 // Supports implements arch.Accelerator: SCALE executes any message passing
 // model whose aggregation is a commutative-associative reduction.
 func (s *SCALE) Supports(m *gnn.Model) bool { return true }

@@ -184,3 +184,6 @@ func TestReconfigurationNegligible(t *testing.T) {
 		t.Fatalf("reconfiguration share %.4f not negligible", share)
 	}
 }
+
+// Config returns the hardware configuration.
+func (s *SCALE) Config() Config { return s.cfg }

@@ -41,7 +41,7 @@ func TestExploreContextCancelled(t *testing.T) {
 func TestExploreContextMatchesExplore(t *testing.T) {
 	m, p := exploreWorkload(t)
 	space := Space{Geometries: [][2]int{{16, 16}, {32, 16}}, GBBytes: []int64{4 << 20}, UpdateBufBytes: []int64{4 << 10}}
-	want, err := Explore(space, m, p)
+	want, err := ExploreContext(context.Background(), space, m, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,6 @@ type Point struct {
 	EnergyPJ float64
 }
 
-// MACs returns the point's MAC count.
-func (p Point) MACs() int { return p.Rows * p.Cols * 2 }
-
 // EDP returns the energy-delay product (pJ·cycles), the standard scalar for
 // ranking design points.
 func (p Point) EDP() float64 { return p.EnergyPJ * float64(p.Cycles) }
@@ -85,29 +82,20 @@ func (s Space) candidates() []Point {
 	return cands
 }
 
-// Explore evaluates every point of the space on the workload, serially.
-// Points whose configuration fails validation are skipped.
-func Explore(space Space, m *gnn.Model, p *graph.Profile) ([]Point, error) {
-	return ExploreParallel(space, m, p, 1)
-}
-
-// ExploreParallel evaluates the space with up to `workers` goroutines
+// ExploreContext evaluates the space with up to `workers` goroutines
 // (workers < 2 runs serially). Each design point is an independent
 // simulation, so evaluations fan out freely; results come back in the
 // space's canonical enumeration order regardless of completion order, and
 // the reported error (if any) is the first in that order. The output is
-// byte-for-byte identical to Explore's.
-func ExploreParallel(space Space, m *gnn.Model, p *graph.Profile, workers int) ([]Point, error) {
-	return ExploreContext(context.Background(), space, m, p, workers)
-}
-
-// ExploreContext is ExploreParallel under a context: an exploration that
-// would run for hours over a large space can be cancelled or time-bounded,
-// stopping at a design-point boundary (no new points start; points in
-// flight finish). Point evaluations are panic-contained: a panicking
-// simulation surfaces as a typed *fault.PanicError instead of killing the
-// campaign, and — like any point error — stops new points from launching.
-// The deterministic first-error-in-canonical-order guarantee is preserved.
+// byte-for-byte identical to a serial run's.
+//
+// An exploration that would run for hours over a large space can be
+// cancelled or time-bounded through ctx, stopping at a design-point
+// boundary (no new points start; points in flight finish). Point
+// evaluations are panic-contained: a panicking simulation surfaces as a
+// typed *fault.PanicError instead of killing the campaign, and — like any
+// point error — stops new points from launching. The deterministic
+// first-error-in-canonical-order guarantee is preserved.
 func ExploreContext(ctx context.Context, space Space, m *gnn.Model, p *graph.Profile, workers int) ([]Point, error) {
 	if space.Size() == 0 {
 		return nil, fmt.Errorf("dse: empty space: %w", fault.ErrBadConfig)

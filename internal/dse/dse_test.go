@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,7 @@ func TestExploreCoversSpace(t *testing.T) {
 		UpdateBufBytes: []int64{4 << 10},
 	}
 	m, p := workload()
-	points, err := Explore(space, m, p)
+	points, err := ExploreContext(context.Background(), space, m, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +51,14 @@ func TestExploreCoversSpace(t *testing.T) {
 
 func TestExploreEmptySpace(t *testing.T) {
 	m, p := workload()
-	if _, err := Explore(Space{}, m, p); err == nil {
+	if _, err := ExploreContext(context.Background(), Space{}, m, p, 1); err == nil {
 		t.Fatal("empty space must error")
 	}
 }
 
 func TestDefaultSpaceExplores(t *testing.T) {
 	m, p := workload()
-	points, err := Explore(DefaultSpace(), m, p)
+	points, err := ExploreContext(context.Background(), DefaultSpace(), m, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,3 +172,6 @@ func TestBestEDP(t *testing.T) {
 		t.Fatal("empty points must error")
 	}
 }
+
+// MACs returns the point's MAC count.
+func (p Point) MACs() int { return p.Rows * p.Cols * 2 }

@@ -67,7 +67,7 @@ func benchInfer(b *testing.B, fanout int) {
 		}
 		h := x
 		for li, l := range model.Layers {
-			h, err = gnn.ForwardLayer(l, gs[li], h)
+			h, err = gnn.ForwardLayerParallel(l, gs[li], h, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -386,16 +386,6 @@ func (g *Graph) merge(name string) (*graph.Graph, error) {
 	return graph.FromCSR(name, rowPtr, colIdx)
 }
 
-// Compact re-freezes the overlay into the base CSR. It is also triggered
-// automatically when the delta fraction crosses the configured threshold.
-// Compaction is structure-neutral: the live edge multiset, and so every
-// degree, is unchanged.
-func (g *Graph) Compact() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.compactLocked()
-}
-
 // compactLocked does the work of Compact. Callers hold mu.
 func (g *Graph) compactLocked() error {
 	if g.addedCount == 0 && g.removedCount == 0 && len(g.degrees) == g.base.NumVertices() {

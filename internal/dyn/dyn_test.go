@@ -529,3 +529,13 @@ func TestDecodeBatchAllocationBound(t *testing.T) {
 		}
 	}
 }
+
+// Compact re-freezes the overlay into the base CSR. It is also triggered
+// automatically when the delta fraction crosses the configured threshold.
+// Compaction is structure-neutral: the live edge multiset, and so every
+// degree, is unchanged.
+func (g *Graph) Compact() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.compactLocked()
+}

@@ -6,7 +6,6 @@ import (
 
 	"scale/internal/fault"
 	"scale/internal/graph"
-	"scale/internal/tensor"
 )
 
 // Sampler draws GraphSAGE-style fixed-fanout neighborhoods: each vertex
@@ -154,18 +153,4 @@ func floydSample(dst []int, rng *smix, d, k int) []int {
 	}
 	sort.Ints(dst)
 	return dst
-}
-
-// SampleView snapshots the dynamic graph and draws per-layer fanout-capped
-// subgraphs plus the matching feature copy in one call.
-func (g *Graph) SampleView(s Sampler, layers int) ([]*graph.Graph, *graph.Graph, *tensor.Matrix, error) {
-	full, x, err := g.View()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sampled, err := s.Sample(full, layers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return sampled, full, x, nil
 }

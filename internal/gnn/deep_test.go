@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"scale/internal/graph"
@@ -46,7 +47,7 @@ func TestSAGEMeanHandComputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.ensure()
-	want := tensor.VecMat(tensor.Concat([]float32{3, 4}, []float32{1, 2}), l.w)
+	want := tensor.VecMat(slices.Concat([]float32{3, 4}, []float32{1, 2}), l.w)
 	got := outs[0].Row(1)
 	for i := range want {
 		if math.Abs(float64(want[i]-got[i])) > 1e-5 {

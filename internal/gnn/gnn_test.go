@@ -271,7 +271,7 @@ func TestVolumeIntermediateShare(t *testing.T) {
 	for _, name := range []string{"gcn", "gin"} {
 		m := MustModel(name, d.FeatureDims, 1)
 		vol := VolumeOf(m, p)
-		share := vol.IntermediateShare()
+		share := float64(vol.IntermediateBytes) / float64(vol.Total())
 		if share < 0.25 || share > 0.75 {
 			t.Fatalf("%s intermediate share %.2f outside plausible band", name, share)
 		}

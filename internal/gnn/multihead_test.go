@@ -63,11 +63,11 @@ func TestSingleHeadDegeneratesToGAT(t *testing.T) {
 	x := RandomFeatures(g, 8, 7)
 	mh := newMultiHeadGATLayer(9, 8, 6, 1, false) // head seed = 9*31
 	plain := newGATLayer(9*31, 8, 6, false)
-	a, err := ForwardLayer(mh, g, x)
+	a, err := ForwardLayerParallel(mh, g, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ForwardLayer(plain, g, x)
+	b, err := ForwardLayerParallel(plain, g, x, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

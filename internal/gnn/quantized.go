@@ -21,8 +21,8 @@ import (
 //     linear-sum layers, gcn, gin and gs-mean, whose edge coefficient
 //     separates as QSrcCoef(deg u)·QDstCoef(deg v): the executor folds each
 //     row's source factor into a shared-scale biased-byte quantization of
-//     the prepared source matrix (tensor.QuantizeScaledInto), reduce chains
-//     sum raw byte rows in exact packed integer arithmetic
+//     the prepared source matrix (tensor.ParallelQuantizeScaledInto),
+//     reduce chains sum raw byte rows in exact packed integer arithmetic
 //     (tensor.AccRowChain — no multiply, no convert, eight columns per
 //     64-bit add), and each vertex dequantizes its chain once with
 //     Scale·QDstCoef. The other layers keep float32 edge math and run only

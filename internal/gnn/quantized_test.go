@@ -142,7 +142,7 @@ func TestSharedScaleChainMatchesFloat(t *testing.T) {
 		coefs[i] = 0.1 + rng.Float32()
 	}
 	q := tensor.NewQSumMatrix(m.Rows, m.Cols)
-	if err := tensor.QuantizeScaledInto(q, m, coefs); err != nil {
+	if err := tensor.ParallelQuantizeScaledInto(q, m, coefs, 1); err != nil {
 		t.Fatal(err)
 	}
 	acc32 := make([]int32, q.Stride)

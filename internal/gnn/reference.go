@@ -50,11 +50,6 @@ func ForwardParallel(m *Model, g *graph.Graph, x *tensor.Matrix, workers int) ([
 	return outs, nil
 }
 
-// ForwardLayer runs one layer of the golden reference serially.
-func ForwardLayer(l Layer, g *graph.Graph, h *tensor.Matrix) (*tensor.Matrix, error) {
-	return ForwardLayerParallel(l, g, h, 1)
-}
-
 // ForwardLayerParallel runs one layer with destination vertices fanned across
 // up to `workers` goroutines, each owning its msg/acc/update scratch. The
 // hot loop drives the layer's fused AccumulateEdge and in-place UpdateInto

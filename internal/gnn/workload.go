@@ -65,16 +65,6 @@ func (d DataVolume) Total() int64 {
 	return d.GraphBytes + d.InputBytes + d.WeightBytes + d.IntermediateBytes + d.OutputBytes
 }
 
-// IntermediateShare returns the intermediate fraction of the total, the
-// quantity Fig. 1(c) reports as ≈50 % for GCN/GIN.
-func (d DataVolume) IntermediateShare() float64 {
-	t := d.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(d.IntermediateBytes) / float64(t)
-}
-
 // VolumeOf computes the data volume of running model m over profile p.
 // Intermediate data covers per-layer aggregation results plus inter-layer
 // activations — everything produced and consumed on-chip between operators.

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"scale/internal/fault"
 )
@@ -28,9 +27,6 @@ type Dataset struct {
 	builder     func(vertices int, edges int, seed int64) *Graph
 }
 
-// Layers returns the number of GNN layers (len(FeatureDims) − 1).
-func (d Dataset) Layers() int { return len(d.FeatureDims) - 1 }
-
 // Profile returns the full-size degree profile, deterministically seeded.
 func (d Dataset) Profile() *Profile {
 	return SyntheticProfile(d.Name, d.Vertices, d.Edges, d.Skew, d.seed)
@@ -53,19 +49,6 @@ func (d Dataset) BuildAt(f float64) *Graph {
 	g := d.builder(v, e, d.seed)
 	g.name = d.Name
 	return g
-}
-
-// ScaledDims returns feature dimensions scaled by f with a floor of 2; used
-// when functional runs need proportionally smaller tensors.
-func (d Dataset) ScaledDims(f float64) []int {
-	dims := make([]int, len(d.FeatureDims))
-	for i, x := range d.FeatureDims {
-		dims[i] = int(float64(x) * f)
-		if dims[i] < 2 {
-			dims[i] = 2
-		}
-	}
-	return dims
 }
 
 // String summarizes the dataset.
@@ -149,14 +132,4 @@ func AllDatasets() []Dataset {
 		out = append(out, registry[n])
 	}
 	return out
-}
-
-// sortedRegistryNames exists for deterministic error messages and tests.
-func sortedRegistryNames() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -72,17 +72,3 @@ func ParseEdgeList(r io.Reader, name string, undirected bool) (*Graph, error) {
 	}
 	return b.Build(name), nil
 }
-
-// WriteEdgeList writes g as a directed edge list, the inverse of
-// ParseEdgeList(..., false). Edges are emitted destination-major in
-// adjacency order, preceded by a comment header.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s: %d vertices, %d directed edges\n", g.Name(), g.NumVertices(), g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.InNeighbors(v) {
-			fmt.Fprintf(bw, "%d %d\n", u, v)
-		}
-	}
-	return bw.Flush()
-}

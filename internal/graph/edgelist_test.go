@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -85,4 +88,18 @@ func TestParseEmptyEdgeList(t *testing.T) {
 	if g.NumVertices() != 0 {
 		t.Fatalf("|V| = %d", g.NumVertices())
 	}
+}
+
+// WriteEdgeList writes g as a directed edge list, the inverse of
+// ParseEdgeList(..., false). Edges are emitted destination-major in
+// adjacency order, preceded by a comment header.
+func WriteEdgeList(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# %s: %d vertices, %d directed edges\n", g.Name(), g.NumVertices(), g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, u := range g.InNeighbors(v) {
+			fmt.Fprintf(bw, "%d %d\n", u, v)
+		}
+	}
+	return bw.Flush()
 }

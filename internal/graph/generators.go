@@ -161,50 +161,3 @@ func Star(n int) *Graph {
 	}
 	return b.Build(fmt.Sprintf("star-%d", n))
 }
-
-// Complete returns the complete directed graph on n vertices (no self-loops).
-func Complete(n int) *Graph {
-	b := NewBuilder(n)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v {
-				b.AddEdge(u, v)
-			}
-		}
-	}
-	return b.Build(fmt.Sprintf("complete-%d", n))
-}
-
-// PaperExample returns the 8-vertex example graph of Fig. 8(a) in the paper
-// (vertices a..h as 0..7). It is used to reproduce the scheduling walkthrough
-// in the unit tests. The figure's exact edge list is not fully legible from
-// the text, so we encode a graph with the same totals the walkthrough states:
-// 24 directed aggregation edges across 8 vertices with one high-degree hub.
-func PaperExample() *Graph {
-	b := NewBuilder(8)
-	// Vertex f (5) is the large-degree hub with degree 6.
-	for _, u := range []int{0, 1, 2, 3, 4, 6} {
-		b.AddEdge(u, 5)
-	}
-	// a (0), b (1), h (7) have degree 2 each (task 0 in the walkthrough).
-	b.AddEdge(1, 0)
-	b.AddEdge(2, 0)
-	b.AddEdge(0, 1)
-	b.AddEdge(3, 1)
-	b.AddEdge(4, 7)
-	b.AddEdge(6, 7)
-	// c (2), d (3) degree 3; e (4), g (6) degree 3.
-	b.AddEdge(0, 2)
-	b.AddEdge(5, 2)
-	b.AddEdge(7, 2)
-	b.AddEdge(1, 3)
-	b.AddEdge(5, 3)
-	b.AddEdge(6, 3)
-	b.AddEdge(2, 4)
-	b.AddEdge(5, 4)
-	b.AddEdge(7, 4)
-	b.AddEdge(3, 6)
-	b.AddEdge(5, 6)
-	b.AddEdge(0, 6)
-	return b.Build("paper-fig8")
-}

@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"scale/internal/fault"
 )
@@ -57,9 +56,6 @@ func (b *Builder) Grow(m int) {
 	b.srcs = slices.Grow(b.srcs, m)
 	b.dsts = slices.Grow(b.dsts, m)
 }
-
-// NumEdges reports the number of directed edges recorded so far.
-func (b *Builder) NumEdges() int { return len(b.srcs) }
 
 // Build produces the CSR graph. Duplicate edges are retained (multi-edges are
 // legal inputs to sum-style aggregation); callers wanting simple graphs should
@@ -141,17 +137,6 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(g.NumEdges()) / float64(g.NumVertices())
 }
 
-// MaxDegree returns the maximum in-degree.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.InDegree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Degrees returns a fresh slice of all in-degrees.
 func (g *Graph) Degrees() []int32 {
 	ds := make([]int32, g.NumVertices())
@@ -159,14 +144,6 @@ func (g *Graph) Degrees() []int32 {
 		ds[v] = int32(g.InDegree(v))
 	}
 	return ds
-}
-
-// HasEdge reports whether src → dst exists, by binary search on the sorted
-// adjacency list of dst.
-func (g *Graph) HasEdge(src, dst int) bool {
-	row := g.InNeighbors(dst)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(src) })
-	return i < len(row) && row[i] == int32(src)
 }
 
 // Validate checks structural invariants and returns a descriptive error on

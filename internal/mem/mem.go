@@ -35,31 +35,6 @@ func (h HBM) StreamCycles(n int64) int64 {
 	return h.BurstLatency + int64(transfer)
 }
 
-// RandomAccessCycles returns the cycles for n independent (non-streamed)
-// accesses of size each — the pattern irregular graph access produces when
-// no reordering is applied. Each access pays the burst latency but the
-// channel overlaps them up to the bandwidth limit, so the cost is the max of
-// latency-bound and bandwidth-bound time.
-func (h HBM) RandomAccessCycles(n, each int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	bytes := n * roundUp(each, h.BurstBytes)
-	bwBound := int64(float64(bytes) / h.BytesPerCycle)
-	latBound := h.BurstLatency + n // one issue per cycle after the first latency
-	if bwBound > latBound {
-		return bwBound
-	}
-	return latBound
-}
-
-func roundUp(v, to int64) int64 {
-	if to <= 0 {
-		return v
-	}
-	return (v + to - 1) / to * to
-}
-
 // GlobalBuffer is the multi-bank on-chip SRAM holding graph data, features,
 // and weights (4 MB in the §VII-A configuration).
 type GlobalBuffer struct {
@@ -78,19 +53,6 @@ func DefaultGlobalBuffer() GlobalBuffer {
 // Fits reports whether a working set fits on chip.
 func (g GlobalBuffer) Fits(workingSet int64) bool {
 	return workingSet <= g.CapacityBytes
-}
-
-// Passes returns how many DRAM passes over `streamed` bytes a computation
-// needs when its resident working set is `resident` bytes: if the resident
-// set fits, one pass; otherwise the streamed data is re-fetched once per
-// resident tile. This is the loop-tiling behaviour that makes ring size and
-// buffer capacity interact in Fig. 14.
-func (g GlobalBuffer) Passes(resident, streamed int64) int64 {
-	if resident <= g.CapacityBytes {
-		return 1
-	}
-	tiles := (resident + g.CapacityBytes - 1) / g.CapacityBytes
-	return tiles
 }
 
 // ReadCycles returns the cycles to read n bytes assuming even bank striping.

@@ -30,34 +30,6 @@ func TestStreamMonotone(t *testing.T) {
 	}
 }
 
-func TestRandomAccessLatencyBound(t *testing.T) {
-	h := DefaultHBM()
-	// 1000 independent 4-byte accesses: each rounds to a 64 B burst =
-	// 64000 bytes = 250 cycles bandwidth-bound, but latency-bound cost is
-	// 100 + 1000 = 1100, which dominates.
-	if got := h.RandomAccessCycles(1000, 4); got != 1100 {
-		t.Fatalf("RandomAccessCycles = %d, want 1100", got)
-	}
-	// Large per-access transfers become bandwidth-bound: 1 KB accesses
-	// need 4 cycles of channel time each, exceeding the 1/cycle issue rate.
-	n := int64(10_000_000)
-	want := int64(float64(n*1024) / 256)
-	if got := h.RandomAccessCycles(n, 1024); got != want {
-		t.Fatalf("bw-bound = %d, want %d", got, want)
-	}
-	if h.RandomAccessCycles(0, 64) != 0 {
-		t.Fatal("zero accesses must be free")
-	}
-}
-
-func TestRandomSlowerThanStream(t *testing.T) {
-	h := DefaultHBM()
-	n := int64(100_000)
-	if h.RandomAccessCycles(n, 4) <= h.StreamCycles(n*4) {
-		t.Fatal("random access should cost more than streaming the same bytes")
-	}
-}
-
 func TestGlobalBufferFitsAndPasses(t *testing.T) {
 	g := DefaultGlobalBuffer()
 	if !g.Fits(4 << 20) {
@@ -65,12 +37,6 @@ func TestGlobalBufferFitsAndPasses(t *testing.T) {
 	}
 	if g.Fits(4<<20 + 1) {
 		t.Fatal("over-capacity must not fit")
-	}
-	if g.Passes(1<<20, 100<<20) != 1 {
-		t.Fatal("resident-fit should need one pass")
-	}
-	if p := g.Passes(9<<20, 100<<20); p != 3 {
-		t.Fatalf("Passes = %d, want 3 tiles", p)
 	}
 }
 

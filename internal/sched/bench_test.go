@@ -57,7 +57,7 @@ func BenchmarkScheduleDVSRedditBatch(b *testing.B) {
 func BenchmarkScheduleDVSRedditFullLayer(b *testing.B) {
 	p := redditScaleProfile()
 	cfg := Config{NumTasks: 512, NumGroups: 32, Policy: DegreeVertexAware}
-	batches := Batches(p.NumVertices(), 16384)
+	batches := BatchesOf(AllVertices(p.NumVertices()), 16384)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -98,7 +98,7 @@ func BenchmarkScheduleCompactRedditFullLayer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	batches := Batches(p.NumVertices(), 16384)
+	batches := BatchesOf(AllVertices(p.NumVertices()), 16384)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

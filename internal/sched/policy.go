@@ -70,26 +70,6 @@ func Schedule(degrees []int32, batch []int32, cfg Config) ([]*TaskGroup, error) 
 	return s.Schedule(degrees, batch)
 }
 
-// firstFit is Algorithm 1's First_Fit: bins are fixed at numTasks and each
-// bin targets ceil(totalEdges/numTasks) edges. We instantiate the
-// unspecified vertex iteration order as degree-descending (first-fit
-// decreasing, the standard bin-packing refinement): power-law hubs whose
-// degree exceeds the target then land one-per-bin through the least-loaded
-// fallback instead of colliding, which is what lets the wrap-around ring
-// mapping (§III-B) absorb them. Retained as the test seam for the binning
-// phase alone; production paths go through Scheduler.
-func firstFit(degrees []int32, batch []int32, numTasks int, rotate bool) []*Task {
-	s, err := NewScheduler(Config{NumTasks: numTasks, NumGroups: 1}, true)
-	if err != nil {
-		panic(err)
-	}
-	if err := s.sortByDegreeDesc(degrees, batch); err != nil {
-		panic(err)
-	}
-	s.binFirstFit(degrees, s.order, rotate)
-	return s.taskPtrs
-}
-
 // AllVertices enumerates 0..n-1 as a batch covering a whole profile. Callers
 // holding a graph.Profile use its shared Vertices slice instead of
 // re-materializing one.
@@ -99,29 +79,4 @@ func AllVertices(n int) []int32 {
 		vs[i] = int32(i)
 	}
 	return vs
-}
-
-// Batches splits 0..n-1 into consecutive batches of size b (the §IV-A
-// pipeline batching with batch size B).
-func Batches(n, b int) [][]int32 {
-	return BatchesOf(AllVertices(n), b)
-}
-
-// BatchesOf splits the vertex slice into consecutive subslices of size b
-// without copying, so one backing slice (e.g. graph.Profile.Vertices) serves
-// every batching granularity.
-func BatchesOf(all []int32, b int) [][]int32 {
-	n := len(all)
-	if b < 1 {
-		b = n
-	}
-	var out [][]int32
-	for start := 0; start < n; start += b {
-		end := start + b
-		if end > n {
-			end = n
-		}
-		out = append(out, all[start:end])
-	}
-	return out
 }

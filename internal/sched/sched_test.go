@@ -178,14 +178,14 @@ func TestPolicyContrast(t *testing.T) {
 }
 
 func TestBatches(t *testing.T) {
-	bs := Batches(10, 4)
+	bs := BatchesOf(AllVertices(10), 4)
 	if len(bs) != 3 || len(bs[0]) != 4 || len(bs[2]) != 2 {
 		t.Fatalf("Batches: %v", bs)
 	}
 	if bs[2][1] != 9 {
 		t.Fatalf("last batch contents: %v", bs[2])
 	}
-	if len(Batches(5, 0)) != 1 {
+	if len(BatchesOf(AllVertices(5), 0)) != 1 {
 		t.Fatal("b<1 should yield one batch")
 	}
 }
@@ -220,4 +220,43 @@ func TestScheduleDeterminism(t *testing.T) {
 			t.Fatal("schedule not deterministic")
 		}
 	}
+}
+
+// firstFit is Algorithm 1's First_Fit: bins are fixed at numTasks and each
+// bin targets ceil(totalEdges/numTasks) edges. We instantiate the
+// unspecified vertex iteration order as degree-descending (first-fit
+// decreasing, the standard bin-packing refinement): power-law hubs whose
+// degree exceeds the target then land one-per-bin through the least-loaded
+// fallback instead of colliding, which is what lets the wrap-around ring
+// mapping (§III-B) absorb them. Retained as the test seam for the binning
+// phase alone; production paths go through Scheduler.
+func firstFit(degrees []int32, batch []int32, numTasks int, rotate bool) []*Task {
+	s, err := NewScheduler(Config{NumTasks: numTasks, NumGroups: 1}, true)
+	if err != nil {
+		panic(err)
+	}
+	if err := s.sortByDegreeDesc(degrees, batch); err != nil {
+		panic(err)
+	}
+	s.binFirstFit(degrees, s.order, rotate)
+	return s.taskPtrs
+}
+
+// BatchesOf splits the vertex slice into consecutive subslices of size b
+// without copying, so one backing slice (e.g. graph.Profile.Vertices) serves
+// every batching granularity.
+func BatchesOf(all []int32, b int) [][]int32 {
+	n := len(all)
+	if b < 1 {
+		b = n
+	}
+	var out [][]int32
+	for start := 0; start < n; start += b {
+		end := start + b
+		if end > n {
+			end = n
+		}
+		out = append(out, all[start:end])
+	}
+	return out
 }

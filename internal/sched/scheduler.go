@@ -81,9 +81,6 @@ func NewScheduler(cfg Config, materialize bool) (*Scheduler, error) {
 	return s, nil
 }
 
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // Schedule partitions the vertex batch into the configured task groups; see
 // the package-level Schedule for the contract. The returned groups alias the
 // Scheduler's recycled buffers and are invalidated by the next call.

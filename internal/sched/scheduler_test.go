@@ -32,7 +32,7 @@ func TestSchedulerCompactMatchesMaterialized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for bi, vb := range Batches(p.NumVertices(), batchSize) {
+				for bi, vb := range BatchesOf(AllVertices(p.NumVertices()), batchSize) {
 					want, err := Schedule(p.Degrees, vb, cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -82,7 +82,7 @@ func TestSchedulerMaterializedMatchesPureSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for bi, vb := range Batches(p.NumVertices(), 700) {
+		for bi, vb := range BatchesOf(AllVertices(p.NumVertices()), 700) {
 			want, err := Schedule(p.Degrees, vb, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -116,7 +116,7 @@ func TestSchedulerMaterializedMatchesPureSchedule(t *testing.T) {
 // modes.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	p := graph.MustByName("pubmed").Profile()
-	batches := Batches(p.NumVertices(), 1024)
+	batches := BatchesOf(AllVertices(p.NumVertices()), 1024)
 	for _, materialize := range []bool{false, true} {
 		for _, cfg := range schedulerTestConfigs() {
 			s, err := NewScheduler(cfg, materialize)
@@ -245,3 +245,6 @@ func TestSchedulerGroupsAreRecycled(t *testing.T) {
 		t.Fatal("scheduler should recycle group storage across calls")
 	}
 }
+
+// NumVertices returns the number of vertices in the task.
+func (t *Task) NumVertices() int { return t.count }

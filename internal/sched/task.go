@@ -33,9 +33,6 @@ type Task struct {
 	count    int     // vertex count, valid in both modes
 }
 
-// NumVertices returns the number of vertices in the task.
-func (t *Task) NumVertices() int { return t.count }
-
 // TaskGroup is the set of tasks mapped onto one PE ring.
 type TaskGroup struct {
 	ID    int
@@ -100,18 +97,6 @@ func VertexBalance(groups []*TaskGroup) float64 {
 	loads := make([]int64, len(groups))
 	for i, g := range groups {
 		loads[i] = int64(g.NumVertices())
-	}
-	return Balance(loads)
-}
-
-// TaskEdgeBalance returns the aggregation balance across individual tasks
-// (per-PE rather than per-ring granularity).
-func TaskEdgeBalance(groups []*TaskGroup) float64 {
-	var loads []int64
-	for _, g := range groups {
-		for _, t := range g.Tasks {
-			loads = append(loads, t.Edges)
-		}
 	}
 	return Balance(loads)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -329,4 +330,15 @@ func TestHealthzShape(t *testing.T) {
 	if h.Status != "ok" || h.Sessions != 1 || h.QueueDepth != 7 || h.QueueInUse != 0 {
 		t.Fatalf("health = %+v", h)
 	}
+}
+
+// RequestCount returns the number of requests finished with the given
+// endpoint and status code (test and ops introspection).
+func (m *Metrics) RequestCount(endpoint string, code int) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if c, ok := m.requests[fmt.Sprintf("%s|%d", endpoint, code)]; ok {
+		return c.Load()
+	}
+	return 0
 }

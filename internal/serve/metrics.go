@@ -109,17 +109,6 @@ func (m *Metrics) ObserveBatch(n int) {
 	m.BatchedRequests.Add(int64(n))
 }
 
-// RequestCount returns the number of requests finished with the given
-// endpoint and status code (test and ops introspection).
-func (m *Metrics) RequestCount(endpoint string, code int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.requests[fmt.Sprintf("%s|%d", endpoint, code)]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
 // render writes the metrics, with the session cache's size and per-session
 // precision gauges, in Prometheus text exposition format.
 func (m *Metrics) render(w io.Writer, sessions *httpapi.Sessions[*batcher]) {

@@ -109,11 +109,9 @@ func BenchmarkShardPass(b *testing.B) {
 					plan = p
 				}
 				b.StopTimer()
-				elem := 4
-				if prec == "int8" {
-					elem = 1
-				}
-				est, err := EstimateComm(plan, dims, elem, noc.Ring, t1.Cycles)
+				// SCSH layer frames carry halo rows as float32 in both
+				// tiers, so int8 passes move 4 bytes per element too.
+				est, err := EstimateComm(plan, dims, 4, noc.Ring, t1.Cycles)
 				if err != nil {
 					b.Fatal(err)
 				}

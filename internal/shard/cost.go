@@ -51,7 +51,8 @@ type CommEstimate struct {
 // feature-length chain, element size, and inter-shard topology, against a
 // single-device compute estimate of computeCycles (e.g. scale.Report's
 // predicted cycles for the unsharded pass). dims must hold at least two
-// entries (one layer); elemBytes is 4 for fp32, 1 for int8 payloads.
+// entries (one layer); elemBytes is the wire size of one feature element,
+// 4 in both tiers because SCSH frames carry halo rows as float32.
 //
 // The model: layers l = 0..L-1 run as compute barriers. Before every layer
 // except the first, each halo copy's row must move from its owner's shard to

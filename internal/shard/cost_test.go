@@ -75,13 +75,13 @@ func TestEstimateCommModel(t *testing.T) {
 		t.Fatalf("labels wrong: %+v", est)
 	}
 
-	// int8 payloads move a quarter of the bytes.
-	est8, err := EstimateComm(plan, []int{602, 64, 41}, 1, noc.Ring, t1)
+	// Halo bytes scale linearly with the element size.
+	estByte, err := EstimateComm(plan, []int{602, 64, 41}, 1, noc.Ring, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est8.HaloBytes*4 != est.HaloBytes {
-		t.Fatalf("int8 halo bytes %d, want quarter of %d", est8.HaloBytes, est.HaloBytes)
+	if estByte.HaloBytes*4 != est.HaloBytes {
+		t.Fatalf("1-byte halo bytes %d, want quarter of %d", estByte.HaloBytes, est.HaloBytes)
 	}
 
 	// A costlier topology (more hops at K=4) must predict more exchange time

@@ -60,16 +60,6 @@ type Subgraph struct {
 	Degrees []int32
 }
 
-// LocalOf returns the local id of a global vertex, or -1 when the vertex is
-// not present on this shard. Binary search over the ascending Global map.
-func (s *Subgraph) LocalOf(global int32) int32 {
-	i := sort.Search(len(s.Global), func(i int) bool { return s.Global[i] >= global })
-	if i < len(s.Global) && s.Global[i] == global {
-		return int32(i)
-	}
-	return -1
-}
-
 // Plan is a complete K-way partition of one graph.
 type Plan struct {
 	// K is the effective shard count (≤ the requested count when the graph

@@ -197,10 +197,6 @@ func (p *Pool) Topology() noc.Kind { return p.cfg.Topology }
 // Metrics exposes the pool's counters.
 func (p *Pool) Metrics() *PoolMetrics { return p.metrics }
 
-// Breaker returns the circuit breaker guarding addr ("" accepted forms are
-// the normalized worker URLs), or nil for a worker outside the pool.
-func (p *Pool) Breaker(addr string) *Breaker { return p.breakers[normalizeAddr(addr)] }
-
 // LiveWorkers counts workers whose breaker is closed — workers the pool
 // believes healthy right now. Half-open and open workers do not count even
 // when eligible for a probe: liveness returns only on a confirmed success.

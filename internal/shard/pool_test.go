@@ -245,3 +245,7 @@ func TestProberTripsAndRecovers(t *testing.T) {
 		t.Fatal("probe counter never moved")
 	}
 }
+
+// Breaker returns the circuit breaker guarding addr ("" accepted forms are
+// the normalized worker URLs), or nil for a worker outside the pool.
+func (p *Pool) Breaker(addr string) *Breaker { return p.breakers[normalizeAddr(addr)] }

@@ -10,7 +10,8 @@ import (
 
 // defaultVNodes is the virtual-node count per physical node: enough points
 // on the circle that 1k keys spread within ±25% of even (pinned by
-// TestRingDistributionBounds) while keeping Lookup a ~11-step binary search.
+// TestRingDistributionBounds) while keeping a lookup a ~11-step binary
+// search.
 const defaultVNodes = 256
 
 // Ring is a consistent-hash ring over named nodes (worker addresses). Each
@@ -19,13 +20,12 @@ const defaultVNodes = 256
 // only the keys adjacent to that node's vnodes — sessions keep hitting the
 // same workers (warm session caches) through pool membership changes.
 //
-// A Ring is immutable after construction; membership changes build a new
-// Ring (With/Without), which is what makes the minimal-churn property
-// testable and lock-free to read.
+// A Ring is immutable after construction; a membership change builds a new
+// Ring with NewRing, which is what makes the minimal-churn property testable
+// and the ring lock-free to read.
 type Ring struct {
 	vnodes []vnode
 	nodes  []string
-	per    int
 }
 
 type vnode struct {
@@ -44,7 +44,7 @@ func NewRing(nodes []string, vnodesPer int) (*Ring, error) {
 		vnodesPer = defaultVNodes
 	}
 	seen := make(map[string]bool, len(nodes))
-	r := &Ring{per: vnodesPer}
+	r := &Ring{}
 	for _, n := range nodes {
 		if n == "" || seen[n] {
 			return nil, fmt.Errorf("shard: ring node %q empty or duplicate: %w", n, fault.ErrBadConfig)
@@ -64,29 +64,6 @@ func NewRing(nodes []string, vnodesPer int) (*Ring, error) {
 	sort.Strings(r.nodes)
 	return r, nil
 }
-
-// Nodes returns the ring's members, sorted.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
-// With returns a new ring with node added.
-func (r *Ring) With(node string) (*Ring, error) {
-	return NewRing(append(r.Nodes(), node), r.per)
-}
-
-// Without returns a new ring with node removed.
-func (r *Ring) Without(node string) (*Ring, error) {
-	var keep []string
-	for _, n := range r.nodes {
-		if n != node {
-			keep = append(keep, n)
-		}
-	}
-	return NewRing(keep, r.per)
-}
-
-// Lookup returns the node owning key: the first vnode clockwise from the
-// key's hash.
-func (r *Ring) Lookup(key string) string { return r.Successors(key, 1)[0] }
 
 // Successors returns up to n distinct nodes in clockwise ring order starting
 // at key's owner — the failover candidate sequence: the pool tries them in

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"scale/internal/fault"
@@ -40,7 +41,7 @@ func TestRingDistributionBounds(t *testing.T) {
 	const keys = 1000
 	counts := map[string]int{}
 	for i := 0; i < keys; i++ {
-		counts[r.Lookup(fmt.Sprintf("session-%d#shard%d", i/4, i%4))]++
+		counts[r.Successors(fmt.Sprintf("session-%d#shard%d", i/4, i%4), 1)[0]]++
 	}
 	avg := float64(keys) / 4
 	for _, n := range r.Nodes() {
@@ -57,7 +58,8 @@ func TestRingDistributionBounds(t *testing.T) {
 // Minimal churn: a joining node only steals keys (everything that moves, moves
 // to it); a leaving node only sheds its own keys (nothing else moves).
 func TestRingMinimalChurn(t *testing.T) {
-	base, err := NewRing(ringNodes(4), 0)
+	nodes := ringNodes(4)
+	base, err := NewRing(nodes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,16 +67,16 @@ func TestRingMinimalChurn(t *testing.T) {
 	owner := make(map[string]string, keys)
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		owner[k] = base.Lookup(k)
+		owner[k] = base.Successors(k, 1)[0]
 	}
 
-	grown, err := base.With("worker-new:8199")
+	grown, err := NewRing(append(slices.Clone(nodes), "worker-new:8199"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	moved := 0
 	for k, was := range owner {
-		now := grown.Lookup(k)
+		now := grown.Successors(k, 1)[0]
 		if now != was {
 			moved++
 			if now != "worker-new:8199" {
@@ -86,13 +88,13 @@ func TestRingMinimalChurn(t *testing.T) {
 		t.Fatalf("join moved %d of %d keys, want ≈1/5", moved, keys)
 	}
 
-	victim := base.Nodes()[1]
-	shrunk, err := base.Without(victim)
+	victim := nodes[1]
+	shrunk, err := NewRing(slices.Delete(slices.Clone(nodes), 1, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, was := range owner {
-		now := shrunk.Lookup(k)
+		now := shrunk.Successors(k, 1)[0]
 		if was == victim {
 			if now == victim {
 				t.Fatalf("leave kept %s on removed node", k)
@@ -100,16 +102,6 @@ func TestRingMinimalChurn(t *testing.T) {
 		} else if now != was {
 			t.Fatalf("leave moved %s from %s to %s though %s left", k, was, now, victim)
 		}
-	}
-	if _, err := base.Without("nonexistent"); err != nil {
-		t.Fatalf("Without(nonexistent) should rebuild unchanged: %v", err)
-	}
-	solo, err := NewRing([]string{"only"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := solo.Without("only"); !errors.Is(err, fault.ErrBadConfig) {
-		t.Fatalf("removing the last node: err = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -126,8 +118,8 @@ func TestRingSuccessors(t *testing.T) {
 		if len(succ) != 3 {
 			t.Fatalf("%d successors, want 3", len(succ))
 		}
-		if succ[0] != r.Lookup(key) {
-			t.Fatalf("first successor %s != owner %s", succ[0], r.Lookup(key))
+		if owner := r.Successors(key, 1)[0]; succ[0] != owner {
+			t.Fatalf("first successor %s != owner %s", succ[0], owner)
 		}
 		seen := map[string]bool{}
 		for _, s := range succ {
@@ -141,3 +133,6 @@ func TestRingSuccessors(t *testing.T) {
 		t.Fatalf("over-asking yields %d nodes, want all 5", len(got))
 	}
 }
+
+// Nodes returns the ring's members, sorted.
+func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }

@@ -121,9 +121,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Handler returns the worker's HTTP handler.
 func (w *Worker) Handler() http.Handler { return w.mux }
 
-// Metrics exposes the worker's counters.
-func (w *Worker) Metrics() *WorkerMetrics { return w.metrics }
-
 // BeginDrain stops admitting new work: /healthz flips to 503 so the front
 // tier's health checks route around this worker, and data-plane calls answer
 // 503 + Retry-After. In-flight calls finish. Idempotent.

@@ -159,7 +159,7 @@ func TestPoolMidPassFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flakyAddr.Store(pool.ring.Lookup(spec.key() + "#0"))
+	flakyAddr.Store(pool.ring.Successors(spec.key()+"#0", 1)[0])
 	got, _, err := pool.Run(context.Background(), spec, g, x)
 	if err != nil {
 		t.Fatal(err)
@@ -353,3 +353,6 @@ func TestPoolPlanFeedsEstimate(t *testing.T) {
 		t.Fatalf("estimate does not reflect the plan: %+v", est)
 	}
 }
+
+// Metrics exposes the worker's counters.
+func (w *Worker) Metrics() *WorkerMetrics { return w.metrics }

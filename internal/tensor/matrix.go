@@ -6,10 +6,9 @@
 // the quantized execution path. The package is a small kernel layer with an
 // explicit selection policy rather than a BLAS:
 //
-//   - Every allocating op (MatMul, VecMat, Add, …) is a thin wrapper over an
-//     allocation-free Into variant (MatMulInto, VecMatInto, AddInto, …); hot
-//     loops call the Into kernels with caller-owned scratch so steady-state
-//     execution performs no heap allocation.
+//   - Kernels write into caller-owned memory (ParallelMatMulInto,
+//     VecMatInto, AxpyChain, …); hot loops call them with caller-owned
+//     scratch so steady-state execution performs no heap allocation.
 //   - Float32 GEMM selects its kernel by the streamed operand's size: while
 //     b fits in gemmStreamFloats (32 Ki floats, 128 KiB — comfortably
 //     cache-resident) the plain ikj loop wins, and larger matrices
@@ -22,23 +21,22 @@
 //     each output element once per four rows instead of once per row. Each
 //     element still gets its products and sums in the order of one axpyRow
 //     pass per row, so the sweep width never changes results bit-wise.
-//   - Int8 GEMM (QMatMulInto / QGemvInto) multiplies a quantized activation
-//     QMatrix against a pre-transposed quantized weight matrix with int32
-//     accumulation, processing bT rows in qgemmBlockJ (32-row) panels;
-//     dequantization (scaleA·scaleB per element) happens once at the output
-//     boundary. The aggregation side uses the shared-scale QSumMatrix
-//     layout: AccRowChain folds biased bytes into SWAR uint64 lanes,
-//     FlushChain subtracts the accumulated bias and rescales, and QAxpyRow
-//     is the per-edge scalar fallback.
+//   - Int8 GEMM (ParallelQMatMulInto / QGemvInto) multiplies a quantized
+//     activation QMatrix against a pre-transposed quantized weight matrix
+//     with int32 accumulation, processing bT rows in qgemmBlockJ (32-row)
+//     panels; dequantization (scaleA·scaleB per element) happens once at
+//     the output boundary. The aggregation side uses the shared-scale QSumMatrix
+//     layout: AccRowChain folds biased bytes into SWAR uint64 lanes, and
+//     FlushChain subtracts the accumulated bias and rescales.
 //   - On amd64 the three innermost loops — axpy4Row, AccRowChain and the
-//     int8 inner product dotInt8 behind QGemvInto and QMatMulInto — run as
-//     SSE2 assembly (kernels_amd64.s), four floats or sixteen bytes per
-//     instruction. Each SSE lane does the portable loop's arithmetic in
+//     int8 inner product dotInt8 behind QGemvInto and ParallelQMatMulInto —
+//     run as SSE2 assembly (kernels_amd64.s), four floats or sixteen bytes
+//     per instruction. Each SSE lane does the portable loop's arithmetic in
 //     the same order (a float32 multiply then an add, never fused; exact
 //     integer sums), so results are bit-identical to the Go loops, which
 //     keep their bodies under …Generic names and are the only path on
 //     other architectures and in -race builds (kernels_noasm.go).
-//   - Row-level parallelism is explicit: ParallelMatMul / ParallelMatMulInto,
+//   - Row-level parallelism is explicit: ParallelMatMulInto,
 //     ParallelQMatMulInto, ParallelQuantizeScaledInto and the ParallelRows
 //     helper fan disjoint row ranges across a bounded worker count. The
 //     float32 kernels are bit-identical to the serial sweep by construction
@@ -109,13 +107,6 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
-	}
-}
-
-// Fill sets all elements to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
 	}
 }
 

@@ -21,7 +21,7 @@ var ErrNonFinite = errors.New("tensor: non-finite value")
 //
 // Weight matrices are stored transposed (one QMatrix row per output column)
 // so the int8 GEMM/GEMV inner loops walk both operands stride-1 — see
-// QMatMulInto.
+// ParallelQMatMulInto.
 type QMatrix struct {
 	Rows, Cols int
 	Data       []int8    // len == Rows*Cols
@@ -43,23 +43,6 @@ func NewQMatrix(rows, cols int) *QMatrix {
 // Row returns a mutable view of row i.
 func (q *QMatrix) Row(i int) []int8 {
 	return q.Data[i*q.Cols : (i+1)*q.Cols]
-}
-
-// Resize reshapes q to rows×cols, reusing the backing arrays when they are
-// large enough (the executor's recycled activation-quantization buffer).
-func (q *QMatrix) Resize(rows, cols int) {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
-	}
-	q.Rows, q.Cols = rows, cols
-	if cap(q.Data) < rows*cols {
-		q.Data = make([]int8, rows*cols)
-	}
-	q.Data = q.Data[:rows*cols]
-	if cap(q.Scales) < rows {
-		q.Scales = make([]float32, rows)
-	}
-	q.Scales = q.Scales[:rows]
 }
 
 // String renders a compact shape descriptor (not the contents).
@@ -150,28 +133,10 @@ func Quantize(m *Matrix) (*QMatrix, error) {
 
 // QuantizeTransposed quantizes mᵀ: the result has one row — and one scale —
 // per column of m. This is the weight layout of the int8 tier: with the
-// matrix transposed, QMatMulInto and QGemvInto walk the weight operand
-// stride-1 alongside the activation row.
+// matrix transposed, ParallelQMatMulInto and QGemvInto walk the weight
+// operand stride-1 alongside the activation row.
 func QuantizeTransposed(m *Matrix) (*QMatrix, error) {
 	return Quantize(m.T())
-}
-
-// DequantizeInto writes q's represented values (Scales[i]·Data[i][j]) into
-// m, which must be q.Rows × q.Cols.
-func DequantizeInto(m *Matrix, q *QMatrix) {
-	if q.Rows != m.Rows || q.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: dequantize %dx%d into %dx%d", q.Rows, q.Cols, m.Rows, m.Cols))
-	}
-	rows := q.Rows
-	scales := q.Scales[:rows]
-	for i := 0; i < rows; i++ {
-		s := scales[i]
-		qrow := q.Row(i)
-		mrow := m.Row(i)[:len(qrow)]
-		for j, v := range qrow {
-			mrow[j] = s * float32(v)
-		}
-	}
 }
 
 // qgemmBlockJ is the bT-row panel the blocked int8 GEMM keeps hot: 32 rows
@@ -180,30 +145,19 @@ func DequantizeInto(m *Matrix, q *QMatrix) {
 // rows before the next panel streams in.
 const qgemmBlockJ = 32
 
-// QMatMulInto computes the int8 GEMM out = a·bᵀ with int32 accumulation,
-// dequantizing at the output boundary: out[i][j] = a.Scales[i] · bT.Scales[j]
-// · Σ_k a[i][k]·bT[j][k]. bT is the transposed quantized right operand (see
-// QuantizeTransposed), so the inner dot product walks both operands
-// stride-1. out must be a.Rows × bT.Rows; the inner dimensions must agree.
+// ParallelQMatMulInto computes the int8 GEMM out = a·bᵀ with int32
+// accumulation, dequantizing at the output boundary: out[i][j] =
+// a.Scales[i] · bT.Scales[j] · Σ_k a[i][k]·bT[j][k], with output rows fanned
+// across up to `workers` goroutines. bT is the transposed quantized right
+// operand (see QuantizeTransposed), so the inner dot product walks both
+// operands stride-1. out must be a.Rows × bT.Rows; the inner dimensions
+// must agree.
 //
 // Accumulation is int32 because it is exact: 602-wide rows of products
-// bounded by 127² sum to at most ~9.8M, far inside int32, so blocking and
-// unrolling cannot change the result — integer addition is associative.
-// The only roundings are the two per-row quantizations and the final
-// float32 scale multiply.
-func QMatMulInto(out *Matrix, a, bT *QMatrix) {
-	if a.Cols != bT.Cols {
-		panic(fmt.Sprintf("tensor: qmatmul %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, bT.Rows, bT.Cols))
-	}
-	if out.Rows != a.Rows || out.Cols != bT.Rows {
-		panic(fmt.Sprintf("tensor: qmatmul out %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, bT.Rows))
-	}
-	qMatMulRowsInto(out, a, bT, 0, a.Rows)
-}
-
-// ParallelQMatMulInto is QMatMulInto with output rows fanned across up to
-// `workers` goroutines. Rows are disjoint and int32 accumulation is exact,
-// so the result is identical for every worker count.
+// bounded by 127² sum to at most ~9.8M, far inside int32, so blocking,
+// unrolling and the split into disjoint row ranges cannot change the
+// result — integer addition is associative. The only roundings are the two
+// per-row quantizations and the final float32 scale multiply.
 func ParallelQMatMulInto(out *Matrix, a, bT *QMatrix, workers int) {
 	if a.Cols != bT.Cols {
 		panic(fmt.Sprintf("tensor: qmatmul %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, bT.Rows, bT.Cols))
@@ -300,7 +254,7 @@ type QSumMatrix struct {
 }
 
 // NewQSumMatrix returns a Rows×Cols matrix with padding bytes at the bias;
-// payload bytes are unspecified until the first QuantizeScaledInto.
+// payload bytes are unspecified until the first ParallelQuantizeScaledInto.
 func NewQSumMatrix(rows, cols int) *QSumMatrix {
 	q := &QSumMatrix{}
 	q.Resize(rows, cols)
@@ -313,9 +267,9 @@ func chainStride(cols int) int { return (cols + 7) &^ 7 }
 // Resize reshapes q to rows×cols, reusing the backing array when it is large
 // enough, and restores every PADDING byte to the bias value 128 (quantized
 // zero), so chains over full strides see exact zeros in the pad columns.
-// Payload bytes are left unspecified — QuantizeScaledInto overwrites every
-// one of them, and skipping the full memset matters when the executor
-// resizes a multi-megabyte recycled buffer per layer.
+// Payload bytes are left unspecified — ParallelQuantizeScaledInto
+// overwrites every one of them, and skipping the full memset matters when
+// the executor resizes a multi-megabyte recycled buffer per layer.
 func (q *QSumMatrix) Resize(rows, cols int) {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
@@ -346,22 +300,6 @@ func (q *QSumMatrix) String() string {
 	return fmt.Sprintf("QSumMatrix(%dx%d)", q.Rows, q.Cols)
 }
 
-// QuantizeScaledInto quantizes the row-scaled matrix coefs[i]·m[i][j] into
-// the shared-scale biased form: q.Scale·(q[i][j]−128) ≈ coefs[i]·m[i][j],
-// with q.Scale the symmetric max-abs scale of the WHOLE scaled matrix. This
-// is the aggregation layout of the int8 tier: with a per-edge coefficient
-// separable into source and destination factors, the source factor folds
-// into the quantized values here, so reduce chains sum raw byte rows in
-// exact integer arithmetic (AccRowChain/FlushChain) and dequantize once per
-// vertex with q.Scale times the destination factor.
-//
-// An all-zero (or all-zero-coefficient) input yields Scale 0 and an
-// all-bias q. Non-finite products return ErrNonFinite wrapped with the row
-// index.
-func QuantizeScaledInto(q *QSumMatrix, m *Matrix, coefs []float32) error {
-	return ParallelQuantizeScaledInto(q, m, coefs, 1)
-}
-
 // parallelQuantizeMinWork is the element count below which
 // ParallelQuantizeScaledInto stays on the serial path: small matrices finish
 // faster than the fan-out costs, and the serial path allocates nothing —
@@ -369,10 +307,21 @@ func QuantizeScaledInto(q *QSumMatrix, m *Matrix, coefs []float32) error {
 // graphs.
 const parallelQuantizeMinWork = 1 << 16
 
-// ParallelQuantizeScaledInto is QuantizeScaledInto with both passes (global
-// max-abs, then rounding) fanned across up to `workers` goroutines over row
-// blocks. The reduction is a max — order-independent — and rounding is
-// per-element, so the result is identical for every worker count.
+// ParallelQuantizeScaledInto quantizes the row-scaled matrix coefs[i]·m[i][j]
+// into the shared-scale biased form: q.Scale·(q[i][j]−128) ≈ coefs[i]·m[i][j],
+// with q.Scale the symmetric max-abs scale of the WHOLE scaled matrix. This
+// is the aggregation layout of the int8 tier: with a per-edge coefficient
+// separable into source and destination factors, the source factor folds
+// into the quantized values here, so reduce chains sum raw byte rows in
+// exact integer arithmetic (AccRowChain/FlushChain) and dequantize once per
+// vertex with q.Scale times the destination factor.
+//
+// Both passes (global max-abs, then rounding) fan across up to `workers`
+// goroutines over row blocks. The reduction is a max — order-independent —
+// and rounding is per-element, so the result is identical for every worker
+// count. An all-zero (or all-zero-coefficient) input yields Scale 0 and an
+// all-bias q. Non-finite products return ErrNonFinite wrapped with the row
+// index.
 func ParallelQuantizeScaledInto(q *QSumMatrix, m *Matrix, coefs []float32, workers int) error {
 	if q.Rows != m.Rows || q.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: quantize %dx%d into %dx%d", m.Rows, m.Cols, q.Rows, q.Cols))
@@ -546,27 +495,5 @@ func FlushChain(acc []int32, swar []uint64, edges int) {
 		acc[7] += int32(o>>48) - bias
 		swar = swar[2:]
 		acc = acc[8:]
-	}
-}
-
-// QAxpyRow accumulates o[j] += alpha·q[j] over equal-length rows — the
-// per-row-scale aggregation kernel: a per-edge coefficient folds into the
-// source row's dequantization scale, so the reduce chain reads 1-byte
-// features but accumulates in float32, preserving the per-vertex fold order
-// that makes parallel execution bit-identical. Layers whose coefficient is
-// separable use the faster AccRowChain integer chain instead.
-func QAxpyRow(o []float32, alpha float32, q []int8) {
-	o = o[:len(q)]
-	for len(q) >= 4 && len(o) >= 4 {
-		o[0] += alpha * float32(q[0])
-		o[1] += alpha * float32(q[1])
-		o[2] += alpha * float32(q[2])
-		o[3] += alpha * float32(q[3])
-		o = o[4:]
-		q = q[4:]
-	}
-	o = o[:len(q)]
-	for j, qv := range q {
-		o[j] += alpha * float32(qv)
 	}
 }
