@@ -117,10 +117,14 @@ fuzz:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Smoke-run the CLIs end to end.
+# Smoke-run the CLIs end to end. A bad -format must be a usage error
+# (exit 1) raised before any experiment runs, -speedup included.
 bench-smoke:
 	$(GO) run ./cmd/scale-bench -exp fig1b
 	$(GO) run ./cmd/scale-dse -dataset cora -parallel 2
+	$(GO) build -o /tmp/scale-bench-smoke ./cmd/scale-bench
+	@/tmp/scale-bench-smoke -speedup -exp fig1b -format yaml 2>/dev/null; rc=$$?; \
+	[ "$$rc" = 1 ] || { echo "bench-smoke: -speedup -format yaml exited $$rc, want 1"; exit 1; }
 
 # Serving smoke: boot scale-serve, fire a concurrent infer burst (so the
 # micro-batcher actually coalesces), hit /healthz, /metrics and
