@@ -128,10 +128,13 @@ bench-smoke:
 
 # Serving smoke: boot scale-serve, fire a concurrent infer burst (so the
 # micro-batcher actually coalesces), hit /healthz, /metrics and
-# /v1/simulate, then SIGTERM and require a clean drain (exit 0).
+# /v1/simulate, then SIGTERM and require a clean drain (exit 0). First, a
+# negative capacity flag must exit 1 (usage) before anything starts.
 SERVE_ADDR ?= 127.0.0.1:18321
 serve-smoke:
 	$(GO) build -o /tmp/scale-serve-smoke ./cmd/scale-serve
+	@timeout 10 /tmp/scale-serve-smoke -addr 127.0.0.1:0 -queue -1 2>/dev/null; rc=$$?; \
+	[ "$$rc" = 1 ] || { echo "serve-smoke: -queue -1 exited $$rc, want 1"; exit 1; }
 	@set -e; \
 	/tmp/scale-serve-smoke -addr $(SERVE_ADDR) -batch-window 5ms -max-batch 8 \
 	    >/tmp/scale-serve-smoke.log 2>&1 & pid=$$!; \
@@ -162,13 +165,16 @@ serve-smoke:
 # scale-serve front pointed at them, fire a concurrent burst through the
 # sharded path, kill -9 the worker that is actually carrying shard traffic
 # while a second burst is in flight, require every request to fail over and
-# succeed, then SIGTERM the survivors and require clean drains.
+# succeed, then SIGTERM the survivors and require clean drains. First, a
+# negative capacity flag must exit 1 (usage) before anything starts.
 SHARD_FRONT ?= 127.0.0.1:18331
 SHARD_W1 ?= 127.0.0.1:18332
 SHARD_W2 ?= 127.0.0.1:18333
 shard-smoke:
 	$(GO) build -o /tmp/scale-shard-smoke ./cmd/scale-shard
 	$(GO) build -o /tmp/scale-serve-shard-smoke ./cmd/scale-serve
+	@timeout 10 /tmp/scale-shard-smoke -addr 127.0.0.1:0 -runs -1 2>/dev/null; rc=$$?; \
+	[ "$$rc" = 1 ] || { echo "shard-smoke: -runs -1 exited $$rc, want 1"; exit 1; }
 	@set -e; \
 	/tmp/scale-shard-smoke -addr $(SHARD_W1) >/tmp/scale-shard-w1.log 2>&1 & w1=$$!; \
 	/tmp/scale-shard-smoke -addr $(SHARD_W2) >/tmp/scale-shard-w2.log 2>&1 & w2=$$!; \

@@ -86,6 +86,10 @@ func run(ctx context.Context) error {
 	if fs.NArg() > 0 {
 		return cli.Usagef("unexpected arguments %v", fs.Args())
 	}
+	if *queueDepth < 0 || *maxSessions < 0 || *maxVertices < 0 {
+		return cli.Usagef("-queue %d, -sessions %d, -max-vertices %d: none may be negative (0 selects the default)",
+			*queueDepth, *maxSessions, *maxVertices)
+	}
 	if *precision != "" {
 		ok := false
 		for _, p := range scale.Precisions() {

@@ -66,6 +66,10 @@ func run(ctx context.Context) error {
 	if fs.NArg() > 0 {
 		return cli.Usagef("unexpected arguments %v", fs.Args())
 	}
+	if *runs < 0 || *sessions < 0 || *runTTL < 0 {
+		return cli.Usagef("-runs %d, -sessions %d, -run-ttl %s: none may be negative (0 selects the default)",
+			*runs, *sessions, *runTTL)
+	}
 	chaosCfg, err := chaosnet.Parse(*chaosSpec)
 	if err != nil {
 		return cli.Usagef("bad -chaos: %v", err)

@@ -36,14 +36,14 @@ func main() {
 				msg[i] = scale * v
 			}
 		},
-		// Update: residual combination of the pooled message and self.
-		Update: func(hself, agg []float32) []float32 {
-			o := tensor.VecMat(agg, w)
+		// UpdateInto: residual combination of the pooled message and self.
+		UpdateInto: func(dst, hself, agg []float32) {
+			tensor.VecMatInto(dst, agg, w)
 			s := tensor.VecMat(hself, wSelf)
-			for i := range o {
-				o[i] += s[i]
+			for i := range dst {
+				dst[i] += s[i]
 			}
-			return tensor.ReLU(o)
+			tensor.ReLU(dst)
 		},
 		Work: gnn.LayerWork{
 			GateOpsPerEdge:      in, // the per-edge discount

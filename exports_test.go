@@ -33,8 +33,6 @@ var unreferencedAllowed = map[string]string{
 	"shard/chaosnet.(resetErr).Temporary":           "net.Error; injected resets answer like real network errors",
 	"shard/chaosnet.NewTransport":                   "chaos harness; only tests import shard/chaosnet",
 	"bench/faultinject.(Plan).Wrap":                 "fault-injection harness; only tests import bench/faultinject",
-	"core.SetMaterializeSchedules":                  "reference path of TestDeterminismCompactVsMaterialized",
-	"baseline.SetMaterializeSchedules":              "reference path of TestDeterminismCompactVsMaterialized",
 	"dyn.EncodeBatch":                               "SCD1 reference encoder; serve's tests post its frames",
 	"graph.Decode":                                  "SCG1 reader; binary /v1/infer bodies are to call it",
 	"graph.Path":                                    "graph fixture several packages' tests share",

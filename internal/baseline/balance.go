@@ -1,19 +1,15 @@
 package baseline
 
 import (
-	"sync/atomic"
-
 	"scale/internal/graph"
 	"scale/internal/sched"
 )
 
 // balanceKey identifies one memoized vertex-chunk partition balance: the
 // partition depends only on the degree profile (carried by the memo's owner)
-// and the engine count. The materialized bit keeps the equivalence tests'
-// two computation paths from sharing entries.
+// and the engine count.
 type balanceKey struct {
-	units        int
-	materialized bool
+	units int
 }
 
 // balanceVal carries the raw (pre-smoothing) mean/max balances of the
@@ -23,33 +19,19 @@ type balanceVal struct {
 	err          error
 }
 
-// materializeSchedules mirrors core.SetMaterializeSchedules for the baseline
-// models' scheduling path; equivalence tests flip both together.
-var materializeSchedules atomic.Bool
-
-// SetMaterializeSchedules toggles the materialized scheduling path; it
-// exists for the compact-vs-materialized equivalence tests.
-func SetMaterializeSchedules(on bool) { materializeSchedules.Store(on) }
-
 // vertexChunkBalance returns the edge and vertex balance of partitioning the
 // whole profile into nUnits vertex chunks (the static assignment every
 // baseline starts from), computed at most once per (profile, nUnits) and
 // shared across concurrent sweep workers. The balance metrics consume only
 // per-group counts, so the schedule is computed in compact mode.
 func vertexChunkBalance(p *graph.Profile, nUnits int) (balanceVal, error) {
-	key := balanceKey{units: nUnits, materialized: materializeSchedules.Load()}
-	v := p.Memoize(key, func() any {
+	v := p.Memoize(balanceKey{units: nUnits}, func() any {
 		cfg := sched.Config{NumTasks: nUnits, NumGroups: nUnits, Policy: sched.VertexAware}
-		var groups []*sched.TaskGroup
-		var err error
-		if key.materialized {
-			groups, err = sched.Schedule(p.Degrees, p.Vertices(), cfg)
-		} else {
-			var sc *sched.Scheduler
-			if sc, err = sched.NewScheduler(cfg, false); err == nil {
-				groups, err = sc.Schedule(p.Degrees, p.Vertices())
-			}
+		sc, err := sched.NewScheduler(cfg, false)
+		if err != nil {
+			return balanceVal{err: err}
 		}
+		groups, err := sc.Schedule(p.Degrees, p.Vertices())
 		if err != nil {
 			return balanceVal{err: err}
 		}

@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"scale/internal/baseline"
-	"scale/internal/core"
-)
+import "testing"
 
 // deterministicExperiments returns the experiment set and dataset subset the
 // determinism cross-check runs. Normal builds cover the full suite on the
@@ -68,49 +63,6 @@ func TestDeterminism(t *testing.T) {
 		if serial[e.ID] != parallel[e.ID] {
 			t.Errorf("%s: parallel export differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				e.ID, serial[e.ID], parallel[e.ID])
-		}
-	}
-}
-
-// TestDeterminismCompactVsMaterialized is the golden equivalence proof for
-// the compact scheduling representation: the full suite exported with the
-// default compact schedulers must be byte-identical to the same suite
-// exported with vertex-materializing schedulers, at 1 worker and at 8. Each
-// mode gets fresh suites (fresh schedule memos), and the memo keys carry the
-// mode bit, so nothing is served across modes.
-func TestDeterminismCompactVsMaterialized(t *testing.T) {
-	exps, datasets := deterministicExperiments()
-	run := func(materialize bool, workers int) map[string]string {
-		core.SetMaterializeSchedules(materialize)
-		baseline.SetMaterializeSchedules(materialize)
-		defer core.SetMaterializeSchedules(false)
-		defer baseline.SetMaterializeSchedules(false)
-		s := NewSuite()
-		if datasets != nil {
-			s.Datasets = datasets
-		}
-		r := NewRunner(s, workers)
-		out := make(map[string]string, len(exps))
-		for _, res := range r.Run(exps) {
-			if res.Err != nil {
-				t.Fatalf("materialize=%v workers=%d %s: %v", materialize, workers, res.Experiment.ID, res.Err)
-			}
-			j, err := res.Table.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[res.Experiment.ID] = j
-		}
-		return out
-	}
-	compact := run(false, 1)
-	for _, workers := range []int{1, 8} {
-		materialized := run(true, workers)
-		for _, e := range exps {
-			if compact[e.ID] != materialized[e.ID] {
-				t.Errorf("%s: materialized export (workers=%d) differs from compact:\n--- compact ---\n%s\n--- materialized ---\n%s",
-					e.ID, workers, compact[e.ID], materialized[e.ID])
-			}
 		}
 	}
 }

@@ -5,20 +5,6 @@ import "scale/internal/core"
 // fig14Rings is the forced ring-size sweep of Fig. 14.
 var fig14Rings = []int{2, 4, 8, 16, 32, 64, 128, 256}
 
-// fig14Run executes the 2-layer GCN on a dataset with the ring size forced.
-func (s *Suite) fig14Run(dataset string, ring int) (l1, l2, total int64, err error) {
-	cfg, err := core.ConfigForMACs(s.MACs)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	cfg.RingSize = ring
-	r, err := core.MustNew(cfg).Run(s.Model("gcn", dataset), s.Profile(dataset))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return r.Layers[0].Cycles, r.Layers[1].Cycles, r.Cycles, nil
-}
-
 // Fig14 reproduces the ring-size sensitivity study: 2-layer GCN on Cora and
 // PubMed with the ring size forced across the sweep, reporting per-layer and
 // total cycles normalized to the best configuration. The paper's shape:
@@ -35,13 +21,17 @@ func (s *Suite) Fig14() (*Table, error) {
 	}
 	runs := make([]run, len(datasets)*len(fig14Rings))
 	err := s.each(len(runs), func(i int) error {
-		var r run
-		var err error
-		r.l1, r.l2, r.total, err = s.fig14Run(datasets[i/len(fig14Rings)], fig14Rings[i%len(fig14Rings)])
+		ds := datasets[i/len(fig14Rings)]
+		cfg, err := core.ConfigForMACs(s.MACs)
 		if err != nil {
 			return err
 		}
-		runs[i] = r
+		cfg.RingSize = fig14Rings[i%len(fig14Rings)]
+		r, err := core.MustNew(cfg).Run(s.Model("gcn", ds), s.Profile(ds))
+		if err != nil {
+			return err
+		}
+		runs[i] = run{r.Layers[0].Cycles, r.Layers[1].Cycles, r.Cycles}
 		return nil
 	})
 	if err != nil {

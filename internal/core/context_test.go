@@ -90,15 +90,16 @@ func TestForwardContainsWorkerPanics(t *testing.T) {
 // path reaches before the panic are implemented.
 type panicLayer struct{ gnn.Layer }
 
-func (panicLayer) Name() string                                   { return "panic" }
-func (panicLayer) Work() gnn.LayerWork                            { return gnn.LayerWork{InDim: 8, MsgDim: 4, OutDim: 4} }
-func (panicLayer) InDim() int                                     { return 8 }
-func (panicLayer) OutDim() int                                    { return 4 }
-func (panicLayer) MsgDim() int                                    { return 4 }
-func (panicLayer) UpdateScratch() int                             { return 0 }
-func (panicLayer) Reduce() gnn.ReduceKind                         { return gnn.ReduceSum }
-func (panicLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix { return h }
-func (panicLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix    { return nil }
+func (panicLayer) Name() string           { return "panic" }
+func (panicLayer) Work() gnn.LayerWork    { return gnn.LayerWork{InDim: 8, MsgDim: 4, OutDim: 4} }
+func (panicLayer) InDim() int             { return 8 }
+func (panicLayer) OutDim() int            { return 4 }
+func (panicLayer) MsgDim() int            { return 4 }
+func (panicLayer) UpdateScratch() int     { return 0 }
+func (panicLayer) Reduce() gnn.ReduceKind { return gnn.ReduceSum }
+func (panicLayer) Prepare(h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix) {
+	return h, nil
+}
 func (panicLayer) AccumulateEdge(acc, src, dst, msg []float32, ctx gnn.EdgeContext) {
 	panic("kernel shape violation")
 }

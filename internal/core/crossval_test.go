@@ -37,8 +37,7 @@ func TestMicroCrossValidationMatrix(t *testing.T) {
 		l := m.Layers[0]
 		combine := microCombine(t, l.Reduce())
 		x := gnn.RandomFeatures(g, 12, 37)
-		psrc := l.PrepareSources(x)
-		pdst := l.PrepareDest(x)
+		psrc, pdst := l.Prepare(x, 1)
 		width := l.Reduce().AccWidth(l.MsgDim())
 
 		var tasks []micro.Task
@@ -54,8 +53,10 @@ func TestMicroCrossValidationMatrix(t *testing.T) {
 			}
 			srcs := make([][]float32, 0, len(nbrs))
 			for _, u := range nbrs {
+				// A sum into zeros is the edge's message, and so is a max:
+				// gs-pl's prepared rows are post-ReLU.
 				msg := make([]float32, width)
-				l.MessageInto(msg, psrc.Row(int(u)), pd, gnn.EdgeContext{
+				l.AccumulateEdge(msg, psrc.Row(int(u)), pd, nil, gnn.EdgeContext{
 					Src: int(u), Dst: v, SrcDeg: g.InDegree(int(u)), DstDeg: len(nbrs),
 				})
 				srcs = append(srcs, msg)

@@ -107,7 +107,7 @@ func TestMicroAgreesWithFunctionalAggregation(t *testing.T) {
 	g := graph.ErdosRenyi(24, 96, 17)
 	l := gnn.MustModel("gcn", []int{6, 3}, 3).Layers[0]
 	x := gnn.RandomFeatures(g, 6, 19)
-	psrc := l.PrepareSources(x)
+	psrc, _ := l.Prepare(x, 1)
 
 	ring := micro.NewRing(4)
 	var tasks []micro.Task
@@ -119,7 +119,7 @@ func TestMicroAgreesWithFunctionalAggregation(t *testing.T) {
 		srcs := make([][]float32, 0, len(nbrs))
 		for _, u := range nbrs {
 			msg := make([]float32, l.MsgDim())
-			l.MessageInto(msg, psrc.Row(int(u)), nil, gnn.EdgeContext{
+			l.AccumulateEdge(msg, psrc.Row(int(u)), nil, nil, gnn.EdgeContext{
 				Src: int(u), Dst: v, SrcDeg: g.InDegree(int(u)), DstDeg: len(nbrs),
 			})
 			srcs = append(srcs, msg)
@@ -135,7 +135,7 @@ func TestMicroAgreesWithFunctionalAggregation(t *testing.T) {
 		acc := make([]float32, l.MsgDim())
 		for _, u := range g.InNeighbors(task.Dst) {
 			msg := make([]float32, l.MsgDim())
-			l.MessageInto(msg, psrc.Row(int(u)), nil, gnn.EdgeContext{
+			l.AccumulateEdge(msg, psrc.Row(int(u)), nil, nil, gnn.EdgeContext{
 				Src: int(u), Dst: task.Dst, SrcDeg: g.InDegree(int(u)), DstDeg: g.InDegree(task.Dst),
 			})
 			gnn.ReduceSum.Accumulate(acc, msg)

@@ -77,8 +77,9 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 		return nil, err
 	}
 
-	psrc := l.PrepareSources(h)
+	psrc, _ := l.Prepare(h, 1)
 	out := tensor.NewMatrix(g.NumVertices(), l.OutDim())
+	scratch := make([]float32, l.UpdateScratch())
 	res := &PipelineResult{Outputs: out}
 	regs := ShiftRegisterArray{PEs: ringSize, Depth: pl.RegDepth}
 	var aggActive, aggCapacity int64
@@ -97,8 +98,9 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 				}
 				srcs := make([][]float32, 0, len(nbrs))
 				for _, u := range nbrs {
+					// A sum into zeros is the edge's message.
 					msg := make([]float32, l.MsgDim())
-					l.MessageInto(msg, psrc.Row(int(u)), nil, gnn.EdgeContext{
+					l.AccumulateEdge(msg, psrc.Row(int(u)), nil, nil, gnn.EdgeContext{
 						Src: int(u), Dst: int(v),
 						SrcDeg: g.InDegree(int(u)), DstDeg: len(nbrs),
 					})
@@ -134,7 +136,7 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 		// to the ring's aggregated features; the GEMV ring's raw outputs
 		// are cross-checked against VecMat in the micro tests.
 		for ti, v := range vertices {
-			copy(out.Row(int(v)), l.Update(h.Row(int(v)), agg.Aggregated[ti]))
+			l.UpdateInto(out.Row(int(v)), h.Row(int(v)), agg.Aggregated[ti], scratch)
 		}
 		if agg.Makespan > res.AggCycles {
 			res.AggCycles = agg.Makespan
@@ -156,7 +158,7 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 	zero := make([]float32, l.MsgDim())
 	for v := 0; v < g.NumVertices(); v++ {
 		if g.InDegree(v) == 0 {
-			copy(out.Row(v), l.Update(h.Row(v), zero))
+			l.UpdateInto(out.Row(v), h.Row(v), zero, scratch)
 		}
 	}
 

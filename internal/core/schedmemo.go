@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"scale/internal/graph"
 	"scale/internal/sched"
 )
@@ -17,12 +15,10 @@ import (
 // stores only what the timing engine consumes — per-group vertex counts,
 // edge sums, and task counts — never materialized vertex lists.
 
-// scheduleKey identifies one memoized schedule. The materialized bit keeps
-// the equivalence tests' two computation paths from sharing entries.
+// scheduleKey identifies one memoized schedule.
 type scheduleKey struct {
-	batch        int
-	cfg          sched.Config
-	materialized bool
+	batch int
+	cfg   sched.Config
 }
 
 // groupLoad is the compact workload of one scheduled task group (ring):
@@ -51,22 +47,11 @@ type scheduleMemoVal struct {
 	err error
 }
 
-// materializeSchedules forces scheduleFor to derive its compact loads from
-// the fully materialized sched.Schedule path (the pre-memo implementation)
-// instead of the compact scheduler. Equivalence tests flip it to prove the
-// two paths export byte-identical results; production leaves it false.
-var materializeSchedules atomic.Bool
-
-// SetMaterializeSchedules toggles the materialized scheduling path; it
-// exists for the compact-vs-materialized equivalence tests.
-func SetMaterializeSchedules(on bool) { materializeSchedules.Store(on) }
-
 // scheduleFor returns the profile's compact schedule for the given batch
 // size and scheduling configuration, computing it at most once per profile.
 func scheduleFor(p *graph.Profile, batch int, cfg sched.Config) (*layerSchedule, error) {
-	key := scheduleKey{batch: batch, cfg: cfg, materialized: materializeSchedules.Load()}
-	v := p.Memoize(key, func() any {
-		ls, err := computeSchedule(p, batch, cfg, key.materialized)
+	v := p.Memoize(scheduleKey{batch: batch, cfg: cfg}, func() any {
+		ls, err := computeSchedule(p, batch, cfg)
 		return scheduleMemoVal{ls: ls, err: err}
 	}).(scheduleMemoVal)
 	return v.ls, v.err
@@ -74,24 +59,15 @@ func scheduleFor(p *graph.Profile, batch int, cfg sched.Config) (*layerSchedule,
 
 // computeSchedule runs the scheduler over every batch of the profile and
 // compacts the resulting task groups into group loads.
-func computeSchedule(p *graph.Profile, batch int, cfg sched.Config, materialized bool) (*layerSchedule, error) {
-	var sc *sched.Scheduler
-	if !materialized {
-		var err error
-		if sc, err = sched.NewScheduler(cfg, false); err != nil {
-			return nil, err
-		}
+func computeSchedule(p *graph.Profile, batch int, cfg sched.Config) (*layerSchedule, error) {
+	sc, err := sched.NewScheduler(cfg, false)
+	if err != nil {
+		return nil, err
 	}
 	batches := p.Batches(batch)
 	ls := &layerSchedule{batches: make([]batchSchedule, 0, len(batches))}
 	for _, vb := range batches {
-		var groups []*sched.TaskGroup
-		var err error
-		if materialized {
-			groups, err = sched.Schedule(p.Degrees, vb, cfg)
-		} else {
-			groups, err = sc.Schedule(p.Degrees, vb)
-		}
+		groups, err := sc.Schedule(p.Degrees, vb)
 		if err != nil {
 			return nil, err
 		}

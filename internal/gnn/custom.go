@@ -19,12 +19,12 @@ type CustomSpec struct {
 	InDim, MsgDim, OutDim int
 	// Reduce is the aggregation reduction.
 	Reduce ReduceKind
-	// PrepareSources optionally transforms all vertex features into
-	// per-source message inputs (rows of width MsgDim; nil = identity,
-	// requiring MsgDim == InDim).
-	PrepareSources func(h *tensor.Matrix) *tensor.Matrix
-	// PrepareDest optionally produces per-destination rows for Message.
-	PrepareDest func(h *tensor.Matrix) *tensor.Matrix
+	// Prepare optionally transforms all vertex features h into per-source
+	// message inputs psrc (|V|×MsgDim) and per-destination rows pdst for
+	// Message (|V| rows, or nil). Nil passes h through as psrc with no
+	// pdst, requiring MsgDim == InDim. Other shapes panic when the layer
+	// runs.
+	Prepare func(h *tensor.Matrix) (psrc, pdst *tensor.Matrix)
 	// Message writes one edge's message into out (width
 	// Reduce.AccWidth(MsgDim)); nil copies the prepared source row.
 	Message func(out, psrc, pdst []float32, ctx EdgeContext)
@@ -33,12 +33,8 @@ type CustomSpec struct {
 	// Message followed by Reduce.Accumulate (using caller scratch, still
 	// allocation-free). Must be bit-identical to the unfused pair.
 	Accumulate func(acc, psrc, pdst []float32, ctx EdgeContext)
-	// Update combines a vertex's input features with its finalized
-	// aggregation into the output row. Required unless UpdateInto is set.
-	Update func(hself, agg []float32) []float32
-	// UpdateInto optionally writes Update's result into dst without
-	// allocating. Nil falls back to Update plus a copy (which allocates,
-	// so hot paths should set it).
+	// UpdateInto combines a vertex's input features with its finalized
+	// aggregation into the output row dst (length OutDim). Required.
 	UpdateInto func(dst, hself, agg []float32)
 	// Work characterizes the hardware workload for the timing models; the
 	// zero value derives a copy-message/sum-reduce estimate from the dims.
@@ -52,11 +48,11 @@ func NewCustomLayer(spec CustomSpec) (Layer, error) {
 	if spec.InDim < 1 || spec.OutDim < 1 || spec.MsgDim < 1 {
 		return nil, fmt.Errorf("gnn: custom layer %q: dims must be positive", spec.Name)
 	}
-	if spec.Update == nil && spec.UpdateInto == nil {
-		return nil, fmt.Errorf("gnn: custom layer %q: Update or UpdateInto is required", spec.Name)
+	if spec.UpdateInto == nil {
+		return nil, fmt.Errorf("gnn: custom layer %q: UpdateInto is required", spec.Name)
 	}
-	if spec.PrepareSources == nil && spec.MsgDim != spec.InDim {
-		return nil, fmt.Errorf("gnn: custom layer %q: identity PrepareSources needs MsgDim == InDim", spec.Name)
+	if spec.Prepare == nil && spec.MsgDim != spec.InDim {
+		return nil, fmt.Errorf("gnn: custom layer %q: identity Prepare needs MsgDim == InDim", spec.Name)
 	}
 	w := spec.Work
 	if w == (LayerWork{}) {
@@ -101,50 +97,35 @@ func (l *customLayer) OutDim() int        { return l.spec.OutDim }
 func (l *customLayer) MsgDim() int        { return l.spec.MsgDim }
 func (l *customLayer) Reduce() ReduceKind { return l.spec.Reduce }
 
-func (l *customLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix {
-	if l.spec.PrepareSources == nil {
-		return h
+// Prepare runs the spec's Prepare serially (workers is ignored) and holds
+// its result to the shapes AccumulateEdge reads.
+func (l *customLayer) Prepare(h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix) {
+	if l.spec.Prepare == nil {
+		return h, nil
 	}
-	return l.spec.PrepareSources(h)
-}
-
-func (l *customLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix {
-	if l.spec.PrepareDest == nil {
-		return nil
+	psrc, pdst = l.spec.Prepare(h)
+	if psrc == nil || psrc.Rows != h.Rows || psrc.Cols != l.spec.MsgDim || (pdst != nil && pdst.Rows != h.Rows) {
+		panic(fmt.Sprintf("gnn: custom layer %q: Prepare returned psrc %v and pdst %v for %d vertices; want psrc %dx%d and pdst nil or %d rows",
+			l.Name(), psrc, pdst, h.Rows, h.Rows, l.spec.MsgDim, h.Rows))
 	}
-	return l.spec.PrepareDest(h)
-}
-
-func (l *customLayer) MessageInto(out, psrc, pdst []float32, ctx EdgeContext) {
-	if l.spec.Message == nil {
-		copy(out, psrc)
-		return
-	}
-	l.spec.Message(out, psrc, pdst, ctx)
+	return psrc, pdst
 }
 
 func (l *customLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
-	if l.spec.Accumulate != nil {
+	switch {
+	case l.spec.Accumulate != nil:
 		l.spec.Accumulate(acc, psrc, pdst, ctx)
 		return
+	case l.spec.Message != nil:
+		l.spec.Message(msg, psrc, pdst, ctx)
+	default:
+		copy(msg, psrc)
 	}
-	l.MessageInto(msg, psrc, pdst, ctx)
 	l.spec.Reduce.Accumulate(acc, msg)
 }
 
-func (l *customLayer) Update(hself, agg []float32) []float32 {
-	if l.spec.Update != nil {
-		return l.spec.Update(hself, agg)
-	}
-	return updateAlloc(l, hself, agg)
-}
-
 func (l *customLayer) UpdateInto(dst, hself, agg, scratch []float32) {
-	if l.spec.UpdateInto != nil {
-		l.spec.UpdateInto(dst, hself, agg)
-		return
-	}
-	copy(dst, l.spec.Update(hself, agg))
+	l.spec.UpdateInto(dst, hself, agg)
 }
 
 func (l *customLayer) UpdateScratch() int { return 0 }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,8 +18,8 @@ func customMeanLayer(t *testing.T, in, out int) Layer {
 	l, err := NewCustomLayer(CustomSpec{
 		Name: "custom-mean", InDim: in, MsgDim: in, OutDim: out,
 		Reduce: ReduceMean,
-		Update: func(hself, agg []float32) []float32 {
-			return tensor.VecMat(agg, w)
+		UpdateInto: func(dst, hself, agg []float32) {
+			tensor.VecMatInto(dst, agg, w)
 		},
 	})
 	if err != nil {
@@ -58,7 +59,7 @@ func TestCustomLayerRuns(t *testing.T) {
 func TestCustomLayerDefaults(t *testing.T) {
 	l, err := NewCustomLayer(CustomSpec{
 		InDim: 4, MsgDim: 4, OutDim: 2,
-		Update: func(hself, agg []float32) []float32 { return agg[:2] },
+		UpdateInto: func(dst, hself, agg []float32) { copy(dst, agg[:2]) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,29 +73,78 @@ func TestCustomLayerDefaults(t *testing.T) {
 	}
 	// Identity prepare, copy message.
 	h := tensor.FromRows([][]float32{{1, 2, 3, 4}})
-	if l.PrepareSources(h) != h {
+	psrc, pdst := l.Prepare(h, 1)
+	if psrc != h {
 		t.Fatal("identity prepare should pass through")
 	}
-	msg := make([]float32, 4)
-	l.MessageInto(msg, h.Row(0), nil, EdgeContext{})
-	if msg[3] != 4 {
+	acc := make([]float32, 4)
+	l.AccumulateEdge(acc, h.Row(0), nil, make([]float32, 4), EdgeContext{})
+	if acc[3] != 4 {
 		t.Fatal("copy message broken")
 	}
-	if l.PrepareDest(h) != nil {
+	if pdst != nil {
 		t.Fatal("nil dest prepare expected")
 	}
 }
 
 func TestCustomLayerValidation(t *testing.T) {
-	upd := func(hself, agg []float32) []float32 { return agg }
+	upd := func(dst, hself, agg []float32) { copy(dst, agg) }
 	cases := []CustomSpec{
-		{InDim: 0, MsgDim: 1, OutDim: 1, Update: upd}, // bad dim
-		{InDim: 2, MsgDim: 2, OutDim: 2},              // missing update
-		{InDim: 2, MsgDim: 3, OutDim: 2, Update: upd}, // identity prepare mismatch
+		{InDim: 0, MsgDim: 1, OutDim: 1, UpdateInto: upd}, // bad dim
+		{InDim: 2, MsgDim: 2, OutDim: 2},                  // missing update
+		{InDim: 2, MsgDim: 3, OutDim: 2, UpdateInto: upd}, // identity prepare mismatch
 	}
 	for i, spec := range cases {
 		if _, err := NewCustomLayer(spec); err == nil {
 			t.Fatalf("case %d should fail", i)
+		}
+	}
+}
+
+// A custom Prepare whose result is not |V|×MsgDim sources (plus nil or |V|
+// destination rows) panics with the layer name and both shapes when the
+// layer runs, instead of leaving message columns unwritten.
+func TestCustomPrepareShapeChecked(t *testing.T) {
+	g := graph.Star(4)
+	x := RandomFeatures(g, 4, 1)
+	cases := []struct {
+		name    string
+		prepare func(h *tensor.Matrix) (psrc, pdst *tensor.Matrix)
+		shapes  string
+	}{
+		{"narrow-src", func(h *tensor.Matrix) (psrc, pdst *tensor.Matrix) {
+			return tensor.NewMatrix(h.Rows, 3), nil
+		}, "psrc Matrix(4x3) and pdst <nil>"},
+		{"short-src", func(h *tensor.Matrix) (psrc, pdst *tensor.Matrix) {
+			return tensor.NewMatrix(h.Rows-1, 4), nil
+		}, "psrc Matrix(3x4) and pdst <nil>"},
+		{"short-dst", func(h *tensor.Matrix) (psrc, pdst *tensor.Matrix) {
+			return h, tensor.NewMatrix(h.Rows-1, 2)
+		}, "psrc Matrix(4x4) and pdst Matrix(3x2)"},
+	}
+	for _, tc := range cases {
+		l, err := NewCustomLayer(CustomSpec{
+			Name: tc.name, InDim: 4, MsgDim: 4, OutDim: 4,
+			Prepare:    tc.prepare,
+			UpdateInto: func(dst, hself, agg []float32) { copy(dst, agg) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := CustomModel("shape", l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			_, err := Forward(m, g, x)
+			t.Errorf("%s: Forward returned %v, want a panic", tc.name, err)
+			return ""
+		}()
+		want := fmt.Sprintf("gnn: custom layer %q: Prepare returned %s for 4 vertices; want psrc 4x4 and pdst nil or 4 rows",
+			tc.name, tc.shapes)
+		if got != want {
+			t.Errorf("%s: panic %q, want %q", tc.name, got, want)
 		}
 	}
 }

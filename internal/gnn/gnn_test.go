@@ -286,10 +286,9 @@ func TestGGCNGateBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	l := newGGCNLayer(11, 4, 3, true)
 	h := tensor.RandomMatrix(rng, 2, 4, 1)
-	psrc := l.PrepareSources(h)
-	pdst := l.PrepareDest(h)
+	psrc, pdst := l.Prepare(h, 1)
 	msg := make([]float32, 3)
-	l.MessageInto(msg, psrc.Row(0), pdst.Row(1), EdgeContext{Src: 0, Dst: 1})
+	l.AccumulateEdge(msg, psrc.Row(0), pdst.Row(1), nil, EdgeContext{Src: 0, Dst: 1})
 	for i := range msg {
 		val := psrc.Row(0)[3+i]
 		if math.Abs(float64(msg[i])) > math.Abs(float64(val))+1e-6 {

@@ -8,8 +8,8 @@ import (
 	"scale/internal/tensor"
 )
 
-// Every layer's fused/in-place kernels must be bit-identical to the
-// allocating contract they shadow: the executors only ever drive the
+// Every layer's fused/parallel kernels must be bit-identical to the direct
+// Eq. 1 formulations in oracle_test.go: the executors only ever drive the
 // kernels, so any drift would silently decouple them from the documented
 // Eq. 1–2 semantics.
 
@@ -32,29 +32,12 @@ func randSlice(rng *rand.Rand, n int) []float32 {
 	return s
 }
 
-func TestUpdateIntoMatchesUpdate(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for name, l := range zooLayers(t) {
-		hself := randSlice(rng, l.InDim())
-		agg := randSlice(rng, l.MsgDim())
-		want := l.Update(hself, agg)
-		dst := randSlice(rng, l.OutDim()) // stale contents must be overwritten
-		scratch := randSlice(rng, l.UpdateScratch())
-		l.UpdateInto(dst, hself, agg, scratch)
-		for i, v := range dst {
-			if v != want[i] {
-				t.Fatalf("%s: UpdateInto[%d] = %v, Update = %v", name, i, v, want[i])
-			}
-		}
-	}
-}
-
 func TestAccumulateEdgeMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	g := testGraph()
 	for name, l := range zooLayers(t) {
 		h := tensor.RandomMatrix(rng, g.NumVertices(), l.InDim(), 0.5)
-		psrc, pdst := PrepareLayer(l, h, 1)
+		psrc, pdst := l.Prepare(h, 1)
 		width := l.Reduce().AccWidth(l.MsgDim())
 		acc := randSlice(rng, width)
 		want := append([]float32(nil), acc...)
@@ -68,7 +51,7 @@ func TestAccumulateEdgeMatchesUnfused(t *testing.T) {
 			for _, u := range nbrs {
 				ctx := EdgeContext{Src: int(u), Dst: v, SrcDeg: g.InDegree(int(u)), DstDeg: len(nbrs)}
 				l.AccumulateEdge(acc, psrc.Row(int(u)), pdstRow, msg, ctx)
-				l.MessageInto(msg, psrc.Row(int(u)), pdstRow, ctx)
+				refMessage(l, msg, psrc.Row(int(u)), pdstRow, ctx)
 				l.Reduce().Accumulate(want, msg)
 			}
 		}
@@ -117,16 +100,15 @@ func TestEdgeCoefMatchesAccumulateEdge(t *testing.T) {
 	}
 }
 
-// PrepareLayer's fused/parallel prepare must be bit-identical to the serial
-// PrepareSources/PrepareDest pair for every worker count.
+// Each layer's fused/parallel Prepare must be bit-identical to the serial
+// one-pass-per-matrix formulation for every worker count.
 func TestPrepareLayerMatchesSerialPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for name, l := range zooLayers(t) {
 		h := tensor.RandomMatrix(rng, 50, l.InDim(), 0.5)
-		wantSrc := l.PrepareSources(h)
-		wantDst := l.PrepareDest(h)
+		wantSrc, wantDst := refPrepare(l, h)
 		for _, workers := range []int{1, 3, 8} {
-			psrc, pdst := PrepareLayer(l, h, workers)
+			psrc, pdst := l.Prepare(h, workers)
 			if !psrc.Equal(wantSrc) {
 				t.Fatalf("%s workers=%d: prepared sources diverge", name, workers)
 			}
@@ -166,19 +148,17 @@ func TestForwardParallelBitIdenticalReference(t *testing.T) {
 	}
 }
 
-// A custom layer with only the allocating surface defined still runs through
-// the kernel-driven executor via the fallbacks, and one with fused kernels
-// set uses them.
+// A custom layer without a fused Accumulate runs through the kernel-driven
+// executor via the Message fallback, and one with Accumulate set uses it;
+// both give the same bits.
 func TestCustomLayerKernelFallbacks(t *testing.T) {
 	base := CustomSpec{
 		Name: "fallback", InDim: 6, MsgDim: 6, OutDim: 6,
 		Reduce: ReduceSum,
-		Update: func(hself, agg []float32) []float32 {
-			out := make([]float32, len(agg))
-			for i := range out {
-				out[i] = hself[i] + agg[i]
+		UpdateInto: func(dst, hself, agg []float32) {
+			for i := range dst {
+				dst[i] = hself[i] + agg[i]
 			}
-			return out
 		},
 	}
 	fused := base
@@ -186,11 +166,6 @@ func TestCustomLayerKernelFallbacks(t *testing.T) {
 	fused.Accumulate = func(acc, psrc, pdst []float32, ctx EdgeContext) {
 		for i, v := range psrc {
 			acc[i] += v
-		}
-	}
-	fused.UpdateInto = func(dst, hself, agg []float32) {
-		for i := range dst {
-			dst[i] = hself[i] + agg[i]
 		}
 	}
 
@@ -213,23 +188,6 @@ func TestCustomLayerKernelFallbacks(t *testing.T) {
 		outs = append(outs, out)
 	}
 	if !outs[0][0].Equal(outs[1][0]) {
-		t.Fatal("fused custom kernels diverge from the allocating fallbacks")
-	}
-
-	// UpdateInto-only spec (no allocating Update) must validate and run.
-	into := base
-	into.Name = "into-only"
-	into.Update = nil
-	into.UpdateInto = func(dst, hself, agg []float32) {
-		for i := range dst {
-			dst[i] = hself[i] + agg[i]
-		}
-	}
-	l, err := NewCustomLayer(into)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Update(make([]float32, 6), make([]float32, 6)); len(got) != 6 {
-		t.Fatalf("Update fallback length %d", len(got))
+		t.Fatal("fused custom kernels diverge from the Message fallback")
 	}
 }

@@ -96,15 +96,10 @@ type EdgeContext struct {
 
 // Layer is one message-passing layer. Implementations provide the semantics
 // (for the golden reference and the functional simulator) and the workload
-// characterization (for the timing models).
-//
-// The contract has two tiers. The allocating methods (Update, the
-// PrepareSources/PrepareDest pair) are the compatibility surface: direct
-// translations of Eq. 1–2 that allocate their results. The in-place kernels
-// (AccumulateEdge, UpdateInto with UpdateScratch-sized caller scratch) are
-// the execution surface the executors drive: they write into caller-owned
-// buffers so the per-vertex/per-edge hot loop performs no heap allocation,
-// and every allocating method is a thin wrapper over its kernel.
+// characterization (for the timing models). The executors drive every
+// method that touches data: Prepare once per layer, then AccumulateEdge per
+// edge and UpdateInto per vertex, both writing into caller-owned buffers so
+// the per-vertex/per-edge hot loop performs no heap allocation.
 type Layer interface {
 	// Name identifies the layer kind (e.g. "gcn").
 	Name() string
@@ -115,33 +110,27 @@ type Layer interface {
 	MsgDim() int
 	// Reduce is the aggregation reduction.
 	Reduce() ReduceKind
-	// PrepareSources applies any per-source-vertex neural transform
-	// (e.g. the SAGE pooling MLP) and returns per-vertex message inputs,
-	// one row per vertex, MsgDim columns. Implementations may return h
-	// itself when no transform applies.
-	PrepareSources(h *tensor.Matrix) *tensor.Matrix
-	// PrepareDest applies any per-destination-vertex transform used by
-	// message formation (e.g. G-GCN's gate term A·h_v); may return nil.
-	PrepareDest(h *tensor.Matrix) *tensor.Matrix
-	// MessageInto writes the message for one edge into out, whose length
-	// is Reduce().AccWidth(MsgDim()). psrc is the prepared source row,
-	// pdst the prepared destination row (nil unless PrepareDest returns
-	// non-nil).
-	MessageInto(out, psrc, pdst []float32, ctx EdgeContext)
-	// AccumulateEdge fuses MessageInto and Reduce().Accumulate into one
-	// pass over the accumulator: acc (length Reduce().AccWidth(MsgDim()))
-	// absorbs the edge's message without materializing it. msg is caller
-	// scratch of the same length that implementations may use when they
-	// cannot fuse (the custom-layer fallback); fused implementations
-	// ignore it. Must be bit-identical to MessageInto followed by
-	// Accumulate.
+	// Prepare applies the layer's per-vertex transforms (e.g. the SAGE
+	// pooling MLP, G-GCN's gate terms) to every row of h. psrc holds one
+	// prepared source row per vertex, the message input AccumulateEdge
+	// reads; it may be h itself when no transform applies. pdst holds one
+	// prepared destination row per vertex (e.g. G-GCN's A·h_v) or is nil.
+	// Rows fan across up to `workers` goroutines (< 1 selects GOMAXPROCS,
+	// 1 runs serially); each row is produced by the same serial kernel, so
+	// the result is bit-identical for every worker count.
+	Prepare(h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix)
+	// AccumulateEdge folds one edge's message (Eq. 1) into acc (length
+	// Reduce().AccWidth(MsgDim())) without materializing it: psrc is the
+	// prepared source row, pdst the prepared destination row (nil when
+	// Prepare returns no pdst). msg is caller scratch of acc's length that
+	// implementations may use when they cannot fuse message and reduction
+	// (the custom-layer fallback); fused implementations ignore it. The
+	// result must equal forming the message and then applying
+	// Reduce().Accumulate, bit for bit.
 	AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext)
-	// Update combines a vertex's own input features with its finalized
-	// aggregation (length MsgDim) into the output row (length OutDim).
-	// Allocating wrapper over UpdateInto.
-	Update(hself, agg []float32) []float32
-	// UpdateInto writes Update's result into dst (length OutDim) using
-	// scratch (length UpdateScratch()) without allocating.
+	// UpdateInto combines a vertex's own input features with its finalized
+	// aggregation (length MsgDim) into dst (length OutDim), using scratch
+	// (length UpdateScratch()) and allocating nothing.
 	UpdateInto(dst, hself, agg, scratch []float32)
 	// UpdateScratch returns the scratch length UpdateInto requires.
 	UpdateScratch() int
@@ -169,39 +158,6 @@ type LinearAggregator interface {
 	EdgeCoef(srcDeg, dstDeg int) float32
 	QSrcCoef(srcDeg int) float32
 	QDstCoef(dstDeg int) float32
-}
-
-// preparer is the internal parallel-prepare hook the built-in layers
-// implement: prepare computes both prepared matrices in one pass over h,
-// fanning rows across up to `workers` goroutines. PrepareLayer falls back to
-// the serial PrepareSources/PrepareDest pair for layers without it (custom
-// specs).
-type preparer interface {
-	prepare(h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix)
-}
-
-// PrepareLayer computes the layer's prepared source and destination matrices
-// for all vertices, parallelizing across up to `workers` goroutines when the
-// layer supports it (workers < 1 selects GOMAXPROCS, 1 runs serially). The
-// result is bit-identical for every worker count: rows are partitioned, and
-// each row is produced by the same serial kernel.
-func PrepareLayer(l Layer, h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix) {
-	if p, ok := l.(preparer); ok {
-		return p.prepare(h, workers)
-	}
-	return l.PrepareSources(h), l.PrepareDest(h)
-}
-
-// updateAlloc implements the allocating Update contract in terms of a
-// layer's UpdateInto kernel.
-func updateAlloc(l Layer, hself, agg []float32) []float32 {
-	dst := make([]float32, l.OutDim())
-	var scratch []float32
-	if n := l.UpdateScratch(); n > 0 {
-		scratch = make([]float32, n)
-	}
-	l.UpdateInto(dst, hself, agg, scratch)
-	return dst
 }
 
 // Model is a stack of layers with a human-readable name.

@@ -110,18 +110,8 @@ func (l *gcnLayer) OutDim() int        { return l.out }
 func (l *gcnLayer) MsgDim() int        { return l.in }
 func (l *gcnLayer) Reduce() ReduceKind { return ReduceSum }
 
-func (l *gcnLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix { return h }
-func (l *gcnLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix    { return nil }
-
-func (l *gcnLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *gcnLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
 	return h, nil
-}
-
-func (l *gcnLayer) MessageInto(out, psrc, pdst []float32, ctx EdgeContext) {
-	norm := gcnNorm(ctx.SrcDeg, ctx.DstDeg)
-	for i, v := range psrc {
-		out[i] = norm * v
-	}
 }
 
 func (l *gcnLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
@@ -144,8 +134,6 @@ func gcnNorm(srcDeg, dstDeg int) float32 {
 	}
 	return float32(1 / math.Sqrt(float64(srcDeg)*float64(dstDeg)))
 }
-
-func (l *gcnLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 
 func (l *gcnLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	l.ensure()
@@ -209,31 +197,10 @@ func (l *ggcnLayer) OutDim() int        { return l.out }
 func (l *ggcnLayer) MsgDim() int        { return l.out }
 func (l *ggcnLayer) Reduce() ReduceKind { return ReduceSum }
 
-// PrepareSources rows are [B·h_u ; V·h_u] (2·out wide: gate term then value).
-func (l *ggcnLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix {
-	l.ensure()
-	p := tensor.NewMatrix(h.Rows, 2*l.out)
-	for i := 0; i < h.Rows; i++ {
-		row := p.Row(i)
-		tensor.VecMatInto(row[:l.out], h.Row(i), l.b)
-		tensor.VecMatInto(row[l.out:], h.Row(i), l.v)
-	}
-	return p
-}
-
-// PrepareDest rows are A·h_v.
-func (l *ggcnLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix {
-	l.ensure()
-	p := tensor.NewMatrix(h.Rows, l.out)
-	for i := 0; i < h.Rows; i++ {
-		tensor.VecMatInto(p.Row(i), h.Row(i), l.a)
-	}
-	return p
-}
-
-// prepare fuses the three GEMVs (B·h, V·h, A·h) into a single parallel pass
-// over h, reading each input row once.
-func (l *ggcnLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+// Prepare fuses the three GEMVs into a single parallel pass over h, reading
+// each input row once: psrc rows are [B·h_u ; V·h_u] (2·out wide: gate term
+// then value), pdst rows are A·h_v.
+func (l *ggcnLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
 	l.ensure()
 	psrc := tensor.NewMatrix(h.Rows, 2*l.out)
 	pdst := tensor.NewMatrix(h.Rows, l.out)
@@ -249,21 +216,12 @@ func (l *ggcnLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *ten
 	return psrc, pdst
 }
 
-func (l *ggcnLayer) MessageInto(out, psrc, pdst []float32, ctx EdgeContext) {
-	for i := 0; i < l.out; i++ {
-		gate := sigmoid32(pdst[i] + psrc[i])
-		out[i] = gate * psrc[l.out+i]
-	}
-}
-
 func (l *ggcnLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
 	for i := 0; i < l.out; i++ {
 		gate := sigmoid32(pdst[i] + psrc[i])
 		acc[i] += gate * psrc[l.out+i]
 	}
 }
-
-func (l *ggcnLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 
 func (l *ggcnLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	l.ensure()
@@ -339,16 +297,9 @@ func (l *sagePoolLayer) OutDim() int        { return l.out }
 func (l *sagePoolLayer) MsgDim() int        { return l.pool }
 func (l *sagePoolLayer) Reduce() ReduceKind { return ReduceMax }
 
-func (l *sagePoolLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix {
-	p, _ := l.prepare(h, 1)
-	return p
-}
-
-func (l *sagePoolLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix { return nil }
-
-// prepare runs the pooling MLP as one (possibly cache-blocked) GEMM over all
+// Prepare runs the pooling MLP as one (possibly cache-blocked) GEMM over all
 // vertices, then folds in the bias and ReLU row-parallel.
-func (l *sagePoolLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *sagePoolLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
 	l.ensure()
 	p := tensor.NewMatrix(h.Rows, l.pool)
 	tensor.ParallelMatMulInto(p, h, l.wp, workers)
@@ -364,15 +315,9 @@ func (l *sagePoolLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, 
 	return p, nil
 }
 
-func (l *sagePoolLayer) MessageInto(out, psrc, pdst []float32, ctx EdgeContext) {
-	copy(out, psrc)
-}
-
 func (l *sagePoolLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
 	tensor.MaxElems(acc, psrc)
 }
-
-func (l *sagePoolLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 
 func (l *sagePoolLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	l.ensure()
@@ -430,15 +375,8 @@ func (l *ginLayer) OutDim() int        { return l.out }
 func (l *ginLayer) MsgDim() int        { return l.in }
 func (l *ginLayer) Reduce() ReduceKind { return ReduceSum }
 
-func (l *ginLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix { return h }
-func (l *ginLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix    { return nil }
-
-func (l *ginLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *ginLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
 	return h, nil
-}
-
-func (l *ginLayer) MessageInto(out, psrc, pdst []float32, ctx EdgeContext) {
-	copy(out, psrc)
 }
 
 func (l *ginLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
@@ -450,8 +388,6 @@ func (l *ginLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContex
 
 // EdgeCoef is 1: acc += 1·v is acc += v exactly (LinearAggregator).
 func (l *ginLayer) EdgeCoef(int, int) float32 { return 1 }
-
-func (l *ginLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 
 func (l *ginLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	l.ensure()
@@ -519,35 +455,10 @@ func (l *gatLayer) OutDim() int        { return l.out }
 func (l *gatLayer) MsgDim() int        { return l.out }
 func (l *gatLayer) Reduce() ReduceKind { return ReduceSumNorm }
 
-// PrepareSources rows are [z_u ; a_r·z_u] (out+1 wide).
-func (l *gatLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix {
-	l.ensure()
-	p := tensor.NewMatrix(h.Rows, l.out+1)
-	for i := 0; i < h.Rows; i++ {
-		row := p.Row(i)
-		z := row[:l.out]
-		tensor.VecMatInto(z, h.Row(i), l.w)
-		row[l.out] = tensor.Dot(l.ar, z)
-	}
-	return p
-}
-
-// PrepareDest rows carry the scalar a_l·z_v.
-func (l *gatLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix {
-	l.ensure()
-	p := tensor.NewMatrix(h.Rows, 1)
-	z := make([]float32, l.out)
-	for i := 0; i < h.Rows; i++ {
-		tensor.VecMatInto(z, h.Row(i), l.w)
-		p.Set(i, 0, tensor.Dot(l.al, z))
-	}
-	return p
-}
-
-// prepare computes z = W·h once per vertex — the split
-// PrepareSources/PrepareDest pair recomputes it — writing z directly into
-// the prepared source row and deriving both attention scores from it.
-func (l *gatLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+// Prepare computes z = W·h once per vertex, writing z directly into the
+// prepared source row and deriving both attention scores from it: psrc rows
+// are [z_u ; a_r·z_u] (out+1 wide), pdst rows carry the scalar a_l·z_v.
+func (l *gatLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
 	l.ensure()
 	psrc := tensor.NewMatrix(h.Rows, l.out+1)
 	pdst := tensor.NewMatrix(h.Rows, 1)
@@ -563,18 +474,6 @@ func (l *gatLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tens
 	return psrc, pdst
 }
 
-func (l *gatLayer) MessageInto(out, psrc, pdst []float32, ctx EdgeContext) {
-	e := pdst[0] + psrc[l.out]
-	if e < 0 {
-		e *= 0.2 // LeakyReLU
-	}
-	w := float32(math.Exp(float64(e)))
-	for i := 0; i < l.out; i++ {
-		out[i] = w * psrc[i]
-	}
-	out[l.out] = w
-}
-
 func (l *gatLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
 	e := pdst[0] + psrc[l.out]
 	if e < 0 {
@@ -586,8 +485,6 @@ func (l *gatLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContex
 	}
 	acc[l.out] += w
 }
-
-func (l *gatLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 
 func (l *gatLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	copy(dst, agg[:l.out])
@@ -643,15 +540,8 @@ func (l *sageMeanLayer) OutDim() int        { return l.out }
 func (l *sageMeanLayer) MsgDim() int        { return l.in }
 func (l *sageMeanLayer) Reduce() ReduceKind { return ReduceMean }
 
-func (l *sageMeanLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix { return h }
-func (l *sageMeanLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix    { return nil }
-
-func (l *sageMeanLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *sageMeanLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
 	return h, nil
-}
-
-func (l *sageMeanLayer) MessageInto(out, psrc, pdst []float32, ctx EdgeContext) {
-	copy(out, psrc)
 }
 
 func (l *sageMeanLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
@@ -663,8 +553,6 @@ func (l *sageMeanLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeC
 
 // EdgeCoef is 1: acc += 1·v is acc += v exactly (LinearAggregator).
 func (l *sageMeanLayer) EdgeCoef(int, int) float32 { return 1 }
-
-func (l *sageMeanLayer) Update(hself, agg []float32) []float32 { return updateAlloc(l, hself, agg) }
 
 func (l *sageMeanLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	l.ensure()

@@ -39,55 +39,9 @@ func (l *multiHeadGATLayer) OutDim() int  { return l.out }
 func (l *multiHeadGATLayer) MsgDim() int { return l.heads * (l.headDim + 1) }
 
 // Reduce is a plain sum: each head's normalizer rides inside the message
-// (per-head SumNorm is applied manually in Update), keeping the accumulator
-// a flat commutative sum the ring dataflow handles unchanged.
+// (per-head SumNorm is applied manually in UpdateInto), keeping the
+// accumulator a flat commutative sum the ring dataflow handles unchanged.
 func (l *multiHeadGATLayer) Reduce() ReduceKind { return ReduceSum }
-
-// PrepareSources concatenates the heads' prepared rows.
-func (l *multiHeadGATLayer) PrepareSources(h *tensor.Matrix) *tensor.Matrix {
-	parts := make([]*tensor.Matrix, l.heads)
-	for i, sub := range l.subs {
-		parts[i] = sub.PrepareSources(h)
-	}
-	width := 0
-	for _, p := range parts {
-		width += p.Cols
-	}
-	out := tensor.NewMatrix(h.Rows, width)
-	for r := 0; r < h.Rows; r++ {
-		row := out.Row(r)
-		off := 0
-		for _, p := range parts {
-			copy(row[off:off+p.Cols], p.Row(r))
-			off += p.Cols
-		}
-	}
-	return out
-}
-
-// PrepareDest concatenates the heads' destination scalars.
-func (l *multiHeadGATLayer) PrepareDest(h *tensor.Matrix) *tensor.Matrix {
-	out := tensor.NewMatrix(h.Rows, l.heads)
-	for i, sub := range l.subs {
-		p := sub.PrepareDest(h)
-		for r := 0; r < h.Rows; r++ {
-			out.Set(r, i, p.At(r, 0))
-		}
-	}
-	return out
-}
-
-func (l *multiHeadGATLayer) MessageInto(out, psrc, pdst []float32, ctx EdgeContext) {
-	srcOff, outOff := 0, 0
-	for i, sub := range l.subs {
-		subSrcWidth := sub.out + 1
-		subOutWidth := sub.out + 1
-		sub.MessageInto(out[outOff:outOff+subOutWidth], psrc[srcOff:srcOff+subSrcWidth],
-			pdst[i:i+1], ctx)
-		srcOff += subSrcWidth
-		outOff += subOutWidth
-	}
-}
 
 func (l *multiHeadGATLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
 	off := 0
@@ -98,9 +52,9 @@ func (l *multiHeadGATLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx E
 	}
 }
 
-// prepare lays each head's prepared row and destination scalar directly into
+// Prepare lays each head's prepared row and destination scalar directly into
 // the concatenated matrices, computing each head's z once per vertex.
-func (l *multiHeadGATLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *multiHeadGATLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
 	for _, sub := range l.subs {
 		sub.ensure()
 	}
@@ -124,13 +78,9 @@ func (l *multiHeadGATLayer) prepare(h *tensor.Matrix, workers int) (*tensor.Matr
 	return psrc, pdst
 }
 
-// Update normalizes each head by its carried weight sum and concatenates.
-func (l *multiHeadGATLayer) Update(hself, agg []float32) []float32 {
-	return updateAlloc(l, hself, agg)
-}
-
-// UpdateInto finalizes each head's SumNorm in the shared scratch buffer and
-// writes the normalized head into its slot of dst.
+// UpdateInto normalizes each head by its carried weight sum in the shared
+// scratch buffer and writes the normalized head into its slot of dst, so
+// the heads concatenate.
 func (l *multiHeadGATLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	srcOff, dstOff := 0, 0
 	for _, sub := range l.subs {

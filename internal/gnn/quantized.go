@@ -52,7 +52,7 @@ type QKernels interface {
 	QUpdateInto(dst, hself, agg, scratch []float32, qs []int8)
 }
 
-// qPreparer mirrors preparer for the int8 tier: qprepare computes the
+// qPreparer mirrors Layer.Prepare for the int8 tier: qprepare computes the
 // prepared matrices with the layer's per-vertex GEMVs running on the
 // quantized weights. Outputs remain float32 (message math consumes them).
 type qPreparer interface {
@@ -82,7 +82,7 @@ func LayerQuantized(l Layer) bool {
 	return ok && qk.Quantized()
 }
 
-// PrepareLayerPrecision is PrepareLayer with a precision switch: when
+// PrepareLayerPrecision is Layer.Prepare with a precision switch: when
 // quantized is true and the layer has both a quantized weight form and a
 // quantized prepare path, the per-vertex prepare GEMVs run int8. Bit-
 // identical across worker counts in both modes (rows are partitioned; each
@@ -93,7 +93,7 @@ func PrepareLayerPrecision(l Layer, h *tensor.Matrix, workers int, quantized boo
 			return qp.qprepare(h, workers)
 		}
 	}
-	return PrepareLayer(l, h, workers)
+	return l.Prepare(h, workers)
 }
 
 // mustQuantizeRow quantizes an activation row into q, panicking on

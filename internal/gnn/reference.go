@@ -58,7 +58,7 @@ func ForwardLayerParallel(l Layer, g *graph.Graph, h *tensor.Matrix, workers int
 	if h.Cols != l.InDim() {
 		return nil, fmt.Errorf("input dim %d != layer dim %d", h.Cols, l.InDim())
 	}
-	psrc, pdst := PrepareLayer(l, h, workers)
+	psrc, pdst := l.Prepare(h, workers)
 	kind := l.Reduce()
 	width := kind.AccWidth(l.MsgDim())
 	out := tensor.NewMatrix(h.Rows, l.OutDim())
