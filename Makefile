@@ -98,8 +98,9 @@ race:
 
 # Tier 3: short fuzz passes over the parsers (graph edge lists, binary
 # graph decoding, feature matrices, config JSON round-trip, mutation
-# batches, /v1/infer bodies against encoding/json, shard wire frames) and
-# over the amd64 SSE2 kernels against their portable loops.
+# batches, /v1/infer bodies against encoding/json, shard wire frames), over
+# the amd64 SSE2 kernels against their portable loops, and over Algorithm 1
+# against its direct O(B·T_n) first fit and O(T_n·G_n) grouping.
 fuzz:
 	$(GO) test ./internal/graph/ -run FuzzParseEdgeList -fuzz FuzzParseEdgeList -fuzztime 20s
 	$(GO) test ./internal/graph/ -run FuzzDecode -fuzz FuzzDecode -fuzztime 20s
@@ -109,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run FuzzInferBody -fuzz FuzzInferBody -fuzztime 20s
 	$(GO) test ./internal/tensor/ -run FuzzKernels -fuzz FuzzKernels -fuzztime 20s
 	$(GO) test ./internal/shard/ -run FuzzWireFrames -fuzz FuzzWireFrames -fuzztime 20s
+	$(GO) test ./internal/sched/ -run FuzzScheduleMatchesOracle -fuzz FuzzScheduleMatchesOracle -fuzztime 20s
 
 # The end-to-end benchmark (perfbench/) is a nested module, so the root
 # `go vet ./...` and `go test ./...` never compile it: vet and test it here,
@@ -367,12 +369,12 @@ dyn-smoke:
 	trap - EXIT; \
 	echo "dyn-smoke: 9 mutate batches + 9 dynamic infers on the direct route, drained cleanly"
 
-# Run every kernel-layer and data-plane Go benchmark once. `go test`
-# compiles Benchmark* functions but never runs them, so one that panics or
-# calls b.Fatal would otherwise pass; one iteration each keeps this to
-# seconds. internal/shard's BenchmarkShardPass drives the HTTP shard data
-# plane at k = 1/2/4 in fp32 and int8.
+# Run every kernel-layer, scheduler and data-plane Go benchmark once. `go
+# test` compiles Benchmark* functions but never runs them, so one that
+# panics or calls b.Fatal would otherwise pass; one iteration each keeps
+# this to seconds. internal/shard's BenchmarkShardPass drives the HTTP shard
+# data plane at k = 1/2/4 in fp32 and int8.
 bench-once:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core ./internal/shard ./internal/graph
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core ./internal/shard ./internal/graph ./internal/sched
 
 verify: test lint conform bce crossbuild race perfbench-check bench-once bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // ErdosRenyi generates a directed G(n, m) graph with exactly m edges sampled
@@ -45,8 +46,11 @@ func PreferentialAttachment(n, attach int, seed int64) *Graph {
 			endpoints = append(endpoints, int32(u), int32(v))
 		}
 	}
+	// The picks are kept in pick order: the endpoint order steers later
+	// picks, so iterating a set here would make the graph differ per run.
+	chosen := make([]int32, 0, attach)
 	for v := seedSize; v < n; v++ {
-		chosen := make(map[int32]bool, attach)
+		chosen = chosen[:0]
 		for len(chosen) < attach {
 			var target int32
 			if len(endpoints) == 0 || rng.Float64() < 0.05 {
@@ -54,12 +58,12 @@ func PreferentialAttachment(n, attach int, seed int64) *Graph {
 			} else {
 				target = endpoints[rng.Intn(len(endpoints))]
 			}
-			if int(target) == v || chosen[target] {
+			if int(target) == v || slices.Contains(chosen, target) {
 				continue
 			}
-			chosen[target] = true
+			chosen = append(chosen, target)
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			b.AddUndirected(v, int(t))
 			endpoints = append(endpoints, int32(v), t)
 		}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -54,6 +55,19 @@ func TestPreferentialAttachmentSkew(t *testing.T) {
 	}
 	if st.Gini < 0.2 {
 		t.Fatalf("expected skewed degrees, gini=%.3f", st.Gini)
+	}
+}
+
+// One seed must give one graph at every attach count. Reading a new
+// vertex's picks back from a set would reorder its endpoints, and with them
+// every later pick, from run to run once it picks two or more.
+func TestPreferentialAttachmentDeterministic(t *testing.T) {
+	for _, attach := range []int{1, 2, 4} {
+		a := PreferentialAttachment(2000, attach, 7)
+		b := PreferentialAttachment(2000, attach, 7)
+		if !slices.Equal(a.rowPtr, b.rowPtr) || !slices.Equal(a.colIdx, b.colIdx) {
+			t.Fatalf("attach %d: two builds from seed 7 differ", attach)
+		}
 	}
 }
 

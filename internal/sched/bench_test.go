@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"scale/internal/graph"
@@ -107,5 +109,55 @@ func BenchmarkScheduleCompactRedditFullLayer(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// benchScheduler times one batch through a reused materializing Scheduler,
+// the path the functional executor runs once per layer.
+func benchScheduler(b *testing.B, degrees, batch []int32, cfg Config) {
+	s, err := NewScheduler(cfg, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Schedule(degrees, batch); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Schedule(degrees, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// A small-open request's layer: 72 vertices with 288 uniformly random
+// in-edges into 512 tasks. For the 16→32→8 models Eq. 3 gives both gcn
+// layers and gin's second 2-PE rings (G_n = 256) and gin's first 4-PE rings
+// (G_n = 128). Nearly every vertex is above the first-fit target of 1 edge.
+func BenchmarkScheduleSmallBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(72))
+	degrees := make([]int32, 72)
+	for e := 0; e < 288; e++ {
+		degrees[rng.Intn(len(degrees))]++
+	}
+	batch := AllVertices(len(degrees))
+	for _, groups := range []int{256, 128} {
+		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {
+			benchScheduler(b, degrees, batch, Config{NumTasks: 512, NumGroups: groups, Policy: DegreeVertexAware})
+		})
+	}
+}
+
+// The 931-vertex reddit build resident-rw serves, one batch into 512 tasks
+// at the rings Eq. 3 picks for its 602→64→41 layers: G_n = 4 and 64.
+func BenchmarkScheduleRedditScaled(b *testing.B) {
+	g := graph.MustByName("reddit").Build()
+	degrees := g.Degrees()
+	batch := AllVertices(g.NumVertices())
+	for _, groups := range []int{4, 64} {
+		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {
+			benchScheduler(b, degrees, batch, Config{NumTasks: 512, NumGroups: groups, Policy: DegreeVertexAware})
+		})
 	}
 }

@@ -8,10 +8,25 @@ import (
 
 // Scheduler runs Algorithm 1 (and the ablation policies) with reusable
 // scratch state: after the first call, Schedule performs no heap allocations
-// in steady state. The per-batch degree sort is a stable counting sort keyed
-// on the bounded int32 degrees (O(B + distinct degrees) instead of
-// O(B log B) with a comparison sort), and tasks, groups, and all sorting
-// scratch are owned by the Scheduler and recycled across calls.
+// in steady state. Tasks, groups and all sorting scratch are owned by the
+// Scheduler and recycled across calls.
+//
+// Algorithm 1's cost follows the batch, not the PE array. With B vertices
+// in the batch, T_n tasks, G_n groups and k ≤ min(B, T_n) occupied tasks:
+//
+//   - the degree sort is a stable counting sort keyed on the bounded int32
+//     degrees, O(B + D log D) for D distinct degrees;
+//   - first fit places each vertex whose degree exceeds the edge target on
+//     the next task directly (the overflow prefix, O(1) a vertex) and finds
+//     every other vertex's task in a min tree over task loads, O(log T_n)
+//     a vertex;
+//   - grouping sorts and places only the k occupied tasks, scoring the
+//     groups already in use plus one untouched group, O(k log k +
+//     k·min(k, G_n)), then appends the empty tasks to one group.
+//
+// Resetting and listing the tasks and groups adds O(T_n + G_n). DESIGN.md
+// §4e sets these costs beside §IV-B's t_ts. The S+DS ablation's edge-greedy
+// grouping still scans every group for each task, O(T_n·G_n).
 //
 // By default the Scheduler is *compact*: tasks carry only vertex counts and
 // edge sums — exactly what the timing engine and the balance metrics consume
@@ -45,6 +60,9 @@ type Scheduler struct {
 	// (unlike a sort.Slice closure) keeps the hot path allocation-free.
 	distSorter degreesDesc
 
+	// loads is the first-fit min tree over task edge loads.
+	loads minTree
+
 	// Task-grouping scratch.
 	sorted taskSorter
 	gv, ge []float64 // per-group loads, DVS grouping
@@ -71,8 +89,9 @@ func NewScheduler(cfg Config, materialize bool) (*Scheduler, error) {
 		s.groups[i].ID = i
 		s.groupPtrs[i] = &s.groups[i]
 	}
+	s.loads = newMinTree(cfg.NumTasks)
 	s.sorted = taskSorter{
-		tasks: make([]*Task, cfg.NumTasks),
+		tasks: make([]*Task, 0, cfg.NumTasks),
 		key:   make([]float64, cfg.NumTasks),
 	}
 	s.gv = make([]float64, cfg.NumGroups)
@@ -199,8 +218,15 @@ func (s *Scheduler) place(t *Task, v int32, d int64) {
 	t.Edges += d
 }
 
-// binFirstFit is Algorithm 1's First_Fit over the degree-sorted order; see
-// the package-level doc on firstFit for the algorithm rationale.
+// binFirstFit is Algorithm 1's First_Fit over the degree-sorted order: each
+// vertex goes to the first task, scanning round from a cursor, whose edge
+// load stays within target = ceil(total/T_n), and to the least-loaded task
+// (lowest index on ties) when none has room; see the package-level doc on
+// firstFit for the algorithm rationale. The cursor rotates on every
+// placement: plain first-fit would funnel runs of equal-degree vertices (in
+// particular the zero-degree tail of redundancy-reduced workloads) into the
+// lowest-indexed bins, blowing up their vertex counts even though edges stay
+// balanced.
 func (s *Scheduler) binFirstFit(degrees []int32, order []int32, rotate bool) {
 	numTasks := s.cfg.NumTasks
 	var total int64
@@ -208,34 +234,42 @@ func (s *Scheduler) binFirstFit(degrees []int32, order []int32, rotate bool) {
 		total += int64(degrees[v])
 	}
 	target := (total + int64(numTasks) - 1) / int64(numTasks)
-	// The scan cursor rotates on every placement: plain first-fit would
-	// funnel runs of equal-degree vertices (in particular the zero-degree
-	// tail of redundancy-reduced workloads) into the lowest-indexed bins,
-	// blowing up their vertex counts even though edges stay balanced.
-	cursor := 0
-	for _, v := range order {
+	// The overflow prefix: the order is degree-descending, so every vertex
+	// above the target comes first. No task has room for one, so each goes
+	// to the least-loaded task, which is the next empty one: k earlier such
+	// vertices overfill tasks 0..k-1 and leave the rest empty, and fewer
+	// than T_n exist, because k of them carry more than k·target edges and
+	// T_n·target ≥ total. The cursor does not move.
+	k := 0
+	for ; k < len(order) && k < numTasks; k++ {
+		v := order[k]
 		d := int64(degrees[v])
-		placed := false
-		for i := 0; i < numTasks; i++ {
-			t := s.taskPtrs[(cursor+i)%numTasks]
-			if t.Edges+d <= target {
-				s.place(t, v, d)
-				if rotate {
-					cursor = (cursor + i + 1) % numTasks
-				}
-				placed = true
-				break
+		if d <= target {
+			break
+		}
+		s.place(&s.tasks[k], v, d)
+	}
+	if k == len(order) {
+		return
+	}
+	s.loads.reset(s.tasks)
+	cursor := 0
+	for _, v := range order[k:] {
+		d := int64(degrees[v])
+		var i int
+		if s.loads.lowest() > target-d {
+			i = s.loads.argmin() // no task has room
+		} else {
+			if i = s.loads.firstAtMost(cursor, target-d); i < 0 {
+				i = s.loads.firstAtMost(0, target-d)
+			}
+			if rotate {
+				cursor = (i + 1) % numTasks
 			}
 		}
-		if !placed {
-			least := s.taskPtrs[0]
-			for _, t := range s.taskPtrs[1:] {
-				if t.Edges < least.Edges {
-					least = t
-				}
-			}
-			s.place(least, v, d)
-		}
+		t := &s.tasks[i]
+		s.place(t, v, d)
+		s.loads.set(i, t.Edges)
 	}
 }
 
@@ -257,11 +291,22 @@ func (s *Scheduler) binVertexChunks(degrees []int32, batch []int32) {
 // group with the lowest combined normalized load across both dimensions,
 // pairing vertex-heavy tasks with vertex-light ones while keeping the hub
 // tasks that overflowed the first-fit edge target from piling into one ring.
+//
+// Only occupied tasks are sorted and scored. An empty task sorts last (its
+// key is 0 and every occupied task's is positive) and adds no load, so every
+// empty task goes, in ID order, to the group a zero-load task scores best.
+// Groups are used in index order — every untouched group has the same score,
+// so the lowest-indexed one stands for all of them — and the groups in use
+// are always a prefix: each task scores that prefix plus the next group.
 func (s *Scheduler) groupVertexSorted() {
+	s.sorted.tasks = s.sorted.tasks[:0]
 	var totalV, totalE float64
 	for _, t := range s.taskPtrs {
-		totalV += float64(t.count)
-		totalE += float64(t.Edges)
+		if t.count > 0 {
+			s.sorted.tasks = append(s.sorted.tasks, t)
+			totalV += float64(t.count)
+			totalE += float64(t.Edges)
+		}
 	}
 	numGroups := s.cfg.NumGroups
 	// Per-group targets normalize the two load dimensions.
@@ -271,7 +316,7 @@ func (s *Scheduler) groupVertexSorted() {
 	// overflowed the first-fit edge target are placed while groups are
 	// still empty, and the many near-target tasks then smooth both
 	// dimensions.
-	for _, t := range s.taskPtrs {
+	for _, t := range s.sorted.tasks {
 		sv := float64(t.count) / targetV
 		se := float64(t.Edges) / targetE
 		if se > sv {
@@ -280,29 +325,52 @@ func (s *Scheduler) groupVertexSorted() {
 			s.sorted.key[t.ID] = sv
 		}
 	}
-	copy(s.sorted.tasks, s.taskPtrs)
 	sort.Stable(&s.sorted)
 	for i := range s.gv {
 		s.gv[i] = 0
 		s.ge[i] = 0
 	}
+	used := 0 // groups 0..used-1 hold tasks
 	for _, t := range s.sorted.tasks {
-		best, bestScore := 0, math.Inf(1)
-		for i := range s.groupPtrs {
-			nv := (s.gv[i] + float64(t.count)) / targetV
-			ne := (s.ge[i] + float64(t.Edges)) / targetE
-			// Minimize the worse of the two dimensions so neither
-			// phase's balance is sacrificed; break ties on the sum.
-			score := math.Max(nv, ne) + 1e-3*(nv+ne)
-			if score < bestScore {
-				best, bestScore = i, score
-			}
+		best := s.bestGroup(min(used+1, numGroups), float64(t.count), float64(t.Edges), targetV, targetE)
+		if best == used {
+			used++
 		}
 		g := s.groupPtrs[best]
 		g.Tasks = append(g.Tasks, t)
 		s.gv[best] += float64(t.count)
 		s.ge[best] += float64(t.Edges)
 	}
+	if len(s.sorted.tasks) == len(s.taskPtrs) {
+		return
+	}
+	g := s.groupPtrs[s.bestGroup(min(used+1, numGroups), 0, 0, targetV, targetE)]
+	for _, t := range s.taskPtrs {
+		if t.count == 0 {
+			g.Tasks = append(g.Tasks, t)
+		}
+	}
+}
+
+// bestGroup returns the lowest-indexed of groups 0..n-1 with the lowest
+// score for a task of v vertices and e edges: the worse of the group's two
+// normalized loads after placement, so neither phase's balance is
+// sacrificed, with ties broken on their sum.
+func (s *Scheduler) bestGroup(n int, v, e, targetV, targetE float64) int {
+	best, bestScore := 0, math.Inf(1)
+	for i, gv := range s.gv[:n] {
+		nv := (gv + v) / targetV
+		ne := (s.ge[i] + e) / targetE
+		score := nv
+		if ne > score {
+			score = ne
+		}
+		score += 1e-3 * (nv + ne)
+		if score < bestScore {
+			best, bestScore = i, score
+		}
+	}
+	return best
 }
 
 // groupEdgeGreedy balances only the edge dimension (largest-edges-first into
@@ -316,7 +384,7 @@ func (s *Scheduler) groupEdgeGreedy() {
 	for _, t := range s.taskPtrs {
 		s.sorted.key[t.ID] = float64(t.Edges)
 	}
-	copy(s.sorted.tasks, s.taskPtrs)
+	s.sorted.tasks = append(s.sorted.tasks[:0], s.taskPtrs...)
 	sort.Stable(&s.sorted)
 	for i := range s.load {
 		s.load[i] = 0
@@ -342,6 +410,87 @@ func (s *Scheduler) groupRoundRobin() {
 		g := s.groupPtrs[i%numGroups]
 		g.Tasks = append(g.Tasks, t)
 	}
+}
+
+// minTree is a min segment tree over the task edge loads: node[1] is the
+// root, the leaves start at node[n] and the leaves past NumTasks hold
+// MaxInt64, so first fit never picks them. Each query and update walks one
+// root-to-leaf path, O(log T_n).
+type minTree struct {
+	n    int // leaf count, the least power of two ≥ NumTasks
+	node []int64
+}
+
+func newMinTree(numTasks int) minTree {
+	n := 1
+	for n < numTasks {
+		n <<= 1
+	}
+	t := minTree{n: n, node: make([]int64, 2*n)}
+	for i := n + numTasks; i < 2*n; i++ {
+		t.node[i] = math.MaxInt64
+	}
+	return t
+}
+
+// reset loads every task's edge load and rebuilds the inner nodes.
+func (t *minTree) reset(tasks []Task) {
+	for i := range tasks {
+		t.node[t.n+i] = tasks[i].Edges
+	}
+	for i := t.n - 1; i > 0; i-- {
+		t.node[i] = min(t.node[2*i], t.node[2*i+1])
+	}
+}
+
+// set updates leaf i to load and repairs its ancestors.
+func (t *minTree) set(i int, load int64) {
+	i += t.n
+	t.node[i] = load
+	for i > 1 {
+		i >>= 1
+		t.node[i] = min(t.node[2*i], t.node[2*i+1])
+	}
+}
+
+// lowest returns the lowest load.
+func (t *minTree) lowest() int64 { return t.node[1] }
+
+// argmin returns the lowest index holding the lowest load.
+func (t *minTree) argmin() int {
+	i := 1
+	for i < t.n {
+		i <<= 1
+		if t.node[i] > t.node[i+1] {
+			i++
+		}
+	}
+	return i - t.n
+}
+
+// firstAtMost returns the lowest index ≥ lo whose load is at most lim, or
+// -1 when there is none.
+func (t *minTree) firstAtMost(lo int, lim int64) int {
+	i := lo + t.n
+	for t.node[i] > lim {
+		// Step to the next subtree to the right: climb while i is a
+		// right child, then take the sibling. Climbing past the root
+		// means the search ran off the end.
+		for i&1 == 1 {
+			i >>= 1
+		}
+		if i == 0 {
+			return -1
+		}
+		i++
+	}
+	for i < t.n {
+		i <<= 1
+		if t.node[i] > lim {
+			i++
+		}
+	}
+	return i - t.n
 }
 
 // degreesDesc sorts an int32 slice descending without the closure allocation
