@@ -373,8 +373,9 @@ dyn-smoke:
 # test` compiles Benchmark* functions but never runs them, so one that
 # panics or calls b.Fatal would otherwise pass; one iteration each keeps
 # this to seconds. internal/shard's BenchmarkShardPass drives the HTTP shard
-# data plane at k = 1/2/4 in fp32 and int8.
+# data plane at k = 1/2/4 in fp32 and int8; internal/serve's benchmarks
+# drive the /v1/infer decoder and handler stack.
 bench-once:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core ./internal/shard ./internal/graph ./internal/sched
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core ./internal/shard ./internal/graph ./internal/sched ./internal/serve
 
 verify: test lint conform bce crossbuild race perfbench-check bench-once bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke

@@ -30,9 +30,10 @@ func deterministicExperiments() ([]Experiment, []string) {
 // TestDeterminism is the engine's correctness proof: the full evaluation
 // suite run serially and run on eight workers must export byte-identical
 // JSON for every figure and table. This is a cross-check between two live
-// runs (fresh suites, fresh caches), not a golden-file comparison, so it
-// catches both scheduling-dependent float summation and any shared-state
-// race that corrupts a result.
+// runs (fresh suites, fresh result caches; the dataset profiles and their
+// schedule memos are shared process-wide), not a golden-file comparison, so
+// it catches both scheduling-dependent float summation and any
+// shared-state race that corrupts a result.
 func TestDeterminism(t *testing.T) {
 	exps, datasets := deterministicExperiments()
 	run := func(workers int) map[string]string {

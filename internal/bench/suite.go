@@ -16,7 +16,8 @@ import (
 )
 
 // Suite holds the shared configuration of an evaluation run and caches the
-// expensive inputs (profiles, redundancy analyses, simulation results).
+// expensive inputs (redundancy analyses, reduced profiles, simulation
+// results); full-size profiles are cached by graph.Dataset.Profile itself.
 //
 // A Suite is safe for concurrent use: every cache is a per-key singleflight
 // (one in-flight computation per key, no big lock), and everything a cached
@@ -40,7 +41,6 @@ type Suite struct {
 	pool   *pool
 	ctx    context.Context
 
-	profiles   *sfCache[*graph.Profile]
 	redundancy *sfCache[redundancy.Analysis]
 	results    *sfCache[*arch.Result]
 	reduced    *sfCache[*graph.Profile]
@@ -55,7 +55,6 @@ func NewSuite() *Suite {
 		Models:     gnn.ModelNames(),
 		Datasets:   graph.DatasetNames(),
 		pool:       newPool(1),
-		profiles:   newSFCache[*graph.Profile](),
 		redundancy: newSFCache[redundancy.Analysis](),
 		results:    newSFCache[*arch.Result](),
 		reduced:    newSFCache[*graph.Profile](),
@@ -108,12 +107,10 @@ func (s *Suite) each(n int, fn func(int) error) error {
 	return p.forEach(ctx, n, fn)
 }
 
-// Profile returns the (cached) full-size profile of a dataset.
+// Profile returns the full-size profile of a dataset, shared process-wide
+// (graph.Dataset.Profile).
 func (s *Suite) Profile(dataset string) *graph.Profile {
-	p, _ := s.profiles.Do(dataset, func() (*graph.Profile, error) {
-		return graph.MustByName(dataset).Profile(), nil
-	})
-	return p
+	return graph.MustByName(dataset).Profile()
 }
 
 // Redundancy returns the (cached) redundancy analysis of a dataset, computed

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sync"
 
 	"scale/internal/fault"
 )
@@ -28,9 +29,32 @@ type Dataset struct {
 }
 
 // Profile returns the full-size degree profile, deterministically seeded.
+// It is built once per process for each distinct dataset and then shared:
+// every call returns the same read-only *Profile, so the schedule and
+// balance state the simulators memoize on it (Profile.Memoize) outlives
+// the call that built it.
 func (d Dataset) Profile() *Profile {
-	return SyntheticProfile(d.Name, d.Vertices, d.Edges, d.Skew, d.seed)
+	key := profileKey{d.Name, d.Vertices, d.Edges, d.Skew, d.seed}
+	f, ok := profiles.Load(key)
+	if !ok {
+		f, _ = profiles.LoadOrStore(key, sync.OnceValue(func() *Profile {
+			return SyntheticProfile(d.Name, d.Vertices, d.Edges, d.Skew, d.seed)
+		}))
+	}
+	return f.(func() *Profile)()
 }
+
+// profileKey is every Dataset field SyntheticProfile reads.
+type profileKey struct {
+	name     string
+	vertices int
+	edges    int64
+	skew     float64
+	seed     int64
+}
+
+// profiles maps a profileKey to the sync.OnceValue that builds its profile.
+var profiles sync.Map
 
 // Build materializes a graph at the dataset's default scale factor.
 func (d Dataset) Build() *Graph { return d.BuildAt(d.BuildScale) }

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -35,6 +37,50 @@ func TestMustByNamePanics(t *testing.T) {
 		}
 	}()
 	MustByName("bogus")
+}
+
+// Every registry dataset builds its profile once: repeated calls, and
+// copies of the Dataset value, get the same *Profile.
+func TestProfileShared(t *testing.T) {
+	for _, d := range AllDatasets() {
+		if p := d.Profile(); p != MustByName(d.Name).Profile() {
+			t.Fatalf("%s: two Profile calls returned different profiles", d.Name)
+		}
+	}
+}
+
+// Concurrent first calls share one build and agree with a direct
+// SyntheticProfile; a dataset differing in any field SyntheticProfile reads
+// gets its own profile. Run under -race, this is the cache's data-race check.
+func TestProfileConcurrentFirstCalls(t *testing.T) {
+	d := MustByName("cora")
+	d.seed = 7919 // a key no other test builds, so these are first calls
+	const callers = 8
+	got := make([]*Profile, callers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[i] = d.Profile()
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i, p := range got {
+		if p != got[0] {
+			t.Fatalf("caller %d got a different profile", i)
+		}
+	}
+	want := SyntheticProfile(d.Name, d.Vertices, d.Edges, d.Skew, d.seed)
+	if !slices.Equal(got[0].Degrees, want.Degrees) {
+		t.Fatal("cached profile differs from SyntheticProfile")
+	}
+	if got[0] == MustByName("cora").Profile() {
+		t.Fatal("a dataset with another seed shares the registry's profile")
+	}
 }
 
 // Table II anchor: the full-size profiles must match the published vertex,

@@ -74,8 +74,8 @@ func TestMemoizeSingleflight(t *testing.T) {
 	if other != "b" {
 		t.Fatalf("distinct key returned %v", other)
 	}
-	// Separate profiles must not share memo state (fresh suites get fresh
-	// caches — the determinism cross-check depends on this).
+	// Separate profiles must not share memo state: a memo belongs to one
+	// degree sequence.
 	q := NewProfile("m2", []int32{1, 2, 3})
 	var qCalls int
 	q.Memoize("key-a", func() any { qCalls++; return nil })

@@ -117,16 +117,25 @@ func BenchmarkServeBatchedHeavyInt8(b *testing.B) {
 	benchServeHeavy(b, "int8")
 }
 
+// eighths draws multiples of 1/8 in [-2, 2], as perfbench does: each has at
+// most 4 digits and takes the decoder's exact-divide path.
+func eighths(rng *rand.Rand) float32 { return float32(rng.Intn(33)-16) / 8 }
+
+// fullPrecision draws uniform values in [-2, 2), which json.Marshal writes
+// with up to 9 digits: 92 % of the reddit body's values have 8 or 9 and
+// take strconv.ParseFloat.
+func fullPrecision(rng *rand.Rand) float32 { return rng.Float32()*4 - 2 }
+
 // carriedBody marshals a request-carried graph the way perfbench and the
 // README build bodies: from a map, so the keys come out sorted. Feature
-// values are multiples of 1/8 in [-2, 2], as in perfbench.
-func carriedBody(b *testing.B, seed int64, n int, edges [][2]int, dims []int) []byte {
+// values come from value.
+func carriedBody(b *testing.B, seed int64, n int, edges [][2]int, dims []int, value func(*rand.Rand) float32) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	feats := make([][]float32, n)
 	for v := range feats {
 		feats[v] = make([]float32, dims[0])
 		for j := range feats[v] {
-			feats[v][j] = float32(rng.Intn(33)-16) / 8
+			feats[v][j] = value(rng)
 		}
 	}
 	body, err := json.Marshal(map[string]any{
@@ -144,7 +153,9 @@ var sinkInferBody inferBody
 // BenchmarkInferBodyDecode measures /v1/infer body decoding alone, from the
 // request body to an inferBody, on perfbench's two carried-graph shapes:
 // the Reddit-scale graph of carried-sharded (~7 MB) and a 72-vertex graph,
-// small-open's mean size (16-128 vertices, 4 edges per vertex).
+// small-open's mean size (16-128 vertices, 4 edges per vertex). The
+// reddit-fullprec row sends the same graph with full-precision features,
+// the shape of a client that marshals arbitrary float32s.
 func BenchmarkInferBodyDecode(b *testing.B) {
 	g := graph.MustByName("reddit").Build()
 	var redditEdges [][2]int
@@ -162,8 +173,9 @@ func BenchmarkInferBodyDecode(b *testing.B) {
 		name string
 		body []byte
 	}{
-		{"reddit", carriedBody(b, 1, g.NumVertices(), redditEdges, []int{602, 64, 41})},
-		{"small72", carriedBody(b, 3, 72, smallEdges, []int{16, 32, 8})},
+		{"reddit", carriedBody(b, 1, g.NumVertices(), redditEdges, []int{602, 64, 41}, eighths)},
+		{"reddit-fullprec", carriedBody(b, 1, g.NumVertices(), redditEdges, []int{602, 64, 41}, fullPrecision)},
+		{"small72", carriedBody(b, 3, 72, smallEdges, []int{16, 32, 8}, eighths)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(tc.body)))

@@ -20,8 +20,19 @@ import (
 // canonical envelope in one pass and hands any other envelope to
 // encoding/json over the same buffer. Either way the edges and features
 // arrays go through the same two strict parsers below, so they have one
-// grammar, and feature values come from the same strconv.ParseFloat call
-// encoding/json makes — fp32 responses stay byte-identical.
+// grammar.
+//
+// Each feature value is converted in the pass that checks its grammar. A
+// value of at most 7 digits with no exponent is m/10^k with m < 2^24 and
+// k ≤ 6; m and 10^k are exact float32s, so one IEEE float32 divide rounds
+// the exact quotient once, to nearest even, as strconv.ParseFloat(s, 32)
+// does, and negating the quotient gives the right sign, -0 included. Every
+// other value goes to that same ParseFloat call (the one encoding/json makes)
+// over the span already scanned. So fp32 responses stay byte-identical.
+//
+// The values land in one flat []float32 that inferBody keeps beside the
+// rows; the whole-graph routes adopt it as the feature matrix's backing
+// store instead of copying it (inferBody.carriedGraph).
 
 // decodeJSON buffers r's body and decodes it into v. json.Unmarshal, unlike
 // json.Decoder.Decode, rejects trailing data after the value, so a body
@@ -63,21 +74,27 @@ func parseInferBody(buf []byte) (inferBody, error) {
 		return inferBody{}, err
 	}
 	body := fb.inferBody
-	body.Edges, body.Features = fb.Edges, fb.Features
+	body.Edges, body.Features, body.flat = fb.Edges, fb.Features.rows, fb.Features.flat
 	return body, nil
 }
 
-// edgesJSON and featuresJSON route every edges/features value the fallback
-// meets to the strict array parsers.
-type (
-	edgesJSON    [][2]int
-	featuresJSON [][]float32
-)
+// edgesJSON routes every edges value the fallback meets to the strict
+// edges parser.
+type edgesJSON [][2]int
 
 func (e *edgesJSON) UnmarshalJSON(b []byte) error {
 	v, err := wholeValue(b, parseEdges)
 	*e = v
 	return err
+}
+
+// featuresJSON is one decoded features value: its rows, each a
+// capacity-capped sub-slice of flat, which holds every value in order.
+// Every features value the fallback meets goes to the strict features
+// parser; the last one decoded wins, rows and flat together.
+type featuresJSON struct {
+	rows [][]float32
+	flat []float32
 }
 
 func (f *featuresJSON) UnmarshalJSON(b []byte) error {
@@ -134,7 +151,9 @@ func parseCanonical(b []byte) (inferBody, error) {
 			body.Edges, i, err = parseEdges(b, i)
 		case "features":
 			bit = 1 << 4
-			body.Features, i, err = parseFeatures(b, i)
+			var f featuresJSON
+			f, i, err = parseFeatures(b, i)
+			body.Features, body.flat = f.rows, f.flat
 		case "timeout_ms":
 			bit = 1 << 5
 			body.TimeoutMS, i, err = intValue(b, i)
@@ -220,22 +239,22 @@ func parseEdges(b []byte, i int) ([][2]int, int, error) {
 	}
 	pairs, _ := countLists(b, i)
 	edges := make([][2]int, 0, pairs)
-	end, err := list(b, i, '[', ']', func(i int) (int, error) {
-		src, dst, end, ok := scanPair(b, i)
-		if !ok {
-			return end, fmt.Errorf("serve: edges[%d]: want [src, dst], exactly two integer vertex ids", len(edges))
+	i, more, ok := openList(b, i, '[', ']')
+	for ok && more {
+		src, dst, end, pairOK := scanPair(b, i)
+		if !pairOK {
+			return nil, end, fmt.Errorf("serve: edges[%d]: want [src, dst], exactly two integer vertex ids", len(edges))
 		}
 		edges = append(edges, [2]int{src, dst})
-		return end, nil
-	})
-	if err == errList {
-		err = errors.New("serve: edges: want null or an array of [src, dst] pairs")
+		i, more, ok = nextElem(b, end, ']')
 	}
-	if err != nil {
-		return nil, end, err
+	if !ok {
+		return nil, i, errEdges
 	}
-	return edges, end, nil
+	return edges, i, nil
 }
+
+var errEdges = errors.New("serve: edges: want null or an array of [src, dst] pairs")
 
 // scanPair reads one [src, dst] pair of strict JSON integers.
 func scanPair(b []byte, i int) (src, dst, end int, ok bool) {
@@ -263,43 +282,44 @@ func scanPair(b []byte, i int) (src, dst, end int, ok bool) {
 // capacity-capped sub-slice of it, so a row can never grow into its
 // neighbour. Both slices are presized by countLists: a well-formed array
 // costs two allocations, sized by the bytes actually received.
-func parseFeatures(b []byte, i int) ([][]float32, int, error) {
+func parseFeatures(b []byte, i int) (featuresJSON, int, error) {
 	if isNull(b, i) {
-		return nil, i + 4, nil
+		return featuresJSON{}, i + 4, nil
 	}
 	nrows, commas := countLists(b, i)
 	rows := make([][]float32, 0, nrows)
 	flat := make([]float32, 0, commas+1)
-	value := func(i int) (int, error) {
-		end := scanNumber(b, i)
-		if end < 0 {
-			return i, fmt.Errorf("serve: features[%d]: want an array of numbers", len(rows))
-		}
-		// The call encoding/json makes for a float32 field, so every value
-		// is bit-identical to what it would decode.
-		f, err := strconv.ParseFloat(string(b[i:end]), 32)
-		if err != nil {
-			return i, fmt.Errorf("serve: features[%d]: %w", len(rows), err)
-		}
-		flat = append(flat, float32(f))
-		return end, nil
-	}
-	end, err := list(b, i, '[', ']', func(i int) (int, error) {
+	i, more, ok := openList(b, i, '[', ']')
+	for ok && more {
 		start := len(flat)
-		end, err := list(b, i, '[', ']', value)
-		if err == errList {
-			err = fmt.Errorf("serve: features[%d]: want an array of numbers", len(rows))
+		j, vmore, vok := openList(b, i, '[', ']')
+		for vok && vmore {
+			f, end, err := scanFloat32(b, j)
+			if err == errNumber {
+				return featuresJSON{}, end, errRow(len(rows))
+			}
+			if err != nil {
+				return featuresJSON{}, end, fmt.Errorf("serve: features[%d]: %w", len(rows), err)
+			}
+			flat = append(flat, f)
+			j, vmore, vok = nextElem(b, end, ']')
+		}
+		if !vok {
+			return featuresJSON{}, j, errRow(len(rows))
 		}
 		rows = append(rows, flat[start:len(flat):len(flat)])
-		return end, err
-	})
-	if err == errList {
-		err = errors.New("serve: features: want null or an array of rows")
+		i, more, ok = nextElem(b, j, ']')
 	}
-	if err != nil {
-		return nil, end, err
+	if !ok {
+		return featuresJSON{}, i, errFeatures
 	}
-	return rows, end, nil
+	return featuresJSON{rows: rows, flat: flat[:len(flat):len(flat)]}, i, nil
+}
+
+var errFeatures = errors.New("serve: features: want null or an array of rows")
+
+func errRow(v int) error {
+	return fmt.Errorf("serve: features[%d]: want an array of numbers", v)
 }
 
 // countLists sizes the array of lists at b[i:] before it is parsed. It
@@ -340,41 +360,56 @@ var errList = errors.New("serve: malformed list")
 // list walks open ws [elem ws ("," ws elem ws)*] close starting at b[i]: a
 // JSON array, or with '{' and '}' an object whose elem parses one member.
 // elem starts at a non-whitespace byte and returns the index past its
-// element. list returns the index past close.
+// element. list returns the index past close. The edges and features
+// parsers walk their arrays with the same two steps inline.
 func list(b []byte, i int, open, close byte, elem func(int) (int, error)) (int, error) {
-	if i >= len(b) || b[i] != open {
-		return i, errList
-	}
-	if i = skipWS(b, i+1); i < len(b) && b[i] == close {
-		return i + 1, nil
-	}
-	for {
+	i, more, ok := openList(b, i, open, close)
+	for ok && more {
 		end, err := elem(i)
 		if err != nil {
 			return end, err
 		}
-		if i = skipWS(b, end); i >= len(b) {
-			return i, errList
-		}
-		switch b[i] {
-		case ',':
-			i = skipWS(b, i+1)
-		case close:
-			return i + 1, nil
-		default:
-			return i, errList
-		}
+		i, more, ok = nextElem(b, end, close)
 	}
+	if !ok {
+		return i, errList
+	}
+	return i, nil
+}
+
+// openList reads open and the whitespace after it at b[i:]. It returns the
+// index of the first element (more), or the index past close when the list
+// is empty. ok is false when b[i] is not open.
+func openList(b []byte, i int, open, close byte) (next int, more, ok bool) {
+	if i >= len(b) || b[i] != open {
+		return i, false, false
+	}
+	if i = skipWS(b, i+1); i < len(b) && b[i] == close {
+		return i + 1, false, true
+	}
+	return i, true, true
+}
+
+// nextElem reads what follows a list element at b[i:]: whitespace, then
+// either ',' and more whitespace (more; next is the next element) or close
+// (next is past it). ok is false for anything else.
+func nextElem(b []byte, i int, close byte) (next int, more, ok bool) {
+	if i = skipWS(b, i); i < len(b) && b[i] == ',' {
+		return skipWS(b, i+1), true, true
+	}
+	return i + 1, false, i < len(b) && b[i] == close
 }
 
 // skipWS returns the index of the first non-whitespace byte at or after i,
 // whitespace being JSON's four bytes.
 func skipWS(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\r' || b[i] == '\t') {
+	for i < len(b) && isWS[b[i]] {
 		i++
 	}
 	return i
 }
+
+var isWS = [256]bool{' ': true, '\n': true, '\r': true, '\t': true}
 
 func isNull(b []byte, i int) bool {
 	return len(b)-i >= 4 && string(b[i:i+4]) == "null"
@@ -401,17 +436,10 @@ func scanString(b []byte, i int) (s []byte, end int, ok bool) {
 // scanInt reads a strict JSON integer at b[i:] that fits an int.
 func scanInt(b []byte, i int) (v, end int, ok bool) {
 	neg, mag, end, ok := scanInteger(b, i)
-	lim := uint64(math.MaxInt)
 	if neg {
-		lim++
+		return -int(mag), end, ok && mag <= uint64(math.MaxInt)+1 // wraps to math.MinInt at the limit
 	}
-	if !ok || mag > lim {
-		return 0, end, false
-	}
-	if neg {
-		return -int(mag), end, true // wraps to math.MinInt when mag is lim
-	}
-	return int(mag), end, true
+	return int(mag), end, ok && mag <= math.MaxInt
 }
 
 // scanInteger reads -?(0|[1-9][0-9]*) at b[i:] and returns its sign and
@@ -442,36 +470,69 @@ func scanInteger(b []byte, i int) (neg bool, mag uint64, end int, ok bool) {
 	return neg, mag, i, true
 }
 
-// scanNumber returns the index past the strict JSON number at b[i:],
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or -1 if there is none.
-func scanNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
+// errNumber marks a feature value that is not a strict JSON number.
+var errNumber = errors.New("serve: not a number")
+
+// pow10 holds 10^k for the k ≤ 6 fraction digits a short value can have;
+// each is an exact float32.
+var pow10 = [...]float32{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// scanFloat32 reads the strict JSON number at b[i:],
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns it rounded to
+// a float32 exactly as strconv.ParseFloat(s, 32) rounds it, with the index
+// past it. Without an exponent and in at most 7 digits, integer and fraction
+// together, it is m/10^k with m ≤ 9,999,999 < 2^24 and k ≤ 6: one exact
+// float32 divide. Any other value is parsed by ParseFloat over the span just
+// scanned, and its range error returned. The error is errNumber when b[i:]
+// does not start with a number.
+func scanFloat32(b []byte, i int) (float32, int, error) {
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	first := i
+	var m int // wraps harmlessly past 7 digits, where it goes unused
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			m = m*10 + int(b[i]-'0')
+		}
 	default:
-		return -1
+		return 0, i, errNumber
 	}
+	digits, frac := i-first, 0
 	if i < len(b) && b[i] == '.' {
-		start := i + 1
-		if i = skipDigits(b, start); i == start {
-			return -1
+		i++
+		j := i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			m = m*10 + int(b[i]-'0')
+		}
+		if frac = i - j; frac == 0 {
+			return 0, i, errNumber
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		start := i + 1
-		if start < len(b) && (b[start] == '+' || b[start] == '-') {
-			start++
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
 		}
-		if i = skipDigits(b, start); i == start {
-			return -1
+		j := i
+		if i = skipDigits(b, i); i == j {
+			return 0, i, errNumber
 		}
+	} else if digits+frac <= 7 {
+		f := float32(m) / pow10[frac]
+		if neg {
+			f = -f
+		}
+		return f, i, nil
 	}
-	return i
+	// The call encoding/json makes for a float32 field.
+	f, err := strconv.ParseFloat(string(b[start:i]), 32)
+	return float32(f), i, err
 }
 
 func skipDigits(b []byte, i int) int {

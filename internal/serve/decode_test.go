@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -84,10 +87,12 @@ func refRows(b []byte) ([][]any, error) {
 
 // sameInferBody compares two decoded bodies field by field, nil slices
 // apart from empty ones and feature values by their bits, so -0 and 0
-// differ.
+// differ. The decoder's flat store is not a JSON field; flatHoldsRows
+// checks it.
 func sameInferBody(a, b inferBody) error {
 	af, bf := a.Features, b.Features
 	a.Features, b.Features = nil, nil
+	a.flat, b.flat = nil, nil
 	if !reflect.DeepEqual(a, b) {
 		return fmt.Errorf("fields differ:\n%+v\n%+v", a, b)
 	}
@@ -103,6 +108,26 @@ func sameInferBody(a, b inferBody) error {
 				return fmt.Errorf("features[%d][%d]: %v vs %v", v, j, af[v][j], bf[v][j])
 			}
 		}
+	}
+	return nil
+}
+
+// flatHoldsRows checks that a decoded body's flat store is its feature rows
+// end to end, each row a view of flat rather than a copy, so the matrix
+// carriedGraph adopts holds exactly the rows the batched route reads.
+func flatHoldsRows(body inferBody) error {
+	off := 0
+	for v, row := range body.Features {
+		if off+len(row) > len(body.flat) {
+			return fmt.Errorf("features[%d] ends past flat's %d values", v, len(body.flat))
+		}
+		if len(row) > 0 && &row[0] != &body.flat[off] {
+			return fmt.Errorf("features[%d] is not a view of flat at %d", v, off)
+		}
+		off += len(row)
+	}
+	if off != len(body.flat) {
+		return fmt.Errorf("flat holds %d values, the rows %d", len(body.flat), off)
 	}
 	return nil
 }
@@ -126,6 +151,9 @@ func checkDecode(t *testing.T, b []byte) {
 		if cap(row) != len(row) {
 			t.Fatalf("features[%d] has cap %d > len %d: appending would overwrite the next row", v, cap(row), len(row))
 		}
+	}
+	if err := flatHoldsRows(got); err != nil {
+		t.Fatalf("%v\nbody %q", err, b)
 	}
 }
 
@@ -192,6 +220,11 @@ func fuzzSeeds() []string {
 		`{"features":[[1e39]],"dims":[9223372036854775808]}`, // out of range
 		`{"sample_seed":-0}`,
 		` { "edges" : [ [ 0 , 1 ] , [1,0] ] , "features" : [ [ ] , [ 1 ] ] } ` + "\t\r\n",
+		// Number boundaries: the exact divide's sign of zero and 7-digit
+		// limit, and values on either side of it that ParseFloat takes.
+		`{"features":[[-0,-0.0,0.0000001,9999999,99999999,16777217,1.5e0,0.10000000]]}`,
+		`{"features":[[-0],[-0.0,0.0000001],[9999999,-99999999],[16777217,-1.5e0,0.10000000]],"num_vertices":4}`,
+		`{"features":[[5,6],[7]],"Features":[[8,9]]}`, // duplicate features: the last one's values
 	}
 }
 
@@ -205,4 +238,82 @@ func FuzzInferBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkDecode(t, b)
 	})
+}
+
+// checkNumber fails unless scanFloat32 reads all of s and agrees with
+// strconv.ParseFloat(s, 32), the call encoding/json makes: the same float32
+// bits, and an error exactly when ParseFloat returns one.
+func checkNumber(t *testing.T, s []byte) {
+	got, end, err := scanFloat32(s, 0)
+	want, wantErr := strconv.ParseFloat(string(s), 32)
+	if end != len(s) || (err == nil) != (wantErr == nil) || math.Float32bits(got) != math.Float32bits(float32(want)) {
+		t.Fatalf("%q: scanFloat32 = %v (%#x) end %d err %v; ParseFloat = %v (%#x) err %v",
+			s, got, math.Float32bits(got), end, err, float32(want), math.Float32bits(float32(want)), wantErr)
+	}
+}
+
+// eachDecimal calls fn with every decimal m/10^k for m < limit and k ≤ 6,
+// written as json.Marshal writes it (no exponent, a fraction's leading
+// zeros kept, so 12 at k = 5 is 0.00012), with and without a minus sign.
+// With limit 10^7 that is every value scanFloat32 divides instead of
+// handing to ParseFloat.
+func eachDecimal(limit uint64, fn func(s []byte)) {
+	buf := make([]byte, 0, 16)
+	for k := 0; k <= 6; k++ {
+		for m := uint64(0); m < limit; m++ {
+			buf = strconv.AppendUint(append(buf[:0], '-'), m, 10)
+			for len(buf)-1 <= k {
+				buf = slices.Insert(buf, 1, '0')
+			}
+			if k > 0 {
+				buf = slices.Insert(buf, len(buf)-k, '.')
+			}
+			fn(buf)
+			fn(buf[1:])
+		}
+	}
+}
+
+// TestScanFloat32MatchesParseFloat holds the feature-value scan to
+// strconv.ParseFloat(s, 32) on every decimal of at most 5 significant
+// digits at every point position the exact divide takes, both signs; on the
+// 7-digit edges of that path; and on values it hands to ParseFloat: 8 and 9
+// digits, exponents, underflow and a range error.
+func TestScanFloat32MatchesParseFloat(t *testing.T) {
+	eachDecimal(1e5, func(s []byte) { checkNumber(t, s) })
+	for _, s := range []string{
+		"9999999", "-9999999", "999999.9", "0.000001", "-0.000001", "1.000000", "-0", "-0.0", "0.0",
+		"99999999", "16777216", "16777217", "-16777217", "0.10000000", "0.0000001", "123456789", "1.2345678", "-1.98765432",
+		"1e0", "1.5e0", "1E+2", "0.5e-3", "-2.5E+3", "1e7", "1e-7", "3.4028235e38", "-1.5e-45", "1e-50",
+		"1e39", "-1e39", "3.4028236e38", "100000000000000000000000000000000000000000",
+		"0.30000001192092896", "1.00000005960464477539062499", "1.000000059604644775390625",
+	} {
+		checkNumber(t, []byte(s))
+	}
+	for _, s := range []string{"", "-", "+1", ".5", "1.", "1.e5", "1e", "1e+", "-a", "x", "-.5"} {
+		if _, _, err := scanFloat32([]byte(s), 0); err != errNumber {
+			t.Fatalf("%q: error %v, want errNumber", s, err)
+		}
+	}
+	// A number ends where the grammar does; the caller rejects what follows.
+	for s, end := range map[string]int{"01": 1, "-00.5": 2, "1.5.5": 3, "2e3e4": 3, "7,": 1} {
+		if _, got, err := scanFloat32([]byte(s), 0); err != nil || got != end {
+			t.Fatalf("%q: end %d error %v, want end %d", s, got, err, end)
+		}
+	}
+}
+
+// TestScanFloat32Exhaustive extends the check to every m < 10^7, every value
+// the exact divide takes: 140,000,000 strings, too slow for go test's
+// default run, so it runs only with SCALE_EXHAUSTIVE_DECODE=1 set.
+func TestScanFloat32Exhaustive(t *testing.T) {
+	if os.Getenv("SCALE_EXHAUSTIVE_DECODE") != "1" {
+		t.Skip("set SCALE_EXHAUSTIVE_DECODE=1 to check every value the exact divide takes")
+	}
+	n := 0
+	eachDecimal(1e7, func(s []byte) {
+		checkNumber(t, s)
+		n++
+	})
+	t.Logf("%d strings, no mismatch", n)
 }

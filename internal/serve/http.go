@@ -29,6 +29,9 @@ type inferBody struct {
 	NumVertices int         `json:"num_vertices"`
 	Edges       [][2]int    `json:"edges"`
 	Features    [][]float32 `json:"features"`
+	// flat is the decoder's backing store for Features: every value in
+	// row order, each row a sub-slice of it. carriedGraph adopts it.
+	flat []float32
 	// TimeoutMS is the per-request deadline; it maps to context
 	// cancellation through core.ForwardContext. 0 means no extra deadline.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -53,20 +56,19 @@ func (b *inferBody) request() scale.InferRequest {
 	return scale.InferRequest{NumVertices: b.NumVertices, Edges: b.Edges, Features: b.Features}
 }
 
-// carriedGraph materializes the request-carried graph and its feature
-// matrix for the whole-graph routes (sharded and direct). route has
-// validated it.
+// carriedGraph materializes the request-carried graph for the whole-graph
+// routes (sharded and direct) and adopts the decoded features as its input
+// matrix, as shard.Worker adopts a load frame's: route has validated
+// NumVertices rows of Dims[0] values, so flat is exactly the row-major
+// matrix. Nothing on those routes writes into its input, so the request's
+// Features rows, which share flat, stay intact for a degraded fallback.
 func (b *inferBody) carriedGraph() (*graph.Graph, *tensor.Matrix) {
 	gb := graph.NewBuilder(b.NumVertices)
 	gb.Grow(len(b.Edges))
 	for _, e := range b.Edges {
 		gb.AddEdge(e[0], e[1])
 	}
-	x := tensor.NewMatrix(b.NumVertices, b.Dims[0])
-	for v, row := range b.Features {
-		copy(x.Row(v), row)
-	}
-	return gb.Build("user"), x
+	return gb.Build("user"), &tensor.Matrix{Rows: b.NumVertices, Cols: b.Dims[0], Data: b.flat}
 }
 
 // inferResponse is the POST /v1/infer success payload.

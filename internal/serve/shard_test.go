@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -357,5 +359,86 @@ func TestDegradedFallback(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "scale_serve_degraded_requests_total 2") {
 		t.Fatalf("/metrics degraded counter wrong:\n%s", metrics)
+	}
+}
+
+// TestCarriedFeaturesAdopted pins the adoption of decoded features:
+// carriedGraph's matrix is the decoder's flat slice, not a copy, and no
+// route writes into the matrix it is handed. One decoded body runs a
+// sharded pass at both precisions, a sampled direct pass, and a sharded
+// pass on a dead pool that falls back to the batched route; after each, its
+// features must still equal a fresh decode bit for bit.
+func TestCarriedFeaturesAdopted(t *testing.T) {
+	req := testGraph(11, 80, 4, 6)
+	for v := 0; v < len(req.Features); v += 2 {
+		for j, f := range req.Features[v] {
+			req.Features[v][j] = float32(math.Round(float64(f)*8)) / 8 // the exact-divide path
+		}
+	}
+	raw, err := json.Marshal(inferBody{Model: "gcn", Dims: []int{6, 8, 4}, NumVertices: req.NumVertices, Edges: req.Edges, Features: req.Features})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := parseInferBody(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, x := body.carriedGraph(); &x.Data[0] != &body.flat[0] || &body.Features[0][0] != &body.flat[0] {
+		t.Fatal("carriedGraph copied the decoded features instead of adopting them")
+	}
+
+	sim := testSim(t)
+	pool, err := shard.NewPool(shard.PoolConfig{Workers: startShardWorkers(t, sim, 2), Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := newTestServer(t, Config{Sim: sim, ShardPool: pool, ShardMinVertices: 1})
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+	deadPool, err := shard.NewPool(shard.PoolConfig{Workers: []string{deadURL}, BreakerThreshold: 1, DownFor: time.Minute, RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := newTestServer(t, Config{Sim: sim, ShardPool: deadPool, ShardMinVertices: 1})
+
+	for _, tc := range []struct {
+		name      string
+		s         *Server
+		precision string
+		fanout    int
+		want      route
+	}{
+		{"sharded fp32", live, "fp32", 0, routeSharded},
+		{"sharded int8", live, "int8", 0, routeSharded},
+		{"sampled direct", live, "fp32", 2, routeDirect},
+		{"degraded fallback", degraded, "fp32", 0, routeSharded},
+	} {
+		body.Precision, body.SampleFanout, body.SampleSeed = tc.precision, tc.fanout, 9
+		rt, err := tc.s.route(&body)
+		if err != nil || rt != tc.want {
+			t.Fatalf("%s: route %v, %v; want %v", tc.name, rt, err, tc.want)
+		}
+		if _, err := tc.s.run(context.Background(), rt, &body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fresh, err := parseInferBody(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range fresh.flat {
+			if math.Float32bits(body.flat[i]) != math.Float32bits(f) {
+				t.Fatalf("%s wrote into the decoded features: value %d is %v, decoded %v", tc.name, i, body.flat[i], f)
+			}
+		}
+		if err := flatHoldsRows(body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	if got := pool.Metrics().Requests.Load(); got != 2 {
+		t.Fatalf("live pool ran %d passes, want 2", got)
+	}
+	if got := degraded.Metrics().DegradedRequests.Load(); got != 1 {
+		t.Fatalf("dead pool fell back %d times, want 1", got)
 	}
 }
