@@ -28,7 +28,7 @@ lint:
 	    echo "lint: gofmt -l flags:"; echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn --include='*.go' -e 'panic(' -e 'log\.Fatal' \
-	        internal/bench internal/dse internal/httpapi internal/serve internal/shard internal/baseline cmd \
+	        internal/bench internal/dse internal/httpapi internal/par internal/serve internal/shard internal/baseline cmd \
 	    | grep -v '_test\.go:' \
 	    | grep -v 'lint:allow-panic'); \
 	if [ -n "$$bad" ]; then \
@@ -82,8 +82,10 @@ crossbuild:
 conform:
 	$(GO) test ./internal/baseline/... -run 'TestConform|TestClosedForm|TestDegenerate|TestSystolic'
 
-# Tier 2: race detector over the concurrent sweep engine (and the packages
-# it drives), the parallel execution engine (tensor row fan-out, the
+# Tier 2: race detector over the concurrency primitives (internal/par's
+# memo and pool), the concurrent sweep engine (and the packages it drives,
+# whose workers share graph's profile memo and dataset cache), the parallel
+# execution engine (tensor row fan-out, the
 # row-parallel reference executor, the group-parallel functional executor),
 # and the serving layer (the shared HTTP edge in internal/httpapi — gate,
 # session cache — plus the micro-batcher, admission queue and drain,
@@ -92,7 +94,7 @@ conform:
 # internal/bench/race_on.go) to keep this tractable. -timeout bounds a
 # deadlocked cancellation path instead of hanging CI.
 race:
-	$(GO) test -race -timeout 10m ./internal/bench/... ./internal/dse/...
+	$(GO) test -race -timeout 10m ./internal/par/ ./internal/graph/ ./internal/bench/... ./internal/dse/...
 	$(GO) test -race -timeout 10m ./internal/tensor/ ./internal/gnn/ ./internal/core/
 	$(GO) test -race -timeout 10m ./internal/httpapi/ ./internal/serve/ ./internal/shard/... ./internal/dyn/ .
 

@@ -16,7 +16,6 @@ type balanceKey struct {
 // vertex-aware full-graph partition.
 type balanceVal struct {
 	edge, vertex float64
-	err          error
 }
 
 // vertexChunkBalance returns the edge and vertex balance of partitioning the
@@ -25,17 +24,16 @@ type balanceVal struct {
 // shared across concurrent sweep workers. The balance metrics consume only
 // per-group counts, so the schedule is computed in compact mode.
 func vertexChunkBalance(p *graph.Profile, nUnits int) (balanceVal, error) {
-	v := p.Memoize(balanceKey{units: nUnits}, func() any {
+	return graph.Memoize(p, balanceKey{units: nUnits}, func() (balanceVal, error) {
 		cfg := sched.Config{NumTasks: nUnits, NumGroups: nUnits, Policy: sched.VertexAware}
 		sc, err := sched.NewScheduler(cfg, false)
 		if err != nil {
-			return balanceVal{err: err}
+			return balanceVal{}, err
 		}
 		groups, err := sc.Schedule(p.Degrees, p.Vertices())
 		if err != nil {
-			return balanceVal{err: err}
+			return balanceVal{}, err
 		}
-		return balanceVal{edge: sched.EdgeBalance(groups), vertex: sched.VertexBalance(groups)}
-	}).(balanceVal)
-	return v, v.err
+		return balanceVal{edge: sched.EdgeBalance(groups), vertex: sched.VertexBalance(groups)}, nil
+	})
 }

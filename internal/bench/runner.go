@@ -3,89 +3,10 @@ package bench
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"scale/internal/fault"
+	"scale/internal/par"
 )
-
-// pool bounds the number of goroutines a sweep may occupy. One pool is
-// shared by every fan-out of a run — the experiment-level fan-out and the
-// sweeps inside individual experiments — so the total concurrency stays at
-// the configured budget no matter how deeply fan-outs nest.
-type pool struct {
-	// sem holds workers-1 slots: the calling goroutine is itself a worker,
-	// so a budget of N admits N-1 helpers.
-	sem chan struct{}
-}
-
-func newPool(workers int) *pool {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &pool{sem: make(chan struct{}, workers-1)}
-}
-
-// forEach runs fn(0..n-1), spawning a helper goroutine per item while pool
-// slots are free and running the item inline on the caller's goroutine
-// otherwise. Running overflow inline (rather than blocking on a slot) is
-// what makes nested forEach calls deadlock-free: a worker that fans out
-// again always makes progress on its own items.
-//
-// forEach is the fault-isolation boundary of the sweep engine:
-//
-//   - A panicking item is recovered into a *fault.PanicError instead of
-//     killing the process; items already in flight still complete.
-//   - Once any item has failed — or ctx is done — no further items are
-//     launched. Items launch in index order, so every index below the first
-//     failing one has already been launched, which keeps the reported error
-//     deterministic: the first error in index order among completed items,
-//     independent of goroutine interleaving.
-//   - Deadlines and cancellation propagate through ctx; when the items all
-//     succeed but the sweep was cut short, forEach returns ctx.Err().
-//
-// Results must be written to caller-owned, per-index storage.
-func (p *pool) forEach(ctx context.Context, n int, fn func(int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	run := func(i int) {
-		defer func() {
-			if v := recover(); v != nil {
-				errs[i] = fault.Recovered(v)
-			}
-			if errs[i] != nil {
-				failed.Store(true)
-			}
-		}()
-		errs[i] = fn(i)
-	}
-	launched := n
-	for i := 0; i < n; i++ {
-		if failed.Load() || ctx.Err() != nil {
-			launched = i
-			break
-		}
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				run(i)
-			}(i)
-		default:
-			run(i)
-		}
-	}
-	wg.Wait()
-	for _, err := range errs[:launched] {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
 
 // ExperimentResult is one experiment's outcome in a Runner sweep.
 type ExperimentResult struct {
@@ -107,7 +28,7 @@ type ExperimentResult struct {
 type Runner struct {
 	Suite   *Suite
 	Workers int
-	pool    *pool
+	pool    *par.Pool
 }
 
 // NewRunner returns a Runner with the given worker budget. workers < 1
@@ -117,7 +38,7 @@ func NewRunner(s *Suite, workers int) *Runner {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := newPool(workers)
+	p := par.NewPool(workers)
 	s.setPool(p)
 	return &Runner{Suite: s, Workers: workers, pool: p}
 }
@@ -139,7 +60,7 @@ func (r *Runner) WarmContext(ctx context.Context) error {
 			cells = append(cells, cell{m, d})
 		}
 	}
-	return r.pool.forEach(ctx, len(cells), func(i int) error {
+	return r.pool.Each(ctx, len(cells), func(i int) error {
 		_, err := s.RunCell(cells[i].model, cells[i].dataset)
 		return err
 	})
@@ -163,7 +84,7 @@ func (r *Runner) RunContext(ctx context.Context, exps []Experiment) []Experiment
 	defer restore()
 	out := make([]ExperimentResult, len(exps))
 	ran := make([]bool, len(exps))
-	_ = r.pool.forEach(ctx, len(exps), func(i int) error {
+	_ = r.pool.Each(ctx, len(exps), func(i int) error {
 		ran[i] = true
 		t, err := runExperiment(exps[i], r.Suite)
 		out[i] = ExperimentResult{Experiment: exps[i], Table: t, Err: err}

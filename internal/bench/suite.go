@@ -12,6 +12,7 @@ import (
 	"scale/internal/fault"
 	"scale/internal/gnn"
 	"scale/internal/graph"
+	"scale/internal/par"
 	"scale/internal/redundancy"
 )
 
@@ -19,8 +20,8 @@ import (
 // expensive inputs (redundancy analyses, reduced profiles, simulation
 // results); full-size profiles are cached by graph.Dataset.Profile itself.
 //
-// A Suite is safe for concurrent use: every cache is a per-key singleflight
-// (one in-flight computation per key, no big lock), and everything a cached
+// A Suite is safe for concurrent use: every cache is a par.Memo (one
+// in-flight computation per key, no big lock), and everything a cached
 // computation touches — datasets, models, accelerators, the scheduler — is
 // either immutable or freshly allocated per call. Reconfigure MACs, Models,
 // and Datasets before sharing the suite across goroutines; result-cache
@@ -38,12 +39,12 @@ type Suite struct {
 	// (Background when none): generators honour it at cell boundaries
 	// without threading a parameter through every signature.
 	poolMu sync.Mutex
-	pool   *pool
+	pool   *par.Pool
 	ctx    context.Context
 
-	redundancy *sfCache[redundancy.Analysis]
-	results    *sfCache[*arch.Result]
-	reduced    *sfCache[*graph.Profile]
+	redundancy par.Memo[string, redundancy.Analysis]
+	results    par.Memo[string, *arch.Result]
+	reduced    par.Memo[string, *graph.Profile]
 }
 
 // NewSuite returns the §VII-A evaluation suite: 1024 MACs, the four
@@ -51,17 +52,14 @@ type Suite struct {
 // until a Runner installs a worker budget.
 func NewSuite() *Suite {
 	return &Suite{
-		MACs:       1024,
-		Models:     gnn.ModelNames(),
-		Datasets:   graph.DatasetNames(),
-		pool:       newPool(1),
-		redundancy: newSFCache[redundancy.Analysis](),
-		results:    newSFCache[*arch.Result](),
-		reduced:    newSFCache[*graph.Profile](),
+		MACs:     1024,
+		Models:   gnn.ModelNames(),
+		Datasets: graph.DatasetNames(),
+		pool:     par.NewPool(1),
 	}
 }
 
-func (s *Suite) setPool(p *pool) {
+func (s *Suite) setPool(p *par.Pool) {
 	s.poolMu.Lock()
 	s.pool = p
 	s.poolMu.Unlock()
@@ -104,7 +102,7 @@ func (s *Suite) each(n int, fn func(int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return p.forEach(ctx, n, fn)
+	return p.Each(ctx, n, fn)
 }
 
 // Profile returns the full-size profile of a dataset, shared process-wide
@@ -117,7 +115,7 @@ func (s *Suite) Profile(dataset string) *graph.Profile {
 // on its materialized build (scaled for Nell/Reddit; the captured rate is a
 // structural property that carries to full size — DESIGN.md §1).
 func (s *Suite) Redundancy(dataset string) redundancy.Analysis {
-	a, _ := s.redundancy.Do(dataset, func() (redundancy.Analysis, error) {
+	a, _ := s.redundancy.Get(dataset, func() (redundancy.Analysis, error) {
 		return redundancy.Analyze(graph.MustByName(dataset).Build()), nil
 	})
 	return a
@@ -130,7 +128,7 @@ func (s *Suite) Redundancy(dataset string) redundancy.Analysis {
 // materialized — the captured rate measured on the scaled build is applied
 // to the full-size degree sequence.
 func (s *Suite) ReducedProfile(dataset string) *graph.Profile {
-	p, _ := s.reduced.Do(dataset, func() (*graph.Profile, error) {
+	p, _ := s.reduced.Get(dataset, func() (*graph.Profile, error) {
 		d := graph.MustByName(dataset)
 		if d.BuildScale == 1.0 {
 			reduced, _ := redundancy.Apply(d.Build())
@@ -209,7 +207,7 @@ func (s *Suite) Run(a arch.Accelerator, model, dataset string) (*arch.Result, er
 	if err := s.Context().Err(); err != nil {
 		return nil, err
 	}
-	return s.results.Do(s.cellKey(a, model, dataset), func() (r *arch.Result, err error) {
+	return s.results.Get(s.cellKey(a, model, dataset), func() (r *arch.Result, err error) {
 		err = fault.Safely(func() error {
 			var rerr error
 			r, rerr = a.Run(s.Model(model, dataset), s.Profile(dataset))

@@ -10,12 +10,11 @@
 // guarantee: parallel runs produce byte-identical exports to serial runs.
 //
 //   - Runner fans experiments — and, through the Suite's shared pool, the
-//     sweep points inside each experiment — across a bounded worker pool
+//     sweep points inside each experiment — across a bounded par.Pool
 //     and reassembles results in input order (result i is experiment i,
 //     whatever order workers finish in).
-//   - Suite is safe for concurrent use; its caches are per-key
-//     singleflights, so concurrent requests for one cell share a single
-//     simulation. Configure MACs / Models / Datasets before sharing.
+//   - Suite is safe for concurrent use; its caches are par.Memos, so
+//     concurrent requests for one cell share a single simulation. Configure MACs / Models / Datasets before sharing.
 //   - Generators separate the parallel fan-out (indexed writes into
 //     pre-sized slices) from the serial fold (fixed iteration order,
 //     accelOrder for per-accelerator float accumulation), so floating-point

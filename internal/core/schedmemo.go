@@ -10,10 +10,10 @@ import (
 // layers' task lists during layer 0 (§IV-A). The memo below makes the
 // simulator exploit it too: one compact schedule per (profile, batch size,
 // sched.Config), computed once and shared read-only across layers,
-// accelerators, and concurrent sweep workers (the profile's Memoize is a
-// per-key singleflight, matching the PR 1 concurrency contract). The memo
-// stores only what the timing engine consumes — per-group vertex counts,
-// edge sums, and task counts — never materialized vertex lists.
+// accelerators, and concurrent sweep workers (graph.Memoize is a per-key
+// singleflight over the profile, DESIGN.md §4e). The memo stores only what
+// the timing engine consumes — per-group vertex counts, edge sums, and task
+// counts — never materialized vertex lists.
 
 // scheduleKey identifies one memoized schedule.
 type scheduleKey struct {
@@ -42,19 +42,12 @@ type layerSchedule struct {
 	batches []batchSchedule
 }
 
-type scheduleMemoVal struct {
-	ls  *layerSchedule
-	err error
-}
-
 // scheduleFor returns the profile's compact schedule for the given batch
 // size and scheduling configuration, computing it at most once per profile.
 func scheduleFor(p *graph.Profile, batch int, cfg sched.Config) (*layerSchedule, error) {
-	v := p.Memoize(scheduleKey{batch: batch, cfg: cfg}, func() any {
-		ls, err := computeSchedule(p, batch, cfg)
-		return scheduleMemoVal{ls: ls, err: err}
-	}).(scheduleMemoVal)
-	return v.ls, v.err
+	return graph.Memoize(p, scheduleKey{batch: batch, cfg: cfg}, func() (*layerSchedule, error) {
+		return computeSchedule(p, batch, cfg)
+	})
 }
 
 // computeSchedule runs the scheduler over every batch of the profile and

@@ -11,14 +11,13 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"scale/internal/core"
 	"scale/internal/energy"
 	"scale/internal/fault"
 	"scale/internal/gnn"
 	"scale/internal/graph"
+	"scale/internal/par"
 )
 
 // Point is one evaluated design configuration.
@@ -82,7 +81,7 @@ func (s Space) candidates() []Point {
 	return cands
 }
 
-// ExploreContext evaluates the space with up to `workers` goroutines
+// ExploreContext evaluates the space on a par.Pool of `workers` goroutines
 // (workers < 2 runs serially). Each design point is an independent
 // simulation, so evaluations fan out freely; results come back in the
 // space's canonical enumeration order regardless of completion order, and
@@ -102,52 +101,18 @@ func ExploreContext(ctx context.Context, space Space, m *gnn.Model, p *graph.Pro
 	}
 	cands := space.candidates()
 	evaluated := make([]*Point, len(cands))
-	errs := make([]error, len(cands))
-	var failed atomic.Bool
-	eval := func(i int) {
-		evaluated[i], errs[i] = safeEvaluate(cands[i], m, p)
-		if errs[i] != nil {
-			failed.Store(true)
-		}
-	}
-	launched := len(cands)
-	if workers < 2 {
-		for i := range cands {
-			if failed.Load() || ctx.Err() != nil {
-				launched = i
-				break
-			}
-			eval(i)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range cands {
-			if failed.Load() || ctx.Err() != nil {
-				launched = i
-				break
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				eval(i)
-			}(i)
-		}
-		wg.Wait()
+	err := par.NewPool(max(workers, 1)).Each(ctx, len(cands), func(i int) (err error) {
+		evaluated[i], err = safeEvaluate(cands[i], m, p)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	var points []Point
-	for i := 0; i < launched; i++ {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, pt := range evaluated {
+		if pt != nil {
+			points = append(points, *pt)
 		}
-		if evaluated[i] != nil {
-			points = append(points, *evaluated[i])
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	return points, nil
 }

@@ -2,6 +2,7 @@ package dyn
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"scale/internal/fault"
@@ -51,21 +52,8 @@ func (r *smix) next() uint64 {
 // range reduction; the negligible bias is irrelevant here — the contract is
 // reproducibility, not statistical perfection.
 func (r *smix) intn(n int) int {
-	hi, _ := mul64(r.next(), uint64(n))
+	hi, _ := bits.Mul64(r.next(), uint64(n))
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo) without pulling
-// in math/bits semantics surprises on 32-bit targets (the repo targets
-// 64-bit, but the split-multiply is cheap and explicit).
-func mul64(a, b uint64) (uint64, uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo := a * b
-	hi := aHi*bHi + t>>32 + (aLo*bHi+t&mask)>>32
-	return hi, lo
 }
 
 // vertexStream seeds the per-(seed, layer, vertex) stream. The layer and

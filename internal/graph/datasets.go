@@ -2,9 +2,9 @@ package graph
 
 import (
 	"fmt"
-	"sync"
 
 	"scale/internal/fault"
+	"scale/internal/par"
 )
 
 // Dataset describes one evaluation graph from Table II of the paper: its
@@ -31,17 +31,13 @@ type Dataset struct {
 // Profile returns the full-size degree profile, deterministically seeded.
 // It is built once per process for each distinct dataset and then shared:
 // every call returns the same read-only *Profile, so the schedule and
-// balance state the simulators memoize on it (Profile.Memoize) outlives
-// the call that built it.
+// balance state the simulators memoize on it (Memoize) outlives the call
+// that built it.
 func (d Dataset) Profile() *Profile {
-	key := profileKey{d.Name, d.Vertices, d.Edges, d.Skew, d.seed}
-	f, ok := profiles.Load(key)
-	if !ok {
-		f, _ = profiles.LoadOrStore(key, sync.OnceValue(func() *Profile {
-			return SyntheticProfile(d.Name, d.Vertices, d.Edges, d.Skew, d.seed)
-		}))
-	}
-	return f.(func() *Profile)()
+	p, _ := profiles.Get(profileKey{d.Name, d.Vertices, d.Edges, d.Skew, d.seed}, func() (*Profile, error) {
+		return SyntheticProfile(d.Name, d.Vertices, d.Edges, d.Skew, d.seed), nil
+	})
+	return p
 }
 
 // profileKey is every Dataset field SyntheticProfile reads.
@@ -53,8 +49,8 @@ type profileKey struct {
 	seed     int64
 }
 
-// profiles maps a profileKey to the sync.OnceValue that builds its profile.
-var profiles sync.Map
+// profiles holds one shared profile per profileKey.
+var profiles par.Memo[profileKey, *Profile]
 
 // Build materializes a graph at the dataset's default scale factor.
 func (d Dataset) Build() *Graph { return d.BuildAt(d.BuildScale) }

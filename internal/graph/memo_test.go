@@ -54,9 +54,9 @@ func TestMemoizeSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			start.Wait()
-			results[i] = p.Memoize("key-a", func() any {
+			results[i], _ = Memoize(p, "key-a", func() (any, error) {
 				calls.Add(1)
-				return &struct{ n int }{n: 42}
+				return &struct{ n int }{n: 42}, nil
 			})
 		}(i)
 	}
@@ -70,7 +70,7 @@ func TestMemoizeSingleflight(t *testing.T) {
 			t.Fatal("goroutines observed different memoized values")
 		}
 	}
-	other := p.Memoize("key-b", func() any { return "b" })
+	other, _ := Memoize(p, "key-b", func() (string, error) { return "b", nil })
 	if other != "b" {
 		t.Fatalf("distinct key returned %v", other)
 	}
@@ -78,7 +78,7 @@ func TestMemoizeSingleflight(t *testing.T) {
 	// degree sequence.
 	q := NewProfile("m2", []int32{1, 2, 3})
 	var qCalls int
-	q.Memoize("key-a", func() any { qCalls++; return nil })
+	_, _ = Memoize(q, "key-a", func() (any, error) { qCalls++; return nil, nil })
 	if qCalls != 1 {
 		t.Fatal("second profile should not see first profile's memo")
 	}

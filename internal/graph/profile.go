@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+
+	"scale/internal/par"
 )
 
 // Profile is the structure-only view of a graph: the per-vertex in-degree
@@ -16,10 +18,9 @@ import (
 // A Profile is immutable after construction and safe for concurrent use;
 // scalar statistics (edge total, max degree, Gini) are computed once, and
 // derived structure-only state — the shared vertex slice and anything the
-// simulators attach through Memoize — is built lazily with singleflight
-// semantics. Do not mutate Degrees after handing the profile out. A mutable
-// graph (internal/dyn) hands out frozen snapshots instead; profile one with
-// ProfileOf.
+// simulators attach through Memoize — is built lazily, once. Do not mutate
+// Degrees after handing the profile out. A mutable graph (internal/dyn)
+// hands out frozen snapshots instead; profile one with ProfileOf.
 type Profile struct {
 	Name    string
 	Degrees []int32
@@ -32,7 +33,7 @@ type Profile struct {
 	vertsOnce sync.Once
 	verts     []int32
 
-	memo sync.Map // comparable key → *memoEntry
+	memo par.Memo[any, any]
 }
 
 // NewProfile wraps a degree sequence.
@@ -107,27 +108,17 @@ func (p *Profile) Batches(b int) [][]int32 {
 	return out
 }
 
-// memoEntry is one singleflight slot of a profile's memo table.
-type memoEntry struct {
-	once sync.Once
-	val  any
-}
-
-// Memoize returns the value for key, computing it at most once for this
-// profile: concurrent callers with the same key share a single computation
-// (singleflight), and later callers get the cached value. Keys must be
-// comparable; values must be safe to share read-only (they are returned to
-// every caller). The simulators use this to attach schedule state that
-// depends only on the degree sequence — computed once, reused across
-// layers, accelerators, and sweep workers.
-func (p *Profile) Memoize(key any, compute func() any) any {
-	e, ok := p.memo.Load(key)
-	if !ok {
-		e, _ = p.memo.LoadOrStore(key, &memoEntry{})
-	}
-	entry := e.(*memoEntry)
-	entry.once.Do(func() { entry.val = compute() })
-	return entry.val
+// Memoize returns the value for key on profile p, computing it with build
+// at most once per profile: concurrent callers with the same key share one
+// computation, and errors are cached with values (par.Memo). Keys must be
+// comparable and each key always read as the same V (callers use a private
+// key type); values must be safe to share read-only. The simulators use this
+// to attach schedule state that depends only on the degree sequence —
+// computed once, reused across layers, accelerators, and sweep workers.
+func Memoize[V any](p *Profile, key any, build func() (V, error)) (V, error) {
+	v, err := p.memo.Get(key, func() (any, error) { return build() })
+	out, _ := v.(V)
+	return out, err
 }
 
 // String describes the profile.

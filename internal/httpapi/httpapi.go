@@ -13,10 +13,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"scale/internal/fault"
 )
@@ -76,12 +74,12 @@ func Classify(err error) (int, string) {
 }
 
 // WriteError answers a non-nil err through Classify. The retryable answers
-// (429 and 503) carry Retry-After: retryAfter in whole seconds, at least 1.
-func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
+// (429 and 503) carry Retry-After: 1.
+func WriteError(w http.ResponseWriter, err error) {
 	code, kind := Classify(err)
 	switch code {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		w.Header().Set("Retry-After", strconv.Itoa(max(int(retryAfter/time.Second), 1)))
+		w.Header().Set("Retry-After", "1")
 	}
 	WriteJSON(w, code, Error{Error: err.Error(), Kind: kind})
 }
@@ -122,11 +120,9 @@ func ReadBody(r io.Reader, contentLength int64) ([]byte, error) {
 }
 
 // Gate is the admission edge of a tier's API endpoints: POST only, no new
-// work once draining, and a panic barrier. Set RetryAfter and Panics before
-// first use; a Gate must not be copied after it.
+// work once draining, and a panic barrier. Set Panics before first use; a
+// Gate must not be copied after it.
 type Gate struct {
-	// RetryAfter is the Retry-After hint on drain refusals.
-	RetryAfter time.Duration
 	// Panics counts handler panics the barrier contained.
 	Panics *atomic.Int64
 
@@ -143,15 +139,15 @@ func (g *Gate) Serve(w http.ResponseWriter, r *http.Request, h http.HandlerFunc)
 	rec := &recorder{ResponseWriter: w, code: http.StatusOK}
 	switch {
 	case r.Method != http.MethodPost:
-		WriteError(rec, errNotPost, g.RetryAfter)
+		WriteError(rec, errNotPost)
 	case !g.enter():
-		WriteError(rec, ErrDraining, g.RetryAfter)
+		WriteError(rec, ErrDraining)
 	default:
 		defer g.handlers.Done()
 		if err := fault.Safely(func() error { h(rec, r); return nil }); err != nil {
 			g.Panics.Add(1)
 			if !rec.wrote {
-				WriteError(rec, err, g.RetryAfter)
+				WriteError(rec, err)
 			}
 		}
 	}

@@ -11,14 +11,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"scale/internal/fault"
 )
 
 // TestClassify pins the status contract one row per kind, through both
 // Classify and WriteError: the status, the JSON kind and message, and
-// Retry-After on exactly the retryable answers (429, 503).
+// Retry-After: 1 on exactly the retryable answers (429, 503).
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -45,7 +44,7 @@ func TestClassify(t *testing.T) {
 				t.Fatalf("Classify = %d %q, want %d %q", code, kind, tc.wantCode, tc.wantKind)
 			}
 			rec := httptest.NewRecorder()
-			WriteError(rec, tc.err, 2500*time.Millisecond)
+			WriteError(rec, tc.err)
 			if rec.Code != tc.wantCode {
 				t.Fatalf("WriteError code %d, want %d", rec.Code, tc.wantCode)
 			}
@@ -57,18 +56,13 @@ func TestClassify(t *testing.T) {
 				t.Fatalf("payload %+v, want kind %q and message %q", e, tc.wantKind, tc.err.Error())
 			}
 			retryable := tc.wantCode == 429 || tc.wantCode == 503
-			if ra := rec.Header().Get("Retry-After"); (ra != "") != retryable || (retryable && ra != "2") {
+			if ra := rec.Header().Get("Retry-After"); (ra != "") != retryable || (retryable && ra != "1") {
 				t.Fatalf("Retry-After = %q on a %d", ra, tc.wantCode)
 			}
 		})
 	}
 	if code, _ := Classify(nil); code != http.StatusOK {
 		t.Fatalf("Classify(nil) = %d", code)
-	}
-	rec := httptest.NewRecorder()
-	WriteError(rec, ErrDraining, 0)
-	if ra := rec.Header().Get("Retry-After"); ra != "1" {
-		t.Fatalf("sub-second hint gave Retry-After %q, want 1", ra)
 	}
 }
 
@@ -93,7 +87,7 @@ func kindOf(t *testing.T, rec *httptest.ResponseRecorder) string {
 // handlers.
 func TestGate(t *testing.T) {
 	var panics atomic.Int64
-	g := &Gate{RetryAfter: time.Second, Panics: &panics}
+	g := &Gate{Panics: &panics}
 	called := false
 	ok := func(w http.ResponseWriter, r *http.Request) { called = true; w.WriteHeader(http.StatusNoContent) }
 

@@ -96,7 +96,7 @@ func decodeMutateJSON(body mutateBody) (dyn.Batch, error) {
 // in MutationsRejected, and a successful batch reports the new graph shape.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Dynamic == nil {
-		s.writeError(w, errNoDynamic)
+		httpapi.WriteError(w, errNoDynamic)
 		return
 	}
 	batch, err := decodeMutate(r)
@@ -105,7 +105,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.metrics.MutationsRejected.Add(1)
-		s.writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	s.metrics.MutationBatches.Add(1)

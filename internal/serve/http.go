@@ -112,11 +112,6 @@ type healthResponse struct {
 	Degraded         *bool   `json:"degraded,omitempty"`
 }
 
-// writeError answers err through the shared status contract.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	httpapi.WriteError(w, err, s.cfg.RetryAfter)
-}
-
 // badBody marks a body that did not decode as bad input (400).
 func badBody(err error) error {
 	return fmt.Errorf("bad JSON body: %v: %w", err, fault.ErrBadGraph)
@@ -129,7 +124,7 @@ func (s *Server) admit(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	slotted := func(w http.ResponseWriter, r *http.Request) {
 		if !s.queue.tryAcquire() {
 			s.metrics.QueueRejections.Add(1)
-			s.writeError(w, errQueueFull)
+			httpapi.WriteError(w, errQueueFull)
 			return
 		}
 		defer s.queue.release()
@@ -162,12 +157,12 @@ var errNoDynamic = fmt.Errorf("serve: server has no dynamic graph (-dynamic): %w
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	body, err := decodeInferBody(r)
 	if err != nil {
-		s.writeError(w, badBody(err))
+		httpapi.WriteError(w, badBody(err))
 		return
 	}
 	rt, err := s.route(&body)
 	if err != nil {
-		s.writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	// Normalize the precision before the session lookup so "", the server
@@ -182,7 +177,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	rows, err := s.run(ctx, rt, &body)
 	if err != nil {
-		s.writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	httpapi.WriteJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: body.Precision, Embeddings: rows})
@@ -342,12 +337,12 @@ func validateCarried(body *inferBody) error {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var body simulateBody
 	if err := decodeJSON(r, &body); err != nil {
-		s.writeError(w, badBody(err))
+		httpapi.WriteError(w, badBody(err))
 		return
 	}
 	report, err := s.cfg.Sim.SimulateOn(body.Accel, body.Model, body.Dataset)
 	if err != nil {
-		s.writeError(w, err)
+		httpapi.WriteError(w, err)
 		return
 	}
 	resp := simulateResponse{Report: report}
@@ -364,13 +359,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // shardEstimate partitions the dataset's generated graph at the pool's shard
 // count and costs the halo exchange against the simulated single-device
 // cycle count. Feature rows move at fp32 width — the sharded data plane
-// exchanges float32 activations in both precision tiers.
+// exchanges float32 activations in both precision tiers. The plan depends
+// only on the dataset (the pool's part count is fixed), so each dataset is
+// built and partitioned once per server.
 func (s *Server) shardEstimate(dataset string, cycles int64) (*shard.CommEstimate, error) {
 	d, err := graph.ByName(dataset)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := shard.PartitionGraph(d.Build(), s.cfg.ShardPool.Parts())
+	plan, err := s.plans.Get(d.Name, func() (*shard.Plan, error) {
+		return shard.PartitionGraph(d.Build(), s.cfg.ShardPool.Parts())
+	})
 	if err != nil {
 		return nil, err
 	}

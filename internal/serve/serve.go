@@ -29,6 +29,7 @@ import (
 	"scale"
 	"scale/internal/dyn"
 	"scale/internal/httpapi"
+	"scale/internal/par"
 	"scale/internal/shard"
 )
 
@@ -51,9 +52,6 @@ type Config struct {
 	// MaxVertices caps a single infer request's vertex count (default
 	// 1<<20) so one request cannot exhaust server memory.
 	MaxVertices int
-	// RetryAfter is the Retry-After hint on 429 and 503 answers, in whole
-	// seconds (default and minimum 1s).
-	RetryAfter time.Duration
 	// DefaultPrecision is the execution precision applied to infer
 	// requests that do not carry a "precision" field: "" or "fp32" (the
 	// default float32 tier) or "int8" (quantized). Requests can always
@@ -124,6 +122,8 @@ type Server struct {
 	start    time.Time
 	gate     httpapi.Gate
 	sessions *httpapi.Sessions[*batcher]
+	// plans holds each dataset's shard plan for /v1/simulate estimates.
+	plans par.Memo[string, *shard.Plan]
 	// loops counts running batcher loops, evicted sessions' included.
 	loops sync.WaitGroup
 }
@@ -138,7 +138,7 @@ func New(cfg Config) *Server {
 		queue:   newQueue(cfg.QueueDepth),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
-		gate:    httpapi.Gate{RetryAfter: cfg.RetryAfter, Panics: &m.PanicsContained},
+		gate:    httpapi.Gate{Panics: &m.PanicsContained},
 	}
 	s.sessions = httpapi.NewSessions(cfg.MaxSessions, s.newSession, &m.SessionsCreated, &m.SessionsEvicted)
 	s.mux.HandleFunc("/v1/infer", s.admit("infer", s.handleInfer))

@@ -258,6 +258,37 @@ func TestSimulateShardingEstimate(t *testing.T) {
 	}
 }
 
+// A shard-fronting server builds and partitions each dataset once: after one
+// /v1/simulate the dataset's plan is memoized, and a second call answers
+// the same bytes from it.
+func TestSimulatePlanMemoized(t *testing.T) {
+	sim, err := scale.New(scale.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := shard.NewPool(shard.PoolConfig{Workers: startShardWorkers(t, sim, 2), Parts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Sim: sim, ShardPool: pool})
+	defer srv.Close()
+	body := map[string]any{"model": "gcn", "dataset": "pubmed"}
+	code, first := postBody(t, srv.Handler(), "/v1/simulate", body)
+	if code != http.StatusOK || !bytes.Contains(first, []byte(`"sharding"`)) {
+		t.Fatalf("simulate: status %d: %s", code, first)
+	}
+	plan, err := srv.plans.Get("pubmed", func() (*shard.Plan, error) {
+		t.Fatal("the simulate call left no plan in the memo")
+		return nil, nil
+	})
+	if err != nil || plan == nil || plan.K != 2 {
+		t.Fatalf("memoized plan %+v, %v", plan, err)
+	}
+	if _, second := postBody(t, srv.Handler(), "/v1/simulate", body); !bytes.Equal(first, second) {
+		t.Fatalf("memoized estimate differs:\n%s\n%s", first, second)
+	}
+}
+
 // Full-pool outage: a front whose every worker is dead still answers
 // shard-sized infers — bit-identically, via the local single-process
 // fallback — and surfaces the outage in /healthz and /metrics.

@@ -43,8 +43,6 @@ type PoolConfig struct {
 	// Topology is the modeled inter-shard interconnect for cost estimates
 	// (default noc.Ring).
 	Topology noc.Kind
-	// VNodes per worker on the consistent-hash ring (default 256).
-	VNodes int
 	// RequestTimeout caps each individual worker HTTP call (default 60s).
 	// The per-call deadline is derived from the request context, so a
 	// caller's own deadline (e.g. /v1/infer timeout_ms) always wins when it
@@ -88,8 +86,6 @@ type PoolMetrics struct {
 	Retries atomic.Int64
 	// Probes counts active health probes sent.
 	Probes atomic.Int64
-	// DegradedChecks counts Degraded() calls that reported no live workers.
-	DegradedChecks atomic.Int64
 }
 
 // Pool is the front-tier client of the shard worker fleet. Each inference
@@ -133,7 +129,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 		normalized[i] = normalizeAddr(a)
 	}
 	cfg.Workers = normalized
-	ring, err := NewRing(cfg.Workers, cfg.VNodes)
+	ring, err := NewRing(cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -213,13 +209,7 @@ func (p *Pool) LiveWorkers() int {
 // Degraded reports whether the pool has no live workers (every breaker is
 // open or probing): the front tier should fall back to single-process
 // serving rather than fan a pass into a fleet it believes dead.
-func (p *Pool) Degraded() bool {
-	if p.LiveWorkers() > 0 {
-		return false
-	}
-	p.metrics.DegradedChecks.Add(1)
-	return true
-}
+func (p *Pool) Degraded() bool { return p.LiveWorkers() == 0 }
 
 // StartProber launches the active health prober: every ProbeInterval
 // (jittered ±20%) it GETs each worker's /healthz concurrently and feeds the

@@ -15,10 +15,10 @@ import (
 const defaultVNodes = 256
 
 // Ring is a consistent-hash ring over named nodes (worker addresses). Each
-// node is hashed onto the circle at VNodes points; a key maps to the first
-// vnode clockwise from its hash. Adding or removing one node therefore moves
-// only the keys adjacent to that node's vnodes — sessions keep hitting the
-// same workers (warm session caches) through pool membership changes.
+// node is hashed onto the circle at defaultVNodes points; a key maps to the
+// first vnode clockwise from its hash. Adding or removing one node therefore
+// moves only the keys adjacent to that node's vnodes — sessions keep hitting
+// the same workers (warm session caches) through pool membership changes.
 //
 // A Ring is immutable after construction; a membership change builds a new
 // Ring with NewRing, which is what makes the minimal-churn property testable
@@ -33,15 +33,11 @@ type vnode struct {
 	node string
 }
 
-// NewRing builds a ring over the given nodes with vnodesPer virtual nodes
-// each (0 selects the default). Empty node lists and duplicate names are
-// typed input errors.
-func NewRing(nodes []string, vnodesPer int) (*Ring, error) {
+// NewRing builds a ring over the given nodes with defaultVNodes virtual
+// nodes each. Empty node lists and duplicate names are typed input errors.
+func NewRing(nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("shard: ring needs at least one node: %w", fault.ErrBadConfig)
-	}
-	if vnodesPer <= 0 {
-		vnodesPer = defaultVNodes
 	}
 	seen := make(map[string]bool, len(nodes))
 	r := &Ring{}
@@ -51,7 +47,7 @@ func NewRing(nodes []string, vnodesPer int) (*Ring, error) {
 		}
 		seen[n] = true
 		r.nodes = append(r.nodes, n)
-		for i := 0; i < vnodesPer; i++ {
+		for i := 0; i < defaultVNodes; i++ {
 			r.vnodes = append(r.vnodes, vnode{hash: hash64(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
 	}

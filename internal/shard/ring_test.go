@@ -18,13 +18,13 @@ func ringNodes(n int) []string {
 }
 
 func TestNewRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); !errors.Is(err, fault.ErrBadConfig) {
+	if _, err := NewRing(nil); !errors.Is(err, fault.ErrBadConfig) {
 		t.Fatalf("empty ring: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); !errors.Is(err, fault.ErrBadConfig) {
+	if _, err := NewRing([]string{"a", ""}); !errors.Is(err, fault.ErrBadConfig) {
 		t.Fatalf("empty node name: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := NewRing([]string{"a", "b", "a"}, 0); !errors.Is(err, fault.ErrBadConfig) {
+	if _, err := NewRing([]string{"a", "b", "a"}); !errors.Is(err, fault.ErrBadConfig) {
 		t.Fatalf("duplicate node: err = %v, want ErrBadConfig", err)
 	}
 }
@@ -34,7 +34,7 @@ func TestNewRingValidation(t *testing.T) {
 // is what makes FNV's layout this even; the bound is pinned so a vnode-count
 // or hash change that degrades spread fails loudly.
 func TestRingDistributionBounds(t *testing.T) {
-	r, err := NewRing(ringNodes(4), 0)
+	r, err := NewRing(ringNodes(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRingDistributionBounds(t *testing.T) {
 // to it); a leaving node only sheds its own keys (nothing else moves).
 func TestRingMinimalChurn(t *testing.T) {
 	nodes := ringNodes(4)
-	base, err := NewRing(nodes, 0)
+	base, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRingMinimalChurn(t *testing.T) {
 		owner[k] = base.Successors(k, 1)[0]
 	}
 
-	grown, err := NewRing(append(slices.Clone(nodes), "worker-new:8199"), 0)
+	grown, err := NewRing(append(slices.Clone(nodes), "worker-new:8199"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRingMinimalChurn(t *testing.T) {
 	}
 
 	victim := nodes[1]
-	shrunk, err := NewRing(slices.Delete(slices.Clone(nodes), 1, 2), 0)
+	shrunk, err := NewRing(slices.Delete(slices.Clone(nodes), 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRingMinimalChurn(t *testing.T) {
 // Successors yields distinct nodes starting at the key's owner — the failover
 // candidate order the pool walks when a worker is down.
 func TestRingSuccessors(t *testing.T) {
-	r, err := NewRing(ringNodes(5), 0)
+	r, err := NewRing(ringNodes(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,6 @@ type WorkerConfig struct {
 	// ForwardWorkers is the goroutine count per layer call (default 0 =
 	// the accelerator's own sizing).
 	ForwardWorkers int
-	// RetryAfter is the Retry-After hint on 429/503 answers, in whole
-	// seconds (default and minimum 1s).
-	RetryAfter time.Duration
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -103,7 +100,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		mux:      http.NewServeMux(),
 		metrics:  m,
 		start:    time.Now(),
-		gate:     httpapi.Gate{RetryAfter: cfg.RetryAfter, Panics: &m.PanicsContained},
+		gate:     httpapi.Gate{Panics: &m.PanicsContained},
 		sessions: httpapi.NewSessions(cfg.MaxSessions, cfg.Sim.NewSessionPrecision, &m.SessionsCreated, &m.SessionsEvicted),
 		runs:     make(map[uint64]*run),
 	}
@@ -144,11 +141,6 @@ func (w *Worker) LiveRuns() int {
 	return len(w.runs)
 }
 
-// writeError answers err through the shared status contract.
-func (w *Worker) writeError(rw http.ResponseWriter, err error) {
-	httpapi.WriteError(rw, err, w.cfg.RetryAfter)
-}
-
 // expireLocked drops runs idle past RunTTL (front tier died mid-pass).
 func (w *Worker) expireLocked(now time.Time) {
 	cutoff := now.Add(-w.cfg.RunTTL).UnixNano()
@@ -177,16 +169,16 @@ func readFrame(r *http.Request) ([]byte, error) {
 func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 	frame, err := readFrame(r)
 	if err != nil {
-		w.writeError(rw, err)
+		httpapi.WriteError(rw, err)
 		return
 	}
 	q, err := DecodeLoad(frame)
 	if err != nil {
-		w.writeError(rw, err)
+		httpapi.WriteError(rw, err)
 		return
 	}
 	if err := validateLoad(q); err != nil {
-		w.writeError(rw, err)
+		httpapi.WriteError(rw, err)
 		return
 	}
 	// FromCSR checks the CSR itself (row pointers from 0, monotone, ending
@@ -194,7 +186,7 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 	// exists, and the run adopts the frame's slices without copying them.
 	g, err := graph.FromCSR(fmt.Sprintf("shardrun-%d", q.ReqID), q.RowPtr, q.ColIdx)
 	if err != nil {
-		w.writeError(rw, err)
+		httpapi.WriteError(rw, err)
 		return
 	}
 	dims := make([]int, len(q.Dims))
@@ -203,7 +195,7 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := w.sessions.Get(q.Model, dims, q.Precision)
 	if err != nil {
-		w.writeError(rw, err)
+		httpapi.WriteError(rw, err)
 		return
 	}
 	ru := &run{
@@ -221,7 +213,7 @@ func (w *Worker) handleLoad(rw http.ResponseWriter, r *http.Request) {
 	if len(w.runs) >= w.cfg.MaxRuns {
 		w.mu.Unlock()
 		w.metrics.Rejections.Add(1)
-		w.writeError(rw, fmt.Errorf("shard: run table full (%d runs): %w", w.cfg.MaxRuns, httpapi.ErrOverCapacity))
+		httpapi.WriteError(rw, fmt.Errorf("shard: run table full (%d runs): %w", w.cfg.MaxRuns, httpapi.ErrOverCapacity))
 		return
 	}
 	w.runs[q.ReqID] = ru // reload after failover overwrites the stale run
@@ -268,12 +260,12 @@ func validateLoad(q *LoadRequest) error {
 func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 	frame, err := readFrame(r)
 	if err != nil {
-		w.writeError(rw, err)
+		httpapi.WriteError(rw, err)
 		return
 	}
 	q, err := DecodeLayer(frame)
 	if err != nil {
-		w.writeError(rw, err)
+		httpapi.WriteError(rw, err)
 		return
 	}
 	w.mu.Lock()
@@ -282,7 +274,7 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// Distinct kind: the front tier treats a missing run (worker
 		// restarted, run expired) as grounds for a reload, not a client bug.
-		w.writeError(rw, fmt.Errorf("shard: run %d: %w", q.ReqID, httpapi.ErrNoRun))
+		httpapi.WriteError(rw, fmt.Errorf("shard: run %d: %w", q.ReqID, httpapi.ErrNoRun))
 		return
 	}
 
@@ -290,17 +282,17 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 	defer ru.mu.Unlock()
 	ru.touched.Store(time.Now().UnixNano())
 	if q.Layer != ru.next {
-		w.writeError(rw, fmt.Errorf("shard: run %d expects layer %d, got %d: %w", q.ReqID, ru.next, q.Layer, fault.ErrBadConfig))
+		httpapi.WriteError(rw, fmt.Errorf("shard: run %d expects layer %d, got %d: %w", q.ReqID, ru.next, q.Layer, fault.ErrBadConfig))
 		return
 	}
 	if len(q.HaloIDs) > 0 {
 		if int(q.Cols) != ru.h.Cols {
-			w.writeError(rw, fmt.Errorf("shard: halo rows are %d wide, state is %d: %w", q.Cols, ru.h.Cols, fault.ErrBadShape))
+			httpapi.WriteError(rw, fmt.Errorf("shard: halo rows are %d wide, state is %d: %w", q.Cols, ru.h.Cols, fault.ErrBadShape))
 			return
 		}
 		for i, lid := range q.HaloIDs {
 			if lid < 0 || int(lid) >= ru.h.Rows {
-				w.writeError(rw, fmt.Errorf("shard: halo id %d outside [0, %d): %w", lid, ru.h.Rows, fault.ErrBadGraph))
+				httpapi.WriteError(rw, fmt.Errorf("shard: halo id %d outside [0, %d): %w", lid, ru.h.Rows, fault.ErrBadGraph))
 				return
 			}
 			copy(ru.h.Row(int(lid)), q.HaloRows[i*int(q.Cols):(i+1)*int(q.Cols)])
@@ -310,7 +302,7 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 
 	out, err := ru.sess.ForwardLayerCSR(r.Context(), int(q.Layer), ru.g, ru.h, ru.degrees, w.cfg.ForwardWorkers)
 	if err != nil {
-		w.writeError(rw, err)
+		httpapi.WriteError(rw, err)
 		return
 	}
 	ru.h = out
@@ -334,7 +326,7 @@ func (w *Worker) handleLayer(rw http.ResponseWriter, r *http.Request) {
 func (w *Worker) handleFinish(rw http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.URL.Query().Get("req"), 10, 64)
 	if err != nil {
-		w.writeError(rw, fmt.Errorf("shard: bad req id %q: %w", r.URL.Query().Get("req"), fault.ErrBadConfig))
+		httpapi.WriteError(rw, fmt.Errorf("shard: bad req id %q: %w", r.URL.Query().Get("req"), fault.ErrBadConfig))
 		return
 	}
 	w.mu.Lock()
