@@ -87,7 +87,7 @@ func run(ctx context.Context) error {
 	}
 	check(want[0].AllClose(res.Outputs, 1e-3, 1e-4),
 		"pipeline numerics match reference (max diff %.2g)", want[0].MaxAbsDiff(res.Outputs))
-	law := int64(g.NumEdges()) * int64(m.Layers[0].MsgDim()) / int64(pl.Seg.NumPEs())
+	law := int64(g.NumEdges()) * int64(m.Layers[0].Work().MsgDim) / int64(pl.Seg.NumPEs())
 	ratio := float64(res.AggCycles) / float64(law)
 	check(ratio > 0.5 && ratio < 2.5,
 		"pipeline aggregation within 2x of the task-level law (ratio %.2f)", ratio)

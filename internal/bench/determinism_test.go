@@ -1,6 +1,12 @@
 package bench
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
 
 // deterministicExperiments returns the experiment set and dataset subset the
 // determinism cross-check runs. Normal builds cover the full suite on the
@@ -27,13 +33,20 @@ func deterministicExperiments() ([]Experiment, []string) {
 	return exps, []string{"cora", "citeseer"}
 }
 
+// determinismChild names the environment variable that makes TestDeterminism
+// the eight-worker child: it runs that half and writes its exports, as a
+// JSON object of experiment id to export, to the file the variable names.
+const determinismChild = "SCALE_DETERMINISM_CHILD_OUT"
+
 // TestDeterminism is the engine's correctness proof: the full evaluation
 // suite run serially and run on eight workers must export byte-identical
 // JSON for every figure and table. This is a cross-check between two live
-// runs (fresh suites, fresh result caches; the dataset profiles and their
-// schedule memos are shared process-wide), not a golden-file comparison, so
-// it catches both scheduling-dependent float summation and any
-// shared-state race that corrupts a result.
+// runs, not a golden-file comparison, so it catches both
+// scheduling-dependent float summation and any shared-state race that
+// corrupts a result. The dataset profiles and their schedule and balance
+// memos are shared process-wide, so the eight-worker half runs in a child
+// process (this test binary re-executed) and computes all of them again,
+// concurrently, from empty memos.
 func TestDeterminism(t *testing.T) {
 	exps, datasets := deterministicExperiments()
 	run := func(workers int) map[string]string {
@@ -55,8 +68,18 @@ func TestDeterminism(t *testing.T) {
 		}
 		return out
 	}
+	if out := os.Getenv(determinismChild); out != "" {
+		b, err := json.Marshal(run(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(out, b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	serial := run(1)
-	parallel := run(8)
+	parallel := parallelInChild(t)
 	if len(serial) != len(exps) || len(parallel) != len(exps) {
 		t.Fatalf("expected %d exports, got serial=%d parallel=%d", len(exps), len(serial), len(parallel))
 	}
@@ -66,6 +89,27 @@ func TestDeterminism(t *testing.T) {
 				e.ID, serial[e.ID], parallel[e.ID])
 		}
 	}
+}
+
+// parallelInChild re-executes the test binary to run only TestDeterminism's
+// eight-worker half and returns the exports the child wrote.
+func parallelInChild(t *testing.T) map[string]string {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "exports.json")
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestDeterminism$")
+	cmd.Env = append(os.Environ(), determinismChild+"="+out)
+	if log, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("eight-worker child: %v\n%s", err, log)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("eight-worker child wrote no exports: %v", err)
+	}
+	var exports map[string]string
+	if err := json.Unmarshal(b, &exports); err != nil {
+		t.Fatal(err)
+	}
+	return exports
 }
 
 // TestDeterminismRepeatedParallel runs the same parallel sweep twice on one

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"scale/internal/gnn"
 	"scale/internal/graph"
+	"scale/internal/tensor"
 )
 
 // Simulator throughput: one full 2-layer GCN/Cora timing run.
@@ -144,4 +147,94 @@ func BenchmarkForwardFunctionalCoraInt8(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAggregationOrder times one serial layer's aggregation and update
+// in both orders with the executor's kernels, over the Table II layer shapes
+// (and small-open's 16→32→8) at a Reddit-like and a Cora-like average
+// in-degree:
+//
+//   - natural: per vertex, AxpyChain over its in-neighbours' input rows
+//     (in wide), then VecMatInto of the sum through W;
+//   - narrow: VecMatInto of every input row through W (the executor's
+//     prepare, tensor.ParallelMatMulInto at one worker), then per vertex
+//     AxpyChain over the out-wide rows and the update's copy.
+//
+// Both orders run |V| GEMVs of in×out; only the chain's width differs.
+// Every vertex has d distinct in-neighbours drawn uniformly, and features
+// are dense. The 256-vertex Nell slice runs at the Cora-like degree only:
+// a simple graph on 256 vertices cannot reach 477 (Nell's own average
+// in-degree is about 4). gnn's aggregation-order rule (out < in) is the
+// simplest predicate on (in, out) that picks the faster order in every cell
+// where the two orders' runs do not overlap (EXPERIMENTS.md, "Aggregate at
+// the narrower width").
+func BenchmarkAggregationOrder(b *testing.B) {
+	shapes := []struct{ n, in, out int }{
+		{931, 602, 64}, {931, 64, 41}, {931, 1433, 16}, {931, 3703, 16},
+		{931, 500, 16}, {931, 16, 7}, {931, 16, 6}, {931, 16, 3},
+		{931, 64, 210}, {931, 16, 32}, {931, 32, 8},
+		{256, 61278, 64}, // Nell's input layer on a 256-vertex slice
+	}
+	for _, s := range shapes {
+		rng := rand.New(rand.NewSource(int64(s.in*s.out + s.n)))
+		h := tensor.RandomMatrix(rng, s.n, s.in, 0.5)
+		w := tensor.GlorotMatrix(rng, s.in, s.out)
+		for _, deg := range []struct {
+			name string
+			d    int
+		}{{"reddit", 477}, {"cora", 4}} {
+			if deg.d >= s.n {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/%dx%d", deg.name, s.in, s.out), func(b *testing.B) {
+				benchAggregationOrder(b, rng, h, w, deg.d)
+			})
+		}
+	}
+}
+
+func benchAggregationOrder(b *testing.B, rng *rand.Rand, h, w *tensor.Matrix, deg int) {
+	n, in, out := h.Rows, w.Rows, w.Cols
+	srcs := make([]int32, n*deg)
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	for v := 0; v < n; v++ {
+		for i := 0; i < deg; i++ { // partial Fisher–Yates: deg distinct sources
+			j := i + rng.Intn(n-i)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		copy(srcs[v*deg:], perm[:deg])
+	}
+	coefs := make([]float32, deg)
+	for i := range coefs {
+		coefs[i] = 1 / float32(deg)
+	}
+	dst := tensor.NewMatrix(n, out)
+	z := tensor.NewMatrix(n, out)
+	acc := make([]float32, max(in, out))
+	chain := func(acc []float32, rows *tensor.Matrix, v int) {
+		for i := range acc {
+			acc[i] = 0
+		}
+		tensor.AxpyChain(acc, rows, srcs[v*deg:(v+1)*deg], coefs)
+	}
+	b.Run("natural", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for v := 0; v < n; v++ {
+				chain(acc[:in], h, v)
+				tensor.VecMatInto(dst.Row(v), acc[:in], w)
+			}
+		}
+	})
+	b.Run("narrow", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			tensor.ParallelMatMulInto(z, h, w, 1)
+			for v := 0; v < n; v++ {
+				chain(acc[:out], z, v)
+				copy(dst.Row(v), acc[:out])
+			}
+		}
+	})
 }

@@ -29,7 +29,8 @@ type fwdWorker struct {
 // fwdState is the recycled per-call state of the functional executor. It is
 // pooled on the SCALE value so repeated Forward calls reuse the seen table,
 // the batch list, the compact schedulers (one per ring geometry the model's
-// layers select), and every worker's scratch — the steady-state hot path
+// layers select), the prepared matrix of layers that aggregate at the
+// narrower width, and every worker's scratch — the steady-state hot path
 // allocates only the per-layer output matrices.
 type fwdState struct {
 	seen       []bool
@@ -38,6 +39,10 @@ type fwdState struct {
 	batches    [][]int32
 	schedulers map[sched.Config]*sched.Scheduler
 	workers    []fwdWorker
+	// z holds the per-layer transformed rows h·W of a narrowing fp32
+	// linear-sum layer (gnn.PrepareLayerInto); recycled across layers and
+	// calls.
+	z tensor.Matrix
 	// qpsrc holds the per-layer quantized source features on the int8
 	// tier (LinearAggregator layers only) and qcoefs the per-row source
 	// coefficients folded into them; recycled across layers and calls.
@@ -257,7 +262,7 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 	if gnn.LayerQuantized(layer) {
 		qupd = layer.(gnn.QKernels)
 	}
-	psrc, pdst := gnn.PrepareLayerPrecision(layer, h, workers, qupd != nil)
+	psrc, pdst := gnn.PrepareLayerInto(&st.z, layer, h, workers, qupd != nil)
 	kind := layer.Reduce()
 	width := kind.AccWidth(layer.MsgDim())
 	out := tensor.NewMatrix(h.Rows, layer.OutDim())

@@ -12,7 +12,7 @@ import (
 // GEMVUpdater is implemented by layers whose update phase is a single
 // weight-stationary GEMV over the aggregated feature — the class the
 // register-level update ring executes exactly (plain GCN). The returned
-// matrix is MsgDim×OutDim.
+// matrix is Work().MsgDim×OutDim: the modelled, natural-order width.
 type GEMVUpdater interface {
 	UpdateWeights() *tensor.Matrix
 }
@@ -53,21 +53,32 @@ type PipelineResult struct {
 }
 
 // RunLayer executes layer l over graph g with input features h. The layer's
-// reduction must be a plain sum and its update a single GEMV (GEMVUpdater) —
-// the register-level update ring's contract; richer models are validated at
+// reduction must be a plain sum, linear in the input row
+// (gnn.LinearAggregator), and its update a single GEMV (GEMVUpdater) — the
+// register-level update ring's contract; richer models are validated at
 // the functional level by internal/core.
+//
+// The pipeline runs the modelled dataflow, which aggregates in natural
+// order: each message is EdgeCoef·h_u at Work().MsgDim, and the update ring
+// applies W to the aggregate. A layer that applies W before its reduce
+// chain on the CPU executor (gnn's narrower-width order; its MsgDim() is
+// then OutDim, not W's rows) takes the update ring's GEMV outputs in
+// UpdateInto; any other takes the aggregate and applies W itself.
 func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*PipelineResult, error) {
 	if l.Reduce() != gnn.ReduceSum {
 		return nil, fmt.Errorf("micro: pipeline supports sum reduction, layer uses %v", l.Reduce())
 	}
 	gu, ok := l.(GEMVUpdater)
-	if !ok {
-		return nil, fmt.Errorf("micro: layer %q is not a single-GEMV updater", l.Name())
+	lin, linOK := l.(gnn.LinearAggregator)
+	if !ok || !linOK {
+		return nil, fmt.Errorf("micro: layer %q is not a linear single-GEMV updater", l.Name())
 	}
 	if h.Rows != g.NumVertices() || h.Cols != l.InDim() {
 		return nil, fmt.Errorf("micro: features %dx%d do not match graph/layer", h.Rows, h.Cols)
 	}
 	w := gu.UpdateWeights()
+	width := l.Work().MsgDim
+	postW := l.MsgDim() != w.Rows
 
 	nRings := pl.Seg.NumRings()
 	ringSize := pl.Seg.RingSize
@@ -77,7 +88,6 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 		return nil, err
 	}
 
-	psrc, _ := l.Prepare(h, 1)
 	out := tensor.NewMatrix(g.NumVertices(), l.OutDim())
 	scratch := make([]float32, l.UpdateScratch())
 	res := &PipelineResult{Outputs: out}
@@ -98,12 +108,11 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 				}
 				srcs := make([][]float32, 0, len(nbrs))
 				for _, u := range nbrs {
-					// A sum into zeros is the edge's message.
-					msg := make([]float32, l.MsgDim())
-					l.AccumulateEdge(msg, psrc.Row(int(u)), nil, nil, gnn.EdgeContext{
-						Src: int(u), Dst: int(v),
-						SrcDeg: g.InDegree(int(u)), DstDeg: len(nbrs),
-					})
+					c := lin.EdgeCoef(g.InDegree(int(u)), len(nbrs))
+					msg := make([]float32, width)
+					for i, x := range h.Row(int(u)) {
+						msg[i] = c * x
+					}
 					srcs = append(srcs, msg)
 				}
 				start := len(tasks) % ringSize
@@ -127,16 +136,21 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 		if err != nil {
 			return nil, err
 		}
-		dispatch, _ := regs.StreamCycles(maxPerPE * l.MsgDim())
+		dispatch, _ := regs.StreamCycles(maxPerPE * width)
 		upd, err := ring.SimulateUpdate(agg.Aggregated, w)
 		if err != nil {
 			return nil, err
 		}
 		// Numerics: the layer's own update (activation included) applied
-		// to the ring's aggregated features; the GEMV ring's raw outputs
-		// are cross-checked against VecMat in the micro tests.
+		// to the ring's aggregated features, or to the GEMV ring's outputs
+		// when the layer applies W before aggregating; the GEMV ring's raw
+		// outputs are cross-checked against VecMat in the micro tests.
 		for ti, v := range vertices {
-			l.UpdateInto(out.Row(int(v)), h.Row(int(v)), agg.Aggregated[ti], scratch)
+			in := agg.Aggregated[ti]
+			if postW {
+				in = upd.Outputs[ti]
+			}
+			l.UpdateInto(out.Row(int(v)), h.Row(int(v)), in, scratch)
 		}
 		if agg.Makespan > res.AggCycles {
 			res.AggCycles = agg.Makespan

@@ -114,7 +114,7 @@ func TestPipelineAgreesWithTaskLevelLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	law := int64(g.NumEdges()) * int64(m.Layers[0].MsgDim()) / int64(pl.Seg.NumPEs())
+	law := int64(g.NumEdges()) * int64(m.Layers[0].Work().MsgDim) / int64(pl.Seg.NumPEs())
 	ratio := float64(res.AggCycles) / float64(law)
 	if ratio < 0.5 || ratio > 2.5 {
 		t.Fatalf("micro agg %d vs law %d (ratio %.2f)", res.AggCycles, law, ratio)

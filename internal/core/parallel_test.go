@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"scale/internal/gnn"
@@ -92,5 +94,51 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 	// bookkeeping ≈ 10; anything O(V) or O(E) would be thousands.
 	if allocs > 24 {
 		t.Fatalf("steady-state Forward allocates %v per call (budget 24)", allocs)
+	}
+}
+
+// TestForwardSteadyStateBytes holds a warm forward pass to its output
+// matrices plus a small fixed slack in bytes, where the allocation-count
+// budgets above would let one more |V|×out matrix per layer through (for
+// instance the transformed rows of a narrowing layer, which the executor
+// recycles). gcn [64, 16, 4] narrows at both layers; the int8 copy keeps
+// natural order. The collector is paused while the test measures, so a
+// GC cannot empty the state pool mid-run.
+func TestForwardSteadyStateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop cached state by design")
+	}
+	g := graph.ErdosRenyi(2000, 8000, 1)
+	x := gnn.RandomFeatures(g, 64, 2)
+	s := MustNew(DefaultConfig())
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// The three layer outputs' backing arrays.
+	outBytes := uint64(4 * g.NumVertices() * (16 + 4))
+	const slack = 8 << 10
+	for _, m := range []*gnn.Model{
+		gnn.MustModel("gcn", []int{64, 16, 4}, 1),
+		quantizedModel(t, "gcn", []int{64, 16, 4}, 1),
+	} {
+		forward := func() {
+			if _, err := s.ForwardParallel(m, g, x, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			forward()
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			forward()
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d B per call, outputs %d B", m, per, outBytes)
+		if per > outBytes+slack {
+			t.Fatalf("%s: steady-state Forward allocates %d B per call (outputs %d B + slack %d B)",
+				m, per, outBytes, slack)
+		}
 	}
 }

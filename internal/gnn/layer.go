@@ -106,12 +106,16 @@ type Layer interface {
 	// InDim and OutDim are the input/output feature lengths.
 	InDim() int
 	OutDim() int
-	// MsgDim is the per-edge message feature length.
+	// MsgDim is the per-edge message feature length the executors
+	// aggregate. A linear-sum layer that transforms its rows before the
+	// reduce chain (see LinearAggregator) reports its output width here,
+	// while Work().MsgDim keeps the width the accelerator models charge.
 	MsgDim() int
 	// Reduce is the aggregation reduction.
 	Reduce() ReduceKind
 	// Prepare applies the layer's per-vertex transforms (e.g. the SAGE
-	// pooling MLP, G-GCN's gate terms) to every row of h. psrc holds one
+	// pooling MLP, G-GCN's gate terms, a narrowing layer's first linear
+	// map) to every row of h. psrc holds one
 	// prepared source row per vertex, the message input AccumulateEdge
 	// reads; it may be h itself when no transform applies. pdst holds one
 	// prepared destination row per vertex (e.g. G-GCN's A·h_v) or is nil.
@@ -130,7 +134,9 @@ type Layer interface {
 	AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext)
 	// UpdateInto combines a vertex's own input features with its finalized
 	// aggregation (length MsgDim) into dst (length OutDim), using scratch
-	// (length UpdateScratch()) and allocating nothing.
+	// (length UpdateScratch()) and allocating nothing. When Prepare already
+	// applied the update's first linear map, UpdateInto applies only what
+	// follows it.
 	UpdateInto(dst, hself, agg, scratch []float32)
 	// UpdateScratch returns the scratch length UpdateInto requires.
 	UpdateScratch() int
@@ -154,6 +160,15 @@ type Layer interface {
 //     to float rounding, which lets the integer chain fold the source factor
 //     into the quantized rows and apply the destination factor once per
 //     vertex (see quantized.go).
+//
+// Linearity also lets the chain run at the narrower width: Σ c_uv·(W·h_u)
+// equals W·Σ c_uv·h_u up to float rounding. On the fp32 tier gcn and
+// gs-mean apply their first linear map in Prepare when it narrows the row
+// (narrows, models.go), so MsgDim is the output width and UpdateInto
+// applies only what follows the map. gin keeps natural order: its self
+// term (1+ε)·h_v passes through the same map, and UpdateInto receives h_v,
+// not the prepared row, so the new order would need a second GEMV per
+// vertex. The int8 tier keeps natural order for all three.
 type LinearAggregator interface {
 	EdgeCoef(srcDeg, dstDeg int) float32
 	QSrcCoef(srcDeg int) float32

@@ -78,8 +78,33 @@ func maybeReLU(act bool, x []float32) []float32 {
 	return x
 }
 
+// narrows is the aggregation-order rule (DESIGN §4b, "Aggregation order"):
+// on the fp32 tier a linear-sum layer whose first linear map narrows the
+// row (in → out) applies that map to every row before the reduce chain, so
+// the chain sums out-wide rows instead of in-wide ones. Both orders run the
+// same |V| GEMVs of in×out; the chain is what shrinks, by in/out.
+// BenchmarkAggregationOrder (internal/core) times both orders over the
+// Table II shapes at Reddit-like and Cora-like degrees; this predicate picks
+// the faster order in every cell where the two orders' runs do not overlap
+// (EXPERIMENTS.md, "Aggregate at the narrower width").
+func narrows(in, out int) bool { return out < in }
+
+// transformInto writes h·w into z, resized to h.Rows×w.Cols, or into a new
+// matrix when z is nil, and returns it: the prepare step of a layer that
+// aggregates at the narrower width.
+func transformInto(z, h, w *tensor.Matrix, workers int) *tensor.Matrix {
+	if z == nil {
+		z = &tensor.Matrix{}
+	}
+	z.Resize(h.Rows, w.Cols)
+	tensor.ParallelMatMulInto(z, h, w, workers)
+	return z
+}
+
 // ---------------------------------------------------------------------------
 // GCN (Kipf & Welling): m_v = Σ_u h_u / √(d_u·d_v);  h'_v = σ(W·m_v).
+// A narrowing fp32 layer aggregates z_u = W·h_u instead:
+// h'_v = σ(Σ_u z_u / √(d_u·d_v)), equal up to float rounding.
 
 type gcnLayer struct {
 	in, out int
@@ -107,11 +132,29 @@ func (l *gcnLayer) ensure() {
 func (l *gcnLayer) Name() string       { return "gcn" }
 func (l *gcnLayer) InDim() int         { return l.in }
 func (l *gcnLayer) OutDim() int        { return l.out }
-func (l *gcnLayer) MsgDim() int        { return l.in }
 func (l *gcnLayer) Reduce() ReduceKind { return ReduceSum }
 
+// transformFirst reports whether the layer aggregates z = h·W: fp32 (the
+// int8 tier keeps natural order) and narrowing.
+func (l *gcnLayer) transformFirst() bool { return narrows(l.in, l.out) && !l.Quantized() }
+
+func (l *gcnLayer) MsgDim() int {
+	if l.transformFirst() {
+		return l.out
+	}
+	return l.in
+}
+
 func (l *gcnLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
-	return h, nil
+	return l.prepareInto(nil, h, workers)
+}
+
+func (l *gcnLayer) prepareInto(z, h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+	if !l.transformFirst() {
+		return h, nil
+	}
+	l.ensure()
+	return transformInto(z, h, l.w, workers), nil
 }
 
 func (l *gcnLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
@@ -136,15 +179,20 @@ func gcnNorm(srcDeg, dstDeg int) float32 {
 }
 
 func (l *gcnLayer) UpdateInto(dst, hself, agg, scratch []float32) {
-	l.ensure()
-	tensor.VecMatInto(dst, agg, l.w)
+	if l.transformFirst() {
+		copy(dst, agg)
+	} else {
+		l.ensure()
+		tensor.VecMatInto(dst, agg, l.w)
+	}
 	maybeReLU(l.act, dst)
 }
 
 func (l *gcnLayer) UpdateScratch() int { return 0 }
 
-// UpdateWeights exposes the update GEMV matrix so the register-level update
-// ring (internal/core/micro) can execute this layer exactly.
+// UpdateWeights exposes the update GEMV matrix (in×out, the modelled
+// natural order's) so the register-level update ring (internal/core/micro)
+// can execute this layer exactly.
 func (l *gcnLayer) UpdateWeights() *tensor.Matrix {
 	l.ensure()
 	return l.w
@@ -297,8 +345,8 @@ func (l *sagePoolLayer) OutDim() int        { return l.out }
 func (l *sagePoolLayer) MsgDim() int        { return l.pool }
 func (l *sagePoolLayer) Reduce() ReduceKind { return ReduceMax }
 
-// Prepare runs the pooling MLP as one (possibly cache-blocked) GEMM over all
-// vertices, then folds in the bias and ReLU row-parallel.
+// Prepare runs the pooling MLP as one GEMM over all vertices, then folds in
+// the bias and ReLU row-parallel.
 func (l *sagePoolLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
 	l.ensure()
 	p := tensor.NewMatrix(h.Rows, l.pool)
@@ -509,14 +557,17 @@ func (l *gatLayer) Work() LayerWork {
 // ---------------------------------------------------------------------------
 // GraphSAGE-Mean (Hamilton et al.): m_v = mean_u h_u;  h'_v = σ(W·[h_v ; m_v])
 // Extension model: exercises the mean reduction (divide on finalize), which
-// none of the paper's four evaluated models use.
+// none of the paper's four evaluated models use. With W = [W_top; W_bot], a
+// narrowing fp32 layer aggregates z_u = W_bot·h_u instead:
+// h'_v = σ(W_top·h_v + mean_u z_u), equal up to float rounding.
 
 type sageMeanLayer struct {
-	in, out int
-	act     bool
-	seed    int64
-	once    sync.Once
-	w       *tensor.Matrix // 2in×out, lazily materialized
+	in, out    int
+	act        bool
+	seed       int64
+	once       sync.Once
+	w          *tensor.Matrix // 2in×out, lazily materialized
+	wTop, wBot *tensor.Matrix // row views of w: its first and last in rows
 
 	qonce sync.Once
 	qerr  error
@@ -531,17 +582,38 @@ func (l *sageMeanLayer) ensure() {
 	l.once.Do(func() {
 		rng := rand.New(rand.NewSource(l.seed))
 		l.w = tensor.GlorotMatrix(rng, 2*l.in, l.out)
+		half := l.in * l.out
+		l.wTop = &tensor.Matrix{Rows: l.in, Cols: l.out, Data: l.w.Data[:half]}
+		l.wBot = &tensor.Matrix{Rows: l.in, Cols: l.out, Data: l.w.Data[half:]}
 	})
 }
 
 func (l *sageMeanLayer) Name() string       { return "gs-mean" }
 func (l *sageMeanLayer) InDim() int         { return l.in }
 func (l *sageMeanLayer) OutDim() int        { return l.out }
-func (l *sageMeanLayer) MsgDim() int        { return l.in }
 func (l *sageMeanLayer) Reduce() ReduceKind { return ReduceMean }
 
+// transformFirst reports whether the layer aggregates z = h·W_bot: fp32
+// (the int8 tier keeps natural order) and narrowing.
+func (l *sageMeanLayer) transformFirst() bool { return narrows(l.in, l.out) && !l.Quantized() }
+
+func (l *sageMeanLayer) MsgDim() int {
+	if l.transformFirst() {
+		return l.out
+	}
+	return l.in
+}
+
 func (l *sageMeanLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
-	return h, nil
+	return l.prepareInto(nil, h, workers)
+}
+
+func (l *sageMeanLayer) prepareInto(z, h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+	if !l.transformFirst() {
+		return h, nil
+	}
+	l.ensure()
+	return transformInto(z, h, l.wBot, workers), nil
 }
 
 func (l *sageMeanLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
@@ -556,8 +628,15 @@ func (l *sageMeanLayer) EdgeCoef(int, int) float32 { return 1 }
 
 func (l *sageMeanLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	l.ensure()
-	tensor.ConcatInto(scratch, hself, agg)
-	tensor.VecMatInto(dst, scratch, l.w)
+	if l.transformFirst() {
+		tensor.VecMatInto(dst, hself, l.wTop)
+		for i, v := range agg {
+			dst[i] += v
+		}
+	} else {
+		tensor.ConcatInto(scratch, hself, agg)
+		tensor.VecMatInto(dst, scratch, l.w)
+	}
 	maybeReLU(l.act, dst)
 }
 

@@ -58,10 +58,27 @@ func refGATMessage(l *gatLayer, out, psrc, pdst []float32) {
 // h, one serial pass per matrix.
 func refPrepare(l Layer, h *tensor.Matrix) (psrc, pdst *tensor.Matrix) {
 	switch l := l.(type) {
-	case *gcnLayer, *ginLayer, *sageMeanLayer:
+	case *gcnLayer:
+		if l.transformFirst() {
+			l.ensure()
+			return refTransform(h, l.w), nil
+		}
+		return h, nil
+	case *sageMeanLayer:
+		if l.transformFirst() {
+			l.ensure()
+			// W_bot is W's last in rows.
+			wBot := tensor.NewMatrix(l.in, l.out)
+			for r := 0; r < l.in; r++ {
+				copy(wBot.Row(r), l.w.Row(l.in+r))
+			}
+			return refTransform(h, wBot), nil
+		}
+		return h, nil
+	case *ginLayer:
 		return h, nil
 	case *sagePoolLayer:
-		// The pooling MLP is one blocked GEMM; its reference is the
+		// The pooling MLP is one GEMM; its reference is the
 		// one-worker Prepare.
 		return l.Prepare(h, 1)
 	case *ggcnLayer:
@@ -95,6 +112,15 @@ func refPrepare(l Layer, h *tensor.Matrix) (psrc, pdst *tensor.Matrix) {
 		return psrc, pdst
 	}
 	panic(fmt.Sprintf("refPrepare: no oracle for %T", l))
+}
+
+// refTransform returns h·w, one VecMatInto per row.
+func refTransform(h, w *tensor.Matrix) *tensor.Matrix {
+	z := tensor.NewMatrix(h.Rows, w.Cols)
+	for i := 0; i < h.Rows; i++ {
+		tensor.VecMatInto(z.Row(i), h.Row(i), w)
+	}
+	return z
 }
 
 // refGATSources rows are [z_u ; a_r·z_u] (out+1 wide).

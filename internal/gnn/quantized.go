@@ -82,16 +82,34 @@ func LayerQuantized(l Layer) bool {
 	return ok && qk.Quantized()
 }
 
+// zPreparer is implemented by the layers that aggregate at the narrower
+// width (gcn, gs-mean): prepareInto is Prepare writing the transformed rows
+// into a caller-owned matrix, resized to fit (a new one when z is nil).
+type zPreparer interface {
+	prepareInto(z, h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix)
+}
+
 // PrepareLayerPrecision is Layer.Prepare with a precision switch: when
 // quantized is true and the layer has both a quantized weight form and a
 // quantized prepare path, the per-vertex prepare GEMVs run int8. Bit-
 // identical across worker counts in both modes (rows are partitioned; each
 // row is produced by the same serial kernel).
 func PrepareLayerPrecision(l Layer, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix) {
+	return PrepareLayerInto(nil, l, h, workers, quantized)
+}
+
+// PrepareLayerInto is PrepareLayerPrecision for a caller that recycles the
+// prepared matrix across calls: a layer that transforms its rows before the
+// reduce chain writes z = h·W into z, resized to fit, and returns z as
+// psrc; every other layer leaves z untouched. A nil z allocates.
+func PrepareLayerInto(z *tensor.Matrix, l Layer, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix) {
 	if quantized && LayerQuantized(l) {
 		if qp, ok := l.(qPreparer); ok {
 			return qp.qprepare(h, workers)
 		}
+	}
+	if zp, ok := l.(zPreparer); ok {
+		return zp.prepareInto(z, h, workers)
 	}
 	return l.Prepare(h, workers)
 }

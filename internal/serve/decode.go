@@ -322,32 +322,25 @@ func errRow(v int) error {
 	return fmt.Errorf("serve: features[%d]: want an array of numbers", v)
 }
 
-// countLists sizes the array of lists at b[i:] before it is parsed. It
-// takes the array to end at the first ']' that follows another ']' across
-// whitespace, where a well-formed array of flat lists ends, and counts the
-// '[' and ',' bytes before that: the lists inside, and one less than the
-// most values they can hold. For a well-formed value the list count is
-// exact; for any other input both counts are still bounded by the bytes
-// scanned.
+// countLists sizes the array of lists at b[i:] before it is parsed, in three
+// whole-span passes instead of one per list: a canonical array of flat
+// lists (encoding/json's form, with no whitespace) ends at the first "]]",
+// and the '[' and ',' bytes before that count the lists inside and one
+// less than the most values they can hold. For a canonical body the list
+// count is exact. Whitespace between two closing brackets hides the end;
+// then the span runs to a later "]]" or to the end of the body, so the
+// counts overshoot, but like the counts of any other input they stay
+// bounded by the bytes received.
 func countLists(b []byte, i int) (lists, commas int) {
 	if i >= len(b) || b[i] != '[' {
 		return 0, 0
 	}
-	end := i + 1
-	if j := skipWS(b, end); j < len(b) && b[j] == ']' {
+	if j := skipWS(b, i+1); j < len(b) && b[j] == ']' {
 		return 0, 0
 	}
-	for end < len(b) {
-		k := bytes.IndexByte(b[end:], ']')
-		if k < 0 {
-			end = len(b)
-			break
-		}
-		end += k + 1
-		if j := skipWS(b, end); j < len(b) && b[j] == ']' {
-			end = j + 1
-			break
-		}
+	end := len(b)
+	if k := bytes.Index(b[i:], []byte("]]")); k >= 0 {
+		end = i + k + 2
 	}
 	span := b[i:end]
 	return max(bytes.Count(span, []byte("["))-1, 0), bytes.Count(span, []byte(","))

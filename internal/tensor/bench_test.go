@@ -1,17 +1,35 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 func BenchmarkMatMul128(b *testing.B) {
+	benchMatMul(b, 128, 128, 128)
+}
+
+// BenchmarkMatMulReddit times the one-worker GEMM at the Reddit build's two
+// prepare shapes: the layer-0 transform of a narrowing fp32 layer
+// (931×602 times 602×64) and gs-pl's pooling MLP (602×512).
+func BenchmarkMatMulReddit(b *testing.B) {
+	for _, cols := range []int{64, 512} {
+		b.Run(fmt.Sprintf("931x602x%d", cols), func(b *testing.B) { benchMatMul(b, 931, 602, cols) })
+	}
+}
+
+// benchMatMul times ParallelMatMulInto of a random m×k by k×n product at one
+// worker.
+func benchMatMul(b *testing.B, m, k, n int) {
 	rng := rand.New(rand.NewSource(1))
-	x := RandomMatrix(rng, 128, 128, 1)
-	y := RandomMatrix(rng, 128, 128, 1)
+	x := RandomMatrix(rng, m, k, 1)
+	y := RandomMatrix(rng, k, n, 1)
+	out := NewMatrix(m, n)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		ParallelMatMulInto(out, x, y, 1)
 	}
 }
 

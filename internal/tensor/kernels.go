@@ -7,34 +7,26 @@ import (
 	"sync/atomic"
 )
 
-// Kernel-selection thresholds (see the package doc for the policy). Sizes are
-// in float32 elements.
-const (
-	// gemmStreamFloats: when the streamed operand b fits in this many
-	// elements (128 KB, comfortably inside L2), the plain ikj kernel keeps
-	// it cache-resident across output rows and blocking buys nothing.
-	gemmStreamFloats = 32 * 1024
-	// gemmBlockK × gemmBlockJ is the b panel the blocked kernel keeps hot
-	// (128 KB): K rows of the inner dimension by J output columns.
-	gemmBlockK = 128
-	gemmBlockJ = 256
-)
-
 // ParallelMatMulInto computes out = a·b with output rows fanned across up to
-// `workers` goroutines (workers < 1 selects GOMAXPROCS). It allocates only
-// the row closure it hands to ParallelRows, plus the goroutines when
-// workers > 1; the GEMM kernel itself allocates nothing. out must be
-// a.Rows × b.Cols and must not alias a or b. Large b operands are computed
-// with the cache-blocked kernel; the result is bit-identical to the plain
-// kernel because blocking preserves each output element's k-accumulation
-// order, and bit-identical for any worker count because each row is
-// produced by the same serial kernel.
+// `workers` goroutines (workers < 1 selects GOMAXPROCS). Each output row is
+// one VecMatInto call, so it runs the axpy4Row sweep (SSE2 on amd64) and is
+// bit-identical to one axpyRow pass per non-zero a element in ascending k,
+// and bit-identical for any worker count because each row is produced by
+// the same serial kernel. It allocates only the row closure it hands to
+// ParallelRows, plus the goroutines when workers > 1. out must be
+// a.Rows × b.Cols and must not alias a or b.
 func ParallelMatMulInto(out, a, b *Matrix, workers int) {
 	checkMatMulShape(out, a, b)
-	out.Zero()
 	ParallelRows(a.Rows, workers, func(_, lo, hi int) {
 		matMulRowsInto(out, a, b, lo, hi)
 	})
+}
+
+// matMulRowsInto writes rows [lo, hi) of a·b into out, one VecMatInto each.
+func matMulRowsInto(out, a, b *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		VecMatInto(out.Row(i), a.Row(i), b)
+	}
 }
 
 func checkMatMulShape(out, a, b *Matrix) {
@@ -43,49 +35,6 @@ func checkMatMulShape(out, a, b *Matrix) {
 	}
 	if out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul out %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
-	}
-}
-
-// matMulRowsInto accumulates rows [lo, hi) of a·b into out (rows assumed
-// pre-zeroed). Kernel selection: plain ikj while b stays cache-resident,
-// k×j-blocked panels otherwise. Both kernels skip zero a elements (sparse
-// bag-of-words features) and visit k in ascending order for every output
-// element, so their results are bit-identical.
-func matMulRowsInto(out, a, b *Matrix, lo, hi int) {
-	if b.Rows*b.Cols <= gemmStreamFloats {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				axpyRow(orow, av, b.Row(k))
-			}
-		}
-		return
-	}
-	for jb := 0; jb < b.Cols; jb += gemmBlockJ {
-		jend := jb + gemmBlockJ
-		if jend > b.Cols {
-			jend = b.Cols
-		}
-		for kb := 0; kb < b.Rows; kb += gemmBlockK {
-			kend := kb + gemmBlockK
-			if kend > b.Rows {
-				kend = b.Rows
-			}
-			for i := lo; i < hi; i++ {
-				arow := a.Row(i)[kb:kend]
-				orow := out.Row(i)[jb:jend]
-				for kk, av := range arow {
-					if av == 0 {
-						continue
-					}
-					axpyRow(orow, av, b.Row(kb + kk)[jb:jend])
-				}
-			}
-		}
 	}
 }
 

@@ -9,43 +9,21 @@ import (
 	"testing"
 )
 
-// The blocked GEMM kernel must be bit-identical to the plain kernel: the
-// selection threshold is a pure performance decision. Shapes straddle
-// gemmStreamFloats (b = 400×120 = 48000 floats forces blocking, with ragged
-// edges against both block sizes).
+// The GEMM's rows run the axpy4Row sweep (SSE2 on amd64); they must match
+// the plain one-axpyRow-per-element MatMul oracle bit for bit on a product
+// that is ragged in every dimension, zeros included (both skip them).
 func TestBlockedGEMMBitIdenticalToPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := RandomMatrix(rng, 37, 400, 1)
 	b := RandomMatrix(rng, 400, 120, 1)
-	if b.Rows*b.Cols <= gemmStreamFloats {
-		t.Fatalf("b too small to exercise the blocked kernel: %d floats", b.Rows*b.Cols)
-	}
 	// Sprinkle zeros so the zero-skip path runs in both kernels.
 	for i := 0; i < len(a.Data); i += 5 {
 		a.Data[i] = 0
 	}
-	blocked := MatMul(a, b)
-
-	// Plain kernel, forced by computing column strips narrow enough to
-	// stay under the threshold and gluing them back together.
-	plain := NewMatrix(a.Rows, b.Cols)
-	strip := gemmStreamFloats / b.Rows // columns per under-threshold strip
-	for jb := 0; jb < b.Cols; jb += strip {
-		jend := jb + strip
-		if jend > b.Cols {
-			jend = b.Cols
-		}
-		sub := NewMatrix(b.Rows, jend-jb)
-		for r := 0; r < b.Rows; r++ {
-			copy(sub.Row(r), b.Row(r)[jb:jend])
-		}
-		part := MatMul(a, sub)
-		for r := 0; r < a.Rows; r++ {
-			copy(plain.Row(r)[jb:jend], part.Row(r))
-		}
-	}
-	if !blocked.Equal(plain) {
-		t.Fatalf("blocked kernel diverges from plain: max |Δ| = %g", blocked.MaxAbsDiff(plain))
+	got := NewMatrix(a.Rows, b.Cols)
+	ParallelMatMulInto(got, a, b, 1)
+	if want := MatMul(a, b); !got.Equal(want) {
+		t.Fatalf("GEMM diverges from the plain oracle: max |Δ| = %g", got.MaxAbsDiff(want))
 	}
 }
 
@@ -211,7 +189,7 @@ func TestParallelRowsWorkerScratch(t *testing.T) {
 func TestIntoKernelsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := RandomMatrix(rng, 16, 300, 1)
-	big := RandomMatrix(rng, 300, 200, 1) // blocked-kernel path
+	big := RandomMatrix(rng, 300, 200, 1)
 	small := RandomMatrix(rng, 300, 20, 1)
 	out := NewMatrix(16, 200)
 	outSmall := NewMatrix(16, 20)
@@ -228,8 +206,8 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 	qx := make([]int8, 300)
 	qout := make([]float32, 20)
 	for name, fn := range map[string]func(){
-		"matMulRowsInto-blocked": func() { matMulRowsInto(out, a, big, 0, a.Rows) },
-		"matMulRowsInto-plain":   func() { matMulRowsInto(outSmall, a, small, 0, a.Rows) },
+		"matMulRowsInto-300x200": func() { matMulRowsInto(out, a, big, 0, a.Rows) },
+		"matMulRowsInto-300x20":  func() { matMulRowsInto(outSmall, a, small, 0, a.Rows) },
 		"VecMatInto":             func() { VecMatInto(vec, x, big) },
 		"AxpyChain":              func() { AxpyChain(vec, big, chainRows, chainCoefs) },
 		"AccRowChain":            func() { AccRowChain(swar, qsum.Row(2)) },

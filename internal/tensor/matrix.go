@@ -9,18 +9,15 @@
 //   - Kernels write into caller-owned memory (ParallelMatMulInto,
 //     VecMatInto, AxpyChain, …); hot loops call them with caller-owned
 //     scratch so steady-state execution performs no heap allocation.
-//   - Float32 GEMM selects its kernel by the streamed operand's size: while
-//     b fits in gemmStreamFloats (32 Ki floats, 128 KiB — comfortably
-//     cache-resident) the plain ikj loop wins, and larger matrices
-//     (Reddit/Yelp/Nell feature dims) switch to k×j-blocked panels that
-//     keep a gemmBlockK×gemmBlockJ (128×256) tile of b hot. Both kernels
-//     visit the inner dimension in ascending order for every output
-//     element, so kernel selection never changes results bit-wise.
-//   - The float32 reduce chain (AxpyChain) and GEMV (VecMatInto) add four
-//     rows per sweep over the output row (axpy4Row), loading and storing
-//     each output element once per four rows instead of once per row. Each
-//     element still gets its products and sums in the order of one axpyRow
-//     pass per row, so the sweep width never changes results bit-wise.
+//   - The float32 reduce chain (AxpyChain), GEMV (VecMatInto) and GEMM
+//     (ParallelMatMulInto, one VecMatInto per output row) add four rows per
+//     sweep over the output row (axpy4Row), loading and storing each output
+//     element once per four rows instead of once per row. Each element
+//     still gets its products and sums in the order of one axpyRow pass per
+//     row, so the sweep width never changes results bit-wise. The GEMM has
+//     no cache-blocked variant: at the Reddit build's shapes (931×602 times
+//     602×64 and 602×512) the per-row sweep beat the k×j-blocked panels it
+//     replaced by 4–5× (EXPERIMENTS.md, "Aggregate at the narrower width").
 //   - Int8 GEMM (ParallelQMatMulInto / QGemvInto) multiplies a quantized
 //     activation QMatrix against a pre-transposed quantized weight matrix
 //     with int32 accumulation, processing bT rows in qgemmBlockJ (32-row)
@@ -103,11 +100,17 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Zero resets all elements to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
+// Resize reshapes m to rows×cols, reusing the backing array when it is
+// large enough. The contents are unspecified afterwards: callers overwrite
+// every element (the executor recycles one prepared matrix per layer).
+func (m *Matrix) Resize(rows, cols int) {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
+	if cap(m.Data) < rows*cols {
+		m.Data = make([]float32, rows*cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
 }
 
 // T returns the transpose as a new matrix.

@@ -143,6 +143,9 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
+// Zero resets all elements to 0.
+func (m *Matrix) Zero() { m.Fill(0) }
+
 func TestZeroAndFill(t *testing.T) {
 	m := FromRows([][]float32{{1, 2}, {3, 4}})
 	m.Zero()

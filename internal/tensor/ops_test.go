@@ -7,13 +7,21 @@ import (
 	"testing/quick"
 )
 
-// MatMul returns a·b through the serial kernel: the reference the tests
-// compare ParallelMatMulInto and the int8 GEMM against. Panics on
-// inner-dimension mismatch.
+// MatMul returns a·b by the plain ikj loop, one axpyRow pass per non-zero a
+// element in ascending k: the reference the tests compare
+// ParallelMatMulInto and the int8 GEMM against. Panics on inner-dimension
+// mismatch.
 func MatMul(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)
 	checkMatMulShape(out, a, b)
-	matMulRowsInto(out, a, b, 0, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		orow := out.Row(i)
+		for k, av := range a.Row(i) {
+			if av != 0 {
+				axpyRow(orow, av, b.Row(k))
+			}
+		}
+	}
 	return out
 }
 
