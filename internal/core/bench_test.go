@@ -91,18 +91,28 @@ func BenchmarkForwardFunctionalReddit(b *testing.B) {
 // multi-core hardware the spread is the ring-level speedup. Outputs are
 // byte-identical by construction (pinned by TestForwardParallelBitIdentical).
 func BenchmarkForwardFunctionalRedditSerial(b *testing.B) {
-	benchForwardRedditWorkers(b, 1)
+	benchForwardRedditWorkers(b, 1, false)
 }
 
 func BenchmarkForwardFunctionalRedditParallel8(b *testing.B) {
-	benchForwardRedditWorkers(b, 8)
+	benchForwardRedditWorkers(b, 8, false)
 }
 
-func benchForwardRedditWorkers(b *testing.B, workers int) {
+// BenchmarkForwardFunctionalRedditInt8Serial is the serial pass on the int8
+// tier: beside BenchmarkForwardFunctionalRedditSerial it compares the two
+// tiers without the run-to-run spread a GOMAXPROCS fan-out adds.
+func BenchmarkForwardFunctionalRedditInt8Serial(b *testing.B) {
+	benchForwardRedditWorkers(b, 1, true)
+}
+
+func benchForwardRedditWorkers(b *testing.B, workers int, int8 bool) {
 	s := MustNew(DefaultConfig())
 	d := graph.MustByName("reddit")
 	g := d.Build()
 	m := gnn.MustModel("gcn", d.FeatureDims, 1)
+	if int8 {
+		m = quantizedModel(b, "gcn", d.FeatureDims, 1)
+	}
 	x := gnn.RandomFeatures(g, d.FeatureDims[0], 2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -150,9 +160,9 @@ func BenchmarkForwardFunctionalCoraInt8(b *testing.B) {
 }
 
 // BenchmarkAggregationOrder times one serial layer's aggregation and update
-// in both orders with the executor's kernels, over the Table II layer shapes
-// (and small-open's 16→32→8) at a Reddit-like and a Cora-like average
-// in-degree:
+// in both orders with the executor's kernels of each tier, over the Table II
+// layer shapes (and small-open's 16→32→8) at a Reddit-like and a Cora-like
+// average in-degree. On fp32:
 //
 //   - natural: per vertex, AxpyChain over its in-neighbours' input rows
 //     (in wide), then VecMatInto of the sum through W;
@@ -160,13 +170,24 @@ func BenchmarkForwardFunctionalCoraInt8(b *testing.B) {
 //     prepare, tensor.ParallelMatMulInto at one worker), then per vertex
 //     AxpyChain over the out-wide rows and the update's copy.
 //
+// On int8 each order first quantizes its chain input under one shared scale
+// (tensor.ParallelQuantizeScaledInto), and every chain is a tensor.QChain
+// dequantized once per vertex:
+//
+//   - natural: the input rows are the chain input; per vertex the in-wide
+//     sum is quantized and multiplied through W by tensor.QGemvInto;
+//   - narrow: every input row is quantized and multiplied through W by
+//     tensor.QGemvInto (gnn's int8 transform), the out-wide rows are the
+//     chain input, and the update copies the sum.
+//
 // Both orders run |V| GEMVs of in×out; only the chain's width differs.
 // Every vertex has d distinct in-neighbours drawn uniformly, and features
 // are dense. The 256-vertex Nell slice runs at the Cora-like degree only:
 // a simple graph on 256 vertices cannot reach 477 (Nell's own average
-// in-degree is about 4). gnn's aggregation-order rule (out < in) is the
-// simplest predicate on (in, out) that picks the faster order in every cell
-// where the two orders' runs do not overlap (EXPERIMENTS.md, "Aggregate at
+// in-degree is about 4). gnn's aggregation-order rule (out < in), one
+// predicate for both tiers, is the simplest predicate on (in, out) that
+// picks the faster order in every cell where the two orders' runs do not
+// overlap (EXPERIMENTS.md, "Aggregate at the narrower width" and "int8 at
 // the narrower width").
 func BenchmarkAggregationOrder(b *testing.B) {
 	shapes := []struct{ n, in, out int }{
@@ -233,6 +254,64 @@ func benchAggregationOrder(b *testing.B, rng *rand.Rand, h, w *tensor.Matrix, de
 			tensor.ParallelMatMulInto(z, h, w, 1)
 			for v := 0; v < n; v++ {
 				chain(acc[:out], z, v)
+				copy(dst.Row(v), acc[:out])
+			}
+		}
+	})
+
+	wT, err := tensor.QuantizeTransposed(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ones := make([]float32, n) // a source coefficient of 1, the mean's 1/d per vertex
+	for i := range ones {
+		ones[i] = 1
+	}
+	qrow := make([]int8, in)
+	// qchain leaves vertex v's dequantized chain over q's rows in acc.
+	qchain := func(acc []float32, q *tensor.QSumMatrix, acc32 []int32, swar []uint64, v int) {
+		for i := range acc32 {
+			acc32[i] = 0
+		}
+		tensor.QChain(acc32, swar, q, srcs[v*deg:(v+1)*deg])
+		c := q.Scale / float32(deg)
+		for i := range acc {
+			acc[i] = c * float32(acc32[i])
+		}
+	}
+	// qgemv writes quant(x)·wT into out, as an int8 update or transform.
+	qgemv := func(b *testing.B, out, x []float32) {
+		s, err := tensor.QuantizeRowInto(qrow, x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tensor.QGemvInto(out, qrow, s, wT)
+	}
+	b.Run("int8/natural", func(b *testing.B) {
+		q := tensor.NewQSumMatrix(n, in)
+		acc32, swar := make([]int32, q.Stride), make([]uint64, q.Stride/4)
+		for i := 0; i < b.N; i++ {
+			if err := tensor.ParallelQuantizeScaledInto(q, h, ones, 1); err != nil {
+				b.Fatal(err)
+			}
+			for v := 0; v < n; v++ {
+				qchain(acc[:in], q, acc32, swar, v)
+				qgemv(b, dst.Row(v), acc[:in])
+			}
+		}
+	})
+	b.Run("int8/narrow", func(b *testing.B) {
+		q := tensor.NewQSumMatrix(n, out)
+		acc32, swar := make([]int32, q.Stride), make([]uint64, q.Stride/4)
+		for i := 0; i < b.N; i++ {
+			for v := 0; v < n; v++ {
+				qgemv(b, z.Row(v), h.Row(v))
+			}
+			if err := tensor.ParallelQuantizeScaledInto(q, z, ones, 1); err != nil {
+				b.Fatal(err)
+			}
+			for v := 0; v < n; v++ {
+				qchain(acc[:out], q, acc32, swar, v)
 				copy(dst.Row(v), acc[:out])
 			}
 		}

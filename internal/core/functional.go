@@ -30,8 +30,8 @@ type fwdWorker struct {
 // pooled on the SCALE value so repeated Forward calls reuse the seen table,
 // the batch list, the compact schedulers (one per ring geometry the model's
 // layers select), the prepared matrix of layers that aggregate at the
-// narrower width, and every worker's scratch — the steady-state hot path
-// allocates only the per-layer output matrices.
+// narrower width (with its int8 row scratch), and every worker's scratch —
+// the steady-state hot path allocates only the per-layer output matrices.
 type fwdState struct {
 	seen       []bool
 	degrees    []int32
@@ -39,10 +39,10 @@ type fwdState struct {
 	batches    [][]int32
 	schedulers map[sched.Config]*sched.Scheduler
 	workers    []fwdWorker
-	// z holds the per-layer transformed rows h·W of a narrowing fp32
-	// linear-sum layer (gnn.PrepareLayerInto); recycled across layers and
-	// calls.
-	z tensor.Matrix
+	// prep holds the per-layer transformed rows h·W of a narrowing
+	// linear-sum layer on either tier (gnn.PrepareLayerInto); recycled
+	// across layers and calls.
+	prep gnn.PrepareBuf
 	// qpsrc holds the per-layer quantized source features on the int8
 	// tier (LinearAggregator layers only) and qcoefs the per-row source
 	// coefficients folded into them; recycled across layers and calls.
@@ -262,18 +262,18 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 	if gnn.LayerQuantized(layer) {
 		qupd = layer.(gnn.QKernels)
 	}
-	psrc, pdst := gnn.PrepareLayerInto(&st.z, layer, h, workers, qupd != nil)
+	psrc, pdst := gnn.PrepareLayerInto(&st.prep, layer, h, workers, qupd != nil)
 	kind := layer.Reduce()
 	width := kind.AccWidth(layer.MsgDim())
 	out := tensor.NewMatrix(h.Rows, layer.OutDim())
 
 	// Linear-sum layers run each vertex's reduce chain over its whole
 	// in-neighbour list. On the int8 tier the chain is integer arithmetic:
-	// each source row is pre-multiplied by its QSrcCoef and quantized under
-	// one shared scale (once per layer, 4x less memory traffic per edge
-	// visit), chains sum raw int8 rows in exact int32, and each vertex
-	// dequantizes its chain once with gscale·QDstCoef before the usual
-	// finalize/update.
+	// each prepared source row (h, or a narrowing layer's h·W) is
+	// pre-multiplied by its QSrcCoef and quantized under one shared scale
+	// (once per layer, 4x less memory traffic per edge visit), chains sum
+	// raw int8 rows in exact int32, and each vertex dequantizes its chain
+	// once with gscale·QDstCoef before the usual finalize/update.
 	lin, _ := layer.(gnn.LinearAggregator)
 	var qpsrc *tensor.QSumMatrix
 	if qupd != nil && lin != nil && psrc.Rows == g.NumVertices() {
@@ -316,7 +316,7 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 		qScratch = qupd.QUpdateScratch()
 	}
 	if qpsrc != nil {
-		qAccWidth = qpsrc.Stride // padded, so FlushChain drains whole chunks
+		qAccWidth = qpsrc.Stride // padded, so QChain drains whole chunks
 	}
 	ws := st.sizeWorkers(nw, width, layer.UpdateScratch(), qScratch, qAccWidth)
 	p := &layerPass{layer: layer, g: g, srcDeg: degrees, psrc: psrc, pdst: pdst, h: h, out: out,
@@ -371,9 +371,10 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 // coefficients, bit-identical to one AccumulateEdge per edge; every other
 // layer calls its fused AccumulateEdge kernel hop by hop.
 // On the int8 tier (qupd non-nil) updates dispatch to QUpdateInto, and —
-// for linear-sum layers (qpsrc non-nil) — the reduce chain sums biased
-// quantized source rows in the packed SWAR accumulator (flushed to int32
-// every ChainBlockEdges), dequantizing once per vertex with Scale·QDstCoef.
+// for linear-sum layers (qpsrc non-nil) — the reduce chain is one
+// tensor.QChain over the whole in-neighbour list, summing biased quantized
+// source rows in exact integers, dequantized once per vertex with
+// Scale·QDstCoef.
 // Integer sums are order-independent, so int8 outputs keep the same
 // worker-count bit-identity guarantee as float32.
 func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
@@ -396,17 +397,7 @@ func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
 				for i := range acc32 {
 					acc32[i] = 0
 				}
-				swar := wk.qswar
-				block := 0
-				for _, u := range nbrs {
-					tensor.AccRowChain(swar, qpsrc.Row(int(u)))
-					block++
-					if block == tensor.ChainBlockEdges {
-						tensor.FlushChain(acc32, swar, block)
-						block = 0
-					}
-				}
-				tensor.FlushChain(acc32, swar, block)
+				tensor.QChain(acc32, wk.qswar, qpsrc, nbrs)
 				c := qpsrc.Scale * p.lin.QDstCoef(len(nbrs))
 				for i := range acc {
 					acc[i] = c * float32(acc32[i])

@@ -69,6 +69,47 @@ func TestInt8AccuracyHarness(t *testing.T) {
 	}
 }
 
+// TestInt8AccuracyHarness's widening-first sibling: with dims [12, 24, 5]
+// the first layer widens, so gcn and gs-mean aggregate their input rows
+// (natural order) there and the transformed rows only in the narrowing
+// second layer, where the harness above exercises the narrow order at both
+// layers. Same graphs, models and 6 % bound.
+func TestInt8AccuracyWideningFirst(t *testing.T) {
+	dims := []int{12, 24, 5}
+	graphs := []*graph.Graph{
+		graph.ErdosRenyi(300, 1500, 3),
+		graph.RMAT(9, 4000, 7),
+	}
+	ref := MustNew(DefaultConfig())
+	var worst float64
+	for _, g := range graphs {
+		x := gnn.RandomFeatures(g, dims[0], 13)
+		for _, name := range gnn.AllModelNames() {
+			want, err := ref.Forward(gnn.MustModel(name, dims, 11), g, x)
+			if err != nil {
+				t.Fatalf("%s/%s float32: %v", g.Name(), name, err)
+			}
+			got, err := ref.Forward(quantizedModel(t, name, dims, 11), g, x)
+			if err != nil {
+				t.Fatalf("%s/%s int8: %v", g.Name(), name, err)
+			}
+			for li := range want {
+				var maxRef float64
+				for _, v := range want[li].Data {
+					maxRef = math.Max(maxRef, math.Abs(float64(v)))
+				}
+				maxDiff := want[li].MaxAbsDiff(got[li])
+				if maxDiff > 0.06*maxRef+1e-5 {
+					t.Errorf("%s/%s layer %d: int8 max abs err %g > 6 %% of max |float32| %g",
+						g.Name(), name, li, maxDiff, maxRef)
+				}
+				worst = math.Max(worst, maxDiff/maxRef)
+			}
+		}
+	}
+	t.Logf("worst cell: %.2f %% of max |float32|", 100*worst)
+}
+
 // The int8 tier keeps the float32 tier's determinism guarantee: integer
 // reduce chains sum in exact int32 and every float chain folds in mapping
 // order, so serial and group-parallel quantized execution are byte-identical.

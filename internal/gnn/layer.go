@@ -162,13 +162,13 @@ type Layer interface {
 //     vertex (see quantized.go).
 //
 // Linearity also lets the chain run at the narrower width: Σ c_uv·(W·h_u)
-// equals W·Σ c_uv·h_u up to float rounding. On the fp32 tier gcn and
-// gs-mean apply their first linear map in Prepare when it narrows the row
-// (narrows, models.go), so MsgDim is the output width and UpdateInto
-// applies only what follows the map. gin keeps natural order: its self
-// term (1+ε)·h_v passes through the same map, and UpdateInto receives h_v,
-// not the prepared row, so the new order would need a second GEMV per
-// vertex. The int8 tier keeps natural order for all three.
+// equals W·Σ c_uv·h_u up to rounding. On both tiers gcn and gs-mean apply
+// their first linear map in Prepare when it narrows the row (narrows,
+// models.go), so MsgDim is the output width and UpdateInto (QUpdateInto on
+// the int8 tier) applies only what follows the map. gin keeps natural
+// order: its self term (1+ε)·h_v passes through the same map, and
+// UpdateInto receives h_v, not the prepared row, so the new order would
+// need a second GEMV per vertex.
 type LinearAggregator interface {
 	EdgeCoef(srcDeg, dstDeg int) float32
 	QSrcCoef(srcDeg int) float32

@@ -78,24 +78,26 @@ func maybeReLU(act bool, x []float32) []float32 {
 	return x
 }
 
-// narrows is the aggregation-order rule (DESIGN §4b, "Aggregation order"):
-// on the fp32 tier a linear-sum layer whose first linear map narrows the
-// row (in → out) applies that map to every row before the reduce chain, so
-// the chain sums out-wide rows instead of in-wide ones. Both orders run the
-// same |V| GEMVs of in×out; the chain is what shrinks, by in/out.
-// BenchmarkAggregationOrder (internal/core) times both orders over the
-// Table II shapes at Reddit-like and Cora-like degrees; this predicate picks
-// the faster order in every cell where the two orders' runs do not overlap
-// (EXPERIMENTS.md, "Aggregate at the narrower width").
+// narrows is the aggregation-order rule (DESIGN §4b, "Aggregation order"),
+// one predicate for both tiers: a linear-sum layer whose first linear map
+// narrows the row (in → out) applies that map to every row before the
+// reduce chain, so the chain sums out-wide rows instead of in-wide ones.
+// Both orders run the same |V| GEMVs of in×out; the chain is what shrinks,
+// by in/out. BenchmarkAggregationOrder (internal/core) times both orders
+// with each tier's kernels over the Table II shapes at Reddit-like and
+// Cora-like degrees; this predicate picks the faster order in every cell
+// where the two orders' runs do not overlap (EXPERIMENTS.md, "Aggregate at
+// the narrower width" and "int8 at the narrower width").
 func narrows(in, out int) bool { return out < in }
 
-// transformInto writes h·w into z, resized to h.Rows×w.Cols, or into a new
-// matrix when z is nil, and returns it: the prepare step of a layer that
-// aggregates at the narrower width.
-func transformInto(z, h, w *tensor.Matrix, workers int) *tensor.Matrix {
-	if z == nil {
-		z = &tensor.Matrix{}
+// transformInto writes h·w into buf's matrix, resized to h.Rows×w.Cols, or
+// into a new matrix when buf is nil, and returns it: the fp32 prepare step
+// of a layer that aggregates at the narrower width.
+func transformInto(buf *PrepareBuf, h, w *tensor.Matrix, workers int) *tensor.Matrix {
+	if buf == nil {
+		buf = &PrepareBuf{}
 	}
+	z := &buf.z
 	z.Resize(h.Rows, w.Cols)
 	tensor.ParallelMatMulInto(z, h, w, workers)
 	return z
@@ -103,8 +105,8 @@ func transformInto(z, h, w *tensor.Matrix, workers int) *tensor.Matrix {
 
 // ---------------------------------------------------------------------------
 // GCN (Kipf & Welling): m_v = Σ_u h_u / √(d_u·d_v);  h'_v = σ(W·m_v).
-// A narrowing fp32 layer aggregates z_u = W·h_u instead:
-// h'_v = σ(Σ_u z_u / √(d_u·d_v)), equal up to float rounding.
+// A narrowing layer aggregates z_u = W·h_u instead, on both tiers:
+// h'_v = σ(Σ_u z_u / √(d_u·d_v)), equal up to rounding.
 
 type gcnLayer struct {
 	in, out int
@@ -134,9 +136,9 @@ func (l *gcnLayer) InDim() int         { return l.in }
 func (l *gcnLayer) OutDim() int        { return l.out }
 func (l *gcnLayer) Reduce() ReduceKind { return ReduceSum }
 
-// transformFirst reports whether the layer aggregates z = h·W: fp32 (the
-// int8 tier keeps natural order) and narrowing.
-func (l *gcnLayer) transformFirst() bool { return narrows(l.in, l.out) && !l.Quantized() }
+// transformFirst reports whether the layer aggregates z = h·W: whether it
+// narrows.
+func (l *gcnLayer) transformFirst() bool { return narrows(l.in, l.out) }
 
 func (l *gcnLayer) MsgDim() int {
 	if l.transformFirst() {
@@ -146,15 +148,18 @@ func (l *gcnLayer) MsgDim() int {
 }
 
 func (l *gcnLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
-	return l.prepareInto(nil, h, workers)
+	return l.prepareInto(nil, h, workers, false)
 }
 
-func (l *gcnLayer) prepareInto(z, h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
-	if !l.transformFirst() {
+func (l *gcnLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (*tensor.Matrix, *tensor.Matrix) {
+	switch {
+	case !l.transformFirst():
 		return h, nil
+	case quantized:
+		return qtransformInto(buf, h, l.qwT, workers), nil
 	}
 	l.ensure()
-	return transformInto(z, h, l.w, workers), nil
+	return transformInto(buf, h, l.w, workers), nil
 }
 
 func (l *gcnLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
@@ -558,8 +563,8 @@ func (l *gatLayer) Work() LayerWork {
 // GraphSAGE-Mean (Hamilton et al.): m_v = mean_u h_u;  h'_v = σ(W·[h_v ; m_v])
 // Extension model: exercises the mean reduction (divide on finalize), which
 // none of the paper's four evaluated models use. With W = [W_top; W_bot], a
-// narrowing fp32 layer aggregates z_u = W_bot·h_u instead:
-// h'_v = σ(W_top·h_v + mean_u z_u), equal up to float rounding.
+// narrowing layer aggregates z_u = W_bot·h_u instead, on both tiers:
+// h'_v = σ(W_top·h_v + mean_u z_u), equal up to rounding.
 
 type sageMeanLayer struct {
 	in, out    int
@@ -569,9 +574,12 @@ type sageMeanLayer struct {
 	w          *tensor.Matrix // 2in×out, lazily materialized
 	wTop, wBot *tensor.Matrix // row views of w: its first and last in rows
 
-	qonce sync.Once
-	qerr  error
-	qwT   *tensor.QMatrix
+	// The int8 forms (quantized.go): a narrowing layer quantizes W_top
+	// and W_bot separately, a widening one the joint W.
+	qonce          sync.Once
+	qerr           error
+	qwT            *tensor.QMatrix
+	qwTopT, qwBotT *tensor.QMatrix
 }
 
 func newSAGEMeanLayer(seed int64, in, out int, act bool) *sageMeanLayer {
@@ -593,9 +601,9 @@ func (l *sageMeanLayer) InDim() int         { return l.in }
 func (l *sageMeanLayer) OutDim() int        { return l.out }
 func (l *sageMeanLayer) Reduce() ReduceKind { return ReduceMean }
 
-// transformFirst reports whether the layer aggregates z = h·W_bot: fp32
-// (the int8 tier keeps natural order) and narrowing.
-func (l *sageMeanLayer) transformFirst() bool { return narrows(l.in, l.out) && !l.Quantized() }
+// transformFirst reports whether the layer aggregates z = h·W_bot: whether
+// it narrows.
+func (l *sageMeanLayer) transformFirst() bool { return narrows(l.in, l.out) }
 
 func (l *sageMeanLayer) MsgDim() int {
 	if l.transformFirst() {
@@ -605,15 +613,18 @@ func (l *sageMeanLayer) MsgDim() int {
 }
 
 func (l *sageMeanLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
-	return l.prepareInto(nil, h, workers)
+	return l.prepareInto(nil, h, workers, false)
 }
 
-func (l *sageMeanLayer) prepareInto(z, h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
-	if !l.transformFirst() {
+func (l *sageMeanLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (*tensor.Matrix, *tensor.Matrix) {
+	switch {
+	case !l.transformFirst():
 		return h, nil
+	case quantized:
+		return qtransformInto(buf, h, l.qwBotT, workers), nil
 	}
 	l.ensure()
-	return transformInto(z, h, l.wBot, workers), nil
+	return transformInto(buf, h, l.wBot, workers), nil
 }
 
 func (l *sageMeanLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {

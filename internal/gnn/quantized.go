@@ -23,10 +23,12 @@ import (
 //     row's source factor into a shared-scale biased-byte quantization of
 //     the prepared source matrix (tensor.ParallelQuantizeScaledInto),
 //     reduce chains sum raw byte rows in exact packed integer arithmetic
-//     (tensor.AccRowChain — no multiply, no convert, eight columns per
-//     64-bit add), and each vertex dequantizes its chain once with
-//     Scale·QDstCoef. The other layers keep float32 edge math and run only
-//     their prepare/update GEMMs int8.
+//     (tensor.QChain — no multiply, no convert, eight columns per 64-bit
+//     add, four rows per sweep), and each vertex dequantizes its chain once
+//     with Scale·QDstCoef. A narrowing gcn or gs-mean layer prepares that
+//     matrix as the int8 transform h·W (qtransformInto), so its chain runs
+//     at the output width. The other layers keep float32 edge math and run
+//     only their prepare/update GEMMs int8.
 //
 // Integer chain accumulation is exact and associative, so the quantized
 // aggregation path keeps the serial-vs-N-workers bit-identity contract by
@@ -83,35 +85,72 @@ func LayerQuantized(l Layer) bool {
 }
 
 // zPreparer is implemented by the layers that aggregate at the narrower
-// width (gcn, gs-mean): prepareInto is Prepare writing the transformed rows
-// into a caller-owned matrix, resized to fit (a new one when z is nil).
+// width (gcn, gs-mean): prepareInto is Prepare on either tier, writing the
+// transformed rows into buf (fresh buffers when buf is nil). quantized
+// selects the int8 transform and is set only when the layer holds its
+// quantized weight form.
 type zPreparer interface {
-	prepareInto(z, h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix)
+	prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix)
+}
+
+// PrepareBuf is the caller-owned state PrepareLayerInto recycles across
+// calls: the transformed rows h·W of a layer that aggregates at the
+// narrower width, and the int8 tier's row scratch for computing them (one
+// quantized input row per prepare worker). The zero value is ready to use.
+type PrepareBuf struct {
+	z tensor.Matrix
+	q []int8
 }
 
 // PrepareLayerPrecision is Layer.Prepare with a precision switch: when
-// quantized is true and the layer has both a quantized weight form and a
-// quantized prepare path, the per-vertex prepare GEMVs run int8. Bit-
-// identical across worker counts in both modes (rows are partitioned; each
-// row is produced by the same serial kernel).
+// quantized is true and the layer has a quantized weight form, its prepare
+// GEMVs (a narrowing layer's transform, or the layer's own prepare
+// transforms) run int8. Bit-identical across worker counts in both modes
+// (rows are partitioned; each row is produced by the same serial kernel).
 func PrepareLayerPrecision(l Layer, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix) {
 	return PrepareLayerInto(nil, l, h, workers, quantized)
 }
 
 // PrepareLayerInto is PrepareLayerPrecision for a caller that recycles the
 // prepared matrix across calls: a layer that transforms its rows before the
-// reduce chain writes z = h·W into z, resized to fit, and returns z as
-// psrc; every other layer leaves z untouched. A nil z allocates.
-func PrepareLayerInto(z *tensor.Matrix, l Layer, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix) {
-	if quantized && LayerQuantized(l) {
-		if qp, ok := l.(qPreparer); ok {
-			return qp.qprepare(h, workers)
-		}
-	}
+// reduce chain writes z = h·W into buf, resized to fit, and returns it as
+// psrc; every other layer leaves buf untouched. A nil buf allocates.
+func PrepareLayerInto(buf *PrepareBuf, l Layer, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix) {
+	quantized = quantized && LayerQuantized(l)
 	if zp, ok := l.(zPreparer); ok {
-		return zp.prepareInto(z, h, workers)
+		return zp.prepareInto(buf, h, workers, quantized)
+	}
+	if qp, ok := l.(qPreparer); ok && quantized {
+		return qp.qprepare(h, workers)
 	}
 	return l.Prepare(h, workers)
+}
+
+// qtransformInto is transformInto on the int8 tier: each row of h is
+// quantized with its own scale into its worker's window of buf's row
+// scratch and multiplied by wT, the transposed quantized weights
+// (tensor.QGemvInto: exact int32 dots, one dequantizing multiply per
+// element). Each row is produced by the same serial kernel, so z is
+// bit-identical for every worker count.
+func qtransformInto(buf *PrepareBuf, h *tensor.Matrix, wT *tensor.QMatrix, workers int) *tensor.Matrix {
+	if buf == nil {
+		buf = &PrepareBuf{}
+	}
+	z := &buf.z
+	z.Resize(h.Rows, wT.Rows)
+	in := h.Cols
+	nw := tensor.RowWorkers(h.Rows, workers)
+	if cap(buf.q) < nw*in {
+		buf.q = make([]int8, nw*in)
+	}
+	q := buf.q[:nw*in]
+	tensor.ParallelRows(h.Rows, nw, func(w, lo, hi int) {
+		qw := q[w*in : (w+1)*in]
+		for i := lo; i < hi; i++ {
+			tensor.QGemvInto(z.Row(i), qw, mustQuantizeRow(qw, h.Row(i)), wT)
+		}
+	})
+	return z
 }
 
 // mustQuantizeRow quantizes an activation row into q, panicking on
@@ -127,7 +166,9 @@ func mustQuantizeRow(q []int8, row []float32) float32 {
 }
 
 // ---------------------------------------------------------------------------
-// GCN: update is a single GEMV; aggregation is linear (norm · h_u).
+// GCN: aggregation is linear (norm · h_u). A narrowing layer's int8 GEMV is
+// its prepare transform and the update is the activation alone; otherwise
+// the update is a single int8 GEMV.
 
 func (l *gcnLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
@@ -137,10 +178,20 @@ func (l *gcnLayer) QuantizeWeights() error {
 	return l.qerr
 }
 
-func (l *gcnLayer) Quantized() bool     { return l.qwT != nil }
-func (l *gcnLayer) QUpdateScratch() int { return l.in }
+func (l *gcnLayer) Quantized() bool { return l.qwT != nil }
+
+func (l *gcnLayer) QUpdateScratch() int {
+	if l.transformFirst() {
+		return 0
+	}
+	return l.in
+}
 
 func (l *gcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+	if l.transformFirst() {
+		l.UpdateInto(dst, hself, agg, scratch) // the activation alone
+		return
+	}
 	q := qs[:l.in]
 	s := mustQuantizeRow(q, agg)
 	tensor.QGemvInto(dst, q, s, l.qwT)
@@ -393,21 +444,45 @@ func (l *multiHeadGATLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Mat
 }
 
 // ---------------------------------------------------------------------------
-// GraphSAGE-Mean: linear sum aggregation + one int8 update GEMV over the
-// concatenated [h_v ; mean] row.
+// GraphSAGE-Mean: linear sum aggregation. A narrowing layer transforms each
+// row by W_bot in its int8 prepare and updates with quant(h_v)·W_topᵀ +
+// mean(z); otherwise the update is one int8 GEMV over the concatenated
+// [h_v ; mean] row. Either way each weight is stored once, in one byte.
 
 func (l *sageMeanLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
 		l.ensure()
-		l.qwT, l.qerr = tensor.QuantizeTransposed(l.w)
+		if !l.transformFirst() {
+			l.qwT, l.qerr = tensor.QuantizeTransposed(l.w)
+			return
+		}
+		l.qwTopT, l.qerr = tensor.QuantizeTransposed(l.wTop)
+		if l.qerr == nil {
+			l.qwBotT, l.qerr = tensor.QuantizeTransposed(l.wBot)
+		}
 	})
 	return l.qerr
 }
 
-func (l *sageMeanLayer) Quantized() bool     { return l.qwT != nil }
-func (l *sageMeanLayer) QUpdateScratch() int { return 2 * l.in }
+func (l *sageMeanLayer) Quantized() bool { return l.qwT != nil || l.qwBotT != nil }
+
+func (l *sageMeanLayer) QUpdateScratch() int {
+	if l.transformFirst() {
+		return l.in
+	}
+	return 2 * l.in
+}
 
 func (l *sageMeanLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+	if l.transformFirst() {
+		q := qs[:l.in]
+		tensor.QGemvInto(dst, q, mustQuantizeRow(q, hself), l.qwTopT)
+		for i, v := range agg {
+			dst[i] += v
+		}
+		maybeReLU(l.act, dst)
+		return
+	}
 	cat := scratch[:2*l.in]
 	tensor.ConcatInto(cat, hself, agg)
 	q := qs[:2*l.in]

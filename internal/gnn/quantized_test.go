@@ -148,13 +148,14 @@ func TestSharedScaleChainMatchesFloat(t *testing.T) {
 	acc32 := make([]int32, q.Stride)
 	swar := make([]uint64, q.Stride/4)
 	want := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		tensor.AccRowChain(swar, q.Row(i))
+	rows := make([]int32, m.Rows)
+	for i := range rows {
+		rows[i] = int32(i)
 		for j, v := range m.Row(i) {
 			want[j] += float64(coefs[i]) * float64(v)
 		}
 	}
-	tensor.FlushChain(acc32, swar, m.Rows)
+	tensor.QChain(acc32, swar, q, rows)
 	// Each row contributes at most Scale/2 absolute error per element.
 	bound := float64(q.Scale) * 0.5 * float64(m.Rows) * 1.0001
 	for j := range want {

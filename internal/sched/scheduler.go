@@ -20,9 +20,17 @@ import (
 //     the next task directly (the overflow prefix, O(1) a vertex) and finds
 //     every other vertex's task in a min tree over task loads, O(log T_n)
 //     a vertex;
-//   - grouping sorts and places only the k occupied tasks, scoring the
-//     groups already in use plus one untouched group, O(k log k +
-//     k·min(k, G_n)), then appends the empty tasks to one group.
+//   - grouping sorts and places only the k occupied tasks, O(k log k +
+//     k·G_n) at worst, then appends the empty tasks to one group. While
+//     some group is untouched, a task goes straight to the lowest-indexed
+//     untouched group without scoring any: every group in use holds an
+//     occupied task, so its vertex load is at least 1, and adding a task
+//     of v vertices and e edges to it scores strictly above adding it to
+//     an empty group (both normalized loads are at least as high and the
+//     vertex one higher, so the max term is no lower and the tie-break sum
+//     strictly higher; the gaps, about 1/targetV, dwarf float rounding at
+//     any batch size). Only the tasks placed after every group is in use,
+//     max(k − G_n, 0) of them, score all G_n groups.
 //
 // Resetting and listing the tasks and groups adds O(T_n + G_n). DESIGN.md
 // §4e sets these costs beside §IV-B's t_ts. The S+DS ablation's edge-greedy
@@ -295,9 +303,10 @@ func (s *Scheduler) binVertexChunks(degrees []int32, batch []int32) {
 // Only occupied tasks are sorted and scored. An empty task sorts last (its
 // key is 0 and every occupied task's is positive) and adds no load, so every
 // empty task goes, in ID order, to the group a zero-load task scores best.
-// Groups are used in index order — every untouched group has the same score,
-// so the lowest-indexed one stands for all of them — and the groups in use
-// are always a prefix: each task scores that prefix plus the next group.
+// Groups are used in index order, and while one is untouched it is the best
+// (see the Scheduler comment), so the first G_n tasks each open the next
+// group, and the empty tasks join the next untouched group if one is left.
+// Only then does a task score the groups.
 func (s *Scheduler) groupVertexSorted() {
 	s.sorted.tasks = s.sorted.tasks[:0]
 	var totalV, totalE float64
@@ -332,9 +341,11 @@ func (s *Scheduler) groupVertexSorted() {
 	}
 	used := 0 // groups 0..used-1 hold tasks
 	for _, t := range s.sorted.tasks {
-		best := s.bestGroup(min(used+1, numGroups), float64(t.count), float64(t.Edges), targetV, targetE)
-		if best == used {
+		best := used
+		if used < numGroups {
 			used++
+		} else {
+			best = s.bestGroup(float64(t.count), float64(t.Edges), targetV, targetE)
 		}
 		g := s.groupPtrs[best]
 		g.Tasks = append(g.Tasks, t)
@@ -344,7 +355,11 @@ func (s *Scheduler) groupVertexSorted() {
 	if len(s.sorted.tasks) == len(s.taskPtrs) {
 		return
 	}
-	g := s.groupPtrs[s.bestGroup(min(used+1, numGroups), 0, 0, targetV, targetE)]
+	best := used
+	if used == numGroups {
+		best = s.bestGroup(0, 0, targetV, targetE)
+	}
+	g := s.groupPtrs[best]
 	for _, t := range s.taskPtrs {
 		if t.count == 0 {
 			g.Tasks = append(g.Tasks, t)
@@ -352,13 +367,13 @@ func (s *Scheduler) groupVertexSorted() {
 	}
 }
 
-// bestGroup returns the lowest-indexed of groups 0..n-1 with the lowest
-// score for a task of v vertices and e edges: the worse of the group's two
-// normalized loads after placement, so neither phase's balance is
-// sacrificed, with ties broken on their sum.
-func (s *Scheduler) bestGroup(n int, v, e, targetV, targetE float64) int {
+// bestGroup returns the lowest-indexed group with the lowest score for a
+// task of v vertices and e edges: the worse of the group's two normalized
+// loads after placement, so neither phase's balance is sacrificed, with ties
+// broken on their sum.
+func (s *Scheduler) bestGroup(v, e, targetV, targetE float64) int {
 	best, bestScore := 0, math.Inf(1)
-	for i, gv := range s.gv[:n] {
+	for i, gv := range s.gv {
 		nv := (gv + v) / targetV
 		ne := (s.ge[i] + e) / targetE
 		score := nv

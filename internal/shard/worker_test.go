@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,6 +118,62 @@ func TestPoolInt8Runs(t *testing.T) {
 	}
 	if got.Rows != g.NumVertices() || got.Cols != 5 {
 		t.Fatalf("int8 output %dx%d, want %dx5", got.Rows, got.Cols, g.NumVertices())
+	}
+}
+
+// Sharded int8 passes, pinned numerically: at one shard the worker holds
+// every vertex, so its shared chain scale is the local pass's and the output
+// is byte-identical to a local int8 session; at 2 and 4 shards each shard
+// takes its scale over its own rows, and every output stays within 8 % of
+// the largest local fp32 output (README, Precision). The linear-sum models
+// run a narrowing chain, which aggregates the transformed rows, and a
+// widening one, which aggregates the input rows.
+func TestPoolInt8MatchesLocal(t *testing.T) {
+	sim := newTestSim(t)
+	addrs, _ := startWorkers(t, sim, 4)
+	g := graph.CommunityGraph(240, 6, 8, 23)
+	for _, model := range []string{"gcn", "gs-mean", "gin"} {
+		for _, dims := range [][]int{{12, 6, 3}, {4, 8, 12}} {
+			spec := SessionSpec{Model: model, Dims: dims, Precision: "int8"}
+			x := tensor.NewMatrix(g.NumVertices(), dims[0])
+			for i := range x.Data {
+				x.Data[i] = float32(i%23)*0.17 - 1.5
+			}
+			local := unshardedReference(t, sim, spec, g, x)
+			fp32 := spec
+			fp32.Precision = "fp32"
+			ref := unshardedReference(t, sim, fp32, g, x)
+			var maxRef float64
+			for _, v := range ref.Data {
+				maxRef = math.Max(maxRef, math.Abs(float64(v)))
+			}
+			for _, parts := range []int{1, 2, 4} {
+				pool, err := NewPool(PoolConfig{Workers: addrs, Parts: parts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := pool.Run(context.Background(), spec, g, x)
+				if err != nil {
+					t.Fatalf("%s %v parts=%d: %v", model, dims, parts, err)
+				}
+				if parts == 1 {
+					if !got.Equal(local) {
+						t.Fatalf("%s %v: one-shard int8 differs from local int8 (max |Δ| %g)",
+							model, dims, got.MaxAbsDiff(local))
+					}
+					continue
+				}
+				var maxDiff float64
+				for i, v := range got.Data {
+					maxDiff = math.Max(maxDiff, math.Abs(float64(v-ref.Data[i])))
+				}
+				if maxDiff > 0.08*maxRef {
+					t.Errorf("%s %v parts=%d: int8 max |Δ| %g from fp32 exceeds 8 %% of %g",
+						model, dims, parts, maxDiff, maxRef)
+				}
+				t.Logf("%s %v parts=%d: max |Δ| / max |fp32| = %.2f %%", model, dims, parts, 100*maxDiff/maxRef)
+			}
+		}
 	}
 }
 

@@ -78,39 +78,45 @@ func axpyChainGeneric(acc []float32, m *Matrix, rows []int32, coefs []float32) {
 	}
 }
 
-// BenchmarkAccRowChainReddit runs one int8 reduce chain, flushed every
-// ChainBlockEdges edges as the executor does.
+// BenchmarkAccRowChainReddit runs one int8 reduce chain (QChain) over a
+// Reddit-degree list, at the input width (602, natural order) and the
+// output width (64, a narrowing layer's chain).
 func BenchmarkAccRowChainReddit(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	src := NewQSumMatrix(931, 602)
-	for i := 0; i < src.Rows; i++ {
-		rng.Read(src.Row(i)[:src.Cols])
-	}
-	rows := make([]int32, 492)
-	for i := range rows {
-		rows[i] = int32(rng.Intn(src.Rows))
-	}
-	swar := make([]uint64, src.Stride/4)
-	acc := make([]int32, src.Stride)
-	benchKernel(b, int64(len(rows))*int64(src.Stride),
-		func() {
-			for i, r := range rows {
-				AccRowChain(swar, src.Row(int(r)))
-				if (i+1)%ChainBlockEdges == 0 {
-					FlushChain(acc, swar, ChainBlockEdges)
-				}
+	for _, cols := range []int{602, 64} {
+		b.Run(fmt.Sprint(cols), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(4))
+			src := NewQSumMatrix(931, cols)
+			for i := 0; i < src.Rows; i++ {
+				rng.Read(src.Row(i)[:src.Cols])
 			}
-			FlushChain(acc, swar, len(rows)%ChainBlockEdges)
-		},
-		func() {
-			for i, r := range rows {
-				accRowChainGeneric(swar, src.Row(int(r)))
-				if (i+1)%ChainBlockEdges == 0 {
-					FlushChain(acc, swar, ChainBlockEdges)
-				}
+			rows := make([]int32, 492)
+			for i := range rows {
+				rows[i] = int32(rng.Intn(src.Rows))
 			}
-			FlushChain(acc, swar, len(rows)%ChainBlockEdges)
+			swar := make([]uint64, src.Stride/4)
+			acc := make([]int32, src.Stride)
+			benchKernel(b, int64(len(rows))*int64(src.Stride),
+				func() { QChain(acc, swar, src, rows) },
+				func() { qChainGeneric(acc, swar, src, rows) })
 		})
+	}
+}
+
+// qChainGeneric is QChain on the portable loops.
+func qChainGeneric(acc []int32, swar []uint64, q *QSumMatrix, rows []int32) {
+	for len(rows) > 0 {
+		block := rows[:min(len(rows), chainBlockEdges)]
+		rows = rows[len(block):]
+		n := len(block)
+		for ; len(block) >= 4; block = block[4:] {
+			accRow4ChainGeneric(swar, q.Row(int(block[0])), q.Row(int(block[1])),
+				q.Row(int(block[2])), q.Row(int(block[3])))
+		}
+		for _, r := range block {
+			accRowChainGeneric(swar, q.Row(int(r)))
+		}
+		flushChain(acc, swar, n)
+	}
 }
 
 // BenchmarkQGemvReddit runs one int8 update GEMV, 602 → 64.

@@ -2,7 +2,7 @@
 
 package tensor
 
-// On amd64 the three hot kernels run the SSE2 loops in kernels_amd64.s.
+// On amd64 the four hot kernels run the SSE2 loops in kernels_amd64.s.
 // SSE2 is part of every amd64 CPU, so nothing is detected at run time. Race
 // builds take the portable loops (kernels_noasm.go) because the race
 // detector cannot see memory that assembly touches. Each wrapper bounds its
@@ -15,6 +15,9 @@ func axpy4RowSSE2(o []float32, a0, a1, a2, a3 float32, r0, r1, r2, r3 []float32)
 
 //go:noescape
 func accRowChainSSE2(swar []uint64, row []byte)
+
+//go:noescape
+func accRow4ChainSSE2(swar []uint64, r0, r1, r2, r3 []byte)
 
 //go:noescape
 func dotInt8SSE2(a, b []int8) int32
@@ -30,6 +33,14 @@ func axpy4Row(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
 func accRowChain(swar []uint64, row []byte) {
 	n := min(len(row)/8, len(swar)/2)
 	accRowChainSSE2(swar[:2*n], row[:8*n])
+}
+
+// accRow4Chain folds the chunk count accRow4ChainGeneric's loop reaches:
+// min(len(r_i)/8, len(swar)/2) over the four rows.
+func accRow4Chain(swar []uint64, r0, r1, r2, r3 []byte) {
+	n := min(len(r0), len(r1), len(r2), len(r3)) / 8
+	n = min(n, len(swar)/2)
+	accRow4ChainSSE2(swar[:2*n], r0[:8*n], r1[:8*n], r2[:8*n], r3[:8*n])
 }
 
 func dotInt8(a, b []int8) int32 {

@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// SSE2 bodies of the three reduce-chain and GEMV kernels. Each one does the
+// SSE2 bodies of the four reduce-chain and GEMV kernels. Each one does the
 // same arithmetic as its portable loop (axpy4RowGeneric, accRowChainGeneric,
-// dotInt8Generic), only several columns per instruction, and touches only
-// the first len elements its Go wrapper (kernels_amd64.go) hands it.
+// accRow4ChainGeneric, dotInt8Generic), only several columns per
+// instruction, and touches only the first len elements its Go wrapper
+// (kernels_amd64.go) hands it.
 
 // func axpy4RowSSE2(o []float32, a0, a1, a2, a3 float32, r0, r1, r2, r3 []float32)
 //
@@ -132,6 +133,102 @@ chainTail:
 	MOVOU      X3, (DI)
 
 chainDone:
+	RET
+
+// func accRow4ChainSSE2(swar []uint64, r0, r1, r2, r3 []byte)
+//
+// Folds len(r0)/8 eight-byte chunks of four rows into swar in one sweep,
+// with accRowChainSSE2's split: PAND keeps each row's even bytes and PSRLW
+// $8 its odd ones, PADDQ sums the four rows' even halves and odd halves,
+// PUNPCKLQDQ/PUNPCKHQDQ pair each chunk's two sums, and one PADDQ per word
+// adds them into swar. uint64 addition is associative modulo 2⁶⁴, so every
+// word equals the one four accRowChainSSE2 calls leave. An 8-byte chunk
+// left over after the 16-byte loop runs the same steps on the low halves.
+// Every r must hold len(r0) bytes, len(r0) must be a multiple of 8 and
+// len(swar) == len(r0)/4.
+TEXT ·accRow4ChainSSE2(SB), NOSPLIT, $0-120
+	MOVQ swar_base+0(FP), DI
+	MOVQ r0_base+24(FP), SI
+	MOVQ r0_len+32(FP), CX
+	MOVQ r1_base+48(FP), R8
+	MOVQ r2_base+72(FP), R9
+	MOVQ r3_base+96(FP), R10
+	MOVQ $0x00FF00FF00FF00FF, AX
+	MOVQ AX, X7
+	PUNPCKLQDQ X7, X7
+	XORQ AX, AX
+	MOVQ CX, BX
+	SHRQ $4, BX
+	JZ   chain4Tail
+
+	PCALIGN $32
+chain4Loop16:
+	MOVOU      (SI)(AX*1), X0
+	MOVOU      (R8)(AX*1), X1
+	MOVOU      (R9)(AX*1), X2
+	MOVOU      (R10)(AX*1), X3
+	MOVO       X0, X4
+	PSRLW      $8, X4
+	PAND       X7, X0
+	MOVO       X1, X5
+	PSRLW      $8, X5
+	PAND       X7, X1
+	PADDQ      X1, X0
+	PADDQ      X5, X4
+	MOVO       X2, X5
+	PSRLW      $8, X5
+	PAND       X7, X2
+	PADDQ      X2, X0
+	PADDQ      X5, X4
+	MOVO       X3, X5
+	PSRLW      $8, X5
+	PAND       X7, X3
+	PADDQ      X3, X0
+	PADDQ      X5, X4
+	MOVO       X0, X2
+	PUNPCKLQDQ X4, X0
+	PUNPCKHQDQ X4, X2
+	MOVOU      (DI)(AX*2), X5
+	MOVOU      16(DI)(AX*2), X6
+	PADDQ      X0, X5
+	PADDQ      X2, X6
+	MOVOU      X5, (DI)(AX*2)
+	MOVOU      X6, 16(DI)(AX*2)
+	ADDQ       $16, AX
+	DECQ       BX
+	JNZ        chain4Loop16
+
+chain4Tail:
+	TESTQ $8, CX
+	JZ    chain4Done
+	MOVQ       (SI)(AX*1), X0
+	MOVQ       (R8)(AX*1), X1
+	MOVQ       (R9)(AX*1), X2
+	MOVQ       (R10)(AX*1), X3
+	MOVO       X0, X4
+	PSRLW      $8, X4
+	PAND       X7, X0
+	MOVO       X1, X5
+	PSRLW      $8, X5
+	PAND       X7, X1
+	PADDQ      X1, X0
+	PADDQ      X5, X4
+	MOVO       X2, X5
+	PSRLW      $8, X5
+	PAND       X7, X2
+	PADDQ      X2, X0
+	PADDQ      X5, X4
+	MOVO       X3, X5
+	PSRLW      $8, X5
+	PAND       X7, X3
+	PADDQ      X3, X0
+	PADDQ      X5, X4
+	PUNPCKLQDQ X4, X0
+	MOVOU      (DI)(AX*2), X5
+	PADDQ      X0, X5
+	MOVOU      X5, (DI)(AX*2)
+
+chain4Done:
 	RET
 
 // func dotInt8SSE2(a, b []int8) int32

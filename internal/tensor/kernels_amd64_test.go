@@ -140,9 +140,56 @@ func TestAccRowChainSSE2MatchesGeneric(t *testing.T) {
 	}
 }
 
-// ChainBlockEdges rows of byte 255 fill every 16-bit lane to 256·255 =
-// 65280, the most FlushChain's contract allows; the flushed sums must be
-// 256·(255−128) in every column on both paths.
+// The four-row kernel must match its portable loop, and both must match
+// four single-row folds, at every width from 0 to 70 with unaligned row
+// starts, rows of unequal length, a repeated row, and arbitrary accumulator
+// words (PADDQ wraps like the uint64 add).
+func TestAccRow4ChainSSE2MatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for width := 0; width <= 70; width++ {
+		for off := 0; off <= 3; off++ {
+			for trial := 0; trial < 3; trial++ {
+				var r [4][]byte
+				for k := range r {
+					row := make([]byte, off+width+8*(trial&1)*k) // trial 1: longer rows
+					rng.Read(row)
+					r[k] = row[off:]
+				}
+				if trial == 2 { // a chain naming one source twice
+					r[3] = r[1]
+				}
+				for _, words := range []int{width / 4, max(width/4-2, 0), width/4 + 3} {
+					back := make([]uint64, off+words+2)
+					for i := range back {
+						back[i] = rng.Uint64()
+					}
+					got := append([]uint64(nil), back...)
+					want := append([]uint64(nil), back...)
+					four := append([]uint64(nil), back...)
+					accRow4Chain(got[off:off+words], r[0], r[1], r[2], r[3])
+					accRow4ChainGeneric(want[off:off+words], r[0], r[1], r[2], r[3])
+					for k := range r {
+						accRowChainGeneric(four[off:off+words], r[k][:len(r[0])])
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("width %d offset %d trial %d words %d: word %d SSE2 %#x, generic %#x",
+								width, off, trial, words, i, got[i], want[i])
+						}
+						if want[i] != four[i] {
+							t.Fatalf("width %d offset %d trial %d words %d: word %d four-row %#x, four single rows %#x",
+								width, off, trial, words, i, want[i], four[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// chainBlockEdges rows of byte 255 fill every 16-bit lane to 256·255 =
+// 65280, the most flushChain's contract allows; the flushed sums must be
+// 256·(255−128) in every column on the single-row and the four-row path.
 func TestAccRowChainSSE2LaneLimit(t *testing.T) {
 	stride := chainStride(602)
 	row := make([]byte, stride)
@@ -150,21 +197,30 @@ func TestAccRowChainSSE2LaneLimit(t *testing.T) {
 		row[i] = 255
 	}
 	got := make([]uint64, stride/4)
+	got4 := make([]uint64, stride/4)
 	want := make([]uint64, stride/4)
-	for e := 0; e < ChainBlockEdges; e++ {
-		AccRowChain(got, row)
+	want4 := make([]uint64, stride/4)
+	for e := 0; e < chainBlockEdges; e++ {
+		accRowChain(got, row)
 		accRowChainGeneric(want, row)
 	}
+	for e := 0; e < chainBlockEdges; e += 4 {
+		accRow4Chain(got4, row, row, row, row)
+		accRow4ChainGeneric(want4, row, row, row, row)
+	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("word %d: SSE2 %#x, generic %#x", i, got[i], want[i])
+		if got[i] != want[i] || got4[i] != want[i] || want4[i] != want[i] {
+			t.Fatalf("word %d: SSE2 %#x, generic %#x, four-row SSE2 %#x, four-row generic %#x",
+				i, got[i], want[i], got4[i], want4[i])
 		}
 	}
-	acc := make([]int32, stride)
-	FlushChain(acc, got, ChainBlockEdges)
-	for j, v := range acc {
-		if v != ChainBlockEdges*127 {
-			t.Fatalf("column %d: flushed %d, want %d", j, v, ChainBlockEdges*127)
+	for _, swar := range [][]uint64{got, got4} {
+		acc := make([]int32, stride)
+		flushChain(acc, swar, chainBlockEdges)
+		for j, v := range acc {
+			if v != chainBlockEdges*127 {
+				t.Fatalf("column %d: flushed %d, want %d", j, v, chainBlockEdges*127)
+			}
 		}
 	}
 }
@@ -201,7 +257,7 @@ func (d *fuzzOperands) u64() uint64 {
 }
 
 // FuzzKernels decodes the fuzzer's bytes into a width, a slice offset and
-// operands for the three SSE2 kernels, and requires each to match its
+// operands for the four SSE2 kernels, and requires each to match its
 // portable loop bit for bit.
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{})
@@ -257,6 +313,24 @@ func FuzzKernels(f *testing.F) {
 			if gotS[i] != swar[i] {
 				t.Fatalf("accRowChain width %d offset %d: word %d SSE2 %#x, generic %#x",
 					width, off, i, gotS[i], swar[i])
+			}
+		}
+
+		var rows [4][]byte
+		rows[0] = row[off:]
+		for k := 1; k < 4; k++ {
+			rows[k] = make([]byte, width)
+			for i := range rows[k] {
+				rows[k][i] = d.next()
+			}
+		}
+		got4 := append([]uint64(nil), swar...)
+		accRow4Chain(got4[off:], rows[0], rows[1], rows[2], rows[3])
+		accRow4ChainGeneric(swar[off:], rows[0], rows[1], rows[2], rows[3])
+		for i := range swar {
+			if got4[i] != swar[i] {
+				t.Fatalf("accRow4Chain width %d offset %d: word %d SSE2 %#x, generic %#x",
+					width, off, i, got4[i], swar[i])
 			}
 		}
 	})

@@ -13,4 +13,8 @@ func axpy4Row(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
 
 func accRowChain(swar []uint64, row []byte) { accRowChainGeneric(swar, row) }
 
+func accRow4Chain(swar []uint64, r0, r1, r2, r3 []byte) {
+	accRow4ChainGeneric(swar, r0, r1, r2, r3)
+}
+
 func dotInt8(a, b []int8) int32 { return dotInt8Generic(a, b) }

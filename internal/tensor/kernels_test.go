@@ -199,6 +199,8 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 	chainCoefs := []float32{1, -1, 0, 0.5, 2, 1, 3}
 	qsum := NewQSumMatrix(4, 300)
 	swar := make([]uint64, qsum.Stride/4)
+	acc32 := make([]int32, qsum.Stride)
+	qrows := []int32{3, 1, 2, 1, 0, 3, 2}
 	wT, err := QuantizeTransposed(small)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +212,8 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 		"matMulRowsInto-300x20":  func() { matMulRowsInto(outSmall, a, small, 0, a.Rows) },
 		"VecMatInto":             func() { VecMatInto(vec, x, big) },
 		"AxpyChain":              func() { AxpyChain(vec, big, chainRows, chainCoefs) },
-		"AccRowChain":            func() { AccRowChain(swar, qsum.Row(2)) },
+		"accRowChain":            func() { accRowChain(swar, qsum.Row(2)) },
+		"QChain":                 func() { QChain(acc32, swar, qsum, qrows) },
 		"QGemvInto":              func() { QGemvInto(qout, qx, 0.5, wT) },
 		"ParallelRows-1":         func() { ParallelRows(16, 1, func(_, lo, hi int) {}) },
 	} {

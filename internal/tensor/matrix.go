@@ -23,16 +23,19 @@
 //     with int32 accumulation, processing bT rows in qgemmBlockJ (32-row)
 //     panels; dequantization (scaleA·scaleB per element) happens once at
 //     the output boundary. The aggregation side uses the shared-scale QSumMatrix
-//     layout: AccRowChain folds biased bytes into SWAR uint64 lanes, and
-//     FlushChain subtracts the accumulated bias and rescales.
-//   - On amd64 the three innermost loops — axpy4Row, AccRowChain and the
-//     int8 inner product dotInt8 behind QGemvInto and ParallelQMatMulInto —
-//     run as SSE2 assembly (kernels_amd64.s), four floats or sixteen bytes
-//     per instruction. Each SSE lane does the portable loop's arithmetic in
-//     the same order (a float32 multiply then an add, never fused; exact
-//     integer sums), so results are bit-identical to the Go loops, which
-//     keep their bodies under …Generic names and are the only path on
-//     other architectures and in -race builds (kernels_noasm.go).
+//     layout: QChain, the integer counterpart of AxpyChain, folds four
+//     biased rows per sweep into SWAR uint64 lanes (accRow4Chain, the tail
+//     one row each with accRowChain) and flushes them into int32, minus the
+//     accumulated bias, every 256 rows.
+//   - On amd64 the four innermost loops — axpy4Row, accRowChain,
+//     accRow4Chain and the int8 inner product dotInt8 behind QGemvInto and
+//     ParallelQMatMulInto — run as SSE2 assembly (kernels_amd64.s), four
+//     floats or sixteen bytes per instruction. Each SSE lane does the
+//     portable loop's arithmetic in the same order (a float32 multiply then
+//     an add, never fused; exact integer sums), so results are bit-identical
+//     to the Go loops, which keep their bodies under …Generic names and are
+//     the only path on other architectures and in -race builds
+//     (kernels_noasm.go).
 //   - Row-level parallelism is explicit: ParallelMatMulInto,
 //     ParallelQMatMulInto, ParallelQuantizeScaledInto and the ParallelRows
 //     helper fan disjoint row ranges across a bounded worker count. The

@@ -240,7 +240,7 @@ func dotInt8Generic(a, b []int8) int32 {
 // plain unsigned byte) under ONE dequantization scale for the whole matrix —
 // element (i, j) represents Scale·(Data[i·Stride+j]−128). Rows are padded to
 // a Stride that is a multiple of 8 with the bias byte 128 (quantized zero),
-// which lets the reduce-chain kernel AccRowChain sum eight columns per
+// which lets the reduce-chain kernels (QChain) sum eight columns per
 // 64-bit add with no tail loop.
 //
 // The shared scale is what makes integer reduce chains possible: per-row
@@ -261,7 +261,7 @@ func NewQSumMatrix(rows, cols int) *QSumMatrix {
 	return q
 }
 
-// chainStride rounds cols up to the 8-byte chunk AccRowChain consumes.
+// chainStride rounds cols up to the 8-byte chunk accRowChain consumes.
 func chainStride(cols int) int { return (cols + 7) &^ 7 }
 
 // Resize reshapes q to rows×cols, reusing the backing array when it is large
@@ -313,8 +313,8 @@ const parallelQuantizeMinWork = 1 << 16
 // is the aggregation layout of the int8 tier: with a per-edge coefficient
 // separable into source and destination factors, the source factor folds
 // into the quantized values here, so reduce chains sum raw byte rows in
-// exact integer arithmetic (AccRowChain/FlushChain) and dequantize once per
-// vertex with q.Scale times the destination factor.
+// exact integer arithmetic (QChain) and dequantize once per vertex with
+// q.Scale times the destination factor.
 //
 // Both passes (global max-abs, then rounding) fan across up to `workers`
 // goroutines over row blocks. The reduction is a max — order-independent —
@@ -436,27 +436,57 @@ func quantizeScaledRows(q *QSumMatrix, m *Matrix, coefs []float32, inv float32, 
 	}
 }
 
-// ChainBlockEdges is the flush interval of the SWAR reduce-chain
+// chainBlockEdges is the flush interval of the SWAR reduce-chain
 // accumulator: each packed 16-bit lane holds sums of biased bytes (≤255), so
 // 256 edges is the largest block that cannot overflow a lane (256·255 =
-// 65280 < 2¹⁶). Callers must FlushChain at least this often.
-const ChainBlockEdges = 256
+// 65280 < 2¹⁶). QChain flushes at least this often.
+const chainBlockEdges = 256
 
-// AccRowChain accumulates one biased source row into the packed chain
-// accumulator: swar holds two uint64 words per 8 columns — lanes of four
-// 16-bit partial sums for the even and odd columns of each chunk — so each
-// loop iteration folds 16 feature bytes with six 64-bit ALU ops. This is the
-// int8 tier's per-edge kernel: no multiply, no sign extension, no
-// int→float conversion, and exact integer arithmetic, so chain results are
-// independent of fold order and worker count by construction.
+// QChain is the int8 tier's reduce chain over one in-neighbour list, the
+// integer counterpart of AxpyChain: acc += Σ (q.Row(r) − 128) over rows, in
+// exact int32. It folds four biased rows per sweep into the packed chain
+// accumulator swar (accRow4Chain), the tail one row each (accRowChain), and
+// drains swar into acc every chainBlockEdges rows and at the end. Integer
+// sums are associative, so the result does not depend on the list order,
+// the four-row grouping or the flush points.
 //
-// len(row) must be a multiple of 8 (QSumMatrix stride) with len(swar) ==
-// len(row)/4. Lane layout: word 2c lanes 0..3 ↔ columns 8c+{0,2,4,6}, word
-// 2c+1 ↔ columns 8c+{1,3,5,7}. On amd64 an SSE2 loop (kernels_amd64.s) folds
-// 16 bytes per step into the same layout with the same wrapping uint64 adds.
-func AccRowChain(swar []uint64, row []byte) { accRowChain(swar, row) }
+// acc must have length q.Stride and swar length q.Stride/4; swar must be
+// all zero on entry and is all zero again on return.
+func QChain(acc []int32, swar []uint64, q *QSumMatrix, rows []int32) {
+	if len(acc) != q.Stride || len(swar) != q.Stride/4 {
+		panic(fmt.Sprintf("tensor: qchain acc %d and swar %d for stride %d", len(acc), len(swar), q.Stride))
+	}
+	for len(rows) > 0 {
+		block := rows[:min(len(rows), chainBlockEdges)]
+		rows = rows[len(block):]
+		n := len(block)
+		for len(block) >= 4 {
+			accRow4Chain(swar, q.Row(int(block[0])), q.Row(int(block[1])),
+				q.Row(int(block[2])), q.Row(int(block[3])))
+			block = block[4:]
+		}
+		for _, r := range block {
+			accRowChain(swar, q.Row(int(r)))
+		}
+		flushChain(acc, swar, n)
+	}
+}
 
-// accRowChainGeneric is AccRowChain's portable loop.
+// accRowChainGeneric is the portable body of accRowChain, which accumulates
+// one biased source row into the packed chain accumulator: swar holds two
+// uint64 words per 8 columns — lanes of four 16-bit partial sums for the
+// even and odd columns of each chunk — so each loop iteration folds 16
+// feature bytes with six 64-bit ALU ops. This is the int8 tier's per-edge
+// kernel: no multiply, no sign extension, no int→float conversion, and
+// exact integer arithmetic, so chain results are independent of fold order
+// and worker count by construction.
+//
+// It folds min(len(row)/8, len(swar)/2) eight-byte chunks; the QSumMatrix
+// contract gives len(row) a multiple of 8 and len(swar) == len(row)/4. Lane
+// layout: word 2c lanes 0..3 ↔ columns 8c+{0,2,4,6}, word 2c+1 ↔ columns
+// 8c+{1,3,5,7}. On amd64 an SSE2 loop (kernels_amd64.s) folds 16 bytes per
+// step into the same layout with the same wrapping uint64 adds; elsewhere
+// accRowChainGeneric runs (kernels_noasm.go).
 func accRowChainGeneric(swar []uint64, row []byte) {
 	const laneMask = 0x00FF00FF00FF00FF
 	for len(row) >= 16 && len(swar) >= 4 {
@@ -476,11 +506,31 @@ func accRowChainGeneric(swar []uint64, row []byte) {
 	}
 }
 
-// FlushChain drains the packed accumulator into acc and rezeroes it: each
+// accRow4ChainGeneric is the portable body of accRow4Chain, which folds
+// four biased rows into swar in one sweep: per eight-byte chunk it adds the
+// four rows' masked words first and the sum into swar second. uint64
+// addition is associative and commutative modulo 2⁶⁴, so each word gets
+// exactly the value four accRowChain calls give it, whatever the lanes
+// hold. It folds min(len(r_i)/8, len(swar)/2) chunks over the four rows.
+func accRow4ChainGeneric(swar []uint64, r0, r1, r2, r3 []byte) {
+	const laneMask = 0x00FF00FF00FF00FF
+	for len(swar) >= 2 && len(r0) >= 8 && len(r1) >= 8 && len(r2) >= 8 && len(r3) >= 8 {
+		u0 := binary.LittleEndian.Uint64(r0)
+		u1 := binary.LittleEndian.Uint64(r1)
+		u2 := binary.LittleEndian.Uint64(r2)
+		u3 := binary.LittleEndian.Uint64(r3)
+		swar[0] += u0&laneMask + u1&laneMask + u2&laneMask + u3&laneMask
+		swar[1] += (u0>>8)&laneMask + (u1>>8)&laneMask + (u2>>8)&laneMask + (u3>>8)&laneMask
+		swar = swar[2:]
+		r0, r1, r2, r3 = r0[8:], r1[8:], r2[8:], r3[8:]
+	}
+}
+
+// flushChain drains the packed accumulator into acc and rezeroes it: each
 // 16-bit lane holds Σ(q+128) over the edges block, so subtracting 128·edges
 // recovers the exact signed sum Σq per column. acc must be padded to the
 // QSumMatrix stride (len(acc) == len(swar)·4).
-func FlushChain(acc []int32, swar []uint64, edges int) {
+func flushChain(acc []int32, swar []uint64, edges int) {
 	bias := int32(edges) * 128
 	for len(swar) >= 2 && len(acc) >= 8 {
 		e, o := swar[0], swar[1]

@@ -183,7 +183,7 @@ func TestQMatMulApproximatesFloat(t *testing.T) {
 	}
 }
 
-// A reduce chain of AccRowChain, flushed every ChainBlockEdges edges and at
+// A reduce chain of accRowChain, flushed every chainBlockEdges edges and at
 // the end, must give the plain int32 Σq of every column, and exact zeros in
 // the padding columns. Widths cover the 16-byte step, the 8-byte step and
 // padded strides; 600 edges cross two flush boundaries.
@@ -202,22 +202,70 @@ func TestAccRowChainMatchesNaive(t *testing.T) {
 		block := 0
 		for e := 0; e < 600; e++ {
 			row := q.Row(rng.Intn(q.Rows))
-			AccRowChain(swar, row)
+			accRowChain(swar, row)
 			for j, b := range row {
 				want[j] += int32(b) - 128
 			}
-			if block++; block == ChainBlockEdges {
-				FlushChain(acc, swar, block)
+			if block++; block == chainBlockEdges {
+				flushChain(acc, swar, block)
 				block = 0
 			}
 		}
-		FlushChain(acc, swar, block)
+		flushChain(acc, swar, block)
 		for j := range want {
 			if acc[j] != want[j] {
 				t.Fatalf("cols %d: column %d chain Σq %d, naive %d", cols, j, acc[j], want[j])
 			}
 			if j >= cols && acc[j] != 0 {
 				t.Fatalf("cols %d: padding column %d sums to %d", cols, j, acc[j])
+			}
+		}
+	}
+}
+
+// QChain must equal one accRowChain per row, flushed every chainBlockEdges
+// rows, over lists of 0 to 600 rows (whole four-row sweeps plus each tail,
+// across both flush boundaries) at every stride from 8 to 72, with rows
+// repeated and the largest biased byte in one column of every row. It must
+// add into acc and leave swar zeroed.
+func TestQChainMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for stride := 8; stride <= 72; stride += 8 {
+		q := NewQSumMatrix(11, stride-rng.Intn(8))
+		for i := 0; i < q.Rows; i++ {
+			row := q.Row(i)[:q.Cols]
+			rng.Read(row)
+			row[0] = 255
+		}
+		for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 255, 256, 257, 259, 511, 512, 513, 600} {
+			rows := make([]int32, n)
+			for i := range rows {
+				rows[i] = int32(rng.Intn(q.Rows))
+			}
+			start := make([]int32, q.Stride)
+			for j := range start {
+				start[j] = rng.Int31n(1<<20) - 1<<19
+			}
+			want := append([]int32(nil), start...)
+			swar := make([]uint64, q.Stride/4)
+			for lo := 0; lo < n; lo += chainBlockEdges {
+				hi := min(lo+chainBlockEdges, n)
+				for _, r := range rows[lo:hi] {
+					accRowChain(swar, q.Row(int(r)))
+				}
+				flushChain(want, swar, hi-lo)
+			}
+			got := append([]int32(nil), start...)
+			QChain(got, swar, q, rows)
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("stride %d, %d rows: column %d QChain %d, per-row %d", q.Stride, n, j, got[j], want[j])
+				}
+			}
+			for i, w := range swar {
+				if w != 0 {
+					t.Fatalf("stride %d, %d rows: swar word %d left %#x", q.Stride, n, i, w)
+				}
 			}
 		}
 	}
