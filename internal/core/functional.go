@@ -262,7 +262,10 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 	if gnn.LayerQuantized(layer) {
 		qupd = layer.(gnn.QKernels)
 	}
-	psrc, pdst := gnn.PrepareLayerInto(&st.prep, layer, h, workers, qupd != nil)
+	psrc, pdst, err := gnn.PrepareLayerInto(&st.prep, layer, h, workers, qupd != nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: layer %d: quantizing features: %w", li, err)
+	}
 	kind := layer.Reduce()
 	width := kind.AccWidth(layer.MsgDim())
 	out := tensor.NewMatrix(h.Rows, layer.OutDim())

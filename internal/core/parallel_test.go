@@ -101,9 +101,11 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 // matrices plus a small fixed slack in bytes, where the allocation-count
 // budgets above would let one more |V|×out matrix per layer through (for
 // instance the transformed rows of a narrowing layer, which the executor
-// recycles). gcn [64, 16, 4] narrows at both layers; the int8 copy keeps
-// natural order. The collector is paused while the test measures, so a
-// GC cannot empty the state pool mid-run.
+// recycles). gcn [64, 16, 4] narrows at both layers and transforms first
+// on both tiers, so the test pins the pooled z on both and, on the int8
+// copy, the pooled int8 row scratch of its transform. The collector is
+// paused while the test measures, so a GC cannot empty the state pool
+// mid-run.
 func TestForwardSteadyStateBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop cached state by design")
@@ -112,7 +114,7 @@ func TestForwardSteadyStateBytes(t *testing.T) {
 	x := gnn.RandomFeatures(g, 64, 2)
 	s := MustNew(DefaultConfig())
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// The three layer outputs' backing arrays.
+	// The two layer outputs' backing arrays.
 	outBytes := uint64(4 * g.NumVertices() * (16 + 4))
 	const slack = 8 << 10
 	for _, m := range []*gnn.Model{

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -139,6 +141,51 @@ func TestInt8ParallelBitIdentical(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Finite features can overflow inside an int8 pass. Here every vertex of a
+// star carries the row that drives one column of gcn's layer 0 transform
+// to +1.5e38, and the hub sums that column over 16 in-neighbours under
+// QDstCoef 1/4, so its aggregate dequantizes to 6e38 and reaches +Inf. The
+// narrowing layer 1 transforms that row before anything else reads it. The
+// pass must return a tensor.ErrNonFinite error naming layer 1, at every
+// worker count, rather than panic inside a prepare worker and take the
+// process down.
+func TestInt8HubOverflowIsError(t *testing.T) {
+	dims := []int{16, 8, 4}
+	g := graph.Star(17) // leaves 1..16 → hub 0
+	// Layer 0's weights, read back through its float prepare: I·W = W.
+	eye := tensor.NewMatrix(dims[0], dims[0])
+	for i := 0; i < dims[0]; i++ {
+		eye.Set(i, i, 1)
+	}
+	w, _ := gnn.MustModel("gcn", dims, 3).Layers[0].Prepare(eye, 1)
+	// The column with the largest |W| sum bounds every column of x·W.
+	best, bestSum := 0, 0.0
+	for k := 0; k < w.Cols; k++ {
+		var sum float64
+		for j := 0; j < w.Rows; j++ {
+			sum += math.Abs(float64(w.At(j, k)))
+		}
+		if sum > bestSum {
+			best, bestSum = k, sum
+		}
+	}
+	c := 1.5e38 / bestSum
+	x := tensor.NewMatrix(g.NumVertices(), dims[0])
+	for v := 0; v < x.Rows; v++ {
+		for j := 0; j < dims[0]; j++ {
+			x.Set(v, j, float32(math.Copysign(c, float64(w.At(j, best)))))
+		}
+	}
+	m := quantizedModel(t, "gcn", dims, 3)
+	s := MustNew(DefaultConfig())
+	for _, workers := range []int{1, 2, 8} {
+		_, err := s.ForwardParallel(m, g, x, workers)
+		if !errors.Is(err, tensor.ErrNonFinite) || !strings.Contains(err.Error(), "layer 1:") {
+			t.Fatalf("workers=%d: got %v, want a layer 1 ErrNonFinite error", workers, err)
 		}
 	}
 }

@@ -148,18 +148,20 @@ func (l *gcnLayer) MsgDim() int {
 }
 
 func (l *gcnLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
-	return l.prepareInto(nil, h, workers, false)
+	psrc, pdst, _ := l.prepareInto(nil, h, workers, false) // float32 cannot fail
+	return psrc, pdst
 }
 
-func (l *gcnLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (*tensor.Matrix, *tensor.Matrix) {
+func (l *gcnLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (*tensor.Matrix, *tensor.Matrix, error) {
 	switch {
 	case !l.transformFirst():
-		return h, nil
+		return h, nil, nil
 	case quantized:
-		return qtransformInto(buf, h, l.qwT, workers), nil
+		z, err := qtransformInto(buf, h, l.qwT, workers)
+		return z, nil, err
 	}
 	l.ensure()
-	return transformInto(buf, h, l.w, workers), nil
+	return transformInto(buf, h, l.w, workers), nil, nil
 }
 
 func (l *gcnLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
@@ -613,18 +615,20 @@ func (l *sageMeanLayer) MsgDim() int {
 }
 
 func (l *sageMeanLayer) Prepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
-	return l.prepareInto(nil, h, workers, false)
+	psrc, pdst, _ := l.prepareInto(nil, h, workers, false) // float32 cannot fail
+	return psrc, pdst
 }
 
-func (l *sageMeanLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (*tensor.Matrix, *tensor.Matrix) {
+func (l *sageMeanLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (*tensor.Matrix, *tensor.Matrix, error) {
 	switch {
 	case !l.transformFirst():
-		return h, nil
+		return h, nil, nil
 	case quantized:
-		return qtransformInto(buf, h, l.qwBotT, workers), nil
+		z, err := qtransformInto(buf, h, l.qwBotT, workers)
+		return z, nil, err
 	}
 	l.ensure()
-	return transformInto(buf, h, l.wBot, workers), nil
+	return transformInto(buf, h, l.wBot, workers), nil, nil
 }
 
 func (l *sageMeanLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {

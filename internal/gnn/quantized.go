@@ -57,8 +57,9 @@ type QKernels interface {
 // qPreparer mirrors Layer.Prepare for the int8 tier: qprepare computes the
 // prepared matrices with the layer's per-vertex GEMVs running on the
 // quantized weights. Outputs remain float32 (message math consumes them).
+// An input row that does not quantize (tensor.ErrNonFinite) is an error.
 type qPreparer interface {
-	qprepare(h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix)
+	qprepare(h *tensor.Matrix, workers int) (psrc, pdst *tensor.Matrix, err error)
 }
 
 // QuantizeModel materializes the quantized weight form of every layer that
@@ -88,18 +89,18 @@ func LayerQuantized(l Layer) bool {
 // width (gcn, gs-mean): prepareInto is Prepare on either tier, writing the
 // transformed rows into buf (fresh buffers when buf is nil). quantized
 // selects the int8 transform and is set only when the layer holds its
-// quantized weight form.
+// quantized weight form; only that transform can fail.
 type zPreparer interface {
-	prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix)
+	prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix, err error)
 }
 
 // PrepareBuf is the caller-owned state PrepareLayerInto recycles across
 // calls: the transformed rows h·W of a layer that aggregates at the
-// narrower width, and the int8 tier's row scratch for computing them (one
-// quantized input row per prepare worker). The zero value is ready to use.
+// narrower width, and the int8 tier's row scratch for computing them. The
+// zero value is ready to use.
 type PrepareBuf struct {
-	z tensor.Matrix
-	q []int8
+	z  tensor.Matrix
+	rq rowQuantizer
 }
 
 // PrepareLayerPrecision is Layer.Prepare with a precision switch: when
@@ -107,15 +108,24 @@ type PrepareBuf struct {
 // GEMVs (a narrowing layer's transform, or the layer's own prepare
 // transforms) run int8. Bit-identical across worker counts in both modes
 // (rows are partitioned; each row is produced by the same serial kernel).
+// An int8 input row that does not quantize panics on the calling
+// goroutine; PrepareLayerInto returns it as an error.
 func PrepareLayerPrecision(l Layer, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix) {
-	return PrepareLayerInto(nil, l, h, workers, quantized)
+	psrc, pdst, err := PrepareLayerInto(nil, l, h, workers, quantized)
+	if err != nil {
+		panic(fmt.Sprintf("gnn: prepare %s: %v", l.Name(), err))
+	}
+	return psrc, pdst
 }
 
 // PrepareLayerInto is PrepareLayerPrecision for a caller that recycles the
 // prepared matrix across calls: a layer that transforms its rows before the
 // reduce chain writes z = h·W into buf, resized to fit, and returns it as
-// psrc; every other layer leaves buf untouched. A nil buf allocates.
-func PrepareLayerInto(buf *PrepareBuf, l Layer, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix) {
+// psrc; every other layer leaves buf untouched. A nil buf allocates. On the
+// int8 tier an input row that does not quantize is reported as a
+// tensor.ErrNonFinite-wrapped error naming the row, the same row for every
+// worker count.
+func PrepareLayerInto(buf *PrepareBuf, l Layer, h *tensor.Matrix, workers int, quantized bool) (psrc, pdst *tensor.Matrix, err error) {
 	quantized = quantized && LayerQuantized(l)
 	if zp, ok := l.(zPreparer); ok {
 		return zp.prepareInto(buf, h, workers, quantized)
@@ -123,40 +133,90 @@ func PrepareLayerInto(buf *PrepareBuf, l Layer, h *tensor.Matrix, workers int, q
 	if qp, ok := l.(qPreparer); ok && quantized {
 		return qp.qprepare(h, workers)
 	}
-	return l.Prepare(h, workers)
+	psrc, pdst = l.Prepare(h, workers)
+	return psrc, pdst, nil
 }
 
 // qtransformInto is transformInto on the int8 tier: each row of h is
-// quantized with its own scale into its worker's window of buf's row
-// scratch and multiplied by wT, the transposed quantized weights
-// (tensor.QGemvInto: exact int32 dots, one dequantizing multiply per
-// element). Each row is produced by the same serial kernel, so z is
-// bit-identical for every worker count.
-func qtransformInto(buf *PrepareBuf, h *tensor.Matrix, wT *tensor.QMatrix, workers int) *tensor.Matrix {
+// quantized with its own scale and multiplied by wT, the transposed
+// quantized weights (tensor.QGemvInto: exact int32 dots, one dequantizing
+// multiply per element). Each row is produced by the same serial kernel,
+// so z is bit-identical for every worker count.
+func qtransformInto(buf *PrepareBuf, h *tensor.Matrix, wT *tensor.QMatrix, workers int) (*tensor.Matrix, error) {
 	if buf == nil {
 		buf = &PrepareBuf{}
 	}
 	z := &buf.z
 	z.Resize(h.Rows, wT.Rows)
+	err := buf.rq.each(h, workers, func(i int, q []int8, s float32) {
+		tensor.QGemvInto(z.Row(i), q, s, wT)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return z, nil
+}
+
+// rowQuantizer is the per-worker scratch of a row-parallel int8 prepare:
+// one quantized input row and the first row that did not quantize, per
+// worker. The zero value is ready to use.
+type rowQuantizer struct {
+	q   []int8
+	bad []int
+}
+
+// each quantizes every row i of h with its own scale
+// (tensor.QuantizeRowInto) into its worker's window of the scratch and
+// calls fn(i, q, scale) on that worker. A row that does not quantize stops
+// its worker and is returned as an ErrNonFinite-wrapped error: the failure
+// never panics inside a worker goroutine, where nothing could contain it.
+// The reported row is the first bad row of h for every worker count, since
+// workers claim rows in increasing order and each stops only at its own
+// first bad row.
+func (rq *rowQuantizer) each(h *tensor.Matrix, workers int, fn func(i int, q []int8, s float32)) error {
 	in := h.Cols
 	nw := tensor.RowWorkers(h.Rows, workers)
-	if cap(buf.q) < nw*in {
-		buf.q = make([]int8, nw*in)
+	if cap(rq.q) < nw*in {
+		rq.q = make([]int8, nw*in)
 	}
-	q := buf.q[:nw*in]
+	if cap(rq.bad) < nw {
+		rq.bad = make([]int, nw)
+	}
+	q, bad := rq.q[:nw*in], rq.bad[:nw]
+	for w := range bad {
+		bad[w] = -1
+	}
 	tensor.ParallelRows(h.Rows, nw, func(w, lo, hi int) {
+		if bad[w] >= 0 {
+			return
+		}
 		qw := q[w*in : (w+1)*in]
 		for i := lo; i < hi; i++ {
-			tensor.QGemvInto(z.Row(i), qw, mustQuantizeRow(qw, h.Row(i)), wT)
+			s, err := tensor.QuantizeRowInto(qw, h.Row(i))
+			if err != nil {
+				bad[w] = i
+				return
+			}
+			fn(i, qw, s)
 		}
 	})
-	return z
+	first := -1
+	for _, b := range bad {
+		if b >= 0 && (first < 0 || b < first) {
+			first = b
+		}
+	}
+	if first >= 0 {
+		return fmt.Errorf("gnn: input row %d: %w", first, tensor.ErrNonFinite)
+	}
+	return nil
 }
 
 // mustQuantizeRow quantizes an activation row into q, panicking on
-// non-finite values. Interior kernels panic by design (the executors contain
-// panics into fault.PanicError); loaders and request validation reject
-// non-finite features long before this point.
+// non-finite values. It runs only inside an executor's update, whose
+// worker recovers the panic into a fault.PanicError; prepares run
+// row-parallel outside that containment and use rowQuantizer.each, which
+// returns the failure instead.
 func mustQuantizeRow(q []int8, row []float32) float32 {
 	s, err := tensor.QuantizeRowInto(q, row)
 	if err != nil {
@@ -243,22 +303,19 @@ func (l *ggcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
 	maybeReLU(l.act, dst)
 }
 
-func (l *ggcnLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *ggcnLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
 	psrc := tensor.NewMatrix(h.Rows, 2*l.out)
 	pdst := tensor.NewMatrix(h.Rows, l.out)
-	nw := tensor.RowWorkers(h.Rows, workers)
-	qbuf := make([]int8, nw*l.in)
-	tensor.ParallelRows(h.Rows, workers, func(w, lo, hi int) {
-		q := qbuf[w*l.in : (w+1)*l.in]
-		for i := lo; i < hi; i++ {
-			s := mustQuantizeRow(q, h.Row(i))
-			row := psrc.Row(i)
-			tensor.QGemvInto(row[:l.out], q, s, l.qbT)
-			tensor.QGemvInto(row[l.out:], q, s, l.qvT)
-			tensor.QGemvInto(pdst.Row(i), q, s, l.qaT)
-		}
+	err := new(rowQuantizer).each(h, workers, func(i int, q []int8, s float32) {
+		row := psrc.Row(i)
+		tensor.QGemvInto(row[:l.out], q, s, l.qbT)
+		tensor.QGemvInto(row[l.out:], q, s, l.qvT)
+		tensor.QGemvInto(pdst.Row(i), q, s, l.qaT)
 	})
-	return psrc, pdst
+	if err != nil {
+		return nil, nil, err
+	}
+	return psrc, pdst, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -288,10 +345,10 @@ func (l *sagePoolLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int
 	maybeReLU(l.act, dst)
 }
 
-func (l *sagePoolLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *sagePoolLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
 	qh := tensor.NewQMatrix(h.Rows, h.Cols)
 	if err := tensor.QuantizeInto(qh, h); err != nil {
-		panic(fmt.Sprintf("gnn: quantize features: %v", err))
+		return nil, nil, fmt.Errorf("gnn: quantize features: %w", err)
 	}
 	p := tensor.NewMatrix(h.Rows, l.pool)
 	tensor.ParallelQMatMulInto(p, qh, l.qwpT, workers)
@@ -304,7 +361,7 @@ func (l *sagePoolLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix,
 			tensor.ReLU(row)
 		}
 	})
-	return p, nil
+	return p, nil, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -372,23 +429,20 @@ func (l *gatLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
 	l.UpdateInto(dst, hself, agg, scratch)
 }
 
-func (l *gatLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *gatLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
 	psrc := tensor.NewMatrix(h.Rows, l.out+1)
 	pdst := tensor.NewMatrix(h.Rows, 1)
-	nw := tensor.RowWorkers(h.Rows, workers)
-	qbuf := make([]int8, nw*l.in)
-	tensor.ParallelRows(h.Rows, workers, func(w, lo, hi int) {
-		q := qbuf[w*l.in : (w+1)*l.in]
-		for i := lo; i < hi; i++ {
-			s := mustQuantizeRow(q, h.Row(i))
-			row := psrc.Row(i)
-			z := row[:l.out]
-			tensor.QGemvInto(z, q, s, l.qwT)
-			row[l.out] = tensor.Dot(l.ar, z)
-			pdst.Set(i, 0, tensor.Dot(l.al, z))
-		}
+	err := new(rowQuantizer).each(h, workers, func(i int, q []int8, s float32) {
+		row := psrc.Row(i)
+		z := row[:l.out]
+		tensor.QGemvInto(z, q, s, l.qwT)
+		row[l.out] = tensor.Dot(l.ar, z)
+		pdst.Set(i, 0, tensor.Dot(l.al, z))
 	})
-	return psrc, pdst
+	if err != nil {
+		return nil, nil, err
+	}
+	return psrc, pdst, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -419,28 +473,25 @@ func (l *multiHeadGATLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs [
 	l.UpdateInto(dst, hself, agg, scratch)
 }
 
-func (l *multiHeadGATLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix) {
+func (l *multiHeadGATLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
 	psrc := tensor.NewMatrix(h.Rows, l.MsgDim())
 	pdst := tensor.NewMatrix(h.Rows, l.heads)
-	nw := tensor.RowWorkers(h.Rows, workers)
-	qbuf := make([]int8, nw*l.in)
-	tensor.ParallelRows(h.Rows, workers, func(w, lo, hi int) {
-		q := qbuf[w*l.in : (w+1)*l.in]
-		for i := lo; i < hi; i++ {
-			s := mustQuantizeRow(q, h.Row(i))
-			row := psrc.Row(i)
-			drow := pdst.Row(i)
-			off := 0
-			for hd, sub := range l.subs {
-				z := row[off : off+sub.out]
-				tensor.QGemvInto(z, q, s, sub.qwT)
-				row[off+sub.out] = tensor.Dot(sub.ar, z)
-				drow[hd] = tensor.Dot(sub.al, z)
-				off += sub.out + 1
-			}
+	err := new(rowQuantizer).each(h, workers, func(i int, q []int8, s float32) {
+		row := psrc.Row(i)
+		drow := pdst.Row(i)
+		off := 0
+		for hd, sub := range l.subs {
+			z := row[off : off+sub.out]
+			tensor.QGemvInto(z, q, s, sub.qwT)
+			row[off+sub.out] = tensor.Dot(sub.ar, z)
+			drow[hd] = tensor.Dot(sub.al, z)
+			off += sub.out + 1
 		}
 	})
-	return psrc, pdst
+	if err != nil {
+		return nil, nil, err
+	}
+	return psrc, pdst, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 package gnn
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"scale/internal/tensor"
@@ -11,46 +13,51 @@ import (
 // Quantized update kernels must approximate their float forms: per-row
 // symmetric int8 bounds each GEMV operand's relative error by ~1/254 of the
 // row max, so outputs agree within a small fraction of the output scale.
+// [24, 12, 5] narrows at both layers, so a gcn or gs-mean update applies
+// only what follows W; [12, 24, 5] widens first, so its layer 0 update is
+// the whole int8 GEMV (gcn's W, gs-mean's joint [h_v; mean] form).
 func TestQUpdateApproximatesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, name := range AllModelNames() {
-		m := MustModel(name, []int{24, 12, 5}, 3)
-		if err := QuantizeModel(m); err != nil {
-			t.Fatalf("%s: QuantizeModel: %v", name, err)
-		}
-		for li, l := range m.Layers {
-			if !LayerQuantized(l) {
-				t.Fatalf("%s layer %d: not quantized after QuantizeModel", name, li)
+	for _, dims := range [][]int{{24, 12, 5}, {12, 24, 5}} {
+		for _, name := range AllModelNames() {
+			m := MustModel(name, dims, 3)
+			if err := QuantizeModel(m); err != nil {
+				t.Fatalf("%s %v: QuantizeModel: %v", name, dims, err)
 			}
-			qk := l.(QKernels)
-			hself := tensor.RandomVector(rng, l.InDim(), 1)
-			agg := tensor.RandomVector(rng, l.Reduce().AccWidth(l.MsgDim()), 1)
-			if l.Reduce() == ReduceSumNorm {
-				agg[l.MsgDim()] = 1 + rng.Float32() // positive normalizer
-			}
-
-			want := make([]float32, l.OutDim())
-			got := make([]float32, l.OutDim())
-			scratch := make([]float32, l.UpdateScratch())
-			qscratch := make([]float32, l.UpdateScratch())
-			qs := make([]int8, qk.QUpdateScratch())
-			l.UpdateInto(want, hself, agg, scratch)
-			qk.QUpdateInto(got, hself, agg, qscratch, qs)
-
-			var maxRef, maxDiff float64
-			for i := range want {
-				if a := math.Abs(float64(want[i])); a > maxRef {
-					maxRef = a
+			for li, l := range m.Layers {
+				if !LayerQuantized(l) {
+					t.Fatalf("%s %v layer %d: not quantized after QuantizeModel", name, dims, li)
 				}
-				if d := math.Abs(float64(want[i] - got[i])); d > maxDiff {
-					maxDiff = d
+				qk := l.(QKernels)
+				hself := tensor.RandomVector(rng, l.InDim(), 1)
+				agg := tensor.RandomVector(rng, l.Reduce().AccWidth(l.MsgDim()), 1)
+				if l.Reduce() == ReduceSumNorm {
+					agg[l.MsgDim()] = 1 + rng.Float32() // positive normalizer
 				}
-			}
-			// GIN chains two quantized GEMVs; give the looser bound.
-			bound := 0.05 * (maxRef + 1e-6)
-			if maxDiff > bound {
-				t.Errorf("%s layer %d: quantized update err %g > %g (max ref %g)",
-					name, li, maxDiff, bound, maxRef)
+
+				want := make([]float32, l.OutDim())
+				got := make([]float32, l.OutDim())
+				scratch := make([]float32, l.UpdateScratch())
+				qscratch := make([]float32, l.UpdateScratch())
+				qs := make([]int8, qk.QUpdateScratch())
+				l.UpdateInto(want, hself, agg, scratch)
+				qk.QUpdateInto(got, hself, agg, qscratch, qs)
+
+				var maxRef, maxDiff float64
+				for i := range want {
+					if a := math.Abs(float64(want[i])); a > maxRef {
+						maxRef = a
+					}
+					if d := math.Abs(float64(want[i] - got[i])); d > maxDiff {
+						maxDiff = d
+					}
+				}
+				// GIN chains two quantized GEMVs; give the looser bound.
+				bound := 0.05 * (maxRef + 1e-6)
+				if maxDiff > bound {
+					t.Errorf("%s %v layer %d: quantized update err %g > %g (max ref %g)",
+						name, dims, li, maxDiff, bound, maxRef)
+				}
 			}
 		}
 	}
@@ -93,6 +100,46 @@ func TestQPrepareApproximatesFloatAndDeterministic(t *testing.T) {
 		}
 		check(fsrc, qsrc, "psrc")
 		check(fdst, qdst, "pdst")
+	}
+}
+
+// An int8 prepare that meets a row it cannot quantize returns an
+// ErrNonFinite error naming the first such row, the same error for every
+// worker count, and never panics inside its row workers (where no executor
+// could contain it). A layer whose prepare passes h through unread (gin, a
+// widening gcn or gs-mean) has nothing to quantize there.
+func TestQPrepareNonFiniteIsError(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	h := tensor.RandomMatrix(rng, 50, 24, 1)
+	h.Set(30, 3, float32(math.NaN()))
+	h.Set(7, 11, float32(math.Inf(1)))
+	for _, name := range AllModelNames() {
+		m := MustModel(name, []int{24, 12, 5}, 4)
+		if err := QuantizeModel(m); err != nil {
+			t.Fatal(err)
+		}
+		l := m.Layers[0]
+		h0 := tensor.RandomMatrix(rng, 50, 24, 1)
+		fsrc, _ := l.Prepare(h0, 1)
+		reads := fsrc != h0
+		var first error
+		for _, workers := range []int{1, 3, 8} {
+			_, _, err := PrepareLayerInto(&PrepareBuf{}, l, h, workers, true)
+			if !reads {
+				if err != nil {
+					t.Fatalf("%s workers=%d: identity prepare failed: %v", name, workers, err)
+				}
+				continue
+			}
+			if !errors.Is(err, tensor.ErrNonFinite) || !strings.Contains(err.Error(), "row 7:") {
+				t.Fatalf("%s workers=%d: got %v, want ErrNonFinite at row 7", name, workers, err)
+			}
+			if first == nil {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Fatalf("%s workers=%d: %q differs from workers=1's %q", name, workers, err, first)
+			}
+		}
 	}
 }
 

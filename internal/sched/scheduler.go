@@ -28,9 +28,10 @@ import (
 //     of v vertices and e edges to it scores strictly above adding it to
 //     an empty group (both normalized loads are at least as high and the
 //     vertex one higher, so the max term is no lower and the tie-break sum
-//     strictly higher; the gaps, about 1/targetV, dwarf float rounding at
-//     any batch size). Only the tasks placed after every group is in use,
-//     max(k − G_n, 0) of them, score all G_n groups.
+//     strictly higher; the max terms can tie, so the gap is at least the
+//     tie-break's weight on one vertex, 1e-3/targetV, which still dwarfs
+//     float rounding at any batch size). Only the tasks placed after every
+//     group is in use, max(k − G_n, 0) of them, score all G_n groups.
 //
 // Resetting and listing the tasks and groups adds O(T_n + G_n). DESIGN.md
 // §4e sets these costs beside §IV-B's t_ts. The S+DS ablation's edge-greedy
