@@ -164,11 +164,13 @@ func BenchmarkForwardFunctionalCoraInt8(b *testing.B) {
 // layer shapes (and small-open's 16→32→8) at a Reddit-like and a Cora-like
 // average in-degree. On fp32:
 //
-//   - natural: per vertex, AxpyChain over its in-neighbours' input rows
-//     (in wide), then VecMatInto of the sum through W;
+//   - natural: per vertex, SumChain over its in-neighbours' input rows
+//     (in wide) scaled once by the mean's 1/d, then VecMatInto of the sum
+//     through W;
 //   - narrow: VecMatInto of every input row through W (the executor's
 //     prepare, tensor.ParallelMatMulInto at one worker), then per vertex
-//     AxpyChain over the out-wide rows and the update's copy.
+//     SumChain over the out-wide rows, the same 1/d scaling and the
+//     update's copy.
 //
 // On int8 each order first quantizes its chain input under one shared scale
 // (tensor.ParallelQuantizeScaledInto), and every chain is a tensor.QChain
@@ -228,10 +230,6 @@ func benchAggregationOrder(b *testing.B, rng *rand.Rand, h, w *tensor.Matrix, de
 		}
 		copy(srcs[v*deg:], perm[:deg])
 	}
-	coefs := make([]float32, deg)
-	for i := range coefs {
-		coefs[i] = 1 / float32(deg)
-	}
 	dst := tensor.NewMatrix(n, out)
 	z := tensor.NewMatrix(n, out)
 	acc := make([]float32, max(in, out))
@@ -239,7 +237,8 @@ func benchAggregationOrder(b *testing.B, rng *rand.Rand, h, w *tensor.Matrix, de
 		for i := range acc {
 			acc[i] = 0
 		}
-		tensor.AxpyChain(acc, rows, srcs[v*deg:(v+1)*deg], coefs)
+		tensor.SumChain(acc, rows, srcs[v*deg:(v+1)*deg])
+		tensor.Scale(1/float32(deg), acc)
 	}
 	b.Run("natural", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

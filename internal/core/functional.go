@@ -12,14 +12,12 @@ import (
 )
 
 // fwdWorker owns one executor goroutine's scratch: the buf backing slice is
-// viewed as msg | acc | update-scratch windows sized per layer, coefs holds
-// the float32 reduce chain's per-edge coefficients (grown to the largest
-// in-neighbour list the worker has run), and err carries the first failure
-// the worker hit (collected after the per-batch barrier).
+// viewed as msg | acc | update-scratch windows sized per layer, and err
+// carries the first failure the worker hit (collected after the per-batch
+// barrier).
 type fwdWorker struct {
 	buf               []float32
 	msg, acc, scratch []float32
-	coefs             []float32
 	qs                []int8
 	acc32             []int32
 	qswar             []uint64
@@ -30,8 +28,9 @@ type fwdWorker struct {
 // pooled on the SCALE value so repeated Forward calls reuse the seen table,
 // the batch list, the compact schedulers (one per ring geometry the model's
 // layers select), the prepared matrix of layers that aggregate at the
-// narrower width (with its int8 row scratch), and every worker's scratch —
-// the steady-state hot path allocates only the per-layer output matrices.
+// narrower width (with its int8 row scratch), the source-factor table and
+// scaled rows of linear-sum layers, and every worker's scratch — the
+// steady-state hot path allocates only the per-layer output matrices.
 type fwdState struct {
 	seen       []bool
 	degrees    []int32
@@ -43,11 +42,14 @@ type fwdState struct {
 	// linear-sum layer on either tier (gnn.PrepareLayerInto); recycled
 	// across layers and calls.
 	prep gnn.PrepareBuf
-	// qpsrc holds the per-layer quantized source features on the int8
-	// tier (LinearAggregator layers only) and qcoefs the per-row source
-	// coefficients folded into them; recycled across layers and calls.
-	qpsrc  *tensor.QSumMatrix
-	qcoefs []float32
+	// srcCoefs holds a linear-sum layer's per-vertex source factors
+	// (LinearAggregator.SrcCoef), on either tier. scaled holds the
+	// float32 tier's factor-scaled copy of a natural-order layer's input
+	// rows, which belong to the caller; qpsrc holds the int8 tier's
+	// quantized scaled rows. All recycled across layers and calls.
+	srcCoefs []float32
+	scaled   tensor.Matrix
+	qpsrc    *tensor.QSumMatrix
 }
 
 func (st *fwdState) scheduler(cfg sched.Config) (*sched.Scheduler, error) {
@@ -181,6 +183,23 @@ func (st *fwdState) localDegrees(g *graph.Graph) []int32 {
 	return degrees
 }
 
+// sourceCoefs fills the state's recycled source-factor table with
+// lin.SrcCoef(degrees[v]) per vertex and reports whether every factor is 1.
+// The factors come from the pass's degree slice, so a shard's halo rows
+// scale by their global degrees, as they would unsharded.
+func (st *fwdState) sourceCoefs(lin gnn.LinearAggregator, degrees []int32) (coefs []float32, unit bool) {
+	if cap(st.srcCoefs) < len(degrees) {
+		st.srcCoefs = make([]float32, len(degrees))
+	}
+	coefs = st.srcCoefs[:len(degrees)]
+	unit = true
+	for v, d := range degrees {
+		coefs[v] = lin.SrcCoef(int(d))
+		unit = unit && coefs[v] == 1
+	}
+	return coefs, unit
+}
+
 // ForwardLayerContext executes exactly one layer of m — m.Layers[li] — over a
 // materialized graph, with an optional per-vertex degree override. It is the
 // executor's one forward primitive: ForwardContext chains it, sampled
@@ -232,7 +251,8 @@ func (s *SCALE) ForwardLayerContext(ctx context.Context, m *gnn.Model, li int, g
 // shared by its workers, which write only their own groups' seen/out rows.
 // srcDeg is the degree message functions see (EdgeContext.SrcDeg). lin is
 // non-nil for linear-sum layers, whose reduce chains run whole in-neighbour
-// lists: in int8 when qpsrc is non-nil, in float32 otherwise.
+// lists over source rows already scaled by their SrcCoef: in int8 when
+// qpsrc is non-nil, in float32 over psrc otherwise.
 type layerPass struct {
 	layer              gnn.Layer
 	g                  *graph.Graph
@@ -271,30 +291,38 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 	out := tensor.NewMatrix(h.Rows, layer.OutDim())
 
 	// Linear-sum layers run each vertex's reduce chain over its whole
-	// in-neighbour list. On the int8 tier the chain is integer arithmetic:
-	// each prepared source row (h, or a narrowing layer's h·W) is
-	// pre-multiplied by its QSrcCoef and quantized under one shared scale
-	// (once per layer, 4x less memory traffic per edge visit), chains sum
-	// raw int8 rows in exact int32, and each vertex dequantizes its chain
-	// once with gscale·QDstCoef before the usual finalize/update.
+	// in-neighbour list, after each prepared source row (h, or a narrowing
+	// layer's h·W) has been scaled once by its SrcCoef. On the float32 tier
+	// the scaled rows are float32: a narrowing layer's pooled z is scaled
+	// in place, a natural-order layer's rows are h, which belongs to the
+	// caller, so they are scaled into pooled scratch; when every factor is
+	// 1 (gin, gs-mean) the rows are used as they are. The chain is then a
+	// plain sum. On the int8 tier the scaled rows are quantized under one
+	// shared scale (4x less memory traffic per edge visit), and chains sum
+	// raw int8 rows in exact int32. Either way each vertex applies its
+	// DstCoef once, before the usual finalize/update (runGroup).
 	lin, _ := layer.(gnn.LinearAggregator)
 	var qpsrc *tensor.QSumMatrix
-	if qupd != nil && lin != nil && psrc.Rows == g.NumVertices() {
-		if st.qpsrc == nil {
-			st.qpsrc = tensor.NewQSumMatrix(psrc.Rows, psrc.Cols)
+	if lin != nil {
+		coefs, unit := st.sourceCoefs(lin, degrees)
+		switch {
+		case qupd != nil:
+			if st.qpsrc == nil {
+				st.qpsrc = tensor.NewQSumMatrix(psrc.Rows, psrc.Cols)
+			}
+			st.qpsrc.Resize(psrc.Rows, psrc.Cols)
+			if err := tensor.ParallelQuantizeScaledInto(st.qpsrc, psrc, coefs, workers); err != nil {
+				return nil, fmt.Errorf("core: layer %d: quantizing features: %w", li, err)
+			}
+			qpsrc = st.qpsrc
+		case unit: // 1·x is x: use the rows as they are
+		case psrc == h:
+			st.scaled.Resize(h.Rows, h.Cols)
+			tensor.ScaleRowsInto(&st.scaled, h, coefs)
+			psrc = &st.scaled
+		default:
+			tensor.ScaleRowsInto(psrc, psrc, coefs)
 		}
-		st.qpsrc.Resize(psrc.Rows, psrc.Cols)
-		if cap(st.qcoefs) < psrc.Rows {
-			st.qcoefs = make([]float32, psrc.Rows)
-		}
-		coefs := st.qcoefs[:psrc.Rows]
-		for v := range coefs {
-			coefs[v] = lin.QSrcCoef(int(degrees[v]))
-		}
-		if err := tensor.ParallelQuantizeScaledInto(st.qpsrc, psrc, coefs, workers); err != nil {
-			return nil, fmt.Errorf("core: layer %d: quantizing features: %w", li, err)
-		}
-		qpsrc = st.qpsrc
 	}
 
 	// The functional executor walks per-vertex work, so it needs
@@ -369,15 +397,15 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 // UpdateInto directly into the output row. All scratch belongs to the
 // calling worker, so concurrent groups share only read-only inputs and their
 // disjoint output rows.
-// A linear-sum layer (lin non-nil) runs the float32 chain as one
-// tensor.AxpyChain over the whole in-neighbour list with EdgeCoef
-// coefficients, bit-identical to one AccumulateEdge per edge; every other
-// layer calls its fused AccumulateEdge kernel hop by hop.
-// On the int8 tier (qupd non-nil) updates dispatch to QUpdateInto, and —
-// for linear-sum layers (qpsrc non-nil) — the reduce chain is one
-// tensor.QChain over the whole in-neighbour list, summing biased quantized
-// source rows in exact integers, dequantized once per vertex with
-// Scale·QDstCoef.
+// A linear-sum layer (lin non-nil) runs its chain over the whole
+// in-neighbour list with no multiply, its source rows already scaled by
+// SrcCoef, and scales the sum by DstCoef once: on the float32 tier one
+// tensor.SumChain, bit-identical to one AccumulateEdge per edge followed by
+// the same DstCoef multiply; on the int8 tier (qpsrc non-nil) one
+// tensor.QChain, summing biased quantized source rows in exact integers,
+// dequantized once per vertex with Scale·DstCoef. Every other layer calls
+// its fused AccumulateEdge kernel hop by hop. On the int8 tier (qupd
+// non-nil) updates dispatch to QUpdateInto.
 // Integer sums are order-independent, so int8 outputs keep the same
 // worker-count bit-identity guarantee as float32.
 func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
@@ -391,7 +419,8 @@ func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
 			p.seen[v] = true
 			nbrs := p.g.InNeighbors(int(v))
 			acc := wk.acc
-			if qpsrc != nil {
+			switch {
+			case qpsrc != nil:
 				// Integer reduce chain: the source coefficient is
 				// already folded into the quantized rows, the
 				// destination coefficient folds into the single
@@ -401,23 +430,19 @@ func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
 					acc32[i] = 0
 				}
 				tensor.QChain(acc32, wk.qswar, qpsrc, nbrs)
-				c := qpsrc.Scale * p.lin.QDstCoef(len(nbrs))
+				c := qpsrc.Scale * p.lin.DstCoef(len(nbrs))
 				for i := range acc {
 					acc[i] = c * float32(acc32[i])
 				}
-			} else if p.lin != nil {
+			case p.lin != nil:
 				for i := range acc {
 					acc[i] = 0
 				}
-				// Source degrees come from the degrees slice, as
-				// SrcDeg does below.
-				coefs := wk.coefs[:0]
-				for _, u := range nbrs {
-					coefs = append(coefs, p.lin.EdgeCoef(int(degrees[u]), len(nbrs)))
+				tensor.SumChain(acc, psrc, nbrs)
+				if c := p.lin.DstCoef(len(nbrs)); c != 1 {
+					tensor.Scale(c, acc)
 				}
-				wk.coefs = coefs
-				tensor.AxpyChain(acc, psrc, nbrs, coefs)
-			} else {
+			default:
 				for i := range acc {
 					acc[i] = 0
 				}

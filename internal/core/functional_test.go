@@ -43,6 +43,38 @@ func TestForwardMatchesReferenceAllModels(t *testing.T) {
 	}
 }
 
+// A widening gcn layer (16→32, small-open's layer 0) keeps natural order,
+// so its source rows are the layer input itself, which belongs to the
+// caller (a dynamic graph's shared snapshot rows, a carried request's
+// adopted features). The executor scales them by SrcCoef into its own
+// scratch: the input must come back byte-identical at every worker count,
+// and the output must still be byte-identical to the reference.
+func TestWideningLayerLeavesInputUnwritten(t *testing.T) {
+	g := graph.RMAT(8, 2000, 5)
+	m := gnn.MustModel("gcn", []int{16, 32, 8}, 3)
+	x := gnn.RandomFeatures(g, 16, 4)
+	orig := x.Clone()
+	want, err := gnn.Forward(m, g, orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(DefaultConfig())
+	for _, workers := range []int{1, 2, 8} {
+		got, err := s.ForwardParallel(m, g, x, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !x.Equal(orig) {
+			t.Fatalf("workers=%d: the widening layer wrote its input matrix", workers)
+		}
+		for li := range want {
+			if !want[li].Equal(got[li]) {
+				t.Fatalf("workers=%d layer %d: not byte-identical to the reference", workers, li)
+			}
+		}
+	}
+}
+
 // The dataflow must be correct for every scheduling policy (the mapping
 // changes, the math must not).
 func TestForwardPolicyInvariant(t *testing.T) {

@@ -59,11 +59,13 @@ type PipelineResult struct {
 // the functional level by internal/core.
 //
 // The pipeline runs the modelled dataflow, which aggregates in natural
-// order: each message is EdgeCoef·h_u at Work().MsgDim, and the update ring
-// applies W to the aggregate. A layer that applies W before its reduce
-// chain on the CPU executor (gnn's narrower-width order; its MsgDim() is
-// then OutDim, not W's rows) takes the update ring's GEMV outputs in
-// UpdateInto; any other takes the aggregate and applies W itself.
+// order at Work().MsgDim with the layer's factored coefficient: each
+// message is SrcCoef(d_u)·h_u, the ring's aggregate is scaled by
+// DstCoef(d_v), and the update ring applies W to that. A layer that
+// applies W before its reduce chain on the CPU executor (gnn's
+// narrower-width order; its MsgDim() is then OutDim, not W's rows) takes
+// the update ring's GEMV outputs in UpdateInto; any other takes the
+// aggregate and applies W itself.
 func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*PipelineResult, error) {
 	if l.Reduce() != gnn.ReduceSum {
 		return nil, fmt.Errorf("micro: pipeline supports sum reduction, layer uses %v", l.Reduce())
@@ -108,7 +110,7 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 				}
 				srcs := make([][]float32, 0, len(nbrs))
 				for _, u := range nbrs {
-					c := lin.EdgeCoef(g.InDegree(int(u)), len(nbrs))
+					c := lin.SrcCoef(g.InDegree(int(u)))
 					msg := make([]float32, width)
 					for i, x := range h.Row(int(u)) {
 						msg[i] = c * x
@@ -135,6 +137,9 @@ func (pl *Pipeline) RunLayer(l gnn.Layer, g *graph.Graph, h *tensor.Matrix) (*Pi
 		agg, err := ring.SimulateAggregation(tasks, Sum)
 		if err != nil {
 			return nil, err
+		}
+		for ti, v := range vertices {
+			tensor.Scale(lin.DstCoef(g.InDegree(int(v))), agg.Aggregated[ti])
 		}
 		dispatch, _ := regs.StreamCycles(maxPerPE * width)
 		upd, err := ring.SimulateUpdate(agg.Aggregated, w)

@@ -285,7 +285,8 @@ func baseOccurrences(base *graph.Graph, src, dst int32) int32 {
 }
 
 // View returns a frozen snapshot of the live graph — a merged CSR plus a
-// copy of the feature matrix — safe to read while mutations continue. The
+// read-only view of the feature rows as they stand (frozenFeatures) —
+// safe to read while mutations continue; callers must not write it. The
 // snapshot is cached until the next mutation batch, so concurrent inference
 // between mutations shares one merge. The merged CSR is bit-exact equal to
 // rebuilding the same edge multiset from scratch with graph.Builder: both
@@ -309,8 +310,18 @@ func (g *Graph) snapshotLocked() error {
 		return err
 	}
 	g.snap = merged
-	g.snapX = g.features.Clone()
+	g.snapX = g.frozenFeatures()
 	return nil
+}
+
+// frozenFeatures returns a snapshot of the live feature rows that shares
+// their backing array, capped at the current length. Rows are only ever
+// appended (OpAddVertex) or, by a failing batch's undo, truncated back to
+// where that batch began, which is never below a snapshot taken before
+// it, so no row a snapshot can see is written again. Callers hold mu.
+func (g *Graph) frozenFeatures() *tensor.Matrix {
+	n := len(g.features.Data)
+	return &tensor.Matrix{Rows: g.features.Rows, Cols: g.features.Cols, Data: g.features.Data[:n:n]}
 }
 
 // merge materializes the base CSR plus overlay into a fresh sorted CSR.
@@ -403,7 +414,7 @@ func (g *Graph) compactLocked() error {
 	// The merged base IS the live graph; keep it as the snapshot too.
 	if g.snap == nil {
 		g.snap = merged
-		g.snapX = g.features.Clone()
+		g.snapX = g.frozenFeatures()
 	}
 	return nil
 }

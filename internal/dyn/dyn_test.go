@@ -261,6 +261,71 @@ func TestVertexAddGrowsGraph(t *testing.T) {
 	}
 }
 
+// A snapshot shares the live feature rows instead of copying them, so no
+// later mutation may change what it holds: not an add_vertex batch that
+// appends in place, not a failing batch whose undo truncates rows that a
+// later batch then rewrites, and not a compaction.
+func TestSnapshotFeaturesSurviveMutation(t *testing.T) {
+	d, _ := seedDyn(t, 64, 256, 2, Config{CompactThreshold: math.Inf(1)})
+	addVertex := func(v float32) Mutation {
+		return Mutation{Op: OpAddVertex, Features: []float32{v, -v}}
+	}
+	// The first append reallocates; later ones fit in the spare capacity,
+	// so they write the array a snapshot shares.
+	if err := d.Apply(Batch{Ops: []Mutation{addVertex(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	var snaps, want []*tensor.Matrix
+	take := func() {
+		t.Helper()
+		_, x, err := d.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps, want = append(snaps, x), append(want, x.Clone())
+	}
+	check := func(step string) {
+		t.Helper()
+		for i, x := range snaps {
+			if !x.Equal(want[i]) {
+				t.Fatalf("after %s: snapshot %d changed", step, i)
+			}
+		}
+	}
+	take()
+	if err := d.Apply(Batch{Ops: []Mutation{addVertex(2), addVertex(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	check("an add_vertex batch")
+
+	take()
+	failing := Batch{Ops: []Mutation{addVertex(4), addVertex(5), {Op: OpAddEdge, Src: 0, Dst: 1 << 20}}}
+	if err := d.Apply(failing); err == nil {
+		t.Fatal("out-of-range edge applied")
+	}
+	check("an undone add_vertex batch")
+	if err := d.Apply(Batch{Ops: []Mutation{addVertex(6), addVertex(7)}}); err != nil {
+		t.Fatal(err)
+	}
+	check("an add_vertex batch over the undone rows")
+
+	take()
+	if err := d.Apply(Batch{Ops: []Mutation{{Op: OpAddEdge, Src: 1, Dst: 2}, addVertex(8)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	take()
+	if err := d.Apply(Batch{Ops: []Mutation{addVertex(9)}}); err != nil {
+		t.Fatal(err)
+	}
+	check("a compaction")
+	if got := snaps[len(snaps)-1].Rows; got != 64+6 {
+		t.Fatalf("post-compaction snapshot has %d rows, want %d", got, 64+6)
+	}
+}
+
 func TestCompactionIsStructureNeutral(t *testing.T) {
 	d, ref := seedDyn(t, 128, 512, 2, Config{CompactThreshold: math.Inf(1)})
 	b := Batch{Ops: []Mutation{

@@ -64,9 +64,11 @@ func TestAccumulateEdgeMatchesUnfused(t *testing.T) {
 }
 
 // For the linear-sum layers the executor replaces AccumulateEdge with a
-// float32 chain acc += EdgeCoef(srcDeg, dstDeg)·psrc; the two must agree bit
-// for bit at every degree, including the floor-at-1 degree 0 and one large
-// degree.
+// float32 chain over rows it has scaled by SrcCoef(srcDeg) once per layer:
+// AccumulateEdge must add exactly that rounded product, bit for bit, at
+// every source degree, including the floor-at-1 degree 0 and one large
+// degree, and whatever the destination degree (DstCoef applies once per
+// vertex, after the chain).
 func TestEdgeCoefMatchesAccumulateEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	degrees := []int{0, 1, 2, 3, 4973}
@@ -78,19 +80,23 @@ func TestEdgeCoefMatchesAccumulateEdge(t *testing.T) {
 				t.Fatalf("%s: expected LinearAggregator", name)
 			}
 			psrc := randSlice(rng, l.MsgDim())
+			folded := make([]float32, len(psrc))
 			for _, du := range degrees {
+				c := lin.SrcCoef(du)
+				for i, v := range psrc {
+					folded[i] = c * v
+				}
 				for _, dv := range degrees {
 					acc := randSlice(rng, l.Reduce().AccWidth(l.MsgDim()))
 					want := append([]float32(nil), acc...)
 					ctx := EdgeContext{Src: 0, Dst: 1, SrcDeg: du, DstDeg: dv}
 					l.AccumulateEdge(want, psrc, nil, nil, ctx)
-					coef := lin.EdgeCoef(du, dv)
-					for i, v := range psrc {
-						acc[i] += coef * v
+					for i, v := range folded {
+						acc[i] += v
 					}
 					for i, v := range acc {
 						if math.Float32bits(v) != math.Float32bits(want[i]) {
-							t.Fatalf("%s deg %d->%d: coef chain acc[%d] = %v, AccumulateEdge = %v",
+							t.Fatalf("%s deg %d->%d: folded-row chain acc[%d] = %v, AccumulateEdge = %v",
 								name, du, dv, i, v, want[i])
 						}
 					}

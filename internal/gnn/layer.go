@@ -130,7 +130,9 @@ type Layer interface {
 	// implementations may use when they cannot fuse message and reduction
 	// (the custom-layer fallback); fused implementations ignore it. The
 	// result must equal forming the message and then applying
-	// Reduce().Accumulate, bit for bit.
+	// Reduce().Accumulate, bit for bit. A LinearAggregator's message is its
+	// source-factor term SrcCoef(SrcDeg)·psrc: the executor applies
+	// DstCoef once per vertex, after the last edge.
 	AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext)
 	// UpdateInto combines a vertex's own input features with its finalized
 	// aggregation (length MsgDim) into dst (length OutDim), using scratch
@@ -145,21 +147,30 @@ type Layer interface {
 }
 
 // LinearAggregator is the optional capability of layers whose per-edge
-// accumulation is LINEAR in the prepared source row with a SEPARABLE
-// coefficient: gcn's symmetric norm, gin's and gs-mean's constant 1. Layers
-// with a nonlinear per-edge term (g-gcn's sigmoid gate, gat's exp attention)
-// or a max reduce (gs-pl) do not implement it, and neither do custom layers.
-// Both executor tiers use it to run a vertex's whole in-neighbour list as one
-// reduce chain instead of one AccumulateEdge call per edge:
+// accumulation is LINEAR in the prepared source row with a coefficient that
+// factors into one factor per endpoint: gcn's symmetric norm
+// 1/√(d_u·d_v) = SrcCoef(d_u)·DstCoef(d_v), gin's and gs-mean's constant 1.
+// Layers with a nonlinear per-edge term (g-gcn's sigmoid gate, gat's exp
+// attention) or a max reduce (gs-pl) do not implement it, and neither do
+// custom layers.
 //
-//   - float32: AccumulateEdge is exactly acc[j] += EdgeCoef(srcDeg,
-//     dstDeg)·psrc[j], the same float32 product and sum, so
-//     tensor.AxpyChain over the list's coefficients is bit-identical to the
-//     per-edge loop;
-//   - int8: the coefficient factors as QSrcCoef(srcDeg)·QDstCoef(dstDeg) up
-//     to float rounding, which lets the integer chain fold the source factor
-//     into the quantized rows and apply the destination factor once per
-//     vertex (see quantized.go).
+// The factored form is the layer's definition on both tiers. A vertex's
+// aggregate is DstCoef(d_v)·Σ_u round(SrcCoef(d_u)·psrc_u), rounded in that
+// order: AccumulateEdge adds SrcCoef(SrcDeg)·psrc, and every executor
+// multiplies the accumulator by DstCoef(in-degree) once per vertex, before
+// Finalize. That lets both executor tiers run a vertex's whole in-neighbour
+// list as one reduce chain instead of one AccumulateEdge call per edge:
+//
+//   - float32: the executor scales each source row by its SrcCoef once per
+//     layer, the chain is tensor.SumChain with no multiply (the same
+//     products and sums in the same order as the per-edge loop), and each
+//     vertex's sum gets one DstCoef multiply per element;
+//   - int8: the source factor folds into the shared-scale quantized rows,
+//     the integer chain sums them exactly, and the destination factor into
+//     the single dequantizing multiply per vertex (see quantized.go).
+//
+// gin's and gs-mean's factors are 1, so neither tier scales their rows or
+// sums: 1·x and x·1 are exact.
 //
 // Linearity also lets the chain run at the narrower width: Σ c_uv·(W·h_u)
 // equals W·Σ c_uv·h_u up to rounding. On both tiers gcn and gs-mean apply
@@ -170,9 +181,8 @@ type Layer interface {
 // UpdateInto receives h_v, not the prepared row, so the new order would
 // need a second GEMV per vertex.
 type LinearAggregator interface {
-	EdgeCoef(srcDeg, dstDeg int) float32
-	QSrcCoef(srcDeg int) float32
-	QDstCoef(dstDeg int) float32
+	SrcCoef(srcDeg int) float32
+	DstCoef(dstDeg int) float32
 }
 
 // Model is a stack of layers with a human-readable name.

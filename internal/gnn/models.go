@@ -104,9 +104,10 @@ func transformInto(buf *PrepareBuf, h, w *tensor.Matrix, workers int) *tensor.Ma
 }
 
 // ---------------------------------------------------------------------------
-// GCN (Kipf & Welling): m_v = Σ_u h_u / √(d_u·d_v);  h'_v = σ(W·m_v).
-// A narrowing layer aggregates z_u = W·h_u instead, on both tiers:
-// h'_v = σ(Σ_u z_u / √(d_u·d_v)), equal up to rounding.
+// GCN (Kipf & Welling): m_v = Σ_u h_u / √(d_u·d_v);  h'_v = σ(W·m_v),
+// computed in the factored order m_v = (1/√d_v)·Σ_u (h_u/√d_u). A narrowing
+// layer aggregates z_u = W·h_u instead, on both tiers:
+// h'_v = σ((1/√d_v)·Σ_u z_u/√d_u), equal up to rounding.
 
 type gcnLayer struct {
 	in, out int
@@ -164,25 +165,29 @@ func (l *gcnLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, q
 	return transformInto(buf, h, l.w, workers), nil, nil
 }
 
+// AccumulateEdge adds the edge's source-factor message SrcCoef(d_u)·psrc;
+// the executors apply DstCoef(d_v) once per vertex after the last edge
+// (LinearAggregator). The explicit conversion rounds the product before the
+// add, as the executor's folded rows do, so no target fuses the two.
 func (l *gcnLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContext) {
-	norm := gcnNorm(ctx.SrcDeg, ctx.DstDeg)
+	c := l.SrcCoef(ctx.SrcDeg)
 	acc = acc[:len(psrc)] // bounds-check hint for the per-edge axpy
 	for i, v := range psrc {
-		acc[i] += norm * v
+		acc[i] += float32(c * v)
 	}
 }
 
-// EdgeCoef is the exact per-edge norm AccumulateEdge applies (LinearAggregator).
-func (l *gcnLayer) EdgeCoef(srcDeg, dstDeg int) float32 { return gcnNorm(srcDeg, dstDeg) }
+// The GCN symmetric norm 1/√(d_u·d_v), each degree floored at 1, factors
+// into one factor per endpoint (LinearAggregator), as PyG's gcn_norm builds
+// it.
+func (l *gcnLayer) SrcCoef(srcDeg int) float32 { return invSqrtDeg(srcDeg) }
+func (l *gcnLayer) DstCoef(dstDeg int) float32 { return invSqrtDeg(dstDeg) }
 
-func gcnNorm(srcDeg, dstDeg int) float32 {
-	if srcDeg < 1 {
-		srcDeg = 1
+func invSqrtDeg(d int) float32 {
+	if d < 1 {
+		d = 1
 	}
-	if dstDeg < 1 {
-		dstDeg = 1
-	}
-	return float32(1 / math.Sqrt(float64(srcDeg)*float64(dstDeg)))
+	return float32(1 / math.Sqrt(float64(d)))
 }
 
 func (l *gcnLayer) UpdateInto(dst, hself, agg, scratch []float32) {
@@ -441,8 +446,9 @@ func (l *ginLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeContex
 	}
 }
 
-// EdgeCoef is 1: acc += 1·v is acc += v exactly (LinearAggregator).
-func (l *ginLayer) EdgeCoef(int, int) float32 { return 1 }
+// GIN's aggregation is an unweighted sum (LinearAggregator).
+func (l *ginLayer) SrcCoef(int) float32 { return 1 }
+func (l *ginLayer) DstCoef(int) float32 { return 1 }
 
 func (l *ginLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	l.ensure()
@@ -638,8 +644,10 @@ func (l *sageMeanLayer) AccumulateEdge(acc, psrc, pdst, msg []float32, ctx EdgeC
 	}
 }
 
-// EdgeCoef is 1: acc += 1·v is acc += v exactly (LinearAggregator).
-func (l *sageMeanLayer) EdgeCoef(int, int) float32 { return 1 }
+// GraphSAGE-Mean's aggregation is an unweighted sum (LinearAggregator): the
+// mean divide lives in ReduceMean's finalize.
+func (l *sageMeanLayer) SrcCoef(int) float32 { return 1 }
+func (l *sageMeanLayer) DstCoef(int) float32 { return 1 }
 
 func (l *sageMeanLayer) UpdateInto(dst, hself, agg, scratch []float32) {
 	l.ensure()

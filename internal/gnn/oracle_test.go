@@ -17,9 +17,10 @@ import (
 func refMessage(l Layer, out, psrc, pdst []float32, ctx EdgeContext) {
 	switch l := l.(type) {
 	case *gcnLayer:
-		norm := gcnNorm(ctx.SrcDeg, ctx.DstDeg)
+		// The source-factor message; DstCoef applies once per vertex.
+		c := l.SrcCoef(ctx.SrcDeg)
 		for i, v := range psrc {
-			out[i] = norm * v
+			out[i] = c * v
 		}
 	case *ggcnLayer:
 		for i := 0; i < l.out; i++ {

@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"fmt"
-	"math"
 
 	"scale/internal/tensor"
 )
@@ -18,14 +17,14 @@ import (
 //     against the transposed quantized weights, dequantize at the output
 //     boundary). All seven built-in layers implement it.
 //   - LinearAggregator (layer.go) is the aggregation-side capability of the
-//     linear-sum layers, gcn, gin and gs-mean, whose edge coefficient
-//     separates as QSrcCoef(deg u)·QDstCoef(deg v): the executor folds each
-//     row's source factor into a shared-scale biased-byte quantization of
-//     the prepared source matrix (tensor.ParallelQuantizeScaledInto),
+//     linear-sum layers, gcn, gin and gs-mean, whose edge coefficient is
+//     SrcCoef(deg u)·DstCoef(deg v) on both tiers: the int8 executor folds
+//     each row's source factor into a shared-scale biased-byte quantization
+//     of the prepared source matrix (tensor.ParallelQuantizeScaledInto),
 //     reduce chains sum raw byte rows in exact packed integer arithmetic
 //     (tensor.QChain — no multiply, no convert, eight columns per 64-bit
 //     add, four rows per sweep), and each vertex dequantizes its chain once
-//     with Scale·QDstCoef. A narrowing gcn or gs-mean layer prepares that
+//     with Scale·DstCoef. A narrowing gcn or gs-mean layer prepares that
 //     matrix as the int8 transform h·W (qtransformInto), so its chain runs
 //     at the output width. The other layers keep float32 edge math and run
 //     only their prepare/update GEMMs int8.
@@ -226,9 +225,9 @@ func mustQuantizeRow(q []int8, row []float32) float32 {
 }
 
 // ---------------------------------------------------------------------------
-// GCN: aggregation is linear (norm · h_u). A narrowing layer's int8 GEMV is
-// its prepare transform and the update is the activation alone; otherwise
-// the update is a single int8 GEMV.
+// GCN: aggregation is linear (SrcCoef·h_u, then DstCoef per vertex). A
+// narrowing layer's int8 GEMV is its prepare transform and the update is
+// the activation alone; otherwise the update is a single int8 GEMV.
 
 func (l *gcnLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
@@ -256,18 +255,6 @@ func (l *gcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
 	s := mustQuantizeRow(q, agg)
 	tensor.QGemvInto(dst, q, s, l.qwT)
 	maybeReLU(l.act, dst)
-}
-
-// The GCN symmetric norm 1/√(d_u·d_v) (degrees floored at 1 per side, as in
-// gcnNorm) separates exactly into per-endpoint factors.
-func (l *gcnLayer) QSrcCoef(srcDeg int) float32 { return invSqrtDeg(srcDeg) }
-func (l *gcnLayer) QDstCoef(dstDeg int) float32 { return invSqrtDeg(dstDeg) }
-
-func invSqrtDeg(d int) float32 {
-	if d < 1 {
-		d = 1
-	}
-	return float32(1 / math.Sqrt(float64(d)))
 }
 
 // ---------------------------------------------------------------------------
@@ -406,10 +393,6 @@ func (l *ginLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
 	maybeReLU(l.act, dst)
 }
 
-// GIN's aggregation is an unweighted sum.
-func (l *ginLayer) QSrcCoef(int) float32 { return 1 }
-func (l *ginLayer) QDstCoef(int) float32 { return 1 }
-
 // ---------------------------------------------------------------------------
 // GAT: z = W·h runs int8 in prepare; attention scores, the exp-weighted
 // aggregation, and the weightless update stay float.
@@ -541,8 +524,3 @@ func (l *sageMeanLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int
 	tensor.QGemvInto(dst, q, s, l.qwT)
 	maybeReLU(l.act, dst)
 }
-
-// GraphSAGE-Mean's aggregation is an unweighted sum (the mean divide lives
-// in ReduceMean's finalize, which runs after dequantization).
-func (l *sageMeanLayer) QSrcCoef(int) float32 { return 1 }
-func (l *sageMeanLayer) QDstCoef(int) float32 { return 1 }

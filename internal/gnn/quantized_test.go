@@ -143,10 +143,12 @@ func TestQPrepareNonFiniteIsError(t *testing.T) {
 	}
 }
 
-// For separable-coefficient layers, the float AccumulateEdge must factor as
-// QSrcCoef(srcDeg)·QDstCoef(dstDeg)·psrc — the identity the integer
-// aggregation path relies on (source factor folded into quantization,
-// destination factor into the per-vertex dequantize).
+// For the linear-sum layers, AccumulateEdge followed by the per-vertex
+// DstCoef multiply must give the layer's edge coefficient times psrc: the
+// symmetric norm psrc/√(d_u·d_v) (each degree floored at 1) for gcn, psrc
+// for gin and gs-mean. Both tiers rely on the factorization: the float
+// chain sums SrcCoef-scaled rows, the integer chain sums them quantized,
+// and each vertex applies DstCoef once.
 func TestQCoefsFactorAccumulateEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	degrees := []int{0, 1, 3, 7, 100} // 0 exercises the floor-at-1 clamp
@@ -164,11 +166,15 @@ func TestQCoefsFactorAccumulateEdge(t *testing.T) {
 				acc := make([]float32, width)
 				ctx := EdgeContext{Src: 0, Dst: 1, SrcDeg: du, DstDeg: dv}
 				l.AccumulateEdge(acc, psrc, nil, nil, ctx)
-				coef := float64(qa.QSrcCoef(du)) * float64(qa.QDstCoef(dv))
+				tensor.Scale(qa.DstCoef(dv), acc)
+				coef := 1.0
+				if name == "gcn" {
+					coef = 1 / math.Sqrt(float64(max(du, 1))*float64(max(dv, 1)))
+				}
 				for i, v := range psrc {
 					want := coef * float64(v)
 					if d := math.Abs(want - float64(acc[i])); d > 1e-6*math.Abs(want)+1e-12 {
-						t.Fatalf("%s deg %d->%d: acc[%d] = %g, separable coef gives %g",
+						t.Fatalf("%s deg %d->%d: acc[%d] = %g, edge coefficient gives %g",
 							name, du, dv, i, acc[i], want)
 					}
 				}

@@ -53,12 +53,15 @@ func ForwardParallel(m *Model, g *graph.Graph, x *tensor.Matrix, workers int) ([
 // ForwardLayerParallel runs one layer with destination vertices fanned across
 // up to `workers` goroutines, each owning its msg/acc/update scratch. The
 // hot loop drives the layer's fused AccumulateEdge and in-place UpdateInto
-// kernels, so steady state performs no per-vertex or per-edge allocation.
+// kernels, so steady state performs no per-vertex or per-edge allocation. A
+// LinearAggregator's accumulator is scaled by DstCoef(in-degree) once per
+// vertex, before Finalize, as the functional executor does.
 func ForwardLayerParallel(l Layer, g *graph.Graph, h *tensor.Matrix, workers int) (*tensor.Matrix, error) {
 	if h.Cols != l.InDim() {
 		return nil, fmt.Errorf("input dim %d != layer dim %d", h.Cols, l.InDim())
 	}
 	psrc, pdst := l.Prepare(h, workers)
+	lin, _ := l.(LinearAggregator)
 	kind := l.Reduce()
 	width := kind.AccWidth(l.MsgDim())
 	out := tensor.NewMatrix(h.Rows, l.OutDim())
@@ -90,6 +93,11 @@ func ForwardLayerParallel(l Layer, g *graph.Graph, h *tensor.Matrix, workers int
 			for _, u := range nbrs {
 				ctx := EdgeContext{Src: int(u), Dst: v, SrcDeg: g.InDegree(int(u)), DstDeg: len(nbrs)}
 				l.AccumulateEdge(acc, psrc.Row(int(u)), pdstRow, st.msg, ctx)
+			}
+			if lin != nil {
+				if c := lin.DstCoef(len(nbrs)); c != 1 {
+					tensor.Scale(c, acc)
+				}
 			}
 			agg := kind.Finalize(acc, l.MsgDim(), len(nbrs))
 			l.UpdateInto(out.Row(v), h.Row(v), agg, st.scratch)

@@ -99,7 +99,9 @@ func (b *batcher) loop() {
 }
 
 // collect keeps the batch open for the latency window (bounded by maxBatch).
-// A zero window still coalesces whatever is already queued, without waiting.
+// A window of zero or less still coalesces whatever is already queued,
+// without waiting; Config turns a zero BatchWindow into its default, so
+// only a negative one reaches this path.
 func (b *batcher) collect(first *pending) []*pending {
 	batch := append(make([]*pending, 0, b.maxBatch), first)
 	if b.window > 0 {

@@ -278,11 +278,7 @@ func (s *Server) runSharded(ctx context.Context, body *inferBody) ([][]float32, 
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]float32, out.Rows)
-	for v := range rows {
-		rows[v] = out.Row(v)
-	}
-	return rows, nil
+	return out.RowViews(0, out.Rows), nil
 }
 
 // runDirect runs one unbatched forward pass under Config.SampleWorkers, over

@@ -40,7 +40,8 @@ type Config struct {
 	// pool back every session. Required.
 	Sim *scale.Simulator
 	// BatchWindow is how long the micro-batcher holds a batch open for
-	// late joiners (default 2ms; 0 coalesces only already-queued requests).
+	// late joiners. 0 selects the default, 2ms; a negative window
+	// coalesces only already-queued requests, without waiting.
 	BatchWindow time.Duration
 	// MaxBatch caps requests coalesced into one forward call (default 16;
 	// 1 disables micro-batching).

@@ -50,31 +50,28 @@ func BenchmarkVecMat1433x16(b *testing.B) {
 // answer. On amd64 each has an asm sub-benchmark, the production path, and
 // a generic one, the same work on the portable loops (benchKernel).
 
-// BenchmarkAxpyChainReddit runs one float32 reduce chain.
-func BenchmarkAxpyChainReddit(b *testing.B) {
+// BenchmarkSumChainReddit runs one float32 reduce chain.
+func BenchmarkSumChainReddit(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	src := RandomMatrix(rng, 931, 602, 1)
 	rows := make([]int32, 492)
-	coefs := make([]float32, len(rows))
 	for i := range rows {
 		rows[i] = int32(rng.Intn(src.Rows))
-		coefs[i] = rng.Float32()
 	}
 	acc := make([]float32, src.Cols)
 	benchKernel(b, int64(len(rows))*int64(src.Cols)*4,
-		func() { AxpyChain(acc, src, rows, coefs) },
-		func() { axpyChainGeneric(acc, src, rows, coefs) })
+		func() { SumChain(acc, src, rows) },
+		func() { sumChainGeneric(acc, src, rows) })
 }
 
-// axpyChainGeneric is AxpyChain on the portable four-row loop.
-func axpyChainGeneric(acc []float32, m *Matrix, rows []int32, coefs []float32) {
-	for ; len(rows) >= 4; rows, coefs = rows[4:], coefs[4:] {
-		axpy4RowGeneric(acc,
-			coefs[0], m.Row(int(rows[0])), coefs[1], m.Row(int(rows[1])),
-			coefs[2], m.Row(int(rows[2])), coefs[3], m.Row(int(rows[3])))
+// sumChainGeneric is SumChain on the portable four-row loop.
+func sumChainGeneric(acc []float32, m *Matrix, rows []int32) {
+	for ; len(rows) >= 4; rows = rows[4:] {
+		add4RowGeneric(acc, m.Row(int(rows[0])), m.Row(int(rows[1])),
+			m.Row(int(rows[2])), m.Row(int(rows[3])))
 	}
-	for i, r := range rows {
-		axpyRow(acc, coefs[i], m.Row(int(r)))
+	for _, r := range rows {
+		addRow(acc, m.Row(int(r)))
 	}
 }
 

@@ -77,26 +77,73 @@ func axpy4RowGeneric(o []float32, a0 float32, r0 []float32, a1 float32, r1 []flo
 	}
 }
 
-// AxpyChain computes acc += Σ coefs[i]·m.Row(rows[i]) in list order, the
-// float32 reduce chain: four rows per axpy4Row sweep, the tail one axpyRow
-// pass each. Every column adds its terms in list order, so the result is
-// bit-identical to one axpyRow per row. acc must have length m.Cols and
-// coefs at least len(rows).
-func AxpyChain(acc []float32, m *Matrix, rows []int32, coefs []float32) {
-	if len(acc) != m.Cols || len(coefs) < len(rows) {
-		panic(fmt.Sprintf("tensor: axpy chain acc %d for %d cols, %d coefs for %d rows",
-			len(acc), m.Cols, len(coefs), len(rows)))
+// addRow computes o += r over equal-length rows, in axpyRow's 4-way
+// slice-advance form. Each element is touched exactly once, so the result
+// is bit-identical to the rolled loop.
+func addRow(o, r []float32) {
+	o = o[:len(r)]
+	for len(r) >= 4 && len(o) >= 4 {
+		o[0] += r[0]
+		o[1] += r[1]
+		o[2] += r[2]
+		o[3] += r[3]
+		o = o[4:]
+		r = r[4:]
 	}
-	coefs = coefs[:len(rows)]
-	for len(rows) >= 4 && len(coefs) >= 4 {
-		axpy4Row(acc,
-			coefs[0], m.Row(int(rows[0])), coefs[1], m.Row(int(rows[1])),
-			coefs[2], m.Row(int(rows[2])), coefs[3], m.Row(int(rows[3])))
-		rows, coefs = rows[4:], coefs[4:]
+	o = o[:len(r)]
+	for j, v := range r {
+		o[j] += v
 	}
-	coefs = coefs[:len(rows)]
-	for i, r := range rows {
-		axpyRow(acc, coefs[i], m.Row(int(r)))
+}
+
+// add4RowGeneric is the portable body of add4Row, which computes o += r0 +
+// r1 + r2 + r3 in one sweep over o. Every element is summed left to right,
+// o + r0 first, so it gets the same float32 sums in the same order as four
+// successive addRow passes, and the result is bit-identical to them. Each
+// row must be at least len(o) long. add4Row runs this loop, or on amd64
+// its SSE2 version (kernels_amd64.s), which does the same add per lane.
+func add4RowGeneric(o, r0, r1, r2, r3 []float32) {
+	r0, r1, r2, r3 = r0[:len(o)], r1[:len(o)], r2[:len(o)], r3[:len(o)]
+	for i, v := range o {
+		o[i] = v + r0[i] + r1[i] + r2[i] + r3[i]
+	}
+}
+
+// SumChain computes acc += Σ m.Row(rows[i]) in list order, the float32
+// reduce chain and the float twin of QChain: four rows per add4Row sweep,
+// the tail one addRow pass each, and no multiply. Every column adds its
+// terms in list order, so the result is bit-identical to one addRow per
+// row. The executor folds a linear-sum layer's per-source factor into the
+// rows before the chain and applies the per-destination factor after it.
+// acc must have length m.Cols.
+func SumChain(acc []float32, m *Matrix, rows []int32) {
+	if len(acc) != m.Cols {
+		panic(fmt.Sprintf("tensor: sum chain acc %d for %d cols", len(acc), m.Cols))
+	}
+	for len(rows) >= 4 {
+		add4Row(acc, m.Row(int(rows[0])), m.Row(int(rows[1])),
+			m.Row(int(rows[2])), m.Row(int(rows[3])))
+		rows = rows[4:]
+	}
+	for _, r := range rows {
+		addRow(acc, m.Row(int(r)))
+	}
+}
+
+// ScaleRowsInto writes coefs[i]·m.Row(i) into dst.Row(i) for every row,
+// one float32 multiply per element. dst must have m's shape and may be m
+// itself; coefs must have one entry per row.
+func ScaleRowsInto(dst, m *Matrix, coefs []float32) {
+	if dst.Rows != m.Rows || dst.Cols != m.Cols || len(coefs) != m.Rows {
+		panic(fmt.Sprintf("tensor: scale %dx%d rows by %d coefs into %dx%d",
+			m.Rows, m.Cols, len(coefs), dst.Rows, dst.Cols))
+	}
+	for i, c := range coefs {
+		src := m.Row(i)
+		out := dst.Row(i)[:len(src)]
+		for j, v := range src {
+			out[j] = c * v
+		}
 	}
 }
 

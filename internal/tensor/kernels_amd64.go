@@ -2,7 +2,7 @@
 
 package tensor
 
-// On amd64 the four hot kernels run the SSE2 loops in kernels_amd64.s.
+// On amd64 the five hot kernels run the SSE2 loops in kernels_amd64.s.
 // SSE2 is part of every amd64 CPU, so nothing is detected at run time. Race
 // builds take the portable loops (kernels_noasm.go) because the race
 // detector cannot see memory that assembly touches. Each wrapper bounds its
@@ -12,6 +12,9 @@ package tensor
 
 //go:noescape
 func axpy4RowSSE2(o []float32, a0, a1, a2, a3 float32, r0, r1, r2, r3 []float32)
+
+//go:noescape
+func add4RowSSE2(o, r0, r1, r2, r3 []float32)
 
 //go:noescape
 func accRowChainSSE2(swar []uint64, row []byte)
@@ -26,6 +29,11 @@ func axpy4Row(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
 	a2 float32, r2 []float32, a3 float32, r3 []float32) {
 	n := len(o)
 	axpy4RowSSE2(o, a0, a1, a2, a3, r0[:n], r1[:n], r2[:n], r3[:n])
+}
+
+func add4Row(o, r0, r1, r2, r3 []float32) {
+	n := len(o)
+	add4RowSSE2(o, r0[:n], r1[:n], r2[:n], r3[:n])
 }
 
 // accRowChain folds min(len(row)/8, len(swar)/2) eight-byte chunks: the

@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// SSE2 bodies of the four reduce-chain and GEMV kernels. Each one does the
-// same arithmetic as its portable loop (axpy4RowGeneric, accRowChainGeneric,
-// accRow4ChainGeneric, dotInt8Generic), only several columns per
+// SSE2 bodies of the five reduce-chain and GEMV kernels. Each one does the
+// same arithmetic as its portable loop (axpy4RowGeneric, add4RowGeneric,
+// accRowChainGeneric, accRow4ChainGeneric, dotInt8Generic), only several
+// columns per
 // instruction, and touches only the first len elements its Go wrapper
 // (kernels_amd64.go) hands it.
 
@@ -78,6 +79,60 @@ axpyLoop1:
 	JNZ   axpyLoop1
 
 axpyDone:
+	RET
+
+// func add4RowSSE2(o, r0, r1, r2, r3 []float32)
+//
+// o[i] = o[i] + r0[i] + r1[i] + r2[i] + r3[i] for i < len(o), summed left
+// to right: one ADDPS per row, so every lane rounds exactly as the scalar
+// ADDSS loop does. The row operands are loaded with MOVUPS first, because
+// ADDPS with a memory operand requires 16-byte alignment. Every r must hold
+// len(o) elements.
+TEXT ·add4RowSSE2(SB), NOSPLIT, $0-120
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ r0_base+24(FP), R8
+	MOVQ r1_base+48(FP), R9
+	MOVQ r2_base+72(FP), R10
+	MOVQ r3_base+96(FP), R11
+	XORQ AX, AX
+	MOVQ CX, BX
+	SHRQ $2, BX
+	JZ   addTail
+
+	PCALIGN $32
+addLoop4:
+	MOVUPS (DI)(AX*4), X0
+	MOVUPS (R8)(AX*4), X1
+	ADDPS  X1, X0
+	MOVUPS (R9)(AX*4), X2
+	ADDPS  X2, X0
+	MOVUPS (R10)(AX*4), X3
+	ADDPS  X3, X0
+	MOVUPS (R11)(AX*4), X1
+	ADDPS  X1, X0
+	MOVUPS X0, (DI)(AX*4)
+	ADDQ   $4, AX
+	DECQ   BX
+	JNZ    addLoop4
+
+addTail:
+	ANDQ $3, CX
+	JZ   addDone
+
+	PCALIGN $32
+addLoop1:
+	MOVSS (DI)(AX*4), X0
+	ADDSS (R8)(AX*4), X0
+	ADDSS (R9)(AX*4), X0
+	ADDSS (R10)(AX*4), X0
+	ADDSS (R11)(AX*4), X0
+	MOVSS X0, (DI)(AX*4)
+	INCQ  AX
+	DECQ  CX
+	JNZ   addLoop1
+
+addDone:
 	RET
 
 // func accRowChainSSE2(swar []uint64, row []byte)

@@ -72,6 +72,41 @@ func TestAxpy4RowSSE2MatchesGeneric(t *testing.T) {
 	}
 }
 
+// The add kernel must match its loop on every operand f32Operand draws,
+// ±Inf in any position included: an Inf + −Inf lane yields the default
+// NaN on both paths, and a NaN then propagates unchanged.
+func TestAdd4RowSSE2MatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for width := 0; width <= 70; width++ {
+		for off := 0; off <= 3; off++ {
+			for trial := 0; trial < 3; trial++ {
+				var r [4][]float32
+				for k := range r {
+					row := make([]float32, off+width+trial) // longer than o when trial > 0
+					for i := range row {
+						row[i] = f32Operand(rng, true)
+					}
+					r[k] = row[off:]
+				}
+				if trial == 2 { // a repeated row, as in a chain naming one source twice
+					r[2] = r[0]
+				}
+				back := make([]float32, off+width+4)
+				for i := range back {
+					back[i] = f32Operand(rng, true)
+				}
+				got := append([]float32(nil), back...)
+				want := append([]float32(nil), back...)
+				add4Row(got[off:off+width], r[0], r[1], r[2], r[3])
+				add4RowGeneric(want[off:off+width], r[0], r[1], r[2], r[3])
+				if !bitsEqual(got, want) {
+					t.Fatalf("width %d offset %d trial %d: SSE2 %v, generic %v", width, off, trial, got, want)
+				}
+			}
+		}
+	}
+}
+
 // int8Operand draws a random int8, or one of −128, −1, 0 and 127 a quarter
 // of the time.
 func int8Operand(rng *rand.Rand) int8 {
@@ -257,7 +292,7 @@ func (d *fuzzOperands) u64() uint64 {
 }
 
 // FuzzKernels decodes the fuzzer's bytes into a width, a slice offset and
-// operands for the four SSE2 kernels, and requires each to match its
+// operands for the five SSE2 kernels, and requires each to match its
 // portable loop bit for bit.
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{})
@@ -282,11 +317,18 @@ func FuzzKernels(f *testing.F) {
 		for i := range o {
 			o[i] = d.f32()
 		}
+		sum := append([]float32(nil), o...)
 		gotF := append([]float32(nil), o...)
 		axpy4Row(gotF[off:], a[0], r[0], a[1], r[1], a[2], r[2], a[3], r[3])
 		axpy4RowGeneric(o[off:], a[0], r[0], a[1], r[1], a[2], r[2], a[3], r[3])
 		if !bitsEqual(gotF, o) {
 			t.Fatalf("axpy4Row width %d offset %d: SSE2 %v, generic %v", width, off, gotF, o)
+		}
+		gotA := append([]float32(nil), sum...)
+		add4Row(gotA[off:], r[0], r[1], r[2], r[3])
+		add4RowGeneric(sum[off:], r[0], r[1], r[2], r[3])
+		if !bitsEqual(gotA, sum) {
+			t.Fatalf("add4Row width %d offset %d: SSE2 %v, generic %v", width, off, gotA, sum)
 		}
 
 		x := make([]int8, off+width)

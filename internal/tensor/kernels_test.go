@@ -196,7 +196,6 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 	x := make([]float32, 300)
 	vec := make([]float32, 200)
 	chainRows := []int32{3, 1, 4, 1, 5, 9, 2}
-	chainCoefs := []float32{1, -1, 0, 0.5, 2, 1, 3}
 	qsum := NewQSumMatrix(4, 300)
 	swar := make([]uint64, qsum.Stride/4)
 	acc32 := make([]int32, qsum.Stride)
@@ -211,7 +210,8 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 		"matMulRowsInto-300x200": func() { matMulRowsInto(out, a, big, 0, a.Rows) },
 		"matMulRowsInto-300x20":  func() { matMulRowsInto(outSmall, a, small, 0, a.Rows) },
 		"VecMatInto":             func() { VecMatInto(vec, x, big) },
-		"AxpyChain":              func() { AxpyChain(vec, big, chainRows, chainCoefs) },
+		"SumChain":               func() { SumChain(vec, big, chainRows) },
+		"ScaleRowsInto":          func() { ScaleRowsInto(out, out, x[:out.Rows]) },
 		"accRowChain":            func() { accRowChain(swar, qsum.Row(2)) },
 		"QChain":                 func() { QChain(acc32, swar, qsum, qrows) },
 		"QGemvInto":              func() { QGemvInto(qout, qx, 0.5, wT) },
@@ -271,35 +271,60 @@ func TestAxpy4RowMatchesAxpyRow(t *testing.T) {
 	}
 }
 
-// AxpyChain must be bit-identical to one axpyRow per row, in list order,
-// for every chain length (whole 4-blocks plus each tail), every width, and
-// lists that name a row more than once.
-func TestAxpyChainMatchesAxpyRow(t *testing.T) {
+// SumChain must be bit-identical to one add pass per row, in list order,
+// for every chain length (whole 4-blocks plus each tail), every width,
+// lists that name a row more than once, and rows holding ±0, +Inf and
+// 3e38, whose sums overflow.
+func TestSumChainMatchesAddPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	special := []float32{0, 1, -1}
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), 3e38}
 	for width := 0; width <= 17; width++ {
 		m := RandomMatrix(rng, 5, width, 2)
+		for i := range m.Data {
+			if rng.Intn(6) == 0 {
+				m.Data[i] = special[rng.Intn(len(special))]
+			}
+		}
 		for n := 0; n <= 9; n++ {
 			rows := make([]int32, n)
-			coefs := make([]float32, n)
 			for i := range rows {
 				rows[i] = int32(rng.Intn(m.Rows)) // 9 draws over 5 rows repeat
-				if i%2 == 0 {
-					coefs[i] = special[rng.Intn(len(special))]
-				} else {
-					coefs[i] = rng.Float32() - 0.5
-				}
 			}
 			acc := RandomVector(rng, width, 1)
 			want := append([]float32(nil), acc...)
-			for i, r := range rows {
-				axpyRow(want, coefs[i], m.Row(int(r)))
+			for _, r := range rows {
+				for j, v := range m.Row(int(r)) {
+					want[j] += v
+				}
 			}
-			AxpyChain(acc, m, rows, coefs)
+			SumChain(acc, m, rows)
 			if !bitsEqual(acc, want) {
-				t.Fatalf("width %d, %d rows %v: chain diverges from per-row axpyRow", width, n, rows)
+				t.Fatalf("width %d, %d rows %v: chain diverges from one add pass per row", width, n, rows)
 			}
 		}
+	}
+}
+
+// ScaleRowsInto is one float32 multiply per element, into a separate
+// matrix or in place.
+func TestScaleRowsInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	m := RandomMatrix(rng, 6, 7, 2)
+	coefs := []float32{0, 1, -1, 0.5, 3e38, rng.Float32()}
+	want := NewMatrix(m.Rows, m.Cols)
+	for i, c := range coefs {
+		for j, v := range m.Row(i) {
+			want.Set(i, j, c*v)
+		}
+	}
+	dst := NewMatrix(m.Rows, m.Cols)
+	ScaleRowsInto(dst, m, coefs)
+	if !dst.Equal(want) {
+		t.Fatal("ScaleRowsInto into a new matrix diverges from one multiply per element")
+	}
+	ScaleRowsInto(m, m, coefs)
+	if !m.Equal(want) {
+		t.Fatal("ScaleRowsInto in place diverges from one multiply per element")
 	}
 }
 

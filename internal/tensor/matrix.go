@@ -7,27 +7,32 @@
 // explicit selection policy rather than a BLAS:
 //
 //   - Kernels write into caller-owned memory (ParallelMatMulInto,
-//     VecMatInto, AxpyChain, …); hot loops call them with caller-owned
+//     VecMatInto, SumChain, …); hot loops call them with caller-owned
 //     scratch so steady-state execution performs no heap allocation.
-//   - The float32 reduce chain (AxpyChain), GEMV (VecMatInto) and GEMM
-//     (ParallelMatMulInto, one VecMatInto per output row) add four rows per
-//     sweep over the output row (axpy4Row), loading and storing each output
-//     element once per four rows instead of once per row. Each element
-//     still gets its products and sums in the order of one axpyRow pass per
-//     row, so the sweep width never changes results bit-wise. The GEMM has
-//     no cache-blocked variant: at the Reddit build's shapes (931×602 times
-//     602×64 and 602×512) the per-row sweep beat the k×j-blocked panels it
-//     replaced by 4–5× (EXPERIMENTS.md, "Aggregate at the narrower width").
+//   - The GEMV (VecMatInto) and GEMM (ParallelMatMulInto, one VecMatInto
+//     per output row) add four scaled rows per sweep over the output row
+//     (axpy4Row), loading and storing each output element once per four
+//     rows instead of once per row. Each element still gets its products
+//     and sums in the order of one axpyRow pass per row, so the sweep width
+//     never changes results bit-wise. The GEMM has no cache-blocked
+//     variant: at the Reddit build's shapes (931×602 times 602×64 and
+//     602×512) the per-row sweep beat the k×j-blocked panels it replaced by
+//     4–5× (EXPERIMENTS.md, "Aggregate at the narrower width").
+//   - The float32 reduce chain (SumChain) multiplies nothing: the executor
+//     scales each source row by its per-source factor once per layer
+//     (ScaleRowsInto) and each vertex's sum by its per-destination factor
+//     once, so the chain adds four rows per sweep (add4Row, the tail one
+//     addRow pass each), in list order.
 //   - Int8 GEMM (ParallelQMatMulInto / QGemvInto) multiplies a quantized
 //     activation QMatrix against a pre-transposed quantized weight matrix
 //     with int32 accumulation, processing bT rows in qgemmBlockJ (32-row)
 //     panels; dequantization (scaleA·scaleB per element) happens once at
 //     the output boundary. The aggregation side uses the shared-scale QSumMatrix
-//     layout: QChain, the integer counterpart of AxpyChain, folds four
+//     layout: QChain, the integer counterpart of SumChain, folds four
 //     biased rows per sweep into SWAR uint64 lanes (accRow4Chain, the tail
 //     one row each with accRowChain) and flushes them into int32, minus the
 //     accumulated bias, every 256 rows.
-//   - On amd64 the four innermost loops — axpy4Row, accRowChain,
+//   - On amd64 the five innermost loops — axpy4Row, add4Row, accRowChain,
 //     accRow4Chain and the int8 inner product dotInt8 behind QGemvInto and
 //     ParallelQMatMulInto — run as SSE2 assembly (kernels_amd64.s), four
 //     floats or sixteen bytes per instruction. Each SSE lane does the
@@ -88,6 +93,19 @@ func FromRows(rows [][]float32) *Matrix {
 // Row returns a mutable view of row i.
 func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
+}
+
+// RowViews returns rows [lo, hi) as views into m's backing array, each
+// capped at its own end by a full slice expression, so an append to one
+// row reallocates instead of overwriting the next. It lets a caller hand
+// out the rows of a matrix nothing else holds without copying them.
+func (m *Matrix) RowViews(lo, hi int) [][]float32 {
+	rows := make([][]float32, hi-lo)
+	for i := range rows {
+		start := (lo + i) * m.Cols
+		rows[i] = m.Data[start : start+m.Cols : start+m.Cols]
+	}
+	return rows
 }
 
 // At returns element (i, j).

@@ -155,3 +155,25 @@ func TestZeroAndFill(t *testing.T) {
 		}
 	}
 }
+
+// RowViews hands out rows without copying them, each capped at its own end.
+func TestRowViews(t *testing.T) {
+	m := FromRows([][]float32{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
+	rows := m.RowViews(1, 3)
+	if len(rows) != 2 || rows[0][0] != 3 || rows[1][1] != 6 {
+		t.Fatalf("views %v, want rows 1 and 2 of %v", rows, m.Data)
+	}
+	rows[0][1] = 40
+	if m.At(1, 1) != 40 {
+		t.Fatal("a view does not share the matrix's backing array")
+	}
+	for i, r := range rows {
+		if cap(r) != m.Cols {
+			t.Fatalf("view %d has cap %d, want %d", i, cap(r), m.Cols)
+		}
+	}
+	_ = append(rows[1], 9)
+	if m.At(3, 0) != 7 {
+		t.Fatal("appending to the last view overwrote the row after it")
+	}
+}

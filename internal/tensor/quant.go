@@ -54,32 +54,32 @@ func (q *QMatrix) String() string {
 // returns the dequantization scale: q[j]·scale ≈ row[j] with absolute error
 // at most scale/2. An all-zero row quantizes to scale 0. Rows containing NaN
 // or ±Inf return ErrNonFinite and leave q unspecified.
+//
+// The max-abs pass has no branch per element: with the sign bit cleared, a
+// float32's bits order like its magnitude, and every NaN or ±Inf pattern is
+// at least 0x7f800000, so one unsigned integer max finds both the scale and
+// any non-finite value. A sign test or a NaN test per element mispredicts
+// on signed activations, and this pass reads every activation row the int8
+// tier quantizes.
 func QuantizeRowInto(q []int8, row []float32) (float32, error) {
 	if len(q) != len(row) {
 		panic(fmt.Sprintf("tensor: quantize row %d into %d", len(row), len(q)))
 	}
-	var maxAbs float32
+	const signMask, infBits = 0x80000000, 0x7f800000
+	var maxBits uint32
 	for _, v := range row {
-		if v != v { // NaN never wins a > comparison, so test it directly
-			return 0, ErrNonFinite
-		}
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
+		maxBits = max(maxBits, math.Float32bits(v)&^signMask)
 	}
-	if math.IsInf(float64(maxAbs), 0) {
+	if maxBits >= infBits {
 		return 0, ErrNonFinite
 	}
-	if maxAbs == 0 {
+	if maxBits == 0 {
 		for j := range q {
 			q[j] = 0
 		}
 		return 0, nil
 	}
+	maxAbs := math.Float32frombits(maxBits)
 	scale := maxAbs / 127
 	quantizeRowApply(q, row, 127/maxAbs)
 	return scale, nil
@@ -443,7 +443,7 @@ func quantizeScaledRows(q *QSumMatrix, m *Matrix, coefs []float32, inv float32, 
 const chainBlockEdges = 256
 
 // QChain is the int8 tier's reduce chain over one in-neighbour list, the
-// integer counterpart of AxpyChain: acc += Σ (q.Row(r) − 128) over rows, in
+// integer counterpart of SumChain: acc += Σ (q.Row(r) − 128) over rows, in
 // exact int32. It folds four biased rows per sweep into the packed chain
 // accumulator swar (accRow4Chain), the tail one row each (accRowChain), and
 // drains swar into acc every chainBlockEdges rows and at the end. Integer

@@ -107,6 +107,70 @@ func TestQuantizeRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// quantizeRowCompare is the compare-and-branch max-abs loop
+// QuantizeRowInto replaced: a NaN test, a sign branch and a float compare
+// per element, then an Inf test on the maximum. It returns the scale and
+// whether the row quantizes.
+func quantizeRowCompare(row []float32) (float32, bool) {
+	var maxAbs float32
+	for _, v := range row {
+		if v != v {
+			return 0, false
+		}
+		a := v
+		if a < 0 {
+			a = -a
+		}
+		if a > maxAbs {
+			maxAbs = a
+		}
+	}
+	if math.IsInf(float64(maxAbs), 0) {
+		return 0, false
+	}
+	return maxAbs / 127, true
+}
+
+// The integer max over sign-cleared bits must give the compare loop's scale,
+// bit for bit, and its verdict on every row: −0, subnormals, the largest
+// finite value, and ±Inf and NaN at the first, a middle and the last index.
+func TestQuantizeRowMatchesCompareLoop(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	negNaN := math.Float32frombits(0xffc00001)
+	rows := [][]float32{
+		{},
+		{negZero},
+		{negZero, 0, negZero},
+		{math.SmallestNonzeroFloat32},
+		{-math.SmallestNonzeroFloat32, 1e-40, negZero},
+		{0x1p-126, -0x1.fffffcp-127},
+		{math.MaxFloat32, -1},
+		{-math.MaxFloat32, math.MaxFloat32, 3e38},
+		{-2, 1, 0.5, 2},
+		{0.25, -0.75, 0.5},
+	}
+	for _, bad := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), nan, negNaN} {
+		for _, at := range []int{0, 2, 4} {
+			row := []float32{-0.5, math.MaxFloat32, 1e-40, negZero, 3}
+			row[at] = bad
+			rows = append(rows, row)
+		}
+	}
+	for _, row := range rows {
+		q := make([]int8, len(row))
+		got, err := QuantizeRowInto(q, row)
+		want, ok := quantizeRowCompare(row)
+		if ok != (err == nil) || (err != nil && !errors.Is(err, ErrNonFinite)) {
+			t.Fatalf("row %v: err %v, compare loop quantizes: %v", row, err, ok)
+		}
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("row %v: scale %g (%#x), compare loop %g (%#x)",
+				row, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	}
+}
+
 // The int8 GEMM must agree exactly with a naive triple loop over the same
 // quantized operands: int32 accumulation is exact, so blocking/unrolling is
 // not allowed to change a single bit.

@@ -138,7 +138,8 @@ func (sess *Session) PrecisionStats() (compression, avgBytes float64) {
 // the dynamic-graph serving primitive: the serving tier snapshots a
 // dyn.Graph (View) and infers on the frozen snapshot without re-encoding it
 // through an edge list. workers bounds row-level parallelism (0 = all
-// cores); fp32 results are bit-identical for every worker count.
+// cores); fp32 results are bit-identical for every worker count. The rows
+// are capped views of the pass's output matrix, as in InferBatch.
 func (sess *Session) InferGraph(ctx context.Context, g *graph.Graph, x *tensor.Matrix, workers int) ([][]float32, error) {
 	if err := sess.validateMatrix(g, x); err != nil {
 		return nil, err
@@ -147,7 +148,8 @@ func (sess *Session) InferGraph(ctx context.Context, g *graph.Graph, x *tensor.M
 	if err != nil {
 		return nil, err
 	}
-	return copyRows(outs[len(outs)-1]), nil
+	last := outs[len(outs)-1]
+	return last.RowViews(0, last.Rows), nil
 }
 
 // InferSampled runs one forward pass with a distinct graph per layer —
@@ -177,7 +179,7 @@ func (sess *Session) InferSampled(ctx context.Context, layers []*graph.Graph, x 
 			return nil, err
 		}
 	}
-	return copyRows(h), nil
+	return h.RowViews(0, h.Rows), nil
 }
 
 // validateMatrix checks a materialized (graph, features) pair against the
@@ -194,15 +196,6 @@ func (sess *Session) validateMatrix(g *graph.Graph, x *tensor.Matrix) error {
 		return fmt.Errorf("scale: feature width %d, model wants %d: %w", x.Cols, sess.dims[0], fault.ErrBadShape)
 	}
 	return nil
-}
-
-// copyRows detaches a matrix into per-vertex row slices.
-func copyRows(m *tensor.Matrix) [][]float32 {
-	rows := make([][]float32, m.Rows)
-	for v := range rows {
-		rows[v] = append([]float32(nil), m.Row(v)...)
-	}
-	return rows
 }
 
 // InferRequest is one graph + feature matrix input to Session inference.
@@ -267,7 +260,9 @@ func (sess *Session) InferContext(ctx context.Context, req InferRequest) ([][]fl
 // InferBatch coalesces several independent graphs into one forward call: the
 // inputs are joined into a block-diagonal (disjoint-union) graph, their
 // feature matrices are stacked, and a single scheduled forward pass executes
-// them all. Results are split back per request.
+// them all. Results are split back per request, as capped row views of the
+// pass's output matrix, which nothing else holds (tensor.Matrix.RowViews):
+// no row is copied, and appending to one never overwrites the next.
 //
 // Because aggregation folds each vertex's in-edges in CSR mapping order and
 // the union preserves both per-vertex neighbor order and per-vertex degrees,
@@ -313,11 +308,7 @@ func (sess *Session) InferBatch(ctx context.Context, reqs []InferRequest) ([][][
 	results := make([][][]float32, len(reqs))
 	offset = 0
 	for i, r := range reqs {
-		rows := make([][]float32, r.NumVertices)
-		for v := range rows {
-			rows[v] = append([]float32(nil), last.Row(offset+v)...)
-		}
-		results[i] = rows
+		results[i] = last.RowViews(offset, offset+r.NumVertices)
 		offset += r.NumVertices
 	}
 	return results, nil

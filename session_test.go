@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"scale/internal/fault"
+	"scale/internal/graph"
+	"scale/internal/tensor"
 )
 
 // randGraph builds a deterministic random graph + features for session tests.
@@ -118,6 +120,60 @@ func TestInferBatchBitIdentical(t *testing.T) {
 				t.Fatalf("%s serial %d: %v", model, i, err)
 			}
 			assertBitEqual(t, serial, batched[i])
+		}
+	}
+}
+
+// Result rows are views of the pass's output matrix, capped at their own
+// end: appending to one must reallocate, never write into the row after it,
+// across request boundaries of a batch too. An uncapped view fails here.
+func TestResultRowsAreCapped(t *testing.T) {
+	sim, _ := New(Options{})
+	dims := []int{4, 8, 3}
+	sess, err := sim.NewSession("gcn", dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []InferRequest
+	for i := 0; i < 2; i++ {
+		edges, features := randGraph(int64(300+i), 5, 2, 4)
+		reqs = append(reqs, InferRequest{NumVertices: 5, Edges: edges, Features: features})
+	}
+	batched, err := sess.InferBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := graph.NewBuilder(reqs[0].NumVertices)
+	for _, e := range reqs[0].Edges {
+		b.AddEdge(e[0], e[1])
+	}
+	g := b.Build("capped")
+	x := tensor.FromRows(reqs[0].Features)
+	whole, err := sess.InferGraph(context.Background(), g, x, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, err := sess.InferSampled(context.Background(), []*graph.Graph{g, g}, x, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One row list per result, the batch's two requests joined in order.
+	for name, rows := range map[string][][]float32{
+		"InferBatch":   append(append([][]float32(nil), batched[0]...), batched[1]...),
+		"InferGraph":   whole,
+		"InferSampled": sampled,
+	} {
+		for v := 0; v+1 < len(rows); v++ {
+			next := append([]float32(nil), rows[v+1]...)
+			grown := append(rows[v], 42)
+			if len(grown) != len(rows[v])+1 {
+				t.Fatalf("%s row %d: append gave %d elements", name, v, len(grown))
+			}
+			for j, want := range next {
+				if math.Float32bits(rows[v+1][j]) != math.Float32bits(want) {
+					t.Fatalf("%s: appending to row %d overwrote row %d", name, v, v+1)
+				}
+			}
 		}
 	}
 }
