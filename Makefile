@@ -101,8 +101,9 @@ race:
 # Tier 3: short fuzz passes over the parsers (graph edge lists, binary
 # graph decoding, feature matrices, config JSON round-trip, mutation
 # batches, /v1/infer bodies against encoding/json, shard wire frames), over
-# the amd64 SSE2 kernels against their portable loops, and over Algorithm 1
-# against its direct O(B·T_n) first fit and O(T_n·G_n) grouping.
+# the /v1/infer float32 encoder against encoding/json, over the amd64 SSE2
+# kernels against their portable loops, and over Algorithm 1 against its
+# direct O(B·T_n) first fit and O(T_n·G_n) grouping.
 fuzz:
 	$(GO) test ./internal/graph/ -run FuzzParseEdgeList -fuzz FuzzParseEdgeList -fuzztime 20s
 	$(GO) test ./internal/graph/ -run FuzzDecode -fuzz FuzzDecode -fuzztime 20s
@@ -110,6 +111,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzConfigJSON -fuzz FuzzConfigJSON -fuzztime 20s
 	$(GO) test ./internal/dyn/ -run FuzzMutationDecode -fuzz FuzzMutationDecode -fuzztime 20s
 	$(GO) test ./internal/serve/ -run FuzzInferBody -fuzz FuzzInferBody -fuzztime 20s
+	$(GO) test ./internal/serve/ -run FuzzAppendFloat32 -fuzz FuzzAppendFloat32 -fuzztime 20s
 	$(GO) test ./internal/tensor/ -run FuzzKernels -fuzz FuzzKernels -fuzztime 20s
 	$(GO) test ./internal/shard/ -run FuzzWireFrames -fuzz FuzzWireFrames -fuzztime 20s
 	$(GO) test ./internal/sched/ -run FuzzScheduleMatchesOracle -fuzz FuzzScheduleMatchesOracle -fuzztime 20s
@@ -376,7 +378,7 @@ dyn-smoke:
 # panics or calls b.Fatal would otherwise pass; one iteration each keeps
 # this to seconds. internal/shard's BenchmarkShardPass drives the HTTP shard
 # data plane at k = 1/2/4 in fp32 and int8; internal/serve's benchmarks
-# drive the /v1/infer decoder and handler stack.
+# drive the /v1/infer decoder, response encoder and handler stack.
 bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core ./internal/shard ./internal/graph ./internal/sched ./internal/serve
 

@@ -148,7 +148,7 @@ func TestInt8ParallelBitIdentical(t *testing.T) {
 // Finite features can overflow inside an int8 pass. Here every vertex of a
 // star carries the row that drives one column of gcn's layer 0 transform
 // to +1.5e38, and the hub sums that column over 16 in-neighbours under
-// QDstCoef 1/4, so its aggregate dequantizes to 6e38 and reaches +Inf. The
+// DstCoef 1/4, so its aggregate dequantizes to 6e38 and reaches +Inf. The
 // narrowing layer 1 transforms that row before anything else reads it. The
 // pass must return a tensor.ErrNonFinite error naming layer 1, at every
 // worker count, rather than panic inside a prepare worker and take the

@@ -69,7 +69,7 @@ func TestAccumulateEdgeMatchesUnfused(t *testing.T) {
 // every source degree, including the floor-at-1 degree 0 and one large
 // degree, and whatever the destination degree (DstCoef applies once per
 // vertex, after the chain).
-func TestEdgeCoefMatchesAccumulateEdge(t *testing.T) {
+func TestSrcCoefMatchesAccumulateEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	degrees := []int{0, 1, 2, 3, 4973}
 	zoo := zooLayers(t)

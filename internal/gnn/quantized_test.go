@@ -149,7 +149,7 @@ func TestQPrepareNonFiniteIsError(t *testing.T) {
 // for gin and gs-mean. Both tiers rely on the factorization: the float
 // chain sums SrcCoef-scaled rows, the integer chain sums them quantized,
 // and each vertex applies DstCoef once.
-func TestQCoefsFactorAccumulateEdge(t *testing.T) {
+func TestCoefsFactorAccumulateEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	degrees := []int{0, 1, 3, 7, 100} // 0 exercises the floor-at-1 clamp
 	for _, name := range []string{"gcn", "gin", "gs-mean"} {

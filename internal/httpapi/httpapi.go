@@ -8,9 +8,11 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -84,11 +86,18 @@ func WriteError(w http.ResponseWriter, err error) {
 	WriteJSON(w, code, Error{Error: err.Error(), Kind: kind})
 }
 
-// WriteJSON answers code with v as the JSON body.
+// WriteJSON answers code with v as the JSON body. v is encoded before
+// anything is written, so a value encoding/json refuses, such as a NaN,
+// answers 500 internal through WriteError instead of code with a cut body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		WriteError(w, fmt.Errorf("httpapi: encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v) // the client is gone if this fails; nothing to do
+	_, _ = w.Write(buf.Bytes()) // the client is gone if this fails; nothing to do
 }
 
 // maxPresize caps how far a Content-Length may presize a body buffer. Past

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -63,6 +64,26 @@ func TestClassify(t *testing.T) {
 	}
 	if code, _ := Classify(nil); code != http.StatusOK {
 		t.Fatalf("Classify(nil) = %d", code)
+	}
+}
+
+// TestWriteJSONUnencodable requires a payload encoding/json refuses to
+// answer 500 internal with an Error body, never its own status with a cut
+// body, and a payload it accepts to keep its status and bytes.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, map[string]float64{"loss": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var e Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Kind != "internal" || e.Error == "" {
+		t.Fatalf("body %q (%v), want an internal Error", rec.Body.String(), err)
+	}
+	rec = httptest.NewRecorder()
+	WriteJSON(rec, http.StatusAccepted, map[string]float64{"loss": 0.5})
+	if rec.Code != http.StatusAccepted || rec.Body.String() != "{\"loss\":0.5}\n" || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d body %q Content-Type %q", rec.Code, rec.Body.String(), rec.Header().Get("Content-Type"))
 	}
 }
 

@@ -191,3 +191,62 @@ func BenchmarkInferBodyDecode(b *testing.B) {
 		})
 	}
 }
+
+// discardWriter is an http.ResponseWriter that keeps nothing it is sent.
+type discardWriter struct{ header http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// BenchmarkInferResponseEncode times writing one /v1/infer answer through
+// encoding/json (headers, then json.Encoder over inferResponse) beside
+// writeInfer, on two embedding shapes: the Reddit build's 931×41 gcn
+// output, resident-rw's and carried-sharded's response, and a 72×8 one,
+// small-open's mean graph under gcn [16, 32, 8].
+func BenchmarkInferResponseEncode(b *testing.B) {
+	sess, err := testSim(b).NewSession("gcn", []int{16, 32, 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := testGraph(3, 72, 4, 16)
+	small, err := sess.Infer(req.NumVertices, req.Edges, req.Features)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		rows [][]float32
+	}{
+		{"reddit", redditEmbeddings(b, "fp32")},
+		{"small72", small},
+	} {
+		resp := inferResponse{Model: "gcn", Precision: "fp32", Embeddings: tc.rows}
+		body, err := json.Marshal(resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/encoding-json", func(b *testing.B) {
+			w := &discardWriter{header: http.Header{}}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusOK)
+				if err := json.NewEncoder(w).Encode(resp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/writeInfer", func(b *testing.B) {
+			w := &discardWriter{header: http.Header{}}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := writeInfer(w, resp.Model, resp.Precision, resp.Embeddings); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -71,13 +71,6 @@ func (b *inferBody) carriedGraph() (*graph.Graph, *tensor.Matrix) {
 	return gb.Build("user"), &tensor.Matrix{Rows: b.NumVertices, Cols: b.Dims[0], Data: b.flat}
 }
 
-// inferResponse is the POST /v1/infer success payload.
-type inferResponse struct {
-	Model      string      `json:"model"`
-	Precision  string      `json:"precision"`
-	Embeddings [][]float32 `json:"embeddings"`
-}
-
 // simulateResponse is the POST /v1/simulate success payload: the timing
 // report, plus — when the server fronts a shard pool — the NoC-costed
 // cross-shard halo-exchange estimate for running that same workload sharded
@@ -180,7 +173,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, inferResponse{Model: body.Model, Precision: body.Precision, Embeddings: rows})
+	if err := writeInfer(w, body.Model, body.Precision, rows); err != nil {
+		httpapi.WriteError(w, err)
+	}
 }
 
 // route makes every check that needs no session, then picks the request's
