@@ -466,7 +466,9 @@ func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
 			}
 			agg := p.kind.Finalize(acc, msgDim, len(nbrs))
 			if p.qupd != nil {
-				p.qupd.QUpdateInto(p.out.Row(int(v)), p.h.Row(int(v)), agg, wk.scratch, wk.qs)
+				if err := p.qupd.QUpdateInto(p.out.Row(int(v)), p.h.Row(int(v)), agg, wk.scratch, wk.qs); err != nil {
+					return fmt.Errorf("vertex %d: %w", v, err)
+				}
 			} else {
 				layer.UpdateInto(p.out.Row(int(v)), p.h.Row(int(v)), agg, wk.scratch)
 			}

@@ -49,8 +49,11 @@ type QKernels interface {
 	QUpdateScratch() int
 	// QUpdateInto is UpdateInto on the int8 weight form: same shapes, same
 	// float scratch contract, plus caller-owned int8 scratch qs of length
-	// QUpdateScratch(). Only valid when Quantized() is true.
-	QUpdateInto(dst, hself, agg, scratch []float32, qs []int8)
+	// QUpdateScratch(). Only valid when Quantized() is true. An activation
+	// row that does not quantize (a non-finite value, e.g. from a finite
+	// input that overflowed) is a tensor.ErrNonFinite-wrapped error, and
+	// dst is then unspecified.
+	QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error
 }
 
 // qPreparer mirrors Layer.Prepare for the int8 tier: qprepare computes the
@@ -211,17 +214,14 @@ func (rq *rowQuantizer) each(h *tensor.Matrix, workers int, fn func(i int, q []i
 	return nil
 }
 
-// mustQuantizeRow quantizes an activation row into q, panicking on
-// non-finite values. It runs only inside an executor's update, whose
-// worker recovers the panic into a fault.PanicError; prepares run
-// row-parallel outside that containment and use rowQuantizer.each, which
-// returns the failure instead.
-func mustQuantizeRow(q []int8, row []float32) float32 {
+// quantizeActivation quantizes an update's activation row into q; a
+// non-finite value is a tensor.ErrNonFinite-wrapped error.
+func quantizeActivation(q []int8, row []float32) (float32, error) {
 	s, err := tensor.QuantizeRowInto(q, row)
 	if err != nil {
-		panic(fmt.Sprintf("gnn: quantize activation row: %v", err))
+		return 0, fmt.Errorf("gnn: quantize activation row: %w", err)
 	}
-	return s
+	return s, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -246,15 +246,19 @@ func (l *gcnLayer) QUpdateScratch() int {
 	return l.in
 }
 
-func (l *gcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+func (l *gcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
 	if l.transformFirst() {
 		l.UpdateInto(dst, hself, agg, scratch) // the activation alone
-		return
+		return nil
 	}
 	q := qs[:l.in]
-	s := mustQuantizeRow(q, agg)
+	s, err := quantizeActivation(q, agg)
+	if err != nil {
+		return err
+	}
 	tensor.QGemvInto(dst, q, s, l.qwT)
 	maybeReLU(l.act, dst)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -280,14 +284,18 @@ func (l *ggcnLayer) QuantizeWeights() error {
 func (l *ggcnLayer) Quantized() bool     { return l.qvT != nil }
 func (l *ggcnLayer) QUpdateScratch() int { return l.in }
 
-func (l *ggcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+func (l *ggcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
 	q := qs[:l.in]
-	s := mustQuantizeRow(q, hself)
+	s, err := quantizeActivation(q, hself)
+	if err != nil {
+		return err
+	}
 	tensor.QGemvInto(dst, q, s, l.quT)
 	for i := range dst {
 		dst[i] += agg[i]
 	}
 	maybeReLU(l.act, dst)
+	return nil
 }
 
 func (l *ggcnLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
@@ -323,13 +331,17 @@ func (l *sagePoolLayer) QuantizeWeights() error {
 func (l *sagePoolLayer) Quantized() bool     { return l.qwT != nil }
 func (l *sagePoolLayer) QUpdateScratch() int { return l.in + l.pool }
 
-func (l *sagePoolLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+func (l *sagePoolLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
 	cat := scratch[:l.in+l.pool]
 	tensor.ConcatInto(cat, hself, agg)
 	q := qs[:l.in+l.pool]
-	s := mustQuantizeRow(q, cat)
+	s, err := quantizeActivation(q, cat)
+	if err != nil {
+		return err
+	}
 	tensor.QGemvInto(dst, q, s, l.qwT)
 	maybeReLU(l.act, dst)
+	return nil
 }
 
 func (l *sagePoolLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
@@ -377,20 +389,26 @@ func (l *ginLayer) QUpdateScratch() int {
 	return l.out
 }
 
-func (l *ginLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+func (l *ginLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
 	x := scratch[:l.in]
 	hidden := scratch[l.in : l.in+l.out]
 	for i := range x {
 		x[i] = (1+l.eps)*hself[i] + agg[i]
 	}
 	qx := qs[:l.in]
-	s := mustQuantizeRow(qx, x)
+	s, err := quantizeActivation(qx, x)
+	if err != nil {
+		return err
+	}
 	tensor.QGemvInto(hidden, qx, s, l.qw1T)
 	tensor.ReLU(hidden)
 	qh := qs[:l.out]
-	s = mustQuantizeRow(qh, hidden)
+	if s, err = quantizeActivation(qh, hidden); err != nil {
+		return err
+	}
 	tensor.QGemvInto(dst, qh, s, l.qw2T)
 	maybeReLU(l.act, dst)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -408,8 +426,9 @@ func (l *gatLayer) QuantizeWeights() error {
 func (l *gatLayer) Quantized() bool     { return l.qwT != nil }
 func (l *gatLayer) QUpdateScratch() int { return 0 }
 
-func (l *gatLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+func (l *gatLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
 	l.UpdateInto(dst, hself, agg, scratch)
+	return nil
 }
 
 func (l *gatLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
@@ -452,8 +471,9 @@ func (l *multiHeadGATLayer) Quantized() bool {
 
 func (l *multiHeadGATLayer) QUpdateScratch() int { return 0 }
 
-func (l *multiHeadGATLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+func (l *multiHeadGATLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
 	l.UpdateInto(dst, hself, agg, scratch)
+	return nil
 }
 
 func (l *multiHeadGATLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
@@ -507,20 +527,28 @@ func (l *sageMeanLayer) QUpdateScratch() int {
 	return 2 * l.in
 }
 
-func (l *sageMeanLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) {
+func (l *sageMeanLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
 	if l.transformFirst() {
 		q := qs[:l.in]
-		tensor.QGemvInto(dst, q, mustQuantizeRow(q, hself), l.qwTopT)
+		s, err := quantizeActivation(q, hself)
+		if err != nil {
+			return err
+		}
+		tensor.QGemvInto(dst, q, s, l.qwTopT)
 		for i, v := range agg {
 			dst[i] += v
 		}
 		maybeReLU(l.act, dst)
-		return
+		return nil
 	}
 	cat := scratch[:2*l.in]
 	tensor.ConcatInto(cat, hself, agg)
 	q := qs[:2*l.in]
-	s := mustQuantizeRow(q, cat)
+	s, err := quantizeActivation(q, cat)
+	if err != nil {
+		return err
+	}
 	tensor.QGemvInto(dst, q, s, l.qwT)
 	maybeReLU(l.act, dst)
+	return nil
 }

@@ -41,7 +41,9 @@ func TestQUpdateApproximatesFloat(t *testing.T) {
 				qscratch := make([]float32, l.UpdateScratch())
 				qs := make([]int8, qk.QUpdateScratch())
 				l.UpdateInto(want, hself, agg, scratch)
-				qk.QUpdateInto(got, hself, agg, qscratch, qs)
+				if err := qk.QUpdateInto(got, hself, agg, qscratch, qs); err != nil {
+					t.Fatalf("%s %v layer %d: QUpdateInto: %v", name, dims, li, err)
+				}
 
 				var maxRef, maxDiff float64
 				for i := range want {

@@ -276,8 +276,10 @@ func TestWriteInferRefusesNonFinite(t *testing.T) {
 
 // TestInferNonFiniteOutputIsError posts features of 3e38, finite, whose fp32
 // embeddings overflow to +Inf in gin, gcn and gs-mean, on the batched, the
-// direct and the sharded route. Each must answer a non-2xx status with an
-// httpapi.Error body, never a 2xx with an empty body.
+// direct and the sharded route, at both precisions; on the int8 tier the
+// overflow meets an update's activation quantization instead. Each must
+// answer 500 with an httpapi.Error body of kind internal: never a 2xx with
+// an empty body, and never a contained panic.
 func TestInferNonFiniteOutputIsError(t *testing.T) {
 	sim := testSim(t)
 	pool, err := shard.NewPool(shard.PoolConfig{Workers: startShardWorkers(t, sim, 1)})
@@ -287,32 +289,35 @@ func TestInferNonFiniteOutputIsError(t *testing.T) {
 	local := newTestServer(t, Config{Sim: sim})
 	sharded := newTestServer(t, Config{Sim: sim, ShardPool: pool})
 	for _, model := range []string{"gin", "gcn", "gs-mean"} {
-		body := validInfer()
-		body.Model = model
-		for _, row := range body.Features {
-			row[0], row[1] = 3e38, 3e38
-		}
-		direct := body
-		direct.SampleFanout = 1
-		for _, tc := range []struct {
-			route string
-			srv   *Server
-			body  inferBody
-		}{
-			{"batched", local, body},
-			{"direct", local, direct},
-			{"sharded", sharded, body},
-		} {
-			rec := do(t, tc.srv, http.MethodPost, "/v1/infer", tc.body)
-			if rec.Code < 300 {
-				t.Fatalf("%s %s: status %d, body %q", model, tc.route, rec.Code, rec.Body.String())
+		for _, precision := range []string{"fp32", "int8"} {
+			body := validInfer()
+			body.Model = model
+			body.Precision = precision
+			for _, row := range body.Features {
+				row[0], row[1] = 3e38, 3e38
 			}
-			if e := decodeError(t, rec); e.Kind == "" || e.Error == "" {
-				t.Fatalf("%s %s: error body %+v", model, tc.route, e)
+			direct := body
+			direct.SampleFanout = 1
+			for _, tc := range []struct {
+				route string
+				srv   *Server
+				body  inferBody
+			}{
+				{"batched", local, body},
+				{"direct", local, direct},
+				{"sharded", sharded, body},
+			} {
+				rec := do(t, tc.srv, http.MethodPost, "/v1/infer", tc.body)
+				if rec.Code != http.StatusInternalServerError {
+					t.Fatalf("%s %s %s: status %d, body %q", model, precision, tc.route, rec.Code, rec.Body.String())
+				}
+				if e := decodeError(t, rec); e.Kind != "internal" || e.Error == "" {
+					t.Fatalf("%s %s %s: error body %+v, want kind internal", model, precision, tc.route, e)
+				}
 			}
 		}
 	}
-	if got := pool.Metrics().Requests.Load(); got != 3 {
-		t.Fatalf("pool ran %d passes, want 3", got)
+	if got := pool.Metrics().Requests.Load(); got != 6 {
+		t.Fatalf("pool ran %d passes, want 6", got)
 	}
 }

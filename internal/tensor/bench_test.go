@@ -7,23 +7,29 @@ import (
 )
 
 func BenchmarkMatMul128(b *testing.B) {
-	benchMatMul(b, 128, 128, 128)
+	benchMatMul(b, 128, 128, 128, false)
 }
 
-// BenchmarkMatMulReddit times the one-worker GEMM at the Reddit build's two
-// prepare shapes: the layer-0 transform of a narrowing fp32 layer
-// (931×602 times 602×64) and gs-pl's pooling MLP (602×512).
+// BenchmarkMatMulReddit times the one-worker GEMM at the Reddit build's
+// prepare shapes: the layer-0 transform of a narrowing fp32 layer (931×602
+// times 602×64), gs-pl's pooling MLP (602×512), and the layer-1 transform
+// (931×64 times 64×41) on a ReLU'd input, whose zero entries VecMatInto
+// skips.
 func BenchmarkMatMulReddit(b *testing.B) {
 	for _, cols := range []int{64, 512} {
-		b.Run(fmt.Sprintf("931x602x%d", cols), func(b *testing.B) { benchMatMul(b, 931, 602, cols) })
+		b.Run(fmt.Sprintf("931x602x%d", cols), func(b *testing.B) { benchMatMul(b, 931, 602, cols, false) })
 	}
+	b.Run("931x64x41-relu", func(b *testing.B) { benchMatMul(b, 931, 64, 41, true) })
 }
 
 // benchMatMul times ParallelMatMulInto of a random m×k by k×n product at one
-// worker.
-func benchMatMul(b *testing.B, m, k, n int) {
+// worker; relu zeroes the negative half of the left operand first.
+func benchMatMul(b *testing.B, m, k, n int, relu bool) {
 	rng := rand.New(rand.NewSource(1))
 	x := RandomMatrix(rng, m, k, 1)
+	if relu {
+		ReLU(x.Data)
+	}
 	y := RandomMatrix(rng, k, n, 1)
 	out := NewMatrix(m, n)
 	b.ReportAllocs()
@@ -43,35 +49,46 @@ func BenchmarkVecMat1433x16(b *testing.B) {
 	}
 }
 
-// The Reddit benchmarks time the three hot kernels at the Reddit-scale
-// build's layer-0 shapes (602-wide rows; 492 in-neighbours, Reddit's mean
-// in-degree, drawn from 931 source rows; a 602→64 update) that the forward
-// benchmarks and perfbench run, so a layout check gets a seconds-long
-// answer. On amd64 each has an asm sub-benchmark, the production path, and
-// a generic one, the same work on the portable loops (benchKernel).
-
-// BenchmarkSumChainReddit runs one float32 reduce chain.
-func BenchmarkSumChainReddit(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	src := RandomMatrix(rng, 931, 602, 1)
-	rows := make([]int32, 492)
-	for i := range rows {
-		rows[i] = int32(rng.Intn(src.Rows))
+// BenchmarkVecMatSmall times one VecMatInto at small-open's update shapes
+// (gcn and gin at dims [16, 32, 8]), where the fixed cost per call counts.
+func BenchmarkVecMatSmall(b *testing.B) {
+	for _, shape := range [][2]int{{16, 32}, {32, 32}, {32, 8}, {8, 8}} {
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(6))
+			w := RandomMatrix(rng, shape[0], shape[1], 1)
+			x := RandomVector(rng, shape[0], 1)
+			out := make([]float32, shape[1])
+			runKernel(b, int64(w.Rows)*int64(w.Cols)*4, func() { VecMatInto(out, x, w) })
+		})
 	}
-	acc := make([]float32, src.Cols)
-	benchKernel(b, int64(len(rows))*int64(src.Cols)*4,
-		func() { SumChain(acc, src, rows) },
-		func() { sumChainGeneric(acc, src, rows) })
 }
 
-// sumChainGeneric is SumChain on the portable four-row loop.
-func sumChainGeneric(acc []float32, m *Matrix, rows []int32) {
-	for ; len(rows) >= 4; rows = rows[4:] {
-		add4RowGeneric(acc, m.Row(int(rows[0])), m.Row(int(rows[1])),
-			m.Row(int(rows[2])), m.Row(int(rows[3])))
-	}
-	for _, r := range rows {
-		addRow(acc, m.Row(int(r)))
+// The Reddit benchmarks time the hot kernels at the Reddit-scale build's
+// shapes (492 in-neighbours, Reddit's mean in-degree, drawn from 931
+// source rows; a 602→64 update) that the forward benchmarks and perfbench
+// run, so a layout check gets a seconds-long answer. On amd64 each has an
+// asm sub-benchmark, the production path, and a generic one, the same
+// work on the portable loops (benchKernel).
+
+// BenchmarkSumChainReddit runs one float32 reduce chain at the widths a
+// Reddit-scale gcn chains (64 after layer 0's transform, 41 after layer
+// 1's), over 492 rows and over the short lists of low-degree vertices.
+func BenchmarkSumChainReddit(b *testing.B) {
+	for _, cols := range []int{64, 41} {
+		for _, deg := range []int{492, 32, 8} {
+			b.Run(fmt.Sprintf("%dx%d", cols, deg), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(3))
+				src := RandomMatrix(rng, 931, cols, 1)
+				rows := make([]int32, deg)
+				for i := range rows {
+					rows[i] = int32(rng.Intn(src.Rows))
+				}
+				acc := make([]float32, src.Cols)
+				benchKernel(b, int64(len(rows))*int64(src.Cols)*4,
+					func() { SumChain(acc, src, rows) },
+					func() { sumRowsGeneric(acc, src.Data, src.Rows, rows) })
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,12 +10,11 @@ import (
 
 // ParallelMatMulInto computes out = a·b with output rows fanned across up to
 // `workers` goroutines (workers < 1 selects GOMAXPROCS). Each output row is
-// one VecMatInto call, so it runs the axpy4Row sweep (SSE2 on amd64) and is
-// bit-identical to one axpyRow pass per non-zero a element in ascending k,
-// and bit-identical for any worker count because each row is produced by
-// the same serial kernel. It allocates only the row closure it hands to
-// ParallelRows, plus the goroutines when workers > 1. out must be
-// a.Rows × b.Cols and must not alias a or b.
+// one VecMatInto call, so it is bit-identical to one axpyRow pass per
+// non-zero a element in ascending k, and bit-identical for any worker count
+// because each row is produced by the same serial kernel. It allocates only
+// the row closure it hands to ParallelRows, plus the goroutines when
+// workers > 1. out must be a.Rows × b.Cols and must not alias a or b.
 func ParallelMatMulInto(out, a, b *Matrix, workers int) {
 	checkMatMulShape(out, a, b)
 	ParallelRows(a.Rows, workers, func(_, lo, hi int) {
@@ -38,42 +38,42 @@ func checkMatMulShape(out, a, b *Matrix) {
 	}
 }
 
-// axpyRow computes o += alpha*brow over equal-length rows, 4-way unrolled in
-// the slice-advance form (`len(x) >= 4` guard + constant indices + `x[4:]`
-// step) — the one idiom Go 1.24's prove pass reduces to zero IsInBounds
-// checks (verified by `make bce`; an index-offset unroll like `o[j+1]` is
-// NOT eliminated). Each element is touched exactly once, so unrolling cannot
-// reorder any float addition — results stay bit-identical to the rolled
-// loop.
+// checkBacking panics unless m.Data holds m.Rows rows of m.Cols, the bound
+// the row-list kernels read up to. The product is taken in full width, so
+// neither a negative dimension nor an overflowing one passes.
+func checkBacking(m *Matrix) {
+	if hi, lo := bits.Mul(uint(m.Rows), uint(m.Cols)); hi != 0 || lo > uint(len(m.Data)) {
+		panic(fmt.Sprintf("tensor: %dx%d matrix over %d elements", m.Rows, m.Cols, len(m.Data)))
+	}
+}
+
+// rowOutOfRange is the panic of a row-list kernel handed an index outside
+// the matrix, raised before the kernel reads that row.
+func rowOutOfRange(r int32, rows int) string {
+	return fmt.Sprintf("tensor: row %d outside %d rows", r, rows)
+}
+
+// axpyRow computes o += alpha*brow over equal-length rows, each product
+// rounded to float32 by an explicit conversion (so no architecture fuses it
+// into the add), 4-way unrolled in the slice-advance form (`len(x) >= 4`
+// guard + constant indices + `x[4:]` step) — the one idiom Go 1.24's prove
+// pass reduces to zero IsInBounds checks (verified by `make bce`; an
+// index-offset unroll like `o[j+1]` is NOT eliminated). Each element is
+// touched exactly once, so unrolling cannot reorder any float addition —
+// results stay bit-identical to the rolled loop.
 func axpyRow(o []float32, alpha float32, brow []float32) {
 	o = o[:len(brow)]
 	for len(brow) >= 4 && len(o) >= 4 {
-		o[0] += alpha * brow[0]
-		o[1] += alpha * brow[1]
-		o[2] += alpha * brow[2]
-		o[3] += alpha * brow[3]
+		o[0] += float32(alpha * brow[0])
+		o[1] += float32(alpha * brow[1])
+		o[2] += float32(alpha * brow[2])
+		o[3] += float32(alpha * brow[3])
 		o = o[4:]
 		brow = brow[4:]
 	}
 	o = o[:len(brow)]
 	for j, bv := range brow {
-		o[j] += alpha * bv
-	}
-}
-
-// axpy4RowGeneric is the portable body of axpy4Row, which computes o += a0*r0
-// + a1*r1 + a2*r2 + a3*r3 in one sweep over o. Every element is summed left
-// to right, o + a0*r0 first, so it gets the same float32 products and sums
-// in the same order as four successive axpyRow passes, and the result is
-// bit-identical to them; the sweep only saves three loads and three stores
-// of o per element. Each row must be at least len(o) long. axpy4Row runs
-// this loop, or on amd64 its SSE2 version (kernels_amd64.s), which does the
-// same multiply and add per lane.
-func axpy4RowGeneric(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
-	a2 float32, r2 []float32, a3 float32, r3 []float32) {
-	r0, r1, r2, r3 = r0[:len(o)], r1[:len(o)], r2[:len(o)], r3[:len(o)]
-	for i, v := range o {
-		o[i] = v + a0*r0[i] + a1*r1[i] + a2*r2[i] + a3*r3[i]
+		o[j] += float32(alpha * bv)
 	}
 }
 
@@ -96,37 +96,65 @@ func addRow(o, r []float32) {
 	}
 }
 
-// add4RowGeneric is the portable body of add4Row, which computes o += r0 +
-// r1 + r2 + r3 in one sweep over o. Every element is summed left to right,
-// o + r0 first, so it gets the same float32 sums in the same order as four
-// successive addRow passes, and the result is bit-identical to them. Each
-// row must be at least len(o) long. add4Row runs this loop, or on amd64
-// its SSE2 version (kernels_amd64.s), which does the same add per lane.
-func add4RowGeneric(o, r0, r1, r2, r3 []float32) {
-	r0, r1, r2, r3 = r0[:len(o)], r1[:len(o)], r2[:len(o)], r3[:len(o)]
-	for i, v := range o {
-		o[i] = v + r0[i] + r1[i] + r2[i] + r3[i]
+// sumRowsGeneric is the portable body of sumRows, the add-only row-list
+// kernel: o += data row r, len(o) wide, for each r in rows in list order,
+// one addRow pass per row. It returns len(rows), or the list position of
+// the first index outside [0, nrows), whose row it never reads (o then
+// holds the rows before it; callers panic). With no columns it reads
+// nothing and checks nothing. sumRows runs this loop, or on amd64 its SSE2
+// version (kernels_amd64.s), which keeps each panel of up to 32 output
+// columns in registers for the whole list and does the same add per lane;
+// every element gets the same sums in the same order, so the two are
+// bit-identical.
+func sumRowsGeneric(o, data []float32, nrows int, rows []int32) int {
+	w := len(o)
+	if w == 0 {
+		return len(rows)
 	}
+	for i, r := range rows {
+		if uint(r) >= uint(nrows) {
+			return i
+		}
+		addRow(o, data[int(r)*w:][:w])
+	}
+	return len(rows)
+}
+
+// axpyRowsGeneric is the portable body of axpyRows, the multiply-then-add
+// row-list kernel: o += coefs[i]·(data row rows[i]) for each i in list
+// order, one axpyRow pass per row. It returns and checks as
+// sumRowsGeneric. coefs must hold len(rows) elements. axpyRows runs this
+// loop, or on amd64 its SSE2 version, which broadcasts each coefficient
+// once per panel and does the same multiply, then add, per lane.
+func axpyRowsGeneric(o, data []float32, nrows int, rows []int32, coefs []float32) int {
+	w := len(o)
+	if w == 0 {
+		return len(rows)
+	}
+	coefs = coefs[:len(rows)]
+	for i, r := range rows {
+		if uint(r) >= uint(nrows) {
+			return i
+		}
+		axpyRow(o, coefs[i], data[int(r)*w:][:w])
+	}
+	return len(rows)
 }
 
 // SumChain computes acc += Σ m.Row(rows[i]) in list order, the float32
-// reduce chain and the float twin of QChain: four rows per add4Row sweep,
-// the tail one addRow pass each, and no multiply. Every column adds its
-// terms in list order, so the result is bit-identical to one addRow per
-// row. The executor folds a linear-sum layer's per-source factor into the
-// rows before the chain and applies the per-destination factor after it.
-// acc must have length m.Cols.
+// reduce chain and the float twin of QChain, as one sumRows call: no
+// multiply, and every column adds its terms in list order, so the result
+// is bit-identical to one addRow per row. The executor folds a linear-sum
+// layer's per-source factor into the rows before the chain and applies the
+// per-destination factor after it. acc must have length m.Cols; an index
+// outside m panics, as m.Row does.
 func SumChain(acc []float32, m *Matrix, rows []int32) {
 	if len(acc) != m.Cols {
 		panic(fmt.Sprintf("tensor: sum chain acc %d for %d cols", len(acc), m.Cols))
 	}
-	for len(rows) >= 4 {
-		add4Row(acc, m.Row(int(rows[0])), m.Row(int(rows[1])),
-			m.Row(int(rows[2])), m.Row(int(rows[3])))
-		rows = rows[4:]
-	}
-	for _, r := range rows {
-		addRow(acc, m.Row(int(r)))
+	checkBacking(m)
+	if i := sumRows(acc, m.Data, m.Rows, rows); uint(i) < uint(len(rows)) {
+		panic(rowOutOfRange(rows[i], m.Rows))
 	}
 }
 
@@ -147,10 +175,15 @@ func ScaleRowsInto(dst, m *Matrix, coefs []float32) {
 	}
 }
 
+// vecMatChunk is the length of VecMatInto's stack lists of non-zero x
+// entries; a longer x is compacted and run one chunk at a time.
+const vecMatChunk = 64
+
 // VecMatInto computes out = xᵀ·a without allocating. out must have length
-// a.Cols and must not alias x or a's backing array. Zero x entries are
-// skipped; the others feed axpy4Row four at a time in ascending k, so the
-// result is bit-identical to one axpyRow pass per non-zero entry.
+// a.Cols and must not alias x or a's backing array. It compacts x's
+// non-zero entries, in ascending k, into a stack list and runs axpyRows
+// over it, so zero entries are skipped and the result is bit-identical to
+// one axpyRow pass per non-zero entry.
 func VecMatInto(out []float32, x []float32, a *Matrix) {
 	if a.Rows != len(x) {
 		panic(fmt.Sprintf("tensor: vecmat %d · %dx%d", len(x), a.Rows, a.Cols))
@@ -158,26 +191,24 @@ func VecMatInto(out []float32, x []float32, a *Matrix) {
 	if len(out) != a.Cols {
 		panic(fmt.Sprintf("tensor: vecmat out %d, want %d", len(out), a.Cols))
 	}
-	for i := range out {
-		out[i] = 0
-	}
-	var ks [4]int
-	var xs [4]float32
-	n := 0
-	for k, xv := range x {
-		if xv == 0 {
-			continue
+	checkBacking(a)
+	clear(out)
+	var ks [vecMatChunk]int32
+	var cs [vecMatChunk]float32
+	for base := 0; base < len(x); base += vecMatChunk {
+		n := 0
+		for k, xv := range x[base:min(base+vecMatChunk, len(x))] {
+			// Every entry is written and a zero is then overwritten by the
+			// next one. n ≤ k < vecMatChunk, so the mask, which lets the
+			// compiler drop the bounds checks, never changes an index.
+			ks[n&(vecMatChunk-1)], cs[n&(vecMatChunk-1)] = int32(base+k), xv
+			if xv != 0 {
+				n++
+			}
 		}
-		ks[n&3], xs[n&3] = k, xv
-		n++
-		if n&3 == 0 {
-			axpy4Row(out,
-				xs[0], a.Row(ks[0]), xs[1], a.Row(ks[1]),
-				xs[2], a.Row(ks[2]), xs[3], a.Row(ks[3]))
+		if i := axpyRows(out, a.Data, a.Rows, ks[:n], cs[:n]); uint(i) < uint(n) {
+			panic(rowOutOfRange(ks[i&(vecMatChunk-1)], a.Rows))
 		}
-	}
-	for i, k := range ks[:n&3] {
-		axpyRow(out, xs[i], a.Row(k))
 	}
 }
 

@@ -7,14 +7,16 @@ package tensor
 // builds take the portable loops (kernels_noasm.go) because the race
 // detector cannot see memory that assembly touches. Each wrapper bounds its
 // slices exactly as the portable loop bounds itself, and the assembly
-// touches only the elements those lengths allow. The declarations carry
-// //go:noescape so callers' scratch stays on the stack.
+// touches only the elements those lengths allow; the two fp32 row-list
+// kernels also read data up to nrows·len(o), which their callers check
+// once per call (checkBacking), and check every row index themselves. The
+// declarations carry //go:noescape so callers' scratch stays on the stack.
 
 //go:noescape
-func axpy4RowSSE2(o []float32, a0, a1, a2, a3 float32, r0, r1, r2, r3 []float32)
+func sumRowsSSE2(o, data []float32, nrows int, rows []int32) int
 
 //go:noescape
-func add4RowSSE2(o, r0, r1, r2, r3 []float32)
+func axpyRowsSSE2(o, data []float32, nrows int, rows []int32, coefs []float32) int
 
 //go:noescape
 func accRowChainSSE2(swar []uint64, row []byte)
@@ -25,15 +27,12 @@ func accRow4ChainSSE2(swar []uint64, r0, r1, r2, r3 []byte)
 //go:noescape
 func dotInt8SSE2(a, b []int8) int32
 
-func axpy4Row(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
-	a2 float32, r2 []float32, a3 float32, r3 []float32) {
-	n := len(o)
-	axpy4RowSSE2(o, a0, a1, a2, a3, r0[:n], r1[:n], r2[:n], r3[:n])
+func sumRows(o, data []float32, nrows int, rows []int32) int {
+	return sumRowsSSE2(o, data, nrows, rows)
 }
 
-func add4Row(o, r0, r1, r2, r3 []float32) {
-	n := len(o)
-	add4RowSSE2(o, r0[:n], r1[:n], r2[:n], r3[:n])
+func axpyRows(o, data []float32, nrows int, rows []int32, coefs []float32) int {
+	return axpyRowsSSE2(o, data, nrows, rows, coefs[:len(rows)])
 }
 
 // accRowChain folds min(len(row)/8, len(swar)/2) eight-byte chunks: the

@@ -2,137 +2,444 @@
 
 #include "textflag.h"
 
-// SSE2 bodies of the five reduce-chain and GEMV kernels. Each one does the
-// same arithmetic as its portable loop (axpy4RowGeneric, add4RowGeneric,
-// accRowChainGeneric, accRow4ChainGeneric, dotInt8Generic), only several
-// columns per
-// instruction, and touches only the first len elements its Go wrapper
-// (kernels_amd64.go) hands it.
+// SSE2 bodies of the five reduce-chain and GEMV kernels. Each one does
+// the same arithmetic as its portable loop (sumRowsGeneric,
+// axpyRowsGeneric, accRowChainGeneric, accRow4ChainGeneric,
+// dotInt8Generic), only several columns per instruction, and touches only
+// the elements its Go caller hands it.
 
-// func axpy4RowSSE2(o []float32, a0, a1, a2, a3 float32, r0, r1, r2, r3 []float32)
+// The two fp32 kernels are output-stationary: they walk a list of row
+// indices once per panel of output columns and keep the panel in XMM
+// registers for the whole list, so each output element is loaded and
+// stored once per call. Whole 32-column panels (eight accumulators) run
+// while more than 32 columns remain; the last r ≤ 32 columns then take one
+// walk of the smallest panel that holds them: 32, 16, 8 or 4 columns, or
+// a scalar walk for r < 4. r of 17-20 takes a whole 16-column panel and
+// then one more walk for the rest instead, which measured faster than a
+// 32-column panel doing twice the work. A panel is two halves, the upper
+// one ending at column r, so when r is below the panel's width the halves
+// overlap. The
+// overlapping columns start from the same stored values in both halves and
+// add the same rows in the same order, so both halves hold the same bits
+// there and storing both is harmless. Every column still gets one rounded
+// product (axpy form) and one rounded add per row, in list order, so
+// neither the panel width nor the overlap changes a result bit.
 //
-// o[i] = o[i] + a0*r0[i] + a1*r1[i] + a2*r2[i] + a3*r3[i] for i < len(o),
-// summed left to right: one MULPS then one ADDPS per row, so every lane
-// rounds exactly as the scalar loop does. Every r must hold len(o) elements.
-TEXT ·axpy4RowSSE2(SB), NOSPLIT, $0-136
-	MOVQ  o_base+0(FP), DI
-	MOVQ  o_len+8(FP), CX
-	MOVQ  r0_base+40(FP), R8
-	MOVQ  r1_base+64(FP), R9
-	MOVQ  r2_base+88(FP), R10
-	MOVQ  r3_base+112(FP), R11
-	MOVSS a0+24(FP), X4
-	SHUFPS $0x00, X4, X4
-	MOVSS a1+28(FP), X5
-	SHUFPS $0x00, X5, X5
-	MOVSS a2+32(FP), X6
-	SHUFPS $0x00, X6, X6
-	MOVSS a3+36(FP), X7
-	SHUFPS $0x00, X7, X7
-	XORQ  AX, AX
-	MOVQ  CX, BX
-	SHRQ  $2, BX
-	JZ    axpyTail
+// Registers in both kernels:
+//   DI  output panel        SI  its upper half        CX  output columns left
+//   R8  data + panel offset R12 its upper half        DX  row stride, bytes
+//   R9  nrows               R10 end of rows           R11 len(rows)
+//   BX  list position − len(rows), counting up to 0   AX  row byte offset
+//   R13 end of coefs (axpy) X0-X7 accumulators        X8  coefficient
+//   X9-X14 row loads and products
+//
+// ROWPTR loads the list's next index sign-extended and jumps to bad unless
+// it is below nrows as an unsigned number (so a negative index fails too),
+// before any load from the row; then (R8)(AX*1) and (R12)(AX*1) are the
+// row's panel halves.
+#define ROWPTR \
+	MOVLQSX (R10)(BX*4), AX; \
+	CMPQ    AX, R9; \
+	JCC     bad; \
+	IMULQ   DX, AX
+
+// COEF broadcasts the row's coefficient into all four lanes of X8.
+#define COEF \
+	MOVSS  (R13)(BX*4), X8; \
+	SHUFPS $0x00, X8, X8
+
+// ADDV adds four row columns at off past base into acc. The row is loaded
+// with MOVUPS first because ADDPS with a memory operand needs 16-byte
+// alignment.
+#define ADDV(base, off, t, acc) \
+	MOVUPS off(base)(AX*1), t; \
+	ADDPS  t, acc
+
+// AXPYV adds coefficient·row for four columns at off past base: one MULPS,
+// then one ADDPS, never fused.
+#define AXPYV(base, off, t, acc) \
+	MOVUPS off(base)(AX*1), t; \
+	MULPS  X8, t; \
+	ADDPS  t, acc
+
+// FIRSTROW starts a walk of the whole list.
+#define FIRSTROW \
+	MOVQ R11, BX; \
+	NEGQ BX
+
+// NEXTROW advances the list position and loops while rows remain.
+#define NEXTROW(loop) \
+	INCQ BX; \
+	JNZ  loop
+
+// UPPER points SI and R12 at the panel's upper half, R12 bytes in.
+#define UPPER \
+	LEAQ (DI)(R12*1), SI; \
+	ADDQ R8, R12
+
+// LASTHALF sets R12 to the byte offset of a half of cols columns that
+// ends at column CX.
+#define LASTHALF(cols) \
+	MOVQ CX, R12; \
+	SUBQ $cols, R12; \
+	SHLQ $2, R12
+
+#define LD1(p, a) MOVUPS 0(p), a
+#define LD2(p, a, b) LD1(p, a); MOVUPS 16(p), b
+#define LD4(p, a, b, c, d) LD2(p, a, b); MOVUPS 32(p), c; MOVUPS 48(p), d
+#define ST1(p, a) MOVUPS a, 0(p)
+#define ST2(p, a, b) ST1(p, a); MOVUPS b, 16(p)
+#define ST4(p, a, b, c, d) ST2(p, a, b); MOVUPS c, 32(p); MOVUPS d, 48(p)
+
+// The prologue both kernels share: it returns len(rows) at once for an
+// empty list or a zero width, where nothing is read.
+#define PROLOGUE(done) \
+	MOVQ  o_base+0(FP), DI; \
+	MOVQ  o_len+8(FP), CX; \
+	MOVQ  data_base+24(FP), R8; \
+	MOVQ  nrows+48(FP), R9; \
+	MOVQ  rows_base+56(FP), R10; \
+	MOVQ  rows_len+64(FP), R11; \
+	LEAQ  (R10)(R11*4), R10; \
+	MOVQ  CX, DX; \
+	SHLQ  $2, DX; \
+	TESTQ R11, R11; \
+	JZ    done; \
+	TESTQ CX, CX; \
+	JZ    done
+
+// func sumRowsSSE2(o, data []float32, nrows int, rows []int32) int
+//
+// o[j] = o[j] + data[r·len(o)+j] for each r in rows, in list order, summed
+// left to right: one ADDPS (ADDSS in the tail) per row, so every lane
+// rounds exactly as the scalar loop does. It returns len(rows), or the
+// list position of the first index outside [0, nrows), whose row it never
+// reads: the first walk meets that index before anything is stored, so o
+// is left as it was. data must hold nrows·len(o) elements.
+TEXT ·sumRowsSSE2(SB), NOSPLIT, $0-88
+	PROLOGUE(sumDone)
+
+sum32:
+	MOVQ $64, R12
+	CMPQ CX, $32
+	JHI  sum32Walk // a whole panel, more to come
+	CMPQ CX, $20
+	JLS  sum16
+	LASTHALF(16)
+
+sum32Walk:
+	UPPER
+	LD4(DI, X0, X1, X2, X3)
+	LD4(SI, X4, X5, X6, X7)
+	FIRSTROW
 
 	PCALIGN $32
-axpyLoop4:
-	MOVUPS (DI)(AX*4), X0
-	MOVUPS (R8)(AX*4), X1
-	MULPS  X4, X1
-	ADDPS  X1, X0
-	MOVUPS (R9)(AX*4), X2
-	MULPS  X5, X2
-	ADDPS  X2, X0
-	MOVUPS (R10)(AX*4), X3
-	MULPS  X6, X3
-	ADDPS  X3, X0
-	MOVUPS (R11)(AX*4), X1
-	MULPS  X7, X1
-	ADDPS  X1, X0
-	MOVUPS X0, (DI)(AX*4)
-	ADDQ   $4, AX
-	DECQ   BX
-	JNZ    axpyLoop4
+sum32Row:
+	ROWPTR
+	ADDV(R8, 0, X9, X0)
+	ADDV(R8, 16, X10, X1)
+	ADDV(R8, 32, X11, X2)
+	ADDV(R8, 48, X12, X3)
+	ADDV(R12, 0, X13, X4)
+	ADDV(R12, 16, X14, X5)
+	ADDV(R12, 32, X9, X6)
+	ADDV(R12, 48, X10, X7)
+	NEXTROW(sum32Row)
+	ST4(DI, X0, X1, X2, X3)
+	ST4(SI, X4, X5, X6, X7)
+	CMPQ CX, $32
+	JLS  sumDone
+	ADDQ $128, DI
+	ADDQ $128, R8
+	SUBQ $32, CX
+	JMP  sum32
 
-axpyTail:
-	ANDQ $3, CX
-	JZ   axpyDone
+sum16:
+	MOVQ $32, R12
+	CMPQ CX, $16
+	JHI  sum16Walk // 17-20 columns: a whole panel, then the rest
+	CMPQ CX, $8
+	JLS  sum8
+	LASTHALF(8)
+
+sum16Walk:
+	UPPER
+	LD2(DI, X0, X1)
+	LD2(SI, X2, X3)
+	FIRSTROW
 
 	PCALIGN $32
-axpyLoop1:
-	MOVSS (DI)(AX*4), X0
-	MOVSS (R8)(AX*4), X1
-	MULSS X4, X1
-	ADDSS X1, X0
-	MOVSS (R9)(AX*4), X2
-	MULSS X5, X2
-	ADDSS X2, X0
-	MOVSS (R10)(AX*4), X3
-	MULSS X6, X3
-	ADDSS X3, X0
-	MOVSS (R11)(AX*4), X1
-	MULSS X7, X1
-	ADDSS X1, X0
-	MOVSS X0, (DI)(AX*4)
-	INCQ  AX
-	DECQ  CX
-	JNZ   axpyLoop1
+sum16Row:
+	ROWPTR
+	ADDV(R8, 0, X9, X0)
+	ADDV(R8, 16, X10, X1)
+	ADDV(R12, 0, X11, X2)
+	ADDV(R12, 16, X12, X3)
+	NEXTROW(sum16Row)
+	ST2(DI, X0, X1)
+	ST2(SI, X2, X3)
+	CMPQ CX, $16
+	JLS  sumDone
+	ADDQ $64, DI
+	ADDQ $64, R8
+	SUBQ $16, CX
 
-axpyDone:
+sum8:
+	CMPQ CX, $4
+	JLS  sum4
+	LASTHALF(4)
+	UPPER
+	LD1(DI, X0)
+	LD1(SI, X1)
+	FIRSTROW
+
+	PCALIGN $32
+sum8Row:
+	ROWPTR
+	ADDV(R8, 0, X9, X0)
+	ADDV(R12, 0, X10, X1)
+	NEXTROW(sum8Row)
+	ST1(DI, X0)
+	ST1(SI, X1)
+	JMP sumDone
+
+sum4:
+	CMPQ CX, $4
+	JCS  sumTail
+	LD1(DI, X0)
+	FIRSTROW
+
+	PCALIGN $32
+sum4Row:
+	ROWPTR
+	ADDV(R8, 0, X9, X0)
+	NEXTROW(sum4Row)
+	ST1(DI, X0)
+	JMP sumDone
+
+// 1-3 columns: two through the low half of X0 (MOVQ; the zero upper lanes
+// it loads are never stored) and one through X1, in one walk.
+sumTail:
+	FIRSTROW
+	CMPQ CX, $2
+	JCS  sum1
+	JEQ  sum2
+	MOVQ  (DI), X0
+	MOVSS 8(DI), X1
+
+	PCALIGN $32
+sum3Row:
+	ROWPTR
+	MOVQ  (R8)(AX*1), X9
+	ADDPS X9, X0
+	ADDSS 8(R8)(AX*1), X1
+	NEXTROW(sum3Row)
+	MOVQ  X0, (DI)
+	MOVSS X1, 8(DI)
+	JMP   sumDone
+
+sum2:
+	MOVQ (DI), X0
+
+	PCALIGN $32
+sum2Row:
+	ROWPTR
+	MOVQ  (R8)(AX*1), X9
+	ADDPS X9, X0
+	NEXTROW(sum2Row)
+	MOVQ X0, (DI)
+	JMP  sumDone
+
+sum1:
+	MOVSS (DI), X1
+
+	PCALIGN $32
+sum1Row:
+	ROWPTR
+	ADDSS (R8)(AX*1), X1
+	NEXTROW(sum1Row)
+	MOVSS X1, (DI)
+
+sumDone:
+	MOVQ R11, ret+80(FP)
 	RET
 
-// func add4RowSSE2(o, r0, r1, r2, r3 []float32)
+bad:
+	ADDQ R11, BX
+	MOVQ BX, ret+80(FP)
+	RET
+
+// func axpyRowsSSE2(o, data []float32, nrows int, rows []int32, coefs []float32) int
 //
-// o[i] = o[i] + r0[i] + r1[i] + r2[i] + r3[i] for i < len(o), summed left
-// to right: one ADDPS per row, so every lane rounds exactly as the scalar
-// ADDSS loop does. The row operands are loaded with MOVUPS first, because
-// ADDPS with a memory operand requires 16-byte alignment. Every r must hold
-// len(o) elements.
-TEXT ·add4RowSSE2(SB), NOSPLIT, $0-120
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), CX
-	MOVQ r0_base+24(FP), R8
-	MOVQ r1_base+48(FP), R9
-	MOVQ r2_base+72(FP), R10
-	MOVQ r3_base+96(FP), R11
-	XORQ AX, AX
-	MOVQ CX, BX
-	SHRQ $2, BX
-	JZ   addTail
+// o[j] = o[j] + coefs[i]·data[rows[i]·len(o)+j] for each i, in list order:
+// one MULPS then one ADDPS per row (MULSS and ADDSS in the tail), each
+// coefficient broadcast once per walk. Every lane rounds the product and
+// then the sum exactly as the portable loop does. Returns and bounds as
+// sumRowsSSE2; coefs must hold len(rows) elements.
+TEXT ·axpyRowsSSE2(SB), NOSPLIT, $0-112
+	PROLOGUE(axpyDone)
+	MOVQ coefs_base+80(FP), R13
+	LEAQ (R13)(R11*4), R13
+
+axpy32:
+	MOVQ $64, R12
+	CMPQ CX, $32
+	JHI  axpy32Walk // a whole panel, more to come
+	CMPQ CX, $20
+	JLS  axpy16
+	LASTHALF(16)
+
+axpy32Walk:
+	UPPER
+	LD4(DI, X0, X1, X2, X3)
+	LD4(SI, X4, X5, X6, X7)
+	FIRSTROW
 
 	PCALIGN $32
-addLoop4:
-	MOVUPS (DI)(AX*4), X0
-	MOVUPS (R8)(AX*4), X1
-	ADDPS  X1, X0
-	MOVUPS (R9)(AX*4), X2
-	ADDPS  X2, X0
-	MOVUPS (R10)(AX*4), X3
-	ADDPS  X3, X0
-	MOVUPS (R11)(AX*4), X1
-	ADDPS  X1, X0
-	MOVUPS X0, (DI)(AX*4)
-	ADDQ   $4, AX
-	DECQ   BX
-	JNZ    addLoop4
+axpy32Row:
+	ROWPTR
+	COEF
+	AXPYV(R8, 0, X9, X0)
+	AXPYV(R8, 16, X10, X1)
+	AXPYV(R8, 32, X11, X2)
+	AXPYV(R8, 48, X12, X3)
+	AXPYV(R12, 0, X13, X4)
+	AXPYV(R12, 16, X14, X5)
+	AXPYV(R12, 32, X9, X6)
+	AXPYV(R12, 48, X10, X7)
+	NEXTROW(axpy32Row)
+	ST4(DI, X0, X1, X2, X3)
+	ST4(SI, X4, X5, X6, X7)
+	CMPQ CX, $32
+	JLS  axpyDone
+	ADDQ $128, DI
+	ADDQ $128, R8
+	SUBQ $32, CX
+	JMP  axpy32
 
-addTail:
-	ANDQ $3, CX
-	JZ   addDone
+axpy16:
+	MOVQ $32, R12
+	CMPQ CX, $16
+	JHI  axpy16Walk // 17-20 columns: a whole panel, then the rest
+	CMPQ CX, $8
+	JLS  axpy8
+	LASTHALF(8)
+
+axpy16Walk:
+	UPPER
+	LD2(DI, X0, X1)
+	LD2(SI, X2, X3)
+	FIRSTROW
 
 	PCALIGN $32
-addLoop1:
-	MOVSS (DI)(AX*4), X0
-	ADDSS (R8)(AX*4), X0
-	ADDSS (R9)(AX*4), X0
-	ADDSS (R10)(AX*4), X0
-	ADDSS (R11)(AX*4), X0
-	MOVSS X0, (DI)(AX*4)
-	INCQ  AX
-	DECQ  CX
-	JNZ   addLoop1
+axpy16Row:
+	ROWPTR
+	COEF
+	AXPYV(R8, 0, X9, X0)
+	AXPYV(R8, 16, X10, X1)
+	AXPYV(R12, 0, X11, X2)
+	AXPYV(R12, 16, X12, X3)
+	NEXTROW(axpy16Row)
+	ST2(DI, X0, X1)
+	ST2(SI, X2, X3)
+	CMPQ CX, $16
+	JLS  axpyDone
+	ADDQ $64, DI
+	ADDQ $64, R8
+	SUBQ $16, CX
 
-addDone:
+axpy8:
+	CMPQ CX, $4
+	JLS  axpy4
+	LASTHALF(4)
+	UPPER
+	LD1(DI, X0)
+	LD1(SI, X1)
+	FIRSTROW
+
+	PCALIGN $32
+axpy8Row:
+	ROWPTR
+	COEF
+	AXPYV(R8, 0, X9, X0)
+	AXPYV(R12, 0, X10, X1)
+	NEXTROW(axpy8Row)
+	ST1(DI, X0)
+	ST1(SI, X1)
+	JMP axpyDone
+
+axpy4:
+	CMPQ CX, $4
+	JCS  axpyTail
+	LD1(DI, X0)
+	FIRSTROW
+
+	PCALIGN $32
+axpy4Row:
+	ROWPTR
+	COEF
+	AXPYV(R8, 0, X9, X0)
+	NEXTROW(axpy4Row)
+	ST1(DI, X0)
+	JMP axpyDone
+
+axpyTail:
+	FIRSTROW
+	CMPQ CX, $2
+	JCS  axpy1
+	JEQ  axpy2
+	MOVQ  (DI), X0
+	MOVSS 8(DI), X1
+
+	PCALIGN $32
+axpy3Row:
+	ROWPTR
+	COEF
+	MOVQ  (R8)(AX*1), X9
+	MULPS X8, X9
+	ADDPS X9, X0
+	MOVSS 8(R8)(AX*1), X10
+	MULSS X8, X10
+	ADDSS X10, X1
+	NEXTROW(axpy3Row)
+	MOVQ  X0, (DI)
+	MOVSS X1, 8(DI)
+	JMP   axpyDone
+
+axpy2:
+	MOVQ (DI), X0
+
+	PCALIGN $32
+axpy2Row:
+	ROWPTR
+	COEF
+	MOVQ  (R8)(AX*1), X9
+	MULPS X8, X9
+	ADDPS X9, X0
+	NEXTROW(axpy2Row)
+	MOVQ X0, (DI)
+	JMP  axpyDone
+
+axpy1:
+	MOVSS (DI), X1
+
+	PCALIGN $32
+axpy1Row:
+	ROWPTR
+	MOVSS (R13)(BX*4), X8
+	MOVSS (R8)(AX*1), X9
+	MULSS X8, X9
+	ADDSS X9, X1
+	NEXTROW(axpy1Row)
+	MOVSS X1, (DI)
+
+axpyDone:
+	MOVQ R11, ret+104(FP)
+	RET
+
+bad:
+	ADDQ R11, BX
+	MOVQ BX, ret+104(FP)
 	RET
 
 // func accRowChainSSE2(swar []uint64, row []byte)

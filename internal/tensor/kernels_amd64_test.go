@@ -38,34 +38,57 @@ func f32Operand(rng *rand.Rand, inf bool) float32 {
 	return float32(rng.NormFloat64())
 }
 
-func TestAxpy4RowSSE2MatchesGeneric(t *testing.T) {
+// rowListCase draws one row-list kernel call: an nrows×width matrix whose
+// backing array starts off elements into its allocation and runs past
+// nrows·width, a list of n indices over it (n > nrows repeats rows; trial 2
+// repeats one explicitly), n coefficients with forced ±0 entries, and an
+// output row off elements into a longer backing array. The matrix holds
+// ±Inf when infRows is set and the coefficients otherwise, so every
+// product has at most one non-finite operand.
+func rowListCase(rng *rand.Rand, width, off, n, trial int, infRows bool) (back, data []float32, nrows int, rows []int32, coefs []float32) {
+	nrows = 6
+	data = make([]float32, off+nrows*width+trial)[off:] // longer than the bound when trial > 0
+	for i := range data {
+		data[i] = f32Operand(rng, infRows)
+	}
+	rows = make([]int32, n)
+	coefs = make([]float32, n+trial) // longer than the list when trial > 0
+	for i := range rows {
+		rows[i] = int32(rng.Intn(nrows))
+		coefs[i] = f32Operand(rng, !infRows)
+	}
+	if trial == 2 && n >= 3 { // a chain naming one source twice in a row
+		rows[2] = rows[1]
+	}
+	for i := 0; i < n; i += 5 {
+		coefs[i] = float32(math.Copysign(0, float64(1-2*(i/5%2)))) // +0 and −0
+	}
+	back = make([]float32, off+width+4)
+	for i := range back {
+		back[i] = f32Operand(rng, true)
+	}
+	return back, data, nrows, rows, coefs
+}
+
+// rowListLengths are the list lengths the kernel tests sweep: 0–9 and one
+// that crosses a VecMatInto compaction chunk.
+var rowListLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, vecMatChunk + 5}
+
+func TestAxpyRowsSSE2MatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for width := 0; width <= 70; width++ {
 		for off := 0; off <= 3; off++ {
-			for trial := 0; trial < 3; trial++ {
-				var a [4]float32
-				var r [4][]float32
-				for k := range r {
-					a[k] = f32Operand(rng, true)
-					row := make([]float32, off+width+trial) // longer than o when trial > 0
-					for i := range row {
-						row[i] = f32Operand(rng, !math.IsInf(float64(a[k]), 0))
+			for _, n := range rowListLengths {
+				for trial := 0; trial < 3; trial++ {
+					back, data, nrows, rows, coefs := rowListCase(rng, width, off, n, trial, trial == 1)
+					got := append([]float32(nil), back...)
+					want := append([]float32(nil), back...)
+					gi := axpyRows(got[off:off+width], data, nrows, rows, coefs)
+					wi := axpyRowsGeneric(want[off:off+width], data, nrows, rows, coefs)
+					if gi != n || wi != n || !bitsEqual(got, want) {
+						t.Fatalf("width %d offset %d rows %v trial %d: SSE2 %d %v, generic %d %v",
+							width, off, rows, trial, gi, got, wi, want)
 					}
-					r[k] = row[off:]
-				}
-				if trial == 2 { // a repeated row, as in a chain naming one source twice
-					r[2], a[2] = r[0], f32Operand(rng, false)
-				}
-				back := make([]float32, off+width+4)
-				for i := range back {
-					back[i] = f32Operand(rng, true)
-				}
-				got := append([]float32(nil), back...)
-				want := append([]float32(nil), back...)
-				axpy4Row(got[off:off+width], a[0], r[0], a[1], r[1], a[2], r[2], a[3], r[3])
-				axpy4RowGeneric(want[off:off+width], a[0], r[0], a[1], r[1], a[2], r[2], a[3], r[3])
-				if !bitsEqual(got, want) {
-					t.Fatalf("width %d offset %d coefs %v: SSE2 %v, generic %v", width, off, a, got, want)
 				}
 			}
 		}
@@ -75,32 +98,21 @@ func TestAxpy4RowSSE2MatchesGeneric(t *testing.T) {
 // The add kernel must match its loop on every operand f32Operand draws,
 // ±Inf in any position included: an Inf + −Inf lane yields the default
 // NaN on both paths, and a NaN then propagates unchanged.
-func TestAdd4RowSSE2MatchesGeneric(t *testing.T) {
+func TestSumRowsSSE2MatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for width := 0; width <= 70; width++ {
 		for off := 0; off <= 3; off++ {
-			for trial := 0; trial < 3; trial++ {
-				var r [4][]float32
-				for k := range r {
-					row := make([]float32, off+width+trial) // longer than o when trial > 0
-					for i := range row {
-						row[i] = f32Operand(rng, true)
+			for _, n := range rowListLengths {
+				for trial := 0; trial < 3; trial++ {
+					back, data, nrows, rows, _ := rowListCase(rng, width, off, n, trial, true)
+					got := append([]float32(nil), back...)
+					want := append([]float32(nil), back...)
+					gi := sumRows(got[off:off+width], data, nrows, rows)
+					wi := sumRowsGeneric(want[off:off+width], data, nrows, rows)
+					if gi != n || wi != n || !bitsEqual(got, want) {
+						t.Fatalf("width %d offset %d rows %v trial %d: SSE2 %d %v, generic %d %v",
+							width, off, rows, trial, gi, got, wi, want)
 					}
-					r[k] = row[off:]
-				}
-				if trial == 2 { // a repeated row, as in a chain naming one source twice
-					r[2] = r[0]
-				}
-				back := make([]float32, off+width+4)
-				for i := range back {
-					back[i] = f32Operand(rng, true)
-				}
-				got := append([]float32(nil), back...)
-				want := append([]float32(nil), back...)
-				add4Row(got[off:off+width], r[0], r[1], r[2], r[3])
-				add4RowGeneric(want[off:off+width], r[0], r[1], r[2], r[3])
-				if !bitsEqual(got, want) {
-					t.Fatalf("width %d offset %d trial %d: SSE2 %v, generic %v", width, off, trial, got, want)
 				}
 			}
 		}
@@ -293,7 +305,9 @@ func (d *fuzzOperands) u64() uint64 {
 
 // FuzzKernels decodes the fuzzer's bytes into a width, a slice offset and
 // operands for the five SSE2 kernels, and requires each to match its
-// portable loop bit for bit.
+// portable loop bit for bit. The row-list kernels get a matrix of up to
+// eight rows and a list of up to 32 indices, some of them outside the
+// matrix, and must also stop at the same list position.
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{37, 1, 0x00, 0x00, 0x80, 0x7f, 0xff, 0xff, 0x7f, 0x7f, 0x01, 0x00, 0x00, 0x00})
@@ -302,16 +316,27 @@ func FuzzKernels(f *testing.F) {
 		d := fuzzOperands(data)
 		width := int(d.next())
 		off := int(d.next() % 4)
-
-		var a [4]float32
-		var r [4][]float32
-		for k := range r {
-			a[k] = d.f32()
-			r[k] = make([]float32, off+width)
-			for i := range r[k] {
-				r[k][i] = d.f32()
+		nrows := int(d.next()%8) + 1
+		list := make([]int32, d.next()%33)
+		for i := range list {
+			// Mostly in range; a byte above 0xF0 names a row past the
+			// end or a negative one.
+			switch b := d.next(); {
+			case b > 0xF8:
+				list[i] = -int32(b - 0xF8)
+			case b > 0xF0:
+				list[i] = int32(nrows) + int32(b-0xF1)
+			default:
+				list[i] = int32(int(b) % nrows)
 			}
-			r[k] = r[k][off:]
+		}
+		coefs := make([]float32, len(list))
+		for i := range coefs {
+			coefs[i] = d.f32()
+		}
+		m := make([]float32, off+nrows*width)
+		for i := range m {
+			m[i] = d.f32()
 		}
 		o := make([]float32, off+width)
 		for i := range o {
@@ -319,16 +344,20 @@ func FuzzKernels(f *testing.F) {
 		}
 		sum := append([]float32(nil), o...)
 		gotF := append([]float32(nil), o...)
-		axpy4Row(gotF[off:], a[0], r[0], a[1], r[1], a[2], r[2], a[3], r[3])
-		axpy4RowGeneric(o[off:], a[0], r[0], a[1], r[1], a[2], r[2], a[3], r[3])
-		if !bitsEqual(gotF, o) {
-			t.Fatalf("axpy4Row width %d offset %d: SSE2 %v, generic %v", width, off, gotF, o)
+		gi := axpyRows(gotF[off:], m[off:], nrows, list, coefs)
+		wi := axpyRowsGeneric(o[off:], m[off:], nrows, list, coefs)
+		// A list with a bad index leaves o unspecified: the caller panics.
+		valid := gi == len(list)
+		if gi != wi || valid && !bitsEqual(gotF, o) {
+			t.Fatalf("axpyRows width %d offset %d rows %v: SSE2 %d %v, generic %d %v",
+				width, off, list, gi, gotF, wi, o)
 		}
 		gotA := append([]float32(nil), sum...)
-		add4Row(gotA[off:], r[0], r[1], r[2], r[3])
-		add4RowGeneric(sum[off:], r[0], r[1], r[2], r[3])
-		if !bitsEqual(gotA, sum) {
-			t.Fatalf("add4Row width %d offset %d: SSE2 %v, generic %v", width, off, gotA, sum)
+		gi = sumRows(gotA[off:], m[off:], nrows, list)
+		wi = sumRowsGeneric(sum[off:], m[off:], nrows, list)
+		if gi != wi || valid && !bitsEqual(gotA, sum) {
+			t.Fatalf("sumRows width %d offset %d rows %v: SSE2 %d %v, generic %d %v",
+				width, off, list, gi, gotA, wi, sum)
 		}
 
 		x := make([]int8, off+width)

@@ -6,12 +6,13 @@ package tensor
 // detector cannot see memory that assembly touches) the hot kernels are the
 // portable loops.
 
-func axpy4Row(o []float32, a0 float32, r0 []float32, a1 float32, r1 []float32,
-	a2 float32, r2 []float32, a3 float32, r3 []float32) {
-	axpy4RowGeneric(o, a0, r0, a1, r1, a2, r2, a3, r3)
+func sumRows(o, data []float32, nrows int, rows []int32) int {
+	return sumRowsGeneric(o, data, nrows, rows)
 }
 
-func add4Row(o, r0, r1, r2, r3 []float32) { add4RowGeneric(o, r0, r1, r2, r3) }
+func axpyRows(o, data []float32, nrows int, rows []int32, coefs []float32) int {
+	return axpyRowsGeneric(o, data, nrows, rows, coefs)
+}
 
 func accRowChain(swar []uint64, row []byte) { accRowChainGeneric(swar, row) }
 

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// The GEMM's rows run the axpy4Row sweep (SSE2 on amd64); they must match
+// The GEMM's rows run the axpyRows panels (SSE2 on amd64); they must match
 // the plain one-axpyRow-per-element MatMul oracle bit for bit on a product
 // that is ragged in every dimension, zeros included (both skip them).
 func TestBlockedGEMMBitIdenticalToPlain(t *testing.T) {
@@ -236,37 +236,85 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// The four-row sweep must be bit-identical to four successive axpyRow passes
-// at every width (the 4-block body and each tail), for coefficients that
-// are 0, 1, −1 or arbitrary, and when rows repeat.
-func TestAxpy4RowMatchesAxpyRow(t *testing.T) {
+// The row-list kernel must be bit-identical to one axpyRow pass per row at
+// every width (each panel and tail), for coefficients that are 0, −0, 1,
+// −1 or arbitrary, and when rows repeat.
+func TestAxpyRowsMatchesAxpyRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	negZero := float32(math.Copysign(0, -1))
 	coefSets := [][4]float32{
-		{0, 0, 0, 0}, {1, 1, 1, 1}, {-1, -1, -1, -1}, {1, -1, 0, 1},
+		{0, 0, 0, 0}, {1, 1, 1, 1}, {-1, -1, -1, -1}, {1, -1, 0, negZero},
 		{rng.Float32(), -rng.Float32(), 3 * rng.Float32(), rng.Float32() - 0.5},
 	}
-	for width := 0; width <= 17; width++ {
-		rows := make([][]float32, 4)
-		for r := range rows {
-			rows[r] = RandomVector(rng, width, 2)
-		}
-		for _, same := range []bool{false, true} {
-			r := rows
-			if same {
-				r = [][]float32{rows[0], rows[1], rows[0], rows[0]}
-			}
+	for _, width := range []int{0, 1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 24, 31, 32, 33, 41, 48, 64, 71} {
+		m := RandomMatrix(rng, 4, width, 2)
+		for _, rows := range [][]int32{{0, 1, 2, 3}, {0, 1, 0, 0}} {
 			for _, c := range coefSets {
 				acc := RandomVector(rng, width, 1)
 				want := append([]float32(nil), acc...)
-				for k := range c {
-					axpyRow(want, c[k], r[k])
+				for k, r := range rows {
+					axpyRow(want, c[k], m.Row(int(r)))
 				}
-				axpy4Row(acc, c[0], r[0], c[1], r[1], c[2], r[2], c[3], r[3])
-				if !bitsEqual(acc, want) {
-					t.Fatalf("width %d repeated=%v coefs %v: four-row sweep diverges from four axpyRow passes",
-						width, same, c)
+				if i := axpyRows(acc, m.Data, m.Rows, rows, c[:]); i != len(rows) || !bitsEqual(acc, want) {
+					t.Fatalf("width %d rows %v coefs %v: kernel (%d) diverges from one axpyRow pass per row",
+						width, rows, c, i)
 				}
 			}
+		}
+	}
+}
+
+// Every panel width and tail must refuse an index of Rows, −1 or 1<<30
+// before reading that row: SumChain panics, and both row-list kernels
+// report the list position. The bad index sits after a good one, so the
+// kernel has already walked a row of the panel.
+func TestRowListKernelsRejectBadIndex(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 4, 8, 16, 32, 41, 64} {
+		m := RandomMatrix(rand.New(rand.NewSource(int64(width))), 3, width, 1)
+		for _, bad := range []int32{int32(m.Rows), -1, 1 << 30} {
+			rows := []int32{1, bad, 0}
+			acc := make([]float32, width)
+			if i := sumRows(acc, m.Data, m.Rows, rows); i != 1 {
+				t.Errorf("width %d index %d: sumRows returned %d, want 1", width, bad, i)
+			}
+			if i := axpyRows(acc, m.Data, m.Rows, rows, []float32{1, 2, 3}); i != 1 {
+				t.Errorf("width %d index %d: axpyRows returned %d, want 1", width, bad, i)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("width %d index %d: SumChain did not panic", width, bad)
+					}
+				}()
+				SumChain(acc, m, rows)
+			}()
+		}
+	}
+}
+
+// A matrix whose backing array is shorter than Rows·Cols, or whose
+// dimensions overflow that product, must panic before a kernel reads it.
+func TestRowListKernelsCheckBacking(t *testing.T) {
+	for name, m := range map[string]*Matrix{
+		"short":    {Rows: 3, Cols: 4, Data: make([]float32, 11)},
+		"overflow": {Rows: 1 << 62, Cols: 4, Data: make([]float32, 4)},
+		"negative": {Rows: -1, Cols: 4, Data: make([]float32, 4)},
+	} {
+		for call, fn := range map[string]func(){
+			"SumChain":   func() { SumChain(make([]float32, 4), m, []int32{0}) },
+			"VecMatInto": func() { VecMatInto(make([]float32, 4), make([]float32, max(m.Rows, 0)), m) },
+		} {
+			if m.Rows > 1<<20 && call == "VecMatInto" {
+				continue // x would need Rows entries
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s matrix: %s did not panic", name, call)
+					}
+				}()
+				fn()
+			}()
 		}
 	}
 }
@@ -363,6 +411,33 @@ func TestVecMatIntoZeroSkip(t *testing.T) {
 			if !bitsEqual(got, want) {
 				t.Fatalf("n=%d zero mask %b: VecMatInto %v, per-entry axpyRow %v", n, mask, got, want)
 			}
+		}
+	}
+	// An x longer than two compaction chunks, a third of it ±0, at widths
+	// that reach every panel and tail.
+	for _, width := range []int{1, 3, 7, 16, 41, 64} {
+		n := 2*vecMatChunk + 7
+		x := RandomVector(rng, n, 1)
+		a := RandomMatrix(rng, n, width, 1)
+		for k := range x {
+			if k%3 == 0 {
+				x[k] = 0
+				if k%2 == 1 {
+					x[k] = negZero
+				}
+				a.Row(k)[k%width] = inf
+			}
+		}
+		want := make([]float32, width)
+		for k, xv := range x {
+			if xv != 0 {
+				axpyRow(want, xv, a.Row(k))
+			}
+		}
+		got := make([]float32, width)
+		VecMatInto(got, x, a)
+		if !bitsEqual(got, want) {
+			t.Fatalf("width %d over %d entries: VecMatInto %v, per-entry axpyRow %v", width, n, got, want)
 		}
 	}
 }

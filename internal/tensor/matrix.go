@@ -9,20 +9,30 @@
 //   - Kernels write into caller-owned memory (ParallelMatMulInto,
 //     VecMatInto, SumChain, …); hot loops call them with caller-owned
 //     scratch so steady-state execution performs no heap allocation.
-//   - The GEMV (VecMatInto) and GEMM (ParallelMatMulInto, one VecMatInto
-//     per output row) add four scaled rows per sweep over the output row
-//     (axpy4Row), loading and storing each output element once per four
-//     rows instead of once per row. Each element still gets its products
-//     and sums in the order of one axpyRow pass per row, so the sweep width
-//     never changes results bit-wise. The GEMM has no cache-blocked
-//     variant: at the Reddit build's shapes (931×602 times 602×64 and
-//     602×512) the per-row sweep beat the k×j-blocked panels it replaced by
-//     4–5× (EXPERIMENTS.md, "Aggregate at the narrower width").
+//   - The GEMV (VecMatInto), the GEMM (ParallelMatMulInto, one VecMatInto
+//     per output row) and the float32 reduce chain (SumChain) run on one
+//     output-stationary kernel family over a list of row indices:
+//     axpyRows adds coefficient-scaled rows, sumRows adds them unscaled.
+//     Each keeps a panel of up to 32 output columns in registers for the
+//     whole list, so every output element is loaded and stored once per
+//     call; each element still gets its products and sums in the order of
+//     one axpyRow (or addRow) pass per row, so the panel width never
+//     changes results bit-wise. Both check every row index against
+//     m.Rows before reading the row (a bad index panics, as Matrix.Row
+//     does), and each call checks once that m.Data holds Rows·Cols.
+//   - VecMatInto compacts x's non-zero entries, in ascending k, into a
+//     fixed-size stack list (vecMatChunk entries; a longer x runs chunk by
+//     chunk) and runs axpyRows over it, so zeros are skipped and a ReLU'd
+//     input costs only its non-zero entries. The GEMM has no
+//     cache-blocked variant: at the Reddit build's shapes (931×602 times
+//     602×64 and 602×512) the per-row sweep beat the k×j-blocked panels it
+//     replaced by 4–5× (EXPERIMENTS.md, "Aggregate at the narrower
+//     width").
 //   - The float32 reduce chain (SumChain) multiplies nothing: the executor
 //     scales each source row by its per-source factor once per layer
 //     (ScaleRowsInto) and each vertex's sum by its per-destination factor
-//     once, so the chain adds four rows per sweep (add4Row, the tail one
-//     addRow pass each), in list order.
+//     once, so the chain is one sumRows call over the in-neighbour list,
+//     in list order.
 //   - Int8 GEMM (ParallelQMatMulInto / QGemvInto) multiplies a quantized
 //     activation QMatrix against a pre-transposed quantized weight matrix
 //     with int32 accumulation, processing bT rows in qgemmBlockJ (32-row)
@@ -32,15 +42,20 @@
 //     biased rows per sweep into SWAR uint64 lanes (accRow4Chain, the tail
 //     one row each with accRowChain) and flushes them into int32, minus the
 //     accumulated bias, every 256 rows.
-//   - On amd64 the five innermost loops — axpy4Row, add4Row, accRowChain,
+//   - On amd64 the five innermost loops — sumRows, axpyRows, accRowChain,
 //     accRow4Chain and the int8 inner product dotInt8 behind QGemvInto and
 //     ParallelQMatMulInto — run as SSE2 assembly (kernels_amd64.s), four
-//     floats or sixteen bytes per instruction. Each SSE lane does the
-//     portable loop's arithmetic in the same order (a float32 multiply then
-//     an add, never fused; exact integer sums), so results are bit-identical
-//     to the Go loops, which keep their bodies under …Generic names and are
-//     the only path on other architectures and in -race builds
-//     (kernels_noasm.go).
+//     floats or sixteen bytes per instruction. The row-list kernels walk
+//     the list inside the assembly once per panel: 32 columns while more
+//     than 32 remain, then one walk of the smallest panel (32, 16, 8 or 4
+//     columns, its two halves overlapping when the rest is narrower) or a
+//     scalar walk for fewer than 4 columns. Each SSE lane does the
+//     portable loop's arithmetic in the same order (a float32 multiply
+//     then an add, never fused; exact integer sums), so results are
+//     bit-identical to the Go loops, which keep their bodies under
+//     …Generic names, round each float32 product by an explicit
+//     conversion, and are the only path on other architectures and in
+//     -race builds (kernels_noasm.go).
 //   - Row-level parallelism is explicit: ParallelMatMulInto,
 //     ParallelQMatMulInto, ParallelQuantizeScaledInto and the ParallelRows
 //     helper fan disjoint row ranges across a bounded worker count. The
