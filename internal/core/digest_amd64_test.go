@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"testing"
 
 	"scale/internal/gnn"
@@ -121,6 +122,85 @@ func TestForwardDigestsTails(t *testing.T) {
 		} {
 			if got := forwardDigest(t, m, g, x); got != want[name+"/"+tier] {
 				t.Errorf("%s/%s: digest %s, want %s", name, tier, got, want[name+"/"+tier])
+			}
+		}
+	}
+}
+
+// hubGraph is a 700-vertex graph whose vertex 0 has in-degree 650 and
+// vertex 1 in-degree 300, so their int8 chains cross the 16-bit lane
+// widening after 256 and 512 rows; every other vertex reads a short
+// seeded list.
+func hubGraph() *graph.Graph {
+	const n = 700
+	rng := rand.New(rand.NewSource(17))
+	b := graph.NewBuilder(n)
+	for u := 50; u < n; u++ {
+		b.AddEdge(u, 0)
+	}
+	for u := 2; u < 302; u++ {
+		b.AddEdge(u, 1)
+	}
+	for v := 2; v < n; v++ {
+		for k := rng.Intn(9); k > 0; k-- {
+			b.AddEdge(rng.Intn(n), v)
+		}
+	}
+	return b.Build("hubs")
+}
+
+// TestForwardDigestsCascade is TestForwardDigests at dims [117, 90, 75,
+// 7, 2], the widths of the int8 panel cascade the other two tests miss:
+// reduce-chain strides above 64 with each narrower walk after the 64-column
+// ones (120, 96, 80), GEMV outputs above 64 (90, 75, and gs-pl's 117-wide
+// pool) and odd input widths, whose last weight pair is padded. The RMAT
+// graph runs short chains; hubGraph's two hubs run chains of 650 and 300
+// rows at every stride. Layers after the first read ReLU'd inputs, so
+// all-zero input pairs occur. Its digests were computed before the int8
+// kernels were rewritten.
+func TestForwardDigestsCascade(t *testing.T) {
+	want := map[string]string{
+		"hubs/gat-4h/fp32":  "c8d48f698ee07b1f1d5af3e089ecfdeea5165c1a5ec7bfc8fe5f1dbdc4458cac",
+		"hubs/gat-4h/int8":  "b9cf8ca268c6eef967ea5b8ae32188c2a90b95d53c8bc44ed03c51778bc2e0c3",
+		"hubs/gat/fp32":     "963e5cc36dfccf2ba5c0a2f023aa6f8d4ca3562ef10b0d60b39ee15813f64527",
+		"hubs/gat/int8":     "a2b143de2c55e4e319887a6bc335299920371249bcb730bce366c169bd276cf1",
+		"hubs/gcn/fp32":     "dc61028fec424716aa9ad81eb826237db13077bc093363fbf20afa0632588df9",
+		"hubs/gcn/int8":     "8d4ac1ec37e18620805fc6614fd9c2dc94741274f8abc1f707fc548100ad1f4a",
+		"hubs/ggcn/fp32":    "99d347805a1f4b34e47030d79dffe90694bdbd3035149282bd102ed8c758b9b4",
+		"hubs/ggcn/int8":    "a619e6e34cfc4bd4f4c3db57ddce78d84b69f002e850c9c8c694999c0f26c8af",
+		"hubs/gin/fp32":     "4efe5ea8a369a1c839a4ceb0df44c7d65d220680eeffa3397ff9e4f8ccfb69d8",
+		"hubs/gin/int8":     "a5b4b00749ae6e83c967e4421417c6126692f9577897f2f772442226e7ef4d34",
+		"hubs/gs-mean/fp32": "1e11ec93adae4136233fd3d4db3aa30e9e8047ed7dcb08a56ebf7fba8e9a20e1",
+		"hubs/gs-mean/int8": "360342ad7487b6203c651961615adda4b9f4d8643a1f997ba6551a820dc81c6a",
+		"hubs/gs-pl/fp32":   "d88623835f7cc9844cc266a24c11c681d4320758698bd2a8d585ec1cb450a17a",
+		"hubs/gs-pl/int8":   "2372c2cbfadb11824b48e52c181063e10c655adc64dff6b90c87eb684187d797",
+		"rmat/gat-4h/fp32":  "fcfa40ee43b7b5ffe46d91042ce3aec21c825c6686454474139d16ea15fd02d2",
+		"rmat/gat-4h/int8":  "4ce0b535045eb1b47f770adcf581b0bf663b6a8e7c0f1a01bb0865fc64c48b93",
+		"rmat/gat/fp32":     "569cffafccf19d5905ee8be1a478c60753bf99fc403512a79292ab923a12aa26",
+		"rmat/gat/int8":     "90cd4822cc81195cc884e9327cf14fa5da7681ab7f87f8670852f80bb20cbf08",
+		"rmat/gcn/fp32":     "e3473334fe9db48ae061aa7fc08c3e1179b5e230e37bfcded046a160ab308912",
+		"rmat/gcn/int8":     "b6fd2b781f97aa9858b2480247558a4b77bb558b34730a64fc2dff13bb9b01de",
+		"rmat/ggcn/fp32":    "5c79817109855b86da73391e2fa658b121bc87a4f8768a047d8a55e36ff8957e",
+		"rmat/ggcn/int8":    "b7fcc0e034cf096245f82370feb7ab66d26d15298eb0480d00b4809d543fd48d",
+		"rmat/gin/fp32":     "e968887ef07cb397ba61a0771502c43650dd8af52dd2741bb4639315207a2c73",
+		"rmat/gin/int8":     "7026937c193b13f64a4dde9eadf656779da566d29343cd18389eb1b16435dd07",
+		"rmat/gs-mean/fp32": "2a9ae481189db48267de0dcd1666e901ce55d28e1c26f4fe8d135f2af122d5de",
+		"rmat/gs-mean/int8": "b63a49a52ddffffe81fceb23384da4b32982932e6fb948a7d3040779babcb7aa",
+		"rmat/gs-pl/fp32":   "eb6aaaa37c560fc54aa1e8048565cf23ad94aa4436f627c9fc4342e09c4b3171",
+		"rmat/gs-pl/int8":   "f91c8e55a43f01b1a90665537d515867872b05c4a5487403ed2696284cc4bae8",
+	}
+	dims := []int{117, 90, 75, 7, 2}
+	for gname, g := range map[string]*graph.Graph{"rmat": graph.RMAT(9, 4000, 7), "hubs": hubGraph()} {
+		x := gnn.RandomFeatures(g, dims[0], 13)
+		for _, name := range gnn.AllModelNames() {
+			for tier, m := range map[string]*gnn.Model{
+				"fp32": gnn.MustModel(name, dims, 11),
+				"int8": quantizedModel(t, name, dims, 11),
+			} {
+				k := gname + "/" + name + "/" + tier
+				if got := forwardDigest(t, m, g, x); got != want[k] {
+					t.Errorf("%s: digest %s, want %s", k, got, want[k])
+				}
 			}
 		}
 	}
