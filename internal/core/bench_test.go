@@ -258,7 +258,7 @@ func benchAggregationOrder(b *testing.B, rng *rand.Rand, h, w *tensor.Matrix, de
 		}
 	})
 
-	wT, err := tensor.QuantizeTransposed(w)
+	qw, err := tensor.QuantizeWeights(w)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -268,40 +268,40 @@ func benchAggregationOrder(b *testing.B, rng *rand.Rand, h, w *tensor.Matrix, de
 	}
 	qrow := make([]int8, in)
 	// qchain leaves vertex v's dequantized chain over q's rows in acc.
-	qchain := func(acc []float32, q *tensor.QSumMatrix, acc32 []int32, swar []uint64, v int) {
+	qchain := func(acc []float32, q *tensor.QSumMatrix, acc32 []int32, v int) {
 		for i := range acc32 {
 			acc32[i] = 0
 		}
-		tensor.QChain(acc32, swar, q, srcs[v*deg:(v+1)*deg])
+		tensor.QChain(acc32, q, srcs[v*deg:(v+1)*deg])
 		c := q.Scale / float32(deg)
 		for i := range acc {
 			acc[i] = c * float32(acc32[i])
 		}
 	}
-	// qgemv writes quant(x)·wT into out, as an int8 update or transform.
+	// qgemv writes quant(x)·w into out, as an int8 update or transform.
 	qgemv := func(b *testing.B, out, x []float32) {
 		s, err := tensor.QuantizeRowInto(qrow, x)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tensor.QGemvInto(out, qrow, s, wT)
+		tensor.QGemvInto(out, qrow, s, qw)
 	}
 	b.Run("int8/natural", func(b *testing.B) {
 		q := tensor.NewQSumMatrix(n, in)
-		acc32, swar := make([]int32, q.Stride), make([]uint64, q.Stride/4)
+		acc32 := make([]int32, q.Stride)
 		for i := 0; i < b.N; i++ {
 			if err := tensor.ParallelQuantizeScaledInto(q, h, ones, 1); err != nil {
 				b.Fatal(err)
 			}
 			for v := 0; v < n; v++ {
-				qchain(acc[:in], q, acc32, swar, v)
+				qchain(acc[:in], q, acc32, v)
 				qgemv(b, dst.Row(v), acc[:in])
 			}
 		}
 	})
 	b.Run("int8/narrow", func(b *testing.B) {
 		q := tensor.NewQSumMatrix(n, out)
-		acc32, swar := make([]int32, q.Stride), make([]uint64, q.Stride/4)
+		acc32 := make([]int32, q.Stride)
 		for i := 0; i < b.N; i++ {
 			for v := 0; v < n; v++ {
 				qgemv(b, z.Row(v), h.Row(v))
@@ -310,7 +310,7 @@ func benchAggregationOrder(b *testing.B, rng *rand.Rand, h, w *tensor.Matrix, de
 				b.Fatal(err)
 			}
 			for v := 0; v < n; v++ {
-				qchain(acc[:out], q, acc32, swar, v)
+				qchain(acc[:out], q, acc32, v)
 				copy(dst.Row(v), acc[:out])
 			}
 		}

@@ -20,7 +20,6 @@ type fwdWorker struct {
 	msg, acc, scratch []float32
 	qs                []int8
 	acc32             []int32
-	qswar             []uint64
 	err               error
 }
 
@@ -113,10 +112,6 @@ func (st *fwdState) sizeWorkers(nw, width, updateScratch, qScratch, qAccWidth in
 			w.acc32 = make([]int32, qAccWidth)
 		}
 		w.acc32 = w.acc32[:qAccWidth]
-		if cap(w.qswar) < qAccWidth/4 {
-			w.qswar = make([]uint64, qAccWidth/4)
-		}
-		w.qswar = w.qswar[:qAccWidth/4]
 		w.err = nil
 	}
 	return ws
@@ -347,7 +342,7 @@ func (s *SCALE) forwardLayer(ctx context.Context, li int, layer gnn.Layer, g *gr
 		qScratch = qupd.QUpdateScratch()
 	}
 	if qpsrc != nil {
-		qAccWidth = qpsrc.Stride // padded, so QChain drains whole chunks
+		qAccWidth = qpsrc.Stride // padded, so QChain sums whole 8-column chunks
 	}
 	ws := st.sizeWorkers(nw, width, layer.UpdateScratch(), qScratch, qAccWidth)
 	p := &layerPass{layer: layer, g: g, srcDeg: degrees, psrc: psrc, pdst: pdst, h: h, out: out,
@@ -429,7 +424,7 @@ func (p *layerPass) runGroup(group *sched.TaskGroup, wk *fwdWorker) error {
 				for i := range acc32 {
 					acc32[i] = 0
 				}
-				tensor.QChain(acc32, wk.qswar, qpsrc, nbrs)
+				tensor.QChain(acc32, qpsrc, nbrs)
 				c := qpsrc.Scale * p.lin.DstCoef(len(nbrs))
 				for i := range acc {
 					acc[i] = c * float32(acc32[i])

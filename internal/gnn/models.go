@@ -118,7 +118,7 @@ type gcnLayer struct {
 
 	qonce sync.Once
 	qerr  error
-	qwT   *tensor.QMatrix // wᵀ quantized per output column (see quantized.go)
+	qw    *tensor.QWeights // w quantized per output column (see quantized.go)
 }
 
 func newGCNLayer(seed int64, in, out int, act bool) *gcnLayer {
@@ -158,7 +158,7 @@ func (l *gcnLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers int, q
 	case !l.transformFirst():
 		return h, nil, nil
 	case quantized:
-		z, err := qtransformInto(buf, h, l.qwT, workers)
+		z, err := qtransformInto(buf, h, l.qw, l.out, workers)
 		return z, nil, err
 	}
 	l.ensure()
@@ -232,9 +232,9 @@ type ggcnLayer struct {
 	once       sync.Once
 	a, b, u, v *tensor.Matrix // each in×out, lazily materialized
 
-	qonce              sync.Once
-	qerr               error
-	qaT, qbT, quT, qvT *tensor.QMatrix
+	qonce          sync.Once
+	qerr           error
+	qa, qb, qu, qv *tensor.QWeights
 }
 
 func newGGCNLayer(seed int64, in, out int, act bool) *ggcnLayer {
@@ -329,9 +329,9 @@ type sagePoolLayer struct {
 	bp            []float32
 	w             *tensor.Matrix // (in+pool)×out
 
-	qonce     sync.Once
-	qerr      error
-	qwpT, qwT *tensor.QMatrix
+	qonce   sync.Once
+	qerr    error
+	qwp, qw *tensor.QWeights
 }
 
 func newSAGEPoolLayer(seed int64, in, out int, act bool) *sagePoolLayer {
@@ -412,9 +412,9 @@ type ginLayer struct {
 	w1      *tensor.Matrix // in×out, lazily materialized
 	w2      *tensor.Matrix // out×out
 
-	qonce      sync.Once
-	qerr       error
-	qw1T, qw2T *tensor.QMatrix
+	qonce    sync.Once
+	qerr     error
+	qw1, qw2 *tensor.QWeights
 }
 
 func newGINLayer(seed int64, in, out int, act bool) *ginLayer {
@@ -494,7 +494,7 @@ type gatLayer struct {
 
 	qonce sync.Once
 	qerr  error
-	qwT   *tensor.QMatrix
+	qw    *tensor.QWeights
 }
 
 func newGATLayer(seed int64, in, out int, act bool) *gatLayer {
@@ -584,10 +584,10 @@ type sageMeanLayer struct {
 
 	// The int8 forms (quantized.go): a narrowing layer quantizes W_top
 	// and W_bot separately, a widening one the joint W.
-	qonce          sync.Once
-	qerr           error
-	qwT            *tensor.QMatrix
-	qwTopT, qwBotT *tensor.QMatrix
+	qonce        sync.Once
+	qerr         error
+	qw           *tensor.QWeights
+	qwTop, qwBot *tensor.QWeights
 }
 
 func newSAGEMeanLayer(seed int64, in, out int, act bool) *sageMeanLayer {
@@ -630,7 +630,7 @@ func (l *sageMeanLayer) prepareInto(buf *PrepareBuf, h *tensor.Matrix, workers i
 	case !l.transformFirst():
 		return h, nil, nil
 	case quantized:
-		z, err := qtransformInto(buf, h, l.qwBotT, workers)
+		z, err := qtransformInto(buf, h, l.qwBot, l.out, workers)
 		return z, nil, err
 	}
 	l.ensure()

@@ -13,17 +13,18 @@ import (
 // when LayerQuantized reports that form present:
 //
 //   - QKernels is the update-side capability: QUpdateInto replaces the
-//     update GEMVs with int8 GEMVs (quantize the activation row, int32-dot
-//     against the transposed quantized weights, dequantize at the output
-//     boundary). All seven built-in layers implement it.
+//     update GEMVs with int8 GEMVs (quantize the activation row, sum its
+//     non-zero input pairs against the pair-layout quantized weights in
+//     int32, dequantize at the output boundary; tensor.QGemvInto). All
+//     seven built-in layers implement it.
 //   - LinearAggregator (layer.go) is the aggregation-side capability of the
 //     linear-sum layers, gcn, gin and gs-mean, whose edge coefficient is
 //     SrcCoef(deg u)·DstCoef(deg v) on both tiers: the int8 executor folds
 //     each row's source factor into a shared-scale biased-byte quantization
 //     of the prepared source matrix (tensor.ParallelQuantizeScaledInto),
-//     reduce chains sum raw byte rows in exact packed integer arithmetic
-//     (tensor.QChain — no multiply, no convert, eight columns per 64-bit
-//     add, four rows per sweep), and each vertex dequantizes its chain once
+//     reduce chains sum raw byte rows in exact integer arithmetic
+//     (tensor.QChain — no multiply, no convert, 16-bit lanes widened into
+//     int32 every 256 rows), and each vertex dequantizes its chain once
 //     with Scale·DstCoef. A narrowing gcn or gs-mean layer prepares that
 //     matrix as the int8 transform h·W (qtransformInto), so its chain runs
 //     at the output width. The other layers keep float32 edge math and run
@@ -140,18 +141,18 @@ func PrepareLayerInto(buf *PrepareBuf, l Layer, h *tensor.Matrix, workers int, q
 }
 
 // qtransformInto is transformInto on the int8 tier: each row of h is
-// quantized with its own scale and multiplied by wT, the transposed
-// quantized weights (tensor.QGemvInto: exact int32 dots, one dequantizing
-// multiply per element). Each row is produced by the same serial kernel,
-// so z is bit-identical for every worker count.
-func qtransformInto(buf *PrepareBuf, h *tensor.Matrix, wT *tensor.QMatrix, workers int) (*tensor.Matrix, error) {
+// quantized with its own scale and multiplied by w, the quantized weights
+// (tensor.QGemvInto: exact int32 sums, one dequantizing multiply pair per
+// element). Each row is produced by the same serial kernel, so z is
+// bit-identical for every worker count.
+func qtransformInto(buf *PrepareBuf, h *tensor.Matrix, w *tensor.QWeights, out, workers int) (*tensor.Matrix, error) {
 	if buf == nil {
 		buf = &PrepareBuf{}
 	}
 	z := &buf.z
-	z.Resize(h.Rows, wT.Rows)
+	z.Resize(h.Rows, out)
 	err := buf.rq.each(h, workers, func(i int, q []int8, s float32) {
-		tensor.QGemvInto(z.Row(i), q, s, wT)
+		tensor.QGemvInto(z.Row(i), q, s, w)
 	})
 	if err != nil {
 		return nil, err
@@ -232,12 +233,12 @@ func quantizeActivation(q []int8, row []float32) (float32, error) {
 func (l *gcnLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
 		l.ensure()
-		l.qwT, l.qerr = tensor.QuantizeTransposed(l.w)
+		l.qw, l.qerr = tensor.QuantizeWeights(l.w)
 	})
 	return l.qerr
 }
 
-func (l *gcnLayer) Quantized() bool { return l.qwT != nil }
+func (l *gcnLayer) Quantized() bool { return l.qw != nil }
 
 func (l *gcnLayer) QUpdateScratch() int {
 	if l.transformFirst() {
@@ -256,7 +257,7 @@ func (l *gcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) er
 	if err != nil {
 		return err
 	}
-	tensor.QGemvInto(dst, q, s, l.qwT)
+	tensor.QGemvInto(dst, q, s, l.qw)
 	maybeReLU(l.act, dst)
 	return nil
 }
@@ -268,20 +269,20 @@ func (l *gcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) er
 func (l *ggcnLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
 		l.ensure()
-		quantize := func(m *tensor.Matrix) *tensor.QMatrix {
+		quantize := func(m *tensor.Matrix) *tensor.QWeights {
 			if l.qerr != nil {
 				return nil
 			}
-			q, err := tensor.QuantizeTransposed(m)
+			q, err := tensor.QuantizeWeights(m)
 			l.qerr = err
 			return q
 		}
-		l.qaT, l.qbT, l.quT, l.qvT = quantize(l.a), quantize(l.b), quantize(l.u), quantize(l.v)
+		l.qa, l.qb, l.qu, l.qv = quantize(l.a), quantize(l.b), quantize(l.u), quantize(l.v)
 	})
 	return l.qerr
 }
 
-func (l *ggcnLayer) Quantized() bool     { return l.qvT != nil }
+func (l *ggcnLayer) Quantized() bool     { return l.qv != nil }
 func (l *ggcnLayer) QUpdateScratch() int { return l.in }
 
 func (l *ggcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
@@ -290,7 +291,7 @@ func (l *ggcnLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) e
 	if err != nil {
 		return err
 	}
-	tensor.QGemvInto(dst, q, s, l.quT)
+	tensor.QGemvInto(dst, q, s, l.qu)
 	for i := range dst {
 		dst[i] += agg[i]
 	}
@@ -303,9 +304,9 @@ func (l *ggcnLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *te
 	pdst := tensor.NewMatrix(h.Rows, l.out)
 	err := new(rowQuantizer).each(h, workers, func(i int, q []int8, s float32) {
 		row := psrc.Row(i)
-		tensor.QGemvInto(row[:l.out], q, s, l.qbT)
-		tensor.QGemvInto(row[l.out:], q, s, l.qvT)
-		tensor.QGemvInto(pdst.Row(i), q, s, l.qaT)
+		tensor.QGemvInto(row[:l.out], q, s, l.qb)
+		tensor.QGemvInto(row[l.out:], q, s, l.qv)
+		tensor.QGemvInto(pdst.Row(i), q, s, l.qa)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -314,21 +315,21 @@ func (l *ggcnLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *te
 }
 
 // ---------------------------------------------------------------------------
-// GraphSAGE-Pool: the pooling MLP becomes a blocked int8 GEMM; the max
+// GraphSAGE-Pool: the pooling MLP runs one int8 GEMV per row; the max
 // reduce keeps float aggregation; the update GEMV runs int8.
 
 func (l *sagePoolLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
 		l.ensure()
-		l.qwpT, l.qerr = tensor.QuantizeTransposed(l.wp)
+		l.qwp, l.qerr = tensor.QuantizeWeights(l.wp)
 		if l.qerr == nil {
-			l.qwT, l.qerr = tensor.QuantizeTransposed(l.w)
+			l.qw, l.qerr = tensor.QuantizeWeights(l.w)
 		}
 	})
 	return l.qerr
 }
 
-func (l *sagePoolLayer) Quantized() bool     { return l.qwT != nil }
+func (l *sagePoolLayer) Quantized() bool     { return l.qw != nil }
 func (l *sagePoolLayer) QUpdateScratch() int { return l.in + l.pool }
 
 func (l *sagePoolLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
@@ -339,27 +340,24 @@ func (l *sagePoolLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int
 	if err != nil {
 		return err
 	}
-	tensor.QGemvInto(dst, q, s, l.qwT)
+	tensor.QGemvInto(dst, q, s, l.qw)
 	maybeReLU(l.act, dst)
 	return nil
 }
 
 func (l *sagePoolLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *tensor.Matrix, error) {
-	qh := tensor.NewQMatrix(h.Rows, h.Cols)
-	if err := tensor.QuantizeInto(qh, h); err != nil {
-		return nil, nil, fmt.Errorf("gnn: quantize features: %w", err)
-	}
 	p := tensor.NewMatrix(h.Rows, l.pool)
-	tensor.ParallelQMatMulInto(p, qh, l.qwpT, workers)
-	tensor.ParallelRows(h.Rows, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := p.Row(i)
-			for j, bv := range l.bp {
-				row[j] += bv
-			}
-			tensor.ReLU(row)
+	err := new(rowQuantizer).each(h, workers, func(i int, q []int8, s float32) {
+		row := p.Row(i)
+		tensor.QGemvInto(row, q, s, l.qwp)
+		for j, bv := range l.bp {
+			row[j] += bv
 		}
+		tensor.ReLU(row)
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	return p, nil, nil
 }
 
@@ -370,15 +368,15 @@ func (l *sagePoolLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix,
 func (l *ginLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
 		l.ensure()
-		l.qw1T, l.qerr = tensor.QuantizeTransposed(l.w1)
+		l.qw1, l.qerr = tensor.QuantizeWeights(l.w1)
 		if l.qerr == nil {
-			l.qw2T, l.qerr = tensor.QuantizeTransposed(l.w2)
+			l.qw2, l.qerr = tensor.QuantizeWeights(l.w2)
 		}
 	})
 	return l.qerr
 }
 
-func (l *ginLayer) Quantized() bool { return l.qw2T != nil }
+func (l *ginLayer) Quantized() bool { return l.qw2 != nil }
 
 // QUpdateScratch sizes one buffer reused for both quantized rows: x (in)
 // first, then — after x is consumed by the W1 GEMV — the hidden row (out).
@@ -400,13 +398,13 @@ func (l *ginLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) er
 	if err != nil {
 		return err
 	}
-	tensor.QGemvInto(hidden, qx, s, l.qw1T)
+	tensor.QGemvInto(hidden, qx, s, l.qw1)
 	tensor.ReLU(hidden)
 	qh := qs[:l.out]
 	if s, err = quantizeActivation(qh, hidden); err != nil {
 		return err
 	}
-	tensor.QGemvInto(dst, qh, s, l.qw2T)
+	tensor.QGemvInto(dst, qh, s, l.qw2)
 	maybeReLU(l.act, dst)
 	return nil
 }
@@ -418,12 +416,12 @@ func (l *ginLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) er
 func (l *gatLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
 		l.ensure()
-		l.qwT, l.qerr = tensor.QuantizeTransposed(l.w)
+		l.qw, l.qerr = tensor.QuantizeWeights(l.w)
 	})
 	return l.qerr
 }
 
-func (l *gatLayer) Quantized() bool     { return l.qwT != nil }
+func (l *gatLayer) Quantized() bool     { return l.qw != nil }
 func (l *gatLayer) QUpdateScratch() int { return 0 }
 
 func (l *gatLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int8) error {
@@ -437,7 +435,7 @@ func (l *gatLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Matrix, *ten
 	err := new(rowQuantizer).each(h, workers, func(i int, q []int8, s float32) {
 		row := psrc.Row(i)
 		z := row[:l.out]
-		tensor.QGemvInto(z, q, s, l.qwT)
+		tensor.QGemvInto(z, q, s, l.qw)
 		row[l.out] = tensor.Dot(l.ar, z)
 		pdst.Set(i, 0, tensor.Dot(l.al, z))
 	})
@@ -485,7 +483,7 @@ func (l *multiHeadGATLayer) qprepare(h *tensor.Matrix, workers int) (*tensor.Mat
 		off := 0
 		for hd, sub := range l.subs {
 			z := row[off : off+sub.out]
-			tensor.QGemvInto(z, q, s, sub.qwT)
+			tensor.QGemvInto(z, q, s, sub.qw)
 			row[off+sub.out] = tensor.Dot(sub.ar, z)
 			drow[hd] = tensor.Dot(sub.al, z)
 			off += sub.out + 1
@@ -507,18 +505,18 @@ func (l *sageMeanLayer) QuantizeWeights() error {
 	l.qonce.Do(func() {
 		l.ensure()
 		if !l.transformFirst() {
-			l.qwT, l.qerr = tensor.QuantizeTransposed(l.w)
+			l.qw, l.qerr = tensor.QuantizeWeights(l.w)
 			return
 		}
-		l.qwTopT, l.qerr = tensor.QuantizeTransposed(l.wTop)
+		l.qwTop, l.qerr = tensor.QuantizeWeights(l.wTop)
 		if l.qerr == nil {
-			l.qwBotT, l.qerr = tensor.QuantizeTransposed(l.wBot)
+			l.qwBot, l.qerr = tensor.QuantizeWeights(l.wBot)
 		}
 	})
 	return l.qerr
 }
 
-func (l *sageMeanLayer) Quantized() bool { return l.qwT != nil || l.qwBotT != nil }
+func (l *sageMeanLayer) Quantized() bool { return l.qw != nil || l.qwBot != nil }
 
 func (l *sageMeanLayer) QUpdateScratch() int {
 	if l.transformFirst() {
@@ -534,7 +532,7 @@ func (l *sageMeanLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int
 		if err != nil {
 			return err
 		}
-		tensor.QGemvInto(dst, q, s, l.qwTopT)
+		tensor.QGemvInto(dst, q, s, l.qwTop)
 		for i, v := range agg {
 			dst[i] += v
 		}
@@ -548,7 +546,7 @@ func (l *sageMeanLayer) QUpdateInto(dst, hself, agg, scratch []float32, qs []int
 	if err != nil {
 		return err
 	}
-	tensor.QGemvInto(dst, q, s, l.qwT)
+	tensor.QGemvInto(dst, q, s, l.qw)
 	maybeReLU(l.act, dst)
 	return nil
 }

@@ -201,7 +201,6 @@ func TestSharedScaleChainMatchesFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc32 := make([]int32, q.Stride)
-	swar := make([]uint64, q.Stride/4)
 	want := make([]float64, m.Cols)
 	rows := make([]int32, m.Rows)
 	for i := range rows {
@@ -210,7 +209,7 @@ func TestSharedScaleChainMatchesFloat(t *testing.T) {
 			want[j] += float64(coefs[i]) * float64(v)
 		}
 	}
-	tensor.QChain(acc32, swar, q, rows)
+	tensor.QChain(acc32, q, rows)
 	// Each row contributes at most Scale/2 absolute error per element.
 	bound := float64(q.Scale) * 0.5 * float64(m.Rows) * 1.0001
 	for j := range want {

@@ -10,10 +10,13 @@ import (
 	"scale/internal/fault"
 )
 
-// MaxVertexID caps accepted vertex ids: an edge list naming vertex 2^40
-// (a typo or a corrupt file) must fail as bad input, not as a multi-terabyte
-// allocation attempt — the vertex count is max id + 1.
-const MaxVertexID = 1 << 30
+// MaxVertexID caps accepted vertex ids: the vertex count is max id + 1,
+// and the graph is sized to it before the first edge is added, at about 12
+// bytes per vertex, so a 15-byte line naming vertex 500000000 would
+// allocate 6 GB. The cap allows 1<<20 vertices, serve's default
+// per-request cap, which holds every Table II dataset (Reddit has
+// 232,965); a larger id fails as bad input.
+const MaxVertexID = 1<<20 - 1
 
 // ParseEdgeList reads a whitespace-separated edge list ("src dst" per line,
 // the SNAP/Graph500 text convention) and builds a graph. Lines starting with

@@ -25,6 +25,8 @@ func FuzzParseEdgeList(f *testing.F) {
 	f.Add("-1 0\n")
 	f.Add("0 -7\n")
 	f.Add("2147483648 0\n") // beyond MaxVertexID
+	f.Add("500000000 0000") // beyond it too: once a 6 GB graph
+	f.Add("0 1048575\n")    // at MaxVertexID: 1<<20 vertices
 	f.Add("x y\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ParseEdgeList(strings.NewReader(input), "fuzz", false)

@@ -92,67 +92,91 @@ func BenchmarkSumChainReddit(b *testing.B) {
 	}
 }
 
-// BenchmarkAccRowChainReddit runs one int8 reduce chain (QChain) over a
-// Reddit-degree list, at the input width (602, natural order) and the
-// output width (64, a narrowing layer's chain).
-func BenchmarkAccRowChainReddit(b *testing.B) {
-	for _, cols := range []int{602, 64} {
-		b.Run(fmt.Sprint(cols), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(4))
-			src := NewQSumMatrix(931, cols)
-			for i := 0; i < src.Rows; i++ {
-				rng.Read(src.Row(i)[:src.Cols])
-			}
-			rows := make([]int32, 492)
-			for i := range rows {
-				rows[i] = int32(rng.Intn(src.Rows))
-			}
-			swar := make([]uint64, src.Stride/4)
-			acc := make([]int32, src.Stride)
-			benchKernel(b, int64(len(rows))*int64(src.Stride),
-				func() { QChain(acc, swar, src, rows) },
-				func() { qChainGeneric(acc, swar, src, rows) })
-		})
+// BenchmarkQChainReddit runs one int8 reduce chain (QChain) at the widths
+// a Reddit-scale gcn chains on the int8 tier (64 after layer 0's
+// transform, 41 after layer 1's, a stride of 48), over 492 rows and over
+// the short lists of low-degree vertices.
+func BenchmarkQChainReddit(b *testing.B) {
+	for _, cols := range []int{64, 41} {
+		for _, deg := range []int{492, 32, 8} {
+			b.Run(fmt.Sprintf("%dx%d", cols, deg), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(4))
+				src := NewQSumMatrix(931, cols)
+				for i := 0; i < src.Rows; i++ {
+					rng.Read(src.Row(i)[:src.Cols])
+				}
+				rows := make([]int32, deg)
+				for i := range rows {
+					rows[i] = int32(rng.Intn(src.Rows))
+				}
+				acc := make([]int32, src.Stride)
+				benchKernel(b, int64(len(rows))*int64(src.Stride),
+					func() { QChain(acc, src, rows) },
+					func() { qsumRowsGeneric(acc, src.Data, src.Rows, rows) })
+			})
+		}
 	}
 }
 
-// qChainGeneric is QChain on the portable loops.
-func qChainGeneric(acc []int32, swar []uint64, q *QSumMatrix, rows []int32) {
-	for len(rows) > 0 {
-		block := rows[:min(len(rows), chainBlockEdges)]
-		rows = rows[len(block):]
-		n := len(block)
-		for ; len(block) >= 4; block = block[4:] {
-			accRow4ChainGeneric(swar, q.Row(int(block[0])), q.Row(int(block[1])),
-				q.Row(int(block[2])), q.Row(int(block[3])))
-		}
-		for _, r := range block {
-			accRowChainGeneric(swar, q.Row(int(r)))
-		}
-		flushChain(acc, swar, n)
-	}
-}
-
-// BenchmarkQGemvReddit runs one int8 update GEMV, 602 → 64.
+// BenchmarkQGemvReddit runs one int8 GEMV at the Reddit build's int8
+// transforms: 602 → 64 on a dense row and 64 → 41 on a ReLU'd one, whose
+// all-zero input pairs QGemvInto skips.
 func BenchmarkQGemvReddit(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	wT, err := QuantizeTransposed(RandomMatrix(rng, 602, 64, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	qx := make([]int8, wT.Cols)
-	sx, err := QuantizeRowInto(qx, RandomVector(rng, wT.Cols, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]float32, wT.Rows)
-	benchKernel(b, int64(wT.Rows)*int64(wT.Cols),
-		func() { QGemvInto(out, qx, sx, wT) },
-		func() {
-			for j := range out {
-				out[j] = sx * wT.Scales[j] * float32(dotInt8Generic(qx, wT.Row(j)))
-			}
+	b.Run("602x64", func(b *testing.B) { benchQGemv(b, 602, 64, false) })
+	b.Run("64x41-relu", func(b *testing.B) { benchQGemv(b, 64, 41, true) })
+}
+
+// BenchmarkQGemvSmall times one QGemvInto at small-open's int8 update and
+// transform shapes (gcn and gin at dims [16, 32, 8]), where the fixed cost
+// per call counts.
+func BenchmarkQGemvSmall(b *testing.B) {
+	for _, shape := range [][2]int{{16, 32}, {32, 32}, {32, 8}, {8, 8}} {
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			benchQGemv(b, shape[0], shape[1], false)
 		})
+	}
+}
+
+// benchQGemv times QGemvInto of a quantized random row of in values
+// against quantized random in×out weights; relu zeroes the row's negative
+// half first. The generic side runs the same compaction and panel on the
+// portable kernel.
+func benchQGemv(b *testing.B, in, out int, relu bool) {
+	rng := rand.New(rand.NewSource(5))
+	w, err := QuantizeWeights(RandomMatrix(rng, in, out, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := RandomVector(rng, in, 1)
+	if relu {
+		ReLU(x)
+	}
+	qx := make([]int8, in)
+	sx, err := QuantizeRowInto(qx, x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := make([]float32, out)
+	benchKernel(b, int64(in)*int64(out),
+		func() { QGemvInto(o, qx, sx, w) },
+		func() { qgemvGeneric(o, qx, sx, w) })
+}
+
+// qgemvGeneric is QGemvInto on the portable kernels, for even inputs and
+// outputs of at most one panel chunk.
+func qgemvGeneric(out []float32, qx []int8, sx float32, w *QWeights) {
+	var rows, pairs [qgemvChunk]int32
+	var acc [qgemvChunk]int32
+	a := acc[:len(out)]
+	if 4 <= len(out) && len(out) <= 8 {
+		qgemv8DenseGeneric(a, w.pairs, 2*w.out, qx)
+	} else {
+		for base := 0; base < len(qx); base += 2 * qgemvChunk {
+			n := compactPairs(&rows, &pairs, qx[base:min(base+2*qgemvChunk, len(qx))], int32(base/2))
+			qgemvRowsGeneric(a, w.pairs, 2*w.out, (w.in+1)/2, rows[:n], pairs[:n])
+		}
+	}
+	qdequant(out, a, sx, w.scales)
 }
 
 // runKernel times fn, which moves bytes bytes per call.

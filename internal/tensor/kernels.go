@@ -38,12 +38,13 @@ func checkMatMulShape(out, a, b *Matrix) {
 	}
 }
 
-// checkBacking panics unless m.Data holds m.Rows rows of m.Cols, the bound
-// the row-list kernels read up to. The product is taken in full width, so
-// neither a negative dimension nor an overflowing one passes.
-func checkBacking(m *Matrix) {
-	if hi, lo := bits.Mul(uint(m.Rows), uint(m.Cols)); hi != 0 || lo > uint(len(m.Data)) {
-		panic(fmt.Sprintf("tensor: %dx%d matrix over %d elements", m.Rows, m.Cols, len(m.Data)))
+// checkBacking panics unless a backing array of n elements holds rows rows
+// of cols, the bound the row-list kernels read up to. The product is taken
+// in full width, so neither a negative dimension nor an overflowing one
+// passes.
+func checkBacking(rows, cols, n int) {
+	if hi, lo := bits.Mul(uint(rows), uint(cols)); hi != 0 || lo > uint(n) {
+		panic(fmt.Sprintf("tensor: %dx%d matrix over %d elements", rows, cols, n))
 	}
 }
 
@@ -152,7 +153,7 @@ func SumChain(acc []float32, m *Matrix, rows []int32) {
 	if len(acc) != m.Cols {
 		panic(fmt.Sprintf("tensor: sum chain acc %d for %d cols", len(acc), m.Cols))
 	}
-	checkBacking(m)
+	checkBacking(m.Rows, m.Cols, len(m.Data))
 	if i := sumRows(acc, m.Data, m.Rows, rows); uint(i) < uint(len(rows)) {
 		panic(rowOutOfRange(rows[i], m.Rows))
 	}
@@ -191,7 +192,7 @@ func VecMatInto(out []float32, x []float32, a *Matrix) {
 	if len(out) != a.Cols {
 		panic(fmt.Sprintf("tensor: vecmat out %d, want %d", len(out), a.Cols))
 	}
-	checkBacking(a)
+	checkBacking(a.Rows, a.Cols, len(a.Data))
 	clear(out)
 	var ks [vecMatChunk]int32
 	var cs [vecMatChunk]float32

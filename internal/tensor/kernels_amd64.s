@@ -4,9 +4,12 @@
 
 // SSE2 bodies of the five reduce-chain and GEMV kernels. Each one does
 // the same arithmetic as its portable loop (sumRowsGeneric,
-// axpyRowsGeneric, accRowChainGeneric, accRow4ChainGeneric,
-// dotInt8Generic), only several columns per instruction, and touches only
-// the elements its Go caller hands it.
+// axpyRowsGeneric, qsumRowsGeneric, qgemvRowsGeneric,
+// qgemv8DenseGeneric), only several columns per instruction, and touches
+// only the elements its Go caller hands it. Every loop head is aligned to
+// 64 bytes (PCALIGN $64, which also aligns the function), so where a loop
+// falls against the CPU's 64-byte fetch windows does not depend on the
+// code linked before it.
 
 // The two fp32 kernels are output-stationary: they walk a list of row
 // indices once per panel of output columns and keep the panel in XMM
@@ -91,9 +94,11 @@
 #define ST2(p, a, b) ST1(p, a); MOVUPS b, 16(p)
 #define ST4(p, a, b, c, d) ST2(p, a, b); MOVUPS c, 32(p); MOVUPS d, 48(p)
 
-// The prologue both kernels share: it returns len(rows) at once for an
-// empty list or a zero width, where nothing is read.
-#define PROLOGUE(done) \
+// The prologue of the three row-sum kernels: DX is the row stride in
+// bytes, len(o) shifted by shift, the log2 of the element size, and it
+// returns len(rows) at once for an empty list or a zero width, where
+// nothing is read.
+#define PROLOGUE(done, shift) \
 	MOVQ  o_base+0(FP), DI; \
 	MOVQ  o_len+8(FP), CX; \
 	MOVQ  data_base+24(FP), R8; \
@@ -102,7 +107,7 @@
 	MOVQ  rows_len+64(FP), R11; \
 	LEAQ  (R10)(R11*4), R10; \
 	MOVQ  CX, DX; \
-	SHLQ  $2, DX; \
+	SHLQ  $shift, DX; \
 	TESTQ R11, R11; \
 	JZ    done; \
 	TESTQ CX, CX; \
@@ -117,7 +122,7 @@
 // reads: the first walk meets that index before anything is stored, so o
 // is left as it was. data must hold nrows·len(o) elements.
 TEXT ·sumRowsSSE2(SB), NOSPLIT, $0-88
-	PROLOGUE(sumDone)
+	PROLOGUE(sumDone, 2)
 
 sum32:
 	MOVQ $64, R12
@@ -133,7 +138,7 @@ sum32Walk:
 	LD4(SI, X4, X5, X6, X7)
 	FIRSTROW
 
-	PCALIGN $32
+	PCALIGN $64
 sum32Row:
 	ROWPTR
 	ADDV(R8, 0, X9, X0)
@@ -168,7 +173,7 @@ sum16Walk:
 	LD2(SI, X2, X3)
 	FIRSTROW
 
-	PCALIGN $32
+	PCALIGN $64
 sum16Row:
 	ROWPTR
 	ADDV(R8, 0, X9, X0)
@@ -193,7 +198,7 @@ sum8:
 	LD1(SI, X1)
 	FIRSTROW
 
-	PCALIGN $32
+	PCALIGN $64
 sum8Row:
 	ROWPTR
 	ADDV(R8, 0, X9, X0)
@@ -209,7 +214,7 @@ sum4:
 	LD1(DI, X0)
 	FIRSTROW
 
-	PCALIGN $32
+	PCALIGN $64
 sum4Row:
 	ROWPTR
 	ADDV(R8, 0, X9, X0)
@@ -227,7 +232,7 @@ sumTail:
 	MOVQ  (DI), X0
 	MOVSS 8(DI), X1
 
-	PCALIGN $32
+	PCALIGN $64
 sum3Row:
 	ROWPTR
 	MOVQ  (R8)(AX*1), X9
@@ -241,7 +246,7 @@ sum3Row:
 sum2:
 	MOVQ (DI), X0
 
-	PCALIGN $32
+	PCALIGN $64
 sum2Row:
 	ROWPTR
 	MOVQ  (R8)(AX*1), X9
@@ -253,7 +258,7 @@ sum2Row:
 sum1:
 	MOVSS (DI), X1
 
-	PCALIGN $32
+	PCALIGN $64
 sum1Row:
 	ROWPTR
 	ADDSS (R8)(AX*1), X1
@@ -277,7 +282,7 @@ bad:
 // then the sum exactly as the portable loop does. Returns and bounds as
 // sumRowsSSE2; coefs must hold len(rows) elements.
 TEXT ·axpyRowsSSE2(SB), NOSPLIT, $0-112
-	PROLOGUE(axpyDone)
+	PROLOGUE(axpyDone, 2)
 	MOVQ coefs_base+80(FP), R13
 	LEAQ (R13)(R11*4), R13
 
@@ -295,7 +300,7 @@ axpy32Walk:
 	LD4(SI, X4, X5, X6, X7)
 	FIRSTROW
 
-	PCALIGN $32
+	PCALIGN $64
 axpy32Row:
 	ROWPTR
 	COEF
@@ -331,7 +336,7 @@ axpy16Walk:
 	LD2(SI, X2, X3)
 	FIRSTROW
 
-	PCALIGN $32
+	PCALIGN $64
 axpy16Row:
 	ROWPTR
 	COEF
@@ -357,7 +362,7 @@ axpy8:
 	LD1(SI, X1)
 	FIRSTROW
 
-	PCALIGN $32
+	PCALIGN $64
 axpy8Row:
 	ROWPTR
 	COEF
@@ -374,7 +379,7 @@ axpy4:
 	LD1(DI, X0)
 	FIRSTROW
 
-	PCALIGN $32
+	PCALIGN $64
 axpy4Row:
 	ROWPTR
 	COEF
@@ -391,7 +396,7 @@ axpyTail:
 	MOVQ  (DI), X0
 	MOVSS 8(DI), X1
 
-	PCALIGN $32
+	PCALIGN $64
 axpy3Row:
 	ROWPTR
 	COEF
@@ -409,7 +414,7 @@ axpy3Row:
 axpy2:
 	MOVQ (DI), X0
 
-	PCALIGN $32
+	PCALIGN $64
 axpy2Row:
 	ROWPTR
 	COEF
@@ -423,7 +428,7 @@ axpy2Row:
 axpy1:
 	MOVSS (DI), X1
 
-	PCALIGN $32
+	PCALIGN $64
 axpy1Row:
 	ROWPTR
 	MOVSS (R13)(BX*4), X8
@@ -442,231 +447,479 @@ bad:
 	MOVQ BX, ret+104(FP)
 	RET
 
-// func accRowChainSSE2(swar []uint64, row []byte)
+// The two int8 kernels are output-stationary in the same way: each walks
+// its row list once per panel of output columns and keeps the panel in
+// XMM registers for the whole walk. Their sums are exact integers, so no
+// panel width, block or lane order can change a result.
 //
-// Folds len(row)/8 eight-byte chunks of row into swar, two words per chunk,
-// in accRowChainGeneric's layout: for chunk c read as the little-endian
-// word u, swar[2c] += u & 0x00FF00FF00FF00FF and swar[2c+1] += (u >> 8) &
-// 0x00FF00FF00FF00FF. PAND and PSRLW split the even and odd bytes of 16 row
-// bytes, PUNPCKLQDQ/PUNPCKHQDQ pair each chunk's halves into one register,
-// and PADDQ is the same wrapping uint64 add. len(row) must be a multiple of
-// 8 and len(swar) == len(row)/4.
-TEXT ·accRowChainSSE2(SB), NOSPLIT, $0-48
-	MOVQ swar_base+0(FP), DI
-	MOVQ row_base+24(FP), SI
-	MOVQ row_len+32(FP), CX
-	MOVQ $0x00FF00FF00FF00FF, AX
-	MOVQ AX, X7
-	PUNPCKLQDQ X7, X7
-	MOVQ CX, BX
-	SHRQ $4, BX
-	JZ   chainTail
+// QSPLIT adds the even and odd bytes of the 16 row bytes at off into the
+// 16-bit lanes even and odd: PAND keeps the even bytes of each word, PSRLW
+// $8 the odd ones.
+#define QSPLIT(off, even, odd) \
+	MOVOU off(R8)(AX*1), X10; \
+	MOVO  X10, X11; \
+	PAND  X8, X10; \
+	PSRLW $8, X11; \
+	PADDW X10, even; \
+	PADDW X11, odd
 
-	PCALIGN $32
-chainLoop16:
-	MOVOU      (SI), X0
-	MOVO       X0, X1
-	PAND       X7, X0
-	PSRLW      $8, X1
-	MOVO       X0, X2
-	PUNPCKLQDQ X1, X0
-	PUNPCKHQDQ X1, X2
-	MOVOU      (DI), X3
-	MOVOU      16(DI), X4
-	PADDQ      X0, X3
-	PADDQ      X2, X4
-	MOVOU      X3, (DI)
-	MOVOU      X4, 16(DI)
-	ADDQ       $16, SI
-	ADDQ       $32, DI
-	DECQ       BX
-	JNZ        chainLoop16
+// QBLOCK starts a block of at most chainBlockEdges rows at list position
+// BX: R13 is the position where it ends, X14 holds 128 times its length in
+// every int32 lane, and the lanes X0-X7 start from zero.
+#define QBLOCK \
+	MOVQ    BX, R13; \
+	ADDQ    $256, R13; \
+	XORL    R12, R12; \
+	CMPQ    R13, R12; \
+	CMOVQGT R12, R13; \
+	MOVQ    R13, R12; \
+	SUBQ    BX, R12; \
+	SHLQ    $7, R12; \
+	MOVQ    R12, X14; \
+	PSHUFD  $0, X14, X14; \
+	PXOR    X0, X0; \
+	PXOR    X1, X1; \
+	PXOR    X2, X2; \
+	PXOR    X3, X3; \
+	PXOR    X4, X4; \
+	PXOR    X5, X5; \
+	PXOR    X6, X6; \
+	PXOR    X7, X7
 
-chainTail:
-	TESTQ $8, CX
-	JZ    chainDone
-	MOVQ       (SI), X0
-	MOVO       X0, X1
-	PAND       X7, X0
-	PSRLW      $8, X1
-	PUNPCKLQDQ X1, X0
-	MOVOU      (DI), X3
-	PADDQ      X0, X3
-	MOVOU      X3, (DI)
+// QNEXT advances the list position and loops while the block has rows.
+#define QNEXT(loop) \
+	INCQ BX; \
+	CMPQ BX, R13; \
+	JLT  loop
 
-chainDone:
+// QACC adds the four int32 columns of v, less the block's bias, into o at
+// off.
+#define QACC(off, v) \
+	MOVOU off(DI), X12; \
+	PADDL v, X12; \
+	PSUBL X14, X12; \
+	MOVOU X12, off(DI)
+
+// QWIDEN8 widens one 8-column chunk's lanes, its even columns in the low
+// four words of even and its odd ones in odd, into o at off: PUNPCKLWL of
+// odd into even puts the eight words in column order, and PUNPCKLWL and
+// PUNPCKHWL with the zero X9 extend them to int32.
+#define QWIDEN8(off, even, odd) \
+	PUNPCKLWL odd, even; \
+	MOVO      even, X10; \
+	PUNPCKLWL X9, even; \
+	PUNPCKHWL X9, X10; \
+	QACC(off, even); \
+	QACC(off+16, X10)
+
+// QWIDEN16 widens one 16-column chunk's lanes into o at off.
+#define QWIDEN16(off, even, odd) \
+	MOVO      even, X13; \
+	PUNPCKHWL odd, X13; \
+	QWIDEN8(off, even, odd); \
+	MOVO      X13, X10; \
+	PUNPCKLWL X9, X13; \
+	PUNPCKHWL X9, X10; \
+	QACC(off+32, X13); \
+	QACC(off+48, X10)
+
+// func qsumRowsSSE2(o []int32, data []byte, nrows int, rows []int32) int
+//
+// o[j] = o[j] + Σ (data[r·len(o)+j] − 128) over r in rows: the int8
+// tier's reduce chain over biased bytes, in exact int32. len(o) must be a
+// multiple of 8. Panels of 64 columns (eight lane registers) run while 64
+// or more columns remain, then one walk each of 32, 16 and 8 columns as
+// the rest needs. After every block of chainBlockEdges rows, and at the
+// end of the list, the lanes widen into o less 128 per row of the block;
+// a lane holds at most 256·255 < 2¹⁶. It returns len(rows), or the list
+// position of the first index outside [0, nrows), whose row it never
+// reads; the first panel's earlier blocks are then in o, and callers
+// panic. data must hold nrows·len(o) bytes.
+TEXT ·qsumRowsSSE2(SB), NOSPLIT, $0-88
+	PROLOGUE(qsumDone, 0)
+	MOVQ       $0x00FF00FF00FF00FF, AX
+	MOVQ       AX, X8
+	PUNPCKLQDQ X8, X8
+	PXOR       X9, X9
+
+qsum64:
+	CMPQ CX, $64
+	JCS  qsum32
+	FIRSTROW
+
+qsum64Block:
+	QBLOCK
+
+	PCALIGN $64
+qsum64Row:
+	ROWPTR
+	QSPLIT(0, X0, X1)
+	QSPLIT(16, X2, X3)
+	QSPLIT(32, X4, X5)
+	QSPLIT(48, X6, X7)
+	QNEXT(qsum64Row)
+	QWIDEN16(0, X0, X1)
+	QWIDEN16(64, X2, X3)
+	QWIDEN16(128, X4, X5)
+	QWIDEN16(192, X6, X7)
+	TESTQ BX, BX
+	JNZ   qsum64Block
+	ADDQ  $256, DI
+	ADDQ  $64, R8
+	SUBQ  $64, CX
+	JMP   qsum64
+
+qsum32:
+	CMPQ CX, $32
+	JCS  qsum16
+	FIRSTROW
+
+qsum32Block:
+	QBLOCK
+
+	PCALIGN $64
+qsum32Row:
+	ROWPTR
+	QSPLIT(0, X0, X1)
+	QSPLIT(16, X2, X3)
+	QNEXT(qsum32Row)
+	QWIDEN16(0, X0, X1)
+	QWIDEN16(64, X2, X3)
+	TESTQ BX, BX
+	JNZ   qsum32Block
+	ADDQ  $128, DI
+	ADDQ  $32, R8
+	SUBQ  $32, CX
+
+qsum16:
+	CMPQ CX, $16
+	JCS  qsum8
+	FIRSTROW
+
+qsum16Block:
+	QBLOCK
+
+	PCALIGN $64
+qsum16Row:
+	ROWPTR
+	QSPLIT(0, X0, X1)
+	QNEXT(qsum16Row)
+	QWIDEN16(0, X0, X1)
+	TESTQ BX, BX
+	JNZ   qsum16Block
+	ADDQ  $64, DI
+	ADDQ  $16, R8
+	SUBQ  $16, CX
+
+// 8 columns: MOVQ loads them into the low half, and the upper lanes stay
+// zero.
+qsum8:
+	TESTQ CX, CX
+	JZ    qsumDone
+	FIRSTROW
+
+qsum8Block:
+	QBLOCK
+
+	PCALIGN $64
+qsum8Row:
+	ROWPTR
+	MOVQ  (R8)(AX*1), X10
+	MOVO  X10, X11
+	PAND  X8, X10
+	PSRLW $8, X11
+	PADDW X10, X0
+	PADDW X11, X1
+	QNEXT(qsum8Row)
+	QWIDEN8(0, X0, X1)
+	TESTQ BX, BX
+	JNZ   qsum8Block
+
+qsumDone:
+	MOVQ R11, ret+80(FP)
 	RET
 
-// func accRow4ChainSSE2(swar []uint64, r0, r1, r2, r3 []byte)
-//
-// Folds len(r0)/8 eight-byte chunks of four rows into swar in one sweep,
-// with accRowChainSSE2's split: PAND keeps each row's even bytes and PSRLW
-// $8 its odd ones, PADDQ sums the four rows' even halves and odd halves,
-// PUNPCKLQDQ/PUNPCKHQDQ pair each chunk's two sums, and one PADDQ per word
-// adds them into swar. uint64 addition is associative modulo 2⁶⁴, so every
-// word equals the one four accRowChainSSE2 calls leave. An 8-byte chunk
-// left over after the 16-byte loop runs the same steps on the low halves.
-// Every r must hold len(r0) bytes, len(r0) must be a multiple of 8 and
-// len(swar) == len(r0)/4.
-TEXT ·accRow4ChainSSE2(SB), NOSPLIT, $0-120
-	MOVQ swar_base+0(FP), DI
-	MOVQ r0_base+24(FP), SI
-	MOVQ r0_len+32(FP), CX
-	MOVQ r1_base+48(FP), R8
-	MOVQ r2_base+72(FP), R9
-	MOVQ r3_base+96(FP), R10
-	MOVQ $0x00FF00FF00FF00FF, AX
-	MOVQ AX, X7
-	PUNPCKLQDQ X7, X7
-	XORQ AX, AX
-	MOVQ CX, BX
-	SHRQ $4, BX
-	JZ   chain4Tail
-
-	PCALIGN $32
-chain4Loop16:
-	MOVOU      (SI)(AX*1), X0
-	MOVOU      (R8)(AX*1), X1
-	MOVOU      (R9)(AX*1), X2
-	MOVOU      (R10)(AX*1), X3
-	MOVO       X0, X4
-	PSRLW      $8, X4
-	PAND       X7, X0
-	MOVO       X1, X5
-	PSRLW      $8, X5
-	PAND       X7, X1
-	PADDQ      X1, X0
-	PADDQ      X5, X4
-	MOVO       X2, X5
-	PSRLW      $8, X5
-	PAND       X7, X2
-	PADDQ      X2, X0
-	PADDQ      X5, X4
-	MOVO       X3, X5
-	PSRLW      $8, X5
-	PAND       X7, X3
-	PADDQ      X3, X0
-	PADDQ      X5, X4
-	MOVO       X0, X2
-	PUNPCKLQDQ X4, X0
-	PUNPCKHQDQ X4, X2
-	MOVOU      (DI)(AX*2), X5
-	MOVOU      16(DI)(AX*2), X6
-	PADDQ      X0, X5
-	PADDQ      X2, X6
-	MOVOU      X5, (DI)(AX*2)
-	MOVOU      X6, 16(DI)(AX*2)
-	ADDQ       $16, AX
-	DECQ       BX
-	JNZ        chain4Loop16
-
-chain4Tail:
-	TESTQ $8, CX
-	JZ    chain4Done
-	MOVQ       (SI)(AX*1), X0
-	MOVQ       (R8)(AX*1), X1
-	MOVQ       (R9)(AX*1), X2
-	MOVQ       (R10)(AX*1), X3
-	MOVO       X0, X4
-	PSRLW      $8, X4
-	PAND       X7, X0
-	MOVO       X1, X5
-	PSRLW      $8, X5
-	PAND       X7, X1
-	PADDQ      X1, X0
-	PADDQ      X5, X4
-	MOVO       X2, X5
-	PSRLW      $8, X5
-	PAND       X7, X2
-	PADDQ      X2, X0
-	PADDQ      X5, X4
-	MOVO       X3, X5
-	PSRLW      $8, X5
-	PAND       X7, X3
-	PADDQ      X3, X0
-	PADDQ      X5, X4
-	PUNPCKLQDQ X4, X0
-	MOVOU      (DI)(AX*2), X5
-	PADDQ      X0, X5
-	MOVOU      X5, (DI)(AX*2)
-
-chain4Done:
+bad:
+	ADDQ R11, BX
+	MOVQ BX, ret+80(FP)
 	RET
 
-// func dotInt8SSE2(a, b []int8) int32
+// PAIR broadcasts the row's input pair, two int16s, into every int32 lane
+// of X8.
+#define PAIR \
+	MOVL   (R13)(BX*4), X8; \
+	PSHUFD $0, X8, X8
+
+// QMAC16 adds the pair's products with eight columns of the row at off
+// past base into lo (columns 0-3) and hi (4-7). The 16 weight bytes hold
+// the two inputs' weights of each column side by side; PUNPCKLBW and
+// PUNPCKHBW of a register with itself, then PSRAW $8, sign-extend them
+// into int16, and PMADDWL sums each column's two products into an int32
+// lane (|sum| ≤ 2·128·128, exact).
+#define QMAC16(base, off, lo, hi) \
+	MOVOU     off(base)(AX*1), X9; \
+	MOVO      X9, X10; \
+	PUNPCKLBW X9, X9; \
+	PUNPCKHBW X10, X10; \
+	PSRAW     $8, X9; \
+	PSRAW     $8, X10; \
+	PMADDWL   X8, X9; \
+	PMADDWL   X8, X10; \
+	PADDL     X9, lo; \
+	PADDL     X10, hi
+
+// QMAC8 is QMAC16 for the four columns of the 8 weight bytes at off past
+// base.
+#define QMAC8(base, off, acc) \
+	MOVQ      off(base)(AX*1), X9; \
+	PUNPCKLBW X9, X9; \
+	PSRAW     $8, X9; \
+	PMADDWL   X8, X9; \
+	PADDL     X9, acc
+
+// QMACW is QMAC8 for weight bytes already in the low half of X9.
+#define QMACW(acc) \
+	PUNPCKLBW X9, X9; \
+	PSRAW     $8, X9; \
+	PMADDWL   X8, X9; \
+	PADDL     X9, acc
+
+// QUPPER points SI at the panel's upper half of acc, and R12 at its
+// weights, R12 columns in.
+#define QUPPER \
+	LEAQ (DI)(R12*4), SI; \
+	LEAQ (R8)(R12*2), R12
+
+// QLASTHALF sets R12 to the column offset of a half of cols columns that
+// ends at column CX.
+#define QLASTHALF(cols) \
+	MOVQ CX, R12; \
+	SUBQ $cols, R12
+
+// func qgemvRowsSSE2(acc []int32, w []int8, stride, nrows int, rows, pairs []int32) int
 //
-// Σ a[i]·b[i] over i < len(a) in wrapping int32 arithmetic, like
-// dotInt8Generic. PUNPCKLBW/PUNPCKHBW of a register with itself then PSRAW
-// $8 sign-extends 16 bytes into two vectors of int16, and PMADDWL multiplies
-// them into int32 pair sums (|pair| ≤ 2·128·128, exact). Integer addition is
-// associative, so the lane order cannot change the result. b must hold
-// len(a) elements.
-TEXT ·dotInt8SSE2(SB), NOSPLIT, $0-52
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	PXOR X0, X0
-	MOVQ CX, BX
-	SHRQ $4, BX
-	JZ   dotTail8
+// acc[j] = acc[j] + Σ_i x0·w[r·stride+2j] + x1·w[r·stride+2j+1] for
+// r = rows[i] and the pair (x0, x1) packed in pairs[i] as two int16s: the
+// int8 tier's weight GEMV over the non-zero input pairs of one activation
+// row, in wrapping int32 arithmetic. Output panels follow sumRowsSSE2's
+// cascade at 8 int32 columns per register pair: whole 32-column panels
+// (eight accumulators) while more than 32 columns remain, then one walk of
+// a 32-, 16-, 8- or 4-column panel whose halves may overlap, or of 1-3
+// columns. The overlapping columns start from the same stored sums and
+// add the same products, so both halves store the same values. Each pair
+// is broadcast once per walk. Returns and checks indices as sumRowsSSE2,
+// leaving acc as it was on a bad index; pairs must hold len(rows) elements
+// and w must hold (nrows−1)·stride + 2·len(acc) bytes.
+TEXT ·qgemvRowsSSE2(SB), NOSPLIT, $0-120
+	MOVQ  acc_base+0(FP), DI
+	MOVQ  acc_len+8(FP), CX
+	MOVQ  w_base+24(FP), R8
+	MOVQ  stride+48(FP), DX
+	MOVQ  nrows+56(FP), R9
+	MOVQ  rows_base+64(FP), R10
+	MOVQ  rows_len+72(FP), R11
+	MOVQ  pairs_base+88(FP), R13
+	LEAQ  (R10)(R11*4), R10
+	LEAQ  (R13)(R11*4), R13
+	TESTQ R11, R11
+	JZ    qgemvDone
+	TESTQ CX, CX
+	JZ    qgemvDone
 
-	PCALIGN $32
-dotLoop16:
-	MOVOU     (SI), X1
-	MOVOU     (DI), X2
-	MOVO      X1, X3
-	MOVO      X2, X4
-	PUNPCKLBW X1, X1
-	PUNPCKHBW X3, X3
-	PUNPCKLBW X2, X2
-	PUNPCKHBW X4, X4
-	PSRAW     $8, X1
-	PSRAW     $8, X3
-	PSRAW     $8, X2
-	PSRAW     $8, X4
-	PMADDWL   X2, X1
-	PMADDWL   X4, X3
-	PADDL     X1, X0
-	PADDL     X3, X0
-	ADDQ      $16, SI
-	ADDQ      $16, DI
-	DECQ      BX
-	JNZ       dotLoop16
+qgemv32:
+	MOVQ $16, R12
+	CMPQ CX, $32
+	JHI  qgemv32Walk // a whole panel, more to come
+	CMPQ CX, $20
+	JLS  qgemv16
+	QLASTHALF(16)
 
-dotTail8:
-	TESTQ $8, CX
-	JZ    dotSum
-	MOVQ      (SI), X1
-	MOVQ      (DI), X2
-	PUNPCKLBW X1, X1
-	PUNPCKLBW X2, X2
-	PSRAW     $8, X1
-	PSRAW     $8, X2
-	PMADDWL   X2, X1
-	PADDL     X1, X0
-	ADDQ      $8, SI
-	ADDQ      $8, DI
+qgemv32Walk:
+	QUPPER
+	LD4(DI, X0, X1, X2, X3)
+	LD4(SI, X4, X5, X6, X7)
+	FIRSTROW
 
-dotSum:
-	PSHUFD $0x4E, X0, X1
-	PADDL  X1, X0
-	PSHUFD $0xB1, X0, X1
-	PADDL  X1, X0
-	MOVL   X0, AX
-	ANDQ   $7, CX
-	JZ     dotDone
+	PCALIGN $64
+qgemv32Row:
+	ROWPTR
+	PAIR
+	QMAC16(R8, 0, X0, X1)
+	QMAC16(R8, 16, X2, X3)
+	QMAC16(R12, 0, X4, X5)
+	QMAC16(R12, 16, X6, X7)
+	NEXTROW(qgemv32Row)
+	ST4(DI, X0, X1, X2, X3)
+	ST4(SI, X4, X5, X6, X7)
+	CMPQ CX, $32
+	JLS  qgemvDone
+	ADDQ $128, DI
+	ADDQ $64, R8
+	SUBQ $32, CX
+	JMP  qgemv32
 
-	PCALIGN $32
-dotLoop1:
-	MOVBLSX (SI), DX
-	MOVBLSX (DI), R8
-	IMULL   R8, DX
-	ADDL    DX, AX
-	INCQ    SI
-	INCQ    DI
-	DECQ    CX
-	JNZ     dotLoop1
+qgemv16:
+	MOVQ $8, R12
+	CMPQ CX, $16
+	JHI  qgemv16Walk // 17-20 columns: a whole panel, then the rest
+	CMPQ CX, $8
+	JLS  qgemv8
+	QLASTHALF(8)
 
-dotDone:
-	MOVL AX, ret+48(FP)
+qgemv16Walk:
+	QUPPER
+	LD2(DI, X0, X1)
+	LD2(SI, X2, X3)
+	FIRSTROW
+
+	PCALIGN $64
+qgemv16Row:
+	ROWPTR
+	PAIR
+	QMAC16(R8, 0, X0, X1)
+	QMAC16(R12, 0, X2, X3)
+	NEXTROW(qgemv16Row)
+	ST2(DI, X0, X1)
+	ST2(SI, X2, X3)
+	CMPQ CX, $16
+	JLS  qgemvDone
+	ADDQ $64, DI
+	ADDQ $32, R8
+	SUBQ $16, CX
+
+qgemv8:
+	CMPQ CX, $4
+	JLS  qgemv4
+	QLASTHALF(4)
+	QUPPER
+	LD1(DI, X0)
+	LD1(SI, X1)
+	FIRSTROW
+
+	PCALIGN $64
+qgemv8Row:
+	ROWPTR
+	PAIR
+	QMAC8(R8, 0, X0)
+	QMAC8(R12, 0, X1)
+	NEXTROW(qgemv8Row)
+	ST1(DI, X0)
+	ST1(SI, X1)
+	JMP qgemvDone
+
+qgemv4:
+	CMPQ CX, $4
+	JCS  qgemvTail
+	LD1(DI, X0)
+	FIRSTROW
+
+	PCALIGN $64
+qgemv4Row:
+	ROWPTR
+	PAIR
+	QMAC8(R8, 0, X0)
+	NEXTROW(qgemv4Row)
+	ST1(DI, X0)
+	JMP qgemvDone
+
+// 1-3 columns: their 2-6 weight bytes are loaded exactly (MOVL, PINSRW,
+// MOVWLZX), so the zero upper lanes add nothing, and only the columns'
+// lanes of X0 are stored.
+qgemvTail:
+	FIRSTROW
+	CMPQ CX, $2
+	JCS  qgemv1
+	JEQ  qgemv2
+	MOVQ       (DI), X0
+	MOVL       8(DI), X11
+	PUNPCKLQDQ X11, X0
+
+	PCALIGN $64
+qgemv3Row:
+	ROWPTR
+	PAIR
+	MOVL   (R8)(AX*1), X9
+	PINSRW $2, 4(R8)(AX*1), X9
+	QMACW(X0)
+	NEXTROW(qgemv3Row)
+	MOVQ   X0, (DI)
+	PSHUFD $2, X0, X0
+	MOVL   X0, 8(DI)
+	JMP    qgemvDone
+
+qgemv2:
+	MOVQ (DI), X0
+
+	PCALIGN $64
+qgemv2Row:
+	ROWPTR
+	PAIR
+	MOVL (R8)(AX*1), X9
+	QMACW(X0)
+	NEXTROW(qgemv2Row)
+	MOVQ X0, (DI)
+	JMP  qgemvDone
+
+qgemv1:
+	MOVL (DI), X0
+
+	PCALIGN $64
+qgemv1Row:
+	ROWPTR
+	PAIR
+	MOVWLZX (R8)(AX*1), R12
+	MOVL    R12, X9
+	QMACW(X0)
+	NEXTROW(qgemv1Row)
+	MOVL X0, (DI)
+
+qgemvDone:
+	MOVQ R11, ret+112(FP)
+	RET
+
+bad:
+	ADDQ R11, BX
+	MOVQ BX, ret+112(FP)
+	RET
+
+// func qgemv8DenseSSE2(acc []int32, w []int8, stride int, x []int8)
+//
+// acc[j] = acc[j] + Σ_p x[2p]·w[p·stride+2j] + x[2p+1]·w[p·stride+2j+1]
+// over every pair p of x, for 4 ≤ len(acc) ≤ 8: qgemvRowsSSE2's
+// 8-column walk over all of x's pairs in order, with no list and so no
+// index to check. Each pair is read from x and sign-extended in place of
+// the list's broadcast. len(x) must be even, and w must hold
+// (len(x)/2−1)·stride + 2·len(acc) bytes.
+TEXT ·qgemv8DenseSSE2(SB), NOSPLIT, $0-80
+	MOVQ  acc_base+0(FP), DI
+	MOVQ  acc_len+8(FP), CX
+	MOVQ  w_base+24(FP), R8
+	MOVQ  stride+48(FP), DX
+	MOVQ  x_base+56(FP), R10
+	MOVQ  x_len+64(FP), R11
+	SHRQ  $1, R11
+	JZ    denseDone
+	QLASTHALF(4)
+	QUPPER
+	LD1(DI, X0)
+	LD1(SI, X1)
+	XORQ  AX, AX
+
+	PCALIGN $64
+denseRow:
+	MOVWLZX   (R10), BX
+	MOVL      BX, X8
+	PUNPCKLBW X8, X8
+	PSRAW     $8, X8
+	PSHUFD    $0, X8, X8
+	QMAC8(R8, 0, X0)
+	QMAC8(R12, 0, X1)
+	ADDQ      $2, R10
+	ADDQ      DX, AX
+	DECQ      R11
+	JNZ       denseRow
+	ST1(DI, X0)
+	ST1(SI, X1)
+
+denseDone:
 	RET

@@ -14,10 +14,14 @@ func axpyRows(o, data []float32, nrows int, rows []int32, coefs []float32) int {
 	return axpyRowsGeneric(o, data, nrows, rows, coefs)
 }
 
-func accRowChain(swar []uint64, row []byte) { accRowChainGeneric(swar, row) }
-
-func accRow4Chain(swar []uint64, r0, r1, r2, r3 []byte) {
-	accRow4ChainGeneric(swar, r0, r1, r2, r3)
+func qsumRows(acc []int32, data []byte, nrows int, rows []int32) int {
+	return qsumRowsGeneric(acc, data, nrows, rows)
 }
 
-func dotInt8(a, b []int8) int32 { return dotInt8Generic(a, b) }
+func qgemvRows(acc []int32, w []int8, stride, nrows int, rows, pairs []int32) int {
+	return qgemvRowsGeneric(acc, w, stride, nrows, rows, pairs)
+}
+
+func qgemv8Dense(acc []int32, w []int8, stride int, x []int8) {
+	qgemv8DenseGeneric(acc, w, stride, x)
+}

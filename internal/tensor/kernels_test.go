@@ -197,24 +197,35 @@ func TestIntoKernelsAllocFree(t *testing.T) {
 	vec := make([]float32, 200)
 	chainRows := []int32{3, 1, 4, 1, 5, 9, 2}
 	qsum := NewQSumMatrix(4, 300)
-	swar := make([]uint64, qsum.Stride/4)
 	acc32 := make([]int32, qsum.Stride)
 	qrows := []int32{3, 1, 2, 1, 0, 3, 2}
-	wT, err := QuantizeTransposed(small)
+	qsmall, err := QuantizeWeights(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qbig, err := QuantizeWeights(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qnarrow, err := QuantizeWeights(RandomMatrix(rng, 299, 7, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	qx := make([]int8, 300)
-	qout := make([]float32, 20)
+	for i := range qx {
+		qx[i] = int8(i)
+	}
+	qout := make([]float32, 200)
 	for name, fn := range map[string]func(){
 		"matMulRowsInto-300x200": func() { matMulRowsInto(out, a, big, 0, a.Rows) },
 		"matMulRowsInto-300x20":  func() { matMulRowsInto(outSmall, a, small, 0, a.Rows) },
 		"VecMatInto":             func() { VecMatInto(vec, x, big) },
 		"SumChain":               func() { SumChain(vec, big, chainRows) },
 		"ScaleRowsInto":          func() { ScaleRowsInto(out, out, x[:out.Rows]) },
-		"accRowChain":            func() { accRowChain(swar, qsum.Row(2)) },
-		"QChain":                 func() { QChain(acc32, swar, qsum, qrows) },
-		"QGemvInto":              func() { QGemvInto(qout, qx, 0.5, wT) },
+		"QChain":                 func() { QChain(acc32, qsum, qrows) },
+		"QGemvInto-300x20":       func() { QGemvInto(qout[:20], qx, 0.5, qsmall) },
+		"QGemvInto-300x200":      func() { QGemvInto(qout, qx, 0.5, qbig) },
+		"QGemvInto-299x7":        func() { QGemvInto(qout[:7], qx[:299], 0.5, qnarrow) },
 		"ParallelRows-1":         func() { ParallelRows(16, 1, func(_, lo, hi int) {}) },
 	} {
 		if allocs := testing.AllocsPerRun(20, fn); allocs != 0 {
@@ -265,12 +276,18 @@ func TestAxpyRowsMatchesAxpyRow(t *testing.T) {
 }
 
 // Every panel width and tail must refuse an index of Rows, −1 or 1<<30
-// before reading that row: SumChain panics, and both row-list kernels
-// report the list position. The bad index sits after a good one, so the
-// kernel has already walked a row of the panel.
+// before reading that row: SumChain and QChain panic, and the four
+// row-list kernels report the list position. The bad index sits after a
+// good one, so the kernel has already walked a row of the panel. The int8
+// chain runs at the widths' padded strides, 8 to 120, so every walk of 64,
+// 32, 16 and 8 columns meets the index.
 func TestRowListKernelsRejectBadIndex(t *testing.T) {
-	for _, width := range []int{1, 2, 3, 4, 8, 16, 32, 41, 64} {
-		m := RandomMatrix(rand.New(rand.NewSource(int64(width))), 3, width, 1)
+	for _, width := range []int{1, 2, 3, 4, 6, 8, 12, 16, 18, 25, 32, 41, 64, 72, 120} {
+		rng := rand.New(rand.NewSource(int64(width)))
+		m := RandomMatrix(rng, 3, width, 1)
+		q := NewQSumMatrix(3, width)
+		rng.Read(q.Data)
+		w := make([]int8, 3*2*width)
 		for _, bad := range []int32{int32(m.Rows), -1, 1 << 30} {
 			rows := []int32{1, bad, 0}
 			acc := make([]float32, width)
@@ -280,20 +297,35 @@ func TestRowListKernelsRejectBadIndex(t *testing.T) {
 			if i := axpyRows(acc, m.Data, m.Rows, rows, []float32{1, 2, 3}); i != 1 {
 				t.Errorf("width %d index %d: axpyRows returned %d, want 1", width, bad, i)
 			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("width %d index %d: SumChain did not panic", width, bad)
-					}
+			acc32 := make([]int32, q.Stride)
+			if i := qsumRows(acc32, q.Data, q.Rows, rows); i != 1 {
+				t.Errorf("stride %d index %d: qsumRows returned %d, want 1", q.Stride, bad, i)
+			}
+			pairs := []int32{1, -1, 0x10001}
+			if i := qgemvRows(acc32[:width], w, 2*width, 3, rows, pairs); i != 1 {
+				t.Errorf("width %d index %d: qgemvRows returned %d, want 1", width, bad, i)
+			}
+			for name, fn := range map[string]func(){
+				"SumChain": func() { SumChain(acc, m, rows) },
+				"QChain":   func() { QChain(acc32, q, rows) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("width %d index %d: %s did not panic", width, bad, name)
+						}
+					}()
+					fn()
 				}()
-				SumChain(acc, m, rows)
-			}()
+			}
 		}
 	}
 }
 
-// A matrix whose backing array is shorter than Rows·Cols, or whose
-// dimensions overflow that product, must panic before a kernel reads it.
+// A matrix whose backing array is shorter than Rows·Cols (Rows·Stride for
+// a QSumMatrix), or whose dimensions overflow that product, must panic
+// before a kernel reads it; so must a QSumMatrix stride that is not a
+// multiple of 8, which the int8 chain sums in whole chunks.
 func TestRowListKernelsCheckBacking(t *testing.T) {
 	for name, m := range map[string]*Matrix{
 		"short":    {Rows: 3, Cols: 4, Data: make([]float32, 11)},
@@ -316,6 +348,21 @@ func TestRowListKernelsCheckBacking(t *testing.T) {
 				fn()
 			}()
 		}
+	}
+	for name, q := range map[string]*QSumMatrix{
+		"short":    {Rows: 3, Cols: 8, Stride: 8, Data: make([]byte, 23)},
+		"overflow": {Rows: 1 << 62, Cols: 8, Stride: 8, Data: make([]byte, 8)},
+		"negative": {Rows: -1, Cols: 8, Stride: 8, Data: make([]byte, 8)},
+		"stride":   {Rows: 3, Cols: 6, Stride: 6, Data: make([]byte, 18)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s QSumMatrix: QChain did not panic", name)
+				}
+			}()
+			QChain(make([]int32, q.Stride), q, []int32{0})
+		}()
 	}
 }
 

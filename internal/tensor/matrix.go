@@ -2,7 +2,7 @@
 // golden GNN reference executor and the functional accelerator models.
 //
 // The default tier is float32 (the paper evaluates IEEE 754 single
-// precision), row-major; an opt-in int8 tier (QMatrix / QSumMatrix) backs
+// precision), row-major; an opt-in int8 tier (QWeights / QSumMatrix) backs
 // the quantized execution path. The package is a small kernel layer with an
 // explicit selection policy rather than a BLAS:
 //
@@ -33,32 +33,37 @@
 //     (ScaleRowsInto) and each vertex's sum by its per-destination factor
 //     once, so the chain is one sumRows call over the in-neighbour list,
 //     in list order.
-//   - Int8 GEMM (ParallelQMatMulInto / QGemvInto) multiplies a quantized
-//     activation QMatrix against a pre-transposed quantized weight matrix
-//     with int32 accumulation, processing bT rows in qgemmBlockJ (32-row)
-//     panels; dequantization (scaleA·scaleB per element) happens once at
-//     the output boundary. The aggregation side uses the shared-scale QSumMatrix
-//     layout: QChain, the integer counterpart of SumChain, folds four
-//     biased rows per sweep into SWAR uint64 lanes (accRow4Chain, the tail
-//     one row each with accRowChain) and flushes them into int32, minus the
-//     accumulated bias, every 256 rows.
-//   - On amd64 the five innermost loops — sumRows, axpyRows, accRowChain,
-//     accRow4Chain and the int8 inner product dotInt8 behind QGemvInto and
-//     ParallelQMatMulInto — run as SSE2 assembly (kernels_amd64.s), four
-//     floats or sixteen bytes per instruction. The row-list kernels walk
-//     the list inside the assembly once per panel: 32 columns while more
-//     than 32 remain, then one walk of the smallest panel (32, 16, 8 or 4
-//     columns, its two halves overlapping when the rest is narrower) or a
-//     scalar walk for fewer than 4 columns. Each SSE lane does the
-//     portable loop's arithmetic in the same order (a float32 multiply
-//     then an add, never fused; exact integer sums), so results are
-//     bit-identical to the Go loops, which keep their bodies under
+//   - The int8 GEMV (QGemvInto) multiplies a quantized activation row
+//     against QWeights, the weights quantized per output column and stored
+//     k-major in pairs of input rows. It compacts the row's non-zero input
+//     pairs into a stack list and runs qgemvRows over it: each pair is
+//     broadcast once per output panel and multiplied into int32 lanes
+//     (PMADDWL), and dequantization (scaleX·scaleW per element) happens
+//     once at the output boundary. An output of 4 to 8 columns walks every
+//     pair in place instead (qgemv8Dense), with no compaction. The
+//     aggregation side uses the shared-scale QSumMatrix layout: QChain,
+//     the integer counterpart of SumChain, is one qsumRows call, which
+//     sums biased byte rows into 16-bit lanes, 64 columns in registers for
+//     the whole list, and widens them into int32, less the bias, every 256
+//     rows.
+//   - On amd64 the four row-list kernels — sumRows, axpyRows, qsumRows and
+//     qgemvRows — and the dense walk run as SSE2 assembly
+//     (kernels_amd64.s), four floats or sixteen bytes per instruction. The
+//     row-list kernels walk the list inside the assembly once per panel:
+//     the fp32 ones and the GEMV 32 columns while more than 32 remain,
+//     then one walk of the smallest panel (32, 16, 8 or 4 columns, its two
+//     halves overlapping when the rest is narrower) or a walk of 1-3
+//     columns; the int8 chain 64 columns, then one walk each of 32, 16 and
+//     8 as its stride needs. Each checks every row index. Each SSE lane
+//     does the portable loop's arithmetic in the same order (a float32
+//     multiply then an add, never fused; exact integer sums), so results
+//     are bit-identical to the Go loops, which keep their bodies under
 //     …Generic names, round each float32 product by an explicit
 //     conversion, and are the only path on other architectures and in
 //     -race builds (kernels_noasm.go).
 //   - Row-level parallelism is explicit: ParallelMatMulInto,
-//     ParallelQMatMulInto, ParallelQuantizeScaledInto and the ParallelRows
-//     helper fan disjoint row ranges across a bounded worker count. The
+//     ParallelQuantizeScaledInto and the ParallelRows helper fan disjoint
+//     row ranges across a bounded worker count. The
 //     float32 kernels are bit-identical to the serial sweep by construction
 //     (each row is produced by the same serial kernel); the int8 kernels
 //     are exactly identical regardless of worker count because int32

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -12,43 +11,6 @@ import (
 // guards the remaining paths (programmatic inputs, intermediate activations)
 // so a poisoned row can never silently quantize to garbage.
 var ErrNonFinite = errors.New("tensor: non-finite value")
-
-// QMatrix is a row-major int8 matrix with one float32 dequantization scale
-// per row: element (i, j) represents Scales[i]·Data[i·Cols+j]. Quantization
-// is symmetric per-row max-abs (the per-vector scheme hardware int8 pipelines
-// use): row i's scale is maxabs(row)/127, so every representable value round
-// trips within half a quantization step.
-//
-// Weight matrices are stored transposed (one QMatrix row per output column)
-// so the int8 GEMM/GEMV inner loops walk both operands stride-1 — see
-// ParallelQMatMulInto.
-type QMatrix struct {
-	Rows, Cols int
-	Data       []int8    // len == Rows*Cols
-	Scales     []float32 // len == Rows; dequantization scale per row
-}
-
-// NewQMatrix returns a zeroed Rows×Cols quantized matrix.
-func NewQMatrix(rows, cols int) *QMatrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
-	}
-	return &QMatrix{
-		Rows: rows, Cols: cols,
-		Data:   make([]int8, rows*cols),
-		Scales: make([]float32, rows),
-	}
-}
-
-// Row returns a mutable view of row i.
-func (q *QMatrix) Row(i int) []int8 {
-	return q.Data[i*q.Cols : (i+1)*q.Cols]
-}
-
-// String renders a compact shape descriptor (not the contents).
-func (q *QMatrix) String() string {
-	return fmt.Sprintf("QMatrix(%dx%d)", q.Rows, q.Cols)
-}
 
 // QuantizeRowInto quantizes one float32 row into q (equal length) and
 // returns the dequantization scale: q[j]·scale ≈ row[j] with absolute error
@@ -102,137 +64,181 @@ func quantizeRowApply(q []int8, row []float32, inv float32) {
 	}
 }
 
-// QuantizeInto quantizes m into q row by row (symmetric per-row max-abs
-// scales). q must be m.Rows × m.Cols. Returns ErrNonFinite (wrapped with the
-// row index) if any element is NaN or ±Inf.
-func QuantizeInto(q *QMatrix, m *Matrix) error {
-	if q.Rows != m.Rows || q.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: quantize %dx%d into %dx%d", m.Rows, m.Cols, q.Rows, q.Cols))
-	}
-	rows := m.Rows
-	scales := q.Scales[:rows]
-	for i := 0; i < rows; i++ {
-		s, err := QuantizeRowInto(q.Row(i), m.Row(i))
-		if err != nil {
-			return fmt.Errorf("tensor: row %d: %w", i, err)
-		}
-		scales[i] = s
-	}
-	return nil
+// QWeights is the int8 tier's weight layout: an In×Out weight matrix w,
+// each output column j quantized under its own scale (maxabs of column
+// j)/127, the symmetric per-vector scheme of QuantizeRowInto. It is stored
+// k-major in pairs of input rows: pair row p holds (w[2p][j], w[2p+1][j])
+// at bytes 2j and 2j+1 for every output column j, so one 16-byte load
+// holds both inputs' weights for eight output columns (see QGemvInto). An
+// odd In is padded with a zero input row.
+type QWeights struct {
+	in, out int
+	pairs   []int8    // (in+1)/2 pair rows of 2·out bytes
+	scales  []float32 // one dequantization scale per output column
 }
 
-// Quantize returns m quantized to per-row int8. Allocating wrapper over
-// QuantizeInto.
-func Quantize(m *Matrix) (*QMatrix, error) {
-	q := NewQMatrix(m.Rows, m.Cols)
-	if err := QuantizeInto(q, m); err != nil {
-		return nil, err
+// QuantizeWeights quantizes w into the pair layout: column j gets the
+// values and scale QuantizeRowInto gives it. A NaN or ±Inf weight returns
+// ErrNonFinite wrapped with its column.
+func QuantizeWeights(w *Matrix) (*QWeights, error) {
+	q := &QWeights{
+		in: w.Rows, out: w.Cols,
+		pairs:  make([]int8, (w.Rows+1)/2*2*w.Cols),
+		scales: make([]float32, w.Cols),
+	}
+	t := w.T()
+	col := make([]int8, w.Rows)
+	scales, stride := q.scales, 2*w.Cols
+	for j := range scales {
+		s, err := QuantizeRowInto(col, t.Row(j))
+		if err != nil {
+			return nil, fmt.Errorf("tensor: column %d: %w", j, err)
+		}
+		scales[j] = s
+		// Column j's two weights sit at bytes 2j and 2j+1 of each pair row.
+		c, at := col, q.pairs[2*j:]
+		for len(c) >= 2 && len(at) >= 2 {
+			at[0], at[1] = c[0], c[1]
+			c, at = c[2:], at[min(stride, len(at)):]
+		}
+		if len(c) == 1 && len(at) >= 1 {
+			at[0] = c[0]
+		}
 	}
 	return q, nil
 }
 
-// QuantizeTransposed quantizes mᵀ: the result has one row — and one scale —
-// per column of m. This is the weight layout of the int8 tier: with the
-// matrix transposed, ParallelQMatMulInto and QGemvInto walk the weight
-// operand stride-1 alongside the activation row.
-func QuantizeTransposed(m *Matrix) (*QMatrix, error) {
-	return Quantize(m.T())
-}
+// qgemvChunk is the length of QGemvInto's stack list of non-zero input
+// pairs and of its int32 output panel; a longer row is compacted, and a
+// wider output accumulated, one chunk at a time. Go zeroes both arrays on
+// every call, so they stay small enough for a narrow GEMV not to pay for
+// a wide one.
+const qgemvChunk = 64
 
-// qgemmBlockJ is the bT-row panel the blocked int8 GEMM keeps hot: 32 rows
-// of the transposed weight operand (32·K int8 elements, within L1 for the
-// feature widths the models use) are reused across a sweep of activation
-// rows before the next panel streams in.
-const qgemmBlockJ = 32
-
-// ParallelQMatMulInto computes the int8 GEMM out = a·bᵀ with int32
-// accumulation, dequantizing at the output boundary: out[i][j] =
-// a.Scales[i] · bT.Scales[j] · Σ_k a[i][k]·bT[j][k], with output rows fanned
-// across up to `workers` goroutines. bT is the transposed quantized right
-// operand (see QuantizeTransposed), so the inner dot product walks both
-// operands stride-1. out must be a.Rows × bT.Rows; the inner dimensions
-// must agree.
-//
-// Accumulation is int32 because it is exact: 602-wide rows of products
-// bounded by 127² sum to at most ~9.8M, far inside int32, so blocking,
-// unrolling and the split into disjoint row ranges cannot change the
-// result — integer addition is associative. The only roundings are the two
-// per-row quantizations and the final float32 scale multiply.
-func ParallelQMatMulInto(out *Matrix, a, bT *QMatrix, workers int) {
-	if a.Cols != bT.Cols {
-		panic(fmt.Sprintf("tensor: qmatmul %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, bT.Rows, bT.Cols))
+// QGemvInto computes the int8 GEMV out = x·w: out[j] = sx · scale[j] ·
+// Σ_k qx[k]·w[k][j], where qx is a quantized activation row with scale sx
+// (see QuantizeRowInto). This is the per-vertex update and transform
+// kernel of the quantized tier: exact int32 accumulation, one dequantizing
+// multiply pair per output element. It compacts qx's non-zero input pairs,
+// in ascending order, into a stack list (each entry carrying its pair
+// packed as two int16s) and runs qgemvRows over it into an int32 panel of
+// up to qgemvChunk output columns, so all-zero pairs are skipped and each
+// pair is broadcast once per output panel. An output of 4 to 8 columns
+// instead walks every pair of qx in place (qgemv8Dense): one 8-column
+// panel does too little work per pair to repay the compaction.
+func QGemvInto(out []float32, qx []int8, sx float32, w *QWeights) {
+	if len(qx) != w.in {
+		panic(fmt.Sprintf("tensor: qgemv %d · %dx%d", len(qx), w.in, w.out))
 	}
-	if out.Rows != a.Rows || out.Cols != bT.Rows {
-		panic(fmt.Sprintf("tensor: qmatmul out %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, bT.Rows))
+	if len(out) != w.out {
+		panic(fmt.Sprintf("tensor: qgemv out %d, want %d", len(out), w.out))
 	}
-	ParallelRows(a.Rows, workers, func(_, lo, hi int) {
-		qMatMulRowsInto(out, a, bT, lo, hi)
-	})
-}
-
-// qMatMulRowsInto computes rows [lo, hi) of the int8 GEMM: bT rows are
-// processed in qgemmBlockJ panels so the panel stays cache-resident across
-// the activation-row sweep.
-func qMatMulRowsInto(out *Matrix, a, bT *QMatrix, lo, hi int) {
-	for jb := 0; jb < bT.Rows; jb += qgemmBlockJ {
-		jend := jb + qgemmBlockJ
-		if jend > bT.Rows {
-			jend = bT.Rows
+	npairs, stride := (w.in+1)/2, 2*w.out
+	checkBacking(npairs, stride, len(w.pairs))
+	if 4 <= len(out) && len(out) <= 8 {
+		var acc [8]int32
+		a := acc[:len(out)]
+		qgemv8Dense(a, w.pairs, stride, qx)
+		if len(qx)%2 == 1 {
+			// The odd last input pairs with the padded zero row.
+			row, pair := [1]int32{int32(npairs - 1)}, [1]int32{int32(uint16(int16(qx[len(qx)-1])))}
+			qgemvRows(a, w.pairs, stride, npairs, row[:], pair[:])
 		}
-		ascales := a.Scales[lo:hi]
-		for ii, sa := range ascales {
-			i := lo + ii
-			arow := a.Row(i)
-			orow := out.Row(i)[jb:jend]
-			scales := bT.Scales[jb:jend]
-			for jj := range orow {
-				j := jb + jj
-				orow[jj] = sa * scales[jj] * float32(dotInt8(arow, bT.Row(j)))
+		qdequant(out, a, sx, w.scales)
+		return
+	}
+	var rows, pairs [qgemvChunk]int32
+	var acc [qgemvChunk]int32
+	for j0 := 0; j0 < len(out); j0 += qgemvChunk {
+		a := acc[:min(qgemvChunk, len(out)-j0)]
+		clear(a)
+		for base := 0; base < len(qx); base += 2 * qgemvChunk {
+			n := compactPairs(&rows, &pairs, qx[base:min(base+2*qgemvChunk, len(qx))], int32(base/2))
+			if i := qgemvRows(a, w.pairs[2*j0:], stride, npairs, rows[:n], pairs[:n]); uint(i) < uint(n) {
+				panic(rowOutOfRange(rows[i&(qgemvChunk-1)], npairs))
 			}
 		}
+		qdequant(out[j0:], a, sx, w.scales[j0:])
 	}
 }
 
-// QGemvInto computes the int8 GEMV out = x·wᵀ: out[j] = sx · wT.Scales[j] ·
-// Σ_k qx[k]·wT[j][k], where qx is a quantized activation row with scale sx
-// (see QuantizeRowInto) and wT the transposed quantized weight matrix. This
-// is the per-vertex update kernel of the quantized tier: int32 accumulation,
-// one dequantizing multiply per output element.
-func QGemvInto(out []float32, qx []int8, sx float32, wT *QMatrix) {
-	if wT.Cols != len(qx) {
-		panic(fmt.Sprintf("tensor: qgemv %d · (%dx%d)ᵀ", len(qx), wT.Rows, wT.Cols))
-	}
-	if len(out) != wT.Rows {
-		panic(fmt.Sprintf("tensor: qgemv out %d, want %d", len(out), wT.Rows))
-	}
-	scales := wT.Scales[:len(out)]
-	for j := range out {
-		out[j] = sx * scales[j] * float32(dotInt8(qx, wT.Row(j)))
+// qdequant writes out[j] = sx·scales[j]·float32(acc[j]) for each column
+// of acc, the int8 tier's dequantizing multiply pair in its fixed order.
+func qdequant(out []float32, acc []int32, sx float32, scales []float32) {
+	out = out[:len(acc)]
+	scales = scales[:len(acc)]
+	for j, s := range acc {
+		out[j] = sx * scales[j] * float32(s)
 	}
 }
 
-// dotInt8Generic is the portable body of dotInt8, the int32 inner product of
-// equal-length int8 vectors, 4-way unrolled in the bounds-check-free
-// slice-advance form (see tensor.axpyRow). Four independent accumulators
-// break the add dependency chain; that reassociation is exact because
-// integer addition is associative, and for the same reason the amd64 SSE2
-// version (kernels_amd64.s) returns the same int32.
-func dotInt8Generic(a, b []int8) int32 {
-	b = b[:len(a)]
-	var s0, s1, s2, s3 int32
-	for len(a) >= 4 && len(b) >= 4 {
-		s0 += int32(a[0]) * int32(b[0])
-		s1 += int32(a[1]) * int32(b[1])
-		s2 += int32(a[2]) * int32(b[2])
-		s3 += int32(a[3]) * int32(b[3])
-		a = a[4:]
-		b = b[4:]
+// compactPairs writes the pair index (first is the index of qx's first
+// pair) and the two values, packed as int16s, of every pair of qx that is
+// not all zero into rows and pairs, in ascending order, and returns their
+// count. An odd last value pairs with zero. qx holds at most 2·qgemvChunk
+// values.
+func compactPairs(rows, pairs *[qgemvChunk]int32, qx []int8, first int32) int {
+	n := 0
+	for ; len(qx) >= 2; qx = qx[2:] {
+		p := int32(uint16(int16(qx[0]))) | int32(qx[1])<<16
+		// Every pair is written and an all-zero one is then overwritten
+		// by the next. n ≤ its pair's index < qgemvChunk, so the mask,
+		// which lets the compiler drop the bounds checks, never changes
+		// an index.
+		rows[n&(qgemvChunk-1)], pairs[n&(qgemvChunk-1)] = first, p
+		if p != 0 {
+			n++
+		}
+		first++
 	}
-	b = b[:len(a)]
-	for j, av := range a {
-		s0 += int32(av) * int32(b[j])
+	if len(qx) == 1 && qx[0] != 0 {
+		rows[n&(qgemvChunk-1)], pairs[n&(qgemvChunk-1)] = first, int32(uint16(int16(qx[0])))
+		n++
 	}
-	return s0 + s1 + s2 + s3
+	return n
+}
+
+// qgemvRowsGeneric is the portable body of qgemvRows, the int8 GEMV's
+// row-list kernel: for each i in list order, with r = rows[i] and the pair
+// (x0, x1) packed in pairs[i] as two int16s, acc[j] += x0·w[r·stride+2j] +
+// x1·w[r·stride+2j+1] for every column j of acc, in wrapping int32. It
+// returns len(rows), or the list position of the first index outside
+// [0, nrows), whose row it never reads; with no columns it reads nothing
+// and checks nothing. qgemvRows runs this loop, or on amd64 its SSE2
+// version, which keeps each panel of up to 32 columns in registers for the
+// whole list; integer sums are exact, so the two agree. pairs must hold
+// len(rows) elements and w (nrows−1)·stride + 2·len(acc) bytes.
+func qgemvRowsGeneric(acc []int32, w []int8, stride, nrows int, rows, pairs []int32) int {
+	if len(acc) == 0 {
+		return len(rows)
+	}
+	pairs = pairs[:len(rows)]
+	for i, r := range rows {
+		if uint(r) >= uint(nrows) {
+			return i
+		}
+		addPair(acc, w[int(r)*stride:][:2*len(acc)], int32(int16(pairs[i])), pairs[i]>>16)
+	}
+	return len(rows)
+}
+
+// addPair adds x0·row[2j] + x1·row[2j+1] into acc[j] for every column j
+// of acc: one input pair's products with its pair row of weights.
+func addPair(acc []int32, row []int8, x0, x1 int32) {
+	for a := acc; len(a) > 0 && len(row) >= 2; a, row = a[1:], row[2:] {
+		a[0] += x0*int32(row[0]) + x1*int32(row[1])
+	}
+}
+
+// qgemv8DenseGeneric is the portable body of qgemv8Dense, the GEMV walk
+// of a 4- to 8-column output: acc[j] += x[2p]·w[p·stride+2j] +
+// x[2p+1]·w[p·stride+2j+1] for every whole pair p of x, in order. It is
+// qgemvRowsGeneric over the list of every pair of x, which needs no index
+// check. w must hold (len(x)/2−1)·stride + 2·len(acc) bytes.
+func qgemv8DenseGeneric(acc []int32, w []int8, stride int, x []int8) {
+	for off := 0; len(x) >= 2; off, x = off+stride, x[2:] {
+		addPair(acc, w[off:][:2*len(acc)], int32(x[0]), int32(x[1]))
+	}
 }
 
 // QSumMatrix is the shared-scale aggregation operand of the int8 tier: a
@@ -240,12 +246,12 @@ func dotInt8Generic(a, b []int8) int32 {
 // plain unsigned byte) under ONE dequantization scale for the whole matrix —
 // element (i, j) represents Scale·(Data[i·Stride+j]−128). Rows are padded to
 // a Stride that is a multiple of 8 with the bias byte 128 (quantized zero),
-// which lets the reduce-chain kernels (QChain) sum eight columns per
-// 64-bit add with no tail loop.
+// which lets the reduce chain (QChain) sum whole 8-column chunks with no
+// tail loop.
 //
 // The shared scale is what makes integer reduce chains possible: per-row
-// scales (QMatrix) would force a dequantizing multiply at every hop, while a
-// shared scale defers the single multiply to the end of the chain.
+// scales would force a dequantizing multiply at every hop, while a shared
+// scale defers the single multiply to the end of the chain.
 type QSumMatrix struct {
 	Rows, Cols int
 	Stride     int     // row stride in bytes: Cols rounded up to 8
@@ -261,7 +267,7 @@ func NewQSumMatrix(rows, cols int) *QSumMatrix {
 	return q
 }
 
-// chainStride rounds cols up to the 8-byte chunk accRowChain consumes.
+// chainStride rounds cols up to the 8-column chunk QChain sums.
 func chainStride(cols int) int { return (cols + 7) &^ 7 }
 
 // Resize reshapes q to rows×cols, reusing the backing array when it is large
@@ -436,114 +442,50 @@ func quantizeScaledRows(q *QSumMatrix, m *Matrix, coefs []float32, inv float32, 
 	}
 }
 
-// chainBlockEdges is the flush interval of the SWAR reduce-chain
-// accumulator: each packed 16-bit lane holds sums of biased bytes (≤255), so
-// 256 edges is the largest block that cannot overflow a lane (256·255 =
-// 65280 < 2¹⁶). QChain flushes at least this often.
+// chainBlockEdges is the number of rows the amd64 reduce chain sums in
+// 16-bit lanes before it widens them into int32: each lane holds sums of
+// biased bytes (≤255), so 256 rows is the largest block that cannot
+// overflow a lane (256·255 = 65280 < 2¹⁶).
 const chainBlockEdges = 256
 
 // QChain is the int8 tier's reduce chain over one in-neighbour list, the
 // integer counterpart of SumChain: acc += Σ (q.Row(r) − 128) over rows, in
-// exact int32. It folds four biased rows per sweep into the packed chain
-// accumulator swar (accRow4Chain), the tail one row each (accRowChain), and
-// drains swar into acc every chainBlockEdges rows and at the end. Integer
-// sums are associative, so the result does not depend on the list order,
-// the four-row grouping or the flush points.
-//
-// acc must have length q.Stride and swar length q.Stride/4; swar must be
-// all zero on entry and is all zero again on return.
-func QChain(acc []int32, swar []uint64, q *QSumMatrix, rows []int32) {
-	if len(acc) != q.Stride || len(swar) != q.Stride/4 {
-		panic(fmt.Sprintf("tensor: qchain acc %d and swar %d for stride %d", len(acc), len(swar), q.Stride))
+// exact int32, as one qsumRows call. Integer sums are associative, so the
+// result depends on neither the list order nor the kernel's panels and
+// blocks. acc must have length q.Stride, a multiple of 8; an index outside
+// q panics, as q.Row does.
+func QChain(acc []int32, q *QSumMatrix, rows []int32) {
+	if len(acc) != q.Stride || q.Stride%8 != 0 {
+		panic(fmt.Sprintf("tensor: qchain acc %d for stride %d", len(acc), q.Stride))
 	}
-	for len(rows) > 0 {
-		block := rows[:min(len(rows), chainBlockEdges)]
-		rows = rows[len(block):]
-		n := len(block)
-		for len(block) >= 4 {
-			accRow4Chain(swar, q.Row(int(block[0])), q.Row(int(block[1])),
-				q.Row(int(block[2])), q.Row(int(block[3])))
-			block = block[4:]
+	checkBacking(q.Rows, q.Stride, len(q.Data))
+	if i := qsumRows(acc, q.Data, q.Rows, rows); uint(i) < uint(len(rows)) {
+		panic(rowOutOfRange(rows[i], q.Rows))
+	}
+}
+
+// qsumRowsGeneric is the portable body of qsumRows, the int8 reduce
+// chain's row-list kernel: acc[j] += data[r·w+j] − 128 for each r in rows,
+// over the w = len(acc) rounded down to a multiple of 8 columns. It
+// returns and checks as qgemvRowsGeneric. qsumRows runs this loop, or on
+// amd64 its SSE2 version, which keeps panels of up to 64 columns in 16-bit
+// lanes for the whole list, widening them every chainBlockEdges rows; the
+// sums are exact, so the two agree. data must hold nrows·w bytes.
+func qsumRowsGeneric(acc []int32, data []byte, nrows int, rows []int32) int {
+	w := len(acc) &^ 7
+	if w == 0 {
+		return len(rows)
+	}
+	acc = acc[:w]
+	for i, r := range rows {
+		if uint(r) >= uint(nrows) {
+			return i
 		}
-		for _, r := range block {
-			accRowChain(swar, q.Row(int(r)))
+		row := data[int(r)*w:][:w]
+		a := acc[:len(row)]
+		for j, b := range row {
+			a[j] += int32(b) - 128
 		}
-		flushChain(acc, swar, n)
 	}
-}
-
-// accRowChainGeneric is the portable body of accRowChain, which accumulates
-// one biased source row into the packed chain accumulator: swar holds two
-// uint64 words per 8 columns — lanes of four 16-bit partial sums for the
-// even and odd columns of each chunk — so each loop iteration folds 16
-// feature bytes with six 64-bit ALU ops. This is the int8 tier's per-edge
-// kernel: no multiply, no sign extension, no int→float conversion, and
-// exact integer arithmetic, so chain results are independent of fold order
-// and worker count by construction.
-//
-// It folds min(len(row)/8, len(swar)/2) eight-byte chunks; the QSumMatrix
-// contract gives len(row) a multiple of 8 and len(swar) == len(row)/4. Lane
-// layout: word 2c lanes 0..3 ↔ columns 8c+{0,2,4,6}, word 2c+1 ↔ columns
-// 8c+{1,3,5,7}. On amd64 an SSE2 loop (kernels_amd64.s) folds 16 bytes per
-// step into the same layout with the same wrapping uint64 adds; elsewhere
-// accRowChainGeneric runs (kernels_noasm.go).
-func accRowChainGeneric(swar []uint64, row []byte) {
-	const laneMask = 0x00FF00FF00FF00FF
-	for len(row) >= 16 && len(swar) >= 4 {
-		u0 := binary.LittleEndian.Uint64(row)
-		u1 := binary.LittleEndian.Uint64(row[8:])
-		swar[0] += u0 & laneMask
-		swar[1] += (u0 >> 8) & laneMask
-		swar[2] += u1 & laneMask
-		swar[3] += (u1 >> 8) & laneMask
-		row = row[16:]
-		swar = swar[4:]
-	}
-	if len(row) >= 8 && len(swar) >= 2 {
-		u := binary.LittleEndian.Uint64(row)
-		swar[0] += u & laneMask
-		swar[1] += (u >> 8) & laneMask
-	}
-}
-
-// accRow4ChainGeneric is the portable body of accRow4Chain, which folds
-// four biased rows into swar in one sweep: per eight-byte chunk it adds the
-// four rows' masked words first and the sum into swar second. uint64
-// addition is associative and commutative modulo 2⁶⁴, so each word gets
-// exactly the value four accRowChain calls give it, whatever the lanes
-// hold. It folds min(len(r_i)/8, len(swar)/2) chunks over the four rows.
-func accRow4ChainGeneric(swar []uint64, r0, r1, r2, r3 []byte) {
-	const laneMask = 0x00FF00FF00FF00FF
-	for len(swar) >= 2 && len(r0) >= 8 && len(r1) >= 8 && len(r2) >= 8 && len(r3) >= 8 {
-		u0 := binary.LittleEndian.Uint64(r0)
-		u1 := binary.LittleEndian.Uint64(r1)
-		u2 := binary.LittleEndian.Uint64(r2)
-		u3 := binary.LittleEndian.Uint64(r3)
-		swar[0] += u0&laneMask + u1&laneMask + u2&laneMask + u3&laneMask
-		swar[1] += (u0>>8)&laneMask + (u1>>8)&laneMask + (u2>>8)&laneMask + (u3>>8)&laneMask
-		swar = swar[2:]
-		r0, r1, r2, r3 = r0[8:], r1[8:], r2[8:], r3[8:]
-	}
-}
-
-// flushChain drains the packed accumulator into acc and rezeroes it: each
-// 16-bit lane holds Σ(q+128) over the edges block, so subtracting 128·edges
-// recovers the exact signed sum Σq per column. acc must be padded to the
-// QSumMatrix stride (len(acc) == len(swar)·4).
-func flushChain(acc []int32, swar []uint64, edges int) {
-	bias := int32(edges) * 128
-	for len(swar) >= 2 && len(acc) >= 8 {
-		e, o := swar[0], swar[1]
-		swar[0], swar[1] = 0, 0
-		acc[0] += int32(e&0xFFFF) - bias
-		acc[1] += int32(o&0xFFFF) - bias
-		acc[2] += int32((e>>16)&0xFFFF) - bias
-		acc[3] += int32((o>>16)&0xFFFF) - bias
-		acc[4] += int32((e>>32)&0xFFFF) - bias
-		acc[5] += int32((o>>32)&0xFFFF) - bias
-		acc[6] += int32(e>>48) - bias
-		acc[7] += int32(o>>48) - bias
-		swar = swar[2:]
-		acc = acc[8:]
-	}
+	return len(rows)
 }
