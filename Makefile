@@ -21,6 +21,9 @@ test: build
 # generated benchmark checkouts and is skipped), and no non-test Go may
 # stream a binary format through binary.Read or binary.Write: SCSH, SCD1
 # and SCG1 all encode and decode whole frames through internal/frame.
+# Outside internal/httpapi no non-test Go names the "Retry-After" header:
+# httpapi.WriteError writes it from httpapi.RetryAfter, and the shard pool
+# waits that constant rather than reading the header.
 lint:
 	$(GO) vet ./...
 	@bad=$$(git ls-files '*.go' ':!.bench_build' | xargs gofmt -l); \
@@ -41,6 +44,11 @@ lint:
 	@bad=$$(git ls-files '*.go' ':!*_test.go' ':!.bench_build' | xargs grep -n -e 'binary\.Read(' -e 'binary\.Write('); \
 	if [ -n "$$bad" ]; then \
 	    echo "lint: binary.Read/binary.Write in non-test Go (encode and decode whole frames with internal/frame):"; \
+	    echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(git ls-files '*.go' ':!*_test.go' ':!.bench_build' ':!internal/httpapi' | xargs grep -n -F '"Retry-After"'); \
+	if [ -n "$$bad" ]; then \
+	    echo "lint: the Retry-After header named outside internal/httpapi (use httpapi.WriteError and httpapi.RetryAfter):"; \
 	    echo "$$bad"; exit 1; \
 	fi
 

@@ -70,7 +70,7 @@ func run(ctx context.Context) error {
 		probeEvery   = fs.Duration("probe-interval", 2*time.Second, "worker health-probe interval (jittered ±20%)")
 		breakerN     = fs.Int("breaker-threshold", 3, "consecutive worker failures before its circuit breaker opens")
 		breakerCool  = fs.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe")
-		shardRetries = fs.Int("shard-retries", 3, "in-place retries per worker call on 429/503 transients")
+		shardRetries = fs.Int("shard-retries", 3, "in-place retries per worker call on 429s")
 		dynamic      = fs.String("dynamic", "", "serve a mutable graph: a dataset name (cora, ...) or er:<vertices>:<edges>; enables POST /v1/mutate and \"graph\":\"dynamic\" infers")
 		dynDim       = fs.Int("dyn-dim", 16, "feature width of the dynamic graph's seeded random features")
 		dynCompact   = fs.Float64("dyn-compact", 0.25, "delta fraction triggering dynamic-graph compaction")

@@ -3,6 +3,7 @@ package dyn
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"scale/internal/fault"
@@ -18,9 +19,10 @@ var seedBatch = Batch{Ops: []Mutation{
 
 // FuzzMutationDecode drives arbitrary bytes through the batched-delta
 // decoder. The invariants mirror the graph codec hardening (PR 8): the
-// decoder never panics, every rejection is a typed fault.ErrBadGraph, and an
-// accepted batch survives a byte-identical re-encode round trip (so decode
-// accepts exactly the canonical wire form, nothing looser).
+// decoder never panics, allocates at most 4·len(data) + 64 KiB, every
+// rejection is a typed fault.ErrBadGraph, and an accepted batch survives a
+// byte-identical re-encode round trip (so decode accepts exactly the
+// canonical wire form, nothing looser).
 func FuzzMutationDecode(f *testing.F) {
 	// Seed with a canonical valid batch plus the malformed shapes the unit
 	// tests pin.
@@ -37,7 +39,13 @@ func FuzzMutationDecode(f *testing.F) {
 	f.Add([]byte("SCD1\x01\x00\x00\x00\x03\xff\xff\xff\x01"))                 // huge feature dim
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		b, err := DecodeBatch(data)
+		runtime.ReadMemStats(&after)
+		if d, budget := after.TotalAlloc-before.TotalAlloc, 4*uint64(len(data))+64<<10; d > budget {
+			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(data), d, budget)
+		}
 		if err != nil {
 			if !errors.Is(err, fault.ErrBadGraph) {
 				t.Fatalf("rejection not typed ErrBadGraph: %v", err)

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -43,8 +44,9 @@ func FuzzParseEdgeList(f *testing.F) {
 }
 
 // FuzzDecode: the binary decoder must reject corrupt streams without
-// panicking, and accepted graphs must validate. Truncation seeds cover
-// every prefix-cut class: mid-magic, mid-header, mid-rowPtr, mid-colIdx.
+// panicking, allocate at most 4·len(data) + 64 KiB, and accepted graphs
+// must validate. Truncation seeds cover every prefix-cut class: mid-magic,
+// mid-header, mid-rowPtr, mid-colIdx.
 func FuzzDecode(f *testing.F) {
 	seed := Encode(Path(5))
 	f.Add(seed)
@@ -56,7 +58,13 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		g, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if d, budget := after.TotalAlloc-before.TotalAlloc, 4*uint64(len(data))+64<<10; d > budget {
+			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(data), d, budget)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadGraphSentinel) {
 				t.Fatalf("rejection must wrap fault.ErrBadGraph, got: %v", err)

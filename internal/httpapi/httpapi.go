@@ -1,10 +1,10 @@
 // Package httpapi is the HTTP edge that the serving front (internal/serve)
 // and the shard worker (internal/shard) share: one mapping from an error to
-// a status, a kind and a Retry-After hint (Classify, WriteError), one
-// admission gate (Gate), one session cache (Sessions), one body reader
-// (ReadBody) and one Prometheus text writer (Counter, Gauge, Header). Both
-// tiers answer every non-2xx API call through WriteError, so one
-// client-side classifier serves both.
+// a status, a kind and a Retry-After hint (Classify, WriteError,
+// RetryAfter), one admission gate (Gate), one session cache (Sessions), one
+// body reader (ReadBody) and one Prometheus text writer (Counter, Gauge,
+// Header). Both tiers answer every non-2xx API call through WriteError, so
+// one client-side classifier serves both.
 package httpapi
 
 import (
@@ -15,8 +15,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"scale/internal/fault"
 )
@@ -75,13 +77,18 @@ func Classify(err error) (int, string) {
 	}
 }
 
+// RetryAfter is the one retry wait both tiers use: WriteError sends it, in
+// whole seconds, as the Retry-After of every 429 and 503, and the shard pool
+// waits it between in-place retries of a worker's 429.
+const RetryAfter = time.Second
+
 // WriteError answers a non-nil err through Classify. The retryable answers
-// (429 and 503) carry Retry-After: 1.
+// (429 and 503) carry Retry-After: RetryAfter.
 func WriteError(w http.ResponseWriter, err error) {
 	code, kind := Classify(err)
 	switch code {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", strconv.Itoa(int(RetryAfter/time.Second)))
 	}
 	WriteJSON(w, code, Error{Error: err.Error(), Kind: kind})
 }

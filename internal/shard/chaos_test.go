@@ -49,8 +49,6 @@ func TestPoolUnderChaos(t *testing.T) {
 		Parts:            2,
 		BreakerThreshold: 2,
 		DownFor:          20 * time.Millisecond,
-		RetryBase:        time.Millisecond,
-		RetryMax:         5 * time.Millisecond,
 		RequestTimeout:   10 * time.Second,
 	})
 	if err != nil {
@@ -107,8 +105,6 @@ func TestPoolChaosTransport(t *testing.T) {
 		Parts:            2,
 		BreakerThreshold: 2,
 		DownFor:          20 * time.Millisecond,
-		RetryBase:        time.Millisecond,
-		RetryMax:         5 * time.Millisecond,
 		Client:           chaosClient(chaosnet.Config{Seed: 77, Reset: 0.08, Truncate: 0.08}),
 	})
 	if err != nil {

@@ -15,7 +15,7 @@
 //   - Worker: an HTTP shard worker wrapping scale.Session that advances one
 //     layer per call (load → layer× → finish) with the repo's fault/drain
 //     contract.
-//   - Pool: the front-tier client — consistent hashing (Ring) routes each
+//   - Pool: the front-tier client — rendezvous hashing (rank) routes each
 //     (session, shard) to a worker with health-aware failover, fans each
 //     layer across shards, and merges halo rows between layers.
 //   - EstimateComm: the NoC/memory-model cost of the halo exchange.

@@ -2,14 +2,17 @@ package shard
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,18 +61,10 @@ type PoolConfig struct {
 	// jittered ±20% so a worker fleet is not hit in lockstep (default 2s).
 	// The prober only runs after StartProber.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe (default 1s).
-	ProbeTimeout time.Duration
-	// MaxRetries is how many times a transient worker answer (429, or 503
-	// that is not a drain) is retried in place on the same worker before
-	// failing over (default 3).
+	// MaxRetries is how many times a worker's 429 is retried in place on
+	// the same worker, httpapi.RetryAfter apart, before failing over
+	// (default 3).
 	MaxRetries int
-	// RetryBase is the first in-place retry delay; subsequent retries back
-	// off exponentially with jitter (default 25ms).
-	RetryBase time.Duration
-	// RetryMax caps the in-place retry delay, including what a worker's
-	// Retry-After hint can ask for (default 1s).
-	RetryMax time.Duration
 	// Client overrides the HTTP client (tests). The pool never sets
 	// Client.Timeout; deadlines come from the per-call context.
 	Client *http.Client
@@ -82,21 +77,21 @@ type PoolMetrics struct {
 	Failovers     atomic.Int64
 	Reloads       atomic.Int64
 	HaloBytesSent atomic.Int64
-	// Retries counts in-place retries of transient (429/503) answers.
+	// Retries counts in-place retries of 429 answers.
 	Retries atomic.Int64
 	// Probes counts active health probes sent.
 	Probes atomic.Int64
 }
 
 // Pool is the front-tier client of the shard worker fleet. Each inference
-// request is partitioned into K shards; shard s of a session routes to
-// Ring.Successors(sessionKey#s) — consistent hashing keeps a session's shards
-// on the same workers across requests (warm session caches), and the
-// successor list is the failover order when a worker is down. Between layers
-// the pool gathers every shard's owned rows into the global feature matrix
-// and redistributes halo rows, which also means it can reload a dead
-// worker's shard onto the next candidate at the exact layer the pass has
-// reached.
+// request is partitioned into K shards; shard s of a session routes to the
+// first of rank(sessionKey#s, workers) — rendezvous hashing keeps a
+// session's shards on the same workers across requests (warm session
+// caches), and the rest of the ranking is the failover order when a worker
+// is down. Between layers the pool gathers every shard's owned rows into the
+// global feature matrix and redistributes halo rows, which also means it can
+// reload a dead worker's shard onto the next candidate at the exact layer
+// the pass has reached.
 //
 // Worker health is tracked by a per-worker circuit breaker (see Breaker)
 // fed from two sides: every data-plane exchange, and — once StartProber is
@@ -107,7 +102,6 @@ type PoolMetrics struct {
 // A Pool is safe for concurrent use.
 type Pool struct {
 	cfg      PoolConfig
-	ring     *Ring
 	client   *http.Client
 	metrics  *PoolMetrics
 	breakers map[string]*Breaker // immutable after NewPool; values are locked
@@ -119,46 +113,39 @@ type Pool struct {
 	proberDone chan struct{}
 }
 
-// NewPool builds a Pool over cfg.Workers.
+// NewPool builds a Pool over cfg.Workers. An empty worker list, an address
+// with no host, and two addresses naming one base URL are typed config
+// errors.
 func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Parts < 0 {
 		return nil, fmt.Errorf("shard: negative shard count %d: %w", cfg.Parts, fault.ErrBadConfig)
 	}
+	if len(cfg.Workers) == 0 {
+		return nil, fmt.Errorf("shard: pool needs at least one worker: %w", fault.ErrBadConfig)
+	}
 	normalized := make([]string, len(cfg.Workers))
 	for i, a := range cfg.Workers {
-		normalized[i] = normalizeAddr(a)
+		n := normalizeAddr(a)
+		if u, err := url.Parse(n); err != nil || u.Host == "" {
+			return nil, fmt.Errorf("shard: worker address %q has no valid host: %w", a, fault.ErrBadConfig)
+		}
+		if slices.Contains(normalized[:i], n) {
+			return nil, fmt.Errorf("shard: worker %q listed twice: %w", a, fault.ErrBadConfig)
+		}
+		normalized[i] = n
 	}
 	cfg.Workers = normalized
-	ring, err := NewRing(cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Parts == 0 {
 		cfg.Parts = len(cfg.Workers)
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 60 * time.Second
 	}
-	if cfg.DownFor == 0 {
-		cfg.DownFor = time.Second
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = time.Second
-	}
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 3
-	}
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = 25 * time.Millisecond
-	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = time.Second
 	}
 	client := cfg.Client
 	if client == nil {
@@ -166,7 +153,6 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}
 	p := &Pool{
 		cfg:        cfg,
-		ring:       ring,
 		client:     client,
 		metrics:    &PoolMetrics{},
 		breakers:   make(map[string]*Breaker, len(cfg.Workers)),
@@ -258,12 +244,15 @@ func (p *Pool) probeLoop() {
 	}
 }
 
+// probeTimeout bounds one /healthz probe.
+const probeTimeout = time.Second
+
 // probe GETs one worker's /healthz and records the outcome in its breaker.
 // Anything but a 200 — a refused connection, a timeout, a draining 503 —
 // counts as a failure.
 func (p *Pool) probe(addr string) {
 	p.metrics.Probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
 	if err != nil {
@@ -292,7 +281,7 @@ func (p *Pool) WritePrometheus(w io.Writer) {
 	httpapi.Counter(w, "scale_shard_pool_failovers_total", "Worker failures routed around.", p.metrics.Failovers.Load())
 	httpapi.Counter(w, "scale_shard_pool_reloads_total", "Shard reloads onto replacement workers.", p.metrics.Reloads.Load())
 	httpapi.Counter(w, "scale_shard_pool_halo_bytes_total", "Halo row bytes redistributed between layers.", p.metrics.HaloBytesSent.Load())
-	httpapi.Counter(w, "scale_shard_pool_retries_total", "In-place retries of transient (429/503 Retry-After) worker answers.", p.metrics.Retries.Load())
+	httpapi.Counter(w, "scale_shard_pool_retries_total", "In-place retries of worker 429 (over capacity) answers.", p.metrics.Retries.Load())
 	httpapi.Counter(w, "scale_shard_pool_probes_total", "Active health probes sent.", p.metrics.Probes.Load())
 	var open, trips int64
 	for _, b := range p.breakers {
@@ -304,25 +293,72 @@ func (p *Pool) WritePrometheus(w io.Writer) {
 	httpapi.Counter(w, "scale_shard_pool_breaker_trips_total", "Circuit breakers tripped open.", trips)
 	httpapi.Gauge(w, "scale_shard_pool_breaker_open", "Workers whose circuit breaker is currently open.", open)
 	httpapi.Gauge(w, "scale_shard_pool_workers_live", "Workers whose circuit breaker is closed.", p.LiveWorkers())
-	httpapi.Gauge(w, "scale_shard_pool_workers", "Workers in the replica pool.", len(p.ring.nodes))
+	httpapi.Gauge(w, "scale_shard_pool_workers", "Workers in the replica pool.", len(p.cfg.Workers))
 	httpapi.Gauge(w, "scale_shard_pool_parts", "Shards per request.", p.cfg.Parts)
 }
 
+// normalizeAddr turns a worker address into its base URL: "http://" unless
+// it names a scheme, and no trailing "/", which would make every post path
+// start with "//".
 func normalizeAddr(a string) string {
-	if strings.HasPrefix(a, "http://") || strings.HasPrefix(a, "https://") {
-		return strings.TrimSuffix(a, "/")
+	if !strings.HasPrefix(a, "http://") && !strings.HasPrefix(a, "https://") {
+		a = "http://" + a
 	}
-	return "http://" + a
+	return strings.TrimSuffix(a, "/")
 }
 
-// candidates returns the failover-ordered worker list for key: ring
-// successors with breaker-unavailable workers moved to the back (not removed
-// — when every breaker is open, trying beats refusing).
+// rank orders workers for key by rendezvous (highest random weight)
+// hashing: each worker scores hash64 of the key and its address, highest
+// first, ties broken by address. The first worker owns the key and the rest
+// are its failover order. A joining worker takes only the keys it now
+// outscores every other worker on, and a leaving worker's keys pass to
+// their next-ranked worker; no other key moves.
+func rank(key string, workers []string) []string {
+	type scored struct {
+		score uint64
+		addr  string
+	}
+	s := make([]scored, len(workers))
+	for i, w := range workers {
+		s[i] = scored{hash64(key + "\x00" + w), w}
+	}
+	slices.SortFunc(s, func(a, b scored) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return strings.Compare(a.addr, b.addr)
+	})
+	out := make([]string, len(s))
+	for i, w := range s {
+		out[i] = w.addr
+	}
+	return out
+}
+
+// hash64 is FNV-64a with a splitmix64-style finalizer. Raw FNV avalanches
+// poorly on short, similar strings ("key\x00host:1", "key\x00host:2", …);
+// the finalizer spreads their scores, and TestRingDistributionBounds pins
+// the resulting evenness.
+func hash64(s string) uint64 {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(s))
+	z := h.Sum64()
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
+}
+
+// candidates returns the failover-ordered worker list for key: the rank
+// order with breaker-unavailable workers moved to the back (not removed —
+// when every breaker is open, trying beats refusing).
 func (p *Pool) candidates(key string) []string {
-	succ := p.ring.Successors(key, len(p.ring.nodes))
-	up := make([]string, 0, len(succ))
+	ranked := rank(key, p.cfg.Workers)
+	up := make([]string, 0, len(ranked))
 	var skipped []string
-	for _, a := range succ {
+	for _, a := range ranked {
 		if p.breakers[a].Available() {
 			up = append(up, a)
 		} else {
@@ -348,7 +384,7 @@ func (e *permanentErr) Error() string { return e.err.Error() }
 func (e *permanentErr) Unwrap() error { return e.err }
 
 // Run executes one sharded forward pass: partition g into Parts shards, load
-// each shard onto its ring-chosen worker, advance all shards layer by layer
+// each shard onto its top-ranked worker, advance all shards layer by layer
 // — gathering owned rows and redistributing halo rows at every boundary —
 // and return the final |V|×dims[last] embedding matrix plus the partition
 // plan (for cost reporting). fp32 results are bit-identical to an unsharded
@@ -548,9 +584,8 @@ func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, l
 	body := q.Encode()
 	p.metrics.HaloBytesSent.Add(int64(len(q.HaloRows)) * 4)
 
-	attemptedReload := false
 	var lastErr error
-	for attempt := 0; attempt < len(p.ring.nodes)+1; attempt++ {
+	for attempt := 0; attempt < len(p.cfg.Workers)+1; attempt++ {
 		if sr.addr == "" {
 			// Worker lost between calls (or a previous attempt failed):
 			// reload this shard at the current boundary somewhere healthy.
@@ -559,7 +594,6 @@ func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, l
 				return nil, err
 			}
 			p.metrics.Reloads.Add(1)
-			attemptedReload = true
 			body = (&LayerRequest{ReqID: sr.reqID, Layer: int32(li), Cols: int32(h.Cols)}).Encode()
 		}
 		resp, err := p.postRetry(ctx, sr.addr+"/v1/shard/layer", body)
@@ -585,36 +619,24 @@ func (p *Pool) layerShard(ctx context.Context, spec SessionSpec, sr *shardRun, l
 			return nil, ctx.Err()
 		}
 		sr.addr = "" // force a reload on the next attempt
-		if attemptedReload && attempt >= len(p.ring.nodes) {
-			break
-		}
 	}
 	return nil, fmt.Errorf("shard %d: layer %d failed on every worker: %w", sub.Index, li, lastErr)
 }
 
-// postResult is one worker answer: status code, raw body, the worker's
-// Retry-After hint (0 when absent), and the error payload of a non-2xx
-// answer (a body that is not one becomes its message).
+// postResult is one worker answer: status code, raw body, and the error
+// payload of a non-2xx answer (a body that is not one becomes its message).
 type postResult struct {
-	code       int
-	body       []byte
-	retryAfter time.Duration
-	apiErr     httpapi.Error
+	code   int
+	body   []byte
+	apiErr httpapi.Error
 }
 
 // transient reports whether the answer is worth retrying on the same worker:
-// 429 (admission queue full) and 503s that are not drains are momentary load
-// conditions — the worker holds our run and will recover; ejecting it would
-// force a reload elsewhere for no reason.
-func (r *postResult) transient() bool {
-	switch r.code {
-	case http.StatusTooManyRequests:
-		return true
-	case http.StatusServiceUnavailable:
-		return r.apiErr.Kind != "draining"
-	}
-	return false
-}
+// a 429 (full run table) is a momentary load condition — the worker holds
+// our run and will recover; ejecting it would force a reload elsewhere for
+// no reason. A worker's 503 is a drain (httpapi.Classify sends no other),
+// which retrying cannot outlast.
+func (r *postResult) transient() bool { return r.code == http.StatusTooManyRequests }
 
 // post sends one frame and reads the full answer. The call's deadline is
 // derived from ctx capped at RequestTimeout — a caller deadline that is
@@ -644,50 +666,33 @@ func (p *Pool) post(ctx context.Context, url string, frame []byte) (*postResult,
 	if res.code >= http.StatusMultipleChoices && json.Unmarshal(body, &res.apiErr) != nil {
 		res.apiErr.Error = string(body)
 	}
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, perr := strconv.Atoi(s); perr == nil && secs > 0 {
-			res.retryAfter = time.Duration(secs) * time.Second
-		}
-	}
 	return res, nil
 }
 
-// postRetry posts a frame, retrying transient answers (429, non-drain 503)
-// in place with capped jittered exponential backoff. The worker's
-// Retry-After hint raises the delay when it asks for longer than the backoff
-// would wait, bounded by RetryMax; transport errors and other statuses
+// postRetry posts a frame, retrying a 429 in place up to MaxRetries times,
+// httpapi.RetryAfter apart. The wait is the pool's, not the worker's: a
+// Retry-After header is not read. Transport errors and other statuses
 // return immediately — they are the failover path's business, not ours.
 func (p *Pool) postRetry(ctx context.Context, url string, frame []byte) (*postResult, error) {
-	delay := p.cfg.RetryBase
 	for attempt := 0; ; attempt++ {
 		res, err := p.post(ctx, url, frame)
 		if err != nil || !res.transient() || attempt >= p.cfg.MaxRetries {
 			return res, err
 		}
-		wait := delay + time.Duration(rand.Int63n(int64(delay)+1)) // [delay, 2·delay]
-		if res.retryAfter > wait {
-			wait = res.retryAfter
-		}
-		if wait > p.cfg.RetryMax {
-			wait = p.cfg.RetryMax
-		}
 		p.metrics.Retries.Add(1)
-		t := time.NewTimer(wait)
+		t := time.NewTimer(httpapi.RetryAfter)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
 			return nil, ctx.Err()
 		}
-		if delay *= 2; delay > p.cfg.RetryMax {
-			delay = p.cfg.RetryMax
-		}
 	}
 }
 
 // noteFailure classifies one failed worker exchange after any in-place
 // retries are spent: 400s are permanent (same input fails everywhere); 404
-// no_run and exhausted-transient 429/503 answers fail over WITHOUT feeding
+// no_run and exhausted 429 answers fail over WITHOUT feeding
 // the breaker (the worker is alive, it just cannot serve this call right
 // now); transport errors, drains, and 5xx count against the breaker.
 func (p *Pool) noteFailure(addr string, resp *postResult, err error) error {

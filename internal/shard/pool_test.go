@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"scale/internal/graph"
+	"scale/internal/httpapi"
 	"scale/internal/tensor"
 )
 
@@ -94,55 +95,92 @@ func TestPoolAllBreakersOpenStillRuns(t *testing.T) {
 	}
 }
 
-// 429 with Retry-After is a transient: the pool retries in place on the same
-// worker (honoring a capped version of the hint) instead of tripping the
-// breaker or failing over.
+// A 429 is a transient: the pool retries in place on the same worker,
+// httpapi.RetryAfter apart, instead of tripping the breaker or failing over.
+// The wait is the pool's own, so a worker asking for an hour gets a second.
 func TestPoolTransientRetryInPlace(t *testing.T) {
-	sim := newTestSim(t)
-	w := NewWorker(WorkerConfig{Sim: sim})
-	t.Cleanup(w.Close)
-	var rejects atomic.Int32
-	rejects.Store(2)
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/shard/") && rejects.Add(-1) >= 0 {
-			rw.Header().Set("Retry-After", "1") // 1s hint, capped by RetryMax below
-			rw.Header().Set("Content-Type", "application/json")
-			rw.WriteHeader(http.StatusTooManyRequests)
-			_, _ = rw.Write([]byte(`{"error":"run table full","kind":"over_capacity"}`))
-			return
-		}
-		w.Handler().ServeHTTP(rw, r)
-	}))
-	t.Cleanup(srv.Close)
+	for _, hint := range []string{"1", "3600"} {
+		t.Run("Retry-After="+hint, func(t *testing.T) {
+			t.Parallel()
+			sim := newTestSim(t)
+			w := NewWorker(WorkerConfig{Sim: sim})
+			t.Cleanup(w.Close)
+			var rejects atomic.Int32
+			rejects.Store(2)
+			srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if strings.HasPrefix(r.URL.Path, "/v1/shard/") && rejects.Add(-1) >= 0 {
+					rw.Header().Set("Retry-After", hint)
+					rw.Header().Set("Content-Type", "application/json")
+					rw.WriteHeader(http.StatusTooManyRequests)
+					_, _ = rw.Write([]byte(`{"error":"run table full","kind":"over_capacity"}`))
+					return
+				}
+				w.Handler().ServeHTTP(rw, r)
+			}))
+			t.Cleanup(srv.Close)
 
-	pool, err := NewPool(PoolConfig{
-		Workers:   []string{srv.URL},
-		Parts:     1,
-		RetryBase: time.Millisecond,
-		RetryMax:  5 * time.Millisecond,
-	})
+			pool, err := NewPool(PoolConfig{Workers: []string{srv.URL}, Parts: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := graph.CommunityGraph(60, 2, 5, 1)
+			spec := SessionSpec{Model: "gcn", Dims: []int{4, 2}, Precision: "fp32"}
+			x := tensor.NewMatrix(g.NumVertices(), 4)
+			start := time.Now()
+			if _, _, err := pool.Run(context.Background(), spec, g, x); err != nil {
+				t.Fatalf("transient 429s must be retried through: %v", err)
+			}
+			if d := time.Since(start); d < 2*httpapi.RetryAfter || d > 5*time.Second {
+				t.Fatalf("two 429s took %s, want at least 2×%s and under 5s", d, httpapi.RetryAfter)
+			}
+			m := pool.Metrics()
+			if m.Retries.Load() < 2 {
+				t.Fatalf("retries = %d, want ≥2 (one per 429)", m.Retries.Load())
+			}
+			if m.Failovers.Load() != 0 {
+				t.Fatalf("failovers = %d: a transient 429 must not eject the worker", m.Failovers.Load())
+			}
+			if pool.Breaker(srv.URL).State() != BreakerClosed {
+				t.Fatal("transient 429s must not feed the breaker")
+			}
+		})
+	}
+}
+
+// A 503 that is not a drain comes from no worker in this repo, so it is
+// nothing the pool waits out: the call fails over at once, with no retry.
+func TestPoolNonDrain503FailsOver(t *testing.T) {
+	sim := newTestSim(t)
+	var refused atomic.Bool
+	urls := make([]string, 2)
+	for i := range urls {
+		w := NewWorker(WorkerConfig{Sim: sim})
+		t.Cleanup(w.Close)
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/shard/") && refused.CompareAndSwap(false, true) {
+				rw.Header().Set("Content-Type", "application/json")
+				rw.WriteHeader(http.StatusServiceUnavailable)
+				_, _ = rw.Write([]byte(`{"error":"unavailable","kind":"internal"}`))
+				return
+			}
+			w.Handler().ServeHTTP(rw, r)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	pool, err := NewPool(PoolConfig{Workers: urls, Parts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.CommunityGraph(60, 2, 5, 1)
 	spec := SessionSpec{Model: "gcn", Dims: []int{4, 2}, Precision: "fp32"}
 	x := tensor.NewMatrix(g.NumVertices(), 4)
-	start := time.Now()
 	if _, _, err := pool.Run(context.Background(), spec, g, x); err != nil {
-		t.Fatalf("transient 429s must be retried through: %v", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("run took %s: the 1s Retry-After hint was not capped by RetryMax", d)
+		t.Fatalf("a 503 on one worker must fail over to the other: %v", err)
 	}
 	m := pool.Metrics()
-	if m.Retries.Load() < 2 {
-		t.Fatalf("retries = %d, want ≥2 (one per 429)", m.Retries.Load())
-	}
-	if m.Failovers.Load() != 0 {
-		t.Fatalf("failovers = %d: a transient 429 must not eject the worker", m.Failovers.Load())
-	}
-	if pool.Breaker(srv.URL).State() != BreakerClosed {
-		t.Fatal("transient 429s must not feed the breaker")
+	if m.Retries.Load() != 0 || m.Failovers.Load() != 1 {
+		t.Fatalf("retries = %d, failovers = %d; want 0 and 1", m.Retries.Load(), m.Failovers.Load())
 	}
 }
 
@@ -213,7 +251,6 @@ func TestProberTripsAndRecovers(t *testing.T) {
 		BreakerThreshold: 2,
 		DownFor:          20 * time.Millisecond,
 		ProbeInterval:    10 * time.Millisecond,
-		ProbeTimeout:     500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -223,6 +223,7 @@ var wireDecoders = map[string]func([]byte) (wireFrame, error){
 // FuzzWireFrames feeds arbitrary bytes to each decoder: every input is either
 // refused with ErrBadGraph or decodes to a frame that encodes back to exactly
 // the input, so the codec has one encoding per frame and no decoder panics.
+// No decode may allocate more than 4·len(b) + 64 KiB.
 func FuzzWireFrames(f *testing.F) {
 	_, load, layer, resp := roundTripFrames()
 	for _, fr := range []wireFrame{load, layer, resp} {
@@ -230,7 +231,13 @@ func FuzzWireFrames(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for name, decode := range wireDecoders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			fr, err := decode(b)
+			runtime.ReadMemStats(&after)
+			if d, budget := after.TotalAlloc-before.TotalAlloc, 4*uint64(len(b))+64<<10; d > budget {
+				t.Fatalf("%s: decoding %d bytes allocated %d, budget %d", name, len(b), d, budget)
+			}
 			if err != nil {
 				if !errors.Is(err, fault.ErrBadGraph) {
 					t.Fatalf("%s: err = %v, want ErrBadGraph", name, err)

@@ -190,7 +190,7 @@ func TestPoolMidPassFailover(t *testing.T) {
 	}
 	want := unshardedReference(t, sim, spec, g, x)
 
-	// Two workers; whichever one the ring routes shard 0 to starts failing
+	// Two workers; whichever one rank routes shard 0 to starts failing
 	// hard after two calls (enough to accept a load and serve layer 0, then
 	// "crash"), so the failure always lands mid-pass on an owning worker.
 	var flakyAddr atomic.Value // string: the URL that should start failing
@@ -216,7 +216,7 @@ func TestPoolMidPassFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flakyAddr.Store(pool.ring.Successors(spec.key()+"#0", 1)[0])
+	flakyAddr.Store(rank(spec.key()+"#0", pool.cfg.Workers)[0])
 	got, _, err := pool.Run(context.Background(), spec, g, x)
 	if err != nil {
 		t.Fatal(err)
