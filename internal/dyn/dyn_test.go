@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -221,6 +223,152 @@ func TestApplyRollsBackAtomically(t *testing.T) {
 	}
 	if got := d.Stats(); got.Mutations != stats.Mutations || got.Batches != stats.Batches || got.Vertices != stats.Vertices {
 		t.Fatalf("counters moved on failed batch: %+v -> %+v", stats, got)
+	}
+}
+
+// TestApplyRejectedBatchIsInvisible: a batch that adds 7→1, takes back the
+// 5→1 an earlier batch added, then fails must leave row 1 as [5]. Undoing
+// the add by popping the row's last source instead restored [7] once the
+// cancel had reordered the row.
+func TestApplyRejectedBatchIsInvisible(t *testing.T) {
+	base := graph.NewBuilder(8).Build("empty")
+	x := gnn.RandomFeatures(base, 2, 11)
+	d, err := New(base, x, Config{CompactThreshold: math.Inf(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Apply(Batch{Ops: []Mutation{{Op: OpAddEdge, Src: 5, Dst: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	bad := Batch{Ops: []Mutation{
+		{Op: OpAddEdge, Src: 7, Dst: 1},
+		{Op: OpRemoveEdge, Src: 5, Dst: 1},
+		{Op: OpAddEdge, Src: 0, Dst: 99},
+	}}
+	if err := d.Apply(bad); !errors.Is(err, fault.ErrBadGraph) {
+		t.Fatalf("want ErrBadGraph, got %v", err)
+	}
+	g, gotX, err := d.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := g.InNeighbors(1); g.NumEdges() != 1 || !reflect.DeepEqual(row, []int32{5}) {
+		t.Fatalf("after a rejected batch: %d edges, row 1 %v, want 1 edge, row 1 [5]", g.NumEdges(), row)
+	}
+	if !gotX.Equal(x) {
+		t.Fatal("features changed by a rejected batch")
+	}
+}
+
+// TestApplyRandomBatchesMatchFromScratch drives random batch histories over
+// a base whose rows hold duplicated edges: inserts (some duplicating live
+// edges), removals of live edges and of the batch's own inserts, and vertex
+// adds wired to the rest of the graph. One batch in five carries an
+// out-of-range op at a random position and must fail without a trace. After
+// every batch the view must equal a from-scratch rebuild of the reference
+// multiset, row for row, with equal features.
+func TestApplyRandomBatchesMatchFromScratch(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { randomBatches(t, seed, 60) })
+	}
+}
+
+func randomBatches(t *testing.T, seed int64, batches int) {
+	const dim = 3
+	rng := rand.New(rand.NewSource(seed))
+	er := graph.ErdosRenyi(16, 48, seed)
+	b := graph.NewBuilder(er.NumVertices())
+	for v := 0; v < er.NumVertices(); v++ {
+		for i, u := range er.InNeighbors(v) {
+			for k := 0; k <= i%3; k++ {
+				b.AddEdge(int(u), v)
+			}
+		}
+	}
+	base := b.Build("dup-er")
+	x := gnn.RandomFeatures(base, dim, seed)
+	d, err := New(base, x, Config{CompactThreshold: math.Inf(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRef(base, x)
+
+	for bi := 0; bi < batches; bi++ {
+		next := &refGraph{n: ref.n, edges: append([][2]int32(nil), ref.edges...), feats: ref.feats}
+		var ops []Mutation
+		var fresh [][2]int32 // this batch's inserts
+		add := func(src, dst int32) {
+			next.edges = append(next.edges, [2]int32{src, dst})
+			fresh = append(fresh, [2]int32{src, dst})
+			ops = append(ops, Mutation{Op: OpAddEdge, Src: src, Dst: dst})
+		}
+		remove := func(e [2]int32) {
+			for i, f := range next.edges {
+				if f == e {
+					next.edges = append(next.edges[:i], next.edges[i+1:]...)
+					ops = append(ops, Mutation{Op: OpRemoveEdge, Src: e[0], Dst: e[1]})
+					return
+				}
+			}
+		}
+		for nOps := 1 + rng.Intn(12); len(ops) < nOps; {
+			n := int32(next.n)
+			switch r := rng.Intn(10); {
+			case r < 2 && len(next.edges) > 0:
+				e := next.edges[rng.Intn(len(next.edges))]
+				add(e[0], e[1])
+			case r < 4:
+				add(rng.Int31n(n), rng.Int31n(n))
+			case r < 6 && len(fresh) > 0:
+				i := rng.Intn(len(fresh))
+				e := fresh[i]
+				fresh = append(fresh[:i], fresh[i+1:]...)
+				remove(e)
+			case r < 9 && len(next.edges) > 0:
+				remove(next.edges[rng.Intn(len(next.edges))])
+			default:
+				f := make([]float32, dim)
+				for j := range f {
+					f[j] = float32(rng.Intn(17)-8) / 4
+				}
+				ops = append(ops, Mutation{Op: OpAddVertex, Features: f})
+				next.n++
+				next.feats = append(next.feats[:len(next.feats):len(next.feats)], f)
+				add(rng.Int31n(n), n)
+				add(n, rng.Int31n(n+1))
+			}
+		}
+		fail := rng.Intn(5) == 0
+		if fail {
+			at := rng.Intn(len(ops) + 1)
+			bad := Mutation{Op: OpAddEdge, Src: 0, Dst: 1 << 20}
+			if rng.Intn(2) == 0 {
+				bad = Mutation{Op: OpRemoveEdge, Src: -1, Dst: 0}
+			}
+			ops = append(ops[:at], append([]Mutation{bad}, ops[at:]...)...)
+		}
+
+		err := d.Apply(Batch{Ops: ops})
+		switch {
+		case fail && !errors.Is(err, fault.ErrBadGraph):
+			t.Fatalf("batch %d: out-of-range op: got %v, want ErrBadGraph", bi, err)
+		case !fail && err != nil:
+			t.Fatalf("batch %d: %v", bi, err)
+		case !fail:
+			ref = next
+		}
+		got, gotX, err := d.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantX := ref.build("ref")
+		sameCSR(t, got, want)
+		if !gotX.Equal(wantX) {
+			t.Fatalf("batch %d: feature matrices differ", bi)
+		}
+		if st := d.Stats(); st.Vertices != ref.n || st.Edges != int64(len(ref.edges)) {
+			t.Fatalf("batch %d: stats |V|=%d |E|=%d, want %d %d", bi, st.Vertices, st.Edges, ref.n, len(ref.edges))
+		}
 	}
 }
 
