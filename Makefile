@@ -386,8 +386,10 @@ dyn-smoke:
 # panics or calls b.Fatal would otherwise pass; one iteration each keeps
 # this to seconds. internal/shard's BenchmarkShardPass drives the HTTP shard
 # data plane at k = 1/2/4 in fp32 and int8; internal/serve's benchmarks
-# drive the /v1/infer decoder, response encoder and handler stack.
+# drive the /v1/infer decoder, response encoder and handler stack;
+# internal/dyn's BenchmarkDynMutate applies a 64-op batch to RMAT-12 and the
+# Reddit build and takes the View the next read takes.
 bench-once:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core ./internal/shard ./internal/graph ./internal/sched ./internal/serve
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/gnn ./internal/core ./internal/shard ./internal/graph ./internal/sched ./internal/serve ./internal/dyn
 
 verify: test lint conform bce crossbuild race perfbench-check bench-once bench-smoke serve-smoke shard-smoke chaos-smoke dyn-smoke

@@ -19,7 +19,7 @@
 // API call 405, per-request deadlines 408, a full admission queue 429,
 // contained panics 500 (the process survives), and a draining server
 // answers 503; 429 and 503 carry Retry-After. A /v1/mutate that arrives
-// while the dynamic graph compacts waits for the compaction.
+// while another batch is being applied waits for it.
 //
 // Shutdown: the first SIGINT/SIGTERM stops admission and drains in-flight
 // requests (bounded by -drain-timeout); a second signal force-kills.
@@ -73,7 +73,6 @@ func run(ctx context.Context) error {
 		shardRetries = fs.Int("shard-retries", 3, "in-place retries per worker call on 429s")
 		dynamic      = fs.String("dynamic", "", "serve a mutable graph: a dataset name (cora, ...) or er:<vertices>:<edges>; enables POST /v1/mutate and \"graph\":\"dynamic\" infers")
 		dynDim       = fs.Int("dyn-dim", 16, "feature width of the dynamic graph's seeded random features")
-		dynCompact   = fs.Float64("dyn-compact", 0.25, "delta fraction triggering dynamic-graph compaction")
 		sampleWork   = fs.Int("sample-workers", 0, "worker count for dynamic/sampled inference (0 = all cores; results are worker-count invariant)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful drain budget after SIGTERM")
 	)
@@ -135,7 +134,7 @@ func run(ctx context.Context) error {
 	}
 	var dynGraph *dyn.Graph
 	if *dynamic != "" {
-		dynGraph, err = buildDynamic(*dynamic, *dynDim, *dynCompact)
+		dynGraph, err = buildDynamic(*dynamic, *dynDim)
 		if err != nil {
 			return err
 		}
@@ -169,8 +168,8 @@ func run(ctx context.Context) error {
 	}
 	if dynGraph != nil {
 		st := dynGraph.Stats()
-		fmt.Fprintf(os.Stderr, "scale-serve: dynamic graph %s: |V|=%d |E|=%d dim=%d (compact at %.0f%% delta)\n",
-			*dynamic, st.Vertices, st.Edges, dynGraph.FeatureDim(), 100**dynCompact)
+		fmt.Fprintf(os.Stderr, "scale-serve: dynamic graph %s: |V|=%d |E|=%d dim=%d\n",
+			*dynamic, st.Vertices, st.Edges, dynGraph.FeatureDim())
 	}
 
 	select {
@@ -203,7 +202,7 @@ func run(ctx context.Context) error {
 // Erdős–Rényi graph (small controllable graphs for smokes and demos).
 // Features are seeded random at the requested width, so a restarted server
 // reproduces the same initial state.
-func buildDynamic(spec string, dim int, compact float64) (*dyn.Graph, error) {
+func buildDynamic(spec string, dim int) (*dyn.Graph, error) {
 	if dim < 1 {
 		return nil, cli.Usagef("-dyn-dim %d < 1", dim)
 	}
@@ -227,5 +226,5 @@ func buildDynamic(spec string, dim int, compact float64) (*dyn.Graph, error) {
 		g = d.Build()
 	}
 	x := gnn.RandomFeatures(g, dim, 11)
-	return dyn.New(g, x, dyn.Config{CompactThreshold: compact})
+	return dyn.New(g, x, dyn.Config{})
 }

@@ -45,7 +45,8 @@ type Mutation struct {
 }
 
 // Batch is an ordered list of mutations applied atomically: either every op
-// applies or none does (Graph.Apply rolls back on the first failure).
+// applies or none does (Graph.Apply swaps in its result only once every op
+// has passed).
 type Batch struct {
 	Ops []Mutation
 }

@@ -2,7 +2,9 @@ package dyn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"scale/internal/gnn"
 	"scale/internal/graph"
@@ -21,28 +23,77 @@ func benchGraph(b *testing.B, dim int) *Graph {
 	return d
 }
 
-// BenchmarkDynMutate measures mutation throughput through Apply (one
-// 64-op batch per iteration: alternating inserts and removals that cancel,
-// so the graph does not grow without bound across iterations).
+// BenchmarkDynMutate prices a write together with the read after it: each
+// iteration applies one 64-op batch, 32 inserts and 32 removals of live
+// edges drawn from an edge-multiset mirror as perfbench's resident-rw draws
+// them, then takes the View that the next read takes. apply-ms/op and
+// view-ms/op split ns/op between the two.
 func BenchmarkDynMutate(b *testing.B) {
-	d := benchGraph(b, 16)
-	n := int32(d.NumVertices())
-	ops := make([]Mutation, 0, 64)
-	for i := int32(0); i < 32; i++ {
-		src, dst := i%n, (i*7+1)%n
-		ops = append(ops,
-			Mutation{Op: OpAddEdge, Src: src, Dst: dst},
-			Mutation{Op: OpRemoveEdge, Src: src, Dst: dst})
+	for _, tc := range []struct {
+		name string
+		base *graph.Graph
+	}{
+		{"rmat12", graph.RMAT(12, 65536, 5)},
+		{"reddit", graph.MustByName("reddit").Build()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			d, err := New(tc.base, gnn.RandomFeatures(tc.base, 16, 9), Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			batches := mirrorBatches(tc.base, b.N)
+			var apply, view time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, batch := range batches {
+				start := time.Now()
+				if err := d.Apply(batch); err != nil {
+					b.Fatal(err)
+				}
+				applied := time.Now()
+				if _, _, err := d.View(); err != nil {
+					b.Fatal(err)
+				}
+				apply += applied.Sub(start)
+				view += time.Since(applied)
+			}
+			b.ReportMetric(apply.Seconds()*1e3/float64(b.N), "apply-ms/op")
+			b.ReportMetric(view.Seconds()*1e3/float64(b.N), "view-ms/op")
+		})
 	}
-	batch := Batch{Ops: ops}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.Apply(batch); err != nil {
-			b.Fatal(err)
+}
+
+// mirrorBatches draws count batches of alternating uniform inserts and
+// removals of uniformly chosen live edges, tracking the edge multiset in a
+// mirror so that every removal names an edge the graph holds when it lands.
+func mirrorBatches(g *graph.Graph, count int) []Batch {
+	rng := rand.New(rand.NewSource(1))
+	var mirror [][2]int32 // (src, dst)
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, u := range g.InNeighbors(v) {
+			mirror = append(mirror, [2]int32{u, int32(v)})
 		}
 	}
-	b.ReportMetric(64*float64(b.N)/b.Elapsed().Seconds(), "mutations/s")
+	nv := int32(g.NumVertices())
+	batches := make([]Batch, count)
+	for i := range batches {
+		ops := make([]Mutation, 64)
+		for j := range ops {
+			if j%2 == 0 {
+				src, dst := rng.Int31n(nv), rng.Int31n(nv)
+				mirror = append(mirror, [2]int32{src, dst})
+				ops[j] = Mutation{Op: OpAddEdge, Src: src, Dst: dst}
+				continue
+			}
+			k := rng.Intn(len(mirror))
+			e := mirror[k]
+			mirror[k] = mirror[len(mirror)-1]
+			mirror = mirror[:len(mirror)-1]
+			ops[j] = Mutation{Op: OpRemoveEdge, Src: e[0], Dst: e[1]}
+		}
+		batches[i] = Batch{Ops: ops}
+	}
+	return batches
 }
 
 func benchInfer(b *testing.B, fanout int) {

@@ -145,12 +145,12 @@ func TestApplyMergeMatchesFromScratch(t *testing.T) {
 	sameCSR(t, got, want)
 }
 
-// TestPartialRemovalOfDuplicatedBaseEdge is a regression test: when the base
+// TestPartialRemovalOfDuplicatedBaseEdge is a regression test: when the live
 // CSR row holds N duplicate occurrences of an edge and fewer than N are
-// removed, the merge must emit the survivors. (The original merge re-read
+// removed, the new row must keep the survivors. (An earlier merge re-read
 // the removal count once per surviving duplicate and dropped the whole run —
-// caught by the mutate-while-infer soak after a compaction froze overlay
-// duplicates into the base.)
+// caught by the mutate-while-infer soak once duplicates had been frozen
+// into the CSR.)
 func TestPartialRemovalOfDuplicatedBaseEdge(t *testing.T) {
 	b := graph.NewBuilder(4)
 	for i := 0; i < 3; i++ {
@@ -168,7 +168,7 @@ func TestPartialRemovalOfDuplicatedBaseEdge(t *testing.T) {
 
 	batch := Batch{Ops: []Mutation{
 		{Op: OpRemoveEdge, Src: 2, Dst: 1},
-		{Op: OpAddEdge, Src: 2, Dst: 1}, // an overlay add of the same src must survive too
+		{Op: OpAddEdge, Src: 2, Dst: 1}, // an insert of the same src must survive too
 	}}
 	if err := d.Apply(batch); err != nil {
 		t.Fatal(err)
@@ -181,12 +181,8 @@ func TestPartialRemovalOfDuplicatedBaseEdge(t *testing.T) {
 	want, _ := ref.build("ref")
 	sameCSR(t, got, want)
 
-	// The same partial removal must survive a compaction boundary: compact
-	// (freezing the remaining duplicates into a new base), remove another
-	// occurrence, and re-check against the from-scratch rebuild.
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	// The same partial removal over the CSR the first batch wrote: remove
+	// another occurrence and re-check against the from-scratch rebuild.
 	batch = Batch{Ops: []Mutation{{Op: OpRemoveEdge, Src: 2, Dst: 1}}}
 	if err := d.Apply(batch); err != nil {
 		t.Fatal(err)
@@ -411,8 +407,8 @@ func TestVertexAddGrowsGraph(t *testing.T) {
 
 // A snapshot shares the live feature rows instead of copying them, so no
 // later mutation may change what it holds: not an add_vertex batch that
-// appends in place, not a failing batch whose undo truncates rows that a
-// later batch then rewrites, and not a compaction.
+// appends in place, not a failing add_vertex batch followed by one that
+// succeeds, and not a batch that also rewrites the CSR.
 func TestSnapshotFeaturesSurviveMutation(t *testing.T) {
 	d, _ := seedDyn(t, 64, 256, 2, Config{CompactThreshold: math.Inf(1)})
 	addVertex := func(v float32) Mutation {
@@ -451,82 +447,24 @@ func TestSnapshotFeaturesSurviveMutation(t *testing.T) {
 	if err := d.Apply(failing); err == nil {
 		t.Fatal("out-of-range edge applied")
 	}
-	check("an undone add_vertex batch")
+	check("a rejected add_vertex batch")
 	if err := d.Apply(Batch{Ops: []Mutation{addVertex(6), addVertex(7)}}); err != nil {
 		t.Fatal(err)
 	}
-	check("an add_vertex batch over the undone rows")
+	check("an add_vertex batch after the rejected one")
 
 	take()
 	if err := d.Apply(Batch{Ops: []Mutation{{Op: OpAddEdge, Src: 1, Dst: 2}, addVertex(8)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	take()
 	if err := d.Apply(Batch{Ops: []Mutation{addVertex(9)}}); err != nil {
 		t.Fatal(err)
 	}
-	check("a compaction")
+	check("an edge-and-vertex batch")
 	if got := snaps[len(snaps)-1].Rows; got != 64+6 {
-		t.Fatalf("post-compaction snapshot has %d rows, want %d", got, 64+6)
+		t.Fatalf("snapshot after the edge-and-vertex batch has %d rows, want %d", got, 64+6)
 	}
-}
-
-func TestCompactionIsStructureNeutral(t *testing.T) {
-	d, ref := seedDyn(t, 128, 512, 2, Config{CompactThreshold: math.Inf(1)})
-	b := Batch{Ops: []Mutation{
-		{Op: OpAddEdge, Src: 1, Dst: 2},
-		{Op: OpAddEdge, Src: 3, Dst: 100},
-		{Op: OpAddVertex, Features: []float32{5, 6}},
-		{Op: OpAddEdge, Src: 128, Dst: 0},
-	}}
-	if err := d.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	ref.apply(t, b)
-	statsBefore := d.Stats()
-	if statsBefore.DeltaAdded == 0 {
-		t.Fatal("expected pending overlay before compaction")
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	s := d.Stats()
-	if s.DeltaAdded != 0 || s.DeltaRemoved != 0 || s.Compactions != 1 {
-		t.Fatalf("overlay not drained: %+v", s)
-	}
-	if s.Edges != statsBefore.Edges || s.Vertices != statsBefore.Vertices {
-		t.Fatalf("compaction changed structure: %+v -> %+v", statsBefore, s)
-	}
-	got, _, _ := d.View()
-	want, _ := ref.build("ref")
-	sameCSR(t, got, want)
-}
-
-func TestAutoCompactionAtThreshold(t *testing.T) {
-	d, ref := seedDyn(t, 32, 100, 2, Config{CompactThreshold: 0.10})
-	// 11 added edges on a 100-edge base crosses the 10% threshold.
-	var ops []Mutation
-	for i := 0; i < 11; i++ {
-		ops = append(ops, Mutation{Op: OpAddEdge, Src: int32(i), Dst: int32((i + 1) % 32)})
-	}
-	b := Batch{Ops: ops}
-	if err := d.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	ref.apply(t, b)
-	s := d.Stats()
-	if s.Compactions != 1 || s.DeltaAdded != 0 {
-		t.Fatalf("expected auto-compaction: %+v", s)
-	}
-	if s.BaseEdges != 111 {
-		t.Fatalf("base edges after compaction: %d, want 111", s.BaseEdges)
-	}
-	got, _, _ := d.View()
-	want, _ := ref.build("ref")
-	sameCSR(t, got, want)
 }
 
 func TestForwardOnViewMatchesFromScratch(t *testing.T) {
@@ -741,14 +679,4 @@ func TestDecodeBatchAllocationBound(t *testing.T) {
 			t.Fatalf("%s: allocated %d bytes before failing", name, d)
 		}
 	}
-}
-
-// Compact re-freezes the overlay into the base CSR. It is also triggered
-// automatically when the delta fraction crosses the configured threshold.
-// Compaction is structure-neutral: the live edge multiset, and so every
-// degree, is unchanged.
-func (g *Graph) Compact() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.compactLocked()
 }

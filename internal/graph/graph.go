@@ -94,10 +94,10 @@ func (b *Builder) Build(name string) *Graph {
 // FromCSR adopts an already-built CSR (rowPtr, colIdx) as an immutable
 // Graph, validating the structural invariants (monotone row pointers,
 // in-range sorted adjacency). The slices are adopted, not copied — the
-// caller must not mutate them afterwards. The dynamic-graph overlay
-// (internal/dyn) uses it to freeze merged snapshots and sampled subgraphs
-// without re-running the Builder's counting sort: its rows are already
-// sorted, so validation is the only cost.
+// caller must not mutate them afterwards. The dynamic graph
+// (internal/dyn) uses it to freeze each batch's new CSR and sampled
+// subgraphs without re-running the Builder's counting sort: its rows are
+// already sorted, so validation is the only cost.
 func FromCSR(name string, rowPtr, colIdx []int32) (*Graph, error) {
 	if len(rowPtr) < 1 {
 		return nil, fmt.Errorf("graph %q: empty row-pointer array: %w", name, fault.ErrBadGraph)

@@ -14,13 +14,9 @@ import (
 // writeDynMetrics renders the dynamic graph's gauges and counters.
 func writeDynMetrics(w io.Writer, st dyn.Stats) {
 	httpapi.Gauge(w, "scale_dyn_vertices", "Live vertices in the dynamic graph.", float64(st.Vertices))
-	httpapi.Gauge(w, "scale_dyn_edges", "Live edges in the dynamic graph (base + overlay).", float64(st.Edges))
-	httpapi.Gauge(w, "scale_dyn_delta_fraction", "Overlay edge ops as a fraction of base edges.", st.DeltaFrac)
-	httpapi.Gauge(w, "scale_dyn_delta_added", "Overlay edge inserts awaiting compaction.", float64(st.DeltaAdded))
-	httpapi.Gauge(w, "scale_dyn_delta_removed", "Overlay edge removals awaiting compaction.", float64(st.DeltaRemoved))
+	httpapi.Gauge(w, "scale_dyn_edges", "Live edges in the dynamic graph.", float64(st.Edges))
 	httpapi.Counter(w, "scale_dyn_mutations_total", "Individual graph deltas applied.", st.Mutations)
 	httpapi.Counter(w, "scale_dyn_mutation_batches_total", "Atomic mutation batches applied.", st.Batches)
-	httpapi.Counter(w, "scale_dyn_compactions_total", "Overlay compactions into the base CSR.", st.Compactions)
 }
 
 // mutateOp is one JSON-encoded mutation of the POST /v1/mutate body.
@@ -42,13 +38,9 @@ type mutateBody struct {
 // count plus the graph's post-batch shape, so streaming writers can track
 // growth without polling /metrics.
 type mutateResponse struct {
-	Applied      int     `json:"applied"`
-	Vertices     int     `json:"vertices"`
-	Edges        int64   `json:"edges"`
-	DeltaAdded   int64   `json:"delta_added"`
-	DeltaRemoved int64   `json:"delta_removed"`
-	DeltaFrac    float64 `json:"delta_fraction"`
-	Compactions  int64   `json:"compactions"`
+	Applied  int   `json:"applied"`
+	Vertices int   `json:"vertices"`
+	Edges    int64 `json:"edges"`
 }
 
 // decodeMutate reads one /v1/mutate body once: an SCD1 frame under
@@ -112,12 +104,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.MutationOps.Add(int64(len(batch.Ops)))
 	st := s.cfg.Dynamic.Stats()
 	httpapi.WriteJSON(w, http.StatusOK, mutateResponse{
-		Applied:      len(batch.Ops),
-		Vertices:     st.Vertices,
-		Edges:        st.Edges,
-		DeltaAdded:   st.DeltaAdded,
-		DeltaRemoved: st.DeltaRemoved,
-		DeltaFrac:    st.DeltaFrac,
-		Compactions:  st.Compactions,
+		Applied:  len(batch.Ops),
+		Vertices: st.Vertices,
+		Edges:    st.Edges,
 	})
 }

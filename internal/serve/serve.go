@@ -74,9 +74,9 @@ type Config struct {
 	ShardMinVertices int
 	// Dynamic, when set, is the server's mutable graph: POST /v1/mutate
 	// applies batched deltas to it, and infer requests with
-	// "graph":"dynamic" run against its current snapshot instead of
-	// carrying their own edges/features. /metrics gains the graph's shape,
-	// mutation and compaction series.
+	// "graph":"dynamic" run against its live graph instead of carrying
+	// their own edges/features. /metrics gains the graph's shape and
+	// mutation series.
 	Dynamic *dyn.Graph
 	// SampleWorkers bounds row-level parallelism on the direct inference
 	// path (dynamic-graph and sampled requests, which bypass the
