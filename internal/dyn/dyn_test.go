@@ -265,11 +265,11 @@ func TestApplyRejectedBatchIsInvisible(t *testing.T) {
 // multiset, row for row, with equal features.
 func TestApplyRandomBatchesMatchFromScratch(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { randomBatches(t, seed, 60) })
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { randomBatches(t, seed) })
 	}
 }
 
-func randomBatches(t *testing.T, seed int64, batches int) {
+func randomBatches(t *testing.T, seed int64) {
 	const dim = 3
 	rng := rand.New(rand.NewSource(seed))
 	er := graph.ErdosRenyi(16, 48, seed)
@@ -289,7 +289,7 @@ func randomBatches(t *testing.T, seed int64, batches int) {
 	}
 	ref := newRef(base, x)
 
-	for bi := 0; bi < batches; bi++ {
+	for bi := 0; bi < 60; bi++ {
 		next := &refGraph{n: ref.n, edges: append([][2]int32(nil), ref.edges...), feats: ref.feats}
 		var ops []Mutation
 		var fresh [][2]int32 // this batch's inserts
