@@ -23,7 +23,10 @@ test: build
 # and SCG1 all encode and decode whole frames through internal/frame.
 # Outside internal/httpapi no non-test Go names the "Retry-After" header:
 # httpapi.WriteError writes it from httpapi.RetryAfter, and the shard pool
-# waits that constant rather than reading the header.
+# waits that constant rather than reading the header. No assembly in
+# internal/tensor names a fused multiply-add (VFMADD, VFMSUB, VFNMADD,
+# VFNMSUB): the kernels' bit-identity with their portable loops rests on a
+# rounded product followed by a rounded sum, and every AVX2 host has FMA3.
 lint:
 	$(GO) vet ./...
 	@bad=$$(git ls-files '*.go' ':!.bench_build' | xargs gofmt -l); \
@@ -51,6 +54,11 @@ lint:
 	    echo "lint: the Retry-After header named outside internal/httpapi (use httpapi.WriteError and httpapi.RetryAfter):"; \
 	    echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(git ls-files 'internal/tensor/*.s' | xargs grep -n -E 'VFN?M(ADD|SUB)'); \
+	if [ -n "$$bad" ]; then \
+	    echo "lint: fused multiply-add in the tensor kernels (round the product, then the sum):"; \
+	    echo "$$bad"; exit 1; \
+	fi
 
 # Bounds-check-elimination gate (DESIGN §4j): the float32 and int8 hot-loop
 # files (internal/tensor/kernels.go, quant.go) must compile with zero
@@ -72,7 +80,7 @@ bce:
 	fi; \
 	echo "bce: internal/tensor kernels.go + quant.go are bounds-check-free"
 
-# Cross-build gate (DESIGN §4j): the hot tensor kernels have an amd64 SSE2
+# Cross-build gate (DESIGN §4j): the hot tensor kernels have an amd64 AVX2
 # path (kernels_amd64.go + .s) beside the portable one, so a declaration
 # left only on the amd64 side breaks every other GOARCH while amd64 builds
 # and tests stay green. Vet every package, here and in the nested perfbench
@@ -109,7 +117,7 @@ race:
 # Tier 3: short fuzz passes over the parsers (graph edge lists, binary
 # graph decoding, feature matrices, config JSON round-trip, mutation
 # batches, /v1/infer bodies against encoding/json, shard wire frames), over
-# the /v1/infer float32 encoder against encoding/json, over the amd64 SSE2
+# the /v1/infer float32 encoder against encoding/json, over the amd64 AVX2
 # kernels against their portable loops, and over Algorithm 1 against its
 # direct O(B·T_n) first fit and O(T_n·G_n) grouping.
 fuzz:

@@ -45,6 +45,7 @@ import (
 	"scale/internal/noc"
 	"scale/internal/serve"
 	"scale/internal/shard"
+	"scale/internal/tensor"
 )
 
 func main() { cli.Main("scale-serve", run) }
@@ -160,8 +161,8 @@ func run(ctx context.Context) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "scale-serve: listening on %s (window=%s max-batch=%d queue=%d sessions=%d)\n",
-		*addr, *batchWindow, *maxBatch, *queueDepth, *maxSessions)
+	fmt.Fprintf(os.Stderr, "scale-serve: listening on %s (window=%s max-batch=%d queue=%d sessions=%d kernels=%s)\n",
+		*addr, *batchWindow, *maxBatch, *queueDepth, *maxSessions, tensor.KernelFamily())
 	if pool != nil {
 		fmt.Fprintf(os.Stderr, "scale-serve: sharding requests >=%d vertices across %d workers (parts=%d topology=%s)\n",
 			*shardMin, len(pool.Workers()), pool.Parts(), pool.Topology())

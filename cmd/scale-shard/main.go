@@ -37,6 +37,7 @@ import (
 	"scale/internal/cli"
 	"scale/internal/shard"
 	"scale/internal/shard/chaosnet"
+	"scale/internal/tensor"
 )
 
 func main() { cli.Main("scale-shard", run) }
@@ -99,8 +100,8 @@ func run(ctx context.Context) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "scale-shard: listening on %s (runs=%d sessions=%d ttl=%s)\n",
-		*addr, *runs, *sessions, *runTTL)
+	fmt.Fprintf(os.Stderr, "scale-shard: listening on %s (runs=%d sessions=%d ttl=%s kernels=%s)\n",
+		*addr, *runs, *sessions, *runTTL, tensor.KernelFamily())
 	if chaosCfg.Active() {
 		fmt.Fprintf(os.Stderr, "scale-shard: CHAOS enabled (%s, seed=%d) — injecting faults into /v1/ responses\n", *chaosSpec, *chaosSeed)
 	}

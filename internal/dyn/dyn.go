@@ -180,7 +180,8 @@ func (g *Graph) occurrences(k edgeKey) int32 {
 }
 
 // rebuild writes the live graph with the batch's net edits applied as a new
-// n-vertex CSR named for the next generation. Callers hold mu.
+// n-vertex CSR named for the next generation, checking its row pointers and
+// the rows the edits touch. Callers hold mu.
 func (g *Graph) rebuild(n int, net map[edgeKey]int32) (*graph.Graph, error) {
 	edits := make([]edit, 0, len(net))
 	for k, c := range net {
@@ -204,6 +205,12 @@ func (g *Graph) rebuild(n int, net map[edgeKey]int32) (*graph.Graph, error) {
 		rowPtr[v+1] += rowPtr[v]
 	}
 	colIdx := make([]int32, rowPtr[n])
+	touched := make([]int32, 0, len(edits))
+	for _, e := range edits {
+		if len(touched) == 0 || touched[len(touched)-1] != e.dst {
+			touched = append(touched, e.dst)
+		}
+	}
 	for v := 0; v < n; v++ {
 		var row []int32
 		if v < oldN {
@@ -216,7 +223,9 @@ func (g *Graph) rebuild(n int, net map[edgeKey]int32) (*graph.Graph, error) {
 		mergeRow(colIdx[rowPtr[v]:rowPtr[v+1]], row, edits[:i])
 		edits = edits[i:]
 	}
-	return graph.FromCSR(fmt.Sprintf("%s@%d", g.name, g.gen+1), rowPtr, colIdx)
+	// Every untouched row is a copy of a live row, sorted and below the
+	// live vertex count, which no batch lowers.
+	return graph.FromCSRRows(fmt.Sprintf("%s@%d", g.name, g.gen+1), rowPtr, colIdx, touched)
 }
 
 // mergeRow writes the sorted row with one row's edits (sorted by src)

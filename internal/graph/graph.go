@@ -109,6 +109,28 @@ func FromCSR(name string, rowPtr, colIdx []int32) (*Graph, error) {
 	return g, nil
 }
 
+// FromCSRRows adopts a CSR as FromCSR does, but of the rows it checks only
+// those listed in rows, which must be vertices of the graph; the row
+// pointers are checked in full. The caller vouches for every other row:
+// dyn's rebuild copies them from a validated graph with no more vertices,
+// so their ids are sorted and in range. A CSR from outside the process
+// goes through FromCSR.
+func FromCSRRows(name string, rowPtr, colIdx, rows []int32) (*Graph, error) {
+	if len(rowPtr) < 1 {
+		return nil, fmt.Errorf("graph %q: empty row-pointer array: %w", name, fault.ErrBadGraph)
+	}
+	g := &Graph{name: name, rowPtr: rowPtr, colIdx: colIdx}
+	if err := g.validatePointers(); err != nil {
+		return nil, err
+	}
+	for _, v := range rows {
+		if err := g.validateRow(int(v)); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
 // Name returns the graph's label (dataset name or generator tag).
 func (g *Graph) Name() string { return g.name }
 
@@ -149,6 +171,20 @@ func (g *Graph) Degrees() []int32 {
 // Validate checks structural invariants and returns a descriptive error on
 // the first violation. It is used by tests and by the binary decoder.
 func (g *Graph) Validate() error {
+	if err := g.validatePointers(); err != nil {
+		return err
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		if err := g.validateRow(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validatePointers checks that the row pointers start at 0, never fall and
+// end at |E|, so every row slices colIdx in bounds.
+func (g *Graph) validatePointers() error {
 	n := g.NumVertices()
 	if g.rowPtr[0] != 0 {
 		return fmt.Errorf("graph %q: rowPtr[0] = %d, want 0: %w", g.name, g.rowPtr[0], fault.ErrBadGraph)
@@ -157,23 +193,29 @@ func (g *Graph) Validate() error {
 		if g.rowPtr[v+1] < g.rowPtr[v] {
 			return fmt.Errorf("graph %q: rowPtr not monotone at %d: %w", g.name, v, fault.ErrBadGraph)
 		}
-		// Bounds before slicing: a decoded stream can carry row pointers
-		// past |E|, and InNeighbors must not panic during validation.
+		// A decoded stream can carry row pointers past |E|.
 		if int(g.rowPtr[v+1]) > len(g.colIdx) {
 			return fmt.Errorf("graph %q: rowPtr[%d]=%d exceeds |E|=%d: %w", g.name, v+1, g.rowPtr[v+1], len(g.colIdx), fault.ErrBadGraph)
-		}
-		row := g.InNeighbors(v)
-		for i, u := range row {
-			if u < 0 || int(u) >= n {
-				return fmt.Errorf("graph %q: neighbor %d of %d out of range: %w", g.name, u, v, fault.ErrBadGraph)
-			}
-			if i > 0 && row[i-1] > u {
-				return fmt.Errorf("graph %q: adjacency of %d not sorted: %w", g.name, v, fault.ErrBadGraph)
-			}
 		}
 	}
 	if int(g.rowPtr[n]) != len(g.colIdx) {
 		return fmt.Errorf("graph %q: rowPtr[n]=%d != |E|=%d: %w", g.name, g.rowPtr[n], len(g.colIdx), fault.ErrBadGraph)
+	}
+	return nil
+}
+
+// validateRow checks that v's in-neighbours are sorted vertex ids. The row
+// pointers must have passed validatePointers.
+func (g *Graph) validateRow(v int) error {
+	n := g.NumVertices()
+	row := g.InNeighbors(v)
+	for i, u := range row {
+		if u < 0 || int(u) >= n {
+			return fmt.Errorf("graph %q: neighbor %d of %d out of range: %w", g.name, u, v, fault.ErrBadGraph)
+		}
+		if i > 0 && row[i-1] > u {
+			return fmt.Errorf("graph %q: adjacency of %d not sorted: %w", g.name, v, fault.ErrBadGraph)
+		}
 	}
 	return nil
 }

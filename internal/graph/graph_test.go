@@ -1,11 +1,14 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"scale/internal/fault"
 )
 
 func TestBuilderBasics(t *testing.T) {
@@ -27,6 +30,39 @@ func TestBuilderBasics(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FromCSRRows checks the row pointers and the rows it is handed, as dyn's
+// rebuild hands it the rows a batch wrote: a listed row left unsorted, or
+// holding an id outside the graph, is refused with fault.ErrBadGraph, and
+// so are broken row pointers whatever rows are listed.
+func TestFromCSRRowsChecksListedRows(t *testing.T) {
+	// Three vertices; row 1 is {0, 2}.
+	good := func() ([]int32, []int32) { return []int32{0, 1, 3, 4}, []int32{2, 0, 2, 1} }
+	for _, tc := range []struct {
+		name  string
+		edit  func(rowPtr, colIdx []int32)
+		rows  []int32
+		valid bool
+	}{
+		{"valid", func(_, _ []int32) {}, []int32{0, 1, 2}, true},
+		{"unsorted", func(_, c []int32) { c[1], c[2] = 2, 0 }, []int32{1}, false},
+		{"id past the end", func(_, c []int32) { c[2] = 3 }, []int32{1}, false},
+		{"negative id", func(_, c []int32) { c[1] = -1 }, []int32{1}, false},
+		{"pointer past |E|", func(p, _ []int32) { p[2] = 5 }, nil, false},
+		{"falling pointer", func(p, _ []int32) { p[2] = 0 }, nil, false},
+		{"short |E|", func(p, _ []int32) { p[3] = 3 }, nil, false},
+	} {
+		rowPtr, colIdx := good()
+		tc.edit(rowPtr, colIdx)
+		_, err := FromCSRRows("t", rowPtr, colIdx, tc.rows)
+		if tc.valid && err != nil || !tc.valid && !errors.Is(err, fault.ErrBadGraph) {
+			t.Errorf("%s: err = %v, want ErrBadGraph: %v", tc.name, err, !tc.valid)
+		}
+		if _, err := FromCSR("t", rowPtr, colIdx); !tc.valid && !errors.Is(err, fault.ErrBadGraph) {
+			t.Errorf("%s: FromCSR accepted it", tc.name)
+		}
 	}
 }
 

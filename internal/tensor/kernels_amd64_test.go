@@ -5,16 +5,21 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"os"
+	"regexp"
 	"slices"
 	"testing"
 )
 
-// The SSE2 kernels must match their portable loops bit for bit: at every
-// width from 0 to 70 (each panel, overlap and tail of their walks), with
-// slice starts offset by 0–3 elements so the vector loads are unaligned,
-// with operands longer than the wrapper's bound, and on the edge values
-// below. Each test compares the whole backing array, so a write past
-// the slice the wrapper hands the assembly shows as a difference.
+// The AVX2 kernels must match their portable loops bit for bit: at every
+// width from 0 to 70 (each panel, overlap, masked tail and narrow walk),
+// with slice starts offset by 0–3 elements so the vector loads are
+// unaligned, with operands longer than the wrapper's bound, and on the edge
+// values below. Each test compares the whole backing array, so a write past
+// the slice the wrapper hands the assembly shows as a difference. The
+// tests keep the names they had when these kernels were SSE2; the wrappers
+// run the AVX2 bodies on every host where TestAVX2Selected passes and
+// does not skip.
 
 // f32Finite are the finite edge operands: ±0, subnormals, the smallest
 // normal, ±1 and ±3e38, whose products overflow to ±Inf.
@@ -27,7 +32,7 @@ var f32Finite = []float32{
 // f32Operand draws a normal random value or, three times in eight, an edge
 // operand; ±Inf only when inf is set. Inputs never hold NaN (features are
 // validated finite upstream), and a product gets at most one non-finite
-// operand, because which NaN payload SSE keeps when both operands are NaN
+// operand, because which NaN payload the vector unit keeps when both operands are NaN
 // is unspecified.
 func f32Operand(rng *rand.Rand, inf bool) float32 {
 	switch k := rng.Intn(8); {
@@ -87,7 +92,7 @@ func TestAxpyRowsSSE2MatchesGeneric(t *testing.T) {
 					gi := axpyRows(got[off:off+width], data, nrows, rows, coefs)
 					wi := axpyRowsGeneric(want[off:off+width], data, nrows, rows, coefs)
 					if gi != n || wi != n || !bitsEqual(got, want) {
-						t.Fatalf("width %d offset %d rows %v trial %d: SSE2 %d %v, generic %d %v",
+						t.Fatalf("width %d offset %d rows %v trial %d: AVX2 %d %v, generic %d %v",
 							width, off, rows, trial, gi, got, wi, want)
 					}
 				}
@@ -111,8 +116,108 @@ func TestSumRowsSSE2MatchesGeneric(t *testing.T) {
 					gi := sumRows(got[off:off+width], data, nrows, rows)
 					wi := sumRowsGeneric(want[off:off+width], data, nrows, rows)
 					if gi != n || wi != n || !bitsEqual(got, want) {
-						t.Fatalf("width %d offset %d rows %v trial %d: SSE2 %d %v, generic %d %v",
+						t.Fatalf("width %d offset %d rows %v trial %d: AVX2 %d %v, generic %d %v",
 							width, off, rows, trial, gi, got, wi, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAVX2Selected fails when the CPU reports AVX2, with the YMM state
+// saved by the OS, but the wrappers run the portable loops: every
+// differential test in this file would then compare the portable loops
+// with themselves. It decodes the CPUID and XGETBV bits itself, and on
+// Linux also reads the kernel's flag list.
+func TestAVX2Selected(t *testing.T) {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	_, _, ecx1, _ := cpuid(1, 0)
+	var ebx7 uint32
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
+	}
+	// XGETBV faults unless OSXSAVE (leaf 1, ECX bit 27) is set.
+	want := ecx1>>27&1 == 1 && ecx1>>28&1 == 1 && ebx7>>5&1 == 1 && xgetbv()&6 == 6
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil &&
+		regexp.MustCompile(`(?m)^flags\s*:.*\bavx2\b`).Match(info) && !want {
+		t.Fatal("the kernel lists avx2 but CPUID and XGETBV, as decoded here, do not")
+	}
+	if useAVX2 != want || (KernelFamily() == "avx2") != want {
+		t.Fatalf("CPU reports AVX2 %v, but useAVX2 is %v and KernelFamily is %q", want, useAVX2, KernelFamily())
+	}
+	if !want {
+		t.Skip("no AVX2 on this host: the differential tests compare the portable loops with themselves")
+	}
+}
+
+// withKernels runs fn with the AVX2 bodies selected when avx2 is set and
+// the portable loops otherwise, then restores the start-up selection.
+func withKernels(avx2 bool, fn func()) {
+	defer func(was bool) { useAVX2 = was }(useAVX2)
+	useAVX2 = avx2
+	fn()
+}
+
+// Every wrapper must give the same bits, and stop at the same list
+// position, with the selection forced to the portable loops and to the
+// AVX2 bodies, over the rowListCase cases with int8 operands drawn beside
+// them. This keeps the wrappers' portable branch, which only a host
+// without AVX2 takes, under test on hosts that have it.
+func TestKernelSelectionBitIdentical(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("no AVX2 on this host")
+	}
+	rng := rand.New(rand.NewSource(38))
+	for width := 0; width <= 70; width++ {
+		for off := 0; off <= 3; off++ {
+			for _, n := range rowListLengths {
+				for trial := 0; trial < 3; trial++ {
+					back, data, nrows, rows, coefs := rowListCase(rng, width, off, n, trial, trial == 1)
+					qdata := make([]byte, nrows*(width&^7))
+					rng.Read(qdata)
+					w := make([]int8, nrows*2*width)
+					for i := range w {
+						w[i] = int8Operand(rng)
+					}
+					x := make([]int8, 2*nrows)
+					for i := range x {
+						x[i] = int8Operand(rng)
+					}
+					pairs := make([]int32, n)
+					qback := make([]int32, len(back))
+					for i := range pairs {
+						pairs[i] = packPair(int8Operand(rng), int8Operand(rng))
+					}
+					for i := range qback {
+						qback[i] = int32(rng.Uint32())
+					}
+					run := func(avx2 bool) (bits []uint32) {
+						withKernels(avx2, func() {
+							f := append([]float32(nil), back...)
+							s := append([]float32(nil), back...)
+							q := append([]int32(nil), qback...)
+							g := append([]int32(nil), qback...)
+							bits = append(bits,
+								uint32(axpyRows(f[off:off+width], data, nrows, rows, coefs)),
+								uint32(sumRows(s[off:off+width], data, nrows, rows)),
+								uint32(qsumRows(q[off:off+width], qdata, nrows, rows)),
+								uint32(qgemvRows(g[off:off+width], w, 2*width, nrows, rows, pairs)))
+							if 4 <= width && width <= 8 {
+								qgemv8Dense(g[off:off+width], w, 2*width, x)
+							}
+							for _, v := range slices.Concat(f, s) {
+								bits = append(bits, math.Float32bits(v))
+							}
+							for _, v := range slices.Concat(q, g) {
+								bits = append(bits, uint32(v))
+							}
+						})
+						return bits
+					}
+					if avx2, portable := run(true), run(false); !slices.Equal(avx2, portable) {
+						t.Fatalf("width %d offset %d rows %v trial %d: AVX2 selected %v, portable %v",
+							width, off, rows, trial, avx2, portable)
 					}
 				}
 			}
@@ -171,7 +276,7 @@ func TestQGemvRowsSSE2MatchesGeneric(t *testing.T) {
 					gi := qgemvRows(got[off:off+width], w, stride, nrows, rows, pairs)
 					wi := qgemvRowsGeneric(want[off:off+width], w, stride, nrows, rows, pairs)
 					if gi != n || wi != n || !slices.Equal(got, want) {
-						t.Fatalf("width %d offset %d rows %v trial %d: SSE2 %d %v, generic %d %v",
+						t.Fatalf("width %d offset %d rows %v trial %d: AVX2 %d %v, generic %d %v",
 							width, off, rows, trial, gi, got, wi, want)
 					}
 				}
@@ -179,7 +284,7 @@ func TestQGemvRowsSSE2MatchesGeneric(t *testing.T) {
 		}
 	}
 	// (−128, −128) against −128 weights over 301 pairs, a Reddit-width row:
-	// the largest pair sum PMADDWL ever sees, in every column of a panel.
+	// the largest pair sum VPMADDWD ever sees, in every column of a panel.
 	w := make([]int8, 301*128)
 	for i := range w {
 		w[i] = -128
@@ -195,7 +300,7 @@ func TestQGemvRowsSSE2MatchesGeneric(t *testing.T) {
 	const want = 602 * 128 * 128
 	for j := range got {
 		if got[j] != want || gen[j] != want {
-			t.Fatalf("column %d of 602 × (−128·−128): SSE2 %d, generic %d, want %d", j, got[j], gen[j], want)
+			t.Fatalf("column %d of 602 × (−128·−128): AVX2 %d, generic %d, want %d", j, got[j], gen[j], want)
 		}
 	}
 }
@@ -230,7 +335,7 @@ func TestQGemv8DenseSSE2MatchesGeneric(t *testing.T) {
 					qgemv8Dense(got[off:off+width], w, stride, x)
 					qgemv8DenseGeneric(want[off:off+width], w, stride, x)
 					if !slices.Equal(got, want) {
-						t.Fatalf("width %d offset %d inputs %v trial %d: SSE2 %v, generic %v",
+						t.Fatalf("width %d offset %d inputs %v trial %d: AVX2 %v, generic %v",
 							width, off, x, trial, got, want)
 					}
 				}
@@ -248,7 +353,7 @@ var qsumListLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 511, 51
 // and 64 columns), with the accumulator and the byte rows starting 0–3
 // elements into their allocations, rows longer than the bound, repeated
 // rows, lists of 0–600 rows across both widening points, and arbitrary
-// starting sums (PADDL wraps like the int32 add). The whole int32 backing
+// starting sums (VPADDD wraps like the int32 add). The whole int32 backing
 // array is compared.
 func TestQSumRowsSSE2MatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
@@ -275,7 +380,7 @@ func TestQSumRowsSSE2MatchesGeneric(t *testing.T) {
 					gi := qsumRows(got[off:off+width], data, nrows, rows)
 					wi := qsumRowsGeneric(want[off:off+width], data, nrows, rows)
 					if gi != n || wi != n || !slices.Equal(got, want) {
-						t.Fatalf("width %d offset %d %d rows trial %d: SSE2 %d %v, generic %d %v",
+						t.Fatalf("width %d offset %d %d rows trial %d: AVX2 %d %v, generic %d %v",
 							width, off, n, trial, gi, got, wi, want)
 					}
 				}
@@ -287,7 +392,7 @@ func TestQSumRowsSSE2MatchesGeneric(t *testing.T) {
 // checkQSumRowsSplit accumulates one chain through qsumRows in calls of
 // chunk rows each. Each call widens its 16-bit lanes at its own end, so no
 // split of a list may change a bit: the sums must match the portable loop
-// fed the same calls and one SSE2 call over the whole list. It sweeps every
+// fed the same calls and one AVX2 call over the whole list. It sweeps every
 // width from 0 to 70 with the accumulator and the byte rows starting 0–3
 // elements into their allocations, qsumListLengths with a repeated row,
 // and arbitrary starting sums, and compares the whole int32 backing array.
@@ -321,7 +426,7 @@ func checkQSumRowsSplit(t *testing.T, seed int64, chunk int) {
 				}
 				qsumRows(whole[off:off+width], data, nrows, rows)
 				if !slices.Equal(got, want) || !slices.Equal(whole, want) {
-					t.Fatalf("width %d offset %d %d rows in calls of %d: SSE2 %v, generic %v, one SSE2 call %v",
+					t.Fatalf("width %d offset %d %d rows in calls of %d: AVX2 %v, generic %v, one AVX2 call %v",
 						width, off, n, chunk, got, want, whole)
 				}
 			}
@@ -344,7 +449,7 @@ func TestAccRow4ChainSSE2MatchesGeneric(t *testing.T) {
 // chainBlockEdges rows of byte 255 fill every 16-bit lane to 256·255 =
 // 65280, the most a lane holds before it widens, and rows of byte 0 give
 // the largest negative sums. Each column must come out n·127, or n·(−128),
-// on the SSE2 kernel and the portable loop, at every stride to 128 (each
+// on the AVX2 kernel and the portable loop, at every stride to 128 (each
 // walk and each combination of them), for one block, two blocks and two
 // blocks and a row.
 func TestQSumRowsSSE2LaneLimit(t *testing.T) {
@@ -362,7 +467,7 @@ func TestQSumRowsSSE2LaneLimit(t *testing.T) {
 				want := int32(n) * (int32(b) - 128)
 				for j := range got {
 					if got[j] != want || gen[j] != want {
-						t.Fatalf("stride %d, %d rows of %d: column %d SSE2 %d, generic %d, want %d",
+						t.Fatalf("stride %d, %d rows of %d: column %d AVX2 %d, generic %d, want %d",
 							stride, n, b, j, got[j], gen[j], want)
 					}
 				}
@@ -399,7 +504,7 @@ func (d *fuzzOperands) f32() float32 {
 }
 
 // FuzzKernels decodes the fuzzer's bytes into a width, a slice offset and
-// operands for the four SSE2 row-list kernels and the dense GEMV walk, and
+// operands for the four AVX2 row-list kernels and the dense GEMV walk, and
 // requires each to match its portable loop bit for bit. Each row-list
 // kernel gets a matrix of up to eight rows and a list of up to 32 indices,
 // some of them outside the matrix, and must also stop at the same list
@@ -445,14 +550,14 @@ func FuzzKernels(f *testing.F) {
 		// A list with a bad index leaves o unspecified: the caller panics.
 		valid := gi == len(list)
 		if gi != wi || valid && !bitsEqual(gotF, o) {
-			t.Fatalf("axpyRows width %d offset %d rows %v: SSE2 %d %v, generic %d %v",
+			t.Fatalf("axpyRows width %d offset %d rows %v: AVX2 %d %v, generic %d %v",
 				width, off, list, gi, gotF, wi, o)
 		}
 		gotA := append([]float32(nil), sum...)
 		gi = sumRows(gotA[off:], m[off:], nrows, list)
 		wi = sumRowsGeneric(sum[off:], m[off:], nrows, list)
 		if gi != wi || valid && !bitsEqual(gotA, sum) {
-			t.Fatalf("sumRows width %d offset %d rows %v: SSE2 %d %v, generic %d %v",
+			t.Fatalf("sumRows width %d offset %d rows %v: AVX2 %d %v, generic %d %v",
 				width, off, list, gi, gotA, wi, sum)
 		}
 
@@ -480,7 +585,7 @@ func FuzzKernels(f *testing.F) {
 		gi = qsumRows(gotQ[off:], qdata[off:], nrows, list)
 		wi = qsumRowsGeneric(sums[off:], qdata[off:], nrows, list)
 		if gi != wi || valid && !slices.Equal(gotQ, sums) {
-			t.Fatalf("qsumRows width %d offset %d rows %v: SSE2 %d %v, generic %d %v",
+			t.Fatalf("qsumRows width %d offset %d rows %v: AVX2 %d %v, generic %d %v",
 				width, off, list, gi, gotQ, wi, sums)
 		}
 		dense := append([]int32(nil), acc...)
@@ -488,7 +593,7 @@ func FuzzKernels(f *testing.F) {
 		gi = qgemvRows(gotG[off:], qw[off:], 2*width, nrows, list, pairs)
 		wi = qgemvRowsGeneric(acc[off:], qw[off:], 2*width, nrows, list, pairs)
 		if gi != wi || valid && !slices.Equal(gotG, acc) {
-			t.Fatalf("qgemvRows width %d offset %d rows %v: SSE2 %d %v, generic %d %v",
+			t.Fatalf("qgemvRows width %d offset %d rows %v: AVX2 %d %v, generic %d %v",
 				width, off, list, gi, gotG, wi, acc)
 		}
 		// The dense walk reads every row of qw in order, the first
@@ -502,7 +607,7 @@ func FuzzKernels(f *testing.F) {
 			qgemv8Dense(gotD[off:], qw[off:], 2*width, x)
 			qgemv8DenseGeneric(dense[off:], qw[off:], 2*width, x)
 			if !slices.Equal(gotD, dense) {
-				t.Fatalf("qgemv8Dense width %d offset %d inputs %v: SSE2 %v, generic %v",
+				t.Fatalf("qgemv8Dense width %d offset %d inputs %v: AVX2 %v, generic %v",
 					width, off, x, gotD, dense)
 			}
 		}

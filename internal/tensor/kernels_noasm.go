@@ -6,6 +6,10 @@ package tensor
 // detector cannot see memory that assembly touches) the hot kernels are the
 // portable loops.
 
+// KernelFamily names the row-list kernels this process runs: "avx2" or
+// "portable".
+func KernelFamily() string { return "portable" }
+
 func sumRows(o, data []float32, nrows int, rows []int32) int {
 	return sumRowsGeneric(o, data, nrows, rows)
 }
