@@ -206,11 +206,6 @@ func (g *Graph) rebuild(n int, net map[edgeKey]int32) (*graph.Graph, error) {
 	}
 	colIdx := make([]int32, rowPtr[n])
 	touched := make([]int32, 0, len(edits))
-	for _, e := range edits {
-		if len(touched) == 0 || touched[len(touched)-1] != e.dst {
-			touched = append(touched, e.dst)
-		}
-	}
 	for v := 0; v < n; v++ {
 		var row []int32
 		if v < oldN {
@@ -219,6 +214,9 @@ func (g *Graph) rebuild(n int, net map[edgeKey]int32) (*graph.Graph, error) {
 		i := 0
 		for i < len(edits) && edits[i].dst == int32(v) {
 			i++
+		}
+		if i > 0 {
+			touched = append(touched, int32(v))
 		}
 		mergeRow(colIdx[rowPtr[v]:rowPtr[v+1]], row, edits[:i])
 		edits = edits[i:]

@@ -102,8 +102,8 @@ func addRow(o, r []float32) {
 // one addRow pass per row. It returns len(rows), or the list position of
 // the first index outside [0, nrows), whose row it never reads (o then
 // holds the rows before it; callers panic). With no columns it reads
-// nothing and checks nothing. sumRows runs this loop, or on amd64 its SSE2
-// version (kernels_amd64.s), which keeps each panel of up to 32 output
+// nothing and checks nothing. sumRows runs this loop, or on amd64 its AVX2
+// version (kernels_amd64.s), which keeps each panel of up to 64 output
 // columns in registers for the whole list and does the same add per lane;
 // every element gets the same sums in the same order, so the two are
 // bit-identical.
@@ -125,7 +125,7 @@ func sumRowsGeneric(o, data []float32, nrows int, rows []int32) int {
 // row-list kernel: o += coefs[i]·(data row rows[i]) for each i in list
 // order, one axpyRow pass per row. It returns and checks as
 // sumRowsGeneric. coefs must hold len(rows) elements. axpyRows runs this
-// loop, or on amd64 its SSE2 version, which broadcasts each coefficient
+// loop, or on amd64 its AVX2 version, which broadcasts each coefficient
 // once per panel and does the same multiply, then add, per lane.
 func axpyRowsGeneric(o, data []float32, nrows int, rows []int32, coefs []float32) int {
 	w := len(o)

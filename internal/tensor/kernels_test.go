@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// The GEMM's rows run the axpyRows panels (SSE2 on amd64); they must match
+// The GEMM's rows run the axpyRows panels (AVX2 on amd64); they must match
 // the plain one-axpyRow-per-element MatMul oracle bit for bit on a product
 // that is ragged in every dimension, zeros included (both skip them).
 func TestBlockedGEMMBitIdenticalToPlain(t *testing.T) {

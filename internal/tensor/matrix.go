@@ -38,7 +38,7 @@
 //     k-major in pairs of input rows. It compacts the row's non-zero input
 //     pairs into a stack list and runs qgemvRows over it: each pair is
 //     broadcast once per output panel and multiplied into int32 lanes
-//     (PMADDWL), and dequantization (scaleX·scaleW per element) happens
+//     (VPMADDWD), and dequantization (scaleX·scaleW per element) happens
 //     once at the output boundary. An output of 4 to 8 columns walks every
 //     pair in place instead (qgemv8Dense), with no compaction. The
 //     aggregation side uses the shared-scale QSumMatrix layout: QChain,
@@ -46,21 +46,22 @@
 //     sums biased byte rows into 16-bit lanes, 64 columns in registers for
 //     the whole list, and widens them into int32, less the bias, every 256
 //     rows.
-//   - On amd64 the four row-list kernels — sumRows, axpyRows, qsumRows and
-//     qgemvRows — and the dense walk run as SSE2 assembly
-//     (kernels_amd64.s), four floats or sixteen bytes per instruction. The
-//     row-list kernels walk the list inside the assembly once per panel:
-//     the fp32 ones and the GEMV 32 columns while more than 32 remain,
-//     then one walk of the smallest panel (32, 16, 8 or 4 columns, its two
-//     halves overlapping when the rest is narrower) or a walk of 1-3
-//     columns; the int8 chain 64 columns, then one walk each of 32, 16 and
-//     8 as its stride needs. Each checks every row index. Each SSE lane
-//     does the portable loop's arithmetic in the same order (a float32
+//   - On amd64 hosts with AVX2 the four row-list kernels — sumRows,
+//     axpyRows, qsumRows and qgemvRows — and the dense walk run as AVX2
+//     assembly (kernels_amd64.s), eight floats or thirty-two bytes per
+//     instruction, selected once at start-up from CPUID. The row-list
+//     kernels walk the list inside the assembly once per panel: the fp32
+//     ones and the GEMV 64 columns while more than 64 remain, then one walk
+//     of the smallest panel (64, 48, 32 or 16 columns, its two halves
+//     overlapping when the rest is narrower) or of the last 8 or fewer
+//     columns; the int8 chain 64 columns, then one walk each of 48, 32, 16
+//     and 8 as its stride needs. Each checks every row index. Each vector
+//     lane does the portable loop's arithmetic in the same order (a float32
 //     multiply then an add, never fused; exact integer sums), so results
 //     are bit-identical to the Go loops, which keep their bodies under
 //     …Generic names, round each float32 product by an explicit
-//     conversion, and are the only path on other architectures and in
-//     -race builds (kernels_noasm.go).
+//     conversion, and are the path on amd64 hosts without AVX2, on other
+//     architectures and in -race builds (kernels_noasm.go).
 //   - Row-level parallelism is explicit: ParallelMatMulInto,
 //     ParallelQuantizeScaledInto and the ParallelRows helper fan disjoint
 //     row ranges across a bounded worker count. The

@@ -204,8 +204,8 @@ func compactPairs(rows, pairs *[qgemvChunk]int32, qx []int8, first int32) int {
 // x1·w[r·stride+2j+1] for every column j of acc, in wrapping int32. It
 // returns len(rows), or the list position of the first index outside
 // [0, nrows), whose row it never reads; with no columns it reads nothing
-// and checks nothing. qgemvRows runs this loop, or on amd64 its SSE2
-// version, which keeps each panel of up to 32 columns in registers for the
+// and checks nothing. qgemvRows runs this loop, or on amd64 its AVX2
+// version, which keeps each panel of up to 64 columns in registers for the
 // whole list; integer sums are exact, so the two agree. pairs must hold
 // len(rows) elements and w (nrows−1)·stride + 2·len(acc) bytes.
 func qgemvRowsGeneric(acc []int32, w []int8, stride, nrows int, rows, pairs []int32) int {
@@ -468,7 +468,7 @@ func QChain(acc []int32, q *QSumMatrix, rows []int32) {
 // chain's row-list kernel: acc[j] += data[r·w+j] − 128 for each r in rows,
 // over the w = len(acc) rounded down to a multiple of 8 columns. It
 // returns and checks as qgemvRowsGeneric. qsumRows runs this loop, or on
-// amd64 its SSE2 version, which keeps panels of up to 64 columns in 16-bit
+// amd64 its AVX2 version, which keeps panels of up to 64 columns in 16-bit
 // lanes for the whole list, widening them every chainBlockEdges rows; the
 // sums are exact, so the two agree. data must hold nrows·w bytes.
 func qsumRowsGeneric(acc []int32, data []byte, nrows int, rows []int32) int {
